@@ -90,6 +90,7 @@ def cmd_verify_lemma(args, corpus) -> RunReport:
     if args.family:
         fams = [f for f in fams if f.id == args.family]
         if not fams:
+            print(f"error: no family matches {args.family!r}", file=sys.stderr)
             raise SystemExit(2)
     for fam in fams:
         for b in range(len(fam.branches)):

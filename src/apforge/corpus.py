@@ -16,6 +16,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Optional
 
+from .curvelab import FACT_KINDS
 from .exactmath import BinaryForm
 from .parametrize import Branch, ParamFamily
 
@@ -114,6 +115,9 @@ def _parse_family(rec: dict) -> ParamFamily:
 
 
 def _parse_case(rec: dict) -> CaseRecord:
+    for fact in rec.get("facts", ()):
+        if fact["kind"] not in FACT_KINDS:
+            raise ValueError(f"case {rec['id']}: unknown fact kind {fact['kind']!r}")
     return CaseRecord(
         id=rec["id"],
         exponent_vector=tuple(rec["exponent_vector"]),

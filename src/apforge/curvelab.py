@@ -26,7 +26,7 @@ import numpy as np
 from .exactmath import (BinaryForm, UniPoly, form_eval, int_kth_root,
                         uni_resultant)
 from .numfield import FieldElem, NumberField, Undecided, nf_is_square
-from .searcher import SIEVE_FACTORS, _residue_table
+from .sieve import CRT_FACTORS, form_square_tables
 
 
 class BadReduction(Exception):
@@ -225,35 +225,28 @@ def torsion_gcd_bound(curve: HyperCurve, primes: Sequence[int]) -> int:
 _EXTRA_PRIMES = (17, 19, 23, 29, 31, 37)
 
 
-@lru_cache(maxsize=None)
-def _square_table_np(m: int) -> np.ndarray:
-    return _residue_table(2, m, (1,))
-
-
 def _homogeneous_square_hits(coeffs6, height: int):
     """(r, s, value) with value = sum coeffs6[i] r^i s^(6-i) a perfect square,
     s in [1, height], r in [-height, height].  Sound modular pre-filter,
     exact big-integer confirmation."""
-    moduli = list(SIEVE_FACTORS) + list(_EXTRA_PRIMES)
-    tables = {m: _square_table_np(m) for m in moduli}
+    moduli = CRT_FACTORS + _EXTRA_PRIMES
+    tables = form_square_tables(coeffs6, moduli)
     asc = [int(c) for c in coeffs6]
     r_all = np.arange(-height, height + 1, dtype=np.int64)
-    r_mod = {m: (r_all % m).astype(np.int64) for m in moduli}
+    r_mod = {m: r_all % m for m in moduli}
     hits = []
     for s in range(1, height + 1):
         # Stage 1: two cheapest moduli over the full row.
         mask = None
         for m in moduli[:2]:
-            vm = _horner_mod(asc, r_mod[m], s % m, m)
-            t = tables[m][vm]
+            t = tables[m][s % m][r_mod[m]]
             mask = t if mask is None else (mask & t)
         idx = np.nonzero(mask)[0]
         if len(idx) == 0:
             continue
         # Stage 2: remaining moduli on survivors only.
         for m in moduli[2:]:
-            vm = _horner_mod(asc, r_mod[m][idx], s % m, m)
-            idx = idx[tables[m][vm]]
+            idx = idx[tables[m][s % m][r_mod[m][idx]]]
             if len(idx) == 0:
                 break
         for i in idx:
@@ -265,16 +258,6 @@ def _homogeneous_square_hits(coeffs6, height: int):
             if w * w == val:
                 hits.append((r, s, val, w))
     return hits
-
-
-def _horner_mod(asc, r_mod: np.ndarray, s_mod: int, m: int) -> np.ndarray:
-    sp = [1] * 7
-    for k in range(1, 7):
-        sp[k] = sp[k - 1] * s_mod % m
-    acc = np.full_like(r_mod, asc[6] % m)
-    for k in range(5, -1, -1):
-        acc = (acc * r_mod + (asc[k] * sp[6 - k]) % m) % m
-    return acc
 
 
 def rational_points_search(curve, height: int):
@@ -1046,6 +1029,9 @@ _FACT_RUNNERS = {
     "mod4_progression": _runner_mod4_progression,
     "descent_s1": _runner_descent_s1,
 }
+
+
+FACT_KINDS = frozenset(_FACT_RUNNERS) | {"unchecked_claim"}
 
 
 def factorization_check(case) -> bool:

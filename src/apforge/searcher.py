@@ -7,9 +7,11 @@ tables before any exact root extraction.  The heavy inner loops run on
 numpy int64 arrays; every surviving candidate is re-validated exactly with
 big integers before being reported.
 
-Residue sieve: a value that is an l-th power is an l-th power residue
-modulo every factor of 720720 = 16*9*5*7*11*13, so membership tables per
-factor give a sound pre-filter (the CRT factors of one lcm-rich modulus).
+Residue sieve: an eta-twisted l-th power eta * x^l is an eta-twisted l-th
+power residue modulo 720720 = 16*9*5*7*11*13.  ``apforge.sieve`` builds one
+bool table per (l, etas) over Z/720720, the AND of the tables of the six
+CRT factors, so each derived position costs one ``% 720720`` and one
+gather.  The table only rejects; survivors are confirmed exactly.
 """
 
 from __future__ import annotations
@@ -17,19 +19,18 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .exactmath import BinaryForm, form_eval, form_mul, int_kth_root
+from .sieve import CRT_MODULUS, power_table
 
 
 class ResourceLimitError(Exception):
     """Estimated work exceeds the configured ceiling; nothing was truncated."""
 
 
-SIEVE_FACTORS = (16, 9, 5, 7, 11, 13)  # CRT factors of 720720
 _INT64_SAFE = 1 << 62
 
 
@@ -69,28 +70,12 @@ class Progression:
                 raise AssertionError(f"not an arithmetic progression: {v}")
 
 
-@lru_cache(maxsize=None)
-def _residue_set(l: int, modulus: int) -> frozenset:
-    return frozenset(pow(r, l, modulus) for r in range(modulus))
-
-
-@lru_cache(maxsize=None)
-def _residue_table(l: int, modulus: int, etas: tuple) -> np.ndarray:
-    table = np.zeros(modulus, dtype=bool)
-    for t in _residue_set(l, modulus):
-        for eta in etas:
-            table[(eta * t) % modulus] = True
-    return table
-
-
 def is_power_value(h: int, l: int, use_sieve: bool = True):
     """Return x with x**l == h (canonical x >= 0 for even l), else None."""
     if l % 2 == 0 and h < 0:
         return None
-    if use_sieve:
-        for f in SIEVE_FACTORS:
-            if h % f not in _residue_set(l, f):
-                return None
+    if use_sieve and not power_table(l)[h % CRT_MODULUS]:
+        return None
     return int_kth_root(h, l)
 
 
@@ -162,10 +147,7 @@ def _scan_vector(task: _VectorTask) -> list:
     outer = outer[lo:hi]
     d = j - i
     rest = [m for m in range(k) if m not in (i, j)]
-    tables = {}
-    if task.use_sieve:
-        for m in rest:
-            tables[m] = [(f, _residue_table(lvec[m], f, etas[m])) for f in SIEVE_FACTORS]
+    tables = {m: power_table(lvec[m], etas[m]) for m in rest} if task.use_sieve else {}
     all_pos_eta = {m: all(e > 0 for e in etas[m]) for m in range(k)}
     hits = []
     for hi_val in outer:
@@ -182,8 +164,7 @@ def _scan_vector(task: _VectorTask) -> list:
             if lvec[m] % 2 == 0 and all_pos_eta[m]:
                 mask &= hm >= 0
             if task.use_sieve:
-                for f, table in tables[m]:
-                    np.bitwise_and(mask, table[hm % f], out=mask)
+                np.bitwise_and(mask, tables[m][hm % CRT_MODULUS], out=mask)
             if not mask.any():
                 break
         else:
@@ -216,17 +197,10 @@ def _confirm(lvec, bounds, etas, gcd_cap, i, j, h_i, h_j) -> Optional[Progressio
     return prog
 
 
-def _estimate_work(lvecs, bounds_of, etas_of) -> int:
-    total = 0
-    for lvec in lvecs:
-        sizes = []
-        for m, l in enumerate(lvec):
-            b = bounds_of(l)
-            per = (b + 1) if l % 2 == 0 else (2 * b + 1)
-            sizes.append(per * len(etas_of(m, l)))
-        i, j = _choose_base_pair(sizes)
-        total += sizes[i] * sizes[j]
-    return total
+def _position_sizes(task: _VectorTask) -> list:
+    """Per-position candidate counts before deduplication (upper bounds)."""
+    return [((b + 1) if l % 2 == 0 else (2 * b + 1)) * len(e)
+            for l, b, e in zip(task.lvec, task.bounds, task.etas)]
 
 
 def _check_magnitude(k: int, bounds_of, lvecs, eta_cap: int) -> None:
@@ -241,20 +215,10 @@ def _check_magnitude(k: int, bounds_of, lvecs, eta_cap: int) -> None:
             "candidate values exceed the 62-bit kernel range; shrink bounds")
 
 
-def _outer_size(task: _VectorTask) -> int:
-    """Upper bound for the outer candidate array (safe for range slicing:
-    the scan's outer set is the smallest deduplicated value set, which this
-    pointwise bound dominates)."""
-    sizes = []
-    for m, l in enumerate(task.lvec):
-        b = task.bounds[m]
-        per = (b + 1) if l % 2 == 0 else (2 * b + 1)
-        sizes.append(per * len(task.etas[m]))
-    return min(sizes)
-
-
 def _split_task(task: _VectorTask, parts: int) -> list:
-    n = _outer_size(task)
+    # Safe for range slicing: the scan's outer set is the smallest
+    # deduplicated value set, which this pointwise bound dominates.
+    n = min(_position_sizes(task))
     parts = max(1, min(parts, n))
     step = -(-n // parts)
     out = []
@@ -284,8 +248,17 @@ def _run_tasks(tasks: list, jobs: int) -> list:
     return hits
 
 
-def _canonical_sort(progs: Iterable[Progression]) -> list:
-    return sorted(progs, key=lambda p: (p.exponents, p.values))
+def _run_search(tasks: list, jobs: int, work_ceiling: int) -> list:
+    """Check the work estimate, scan, and sort hits canonically."""
+    est = 0
+    for t in tasks:
+        sizes = _position_sizes(t)
+        i, j = _choose_base_pair(sizes)
+        est += sizes[i] * sizes[j]
+    if est > work_ceiling:
+        raise ResourceLimitError(f"estimated {est} pair evaluations exceeds ceiling")
+    hits = _run_tasks(tasks, jobs)
+    return sorted(hits, key=lambda p: (p.exponents, p.values))
 
 
 def search_theorem3(bound_squares: int, bound_cubes: int,
@@ -305,19 +278,10 @@ def search_theorem3(bound_squares: int, bound_cubes: int,
     vectors = [tuple(v) for v in vectors]
     bounds_of = lambda l: bound_squares if l == 2 else bound_cubes
     _check_magnitude(4, bounds_of, vectors, 1)
-    est = _estimate_work(vectors, bounds_of, lambda m, l: (1,))
-    if est > work_ceiling:
-        raise ResourceLimitError(f"estimated {est} pair evaluations exceeds ceiling")
-    tasks = []
-    for lvec in vectors:
-        tasks.append(_VectorTask(
-            lvec=lvec,
-            bounds=tuple(bounds_of(l) for l in lvec),
-            etas=((1,),) * 4,
-            gcd_cap=1,
-            use_sieve=use_sieve,
-        ))
-    return _canonical_sort(_run_tasks(tasks, jobs))
+    tasks = [_VectorTask(lvec=lvec, bounds=tuple(bounds_of(l) for l in lvec),
+                         etas=((1,),) * 4, gcd_cap=1, use_sieve=use_sieve)
+             for lvec in vectors]
+    return _run_search(tasks, jobs, work_ceiling)
 
 
 def search_general(k: int, L: int, bound: int, D: int = 1,
@@ -347,19 +311,11 @@ def search_general(k: int, L: int, bound: int, D: int = 1,
     bounds_of = lambda l: bound
     _check_magnitude(k, bounds_of, vectors, max(abs(e) for l in eta_by_l
                                                 for e in eta_by_l[l]))
-    est = _estimate_work(vectors, bounds_of, lambda m, l: eta_by_l[l])
-    if est > work_ceiling:
-        raise ResourceLimitError(f"estimated {est} pair evaluations exceeds ceiling")
-    tasks = []
-    for lvec in vectors:
-        tasks.append(_VectorTask(
-            lvec=lvec,
-            bounds=tuple(bound for _ in lvec),
-            etas=tuple(eta_by_l[l] for l in lvec),
-            gcd_cap=D,
-            use_sieve=use_sieve,
-        ))
-    return _canonical_sort(_run_tasks(tasks, jobs))
+    tasks = [_VectorTask(lvec=lvec, bounds=(bound,) * k,
+                         etas=tuple(eta_by_l[l] for l in lvec), gcd_cap=D,
+                         use_sieve=use_sieve)
+             for lvec in vectors]
+    return _run_search(tasks, jobs, work_ceiling)
 
 
 def search_cubic_twin(bound: int) -> list:
@@ -369,13 +325,12 @@ def search_cubic_twin(bound: int) -> list:
     out = []
     ys = np.arange(-bound, bound + 1, dtype=np.int64)
     y3 = ys**3
+    cubes = power_table(3)
     for x in range(-bound, bound + 1):
         t = x**3 + y3
         mask = t % 2 == 0
         z3 = t // 2
-        for f in SIEVE_FACTORS:
-            table = _residue_table(3, f, (1,))
-            np.bitwise_and(mask, table[z3 % f], out=mask)
+        np.bitwise_and(mask, cubes[z3 % CRT_MODULUS], out=mask)
         for idx in np.nonzero(mask)[0]:
             y = int(ys[idx])
             z = int_kth_root(int(z3[idx]), 3)

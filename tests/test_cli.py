@@ -115,3 +115,24 @@ def test_console_script_entry():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "GenusZero" in proc.stdout
+
+
+def test_verify_lemma_unknown_family_message(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify-lemma", "--family", "zz", "--bound", "0")
+    assert exc.value.code == 2
+    assert "error: no family matches 'zz'" in capsys.readouterr().err
+
+
+def test_corpus_unknown_fact_kind_rejected(tmp_path, capsys):
+    from apforge.corpus import corpus_path
+
+    with open(corpus_path(), encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["cases"][0]["facts"].append({"kind": "bogus_kind"})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    assert run_cli("--corpus", str(bad), "cases") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load corpus:")
+    assert "bogus_kind" in err

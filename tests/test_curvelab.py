@@ -19,6 +19,7 @@ from apforge.curvelab import (ALL_GENUS_LE1_POSSIBLE, GENUS_AT_LEAST_2,
                               mod4_progression_impossible,
                               rational_points_search, rh_genus_bound, run_case,
                               torsion_gcd_bound)
+from apforge.curvelab import _homogeneous_square_hits, _integral_model_any
 from apforge.exactmath import BinaryForm, UniPoly
 from apforge.numfield import cbrt2_field
 
@@ -134,6 +135,23 @@ def test_rational_points_pinned_inventories():
     assert inf == 2
     ell = EllipticModel("ell_2223", UniPoly([2, 15, 60, -4]))
     assert rational_points_search(ell, 1000) == ([], 1)
+
+
+def test_point_sieve_matches_unfiltered_scan():
+    height = 40
+    curves = [build_curve(c) for c in CORPUS.cases]
+    curves = [c for c in curves if isinstance(c, (HyperCurve, EllipticModel))]
+    assert any(isinstance(c, EllipticModel) for c in curves)
+    for curve in curves:
+        f = curve.rhs if isinstance(curve, EllipticModel) else curve.f
+        coeffs, _v = _integral_model_any(f)
+        want = []
+        for s in range(1, height + 1):
+            for r in range(-height, height + 1):
+                val = sum(coeffs[k] * r**k * s ** (6 - k) for k in range(7))
+                if val >= 0 and math.isqrt(val) ** 2 == val:
+                    want.append((r, s, val, math.isqrt(val)))
+        assert _homogeneous_square_hits(coeffs, height) == want, curve.label
 
 
 def test_rational_points_monotone_in_height():

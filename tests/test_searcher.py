@@ -5,10 +5,12 @@ import random
 
 import pytest
 
-from apforge.searcher import (Progression, ResourceLimitError, is_power_value,
+from apforge.searcher import (Progression, ResourceLimitError,
+                              _eta_candidates, is_power_value,
                               remark_family_terms, search_cubic_twin,
                               search_general, search_theorem3,
                               verify_remark_families)
+from apforge.sieve import CRT_MODULUS, power_table
 from apforge.exactmath import form_eval, int_kth_root
 
 
@@ -30,6 +32,10 @@ def test_sieve_never_rejects_powers():
             x = abs(x)
         h = x**l
         assert is_power_value(h, l, use_sieve=True) == is_power_value(h, l, use_sieve=False)
+        etas = _eta_candidates((73,), l, 10**6)
+        table = power_table(l, etas)
+        for eta in etas:
+            assert table[(eta * h) % CRT_MODULUS]
 
 
 def test_sieve_soundness_search_comparison():
