@@ -19,12 +19,11 @@ import argparse
 import json
 import os
 import sys
-import time
 from dataclasses import asdict, dataclass, field
 
 from . import corpus as corpus_mod
 from . import curvelab, parametrize, searcher
-from .curvelab import CheckResult
+from .curvelab import CheckResult, timed_check
 
 
 @dataclass
@@ -73,17 +72,6 @@ def _print_report(report: RunReport) -> None:
           f"undecided, {s['unchecked-claim']} unchecked claims")
 
 
-def _timed(record_id: str, expected: str, fn) -> CheckResult:
-    t0 = time.perf_counter()
-    try:
-        ok, actual = fn()
-        status = "pass" if ok else "fail"
-    except curvelab.Undecided as exc:
-        status, actual = "undecided", str(exc)
-    ms = int((time.perf_counter() - t0) * 1000)
-    return CheckResult(record_id, status, expected, str(actual), ms)
-
-
 def cmd_verify_lemma(args, corpus) -> RunReport:
     report = RunReport("verify-lemma", corpus.version, corpus.sha256)
     fams = corpus.families
@@ -94,7 +82,7 @@ def cmd_verify_lemma(args, corpus) -> RunReport:
             raise SystemExit(2)
     for fam in fams:
         for b in range(len(fam.branches)):
-            report.records.append(_timed(
+            report.records.append(timed_check(
                 f"lemma:{fam.id}:branch{b}:identity",
                 f"{fam.equation} holds as a form identity",
                 lambda fam=fam, b=b: (parametrize.param_verify_identity(fam, b),
@@ -107,7 +95,7 @@ def cmd_verify_lemma(args, corpus) -> RunReport:
                           + (f", {len(rep.via_doubled_forms)} via doubled forms"
                              if rep.via_doubled_forms else ""))
                 return not rep.unmatched, detail
-            report.records.append(_timed(
+            report.records.append(timed_check(
                 f"lemma:{fam.id}:cover{args.bound}",
                 f"0 unmatched solutions up to {args.bound}", cover))
     return report
@@ -120,12 +108,12 @@ def cmd_search(args, corpus) -> RunReport:
         def twin():
             sols = searcher.search_cubic_twin(args.bound)
             return sols == [(-1, -1, -1), (1, 1, 1)], sols
-        report.records.append(_timed(
+        report.records.append(timed_check(
             f"search:cubic-twin:{args.bound}",
             "x^3 + y^3 = 2z^3 has only +-(1,1,1)", twin))
         return report
     if args.remark_families:
-        report.records.append(_timed(
+        report.records.append(timed_check(
             "search:remark-families",
             "both infinite families are APs identically",
             lambda: (searcher.verify_remark_families(), "symbolic + spot checks")))
@@ -139,7 +127,7 @@ def cmd_search(args, corpus) -> RunReport:
             vals = sorted(set(p.values for p in progs))
             return vals in ([(1, 1, 1, 1)],
                             [(-1, -1, -1, -1), (1, 1, 1, 1)]), vals
-        report.records.append(_timed(
+        report.records.append(timed_check(
             f"search:theorem3:sq{args.bound_sq}:cu{args.bound_cu}",
             "only +-(1,1,1,1) among square/cube 4-term progressions", th3))
         return report
@@ -172,7 +160,7 @@ def cmd_cases(args, corpus) -> RunReport:
         report.records.extend(curvelab.run_case(
             case, height=args.height, local_primes=args.local_primes))
     if not args.case:
-        report.records.append(_timed(
+        report.records.append(timed_check(
             "cases:remark-families",
             "both infinite families are APs identically",
             lambda: (searcher.verify_remark_families(), "symbolic + spot checks")))
@@ -206,7 +194,7 @@ def cmd_genus(args, corpus) -> RunReport:
                          == (chi == curvelab.GENUS_GT1))
                 return agree, got
             return True, got
-        report.records.append(_timed(
+        report.records.append(timed_check(
             f"genus:k{args.k}:{','.join(str(l) for l in vec)}",
             "ramification classification", classify))
     return report
@@ -250,8 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("cases", help="case derivations and facts")
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--case", help="case id or exponent string, e.g. 3232")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--all", action="store_true",
+                       help="run every case (the default)")
+    which.add_argument("--case", help="case id or exponent string, e.g. 3232")
     p.add_argument("--height", type=int, default=None,
                    help="override rational point search height")
     p.add_argument("--local-primes", type=int, default=None,

@@ -3,7 +3,9 @@
 The corpus is a JSON file (bundled copy under ``apforge/data/corpus.json``)
 holding exact integers/rationals as decimal strings.  The path can be
 overridden by the APFORGE_CORPUS environment variable or an explicit
-argument; the active file's sha256 is stamped into reports.
+argument; the active file's sha256 is stamped into reports.  Each case's
+derivation is resolved at load to a branch of the same file's families, so
+one loaded corpus is all a run reads.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ class CaseRecord:
     partner_vector: Optional[tuple]
     description: str
     derivation: dict
+    derivation_branch: Optional[Branch]  # the family branch it reads; None for cube_pair_product
     curve: dict
     facts: tuple
 
@@ -50,15 +53,6 @@ class Corpus:
     families: tuple
     cases: tuple
 
-    def case(self, selector: str):
-        hits = [c for c in self.cases if c.matches(selector)]
-        if not hits:
-            raise ValueError(f"no case matches {selector!r}")
-        return hits
-
-    def family_map(self) -> dict:
-        return {f.id: f for f in self.families}
-
 
 def corpus_path(path: Optional[str] = None) -> str:
     if path:
@@ -69,25 +63,20 @@ def corpus_path(path: Optional[str] = None) -> str:
     return str(resources.files("apforge").joinpath("data/corpus.json"))
 
 
-_CACHE: dict = {}
-
-
 def load_corpus(path: Optional[str] = None) -> Corpus:
     resolved = corpus_path(path)
-    if resolved in _CACHE:
-        return _CACHE[resolved]
     with open(resolved, "rb") as fh:
         raw = fh.read()
     data = json.loads(raw.decode("utf-8"))
-    corpus = Corpus(
+    families = tuple(_parse_family(f) for f in data["families"])
+    by_id = {f.id: f for f in families}
+    return Corpus(
         version=data["version"],
         path=resolved,
         sha256=hashlib.sha256(raw).hexdigest(),
-        families=tuple(_parse_family(f) for f in data["families"]),
-        cases=tuple(_parse_case(c) for c in data["cases"]),
+        families=families,
+        cases=tuple(_parse_case(c, by_id) for c in data["cases"]),
     )
-    _CACHE[resolved] = corpus
-    return corpus
 
 
 def _form(coeffs) -> BinaryForm:
@@ -114,7 +103,25 @@ def _parse_family(rec: dict) -> ParamFamily:
     )
 
 
-def _parse_case(rec: dict) -> CaseRecord:
+def _derivation_branch(rec: dict, families: dict) -> Optional[Branch]:
+    """The family branch a case's derivation reads: the named branch for
+    square_combo, branch 0 for eq7_combo, none for cube_pair_product."""
+    deriv = rec["derivation"]
+    recipe = deriv["recipe"]
+    if recipe == "cube_pair_product":
+        return None
+    if recipe not in ("square_combo", "eq7_combo"):
+        raise ValueError(f"case {rec['id']}: unknown derivation recipe {recipe!r}")
+    fam = families.get(deriv["family"])
+    if fam is None:
+        raise ValueError(f"case {rec['id']}: unknown family {deriv['family']!r}")
+    index = deriv["branch"] if recipe == "square_combo" else 0
+    if not isinstance(index, int) or not 0 <= index < len(fam.branches):
+        raise ValueError(f"case {rec['id']}: family {fam.id} has no branch {index!r}")
+    return fam.branches[index]
+
+
+def _parse_case(rec: dict, families: dict) -> CaseRecord:
     for fact in rec.get("facts", ()):
         if fact["kind"] not in FACT_KINDS:
             raise ValueError(f"case {rec['id']}: unknown fact kind {fact['kind']!r}")
@@ -124,6 +131,7 @@ def _parse_case(rec: dict) -> CaseRecord:
         partner_vector=tuple(rec["partner_vector"]) if rec.get("partner_vector") else None,
         description=rec.get("description", ""),
         derivation=rec["derivation"],
+        derivation_branch=_derivation_branch(rec, families),
         curve=rec["curve"],
         facts=tuple(rec.get("facts", ())),
     )

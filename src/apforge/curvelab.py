@@ -16,6 +16,7 @@ with coefficients fixed by the point counts over F_p and F_{p^2}.
 from __future__ import annotations
 
 import math
+import time as _time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,8 +25,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exactmath import (BinaryForm, UniPoly, form_eval, int_kth_root,
-                        uni_resultant)
-from .numfield import FieldElem, NumberField, Undecided, nf_is_square
+                        poly_divmod, primes_upto, uni_resultant)
+from .numfield import (FieldElem, NumberField, Undecided, field_by_name,
+                       nf_is_s_unit, nf_is_square)
 from .sieve import CRT_FACTORS, form_square_tables
 
 
@@ -54,10 +56,6 @@ class HyperCurve:
         fp = self.f.derivative()
         if not uni_resultant(self.f, fp):
             raise ValueError("f must be squarefree")
-
-    @property
-    def genus(self) -> int:
-        return 2
 
     def integral_model(self):
         """(coeffs ascending as ints padded to degree 6, scale v) with
@@ -187,25 +185,21 @@ def _count_fp2(coeffs, deg: int, p: int) -> int:
     return count + (2 if (coeffs[deg] % p, 0) in squares else 0)
 
 
-def jacobian_order(curve: HyperCurve, p: int) -> int:
-    """#J(F_p) for the genus-2 Jacobian via the L-polynomial at 1."""
+def l_poly_coeffs(curve: HyperCurve, p: int):
+    """(c1, c2) with L(T) = 1 + c1 T + c2 T^2 + p c1 T^3 + p^2 T^4."""
     n1 = count_points(curve, p)
     n2 = count_points(curve, p * p)
     c1 = n1 - (p + 1)
     num = n2 - p * p - 1 + c1 * c1
     if num % 2 != 0:
         raise AssertionError("parity violation in L-polynomial data")
-    c2 = num // 2
+    return c1, num // 2
+
+
+def jacobian_order(curve: HyperCurve, p: int) -> int:
+    """#J(F_p) for the genus-2 Jacobian: the L-polynomial at 1."""
+    c1, c2 = l_poly_coeffs(curve, p)
     return 1 + c1 + c2 + p * c1 + p * p
-
-
-def l_poly_coeffs(curve: HyperCurve, p: int):
-    """(c1, c2) with L(T) = 1 + c1 T + c2 T^2 + p c1 T^3 + p^2 T^4."""
-    n1 = count_points(curve, p)
-    n2 = count_points(curve, p * p)
-    c1 = n1 - (p + 1)
-    c2 = (n2 - p * p - 1 + c1 * c1) // 2
-    return c1, c2
 
 
 def torsion_gcd_bound(curve: HyperCurve, primes: Sequence[int]) -> int:
@@ -440,8 +434,6 @@ def _shift_scale(g, z: int, p: int):
 
 
 def _sturm_real_root_count(f: UniPoly) -> int:
-    from .exactmath import poly_divmod
-
     chain = [f, f.derivative()]
     while not chain[-1].is_zero and chain[-1].degree > 0:
         _q, r = poly_divmod(chain[-2], chain[-1])
@@ -583,6 +575,18 @@ class CheckResult:
     runtime_ms: int = 0
 
 
+def timed_check(rid: str, expected: str, fn) -> CheckResult:
+    """Run fn() -> (ok, actual) as one record; Undecided becomes "undecided"."""
+    t0 = _time.perf_counter()
+    try:
+        ok, actual = fn()
+        status = "pass" if ok else "fail"
+    except Undecided as exc:
+        status, actual = "undecided", str(exc)
+    ms = int((_time.perf_counter() - t0) * 1000)
+    return CheckResult(rid, status, expected, str(actual), ms)
+
+
 def _nf_elem(field: NumberField, coords) -> FieldElem:
     return FieldElem(field, [Fraction(c) for c in coords])
 
@@ -619,13 +623,10 @@ def derive_case(case):
     Raises DerivationMismatch (with a coefficient diff) whenever an
     intermediate or the final model differs from the recorded polynomials.
     """
-    from . import parametrize
-
     rec = case.derivation
     recipe = rec["recipe"]
+    br = case.derivation_branch
     if recipe == "square_combo":
-        fam = parametrize.family(rec["family"])
-        br = fam.branches[rec["branch"]]
         combo = (br.a_form.pow(2) * Fraction(rec["coef_a"])
                  + br.b_form.pow(2) * Fraction(rec["coef_b"]))
         sextic = combo * (Fraction(1) / Fraction(rec["divisor"]))
@@ -640,8 +641,6 @@ def derive_case(case):
             raise DerivationMismatch(
                 f"{case.id}: trivial-progression consistency fails for y_mult {ymult}")
     elif recipe == "eq7_combo":
-        fam = parametrize.family(rec["family"])
-        br = fam.branches[0]
         core = (br.a_form + br.b_form) * 2
         sextic = core.pow(3) * 3 - br.b_form.pow(3) * 64
     else:
@@ -731,19 +730,6 @@ def _fact_id(case_id: str, index: int, fact: dict) -> str:
 def run_case(case, height: Optional[int] = None,
              local_primes: Optional[int] = None) -> list:
     """Derivation plus every recorded fact, as CheckResult records."""
-    import time as _time
-
-    results = []
-
-    def record(rid, fn, expected):
-        t0 = _time.perf_counter()
-        try:
-            ok, actual = fn()
-            status = "pass" if ok else "fail"
-        except Undecided as exc:
-            status, actual = "undecided", str(exc)
-        ms = int((_time.perf_counter() - t0) * 1000)
-        results.append(CheckResult(rid, status, expected, str(actual), ms))
 
     def run_derivation():
         try:
@@ -752,17 +738,16 @@ def run_case(case, height: Optional[int] = None,
         except DerivationMismatch as exc:
             return False, str(exc)
 
-    record(f"{case.id}:derivation", run_derivation, "recorded polynomials")
-
+    results = [timed_check(f"{case.id}:derivation", "recorded polynomials",
+                           run_derivation)]
     for idx, fact in enumerate(case.facts):
         kind = fact["kind"]
         rid = _fact_id(case.id, idx, fact)
         if kind == "unchecked_claim":
             results.append(CheckResult(rid, "unchecked-claim", fact["text"], "not tested"))
             continue
-        runner = _FACT_RUNNERS[kind]
-        expected, fn = runner(case, fact, height, local_primes)
-        record(rid, fn, expected)
+        expected, fn = _FACT_RUNNERS[kind](case, fact, height, local_primes)
+        results.append(timed_check(rid, expected, fn))
     return results
 
 
@@ -808,25 +793,14 @@ def _runner_local_solvability(case, fact, height, local_primes):
 
     def fn():
         curve = build_curve(case)
-        bad = [p for p in _primes_upto(upto) if not locally_solvable(curve, p)]
+        bad = [p for p in primes_upto(upto) if not locally_solvable(curve, p)]
         real_ok = locally_solvable_real(curve) == fact["real"]
         return (not bad) == fact["expect"] and real_ok, f"non-solvable at {bad}" if bad else "solvable everywhere"
 
     return f"Q_p points for all p <= {upto} and real points", fn
 
 
-def _primes_upto(n: int):
-    sieve = [True] * (n + 1)
-    sieve[0:2] = [False, False]
-    for i in range(2, int(n**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = [False] * len(sieve[i * i :: i])
-    return [i for i, b in enumerate(sieve) if b]
-
-
 def _runner_factorization(case, fact, height, local_primes):
-    from .numfield import field_by_name, nf_is_s_unit
-
     field = field_by_name(fact["field"])
 
     def fn():
@@ -870,8 +844,6 @@ def _runner_factorization(case, fact, height, local_primes):
 
 
 def _runner_value_identity(case, fact, height, local_primes):
-    from .numfield import field_by_name
-
     field = field_by_name(fact["field"])
 
     def fn():
@@ -885,8 +857,6 @@ def _runner_value_identity(case, fact, height, local_primes):
 
 
 def _runner_value_square(case, fact, height, local_primes):
-    from .numfield import field_by_name
-
     field = field_by_name(fact["field"])
 
     def fn():
@@ -900,8 +870,6 @@ def _runner_value_square(case, fact, height, local_primes):
 
 
 def _runner_ec_point(case, fact, height, local_primes):
-    from .numfield import field_by_name
-
     field = field_by_name(fact["field"])
 
     def fn():
@@ -914,8 +882,6 @@ def _runner_ec_point(case, fact, height, local_primes):
 
 
 def _runner_ec_two_torsion(case, fact, height, local_primes):
-    from .numfield import field_by_name
-
     field = field_by_name(fact["field"])
 
     def fn():
@@ -928,8 +894,6 @@ def _runner_ec_two_torsion(case, fact, height, local_primes):
 
 
 def _runner_ec_square_x(case, fact, height, local_primes):
-    from .numfield import field_by_name
-
     field = field_by_name(fact["field"])
 
     def fn():
@@ -947,8 +911,6 @@ def _runner_ec_square_x(case, fact, height, local_primes):
 
 
 def _runner_cube_class_value(case, fact, height, local_primes):
-    from .numfield import field_by_name
-
     field = field_by_name(fact["field"])
 
     def fn():

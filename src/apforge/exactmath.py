@@ -9,11 +9,9 @@ and resultants via Sylvester determinants.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
-
-# Exact rational scalar used for all default coefficients.
-BigRat = Fraction
 
 
 def _as_coeff(c):
@@ -85,9 +83,6 @@ class BinaryForm:
 
     __rmul__ = __mul__
 
-    def scale(self, s) -> "BinaryForm":
-        return self * s
-
     def pow(self, k: int) -> "BinaryForm":
         if k < 0:
             raise ValueError("negative power of a form")
@@ -99,10 +94,6 @@ class BinaryForm:
             base = form_mul(base, base)
             k >>= 1
         return result
-
-    def swap_vars(self) -> "BinaryForm":
-        """f(x,y) -> f(y,x)."""
-        return BinaryForm(list(reversed(self.coeffs)))
 
     def substitute_linear(self, px, qx, py, qy) -> "BinaryForm":
         """f(px*x + qx*y, py*x + qy*y), exact."""
@@ -253,8 +244,6 @@ def int_kth_root(n: int, k: int):
         r = int_kth_root(-n, k)
         return None if r is None else -r
     if k == 2:
-        import math
-
         r = math.isqrt(n)
         return r if r * r == n else None
     r = _int_floor_root(n, k)
@@ -272,6 +261,16 @@ def _int_floor_root(n: int, k: int) -> int:
             break
         x = y
     return x
+
+
+def primes_upto(n: int) -> list:
+    """All primes p <= n, by the sieve of Eratosthenes."""
+    sieve = [True] * (n + 1)
+    sieve[0:2] = [False, False]
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = [False] * len(sieve[i * i :: i])
+    return [i for i, b in enumerate(sieve) if b]
 
 
 class UniPoly:
@@ -354,10 +353,6 @@ class UniPoly:
             return UniPoly([0])
         return UniPoly([c * i for i, c in enumerate(self.coeffs)][1:])
 
-    def reversed_coeffs(self) -> "UniPoly":
-        """x^deg * p(1/x): the reciprocal polynomial at the stored degree."""
-        return UniPoly(list(reversed(self.coeffs)))
-
     def monic(self) -> "UniPoly":
         lc = self.lead()
         if not lc:
@@ -436,11 +431,3 @@ def _det_field(rows: list, zero):
                 factor = rows[r][col] * inv
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
     return det if sign == 1 else -det
-
-
-def uni_discriminant_nonzero(f: UniPoly) -> bool:
-    """True iff f is squarefree (resultant with its derivative is nonzero)."""
-    fp = f.derivative()
-    if fp.is_zero:
-        return False
-    return bool(uni_resultant(f, fp))

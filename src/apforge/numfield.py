@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .exactmath import UniPoly, poly_divmod, uni_resultant
+from .exactmath import UniPoly, poly_divmod, primes_upto, uni_resultant
 
 
 class Undecided(Exception):
@@ -209,14 +209,6 @@ class FieldElem:
                 terms.append(f"{c}*a^{i}")
         return " + ".join(terms) if terms else "0"
 
-    def is_rational(self) -> bool:
-        return all(not c for c in self.coords[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("element is not rational")
-        return self.coords[0]
-
 
 # ---------------------------------------------------------------------------
 # Operation surface
@@ -282,21 +274,12 @@ def nf_is_square(a: FieldElem):
     raise Undecided(f"squareness of {a!r} undecided at max precision")
 
 
-def _small_primes(limit: int):
-    sieve = [True] * limit
-    sieve[0] = sieve[1] = False
-    for i in range(2, int(limit**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = [False] * len(sieve[i * i :: i])
-    return [i for i, b in enumerate(sieve) if b]
-
-
 def _square_witness_against(a: FieldElem) -> bool:
     """Scan small unramified primes for a modular non-square witness."""
     field = a.field
     disc = field.discriminant
     checked = 0
-    for p in _small_primes(700):
+    for p in primes_upto(699):
         if p == 2:
             continue
         if checked >= _WITNESS_PRIME_COUNT:

@@ -210,26 +210,3 @@ def param_cover_check(family: ParamFamily, bound: int) -> CoverReport:
         via_doubled_forms=via_doubled,
         radius_doubled=doubled,
     )
-
-
-# ---------------------------------------------------------------------------
-# Family corpus (loaded lazily from the bundled corpus file).
-
-_FAMILIES: Optional[dict] = None
-
-
-def families() -> dict:
-    """id -> ParamFamily for all eight corpus families."""
-    global _FAMILIES
-    if _FAMILIES is None:
-        from .corpus import load_corpus
-
-        _FAMILIES = {f.id: f for f in load_corpus().families}
-    return _FAMILIES
-
-
-def family(fid: str) -> ParamFamily:
-    try:
-        return families()[fid]
-    except KeyError:
-        raise ValueError(f"unknown family {fid!r}") from None

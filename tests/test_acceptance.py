@@ -23,8 +23,7 @@ from apforge.exactmath import (BinaryForm, UniPoly, form_eval,
                                uni_resultant)
 from apforge.numfield import (cbrt2_field, cubic_field_57_4, nf_is_s_unit,
                               nf_norm, quartic_field)
-from apforge.parametrize import (families, param_cover_check,
-                                 param_verify_identity)
+from apforge.parametrize import param_cover_check, param_verify_identity
 from apforge.searcher import (is_power_value, search_cubic_twin,
                               search_theorem3, verify_remark_families)
 
@@ -41,15 +40,15 @@ def report(n, name, ok, detail, t0):
 
 def test_criterion_1_lemma_identities_and_cover():
     t0 = time.monotonic()
-    fams = families()
+    fams = CORPUS.families
     branch_instances = 0
     identity_ok = True
-    for fam in fams.values():
+    for fam in fams:
         for b in range(len(fam.branches)):
             branch_instances += 1
             identity_ok = identity_ok and param_verify_identity(fam, b)
     unmatched_total = 0
-    for fam in fams.values():
+    for fam in fams:
         rep = param_cover_check(fam, 200)
         unmatched_total += len(rep.unmatched)
     elapsed = time.monotonic() - t0

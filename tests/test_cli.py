@@ -1,12 +1,14 @@
 """CLI behavior: exit codes, reports, corpus resolution."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from apforge.cli import main
+from apforge.corpus import corpus_path, load_corpus
 
 
 def run_cli(*argv):
@@ -110,9 +112,11 @@ def test_corpus_env_override(tmp_path, capsys, monkeypatch):
 
 
 def test_console_script_entry():
+    # The child imports apforge from wherever this process does.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run(
         [sys.executable, "-m", "apforge.cli", "genus", "--chi", "2", "2", "2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "GenusZero" in proc.stdout
 
@@ -124,15 +128,63 @@ def test_verify_lemma_unknown_family_message(capsys):
     assert "error: no family matches 'zz'" in capsys.readouterr().err
 
 
-def test_corpus_unknown_fact_kind_rejected(tmp_path, capsys):
-    from apforge.corpus import corpus_path
-
+def corpus_copy(tmp_path, edit):
+    """Write the bundled corpus, changed in place by edit(data), to a file."""
     with open(corpus_path(), encoding="utf-8") as fh:
         data = json.load(fh)
-    data["cases"][0]["facts"].append({"kind": "bogus_kind"})
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data), encoding="utf-8")
-    assert run_cli("--corpus", str(bad), "cases") == 2
+    edit(data)
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+def test_corpus_unknown_fact_kind_rejected(tmp_path, capsys):
+    bad = corpus_copy(
+        tmp_path, lambda data: data["cases"][0]["facts"].append({"kind": "bogus_kind"}))
+    assert run_cli("--corpus", bad, "cases") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot load corpus:")
     assert "bogus_kind" in err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("family", "zz", "unknown family 'zz'"),
+    ("branch", 2, "family i has no branch 2"),
+    ("recipe", "bogus_recipe", "unknown derivation recipe 'bogus_recipe'"),
+])
+def test_corpus_bad_derivation_reference_rejected(tmp_path, capsys, key, value, message):
+    bad = corpus_copy(
+        tmp_path, lambda data: data["cases"][0]["derivation"].update({key: value}))
+    assert run_cli("--corpus", bad, "cases") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot load corpus: case 2223a: {message}\n"
+
+
+def test_corpus_flag_reaches_derivations(tmp_path, capsys, monkeypatch):
+    def alter_family_i_branch1(data):
+        fam = next(f for f in data["families"] if f["id"] == "i")
+        fam["branches"][1]["a"][0] = "2"
+
+    altered = corpus_copy(tmp_path, alter_family_i_branch1)
+    by_flag, by_env = tmp_path / "flag.json", tmp_path / "env.json"
+    args = ("--no-timings", "cases", "--case", "2223b", "--height", "50")
+    assert run_cli("--corpus", altered, "--report", str(by_flag), *args) == 1
+    monkeypatch.setenv("APFORGE_CORPUS", altered)
+    assert run_cli("--report", str(by_env), *args) == 1
+    assert by_flag.read_bytes() == by_env.read_bytes()
+    records = {r["id"]: r for r in json.loads(by_flag.read_bytes())["records"]}
+    assert records["2223b:derivation"]["status"] == "fail"
+
+
+def test_cases_all_and_case_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("cases", "--all", "--case", "3232")
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_cases_all_runs_every_case(tmp_path, capsys):
+    out = tmp_path / "all.json"
+    assert run_cli("--report", str(out), "cases", "--all", "--height", "50") == 0
+    ids = {r["id"].split(":")[0] for r in json.loads(out.read_bytes())["records"]}
+    assert ids == {c.id for c in load_corpus().cases} | {"cases"}

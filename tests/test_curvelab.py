@@ -1,5 +1,6 @@
 """Curve laboratory: counts vs oracles, pinned orders, searches, local tests."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -224,12 +225,9 @@ def test_derive_all_cases():
 
 def test_derivation_mismatch_detected():
     case = CASES["2232"]
-    broken = case.__class__(
-        id=case.id, exponent_vector=case.exponent_vector,
-        partner_vector=case.partner_vector, description=case.description,
-        derivation={**case.derivation,
-                    "expected_sextic": ["1", "-6", "15", "40", "1", "-24", "12"]},
-        curve=case.curve, facts=case.facts)
+    broken = dataclasses.replace(
+        case, derivation={**case.derivation,
+                          "expected_sextic": ["1", "-6", "15", "40", "1", "-24", "12"]})
     with pytest.raises(DerivationMismatch):
         derive_case(broken)
 
