@@ -200,6 +200,13 @@ def cmd_genus(args, corpus) -> RunReport:
     return report
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="apforge",
@@ -242,9 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--all", action="store_true",
                        help="run every case (the default)")
     which.add_argument("--case", help="case id or exponent string, e.g. 3232")
-    p.add_argument("--height", type=int, default=None,
+    p.add_argument("--height", type=_positive_int, default=None,
                    help="override rational point search height")
-    p.add_argument("--local-primes", type=int, default=None,
+    p.add_argument("--local-primes", type=_positive_int, default=None,
                    help="override the local solvability prime bound")
     p.set_defaults(fn=cmd_cases)
 

@@ -11,6 +11,11 @@ Counting conventions for the smooth projective model:
   deg f = 5: exactly one point at infinity
 The Jacobian order over F_p comes from the L-polynomial evaluated at 1,
 with coefficients fixed by the point counts over F_p and F_{p^2}.
+
+Point counts are numpy kernels over all x at once, in blocks of _BLOCK
+elements so that memory does not grow with q.  Over F_{p^2} = F_p[t]/(t^2 -
+nu) a nonzero value is a square iff its norm is a square in F_p, so one
+p-entry table of squares serves both fields.
 """
 
 from __future__ import annotations
@@ -53,8 +58,7 @@ class HyperCurve:
     def __post_init__(self):
         if self.f.degree not in (5, 6):
             raise ValueError("hyperelliptic model needs degree 5 or 6")
-        fp = self.f.derivative()
-        if not uni_resultant(self.f, fp):
+        if not _disc(self.f.coeffs):
             raise ValueError("f must be squarefree")
 
     def integral_model(self):
@@ -89,17 +93,18 @@ class SuperellipticForm:
 
 
 @lru_cache(maxsize=None)
-def _int_disc(coeffs_and_degree) -> int:
-    coeffs, degree = coeffs_and_degree
-    poly = UniPoly([Fraction(c) for c in coeffs[: degree + 1]])
-    res = uni_resultant(poly, poly.derivative())
-    return int(res)
+def _disc(coeffs) -> Fraction:
+    """Res(f, f') for f with these ascending rational coefficients (trailing
+    zeros ignored): zero iff f has a repeated root, an integer for integer f.
+    Cached because every fact rebuilds its curve."""
+    poly = UniPoly(coeffs)
+    return uni_resultant(poly, poly.derivative())
 
 
 def _good_reduction_data(curve: HyperCurve, p: int):
     coeffs, v = curve.integral_model()
     deg = curve.f.degree
-    disc = _int_disc((coeffs, deg))
+    disc = _disc(coeffs)
     if p < 3:
         raise BadReduction("odd primes only")
     if v % p == 0 or coeffs[deg] % p == 0 or disc % p == 0:
@@ -110,10 +115,10 @@ def _good_reduction_data(curve: HyperCurve, p: int):
 def count_points(curve: HyperCurve, q: int) -> int:
     """Points on the smooth projective model over F_q, q = p or p^2, p odd."""
     p, e = _prime_power(q)
+    if p ** (e + 1) >= 2**62:
+        raise ValueError("the int64 kernels need p^(e+1) < 2^62")
     coeffs, deg = _good_reduction_data(curve, p)
-    if e == 1:
-        return _count_fp(coeffs, deg, p)
-    return _count_fp2(coeffs, deg, p)
+    return _count_fq(coeffs, deg, p, e)
 
 
 def _is_prime(n: int) -> bool:
@@ -136,53 +141,37 @@ def _prime_power(q: int):
     raise ValueError("q must be a prime or the square of a prime")
 
 
-def _count_fp(coeffs, deg: int, p: int) -> int:
-    sq = [False] * p
-    for y in range(p):
-        sq[y * y % p] = True
-    cs = [c % p for c in coeffs[: deg + 1]][::-1]  # descending for Horner
+_BLOCK = 1 << 16
+
+
+def _count_fq(coeffs, deg: int, p: int, e: int) -> int:
+    """Points over F_q, q = p^e, e in {1, 2}: affine ones plus those at
+    infinity.  F_{p^2} is F_p[t]/(t^2 - nu) with nu a non-residue, and F_p
+    is its b = 0 part.
+
+    Each block of x = a + b t (flat index a p^(e-1) + b) is evaluated by
+    Horner on int64 coordinate arrays; every product stays below
+    p^(e+1) < 2^62 (checked in count_points).  A nonzero z is a square in
+    F_q iff its norm to F_p (z itself for e = 1, a^2 - nu b^2 for e = 2) is
+    a square in F_p, because z^((q-1)/2) = N(z)^((p-1)/2); N(z) = 0 iff
+    z = 0.
+    """
+    sq = np.zeros(p, dtype=bool)  # True at the nonzero squares of F_p
+    sq[np.arange(1, p, dtype=np.int64) ** 2 % p] = True
+    nu = next(n for n in range(2, p) if not sq[n])
     count = 0
-    for x in range(p):
-        v = 0
-        for c in cs:
-            v = (v * x + c) % p
-        if v == 0:
-            count += 1
-        elif sq[v]:
-            count += 2
+    for start in range(0, p**e, _BLOCK):
+        idx = np.arange(start, min(start + _BLOCK, p**e), dtype=np.int64)
+        xa, xb = np.divmod(idx, p ** (e - 1))
+        va, vb = np.zeros_like(xa), np.zeros_like(xa)
+        for c in reversed(coeffs[: deg + 1]):
+            va, vb = (va * xa + nu * vb * xb + c % p) % p, (va * xb + vb * xa) % p
+        norm = va if e == 1 else (va * va - nu * vb * vb) % p
+        count += int(np.count_nonzero(norm == 0) + 2 * np.count_nonzero(sq[norm]))
     if deg == 5:
         return count + 1
-    return count + (2 if sq[coeffs[deg] % p] else 0)
-
-
-def _fp2_tables(p: int):
-    nu = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
-    elements = [(a, b) for a in range(p) for b in range(p)]
-    squares = set()
-    for a, b in elements:
-        squares.add(((a * a + nu * b * b) % p, 2 * a * b % p))
-    return nu, elements, squares
-
-
-def _count_fp2(coeffs, deg: int, p: int) -> int:
-    nu, elements, squares = _fp2_tables(p)
-    cs = [(c % p, 0) for c in coeffs[: deg + 1]][::-1]
-    count = 0
-    for x in elements:
-        va, vb = 0, 0
-        for ca, cb in cs:
-            va, vb = ((va * x[0] + vb * x[1] * nu) % p,
-                      (va * x[1] + vb * x[0]) % p)
-            va, vb = (va + ca) % p, (vb + cb) % p
-        if va == 0 and vb == 0:
-            count += 1
-        elif (va, vb) in squares:
-            count += 2
-    if deg == 5:
-        return count + 1
-    # (Every element of F_p* is a square in F_{p^2}, so this adds 2 here,
-    # but the membership test keeps the convention explicit.)
-    return count + (2 if (coeffs[deg] % p, 0) in squares else 0)
+    # N(lc) = lc^e; for e = 2 it is always a square, and the test says so.
+    return count + (2 if sq[coeffs[deg] ** e % p] else 0)
 
 
 def l_poly_coeffs(curve: HyperCurve, p: int):
@@ -320,7 +309,7 @@ def locally_solvable(curve, p: int) -> bool:
         content = math.gcd(content, c)
     g = [c // content for c in g]
     c0 = _squarefree_part(content)
-    disc = _int_disc((tuple(g), 6))
+    disc = int(_disc(tuple(g)))
     depth = 2 * _valuation(disc, p) + 3
     if _zp_solvable(g, p, c0, depth):
         return True
@@ -775,7 +764,7 @@ def _runner_torsion_gcd(case, fact, height, local_primes):
 
 
 def _runner_rational_points(case, fact, height, local_primes):
-    bound = height or fact["height"]
+    bound = fact["height"] if height is None else height
     want = sorted((Fraction(x), Fraction(y)) for x, y in fact["affine"])
     want_inf = fact["infinity"]
 
@@ -789,7 +778,7 @@ def _runner_rational_points(case, fact, height, local_primes):
 
 
 def _runner_local_solvability(case, fact, height, local_primes):
-    upto = local_primes or fact["primes_upto"]
+    upto = fact["primes_upto"] if local_primes is None else local_primes
 
     def fn():
         curve = build_curve(case)

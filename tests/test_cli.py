@@ -188,3 +188,13 @@ def test_cases_all_runs_every_case(tmp_path, capsys):
     assert run_cli("--report", str(out), "cases", "--all", "--height", "50") == 0
     ids = {r["id"].split(":")[0] for r in json.loads(out.read_bytes())["records"]}
     assert ids == {c.id for c in load_corpus().cases} | {"cases"}
+
+
+@pytest.mark.parametrize("flag, value", [("--height", "0"), ("--local-primes", "-5")])
+def test_cases_rejects_nonpositive_override(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("cases", "--case", "3223d1", flag, value)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: apforge cases")
+    assert f"argument {flag}: must be at least 1, got {value}" in err

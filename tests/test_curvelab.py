@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from apforge import curvelab
 from apforge.corpus import load_corpus
 from apforge.curvelab import (ALL_GENUS_LE1_POSSIBLE, GENUS_AT_LEAST_2,
                               GENUS_GT1, GENUS_ONE, BadReduction, CheckResult,
@@ -20,8 +21,9 @@ from apforge.curvelab import (ALL_GENUS_LE1_POSSIBLE, GENUS_AT_LEAST_2,
                               mod4_progression_impossible,
                               rational_points_search, rh_genus_bound, run_case,
                               torsion_gcd_bound)
-from apforge.curvelab import _homogeneous_square_hits, _integral_model_any
-from apforge.exactmath import BinaryForm, UniPoly
+from apforge.curvelab import (_good_reduction_data, _homogeneous_square_hits,
+                              _integral_model_any)
+from apforge.exactmath import BinaryForm, UniPoly, primes_upto
 from apforge.numfield import cbrt2_field
 
 
@@ -39,6 +41,7 @@ ALL_GENUS2 = [
     HyperCurve("g2_2233", UniPoly([2, 0, 0, -7, 0, 0, 6])),
     HyperCurve("g2_2332", UniPoly([-2, 0, 0, 5, 0, 0, -2])),
 ]
+X5P1 = HyperCurve("t_x5p1", UniPoly([1, 0, 0, 0, 0, 1]))
 
 
 def oracle_count(curve: HyperCurve, p: int, e: int) -> int:
@@ -77,9 +80,68 @@ def oracle_count(curve: HyperCurve, p: int, e: int) -> int:
     return count + 2 * (1 if any(mul(y, y) == lc for y in els) else 0)
 
 
+def loop_count(coeffs, deg: int, p: int, e: int) -> int:
+    """Reference: the element-by-element loops the numpy kernel replaced,
+    squareness in F_{p^2} read from an explicit set of squares."""
+    if e == 1:
+        sq = [False] * p
+        for y in range(p):
+            sq[y * y % p] = True
+        cs = [c % p for c in coeffs[: deg + 1]][::-1]
+        count = 0
+        for x in range(p):
+            v = 0
+            for c in cs:
+                v = (v * x + c) % p
+            count += 1 if v == 0 else 2 if sq[v] else 0
+        return count + (1 if deg == 5 else 2 if sq[coeffs[deg] % p] else 0)
+    nu = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+    elements = [(a, b) for a in range(p) for b in range(p)]
+    squares = {((a * a + nu * b * b) % p, 2 * a * b % p) for a, b in elements}
+    cs = [c % p for c in coeffs[: deg + 1]][::-1]
+    count = 0
+    for xa, xb in elements:
+        va, vb = 0, 0
+        for c in cs:
+            va, vb = (va * xa + vb * xb * nu + c) % p, (va * xb + vb * xa) % p
+        count += 1 if (va, vb) == (0, 0) else 2 if (va, vb) in squares else 0
+    lc_square = (coeffs[deg] % p, 0) in squares
+    return count + (1 if deg == 5 else 2 if lc_square else 0)
+
+
+def test_count_points_vs_loop_reference(monkeypatch):
+    default_block = curvelab._BLOCK
+    checked = 0
+    for curve in ALL_GENUS2 + [X5P1]:
+        for p in primes_upto(61)[1:]:
+            try:
+                coeffs, deg = _good_reduction_data(curve, p)
+            except BadReduction:
+                continue
+            want = (loop_count(coeffs, deg, p, 1), loop_count(coeffs, deg, p, 2))
+            # The default block holds all of F_{61^2}; 37 splits both fields.
+            for block in (default_block, 37):
+                monkeypatch.setattr(curvelab, "_BLOCK", block)
+                got = (count_points(curve, p), count_points(curve, p * p))
+                assert got == want, (curve.label, p, block)
+            checked += 1
+    assert checked >= 120
+
+
+def test_fp2_squares_are_norm_squares():
+    """z != 0 in F_p[t]/(t^2 - nu) is a square iff a^2 - nu b^2 is one mod p."""
+    for p in primes_upto(31)[1:]:
+        nu = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+        elements = [(a, b) for a in range(p) for b in range(p)]
+        norm = {(a, b): (a * a - nu * b * b) % p for a, b in elements}
+        assert [z for z in elements if norm[z] == 0] == [(0, 0)]
+        squares = {((a * a + nu * b * b) % p, 2 * a * b % p) for a, b in elements}
+        residues = {y * y % p for y in range(1, p)}
+        assert squares - {(0, 0)} == {z for z in elements if norm[z] in residues}
+
+
 def test_count_points_vs_oracle():
-    crv = HyperCurve("t_x5p1", UniPoly([1, 0, 0, 0, 0, 1]))
-    assert count_points(crv, 3) == oracle_count(crv, 3, 1) == 4
+    assert count_points(X5P1, 3) == oracle_count(X5P1, 3, 1) == 4
     for curve, p in [(C1, 5), (C1, 7), (C2, 11), (C3, 5), (C4, 7)]:
         assert count_points(curve, p) == oracle_count(curve, p, 1)
         assert count_points(curve, p * p) == oracle_count(curve, p, 2)
@@ -113,6 +175,28 @@ def test_weil_bounds_all_corpus_curves():
             assert abs(n1 - (p + 1)) <= 4 * p**0.5 + 1e-9
             checked += 1
     assert checked >= 60
+
+
+def in_hasse_weil(n: int, p: int) -> bool:
+    """(sqrt(p) - 1)^4 <= n <= (sqrt(p) + 1)^4 in integers: the ends are
+    A -+ B sqrt(p) with A = p^2 + 6p + 1, B = 4p + 4."""
+    a, b = p * p + 6 * p + 1, 4 * p + 4
+    return all(d <= 0 or d * d <= b * b * p for d in (n - a, a - n))
+
+
+def test_jacobian_orders_in_hasse_weil_interval():
+    # (sqrt(5) -+ 1)^4 = 2.33..., 109.66...
+    assert [n for n in (2, 3, 109, 110) if in_hasse_weil(n, 5)] == [3, 109]
+    checked = 0
+    for curve in ALL_GENUS2:
+        for p in primes_upto(200)[1:]:
+            try:
+                order = jacobian_order(curve, p)
+            except BadReduction:
+                continue
+            assert in_hasse_weil(order, p), (curve.label, p, order)
+            checked += 1
+    assert checked >= 300
 
 
 def test_bad_reduction_raises():
