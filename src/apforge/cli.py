@@ -90,7 +90,11 @@ def cmd_verify_lemma(args, corpus) -> RunReport:
             ))
         if args.bound > 0:
             def cover(fam=fam):
-                rep = parametrize.param_cover_check(fam, args.bound)
+                try:
+                    rep = parametrize.param_cover_check(fam, args.bound)
+                except ValueError as exc:  # bound beyond the int64 grid
+                    print(f"error: {exc}", file=sys.stderr)
+                    raise SystemExit(2)
                 detail = (f"{rep.matched}/{rep.solutions_found} matched"
                           + (f", {len(rep.via_doubled_forms)} via doubled forms"
                              if rep.via_doubled_forms else ""))
@@ -200,11 +204,19 @@ def cmd_genus(args, corpus) -> RunReport:
     return report
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than low (a usage error, exit 2)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse's name for a non-integer value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,25 +229,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--report", help="write a JSON report here")
     parser.add_argument("--no-timings", action="store_true",
                         help="zero runtimes in the report (byte-stable output)")
-    parser.add_argument("--jobs", type=int, default=0,
+    parser.add_argument("--jobs", type=_nonnegative_int, default=0,
                         help="worker processes (default: all cores)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-lemma", help="parametrization identities + cover")
     p.add_argument("--family", help="restrict to one family id (i..viii)")
-    p.add_argument("--bound", type=int, default=200,
+    p.add_argument("--bound", type=_nonnegative_int, default=200,
                    help="cover-check bound (0 = identities only)")
     p.set_defaults(fn=cmd_verify_lemma)
 
     p = sub.add_parser("search", help="progression searches")
     p.add_argument("--theorem3", action="store_true")
-    p.add_argument("--bound-sq", type=int, default=10**4)
-    p.add_argument("--bound-cu", type=int, default=10**3)
+    p.add_argument("--bound-sq", type=_positive_int, default=10**4)
+    p.add_argument("--bound-cu", type=_positive_int, default=10**3)
     p.add_argument("--cubic-twin", action="store_true")
     p.add_argument("--remark-families", action="store_true")
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--L", type=int, default=2)
-    p.add_argument("--bound", type=int, default=500)
+    p.add_argument("--k", type=_int_at_least(3), default=4)
+    p.add_argument("--L", type=_int_at_least(2), default=2)
+    p.add_argument("--bound", type=_positive_int, default=500)
     p.add_argument("--D", type=int, default=1)
     p.add_argument("--eta", nargs="*", help="S-unit primes for the twists")
     p.add_argument("--vector", help="exponent vector filter, e.g. 2223")

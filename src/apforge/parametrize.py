@@ -5,6 +5,16 @@ forms are binary cubics) and three quadratic ones (k = 2).  Each family's
 defining identity is verified symbolically, and bounded completeness is
 checked against a brute-force enumeration oracle.
 
+Evaluation and the cover check run on integer forms: each form's
+denominators are cleared once (a cached integer form over a common
+denominator D), so integrality is `value % D == 0`.  The brute-force grid
+cA*a^2 + cB*b^2 is built in int64 numpy blocks over a and passed through the
+sound residue pre-filter of `sieve.power_table(k)` (the quotient by M must
+be a k-th power modulo 720720, and non-negative for even k); every survivor
+is confirmed exactly with `int_kth_root` and `math.gcd` on Python ints.
+Magnitudes are checked against 2^62 before any grid is built, so the int64
+arrays never wrap.
+
 The half-integral family (a = +/-(x^2-3y^2)/2, b = +/-xy) only yields
 integers when x and y are both odd; primitive solutions with odd c are
 instead reached by the doubled forms (x^2-3y^2, 2xy, x^2+3y^2) over mixed
@@ -16,9 +26,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
-from .exactmath import BinaryForm, form_eval, form_exact_root, int_kth_root
+import numpy as np
+
+from .exactmath import BinaryForm, form_exact_root, int_kth_root
+from .sieve import CRT_MODULUS, power_table
+
+_INT64_SAFE = 2**62
+_BLOCK = 1 << 14  # grid cells per numpy block (bounds peak memory)
+
+
+def _clear(values) -> tuple:
+    """(integers, D) with values[i] == integers[i] / D and D > 0 minimal."""
+    den = math.lcm(*(Fraction(v).denominator for v in values))
+    return tuple(int(v * den) for v in values), den
 
 
 class IntegralityViolation(Exception):
@@ -30,6 +53,12 @@ class Branch:
     a_form: BinaryForm
     b_form: BinaryForm
     c_form: BinaryForm  # pinned; re-derived by form_exact_root in verification
+
+    @cached_property
+    def int_forms(self) -> tuple:
+        """((integer coefficients, D), ...) for the a, b, c forms: each form
+        is its integer form divided by D > 0."""
+        return tuple(_clear(f.coeffs) for f in (self.a_form, self.b_form, self.c_form))
 
 
 @dataclass(frozen=True)
@@ -74,6 +103,21 @@ class CoverReport:
     radius_doubled: bool = False
 
 
+def _int_equation(family: ParamFamily) -> tuple:
+    """(cA, cB, M) scaled to integers; the equation is unchanged."""
+    return _clear((family.coef_a, family.coef_b, family.rhs_mult))[0]
+
+
+def _np_form(coeffs: tuple, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The integer form on the broadcast grid of x and y (int64)."""
+    deg = len(coeffs) - 1
+    total = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=np.int64)
+    for j, c in enumerate(coeffs):
+        if c:
+            total += c * x ** (deg - j) * y ** j
+    return total
+
+
 def param_eval(family: ParamFamily, branch: int, sign_a: int, sign_b: int,
                x: int, y: int) -> TernarySolution:
     """Evaluate one branch at integer (x, y) with independent signs on a, b.
@@ -87,14 +131,16 @@ def param_eval(family: ParamFamily, branch: int, sign_a: int, sign_b: int,
     if family.parity_rule == "x=y mod 2" and (x - y) % 2 != 0:
         raise IntegralityViolation(
             f"family {family.id} needs x = y (mod 2); got ({x}, {y})")
-    a = form_eval(br.a_form, x, y) * sign_a
-    b = form_eval(br.b_form, x, y) * sign_b
-    c = form_eval(br.c_form, x, y)
-    for v in (a, b, c):
-        if v.denominator != 1:
+    values = []
+    for coeffs, den in br.int_forms:
+        deg = len(coeffs) - 1
+        num = sum(c * x ** (deg - j) * y ** j for j, c in enumerate(coeffs))
+        if num % den:
             raise IntegralityViolation(
                 f"family {family.id} produced a non-integer at ({x}, {y})")
-    return TernarySolution(int(a), int(b), int(c))
+        values.append(num // den)
+    a, b, c = values
+    return TernarySolution(a * sign_a, b * sign_b, c)
 
 
 def param_verify_identity(family: ParamFamily, branch: int) -> bool:
@@ -122,55 +168,86 @@ def cover_radius(family: ParamFamily, bound: int) -> int:
     return math.ceil((3 * bound) ** 0.5) + 2
 
 
+def _check_int64(family: ParamFamily, bound: int, radius: int) -> None:
+    """Raise ValueError unless the grid up to bound and every form on the
+    radius box stay below 2^62 in absolute value."""
+    ca, cb, _m = _int_equation(family)
+    if (abs(ca) + abs(cb)) * bound**2 >= _INT64_SAFE:
+        raise ValueError(f"family {family.id}: bound {bound} puts "
+                         f"{family.equation} beyond the int64 grid")
+    for br in filter(None, (*family.branches, family.doubled_branch)):
+        for coeffs, _den in br.int_forms:
+            if sum(map(abs, coeffs)) * radius ** (len(coeffs) - 1) >= _INT64_SAFE:
+                raise ValueError(f"family {family.id}: radius {radius} puts "
+                                 "the forms beyond int64")
+
+
 def _enumerate_solutions(family: ParamFamily, bound: int):
-    """Brute-force all primitive (a, b, c), |a|,|b| <= bound, solving for c."""
+    """Brute-force all primitive (a, b, c), 0 <= a, b <= bound, solving for c.
+
+    Cells where M divides cA*a^2 + cB*b^2 and the quotient passes the power
+    table survive; each survivor's c is confirmed exactly.
+    """
     out = []
     k = family.power
-    ca, cb, m = family.coef_a, family.coef_b, family.rhs_mult
-    for a in range(0, bound + 1):
-        for b in range(0, bound + 1):
-            t = (ca * a * a + cb * b * b) / m
-            if t.denominator != 1:
-                continue
-            c = int_kth_root(int(t), k)
+    ca, cb, m = _int_equation(family)
+    table = power_table(k)
+    bs = np.arange(bound + 1, dtype=np.int64)
+    cb_b2 = cb * bs * bs
+    rows = max(1, _BLOCK // (bound + 1))
+    for a0 in range(0, bound + 1, rows):
+        a = np.arange(a0, min(a0 + rows, bound + 1), dtype=np.int64)
+        v = (ca * a * a)[:, None] + cb_b2[None, :]
+        t = v // m
+        keep = (v % m == 0) & table[t % CRT_MODULUS]
+        if k % 2 == 0:
+            keep &= t >= 0
+        ia, ib = np.nonzero(keep)
+        for ai, bi, ti in zip((ia + a0).tolist(), ib.tolist(), t[keep].tolist()):
+            c = int_kth_root(ti, k)
             if c is None:
                 continue
             # Quarter-plane canonical: signs of (a,b) are free in the equation.
-            sol = TernarySolution(a, b, abs(c) if k % 2 == 0 else c)
+            sol = TernarySolution(ai, bi, c)
             if sol.primitive:
                 out.append(sol)
     return out
 
 
 def _parametrized_keys(family: ParamFamily, radius: int):
-    """All (|a|, |b|, c-canonical) reachable inside the parameter box."""
+    """All (|a|, |b|, c-canonical) reachable inside the parameter box.
+
+    Keys are inserted branch by branch, the doubled forms last, each x-major
+    and y-minor, so the first branch reaching a key names it.  The box is
+    evaluated in numpy blocks of x rows.
+    """
     keys = {}
     k = family.power
-    for bi, br in enumerate(family.branches):
-        for x in range(-radius, radius + 1):
-            for y in range(-radius, radius + 1):
-                if math.gcd(abs(x), abs(y)) != 1:
-                    continue
-                if family.parity_rule == "x=y mod 2" and (x - y) % 2 != 0:
-                    continue
-                a = form_eval(br.a_form, x, y)
-                b = form_eval(br.b_form, x, y)
-                c = form_eval(br.c_form, x, y)
-                if any(v.denominator != 1 for v in (a, b, c)):
-                    continue
-                cc = abs(int(c)) if k % 2 == 0 else int(c)
-                keys.setdefault((abs(int(a)), abs(int(b)), cc), ("branch", bi))
+    half_integral = family.parity_rule == "x=y mod 2"
+    passes = [(br, ("branch", bi)) for bi, br in enumerate(family.branches)]
     if family.doubled_branch is not None:
-        br = family.doubled_branch
-        for x in range(-radius, radius + 1):
-            for y in range(-radius, radius + 1):
-                if math.gcd(abs(x), abs(y)) != 1 or (x - y) % 2 == 0:
-                    continue
-                a = int(form_eval(br.a_form, x, y))
-                b = int(form_eval(br.b_form, x, y))
-                c = int(form_eval(br.c_form, x, y))
-                cc = abs(c) if k % 2 == 0 else c
-                keys.setdefault((abs(a), abs(b), cc), ("doubled", 0))
+        passes.append((family.doubled_branch, ("doubled", 0)))
+    grid = np.arange(-radius, radius + 1, dtype=np.int64)
+    rows = max(1, _BLOCK // grid.size)
+    for br, tag in passes:
+        for x0 in range(0, grid.size, rows):
+            x, y = grid[x0:x0 + rows, None], grid[None, :]
+            mask = np.gcd(x, y) == 1
+            if tag[0] == "doubled":
+                mask &= (x - y) % 2 != 0
+            elif half_integral:
+                mask &= (x - y) % 2 == 0
+            values = []
+            for coeffs, den in br.int_forms:
+                num = _np_form(coeffs, x, y)
+                mask &= num % den == 0
+                values.append(num // den)
+            a, b = (np.abs(v[mask]) for v in values[:2])
+            c = values[2][mask]
+            if k % 2 == 0:
+                c = np.abs(c)
+            for key in zip(a.tolist(), b.tolist(), c.tolist()):
+                keys.setdefault(key, tag)
     return keys
 
 
@@ -179,10 +256,12 @@ def param_cover_check(family: ParamFamily, bound: int) -> CoverReport:
 
     A failed match triggers one radius doubling before being reported as
     unmatched.  Solutions only reachable through the doubled mixed-parity
-    forms are matched but listed separately.
+    forms are matched but listed separately.  Raises ValueError when the
+    bound is too large for the int64 grids.
     """
-    solutions = _enumerate_solutions(family, bound)
     radius = cover_radius(family, bound)
+    _check_int64(family, bound, 2 * radius)
+    solutions = _enumerate_solutions(family, bound)
     doubled = False
     for attempt in range(2):
         keys = _parametrized_keys(family, radius)

@@ -1,4 +1,5 @@
-"""Residue tables: the sound pre-filter of the progression and point searches.
+"""Residue tables: the sound pre-filter of the progression and point searches
+and of the parametrization cover check.
 
 A table marks the residues a value can have mod m, so it rejects only
 values that cannot occur; callers confirm survivors exactly.  Tables are
@@ -32,9 +33,10 @@ def power_table(l: int, etas: tuple = (1,)) -> np.ndarray:
     """Bool table over Z/720720: the AND of the CRT factor tables."""
     table = np.ones(CRT_MODULUS, dtype=bool)
     for f in CRT_FACTORS:
-        # Tile the bool factor table: an int64 arange(720720) % f costs
-        # several times the table's own memory.
-        table &= np.tile(_factor_table(l, f, etas), CRT_MODULUS // f)
+        # AND the factor table into each row of an (720720/f, f) view of the
+        # table, so no index or tiled temporary is allocated.
+        rows = table.reshape(-1, f)
+        rows &= _factor_table(l, f, etas)
     table.flags.writeable = False  # shared by every caller through the cache
     return table
 

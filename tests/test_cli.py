@@ -198,3 +198,28 @@ def test_cases_rejects_nonpositive_override(capsys, flag, value):
     err = capsys.readouterr().err
     assert err.startswith("usage: apforge cases")
     assert f"argument {flag}: must be at least 1, got {value}" in err
+
+
+@pytest.mark.parametrize("argv, flag, low, value", [
+    (("search", "--theorem3", "--bound-sq", "-5"), "--bound-sq", 1, "-5"),
+    (("search", "--theorem3", "--bound-cu", "0"), "--bound-cu", 1, "0"),
+    (("search", "--cubic-twin", "--bound", "-4"), "--bound", 1, "-4"),
+    (("search", "--L", "1", "--bound", "5"), "--L", 2, "1"),
+    (("search", "--k", "2", "--bound", "5"), "--k", 3, "2"),
+    (("--jobs", "-2", "search", "--cubic-twin", "--bound", "5"), "--jobs", 0, "-2"),
+    (("verify-lemma", "--bound", "-3"), "--bound", 0, "-3"),
+])
+def test_out_of_range_bounds_are_usage_errors(capsys, argv, flag, low, value):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: apforge")
+    assert f"argument {flag}: must be at least {low}, got {value}" in err
+
+
+def test_verify_lemma_bound_beyond_int64(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify-lemma", "--family", "i", "--bound", str(2**31))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("error: family i: bound 2147483648")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -237,6 +238,30 @@ def test_point_sieve_matches_unfiltered_scan():
                 if val >= 0 and math.isqrt(val) ** 2 == val:
                     want.append((r, s, val, math.isqrt(val)))
         assert _homogeneous_square_hits(coeffs, height) == want, curve.label
+
+
+def brute_model_scale(f: UniPoly) -> int:
+    """Reference: the least v with v^2 f integral, counting v = 1, 2, ..."""
+    v = 1
+    while any((c * v * v).denominator != 1 for c in f.coeffs):
+        v += 1
+    return v
+
+
+def test_integral_model_scale_vs_brute_force():
+    polys = [UniPoly([Fraction(1, d), 0, 0, 0, 0, 1]) for d in range(1, 501)]
+    polys += [UniPoly([Fraction(1, 12), Fraction(5, 18), 0, Fraction(7, 8), 1]),
+              UniPoly([Fraction(3, 4), 0, Fraction(1, 9), 0, 0, 0, Fraction(1, 50)]),
+              UniPoly([Fraction(2, 49), 1, Fraction(1, 343), Fraction(5, 6), 0, 1])]
+    for f in polys:
+        coeffs, v = _integral_model_any(f)
+        assert v == brute_model_scale(f), f
+        padded = [c * v * v for c in f.coeffs] + [0] * (6 - f.degree)
+        assert list(coeffs) == padded, f
+    t0 = time.perf_counter()
+    coeffs, v = _integral_model_any(UniPoly([Fraction(1, 1000003), 0, 0, 0, 0, 1]))
+    assert time.perf_counter() - t0 < 0.5
+    assert v == 1000003 and coeffs == (1000003, 0, 0, 0, 0, 1000003**2, 0)
 
 
 def test_rational_points_monotone_in_height():

@@ -1,5 +1,6 @@
 """Parametrization families: identities, evaluation, bounded completeness."""
 
+import dataclasses
 import json
 import math
 import random
@@ -7,12 +8,72 @@ from fractions import Fraction
 
 import pytest
 
+from apforge import parametrize
 from apforge.corpus import corpus_path, load_corpus
-from apforge.exactmath import form_eval
-from apforge.parametrize import (IntegralityViolation, param_cover_check,
-                                 param_eval, param_verify_identity)
+from apforge.exactmath import form_eval, int_kth_root
+from apforge.parametrize import (IntegralityViolation, TernarySolution,
+                                 _check_int64, _enumerate_solutions,
+                                 _parametrized_keys, cover_radius,
+                                 param_cover_check, param_eval,
+                                 param_verify_identity)
 
 FAMILIES = {f.id: f for f in load_corpus().families}
+# Synthetic variants that reach paths the corpus never does: half-integral
+# forms without the parity rule (non-integral values), and a repeated branch
+# (keys reached twice; the first branch must keep them).
+NO_PARITY = dataclasses.replace(FAMILIES["viii"], parity_rule=None)
+REPEATED = dataclasses.replace(FAMILIES["ii"], branches=FAMILIES["ii"].branches * 2)
+
+
+def fraction_enumerate(family, bound):
+    """Reference: the Fraction loops the sieved integer grid replaced."""
+    out = []
+    k = family.power
+    ca, cb, m = family.coef_a, family.coef_b, family.rhs_mult
+    for a in range(0, bound + 1):
+        for b in range(0, bound + 1):
+            t = (ca * a * a + cb * b * b) / m
+            if t.denominator != 1:
+                continue
+            c = int_kth_root(int(t), k)
+            if c is None:
+                continue
+            sol = TernarySolution(a, b, abs(c) if k % 2 == 0 else c)
+            if sol.primitive:
+                out.append(sol)
+    return out
+
+
+def fraction_keys(family, radius):
+    """Reference: the Fraction form loops the numpy parameter box replaced."""
+    keys = {}
+    k = family.power
+    for bi, br in enumerate(family.branches):
+        for x in range(-radius, radius + 1):
+            for y in range(-radius, radius + 1):
+                if math.gcd(abs(x), abs(y)) != 1:
+                    continue
+                if family.parity_rule == "x=y mod 2" and (x - y) % 2 != 0:
+                    continue
+                a = form_eval(br.a_form, x, y)
+                b = form_eval(br.b_form, x, y)
+                c = form_eval(br.c_form, x, y)
+                if any(v.denominator != 1 for v in (a, b, c)):
+                    continue
+                cc = abs(int(c)) if k % 2 == 0 else int(c)
+                keys.setdefault((abs(int(a)), abs(int(b)), cc), ("branch", bi))
+    if family.doubled_branch is not None:
+        br = family.doubled_branch
+        for x in range(-radius, radius + 1):
+            for y in range(-radius, radius + 1):
+                if math.gcd(abs(x), abs(y)) != 1 or (x - y) % 2 == 0:
+                    continue
+                a = int(form_eval(br.a_form, x, y))
+                b = int(form_eval(br.b_form, x, y))
+                c = int(form_eval(br.c_form, x, y))
+                cc = abs(c) if k % 2 == 0 else c
+                keys.setdefault((abs(a), abs(b), cc), ("doubled", 0))
+    return keys
 
 
 def test_eleven_branch_instances():
@@ -127,3 +188,72 @@ def test_unknown_family_rejected(tmp_path):
     bad.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(ValueError, match="unknown family 'ix'"):
         load_corpus(str(bad))
+
+
+@pytest.mark.parametrize("fid", sorted(FAMILIES))
+def test_sieved_enumeration_matches_fraction_oracle(fid):
+    fam = FAMILIES[fid]
+    for bound in (1, 10, 57, 200):
+        assert _enumerate_solutions(fam, bound) == fraction_enumerate(fam, bound), bound
+
+
+@pytest.mark.parametrize("fid", sorted(FAMILIES))
+def test_parameter_box_keys_match_fraction_oracle(fid):
+    fam = FAMILIES[fid]
+    radii = {r for bound in (1, 10, 57, 200)
+             for r in (cover_radius(fam, bound), 2 * cover_radius(fam, bound))}
+    for radius in sorted(radii):
+        # Items in insertion order: the first branch to reach a key names it.
+        want = list(fraction_keys(fam, radius).items())
+        assert list(_parametrized_keys(fam, radius).items()) == want, radius
+
+
+@pytest.mark.parametrize("fam", [NO_PARITY, REPEATED], ids=["viii-no-parity", "ii-repeated"])
+def test_variant_keys_match_fraction_oracle(fam):
+    radius = cover_radius(fam, 57)
+    want = list(fraction_keys(fam, radius).items())
+    assert list(_parametrized_keys(fam, radius).items()) == want
+
+
+def test_param_eval_matches_form_eval_on_box():
+    signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    for fam in [*FAMILIES.values(), NO_PARITY]:
+        for bi, br in enumerate(fam.branches):
+            for x in range(-30, 31):
+                for y in range(-30, 31):
+                    sa, sb = signs[(x + 2 * y) % 4]
+                    vals = [form_eval(f, x, y) for f in (br.a_form, br.b_form, br.c_form)]
+                    parity_ok = fam.parity_rule is None or (x - y) % 2 == 0
+                    if not parity_ok or any(v.denominator != 1 for v in vals):
+                        with pytest.raises(IntegralityViolation):
+                            param_eval(fam, bi, sa, sb, x, y)
+                        continue
+                    sol = param_eval(fam, bi, sa, sb, x, y)
+                    assert (sol.a, sol.b, sol.c) == (sa * vals[0], sb * vals[1], vals[2])
+
+
+@pytest.mark.parametrize("fid", ["i", "viii"])
+def test_radius_doubling_matches_oracle(monkeypatch, fid):
+    fam = FAMILIES[fid]
+    monkeypatch.setattr(parametrize, "cover_radius", lambda family, bound: 1)
+    rep = param_cover_check(fam, 57)
+    assert rep.radius_doubled and rep.radius == 2
+    sols = fraction_enumerate(fam, 57)
+    keys = fraction_keys(fam, 2)
+    k = fam.power
+    hits = [(s, keys.get((s.a, s.b, abs(s.c) if k % 2 == 0 else s.c))) for s in sols]
+    assert rep.unmatched == [s for s, hit in hits if hit is None]
+    assert rep.unmatched  # radius 2 still misses some: both passes ran
+    assert rep.via_doubled_forms == [s for s, hit in hits
+                                     if hit is not None and hit[0] == "doubled"]
+    assert rep.matched == len(sols) - len(rep.unmatched)
+    assert rep.solutions_found == len(sols)
+
+
+def test_cover_check_rejects_int64_overflow():
+    for fam in FAMILIES.values():
+        with pytest.raises(ValueError, match="int64 grid"):
+            param_cover_check(fam, 2**31)
+        with pytest.raises(ValueError, match="beyond int64"):
+            _check_int64(fam, 1, 2**30)
+        _check_int64(fam, 200, 2 * cover_radius(fam, 200))
