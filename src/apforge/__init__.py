@@ -6,7 +6,10 @@ Subpackages:
   numfield    arithmetic in the corpus number fields
   parametrize the ternary-equation parametrization families
   searcher    sieved exhaustive progression searches
-  curvelab    curve derivations, point counts, Jacobian orders, local tests
+  curves      curve models, point counts over F_p and F_{p^2}, Jacobian orders
+  points      rational point search and local solvability
+  genus       genus classification of the fibre-product covers
+  curvelab    case derivations and typed fact checks
   cli         command-line entry point
 """
 

@@ -22,7 +22,7 @@ import sys
 from dataclasses import asdict, dataclass, field
 
 from . import corpus as corpus_mod
-from . import curvelab, parametrize, searcher
+from . import curvelab, genus, parametrize, searcher
 from .curvelab import CheckResult, timed_check
 
 
@@ -175,7 +175,7 @@ def cmd_genus(args, corpus) -> RunReport:
     report = RunReport("genus", corpus.version, corpus.sha256)
     if args.chi:
         r, s, t = args.chi
-        got = curvelab.chi_classify(r, s, t)
+        got = genus.chi_classify(r, s, t)
         report.records.append(CheckResult(
             f"genus:chi:{r},{s},{t}", "pass", "trichotomy on 1/r+1/s+1/t",
             str(got)))
@@ -191,11 +191,11 @@ def cmd_genus(args, corpus) -> RunReport:
         vectors = [tuple(args.l)]
     for vec in vectors:
         def classify(vec=vec):
-            got = curvelab.rh_genus_bound(args.k, vec)
+            got = genus.rh_genus_bound(args.k, vec)
             if args.k == 3:
-                chi = curvelab.chi_classify(*vec)
-                agree = ((got == curvelab.GENUS_AT_LEAST_2)
-                         == (chi == curvelab.GENUS_GT1))
+                chi = genus.chi_classify(*vec)
+                agree = ((got == genus.GENUS_AT_LEAST_2)
+                         == (chi == genus.GENUS_GT1))
                 return agree, got
             return True, got
         report.records.append(timed_check(
@@ -248,11 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_int_at_least(3), default=4)
     p.add_argument("--L", type=_int_at_least(2), default=2)
     p.add_argument("--bound", type=_positive_int, default=500)
-    p.add_argument("--D", type=int, default=1)
+    p.add_argument("--D", type=_positive_int, default=1)
     p.add_argument("--eta", nargs="*", help="S-unit primes for the twists")
     p.add_argument("--vector", help="exponent vector filter, e.g. 2223")
     p.add_argument("--no-sieve", action="store_true")
-    p.add_argument("--limit", type=int, default=50,
+    p.add_argument("--limit", type=_nonnegative_int, default=50,
                    help="max hits echoed into the report")
     p.set_defaults(fn=cmd_search)
 
@@ -268,10 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_cases)
 
     p = sub.add_parser("genus", help="genus classification")
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--l", type=int, nargs="*")
-    p.add_argument("--scan-L", type=int, default=0)
-    p.add_argument("--chi", type=int, nargs=3)
+    p.add_argument("--k", type=int, choices=(3, 4, 5), default=4)
+    p.add_argument("--l", type=_int_at_least(2), nargs="*")
+    p.add_argument("--scan-L", type=_int_at_least(2), default=0)
+    p.add_argument("--chi", type=_int_at_least(2), nargs=3)
     p.set_defaults(fn=cmd_genus)
     return parser
 

@@ -18,8 +18,9 @@ from fractions import Fraction
 from importlib import resources
 from typing import Optional
 
-from .curvelab import FACT_KINDS
+from .curvelab import CURVE_KINDS, FACT_KINDS, MAPS, RECIPES
 from .exactmath import BinaryForm
+from .numfield import FIELDS
 from .parametrize import Branch, ParamFamily
 
 ENV_VAR = "APFORGE_CORPUS"
@@ -108,10 +109,10 @@ def _derivation_branch(rec: dict, families: dict) -> Optional[Branch]:
     square_combo, branch 0 for eq7_combo, none for cube_pair_product."""
     deriv = rec["derivation"]
     recipe = deriv["recipe"]
+    if recipe not in RECIPES:
+        raise ValueError(f"case {rec['id']}: unknown derivation recipe {recipe!r}")
     if recipe == "cube_pair_product":
         return None
-    if recipe not in ("square_combo", "eq7_combo"):
-        raise ValueError(f"case {rec['id']}: unknown derivation recipe {recipe!r}")
     fam = families.get(deriv["family"])
     if fam is None:
         raise ValueError(f"case {rec['id']}: unknown family {deriv['family']!r}")
@@ -122,9 +123,16 @@ def _derivation_branch(rec: dict, families: dict) -> Optional[Branch]:
 
 
 def _parse_case(rec: dict, families: dict) -> CaseRecord:
+    names = [("curve kind", rec["curve"]["kind"], CURVE_KINDS)]
+    if "map" in rec["derivation"]:
+        names.append(("derivation map", rec["derivation"]["map"], MAPS))
     for fact in rec.get("facts", ()):
-        if fact["kind"] not in FACT_KINDS:
-            raise ValueError(f"case {rec['id']}: unknown fact kind {fact['kind']!r}")
+        names.append(("fact kind", fact["kind"], FACT_KINDS))
+        if "field" in fact:
+            names.append(("fact field", fact["field"], FIELDS))
+    for what, name, known in names:
+        if not isinstance(name, str) or name not in known:
+            raise ValueError(f"case {rec['id']}: unknown {what} {name!r}")
     return CaseRecord(
         id=rec["id"],
         exponent_vector=tuple(rec["exponent_vector"]),

@@ -11,13 +11,13 @@ import time
 from fractions import Fraction
 
 from apforge.corpus import load_corpus
-from apforge.curvelab import (ALL_GENUS_LE1_POSSIBLE, GENUS_AT_LEAST_2,
-                              GENUS_GT1, GENUS_ONE, BadReduction, GenusZero,
-                              HyperCurve, build_curve, chi_classify,
-                              count_points, derive_case, jacobian_order,
-                              l_poly_coeffs, locally_solvable,
-                              locally_solvable_real, rational_points_search,
-                              rh_genus_bound, torsion_gcd_bound)
+from apforge.curvelab import build_curve, derive_case
+from apforge.curves import (BadReduction, HyperCurve, count_points,
+                            jacobian_order, l_poly_coeffs, torsion_gcd_bound)
+from apforge.genus import (ALL_GENUS_LE1_POSSIBLE, GENUS_AT_LEAST_2, GENUS_GT1,
+                           GENUS_ONE, GenusZero, chi_classify, rh_genus_bound)
+from apforge.points import (locally_solvable, locally_solvable_real,
+                            rational_points_search)
 from apforge.exactmath import (BinaryForm, UniPoly, form_eval,
                                form_exact_root, form_mul, int_kth_root,
                                uni_resultant)

@@ -160,6 +160,23 @@ def test_corpus_bad_derivation_reference_rejected(tmp_path, capsys, key, value, 
     assert err == f"error: cannot load corpus: case 2223a: {message}\n"
 
 
+@pytest.mark.parametrize("cid, edit, message", [
+    ("2223a", lambda case: case["curve"].update(kind="genus3"), "unknown curve kind 'genus3'"),
+    ("2223a", lambda case: case["derivation"].update(map="y_over_x"),
+     "unknown derivation map 'y_over_x'"),
+    ("2233", lambda case: case["facts"][1].update(field="Q(sqrt(-999))"),
+     "unknown fact field 'Q(sqrt(-999))'"),
+    ("2233", lambda case: case["facts"][1].update(field=["cbrt2"]),
+     "unknown fact field ['cbrt2']"),
+], ids=["curve-kind", "derivation-map", "fact-field", "fact-field-list"])
+def test_corpus_unknown_name_rejected(tmp_path, capsys, cid, edit, message):
+    bad = corpus_copy(
+        tmp_path, lambda data: edit(next(c for c in data["cases"] if c["id"] == cid)))
+    assert run_cli("--corpus", bad, "cases") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot load corpus: case {cid}: {message}\n"
+
+
 def test_corpus_flag_reaches_derivations(tmp_path, capsys, monkeypatch):
     def alter_family_i_branch1(data):
         fam = next(f for f in data["families"] if f["id"] == "i")
@@ -208,6 +225,11 @@ def test_cases_rejects_nonpositive_override(capsys, flag, value):
     (("search", "--k", "2", "--bound", "5"), "--k", 3, "2"),
     (("--jobs", "-2", "search", "--cubic-twin", "--bound", "5"), "--jobs", 0, "-2"),
     (("verify-lemma", "--bound", "-3"), "--bound", 0, "-3"),
+    (("genus", "--k", "4", "--l", "1", "2", "2", "2"), "--l", 2, "1"),
+    (("genus", "--chi", "1", "2", "3"), "--chi", 2, "1"),
+    (("genus", "--k", "3", "--scan-L", "1"), "--scan-L", 2, "1"),
+    (("search", "--k", "3", "--L", "2", "--bound", "30", "--limit", "-1"), "--limit", 0, "-1"),
+    (("search", "--D", "0", "--bound", "5"), "--D", 1, "0"),
 ])
 def test_out_of_range_bounds_are_usage_errors(capsys, argv, flag, low, value):
     with pytest.raises(SystemExit) as exc:
@@ -216,6 +238,16 @@ def test_out_of_range_bounds_are_usage_errors(capsys, argv, flag, low, value):
     err = capsys.readouterr().err
     assert err.startswith("usage: apforge")
     assert f"argument {flag}: must be at least {low}, got {value}" in err
+
+
+@pytest.mark.parametrize("argv", [("--k", "2", "--l", "2", "2"),
+                                  ("--k", "6", "--l", "2", "2", "2", "2", "2", "2")])
+def test_genus_k_outside_choices_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("genus", *argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --k: invalid choice:" in err and "(choose from 3, 4, 5)" in err
 
 
 def test_verify_lemma_bound_beyond_int64(capsys):

@@ -7,23 +7,21 @@ from fractions import Fraction
 
 import pytest
 
-from apforge import curvelab
+from apforge import curves
 from apforge.corpus import load_corpus
-from apforge.curvelab import (ALL_GENUS_LE1_POSSIBLE, GENUS_AT_LEAST_2,
-                              GENUS_GT1, GENUS_ONE, BadReduction, CheckResult,
-                              DerivationMismatch, EllipticModel, GenusZero,
-                              HyperCurve, NoRepresentation, SuperellipticForm,
-                              build_curve, chi_classify, count_points,
-                              derive_case, descent_sample_pairs,
+from apforge.curvelab import (CheckResult, DerivationMismatch, NoRepresentation,
+                              build_curve, derive_case, descent_sample_pairs,
                               ec_point_check, eq7_descent_step,
-                              eq7_s3_blocks_progression, factorization_check,
-                              involution_check, jacobian_order, l_poly_coeffs,
-                              locally_solvable, locally_solvable_real,
-                              mod4_progression_impossible,
-                              rational_points_search, rh_genus_bound, run_case,
-                              torsion_gcd_bound)
-from apforge.curvelab import (_good_reduction_data, _homogeneous_square_hits,
-                              _integral_model_any)
+                              eq7_s3_blocks_progression, involution_check,
+                              mod4_progression_impossible, run_case)
+from apforge.curves import (BadReduction, EllipticModel, HyperCurve,
+                            SuperellipticForm, count_points, jacobian_order,
+                            l_poly_coeffs, torsion_gcd_bound)
+from apforge.curves import _good_reduction_data, _integral_model_any
+from apforge.genus import (ALL_GENUS_LE1_POSSIBLE, GENUS_AT_LEAST_2, GENUS_GT1,
+                           GENUS_ONE, GenusZero, chi_classify, rh_genus_bound)
+from apforge.points import (_homogeneous_square_hits, locally_solvable,
+                            locally_solvable_real, rational_points_search)
 from apforge.exactmath import BinaryForm, UniPoly, primes_upto
 from apforge.numfield import cbrt2_field
 
@@ -111,7 +109,7 @@ def loop_count(coeffs, deg: int, p: int, e: int) -> int:
 
 
 def test_count_points_vs_loop_reference(monkeypatch):
-    default_block = curvelab._BLOCK
+    default_block = curves._BLOCK
     checked = 0
     for curve in ALL_GENUS2 + [X5P1]:
         for p in primes_upto(61)[1:]:
@@ -122,7 +120,7 @@ def test_count_points_vs_loop_reference(monkeypatch):
             want = (loop_count(coeffs, deg, p, 1), loop_count(coeffs, deg, p, 2))
             # The default block holds all of F_{61^2}; 37 splits both fields.
             for block in (default_block, 37):
-                monkeypatch.setattr(curvelab, "_BLOCK", block)
+                monkeypatch.setattr(curves, "_BLOCK", block)
                 got = (count_points(curve, p), count_points(curve, p * p))
                 assert got == want, (curve.label, p, block)
             checked += 1
@@ -342,12 +340,9 @@ def test_derivation_mismatch_detected():
 
 
 def test_factorization_checks():
-    assert factorization_check(CASES["2233"])
-    assert factorization_check(CASES["2332"])
-    assert factorization_check(CASES["3223d2"])
-    assert factorization_check(CASES["3323"])
-    with pytest.raises(ValueError):
-        factorization_check(CASES["2223a"])
+    for cid in ["2233", "2332", "3223d2", "3323"]:
+        records = [r for r in run_case(CASES[cid]) if ":factorization:" in r.id]
+        assert records and all(r.status == "pass" for r in records), (cid, records)
 
 
 def test_involution_of_sextic_form():
