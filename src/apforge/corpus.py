@@ -109,8 +109,6 @@ def _derivation_branch(rec: dict, families: dict) -> Optional[Branch]:
     square_combo, branch 0 for eq7_combo, none for cube_pair_product."""
     deriv = rec["derivation"]
     recipe = deriv["recipe"]
-    if recipe not in RECIPES:
-        raise ValueError(f"case {rec['id']}: unknown derivation recipe {recipe!r}")
     if recipe == "cube_pair_product":
         return None
     fam = families.get(deriv["family"])
@@ -122,17 +120,33 @@ def _derivation_branch(rec: dict, families: dict) -> Optional[Branch]:
     return fam.branches[index]
 
 
-def _parse_case(rec: dict, families: dict) -> CaseRecord:
-    names = [("curve kind", rec["curve"]["kind"], CURVE_KINDS)]
-    if "map" in rec["derivation"]:
-        names.append(("derivation map", rec["derivation"]["map"], MAPS))
-    for fact in rec.get("facts", ()):
+def _check_names_and_keys(rec: dict) -> None:
+    """Reject a case that names an unknown curve kind, recipe, map, fact kind
+    or field, or whose curve, derivation or facts lack a key they need."""
+    curve, deriv, facts = rec["curve"], rec["derivation"], rec.get("facts", ())
+    names = [("curve kind", curve["kind"], CURVE_KINDS),
+             ("derivation recipe", deriv["recipe"], RECIPES)]
+    if "map" in deriv:
+        names.append(("derivation map", deriv["map"], MAPS))
+    for fact in facts:
         names.append(("fact kind", fact["kind"], FACT_KINDS))
         if "field" in fact:
             names.append(("fact field", fact["field"], FIELDS))
     for what, name, known in names:
         if not isinstance(name, str) or name not in known:
             raise ValueError(f"case {rec['id']}: unknown {what} {name!r}")
+    curve_keys, deriv_keys = CURVE_KINDS[curve["kind"]]
+    deriv_keys += RECIPES[deriv["recipe"]] + MAPS.get(deriv.get("map"), ())
+    needs = [("curve", curve, curve_keys), ("derivation", deriv, deriv_keys)]
+    needs += [(f"{fact['kind']} fact", fact, FACT_KINDS[fact["kind"]]) for fact in facts]
+    for what, record, keys in needs:
+        for key in keys:
+            if key not in record:
+                raise ValueError(f"case {rec['id']}: {what} lacks required key {key!r}")
+
+
+def _parse_case(rec: dict, families: dict) -> CaseRecord:
+    _check_names_and_keys(rec)
     return CaseRecord(
         id=rec["id"],
         exponent_vector=tuple(rec["exponent_vector"]),

@@ -2,7 +2,7 @@
 
 A case names a recipe that re-derives its binary sextic from a family
 branch, a map that dehomogenizes the sextic to the recorded curve, and a
-list of facts.  `_FACTS` holds one (expected, check) pair per fact kind;
+list of facts.  `_FACTS` holds (expected, check, required keys) per fact kind;
 `run_case` turns the derivation and every fact into CheckResult records.
 The curve, point and genus layers below this one are `apforge.curves`,
 `apforge.points` and `apforge.genus`.
@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .curves import (EllipticModel, HyperCurve, SuperellipticForm, _rat_is_square,
-                     jacobian_order, torsion_gcd_bound)
+from .curves import (EllipticModel, HyperCurve, SuperellipticForm, jacobian_order,
+                     torsion_gcd_bound)
 from .curves import count_points  # noqa: F401; perfbench/traced.py finds it here to wrap it
 from .exactmath import (BinaryForm, UniPoly, form_eval, int_kth_root, primes_upto,
-                        uni_resultant)
+                        rat_kth_root, uni_resultant)
 from .numfield import (FieldElem, NumberField, Undecided, field_by_name, nf_is_s_unit,
                        nf_is_square)
 from .points import locally_solvable, locally_solvable_real, rational_points_search
@@ -45,7 +45,7 @@ def ec_point_check(model: EllipticModel, x, y=None):
     if y is not None:
         return y * y == rhs_val
     if model.field is None:
-        return _rat_is_square(rhs_val)
+        return rat_kth_root(rhs_val, 2) is not None
     if not rhs_val:
         return True
     return nf_is_square(rhs_val) is not None
@@ -176,18 +176,23 @@ def _nf_form(field: NumberField, rows) -> BinaryForm:
     return BinaryForm([_nf_elem(field, r) for r in rows])
 
 
+# kind -> (curve record -> curve, required curve keys, required derivation keys);
+# every kind but a superelliptic form is reached through a derivation map.
 _CURVES = {
-    "genus2": lambda rec: HyperCurve(rec["label"], UniPoly(_rationals(rec["rhs"]))),
-    "elliptic": lambda rec: EllipticModel(rec["label"], UniPoly(_rationals(rec["rhs"]))),
-    "superelliptic_form": lambda rec: SuperellipticForm(
+    "genus2": (lambda rec: HyperCurve(rec["label"], UniPoly(_rationals(rec["rhs"]))),
+               ("label", "rhs"), ("map",)),
+    "elliptic": (lambda rec: EllipticModel(rec["label"], UniPoly(_rationals(rec["rhs"]))),
+                 ("label", "rhs"), ("map",)),
+    "superelliptic_form": (lambda rec: SuperellipticForm(
         rec["label"], BinaryForm(_rationals(rec["form"])),
         z_mult=int(rec["z_mult"]), z_power=int(rec["z_power"])),
+        ("label", "form", "z_mult", "z_power"), ()),
 }
 
 
 def build_curve(case):
     """Instantiate the case's recorded target curve (no derivation)."""
-    return _CURVES[case.curve["kind"]](case.curve)
+    return _CURVES[case.curve["kind"]][0](case.curve)
 
 
 def _square_combo(rec, br, cid):
@@ -212,9 +217,15 @@ def _eq7_combo(rec, br, cid):
     return core.pow(3) * 3 - br.b_form.pow(3) * 64
 
 
-# recipe -> (derivation, family branch, case id) -> binary sextic
-_RECIPES = {"square_combo": _square_combo, "cube_pair_product": _cube_pair_product,
-            "eq7_combo": _eq7_combo}
+# recipe -> ((derivation, family branch, case id) -> binary sextic,
+#            required derivation keys)
+_RECIPES = {
+    "square_combo": (_square_combo, ("family", "branch", "coef_a", "coef_b", "divisor",
+                                     "expected_sextic")),
+    "cube_pair_product": (_cube_pair_product, ("factor1", "factor2", "y_mult",
+                                               "expected_sextic")),
+    "eq7_combo": (_eq7_combo, ("family", "expected_form")),
+}
 
 
 def _even_powers(cid, cs):
@@ -223,12 +234,17 @@ def _even_powers(cid, cs):
     return [cs[0], cs[2], cs[4], cs[6]]
 
 
-# map -> (case id, sextic coefficients, j-th at x^(6-j) y^j) -> ascending coefficients in x
-_MAPS = {"x_over_y": lambda cid, cs: cs[::-1], "even_powers": _even_powers}
+# map -> ((case id, sextic coefficients, j-th at x^(6-j) y^j) -> ascending
+#         coefficients in x, required derivation keys)
+_MAPS = {"x_over_y": (lambda cid, cs: cs[::-1], ("curve_divisor",)),
+         "even_powers": (_even_powers, ("curve_divisor",))}
 
-CURVE_KINDS = frozenset(_CURVES)
-RECIPES = frozenset(_RECIPES)
-MAPS = frozenset(_MAPS)
+# name -> required keys, for the corpus loader to check each record against;
+# a curve kind gives (curve keys, derivation keys)
+CURVE_KINDS = {kind: (curve_keys, derivation_keys)
+               for kind, (_, curve_keys, derivation_keys) in _CURVES.items()}
+RECIPES = {recipe: keys for recipe, (_, keys) in _RECIPES.items()}
+MAPS = {name: keys for name, (_, keys) in _MAPS.items()}
 
 
 def derive_case(case):
@@ -238,7 +254,7 @@ def derive_case(case):
     intermediate or the final model differs from the recorded polynomials.
     """
     rec = case.derivation
-    sextic = _RECIPES[rec["recipe"]](rec, case.derivation_branch, case.id)
+    sextic = _RECIPES[rec["recipe"]][0](rec, case.derivation_branch, case.id)
     expected_key = "expected_form" if "expected_form" in rec else "expected_sextic"
     expected = BinaryForm(_rationals(rec[expected_key]))
     if sextic != expected:
@@ -249,7 +265,7 @@ def derive_case(case):
             raise DerivationMismatch(_coeff_diff(case.id, sextic, target.form))
         return target
     divisor = Fraction(rec["curve_divisor"])
-    mapped = UniPoly([c / divisor for c in _MAPS[rec["map"]](case.id, sextic.coeffs)])
+    mapped = UniPoly([c / divisor for c in _MAPS[rec["map"]][0](case.id, sextic.coeffs)])
     recorded = target.rhs if isinstance(target, EllipticModel) else target.f
     if mapped != recorded:
         raise DerivationMismatch(
@@ -420,41 +436,49 @@ def _check_descent_s1(case, fact):
     return True, f"s = 1 for all {len(pairs)} progression-compatible pairs"
 
 
-# kind -> (expected(fact) -> str, check(case, fact) -> (ok, actual))
+# kind -> (expected(fact) -> str, check(case, fact) -> (ok, actual),
+#          required fact keys)
 _FACTS = {
     "jacobian_order": (lambda f: f"#J(F_{f['p']}) = {int(f['value'])}",
-                       _check_jacobian_order),
-    "torsion_gcd": (lambda f: f"gcd of orders = {int(f['value'])}", _check_torsion_gcd),
+                       _check_jacobian_order, ("p", "value")),
+    "torsion_gcd": (lambda f: f"gcd of orders = {int(f['value'])}", _check_torsion_gcd,
+                    ("primes", "value")),
     "rational_points": (lambda f: f"affine {[(x, y) for x, y in f['affine']]}, "
                                   f"infinity {f['infinity']} at height {f['height']}",
-                        _check_rational_points),
+                        _check_rational_points, ("height", "affine", "infinity")),
     "local_solvability": (lambda f: f"Q_p points for all p <= {f['primes_upto']} "
                                     "and real points",
-                          _check_local_solvability),
+                          _check_local_solvability, ("primes_upto", "expect", "real")),
     # The S-unit test runs on the rational norm, which is weaker than a
     # place-by-place valuation check; flagged here so reports say so.
     "factorization": (lambda f: "factorization and resultant class (norm-level S-unit test)",
-                      _check_factorization),
-    "value_identity": (lambda f: "value identity over the field", _check_value_identity),
-    "value_square": (lambda f: "value equals the recorded square", _check_value_square),
-    "ec_point": (lambda f: "point satisfies the Weierstrass equation", _check_ec_point),
+                      _check_factorization,
+                      ("field", "shape", "factors", "product", "resultant")),
+    "value_identity": (lambda f: "value identity over the field", _check_value_identity,
+                       ("field", "poly", "at", "equals")),
+    "value_square": (lambda f: "value equals the recorded square", _check_value_square,
+                     ("field", "poly", "at", "root")),
+    "ec_point": (lambda f: "point satisfies the Weierstrass equation", _check_ec_point,
+                 ("field", "rhs", "x")),
     "ec_two_torsion": (lambda f: "rhs vanishes at every 2-torsion abscissa",
-                       _check_ec_two_torsion),
-    "ec_square_x": (lambda f: "rhs is a square at every listed abscissa", _check_ec_square_x),
+                       _check_ec_two_torsion, ("field", "rhs", "xs")),
+    "ec_square_x": (lambda f: "rhs is a square at every listed abscissa", _check_ec_square_x,
+                    ("field", "rhs", "xs")),
     "cube_class_value": (lambda f: "value falls in the recorded cube class",
-                         _check_cube_class_value),
+                         _check_cube_class_value, ("field", "poly", "at", "delta", "z")),
     "form_value": (lambda f: f"form value {f['equals']} at {tuple(f['at'])}",
-                   _check_form_value),
+                   _check_form_value, ("at", "equals")),
     "involution": (lambda f: f"f(({f['sub'][0]})x+({f['sub'][1]})y, ...) = {f['factor']} f",
-                   _check_involution),
+                   _check_involution, ("sub", "factor")),
     "mod4_progression": (lambda f: "square-cube-cube-square pattern dies mod 4",
                          lambda case, f: (mod4_progression_impossible(),
-                                          "residue enumeration empty")),
+                                          "residue enumeration empty"), ()),
     "descent_s1": (lambda f: "descent scale s = 1 on progression-compatible pairs",
-                   _check_descent_s1),
+                   _check_descent_s1, ("scan",)),
 }
 
-FACT_KINDS = frozenset(_FACTS) | {"unchecked_claim"}
+FACT_KINDS = {kind: keys for kind, (_, _, keys) in _FACTS.items()}
+FACT_KINDS["unchecked_claim"] = ("text",)
 
 
 def run_case(case, height: Optional[int] = None,
@@ -479,6 +503,6 @@ def run_case(case, height: Optional[int] = None,
             results.append(CheckResult(rid, "unchecked-claim", fact["text"], "not tested"))
             continue
         fact = {key: overrides.get(key, value) for key, value in fact.items()}
-        expected, check = _FACTS[fact["kind"]]
+        expected, check, _ = _FACTS[fact["kind"]]
         results.append(timed_check(rid, expected(fact), lambda: check(case, fact)))
     return results

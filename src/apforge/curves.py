@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exactmath import BinaryForm, UniPoly, int_kth_root, uni_resultant
+from .exactmath import BinaryForm, UniPoly, uni_resultant
 from .numfield import NumberField
 
 
@@ -113,11 +113,6 @@ def _integral_model_any(f: UniPoly):
     v *= root if root * root == rest else rest
     coeffs = [int(c * v * v) for c in f.coeffs] + [0] * (6 - f.degree)
     return tuple(coeffs), v
-
-
-def _rat_is_square(q: Fraction) -> bool:
-    return (q >= 0 and int_kth_root(q.numerator, 2) is not None
-            and int_kth_root(q.denominator, 2) is not None)
 
 
 def _good_reduction_data(curve: HyperCurve, p: int):

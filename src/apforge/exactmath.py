@@ -177,7 +177,7 @@ def form_exact_root(f: BinaryForm, k: int):
     body = list(f.coeffs[shift:])
     n = len(body) - 1
     m = n // k
-    lead = _rat_kth_root(body[0], k)
+    lead = rat_kth_root(body[0], k)
     if lead is None:
         return None
     g = [lead]
@@ -211,7 +211,7 @@ def _power_coeff(g: list, k: int, i: int):
     return acc[i]
 
 
-def _rat_kth_root(q: Fraction, k: int):
+def rat_kth_root(q: Fraction, k: int):
     """Exact k-th root of a rational, or None.  Even k roots are positive."""
     if not isinstance(q, Fraction):
         raise TypeError("exact roots only over the rationals")
@@ -246,14 +246,14 @@ def int_kth_root(n: int, k: int):
     if k == 2:
         r = math.isqrt(n)
         return r if r * r == n else None
-    r = _int_floor_root(n, k)
+    r = int_floor_root(n, k)
     return r if r**k == n else None
 
 
-def _int_floor_root(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for n >= 1 via integer Newton."""
+def int_floor_root(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 0 via integer Newton."""
     if n < (1 << k):
-        return 1
+        return min(n, 1)
     x = 1 << (-(-n.bit_length() // k))  # upper-bound seed
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k

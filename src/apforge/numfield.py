@@ -2,9 +2,11 @@
 
 Elements are coefficient vectors over Q in the power basis 1, alpha, ...,
 alpha^(d-1); multiplication reduces modulo the (monic, rational) minimal
-polynomial.  Norms are Sylvester resultants, S-unit tests run on norms, and
-squareness is decided by an embedding/rounding ladder with exact
-verification, or refuted by a modular witness.
+polynomial.  Norms are Sylvester resultants and S-unit tests run on norms.
+Squareness is decided by one scan over small unramified primes: a modular
+non-residue refutes it, and at a split prime a square root is Hensel-lifted
+p-adically, rationally reconstructed and verified exactly.  No floating
+point is used anywhere.
 
 No ring-of-integers or ideal machinery: the handful of fields used here are
 fixed corpus data and everything checkable reduces to exact identities.
@@ -12,6 +14,7 @@ fixed corpus data and everything checkable reduces to exact identities.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -249,258 +252,140 @@ def nf_is_s_unit(a: FieldElem, s_primes: Iterable[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Squareness: embedding ladder with exact verification, modular refutation.
+# Squareness: modular refutation, p-adic construction with exact verification.
 
 _PRECISIONS = (64, 128, 256, 512, 1024)
 _WITNESS_PRIME_COUNT = 50
+_PRIME_LIMIT = 699
 
 
 def nf_is_square(a: FieldElem):
     """Return b with b*b == a, or None when a is provably not a square.
 
-    Positive answers come from rounding approximate square roots in every
-    embedding and verifying exactly; negative answers require a modular
-    witness (a reduces to a non-residue at some unramified rational prime).
-    Raises Undecided when neither side lands within the configured bounds.
+    Scans odd primes p <= 699 that are unramified and prime to every
+    denominator.  A non-residue a(r) at a root r of the minimal polynomial
+    mod p refutes.  The scan covers 50 such primes, and more only until it
+    meets a split prime (d distinct roots, a(r) != 0 at each), where a root
+    is built p-adically at each precision and verified exactly.  The root's
+    first nonzero coordinate is positive.  Raises Undecided otherwise.
     """
     if not a:
         return a.field.zero
-    if _square_witness_against(a):
-        return None
-    for prec in _PRECISIONS:
-        b = _try_square_root(a, prec)
-        if b is not None:
-            return b
-    raise Undecided(f"squareness of {a!r} undecided at max precision")
-
-
-def _square_witness_against(a: FieldElem) -> bool:
-    """Scan small unramified primes for a modular non-square witness."""
     field = a.field
-    disc = field.discriminant
-    checked = 0
-    for p in primes_upto(699):
-        if p == 2:
-            continue
-        if checked >= _WITNESS_PRIME_COUNT:
+    checked, split = 0, None
+    for p in primes_upto(_PRIME_LIMIT)[1:]:
+        if checked >= _WITNESS_PRIME_COUNT and split is not None:
             break
+        roots = _roots_mod(field, p)
+        if roots is None:
+            continue
         try:
-            if _frac_mod(disc, p) == 0:
-                continue
-            mp = [_frac_mod(c, p) for c in field.minpoly.coeffs]
-            av = [_frac_mod(c, p) for c in a.coords]
+            coords = [_frac_mod(c, p) for c in a.coords]
         except ZeroDivisionError:
-            continue  # p divides a denominator
+            continue  # p divides a denominator of a
         checked += 1
-        for r in range(p):
-            if _poly_eval_mod(mp, r, p) != 0:
-                continue
-            v = _poly_eval_mod(av, r, p) % p
-            if v == 0:
-                continue
-            if pow(v, (p - 1) // 2, p) == p - 1:
-                return True
-    return False
+        values = [_poly_eval_mod(coords, r, p) for r in roots]
+        if any(v and pow(v, (p - 1) // 2, p) == p - 1 for v in values):
+            return None
+        if split is None and len(roots) == field.degree and all(values):
+            split = (p, roots, values)
+    if split is not None:
+        for prec in _PRECISIONS:
+            b = _root_at_split_prime(a, *split, prec)
+            if b is not None:
+                return -b if next(c for c in b.coords if c) < 0 else b
+    where = f"split prime {split[0]}" if split else f"no split prime up to {_PRIME_LIMIT}"
+    raise Undecided(f"squareness of {a!r} undecided ({where})")
 
 
-def _frac_mod(q: Fraction, p: int) -> int:
-    den = q.denominator % p
-    if den == 0:
-        raise ZeroDivisionError
-    return (q.numerator % p) * pow(den, -1, p) % p
+@lru_cache(maxsize=None)
+def _roots_mod(field: NumberField, p: int):
+    """Roots of the minimal polynomial mod p; None when p divides the
+    discriminant or a denominator of the minimal polynomial."""
+    try:
+        if _frac_mod(field.discriminant, p) == 0:
+            return None
+        m = [_frac_mod(c, p) for c in field.minpoly.coeffs]
+    except ZeroDivisionError:
+        return None
+    return [r for r in range(p) if _poly_eval_mod(m, r, p) == 0]
 
 
-def _poly_eval_mod(coeffs_ascending, x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(coeffs_ascending):
-        acc = (acc * x + c) % p
-    return acc
+def _root_at_split_prime(a: FieldElem, p: int, roots, values, prec: int):
+    """b with b*b == a from a split prime p, or None.
 
-
-# Complex rational helpers: numbers as (re, im) Fraction pairs.
-
-
-def _cadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _csub(a, b):
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _cmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _cdiv(a, b):
-    d = b[0] * b[0] + b[1] * b[1]
-    return ((a[0] * b[0] + a[1] * b[1]) / d, (a[1] * b[0] - a[0] * b[1]) / d)
-
-
-def _csnap(z, maxden: int):
-    return (z[0].limit_denominator(maxden), z[1].limit_denominator(maxden))
-
-
-def _cpoly_eval(coeffs_ascending, z):
-    acc = (Fraction(0), Fraction(0))
-    for c in reversed(coeffs_ascending):
-        acc = _cmul(acc, z)
-        acc = (acc[0] + c, acc[1])
-    return acc
-
-
-def _cabs2(z) -> Fraction:
-    return z[0] * z[0] + z[1] * z[1]
-
-
-def _seed_roots(coeffs_ascending) -> list[complex]:
-    """Double-precision seeds via Durand-Kerner."""
-    cs = [complex(c) for c in coeffs_ascending]
-    n = len(cs) - 1
-    lead = cs[-1]
-    cs = [c / lead for c in cs]
-    roots = [(0.4 + 0.9j) ** k for k in range(n)]
-    for _ in range(200):
-        moved = 0.0
-        new = []
-        for i, r in enumerate(roots):
-            val = 0j
-            for c in reversed(cs):
-                val = val * r + c
-            denom = 1 + 0j
-            for j, s in enumerate(roots):
-                if j != i:
-                    denom *= r - s
-            delta = val / denom if denom != 0 else 0j
-            new.append(r - delta)
-            moved = max(moved, abs(delta))
-        roots = new
-        if moved < 1e-13:
-            break
-    return roots
-
-
-def _polish_root(field: NumberField, seed: complex, prec: int):
-    """Newton-polish a minpoly root in exact complex rational arithmetic."""
-    m = list(field.minpoly.coeffs)
-    dm = list(field.minpoly.derivative().coeffs)
-    maxden = 1 << (prec + 32)
-    tol = Fraction(1, 1 << (2 * prec))
-    z = (Fraction(seed.real).limit_denominator(1 << 60),
-         Fraction(seed.imag).limit_denominator(1 << 60))
-    if abs(seed.imag) < 1e-9:
-        # Real coefficients keep a real iteration exactly real.
-        z = (z[0], Fraction(0))
-    for _ in range(prec.bit_length() + 8):
-        val = _cpoly_eval(m, z)
-        if _cabs2(val) < tol:
-            break
-        dval = _cpoly_eval(dm, z)
-        z = _csnap(_csub(z, _cdiv(val, dval)), maxden)
-    return z
-
-
-def _csqrt(w, prec: int):
-    """Principal square root of a complex rational, to 2^-prec accuracy."""
-    maxden = 1 << (prec + 32)
-    tol = Fraction(1, 1 << (2 * prec))
-    fw = complex(float(w[0]), float(w[1]))
-    seed = fw ** 0.5
-    if abs(seed) == 0:
-        return (Fraction(0), Fraction(0))
-    z = (Fraction(seed.real).limit_denominator(1 << 60),
-         Fraction(seed.imag).limit_denominator(1 << 60))
-    pure_real = not w[1] and w[0] >= 0
-    if pure_real:
-        z = (z[0] if z[0] else Fraction(1), Fraction(0))
-    for _ in range(prec.bit_length() + 8):
-        if not (z[0] or z[1]):
-            break
-        err = _csub(_cmul(z, z), w)
-        if _cabs2(err) < tol:
-            break
-        z = _csnap(_cmul(_cadd(z, _cdiv(w, z)), (Fraction(1, 2), Fraction(0))), maxden)
-        if pure_real:
-            z = (z[0], Fraction(0))
-    return z
-
-
-def _try_square_root(a: FieldElem, prec: int):
+    The roots r_i of the minimal polynomial and square roots of a(r_i) are
+    Hensel-lifted to Z/p^n with p^n > 2^(2*prec+1).  A square root b of a
+    is p-integral (p is unramified, a is p-integral) and b(r_i) is one of
+    the two roots of a(r_i), so one of the 2^(d-1) sign patterns
+    interpolates to b mod p^n.  Its coordinates are reconstructed as
+    fractions with terms up to 2^prec and kept only if b*b == a exactly.
+    """
     field = a.field
-    d = field.degree
-    seeds = _seed_roots(list(field.minpoly.coeffs))
-    # Classify embeddings: real roots and one representative per pair.
-    reals = sorted([s for s in seeds if abs(s.imag) < 1e-9], key=lambda s: s.real)
-    pairs = sorted([s for s in seeds if s.imag > 1e-9], key=lambda s: (s.real, s.imag))
-    roots = []
-    kinds = []  # 'r' for real embedding, 'c' for a conjugate pair
-    for s in reals:
-        roots.append(_polish_root(field, s, prec))
-        kinds.append("r")
-    for s in pairs:
-        roots.append(_polish_root(field, s, prec))
-        kinds.append("c")
-    acoeffs = list(a.coords)
-    values = [_cpoly_eval(acoeffs, z) for z in roots]
-    # Real embeddings of a square must be non-negative; a clearly negative
-    # value just means this pattern search will fail (refutation still needs
-    # a modular witness, handled by the caller).
-    sqrts = []
-    for kind, w in zip(kinds, values):
-        if kind == "r" and w[0] < 0:
-            return None  # cannot verify at any precision; witness path decides
-        sqrts.append(_csqrt(w, prec))
-    maxden = 1 << max(prec // 2, 48)
-    n_choices = len(roots)
-    for pattern in range(1 << (n_choices - 1) if n_choices > 1 else 1):
-        # Global sign is redundant (b vs -b), so the first choice is fixed.
-        signs = [1] + [1 if (pattern >> i) & 1 == 0 else -1 for i in range(n_choices - 1)]
-        target = []
-        basis_roots = []
-        for kind, z, s, sg in zip(kinds, roots, sqrts, signs):
-            chosen = s if sg == 1 else (-s[0], -s[1])
-            basis_roots.append(z)
-            target.append(chosen)
-            if kind == "c":
-                basis_roots.append((z[0], -z[1]))
-                target.append((chosen[0], -chosen[1]))
-        coords = _solve_vandermonde(basis_roots, target, d)
-        if coords is None:
-            continue
-        snapped = [c[0].limit_denominator(maxden) for c in coords]
-        b = FieldElem(field, snapped)
-        if b * b == a:
-            return b
+    n = (2 * prec + 1) // (p.bit_length() - 1) + 1  # p^n > 2^(2*prec+1)
+    mod = p**n
+    steps = n.bit_length()
+    m = [_frac_mod(c, mod) for c in field.minpoly.coeffs]
+    lifted = [_newton_lift(m, r, mod, steps) for r in roots]
+    acoords = [_frac_mod(c, mod) for c in a.coords]
+    sqrts = [_newton_lift([-_poly_eval_mod(acoords, r, mod), 0, 1],
+                          next(s for s in range(1, p) if s * s % p == v), mod, steps)
+             for r, v in zip(lifted, values)]
+    # Lagrange basis: basis[i] has value 1 at lifted[i] and 0 at the others.
+    basis = []
+    for i, ri in enumerate(lifted):
+        poly, scale = [1], 1
+        for j, rj in enumerate(lifted):
+            if j != i:
+                poly = [(lo - rj * hi) % mod for lo, hi in zip([0] + poly, poly + [0])]
+                scale = scale * (ri - rj) % mod
+        inv = pow(scale, -1, mod)
+        basis.append([c * inv % mod for c in poly])
+    for pattern in range(1 << (len(roots) - 1)):  # the last sign stays +
+        signed = [-s if pattern >> i & 1 else s for i, s in enumerate(sqrts)]
+        coords = [_rational_reconstruct(sum(s * row[k] for s, row in zip(signed, basis)) % mod,
+                                        mod) for k in range(field.degree)]
+        if None not in coords:
+            b = FieldElem(field, coords)
+            if b * b == a:
+                return b
     return None
 
 
-def _solve_vandermonde(roots, values, d):
-    """Solve sum_j c_j z_i^j = v_i by Gaussian elimination over C(Q)."""
-    rows = []
-    for z, v in zip(roots, values):
-        row = [(Fraction(1), Fraction(0))]
-        for _ in range(d - 1):
-            row.append(_cmul(row[-1], z))
-        rows.append(row + [v])
-    n = d
-    for col in range(n):
-        piv = None
-        best = Fraction(0)
-        for r in range(col, n):
-            mag = _cabs2(rows[r][col])
-            if mag > best:
-                best = mag
-                piv = r
-        if piv is None or best == 0:
-            return None
-        rows[col], rows[piv] = rows[piv], rows[col]
-        pv = rows[col][col]
-        rows[col] = [_cdiv(e, pv) for e in rows[col]]
-        for r in range(n):
-            if r != col and (rows[r][col][0] or rows[r][col][1]):
-                f = rows[r][col]
-                rows[r] = [_csub(e, _cmul(f, rows[col][i])) for i, e in enumerate(rows[r])]
-    return [rows[i][n] for i in range(n)]
+def _newton_lift(coeffs_ascending, x: int, mod: int, steps: int) -> int:
+    """Lift a simple root x mod p of the polynomial to a root mod p^n;
+    each Newton step doubles the p-adic digits, so steps >= log2(n)."""
+    deriv = [i * c for i, c in enumerate(coeffs_ascending)][1:]
+    for _ in range(steps):
+        fx = _poly_eval_mod(coeffs_ascending, x, mod)
+        x = (x - fx * pow(_poly_eval_mod(deriv, x, mod), -1, mod)) % mod
+    return x
+
+
+def _rational_reconstruct(c: int, mod: int):
+    """The fraction u/v == c mod `mod` with |u|, v <= sqrt(mod/2), or None."""
+    bound = math.isqrt(mod // 2)
+    r0, r1, t0, t1 = mod, c, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if not t1 or abs(t1) > bound:
+        return None
+    return Fraction(r1, t1)
+
+
+def _frac_mod(q: Fraction, mod: int) -> int:
+    den = q.denominator % mod
+    if math.gcd(den, mod) != 1:
+        raise ZeroDivisionError
+    return (q.numerator % mod) * pow(den, -1, mod) % mod
+
+
+def _poly_eval_mod(coeffs_ascending, x: int, mod: int) -> int:
+    acc = 0
+    for c in reversed(coeffs_ascending):
+        acc = (acc * x + c) % mod
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exactmath import BinaryForm, form_exact_root, int_kth_root
+from .exactmath import BinaryForm, form_exact_root, int_floor_root, int_kth_root
 from .sieve import CRT_MODULUS, power_table
 
 _INT64_SAFE = 2**62
@@ -161,11 +161,12 @@ def cover_radius(family: ParamFamily, bound: int) -> int:
     """Parameter box that provably reaches all solutions up to the bound.
 
     Coefficient-size bound on the forms: cubic families need |x|,|y| up to
-    about (6*bound)^(1/3); quadratic ones (3*bound)^(1/2).
+    about (6*bound)^(1/3); quadratic ones (3*bound)^(1/2).  The ceiling
+    root is taken exactly on integers.
     """
-    if family.is_cubic:
-        return math.ceil((6 * bound) ** (1 / 3)) + 2
-    return math.ceil((3 * bound) ** 0.5) + 2
+    n, k = (6 * bound, 3) if family.is_cubic else (3 * bound, 2)
+    r = int_floor_root(n, k)
+    return r + (r**k < n) + 2
 
 
 def _check_int64(family: ParamFamily, bound: int, radius: int) -> None:

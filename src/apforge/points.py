@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curves import EllipticModel, _disc, _integral_model_any, _rat_is_square
-from .exactmath import UniPoly, poly_divmod
+from .curves import EllipticModel, _disc, _integral_model_any
+from .exactmath import UniPoly, poly_divmod, rat_kth_root
 from .numfield import Undecided
 from .sieve import CRT_FACTORS, form_square_tables
 
@@ -77,7 +77,7 @@ def rational_points_search(curve, height: int):
         if f.degree == 5:
             infinity = 1
         else:
-            infinity = 2 if _rat_is_square(f.lead()) else 0
+            infinity = 2 if rat_kth_root(f.lead(), 2) is not None else 0
     coeffs, v = _integral_model_any(f)
     points = {}
     for r, s, _val, w in _homogeneous_square_hits(coeffs, height):
@@ -95,7 +95,7 @@ def locally_solvable(curve, p: int) -> bool:
     f = curve.rhs if isinstance(curve, EllipticModel) else curve.f
     if isinstance(curve, EllipticModel) or f.degree == 5:
         return True  # a rational point at infinity always exists
-    if _rat_is_square(f.lead()):
+    if rat_kth_root(f.lead(), 2) is not None:
         return True  # rational points at infinity
     coeffs, _v = _integral_model_any(f)
     content = math.gcd(*coeffs)

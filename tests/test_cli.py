@@ -177,6 +177,20 @@ def test_corpus_unknown_name_rejected(tmp_path, capsys, cid, edit, message):
     assert err == f"error: cannot load corpus: case {cid}: {message}\n"
 
 
+@pytest.mark.parametrize("cid, edit, message", [
+    ("2223b", lambda case: case["derivation"].pop("map"),
+     "derivation lacks required key 'map'"),
+    ("2223b", lambda case: case["facts"][0].pop("p"),
+     "jacobian_order fact lacks required key 'p'"),
+], ids=["derivation-map", "jacobian-order-p"])
+def test_corpus_missing_key_rejected(tmp_path, capsys, cid, edit, message):
+    bad = corpus_copy(
+        tmp_path, lambda data: edit(next(c for c in data["cases"] if c["id"] == cid)))
+    assert run_cli("--corpus", bad, "cases", "--height", "20") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot load corpus: case {cid}: {message}\n"
+
+
 def test_corpus_flag_reaches_derivations(tmp_path, capsys, monkeypatch):
     def alter_family_i_branch1(data):
         fam = next(f for f in data["families"] if f["id"] == "i")

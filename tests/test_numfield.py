@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from sympy import QQ, CRootOf, Poly, Symbol
 
 from apforge.numfield import (FIELDS, NumberField, cbrt2_field,
                               cubic_field_57_4, field_by_name, nf_inv,
@@ -127,6 +128,33 @@ def test_is_square_zero_and_rationals():
     K = quartic_field()
     assert nf_is_square(K.zero) == K.zero
     assert nf_is_square(K.rational(Fraction(9, 4))) == K.rational(Fraction(3, 2))
+
+
+def test_is_square_matches_sympy_factorization():
+    """Differential oracle: a != 0 is a square in K exactly when t^2 - a
+    splits over Q(CRootOf(m, 0)) in sympy's algebraic-field factorization."""
+    rng = random.Random(161803)
+    t, x = Symbol("t"), Symbol("x")
+    for name in ALL_FIELDS:
+        K = field_by_name(name)
+        ascending = [QQ(c.numerator, c.denominator) for c in K.minpoly.coeffs]
+        m = Poly(ascending[::-1], x, domain=QQ)
+        root = CRootOf(m.as_expr(), 0)
+        F = QQ.algebraic_field(root)
+        alpha = F.convert(root)
+        assert sum((c * alpha**i for i, c in enumerate(ascending)), F.zero) == F.zero
+        checked = 0
+        for i in range(30):
+            b = rand_elem(K, rng, span=7)
+            a = b * b if i % 2 == 0 else rand_elem(K, rng, span=7)
+            if not a:
+                continue
+            elem = sum((QQ(c.numerator, c.denominator) * alpha**j
+                        for j, c in enumerate(a.coords)), F.zero)
+            _, factors = Poly([F.one, F.zero, -elem], t, domain=F).factor_list()
+            assert (nf_is_square(a) is None) == (len(factors) == 1), (name, a)
+            checked += 1
+        assert checked >= 25
 
 
 def test_field_mismatch_rejected():
