@@ -18,12 +18,15 @@ from fractions import Fraction
 from importlib import resources
 from typing import Optional
 
-from .curvelab import CURVE_KINDS, FACT_KINDS, MAPS, RECIPES
+from .curvelab import CURVE_KINDS, FACT_KINDS, MAPS, RECIPES, RESULTANT_CLAIMS
 from .exactmath import BinaryForm
 from .numfield import FIELDS
 from .parametrize import Branch, ParamFamily
 
 ENV_VAR = "APFORGE_CORPUS"
+# Keys whose strings are names or prose; every other string in a case's
+# curve, derivation and facts is an exact number.
+_NAME_KEYS = frozenset({"kind", "label", "text", "recipe", "map", "family", "field", "shape"})
 
 
 @dataclass(frozen=True)
@@ -120,9 +123,23 @@ def _derivation_branch(rec: dict, families: dict) -> Optional[Branch]:
     return fam.branches[index]
 
 
+def _number_strings(node, key=None):
+    """(key, string) for every string under node outside the name keys."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            if k not in _NAME_KEYS:
+                yield from _number_strings(v, k)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _number_strings(v, key)
+    elif isinstance(node, str):
+        yield key, node
+
+
 def _check_names_and_keys(rec: dict) -> None:
-    """Reject a case that names an unknown curve kind, recipe, map, fact kind
-    or field, or whose curve, derivation or facts lack a key they need."""
+    """Reject a case that names an unknown curve kind, recipe, map, fact kind,
+    field or resultant claim, whose curve, derivation or facts lack a key
+    they need, or hold a number string that is not an exact rational."""
     curve, deriv, facts = rec["curve"], rec["derivation"], rec.get("facts", ())
     names = [("curve kind", curve["kind"], CURVE_KINDS),
              ("derivation recipe", deriv["recipe"], RECIPES)]
@@ -143,6 +160,16 @@ def _check_names_and_keys(rec: dict) -> None:
         for key in keys:
             if key not in record:
                 raise ValueError(f"case {rec['id']}: {what} lacks required key {key!r}")
+        for key, text in _number_strings(record):
+            try:
+                Fraction(text)
+            except ValueError:
+                raise ValueError(f"case {rec['id']}: {what} key {key!r} holds "
+                                 f"{text!r}, not an exact number") from None
+    for claim in (f["resultant"] for f in facts if f["kind"] == "factorization"):
+        if not isinstance(claim, dict) or len(set(claim) & set(RESULTANT_CLAIMS)) != 1:
+            raise ValueError(f"case {rec['id']}: factorization resultant claim {claim!r} "
+                             f"must name exactly one of {', '.join(RESULTANT_CLAIMS)}")
 
 
 def _parse_case(rec: dict, families: dict) -> CaseRecord:

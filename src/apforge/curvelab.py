@@ -310,6 +310,9 @@ def _check_local_solvability(case, fact):
     return (not bad) == fact["expect"] and real_ok, f"non-solvable at {bad}" if bad else "solvable everywhere"
 
 
+RESULTANT_CLAIMS = ("equals_one_with_scale", "s_unit")  # a factorization fact names one
+
+
 def _check_factorization(case, fact):
     field = field_by_name(fact["field"])
     if fact["shape"] == "unipoly":
@@ -335,16 +338,15 @@ def _check_factorization(case, fact):
             return False, f"scale^2 != resultant ({res!r})"
         res_n = uni_resultant(factors[0] * s, factors[1] * s.inverse())
         return res_n == field.one, f"normalized resultant {res_n!r}"
-    if "s_unit" in claim:
-        if res is None:
-            # binary sextic splitting as two cubic forms: resultant of the
-            # dehomogenized cubics witnesses the same S-unit property
-            u0 = UniPoly(list(reversed(list(factors[0].coeffs))))
-            u1 = UniPoly(list(reversed(list(factors[1].coeffs))))
-            res = uni_resultant(u0, u1)
-        ok = nf_is_s_unit(res, claim["s_unit"])
-        return ok, f"resultant {res!r}"
-    return False, "unknown resultant claim"
+    # The loader admits only the two claims in RESULTANT_CLAIMS.
+    if res is None:
+        # binary sextic splitting as two cubic forms: resultant of the
+        # dehomogenized cubics witnesses the same S-unit property
+        u0 = UniPoly(list(reversed(list(factors[0].coeffs))))
+        u1 = UniPoly(list(reversed(list(factors[1].coeffs))))
+        res = uni_resultant(u0, u1)
+    ok = nf_is_s_unit(res, claim["s_unit"])
+    return ok, f"resultant {res!r}"
 
 
 def _value_at(fact):

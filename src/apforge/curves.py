@@ -30,6 +30,7 @@ import numpy as np
 
 from .exactmath import BinaryForm, UniPoly, uni_resultant
 from .numfield import NumberField
+from .sieve import INT64_SAFE
 
 
 class BadReduction(Exception):
@@ -129,7 +130,7 @@ def _good_reduction_data(curve: HyperCurve, p: int):
 def count_points(curve: HyperCurve, q: int) -> int:
     """Points on the smooth projective model over F_q, q = p or p^2, p odd."""
     p, e = _prime_power(q)
-    if p ** (e + 1) >= 2**62:
+    if p ** (e + 1) >= INT64_SAFE:
         raise ValueError("the int64 kernels need p^(e+1) < 2^62")
     coeffs, deg = _good_reduction_data(curve, p)
     return _count_fq(coeffs, deg, p, e)

@@ -8,12 +8,12 @@ checked against a brute-force enumeration oracle.
 Evaluation and the cover check run on integer forms: each form's
 denominators are cleared once (a cached integer form over a common
 denominator D), so integrality is `value % D == 0`.  The brute-force grid
-cA*a^2 + cB*b^2 is built in int64 numpy blocks over a and passed through the
-sound residue pre-filter of `sieve.power_table(k)` (the quotient by M must
-be a k-th power modulo 720720, and non-negative for even k); every survivor
-is confirmed exactly with `int_kth_root` and `math.gcd` on Python ints.
-Magnitudes are checked against 2^62 before any grid is built, so the int64
-arrays never wrap.
+cA*a^2 + cB*b^2 is one `sieve.combo_mask` call per int64 block of a rows:
+M must divide the value and the quotient pass the sound residue pre-filter
+(a possible k-th power, non-negative for even k); every survivor is
+confirmed exactly with `int_kth_root` and `math.gcd` on Python ints.
+Magnitudes are checked against `sieve.INT64_SAFE` (2^62) before any grid is
+built, so the int64 arrays never wrap.
 
 The half-integral family (a = +/-(x^2-3y^2)/2, b = +/-xy) only yields
 integers when x and y are both odd; primitive solutions with odd c are
@@ -32,9 +32,8 @@ from typing import Optional
 import numpy as np
 
 from .exactmath import BinaryForm, form_exact_root, int_floor_root, int_kth_root
-from .sieve import CRT_MODULUS, power_table
+from .sieve import INT64_SAFE, combo_mask
 
-_INT64_SAFE = 2**62
 _BLOCK = 1 << 14  # grid cells per numpy block (bounds peak memory)
 
 
@@ -173,12 +172,12 @@ def _check_int64(family: ParamFamily, bound: int, radius: int) -> None:
     """Raise ValueError unless the grid up to bound and every form on the
     radius box stay below 2^62 in absolute value."""
     ca, cb, _m = _int_equation(family)
-    if (abs(ca) + abs(cb)) * bound**2 >= _INT64_SAFE:
+    if (abs(ca) + abs(cb)) * bound**2 >= INT64_SAFE:
         raise ValueError(f"family {family.id}: bound {bound} puts "
                          f"{family.equation} beyond the int64 grid")
     for br in filter(None, (*family.branches, family.doubled_branch)):
         for coeffs, _den in br.int_forms:
-            if sum(map(abs, coeffs)) * radius ** (len(coeffs) - 1) >= _INT64_SAFE:
+            if sum(map(abs, coeffs)) * radius ** (len(coeffs) - 1) >= INT64_SAFE:
                 raise ValueError(f"family {family.id}: radius {radius} puts "
                                  "the forms beyond int64")
 
@@ -192,20 +191,13 @@ def _enumerate_solutions(family: ParamFamily, bound: int):
     out = []
     k = family.power
     ca, cb, m = _int_equation(family)
-    table = power_table(k)
-    bs = np.arange(bound + 1, dtype=np.int64)
-    cb_b2 = cb * bs * bs
+    b2 = np.arange(bound + 1, dtype=np.int64) ** 2
     rows = max(1, _BLOCK // (bound + 1))
     for a0 in range(0, bound + 1, rows):
         a = np.arange(a0, min(a0 + rows, bound + 1), dtype=np.int64)
-        v = (ca * a * a)[:, None] + cb_b2[None, :]
-        t = v // m
-        keep = (v % m == 0) & table[t % CRT_MODULUS]
-        if k % 2 == 0:
-            keep &= t >= 0
-        ia, ib = np.nonzero(keep)
-        for ai, bi, ti in zip((ia + a0).tolist(), ib.tolist(), t[keep].tolist()):
-            c = int_kth_root(ti, k)
+        ia, ib = np.nonzero(combo_mask((a * a)[:, None], b2, [(ca, cb, m, k, (1,))]))
+        for ai, bi in zip((ia + a0).tolist(), ib.tolist()):
+            c = int_kth_root((ca * ai * ai + cb * bi * bi) // m, k)
             if c is None:
                 continue
             # Quarter-plane canonical: signs of (a,b) are free in the equation.

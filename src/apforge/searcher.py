@@ -7,11 +7,13 @@ tables before any exact root extraction.  The heavy inner loops run on
 numpy int64 arrays; every surviving candidate is re-validated exactly with
 big integers before being reported.
 
-Residue sieve: an eta-twisted l-th power eta * x^l is an eta-twisted l-th
-power residue modulo 720720 = 16*9*5*7*11*13.  ``apforge.sieve`` builds one
-bool table per (l, etas) over Z/720720, the AND of the tables of the six
-CRT factors, so each derived position costs one ``% 720720`` and one
-gather.  The table only rejects; survivors are confirmed exactly.
+Residue sieve: with positions i and j as the scanned pair, the term at
+position m is ((j-m)*h_i + (m-i)*h_j) / (j-i), so one derived position is
+one combo of ``sieve.combo_mask``: a divisibility test and one lookup in the
+(l, etas) power table over Z/720720, the AND of the tables of the six CRT
+factors 16*9*5*7*11*13.  The table only rejects; survivors are confirmed
+exactly.  The cubic twin x^3 + y^3 = 2z^3 is the three-term progression
+(y^3, z^3, x^3) and runs through the same scan.
 """
 
 from __future__ import annotations
@@ -24,14 +26,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exactmath import BinaryForm, form_eval, form_mul, int_kth_root
-from .sieve import CRT_MODULUS, power_table
+from .sieve import INT64_SAFE, combo_mask, maybe_power
 
 
 class ResourceLimitError(Exception):
     """Estimated work exceeds the configured ceiling; nothing was truncated."""
 
 
-_INT64_SAFE = 1 << 62
+_ETA_CAP = 10**6  # largest |eta| among the twists of search_general
 
 
 @dataclass(frozen=True)
@@ -72,9 +74,7 @@ class Progression:
 
 def is_power_value(h: int, l: int, use_sieve: bool = True):
     """Return x with x**l == h (canonical x >= 0 for even l), else None."""
-    if l % 2 == 0 and h < 0:
-        return None
-    if use_sieve and not power_table(l)[h % CRT_MODULUS]:
+    if use_sieve and not maybe_power(h, l):
         return None
     return int_kth_root(h, l)
 
@@ -122,7 +122,7 @@ class _VectorTask:
     etas: tuple            # per-position eta tuple
     gcd_cap: int
     use_sieve: bool
-    outer_slice: tuple = (0, -1)  # half-open slice of the outer candidate array
+    outer_slice: tuple = (0, None)  # slice bounds of the outer candidate array
 
 
 def _choose_base_pair(sizes: Sequence[int]):
@@ -142,37 +142,13 @@ def _scan_vector(task: _VectorTask) -> list:
         i, j = j, i
         outer, inner = cands[i], cands[j]
     lo, hi = task.outer_slice
-    if hi == -1:
-        hi = len(outer)
-    outer = outer[lo:hi]
-    d = j - i
-    rest = [m for m in range(k) if m not in (i, j)]
-    tables = {m: power_table(lvec[m], etas[m]) for m in rest} if task.use_sieve else {}
-    all_pos_eta = {m: all(e > 0 for e in etas[m]) for m in range(k)}
+    combos = [(j - m, m - i, j - i, lvec[m], etas[m]) for m in range(k) if m not in (i, j)]
     hits = []
-    for hi_val in outer:
-        h_i = int(hi_val)
-        diff = inner - h_i
-        if d > 1:
-            mask = diff % d == 0
-            n = diff // d
-        else:
-            mask = np.ones(len(inner), dtype=bool)
-            n = diff
-        for m in rest:
-            hm = h_i + (m - i) * n
-            if lvec[m] % 2 == 0 and all_pos_eta[m]:
-                mask &= hm >= 0
-            if task.use_sieve:
-                np.bitwise_and(mask, tables[m][hm % CRT_MODULUS], out=mask)
-            if not mask.any():
-                break
-        else:
-            for idx in np.nonzero(mask)[0]:
-                h_j = int(inner[idx])
-                hit = _confirm(lvec, bounds, etas, task.gcd_cap, i, j, h_i, h_j)
-                if hit is not None:
-                    hits.append(hit)
+    for h_i in outer[lo:hi].tolist():
+        for idx in np.nonzero(combo_mask(h_i, inner, combos, task.use_sieve))[0]:
+            hit = _confirm(lvec, bounds, etas, task.gcd_cap, i, j, h_i, int(inner[idx]))
+            if hit is not None:
+                hits.append(hit)
     return hits
 
 
@@ -210,7 +186,7 @@ def _check_magnitude(k: int, bounds_of, lvecs, eta_cap: int) -> None:
     for lvec in lvecs:
         for l in lvec:
             worst = max(worst, eta_cap * bounds_of(l) ** l)
-    if worst * (2 * k + 2) >= _INT64_SAFE:
+    if worst * (2 * k + 2) >= INT64_SAFE:
         raise ResourceLimitError(
             "candidate values exceed the 62-bit kernel range; shrink bounds")
 
@@ -285,13 +261,12 @@ def search_theorem3(bound_squares: int, bound_cubes: int,
 
 
 def search_general(k: int, L: int, bound: int, D: int = 1,
-                   S: Sequence[int] = (), eta_cap: int = 10**6,
-                   vectors: Optional[Sequence] = None,
+                   S: Sequence[int] = (), vectors: Optional[Sequence] = None,
                    use_sieve: bool = True, jobs: int = 1,
                    work_ceiling: int = 2_000_000_000) -> list:
     """k-term progressions h = eta * x^l, 2 <= l <= L, gcd(h0, h1) <= D.
 
-    eta ranges over l-th-power-free S-units of both signs up to eta_cap;
+    eta ranges over l-th-power-free S-units of both signs up to 10^6;
     each term reports its own (x, l, eta).  Raises ResourceLimitError when
     the estimated scan size exceeds the ceiling (never truncates silently).
     """
@@ -307,7 +282,7 @@ def search_general(k: int, L: int, bound: int, D: int = 1,
     for v in vectors:
         if len(v) != k or any(l < 2 or l > L for l in v):
             raise ValueError(f"bad exponent vector {v}")
-    eta_by_l = {l: _eta_candidates(S, l, eta_cap) for l in range(2, L + 1)}
+    eta_by_l = {l: _eta_candidates(S, l, _ETA_CAP) for l in range(2, L + 1)}
     bounds_of = lambda l: bound
     _check_magnitude(k, bounds_of, vectors, max(abs(e) for l in eta_by_l
                                                 for e in eta_by_l[l]))
@@ -322,26 +297,10 @@ def search_cubic_twin(bound: int) -> list:
     """Coprime nonzero solutions of x^3 + y^3 = 2 z^3 up to the bound."""
     if bound < 1:
         raise ValueError("bound must be positive")
-    out = []
-    ys = np.arange(-bound, bound + 1, dtype=np.int64)
-    y3 = ys**3
-    cubes = power_table(3)
-    for x in range(-bound, bound + 1):
-        t = x**3 + y3
-        mask = t % 2 == 0
-        z3 = t // 2
-        np.bitwise_and(mask, cubes[z3 % CRT_MODULUS], out=mask)
-        for idx in np.nonzero(mask)[0]:
-            y = int(ys[idx])
-            z = int_kth_root(int(z3[idx]), 3)
-            if z is None or z == 0 or x == 0 or y == 0:
-                continue
-            if abs(z) > bound:
-                continue
-            if math.gcd(math.gcd(abs(x), abs(y)), abs(z)) != 1:
-                continue
-            out.append((x, y, z))
-    return sorted(out)
+    # The progression (y^3, z^3, x^3); gcd(y^3, z^3) = 1 iff gcd(x, y, z) = 1.
+    progs = search_general(3, 3, bound, vectors=[(3, 3, 3)])
+    return sorted((p.terms[2].x, p.terms[0].x, p.terms[1].x) for p in progs
+                  if all(t.x != 0 for t in p.terms))
 
 
 def remark_family_terms() -> dict:

@@ -7,6 +7,10 @@ built on first use.  Power tables are indexed by h % 720720 and mark
 eta * x^l modulo each CRT factor 16, 9, 5, 7, 11, 13 at once.  Row tables of
 a sextic F(r, s) = sum c_i r^i s^(6-i) hold, per modulus m, an m x m table
 whose entry [s % m, r % m] marks F(r, s) being a square mod m.
+
+Callers never see the modulus: `maybe_power` tests one value, `combo_mask`
+a grid of (alpha*h + beta*w) / delta, the one pair-scan step of the
+progression search, the cubic twin and the Lemma's brute-force cover grid.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import numpy as np
 
 CRT_FACTORS = (16, 9, 5, 7, 11, 13)
 CRT_MODULUS = 720720
+INT64_SAFE = 1 << 62  # int64 kernels keep every value below this in absolute value
 
 
 @lru_cache(maxsize=None)
@@ -39,6 +44,37 @@ def power_table(l: int, etas: tuple = (1,)) -> np.ndarray:
         rows &= _factor_table(l, f, etas)
     table.flags.writeable = False  # shared by every caller through the cache
     return table
+
+
+def maybe_power(v, l: int, etas: tuple = (1,)):
+    """Whether v (an int or an int64 array) may be eta * x^l, eta in etas:
+    the power table at v % 720720, and v >= 0 for even l when every eta is
+    positive.  False only where no such x exists."""
+    ok = power_table(l, etas)[v % CRT_MODULUS]
+    if l % 2 == 0 and min(etas) > 0:
+        ok &= v >= 0
+    return ok
+
+
+def combo_mask(h, inner, combos, use_sieve: bool = True) -> np.ndarray:
+    """Bool mask over the broadcast of h and inner (ints or int64 arrays).
+
+    A cell passes when, for every (alpha, beta, delta, l, etas) in combos,
+    v = alpha*h + beta*inner is divisible by delta and, with the sieve on,
+    maybe_power(v // delta, l, etas) holds.  Stops at the first all-False
+    mask.  Precondition: every |v| < INT64_SAFE, so nothing wraps.
+    """
+    mask = np.ones(np.broadcast_shapes(np.shape(h), np.shape(inner)), dtype=bool)
+    for alpha, beta, delta, l, etas in combos:
+        v = alpha * h + beta * inner
+        if delta != 1:
+            mask &= v % delta == 0
+            v //= delta  # exact on every cell the mask still holds
+        if use_sieve:
+            mask &= maybe_power(v, l, etas)
+        if not mask.any():
+            break
+    return mask
 
 
 def form_square_tables(coeffs6: Sequence[int], moduli: Sequence[int]) -> dict:

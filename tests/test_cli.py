@@ -182,7 +182,12 @@ def test_corpus_unknown_name_rejected(tmp_path, capsys, cid, edit, message):
      "derivation lacks required key 'map'"),
     ("2223b", lambda case: case["facts"][0].pop("p"),
      "jacobian_order fact lacks required key 'p'"),
-], ids=["derivation-map", "jacobian-order-p"])
+    ("2223b", lambda case: case["facts"][0].update(value="abc"),
+     "jacobian_order fact key 'value' holds 'abc', not an exact number"),
+    ("3323", lambda case: case["facts"][3].update(resultant={}),
+     "factorization resultant claim {} must name exactly one of "
+     "equals_one_with_scale, s_unit"),
+], ids=["derivation-map", "jacobian-order-p", "jacobian-order-value", "resultant-claim"])
 def test_corpus_missing_key_rejected(tmp_path, capsys, cid, edit, message):
     bad = corpus_copy(
         tmp_path, lambda data: edit(next(c for c in data["cases"] if c["id"] == cid)))

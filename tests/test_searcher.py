@@ -149,3 +149,14 @@ def test_remark_family_pinned_terms():
     assert diffs == {127896}
     assert int_kth_root(vals[3], 3) == 73
     assert [form_eval(t, 1, 0) for t in terms] == [1, 1, 1, 1]
+
+
+def test_general_scan_derives_terms_before_the_scanned_pair():
+    # For (3, 3, 2) under 2-unit twists the last position has the fewest
+    # candidates, so the scanned pair is (2, 0) or (2, 1) and the derived
+    # term lies before it; the sieved and unsieved scans must agree.
+    def hits(use_sieve):
+        return [p.values for p in search_general(3, 3, 60, S=(2,), vectors=[(3, 3, 2)],
+                                                 use_sieve=use_sieve)]
+    assert (4, 27, 50) in hits(True)
+    assert hits(True) == hits(False)
