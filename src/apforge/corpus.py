@@ -1,17 +1,24 @@
 """Corpus loading: parametrization families and per-case verification data.
 
-The corpus is a JSON file (bundled copy under ``apforge/data/corpus.json``)
-holding exact integers/rationals as decimal strings.  The path can be
-overridden by the APFORGE_CORPUS environment variable or an explicit
-argument; the active file's sha256 is stamped into reports.  Each case's
-derivation is resolved at load to a branch of the same file's families, so
-one loaded corpus is all a run reads.
+The corpus is a JSON file (bundled copy under ``apforge/data/corpus.json``,
+overridden by APFORGE_CORPUS or an explicit path; its sha256 is stamped into
+reports).  Only this module knows how the file writes values: `_TYPES` parses
+each once, at load, to the type its key needs.  Unlisted keys hold exact
+numbers (decimal strings or nested lists of them), parsed to Fraction; ``value``
+is an integer string, parsed to int; counts and bounds are JSON ints >= 1
+(``branch`` and ``infinity`` >= 0); ``p`` is an odd prime, ``primes`` and
+``s_unit`` non-empty lists of odd and of any primes; ``expect`` and ``real``
+are booleans; names and prose stay strings; family branches become Branch
+records.  A wrong type, an unknown name, or a missing or undeclared key is a
+ValueError naming the case or family, the key and the value.  Case derivations
+resolve to branches of the same file's families: one corpus feeds a run.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,9 +31,6 @@ from .numfield import FIELDS
 from .parametrize import Branch, ParamFamily
 
 ENV_VAR = "APFORGE_CORPUS"
-# Keys whose strings are names or prose; every other string in a case's
-# curve, derivation and facts is an exact number.
-_NAME_KEYS = frozenset({"kind", "label", "text", "recipe", "map", "family", "field", "shape"})
 
 
 @dataclass(frozen=True)
@@ -83,63 +87,111 @@ def load_corpus(path: Optional[str] = None) -> Corpus:
     )
 
 
-def _form(coeffs) -> BinaryForm:
-    return BinaryForm([Fraction(c) for c in coeffs])
+class _Wrong(ValueError):
+    """A JSON value (args[0]) that is not what its key holds (args[1])."""
+
+
+def _is(ok, need):
+    """A parser that keeps a JSON value for which ok(value) holds."""
+    def keep(value):
+        if not ok(value):
+            raise _Wrong(value, need)
+        return value
+    return keep
+
+
+def _number(value):
+    """A decimal string, or nested lists of them, parsed to Fraction."""
+    if isinstance(value, list):
+        return [_number(v) for v in value]
+    try:
+        if type(value) is str:
+            return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise _Wrong(value, "an exact number")
+
+
+def _integer(text) -> int:
+    q = _number(text)
+    if type(q) is list or q.denominator != 1:
+        raise _Wrong(text, "an integer")
+    return int(q)
+
+
+def _prime(n, low=2) -> bool:
+    return type(n) is int and n >= low and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _branch(rec) -> Branch:
+    if not isinstance(rec, dict) or sorted(rec) != ["a", "b", "c"]:
+        raise _Wrong(rec, "a branch of forms a, b, c")
+    return Branch(*(BinaryForm(_number(rec[k])) for k in "abc"))
+
+
+def _claim(claim) -> dict:
+    if not isinstance(claim, dict) or len(claim) != 1 or not set(claim) <= set(RESULTANT_CLAIMS):
+        raise ValueError(f"factorization resultant claim {claim!r} "
+                         f"must name exactly one of {', '.join(RESULTANT_CLAIMS)}")
+    return _record("factorization fact", claim)
+
+
+# key -> parser of its JSON value; a key not listed holds exact numbers
+_TYPES = {
+    **dict.fromkeys(("power", "z_mult", "z_power", "height", "primes_upto", "divisible_by",
+                     "scan"), _is(lambda v: type(v) is int and v >= 1, "a positive integer")),
+    **dict.fromkeys(("branch", "infinity"),
+                    _is(lambda v: type(v) is int and v >= 0, "a non-negative integer")),
+    "p": _is(lambda v: _prime(v, 3), "an odd prime"),
+    "primes": _is(lambda v: type(v) is list and v != [] and all(_prime(p, 3) for p in v),
+                  "a non-empty list of odd primes"),
+    "s_unit": _is(lambda v: type(v) is list and v != [] and all(map(_prime, v)),
+                  "a non-empty list of primes"),
+    **dict.fromkeys(("expect", "real"), _is(lambda v: type(v) is bool, "a boolean")),
+    **dict.fromkeys(("id", "equation", "parity_rule", "kind", "label", "text", "recipe", "map",
+                     "family", "field", "shape"), _is(lambda v: type(v) is str, "a string")),
+    "value": _integer,
+    "branches": lambda rows: tuple(map(_branch, rows)),
+    "doubled_branch": _branch,
+    "resultant": _claim,
+}
+
+
+def _record(what: str, rec: dict) -> dict:
+    """rec with each value parsed to the type its key holds."""
+    parsed = {}
+    for key, value in rec.items():
+        try:
+            parsed[key] = _TYPES.get(key, _number)(value)
+        except _Wrong as exc:
+            raise ValueError(f"{what} key {key!r} holds {exc.args[0]!r}, "
+                             f"not {exc.args[1]}") from None
+    return parsed
 
 
 def _parse_family(rec: dict) -> ParamFamily:
-    branches = tuple(
-        Branch(a_form=_form(b["a"]), b_form=_form(b["b"]), c_form=_form(b["c"]))
-        for b in rec["branches"]
-    )
-    doubled = rec.get("doubled_branch")
-    return ParamFamily(
-        id=rec["id"],
-        equation=rec["equation"],
-        coef_a=Fraction(rec["coef_a"]),
-        coef_b=Fraction(rec["coef_b"]),
-        rhs_mult=Fraction(rec["rhs_mult"]),
-        power=rec["power"],
-        branches=branches,
-        parity_rule=rec.get("parity_rule"),
-        doubled_branch=(Branch(a_form=_form(doubled["a"]), b_form=_form(doubled["b"]),
-                               c_form=_form(doubled["c"])) if doubled else None),
-    )
+    try:
+        return ParamFamily(**_record(f"family {rec['id']}:", rec))
+    except TypeError as exc:  # a missing or unknown key, or branches not in a list
+        raise ValueError(f"family {rec['id']}: {exc}") from None
 
 
-def _derivation_branch(rec: dict, families: dict) -> Optional[Branch]:
+def _derivation_branch(deriv: dict, families: dict) -> Optional[Branch]:
     """The family branch a case's derivation reads: the named branch for
     square_combo, branch 0 for eq7_combo, none for cube_pair_product."""
-    deriv = rec["derivation"]
-    recipe = deriv["recipe"]
-    if recipe == "cube_pair_product":
+    if deriv["recipe"] == "cube_pair_product":
         return None
     fam = families.get(deriv["family"])
     if fam is None:
-        raise ValueError(f"case {rec['id']}: unknown family {deriv['family']!r}")
-    index = deriv["branch"] if recipe == "square_combo" else 0
-    if not isinstance(index, int) or not 0 <= index < len(fam.branches):
-        raise ValueError(f"case {rec['id']}: family {fam.id} has no branch {index!r}")
+        raise ValueError(f"unknown family {deriv['family']!r}")
+    index = deriv.get("branch", 0)  # only square_combo declares a branch
+    if index >= len(fam.branches):
+        raise ValueError(f"family {fam.id} has no branch {index!r}")
     return fam.branches[index]
 
 
-def _number_strings(node, key=None):
-    """(key, string) for every string under node outside the name keys."""
-    if isinstance(node, dict):
-        for k, v in node.items():
-            if k not in _NAME_KEYS:
-                yield from _number_strings(v, k)
-    elif isinstance(node, list):
-        for v in node:
-            yield from _number_strings(v, key)
-    elif isinstance(node, str):
-        yield key, node
-
-
-def _check_names_and_keys(rec: dict) -> None:
-    """Reject a case that names an unknown curve kind, recipe, map, fact kind,
-    field or resultant claim, whose curve, derivation or facts lack a key
-    they need, or hold a number string that is not an exact rational."""
+def _parse_records(rec: dict) -> list:
+    """The case's curve, derivation and facts, parsed once names and keys check."""
     curve, deriv, facts = rec["curve"], rec["derivation"], rec.get("facts", ())
     names = [("curve kind", curve["kind"], CURVE_KINDS),
              ("derivation recipe", deriv["recipe"], RECIPES)]
@@ -151,36 +203,36 @@ def _check_names_and_keys(rec: dict) -> None:
             names.append(("fact field", fact["field"], FIELDS))
     for what, name, known in names:
         if not isinstance(name, str) or name not in known:
-            raise ValueError(f"case {rec['id']}: unknown {what} {name!r}")
+            raise ValueError(f"unknown {what} {name!r}")
     curve_keys, deriv_keys = CURVE_KINDS[curve["kind"]]
     deriv_keys += RECIPES[deriv["recipe"]] + MAPS.get(deriv.get("map"), ())
-    needs = [("curve", curve, curve_keys), ("derivation", deriv, deriv_keys)]
-    needs += [(f"{fact['kind']} fact", fact, FACT_KINDS[fact["kind"]]) for fact in facts]
-    for what, record, keys in needs:
+    records = [("curve", curve, curve_keys, ("kind",)),
+               ("derivation", deriv, deriv_keys, ("recipe",))]
+    records += [(f"{fact['kind']} fact", fact, FACT_KINDS[fact["kind"]][0],
+                 FACT_KINDS[fact["kind"]][1] + ("kind",)) for fact in facts]
+    for what, record, keys, optional in records:
         for key in keys:
             if key not in record:
-                raise ValueError(f"case {rec['id']}: {what} lacks required key {key!r}")
-        for key, text in _number_strings(record):
-            try:
-                Fraction(text)
-            except ValueError:
-                raise ValueError(f"case {rec['id']}: {what} key {key!r} holds "
-                                 f"{text!r}, not an exact number") from None
-    for claim in (f["resultant"] for f in facts if f["kind"] == "factorization"):
-        if not isinstance(claim, dict) or len(set(claim) & set(RESULTANT_CLAIMS)) != 1:
-            raise ValueError(f"case {rec['id']}: factorization resultant claim {claim!r} "
-                             f"must name exactly one of {', '.join(RESULTANT_CLAIMS)}")
+                raise ValueError(f"{what} lacks required key {key!r}")
+        for key in record:
+            if key not in keys and key not in optional:
+                raise ValueError(f"{what} has undeclared key {key!r}")
+    return [_record(what, record) for what, record, _, _ in records]
 
 
 def _parse_case(rec: dict, families: dict) -> CaseRecord:
-    _check_names_and_keys(rec)
+    try:
+        curve, deriv, *facts = _parse_records(rec)
+        branch = _derivation_branch(deriv, families)
+    except ValueError as exc:
+        raise ValueError(f"case {rec['id']}: {exc}") from None
     return CaseRecord(
         id=rec["id"],
         exponent_vector=tuple(rec["exponent_vector"]),
         partner_vector=tuple(rec["partner_vector"]) if rec.get("partner_vector") else None,
         description=rec.get("description", ""),
-        derivation=rec["derivation"],
-        derivation_branch=_derivation_branch(rec, families),
-        curve=rec["curve"],
-        facts=tuple(rec.get("facts", ())),
+        derivation=deriv,
+        derivation_branch=branch,
+        curve=curve,
+        facts=tuple(facts),
     )

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .curves import (EllipticModel, HyperCurve, SuperellipticForm, jacobian_order,
@@ -54,7 +53,7 @@ def ec_point_check(model: EllipticModel, x, y=None):
 def involution_check(form: BinaryForm, px, qx, py, qy, factor) -> bool:
     """f(px*x + qx*y, py*x + qy*y) == factor * f(x, y), exactly."""
     transformed = form.substitute_linear(px, qx, py, qy)
-    return transformed == form * Fraction(factor)
+    return transformed == form * factor
 
 
 def eq7_descent_step(x1: int, x3: int):
@@ -160,32 +159,19 @@ def timed_check(rid: str, expected: str, fn) -> CheckResult:
 # Curves and derivations
 
 
-def _rationals(values):
-    return [Fraction(c) for c in values]
-
-
-def _nf_elem(field: NumberField, coords) -> FieldElem:
-    return FieldElem(field, _rationals(coords))
-
-
 def _nf_poly(field: NumberField, rows) -> UniPoly:
-    return UniPoly([_nf_elem(field, r) for r in rows])
-
-
-def _nf_form(field: NumberField, rows) -> BinaryForm:
-    return BinaryForm([_nf_elem(field, r) for r in rows])
+    return UniPoly([FieldElem(field, r) for r in rows])
 
 
 # kind -> (curve record -> curve, required curve keys, required derivation keys);
 # every kind but a superelliptic form is reached through a derivation map.
 _CURVES = {
-    "genus2": (lambda rec: HyperCurve(rec["label"], UniPoly(_rationals(rec["rhs"]))),
+    "genus2": (lambda rec: HyperCurve(rec["label"], UniPoly(rec["rhs"])),
                ("label", "rhs"), ("map",)),
-    "elliptic": (lambda rec: EllipticModel(rec["label"], UniPoly(_rationals(rec["rhs"]))),
+    "elliptic": (lambda rec: EllipticModel(rec["label"], UniPoly(rec["rhs"])),
                  ("label", "rhs"), ("map",)),
     "superelliptic_form": (lambda rec: SuperellipticForm(
-        rec["label"], BinaryForm(_rationals(rec["form"])),
-        z_mult=int(rec["z_mult"]), z_power=int(rec["z_power"])),
+        rec["label"], BinaryForm(rec["form"]), z_mult=rec["z_mult"], z_power=rec["z_power"]),
         ("label", "form", "z_mult", "z_power"), ()),
 }
 
@@ -196,16 +182,14 @@ def build_curve(case):
 
 
 def _square_combo(rec, br, cid):
-    combo = (br.a_form.pow(2) * Fraction(rec["coef_a"])
-             + br.b_form.pow(2) * Fraction(rec["coef_b"]))
-    return combo * (Fraction(1) / Fraction(rec["divisor"]))
+    combo = br.a_form.pow(2) * rec["coef_a"] + br.b_form.pow(2) * rec["coef_b"]
+    return combo * (1 / rec["divisor"])
 
 
 def _cube_pair_product(rec, br, cid):
-    p, q = (Fraction(t) for t in rec["factor1"])
-    r, s = (Fraction(t) for t in rec["factor2"])
+    (p, q), (r, s) = rec["factor1"], rec["factor2"]
     sextic = BinaryForm([p, 0, 0, q]) * BinaryForm([r, 0, 0, s])
-    ymult = Fraction(rec["y_mult"])
+    ymult = rec["y_mult"]
     if form_eval(sextic, 1, 1) != ymult * ymult:
         raise DerivationMismatch(
             f"{cid}: trivial-progression consistency fails for y_mult {ymult}")
@@ -256,7 +240,7 @@ def derive_case(case):
     rec = case.derivation
     sextic = _RECIPES[rec["recipe"]][0](rec, case.derivation_branch, case.id)
     expected_key = "expected_form" if "expected_form" in rec else "expected_sextic"
-    expected = BinaryForm(_rationals(rec[expected_key]))
+    expected = BinaryForm(rec[expected_key])
     if sextic != expected:
         raise DerivationMismatch(_coeff_diff(case.id, sextic, expected))
     target = build_curve(case)
@@ -264,7 +248,7 @@ def derive_case(case):
         if sextic != target.form:
             raise DerivationMismatch(_coeff_diff(case.id, sextic, target.form))
         return target
-    divisor = Fraction(rec["curve_divisor"])
+    divisor = rec["curve_divisor"]
     mapped = UniPoly([c / divisor for c in _MAPS[rec["map"]][0](case.id, sextic.coeffs)])
     recorded = target.rhs if isinstance(target, EllipticModel) else target.f
     if mapped != recorded:
@@ -285,20 +269,17 @@ def _coeff_diff(cid: str, got, want) -> str:
 
 def _check_jacobian_order(case, fact):
     actual = jacobian_order(build_curve(case), fact["p"])
-    return actual == int(fact["value"]), actual
+    return actual == fact["value"], actual
 
 
 def _check_torsion_gcd(case, fact):
     actual = torsion_gcd_bound(build_curve(case), fact["primes"])
-    ok = actual == int(fact["value"])
-    if "divisible_by" in fact:
-        ok = ok and actual % int(fact["divisible_by"]) == 0
-    return ok, actual
+    return actual == fact["value"] and actual % fact.get("divisible_by", 1) == 0, actual
 
 
 def _check_rational_points(case, fact):
     pts, inf = rational_points_search(build_curve(case), fact["height"])
-    want = sorted((Fraction(x), Fraction(y)) for x, y in fact["affine"])
+    want = sorted((x, y) for x, y in fact["affine"])
     return (pts == want and inf == fact["infinity"],
             f"affine {[(str(x), str(y)) for x, y in pts]}, infinity {inf}")
 
@@ -315,25 +296,14 @@ RESULTANT_CLAIMS = ("equals_one_with_scale", "s_unit")  # a factorization fact n
 
 def _check_factorization(case, fact):
     field = field_by_name(fact["field"])
-    if fact["shape"] == "unipoly":
-        factors = [_nf_poly(field, rows) for rows in fact["factors"]]
-        product = factors[0]
-        for g in factors[1:]:
-            product = product * g
-        want = UniPoly([field.rational(Fraction(c)) for c in fact["product"]])
-        if product != want:
-            return False, "product mismatch"
-        res = uni_resultant(factors[0], factors[1])
-    else:
-        factors = [_nf_form(field, rows) for rows in fact["factors"]]
-        product = factors[0] * factors[1]
-        want = BinaryForm([field.rational(Fraction(c)) for c in fact["product"]])
-        if product != want:
-            return False, "product mismatch"
-        res = None
+    ring = UniPoly if fact["shape"] == "unipoly" else BinaryForm
+    factors = [ring([FieldElem(field, r) for r in rows]) for rows in fact["factors"]]
+    if math.prod(factors) != ring([field.rational(c) for c in fact["product"]]):
+        return False, "product mismatch"
+    res = uni_resultant(factors[0], factors[1]) if ring is UniPoly else None
     claim = fact["resultant"]
     if "equals_one_with_scale" in claim:
-        s = _nf_elem(field, claim["equals_one_with_scale"])
+        s = FieldElem(field, claim["equals_one_with_scale"])
         if s * s != res:
             return False, f"scale^2 != resultant ({res!r})"
         res_n = uni_resultant(factors[0] * s, factors[1] * s.inverse())
@@ -353,77 +323,72 @@ def _value_at(fact):
     """(field, value of the fact's polynomial at its rational point)."""
     field = field_by_name(fact["field"])
     poly = _nf_poly(field, fact["poly"])
-    return field, poly.eval(field.rational(Fraction(fact["at"][0])))
+    return field, poly.eval(field.rational(fact["at"][0]))
 
 
 def _check_value_identity(case, fact):
     field, got = _value_at(fact)
-    return got == _nf_elem(field, fact["equals"]), repr(got)
+    return got == FieldElem(field, fact["equals"]), repr(got)
 
 
 def _check_value_square(case, fact):
     field, got = _value_at(fact)
-    root = _nf_elem(field, fact["root"])
+    root = FieldElem(field, fact["root"])
     return got == root * root, repr(got)
 
 
 def _check_ec_point(case, fact):
     field = field_by_name(fact["field"])
     model = EllipticModel(f"{case.id}:ec", _nf_poly(field, fact["rhs"]), field)
-    x = _nf_elem(field, fact["x"])
-    y = _nf_elem(field, fact["y"]) if fact.get("y") is not None else None
+    x = FieldElem(field, fact["x"])
+    y = FieldElem(field, fact["y"]) if "y" in fact else None
     return ec_point_check(model, x, y), "on curve"
 
 
 def _check_ec_two_torsion(case, fact):
     field = field_by_name(fact["field"])
     rhs = _nf_poly(field, fact["rhs"])
-    bad = [coords for coords in fact["xs"] if rhs.eval(_nf_elem(field, coords))]
+    bad = [coords for coords in fact["xs"] if rhs.eval(FieldElem(field, coords))]
     return not bad, f"{len(fact['xs']) - len(bad)} of {len(fact['xs'])} vanish"
 
 
 def _check_ec_square_x(case, fact):
     field = field_by_name(fact["field"])
     rhs = _nf_poly(field, fact["rhs"])
-    found = 0
     for coords in fact["xs"]:
-        val = rhs.eval(_nf_elem(field, coords))
+        val = rhs.eval(FieldElem(field, coords))
         root = nf_is_square(val)
         if root is None or root * root != val:
-            return False, f"non-square rhs at {coords}"
-        found += 1
-    return True, f"{found} abscissae lift to points"
+            return False, f"non-square rhs at {[str(c) for c in coords]}"
+    return True, f"{len(fact['xs'])} abscissae lift to points"
 
 
 def _check_cube_class_value(case, fact):
     field = field_by_name(fact["field"])
-    poly = _nf_form(field, fact["poly"])
-    x, y = (Fraction(t) for t in fact["at"])
-    got = form_eval(poly, field.rational(x), field.rational(y))
-    delta = _nf_elem(field, fact["delta"])
-    z = _nf_elem(field, fact["z"])
+    poly = BinaryForm([FieldElem(field, r) for r in fact["poly"]])
+    got = form_eval(poly, *(field.rational(t) for t in fact["at"]))
+    delta = FieldElem(field, fact["delta"])
+    z = FieldElem(field, fact["z"])
     return got == delta * z**3, repr(got)
 
 
 def _check_form_value(case, fact):
-    x, y = (Fraction(t) for t in fact["at"])
-    got = form_eval(build_curve(case).form, x, y)
-    return got == Fraction(fact["equals"]), str(got)
+    got = form_eval(build_curve(case).form, *fact["at"])
+    return got == fact["equals"], str(got)
 
 
 def _check_involution(case, fact):
     form = build_curve(case).form
-    px, qx, py, qy = (Fraction(t) for t in fact["sub"])
-    factor = Fraction(fact["factor"])
+    px, qx, py, qy = fact["sub"]
+    factor = fact["factor"]
     if not involution_check(form, px, qx, py, qy, factor):
         return False, "symbolic identity fails"
-    for pre, post in fact.get("solution_pairs", ()):
-        x, y = (Fraction(t) for t in pre)
-        image = (px * x + qx * y, py * x + qy * y)
-        if image != tuple(Fraction(t) for t in post):
-            return False, f"{pre} maps to {image}"
+    for (x, y), post in fact.get("solution_pairs", ()):
+        image = [px * x + qx * y, py * x + qy * y]
+        if image != post:
+            return False, f"({x}, {y}) maps to ({image[0]}, {image[1]})"
         if form_eval(form, *image) != factor * form_eval(form, x, y):
-            return False, f"value scaling fails at {pre}"
+            return False, f"value scaling fails at ({x}, {y})"
     return True, "identity and solution swap hold"
 
 
@@ -441,11 +406,11 @@ def _check_descent_s1(case, fact):
 # kind -> (expected(fact) -> str, check(case, fact) -> (ok, actual),
 #          required fact keys)
 _FACTS = {
-    "jacobian_order": (lambda f: f"#J(F_{f['p']}) = {int(f['value'])}",
+    "jacobian_order": (lambda f: f"#J(F_{f['p']}) = {f['value']}",
                        _check_jacobian_order, ("p", "value")),
-    "torsion_gcd": (lambda f: f"gcd of orders = {int(f['value'])}", _check_torsion_gcd,
+    "torsion_gcd": (lambda f: f"gcd of orders = {f['value']}", _check_torsion_gcd,
                     ("primes", "value")),
-    "rational_points": (lambda f: f"affine {[(x, y) for x, y in f['affine']]}, "
+    "rational_points": (lambda f: f"affine {[(str(x), str(y)) for x, y in f['affine']]}, "
                                   f"infinity {f['infinity']} at height {f['height']}",
                         _check_rational_points, ("height", "affine", "infinity")),
     "local_solvability": (lambda f: f"Q_p points for all p <= {f['primes_upto']} "
@@ -468,7 +433,7 @@ _FACTS = {
                     ("field", "rhs", "xs")),
     "cube_class_value": (lambda f: "value falls in the recorded cube class",
                          _check_cube_class_value, ("field", "poly", "at", "delta", "z")),
-    "form_value": (lambda f: f"form value {f['equals']} at {tuple(f['at'])}",
+    "form_value": (lambda f: f"form value {f['equals']} at {tuple(str(t) for t in f['at'])}",
                    _check_form_value, ("at", "equals")),
     "involution": (lambda f: f"f(({f['sub'][0]})x+({f['sub'][1]})y, ...) = {f['factor']} f",
                    _check_involution, ("sub", "factor")),
@@ -479,8 +444,12 @@ _FACTS = {
                    _check_descent_s1, ("scan",)),
 }
 
-FACT_KINDS = {kind: keys for kind, (_, _, keys) in _FACTS.items()}
-FACT_KINDS["unchecked_claim"] = ("text",)
+# kind -> keys a fact may add; FACT_KINDS gives the loader (required, optional) keys
+_OPTIONAL_KEYS = {"torsion_gcd": ("divisible_by",), "ec_point": ("y",),
+                  "involution": ("solution_pairs",), "value_identity": ("shape",),
+                  "value_square": ("shape",)}
+FACT_KINDS = {kind: (keys, _OPTIONAL_KEYS.get(kind, ())) for kind, (_, _, keys) in _FACTS.items()}
+FACT_KINDS["unchecked_claim"] = (("text",), ())
 
 
 def run_case(case, height: Optional[int] = None,

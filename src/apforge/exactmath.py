@@ -14,11 +14,11 @@ from fractions import Fraction
 from typing import Sequence
 
 
-def _as_coeff(c):
-    """Coerce ints/strings to Fraction; pass ring elements through."""
-    if isinstance(c, (int, str)):
-        return Fraction(c)
-    return c
+def as_coeff(c):
+    """Coerce an int to Fraction; pass ring elements through; refuse strings."""
+    if isinstance(c, str):
+        raise TypeError(f"coefficient {c!r} is a string, not a number")
+    return Fraction(c) if isinstance(c, int) else c
 
 
 def _ring_zero(c):
@@ -37,7 +37,7 @@ class BinaryForm:
     __slots__ = ("degree", "coeffs")
 
     def __init__(self, coeffs: Sequence):
-        cs = [_as_coeff(c) for c in coeffs]
+        cs = [as_coeff(c) for c in coeffs]
         if not cs:
             cs = [Fraction(0)]
         if all(not c for c in cs):
@@ -76,7 +76,7 @@ class BinaryForm:
     def __mul__(self, other):
         if isinstance(other, BinaryForm):
             return form_mul(self, other)
-        other = _as_coeff(other)
+        other = as_coeff(other)
         if not other:
             return BinaryForm([other * 0])
         return BinaryForm([c * other for c in self.coeffs])
@@ -97,7 +97,7 @@ class BinaryForm:
 
     def substitute_linear(self, px, qx, py, qy) -> "BinaryForm":
         """f(px*x + qx*y, py*x + qy*y), exact."""
-        px, qx, py, qy = (_as_coeff(t) for t in (px, qx, py, qy))
+        px, qx, py, qy = (as_coeff(t) for t in (px, qx, py, qy))
         n = self.degree
         u = BinaryForm([px, qx])
         v = BinaryForm([py, qy])
@@ -139,8 +139,8 @@ def form_mul(a: BinaryForm, b: BinaryForm) -> BinaryForm:
 
 def form_eval(f: BinaryForm, x, y):
     """Exact value f(x, y)."""
-    x = _as_coeff(x)
-    y = _as_coeff(y)
+    x = as_coeff(x)
+    y = as_coeff(y)
     total = _ring_zero(f.coeffs[0])
     xp = [1] * (f.degree + 1)
     yp = [1] * (f.degree + 1)
@@ -283,7 +283,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence):
-        cs = [_as_coeff(c) for c in coeffs]
+        cs = [as_coeff(c) for c in coeffs]
         while len(cs) > 1 and not cs[-1]:
             cs.pop()
         if not cs:
@@ -327,7 +327,7 @@ class UniPoly:
 
     def __mul__(self, other):
         if not isinstance(other, UniPoly):
-            other = _as_coeff(other)
+            other = as_coeff(other)
             return UniPoly([c * other for c in self.coeffs])
         if self.is_zero or other.is_zero:
             return UniPoly([0])
@@ -342,7 +342,7 @@ class UniPoly:
     __rmul__ = __mul__
 
     def eval(self, x):
-        x = _as_coeff(x)
+        x = as_coeff(x)
         acc = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
             acc = acc * x + c

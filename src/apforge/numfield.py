@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .exactmath import UniPoly, poly_divmod, primes_upto, uni_resultant
+from .exactmath import UniPoly, as_coeff, poly_divmod, primes_upto, uni_resultant
 
 
 class Undecided(Exception):
@@ -33,8 +33,7 @@ class NumberField:
     """
 
     def __init__(self, minpoly_coeffs: Sequence, name: str = ""):
-        poly = UniPoly([Fraction(c) if isinstance(c, (int, str)) else c
-                        for c in minpoly_coeffs])
+        poly = UniPoly(minpoly_coeffs)
         if poly.degree < 2:
             raise ValueError("number field degree must be at least 2")
         self.minpoly = poly.monic()
@@ -85,7 +84,7 @@ class FieldElem:
     __slots__ = ("field", "coords")
 
     def __init__(self, field: NumberField, coords: Iterable):
-        cs = [Fraction(c) if isinstance(c, (int, str)) else c for c in coords]
+        cs = [as_coeff(c) for c in coords]
         if len(cs) != field.degree:
             raise ValueError("coordinate vector has wrong length")
         self.field = field

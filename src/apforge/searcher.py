@@ -56,11 +56,6 @@ class Progression:
         return tuple(t.value for t in self.terms)
 
     @property
-    def increment(self) -> int:
-        v = self.values
-        return v[1] - v[0]
-
-    @property
     def exponents(self) -> tuple:
         return tuple(t.exponent for t in self.terms)
 

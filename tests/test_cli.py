@@ -187,13 +187,59 @@ def test_corpus_unknown_name_rejected(tmp_path, capsys, cid, edit, message):
     ("3323", lambda case: case["facts"][3].update(resultant={}),
      "factorization resultant claim {} must name exactly one of "
      "equals_one_with_scale, s_unit"),
-], ids=["derivation-map", "jacobian-order-p", "jacobian-order-value", "resultant-claim"])
+    ("3232", lambda case: case["facts"][2].update(
+         divisble_by=case["facts"][2].pop("divisible_by")),
+     "torsion_gcd fact has undeclared key 'divisble_by'"),
+], ids=["derivation-map", "jacobian-order-p", "jacobian-order-value", "resultant-claim",
+        "misspelt-optional-key"])
 def test_corpus_missing_key_rejected(tmp_path, capsys, cid, edit, message):
     bad = corpus_copy(
         tmp_path, lambda data: edit(next(c for c in data["cases"] if c["id"] == cid)))
     assert run_cli("--corpus", bad, "cases", "--height", "20") == 2
     err = capsys.readouterr().err
     assert err == f"error: cannot load corpus: case {cid}: {message}\n"
+
+
+def fact_of(data, cid, kind):
+    case = next(c for c in data["cases"] if c["id"] == cid)
+    return next(f for f in case["facts"] if f["kind"] == kind)
+
+
+# Each edit once ended in a traceback, a silent verdict or a hang (the s_unit
+# row looped in nf_is_s_unit), so each runs in a child with a timeout.
+@pytest.mark.parametrize("edit, argv, message", [
+    (lambda d: fact_of(d, "2223b", "jacobian_order").update(value="1.5"), None,
+     "case 2223b: jacobian_order fact key 'value' holds '1.5', not an integer"),
+    (lambda d: fact_of(d, "2223b", "rational_points").update(infinity="2"), None,
+     "case 2223b: rational_points fact key 'infinity' holds '2', not a non-negative integer"),
+    (lambda d: fact_of(d, "2223b", "jacobian_order").update(p="5"), None,
+     "case 2223b: jacobian_order fact key 'p' holds '5', not an odd prime"),
+    (lambda d: fact_of(d, "2223b", "jacobian_order").update(p=9), None,
+     "case 2223b: jacobian_order fact key 'p' holds 9, not an odd prime"),
+    (lambda d: fact_of(d, "2223b", "rational_points").update(height="1000"),
+     ["cases", "--case", "2223b"],
+     "case 2223b: rational_points fact key 'height' holds '1000', not a positive integer"),
+    (lambda d: fact_of(d, "2223b", "torsion_gcd").update(primes=[]), None,
+     "case 2223b: torsion_gcd fact key 'primes' holds [], not a non-empty list of odd primes"),
+    (lambda d: fact_of(d, "2233", "factorization").update(resultant={"s_unit": [1]}),
+     ["cases", "--case", "2233", "--height", "20"],
+     "case 2233: factorization fact key 's_unit' holds [1], not a non-empty list of primes"),
+    (lambda d: fact_of(d, "3223d1", "local_solvability").update(expect="true"),
+     ["cases", "--case", "3223d1", "--height", "20"],
+     "case 3223d1: local_solvability fact key 'expect' holds 'true', not a boolean"),
+    (lambda d: next(f for f in d["families"] if f["id"] == "i").update(power="3"),
+     ["verify-lemma", "--bound", "20"],
+     "family i: key 'power' holds '3', not a positive integer"),
+], ids=["value-not-integer", "infinity-string", "p-string", "p-not-prime", "height-string",
+        "primes-empty", "s-unit-one", "expect-string", "family-power-string"])
+def test_corpus_badly_typed_value_rejected(tmp_path, edit, argv, message):
+    bad = corpus_copy(tmp_path, edit)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "apforge.cli", "--corpus", bad,
+         *(argv or ["cases", "--case", "2223b", "--height", "20"])],
+        capture_output=True, text=True, env=env, timeout=30)
+    assert (proc.returncode, proc.stderr) == (2, f"error: cannot load corpus: {message}\n")
 
 
 def test_corpus_flag_reaches_derivations(tmp_path, capsys, monkeypatch):

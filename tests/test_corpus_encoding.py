@@ -1,0 +1,54 @@
+"""The corpus's string encoding stays in `corpus`: after `load_corpus()` no
+value outside the name and prose keys is still a string, and the exact
+algebra types refuse string coefficients instead of parsing them."""
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+
+from apforge.corpus import load_corpus
+from apforge.exactmath import BinaryForm, UniPoly
+from apforge.numfield import FieldElem, NumberField, quadratic_field
+
+NAME_KEYS = {"id", "equation", "parity_rule", "kind", "label", "text", "recipe", "map",
+             "family", "field", "shape"}
+
+
+def string_leaves(node, path="", key=None):
+    """Paths to every str under node outside the name keys."""
+    if key in NAME_KEYS:
+        return []
+    if isinstance(node, str):
+        return [path]
+    if dataclasses.is_dataclass(node):
+        node = {f.name: getattr(node, f.name) for f in dataclasses.fields(node)}
+    elif isinstance(node, (BinaryForm, UniPoly)):
+        node = list(node.coeffs)
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, (list, tuple)):
+        items = ((key, v) for v in node)
+    else:
+        return []
+    return [p for k, v in items for p in string_leaves(v, f"{path}/{k}", k)]
+
+
+def test_no_string_leaf_after_load():
+    corpus = load_corpus()
+    found = [p for fam in corpus.families for p in string_leaves(fam, f"family {fam.id}")]
+    for case in corpus.cases:
+        for part in ("curve", "derivation", "facts"):
+            found += string_leaves(getattr(case, part), f"case {case.id} {part}")
+    assert corpus.cases and corpus.families and not found, "\n".join(found)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: BinaryForm([1, "2"]),
+    lambda: UniPoly(["1", 0]),
+    lambda: FieldElem(quadratic_field(2), ["1", Fraction(0)]),
+    lambda: NumberField(["-2", 0, 1]),
+], ids=["BinaryForm", "UniPoly", "FieldElem", "NumberField"])
+def test_exact_types_refuse_string_coefficients(build):
+    with pytest.raises(TypeError):
+        build()

@@ -334,7 +334,7 @@ def test_derivation_mismatch_detected():
     case = CASES["2232"]
     broken = dataclasses.replace(
         case, derivation={**case.derivation,
-                          "expected_sextic": ["1", "-6", "15", "40", "1", "-24", "12"]})
+                          "expected_sextic": [Fraction(c) for c in (1, -6, 15, 40, 1, -24, 12)]})
     with pytest.raises(DerivationMismatch):
         derive_case(broken)
 
