@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass, field
+from itertools import product
 
 from . import corpus as corpus_mod
 from . import curvelab, genus, parametrize, searcher
@@ -181,9 +182,7 @@ def cmd_genus(args, corpus) -> RunReport:
             str(got)))
         return report
     if args.scan_L:
-        vectors = [()]
-        for _ in range(args.k):
-            vectors = [v + (l,) for v in vectors for l in range(2, args.scan_L + 1)]
+        vectors = product(range(2, args.scan_L + 1), repeat=args.k)
     else:
         if not args.l or len(args.l) != args.k:
             print("error: need --l with k entries or --scan-L", file=sys.stderr)

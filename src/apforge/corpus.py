@@ -10,23 +10,24 @@ is an integer string, parsed to int; counts and bounds are JSON ints >= 1
 ``s_unit`` non-empty lists of odd and of any primes; ``expect`` and ``real``
 are booleans; names and prose stay strings; family branches become Branch
 records.  A wrong type, an unknown name, or a missing or undeclared key is a
-ValueError naming the case or family, the key and the value.  Case derivations
-resolve to branches of the same file's families: one corpus feeds a run.
+ValueError naming the case or family, the key and the value; so is a curve
+its constructor refuses, or a Jacobian prime at which it has bad reduction.
+Case derivations resolve to branches of the same file's families: one corpus
+feeds a run.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Optional
 
-from .curvelab import CURVE_KINDS, FACT_KINDS, MAPS, RECIPES, RESULTANT_CLAIMS
-from .exactmath import BinaryForm
+from .curvelab import CURVE_KINDS, FACT_KINDS, MAPS, RECIPES, RESULTANT_CLAIMS, check_curve
+from .exactmath import BinaryForm, is_prime
 from .numfield import FIELDS
 from .parametrize import Branch, ParamFamily
 
@@ -120,7 +121,7 @@ def _integer(text) -> int:
 
 
 def _prime(n, low=2) -> bool:
-    return type(n) is int and n >= low and all(n % d for d in range(2, math.isqrt(n) + 1))
+    return type(n) is int and n >= low and is_prime(n)
 
 
 def _branch(rec) -> Branch:
@@ -224,6 +225,7 @@ def _parse_case(rec: dict, families: dict) -> CaseRecord:
     try:
         curve, deriv, *facts = _parse_records(rec)
         branch = _derivation_branch(deriv, families)
+        check_curve(curve, facts)
     except ValueError as exc:
         raise ValueError(f"case {rec['id']}: {exc}") from None
     return CaseRecord(

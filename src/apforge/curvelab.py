@@ -15,8 +15,8 @@ import time as _time
 from dataclasses import dataclass
 from typing import Optional
 
-from .curves import (EllipticModel, HyperCurve, SuperellipticForm, jacobian_order,
-                     torsion_gcd_bound)
+from .curves import (BadReduction, EllipticModel, HyperCurve, SuperellipticForm,
+                     _good_reduction_data, jacobian_order, torsion_gcd_bound)
 from .curves import count_points  # noqa: F401; perfbench/traced.py finds it here to wrap it
 from .exactmath import (BinaryForm, UniPoly, form_eval, int_kth_root, primes_upto,
                         rat_kth_root, uni_resultant)
@@ -179,6 +179,29 @@ _CURVES = {
 def build_curve(case):
     """Instantiate the case's recorded target curve (no derivation)."""
     return _CURVES[case.curve["kind"]][0](case.curve)
+
+
+# fact kind -> key of the primes its check reduces the curve at
+_REDUCED_AT = {"jacobian_order": "p", "torsion_gcd": "primes"}
+
+
+def check_curve(curve_rec: dict, facts) -> None:
+    """For the corpus loader: build the recorded curve and check it at every
+    prime a fact reduces it at.  A ValueError names the key and the prime;
+    the discriminant and integral model stay cached for the checks."""
+    try:
+        curve = _CURVES[curve_rec["kind"]][0](curve_rec)
+    except ValueError as exc:
+        raise ValueError(f"curve: {exc}") from None
+    for fact in (f for f in facts if f["kind"] in _REDUCED_AT):
+        key = _REDUCED_AT[fact["kind"]]
+        if not isinstance(curve, HyperCurve):
+            raise ValueError(f"{fact['kind']} fact needs a genus2 curve")
+        for p in fact[key] if key == "primes" else [fact[key]]:
+            try:
+                _good_reduction_data(curve, p)
+            except BadReduction as exc:
+                raise ValueError(f"{fact['kind']} fact key {key!r}: {exc}") from None
 
 
 def _square_combo(rec, br, cid):

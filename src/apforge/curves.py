@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exactmath import BinaryForm, UniPoly, uni_resultant
+from .exactmath import BinaryForm, UniPoly, is_prime, square_split, uni_resultant
 from .numfield import NumberField
 from .sieve import INT64_SAFE
 
@@ -136,22 +136,11 @@ def count_points(curve: HyperCurve, q: int) -> int:
     return _count_fq(coeffs, deg, p, e)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _prime_power(q: int):
-    if _is_prime(q):
+    if is_prime(q):
         return q, 1
     r = math.isqrt(q)
-    if r * r == q and _is_prime(r):
+    if r * r == q and is_prime(r):
         return r, 2
     raise ValueError("q must be a prime or the square of a prime")
 

@@ -1,10 +1,11 @@
-"""Exact rational arithmetic, binary forms, and univariate polynomials.
+"""Exact rational arithmetic, univariate polynomials, binary forms, primes.
 
 Everything here is exact: coefficients are `fractions.Fraction` (or number
 field elements, which expose the same operator protocol).  No floating point
-enters any result.  This layer carries all the symbolic algebra the rest of
-the package does: form expansion, exact k-th roots of forms and integers,
-and resultants via Sylvester determinants.
+enters any result.  `UniPoly` is the only dense polynomial arithmetic: a
+`BinaryForm` is a view of one, `poly_divmod` reduces, and `power` is the one
+square-and-multiply.  On top sit exact k-th roots of forms and integers,
+resultants via Sylvester determinants, and the prime helpers.
 """
 
 from __future__ import annotations
@@ -26,34 +27,57 @@ def _ring_zero(c):
     return c - c
 
 
+def power(base, k: int, one):
+    """base**k for k >= 0 by square-and-multiply; one is the ring's unit."""
+    if k < 0:
+        raise ValueError("negative power")
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
+
+
 class BinaryForm:
     """Homogeneous polynomial in two variables with exact coefficients.
 
-    ``coeffs[j]`` is the coefficient of x^(degree-j) * y^j.  The zero form is
-    represented as degree 0 with the single coefficient 0 (no -infinity
-    degree arithmetic).
+    The form of degree n over the UniPoly g is f(x, y) = x^n g(y/x), so
+    ``coeffs[j]``, the coefficient of x^(degree-j) * y^j, is g's j-th one
+    padded with ring zeros up to index n; arithmetic is g's.  The zero form
+    has degree 0 and the single coefficient 0 (no -infinity degree arithmetic).
     """
 
-    __slots__ = ("degree", "coeffs")
+    __slots__ = ("degree", "poly")
 
     def __init__(self, coeffs: Sequence):
-        cs = [as_coeff(c) for c in coeffs]
-        if not cs:
-            cs = [Fraction(0)]
-        if all(not c for c in cs):
-            cs = [_ring_zero(cs[0])]
-        self.coeffs = tuple(cs)
-        self.degree = len(self.coeffs) - 1
+        self.poly = UniPoly(coeffs)
+        self.degree = 0 if self.poly.is_zero else len(coeffs) - 1
+
+    @classmethod
+    def _of(cls, poly: "UniPoly", degree: int) -> "BinaryForm":
+        form = object.__new__(cls)
+        form.poly = poly
+        form.degree = 0 if poly.is_zero else degree
+        return form
+
+    @property
+    def coeffs(self) -> tuple:
+        cs = self.poly.coeffs
+        return cs + (_ring_zero(cs[0]),) * (self.degree + 1 - len(cs))
 
     @property
     def is_zero(self) -> bool:
-        return len(self.coeffs) == 1 and not self.coeffs[0]
+        return self.poly.is_zero
 
     def __eq__(self, other):
-        return isinstance(other, BinaryForm) and self.coeffs == other.coeffs
+        return (isinstance(other, BinaryForm) and self.degree == other.degree
+                and self.poly == other.poly)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.degree, self.poly))
 
     def __repr__(self):
         return f"BinaryForm({list(self.coeffs)!r})"
@@ -65,100 +89,53 @@ class BinaryForm:
             return self
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degree")
-        return BinaryForm([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return BinaryForm._of(self.poly + other.poly, self.degree)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return BinaryForm([-c for c in self.coeffs])
+        return BinaryForm._of(-self.poly, self.degree)
 
     def __mul__(self, other):
+        """Product with a form (degrees add) or with a scalar."""
         if isinstance(other, BinaryForm):
-            return form_mul(self, other)
-        other = as_coeff(other)
-        if not other:
-            return BinaryForm([other * 0])
-        return BinaryForm([c * other for c in self.coeffs])
+            return BinaryForm._of(self.poly * other.poly, self.degree + other.degree)
+        return BinaryForm._of(self.poly * other, self.degree)
 
     __rmul__ = __mul__
 
     def pow(self, k: int) -> "BinaryForm":
-        if k < 0:
-            raise ValueError("negative power of a form")
-        result = BinaryForm([1])
-        base = self
-        while k:
-            if k & 1:
-                result = form_mul(result, base)
-            base = form_mul(base, base)
-            k >>= 1
-        return result
+        return BinaryForm._of(self.poly ** k, self.degree * k)
 
     def substitute_linear(self, px, qx, py, qy) -> "BinaryForm":
-        """f(px*x + qx*y, py*x + qy*y), exact."""
-        px, qx, py, qy = (as_coeff(t) for t in (px, qx, py, qy))
+        """f(px*x + qx*y, py*x + qy*y), exact: x^n sum_j c_j U^(n-j) V^j with
+        U = px + qx t, V = py + qy t and t = y/x."""
+        u, v = UniPoly([px, qx]), UniPoly([py, qy])
         n = self.degree
-        u = BinaryForm([px, qx])
-        v = BinaryForm([py, qy])
-        acc = None
+        acc = UniPoly([0])
         for j, c in enumerate(self.coeffs):
-            term = u.pow(n - j) * v.pow(j) * c
-            acc = term if acc is None else _padded_add(acc, term, n)
-        return acc
-
-    def eval(self, x, y):
-        return form_eval(self, x, y)
-
-
-def _padded_add(a: BinaryForm, b: BinaryForm, degree: int) -> BinaryForm:
-    """Add forms that may have collapsed to zero, at a fixed target degree."""
-
-    def padded(f):
-        if f.is_zero:
-            return [Fraction(0)] * (degree + 1)
-        if f.degree != degree:
-            raise ValueError("degree mismatch in padded add")
-        return list(f.coeffs)
-
-    return BinaryForm([u + v for u, v in zip(padded(a), padded(b))])
-
-
-def form_mul(a: BinaryForm, b: BinaryForm) -> BinaryForm:
-    """Exact product of two binary forms; degree adds."""
-    if a.is_zero or b.is_zero:
-        return BinaryForm([0])
-    out = [None] * (a.degree + b.degree + 1)
-    for i, ca in enumerate(a.coeffs):
-        for j, cb in enumerate(b.coeffs):
-            t = ca * cb
-            out[i + j] = t if out[i + j] is None else out[i + j] + t
-    zero = _ring_zero(out[0])
-    return BinaryForm([zero if c is None else c for c in out])
+            acc = acc + u ** (n - j) * v ** j * c
+        return BinaryForm._of(acc, n)
 
 
 def form_eval(f: BinaryForm, x, y):
-    """Exact value f(x, y)."""
-    x = as_coeff(x)
-    y = as_coeff(y)
-    total = _ring_zero(f.coeffs[0])
-    xp = [1] * (f.degree + 1)
-    yp = [1] * (f.degree + 1)
-    for i in range(1, f.degree + 1):
-        xp[i] = xp[i - 1] * x
-        yp[i] = yp[i - 1] * y
-    for j, c in enumerate(f.coeffs):
-        total = total + c * (xp[f.degree - j] * yp[j])
-    return total
+    """Exact value f(x, y), by Horner's rule in x with the powers of y alongside."""
+    x, y = as_coeff(x), as_coeff(y)
+    acc, ypow = f.coeffs[0], 1
+    for c in f.coeffs[1:]:
+        ypow = ypow * y
+        acc = acc * x + c * ypow
+    return acc
 
 
 def form_exact_root(f: BinaryForm, k: int):
     """Return g with g**k == f exactly, or None when no such form exists.
 
-    Coefficients are matched from the top degree downward; the leading
-    coefficient of g is the real rational k-th root of f's leading
-    coefficient (positive root for even k).  A full verification multiply
-    guards the under-determined trailing coefficients.
+    The root of f = x^n g(t), t = y/x, is x^(n/k) r(t) with r^k = g.  Past
+    the factor t^(shift/k), r's coefficients are matched upward from the
+    real rational k-th root of g's lowest nonzero one (positive for even k).
+    A full verification multiply guards the under-determined ones.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -166,49 +143,21 @@ def form_exact_root(f: BinaryForm, k: int):
         return BinaryForm([0])
     if k == 1:
         return f
-    if f.degree % k != 0:
+    cs = f.poly.coeffs
+    shift = next(j for j, c in enumerate(cs) if c)
+    if f.degree % k or shift % k:
         return None
-    # Strip a power of y so the leading (x-)coefficient is nonzero.
-    shift = 0
-    while not f.coeffs[shift]:
-        shift += 1
-    if shift % k != 0:
-        return None
-    body = list(f.coeffs[shift:])
-    n = len(body) - 1
-    m = n // k
-    lead = rat_kth_root(body[0], k)
+    lead = rat_kth_root(cs[shift], k)
     if lead is None:
         return None
-    g = [lead]
-    # g^k's coefficient at index i is linear in g[i] with factor k*lead^(k-1).
+    r = [lead]
+    # r^k's coefficient at index i is linear in r[i] with factor k*lead^(k-1).
     factor = k * lead ** (k - 1)
-    for i in range(1, m + 1):
-        partial = _power_coeff(g, k, i)
-        g.append((body[i] - partial) / factor)
-    # Leading zeros (the stripped y-power) go back in front.
-    candidate = BinaryForm([Fraction(0)] * (shift // k) + g)
-    if candidate.pow(k) == f:
-        return candidate
-    return None
-
-
-def _power_coeff(g: list, k: int, i: int):
-    """Coefficient of index i in (sum g[j] t^j)^k, using only g[0..i-1]."""
-    trunc = g[:i] + [Fraction(0)]
-    # Repeated truncated convolution; i is small (<= deg/k) so this is cheap.
-    acc = [Fraction(1)] + [Fraction(0)] * i
-    for _ in range(k):
-        nxt = [Fraction(0)] * (i + 1)
-        for p, cp in enumerate(acc):
-            if not cp:
-                continue
-            for q, cq in enumerate(trunc):
-                if p + q > i:
-                    break
-                nxt[p + q] += cp * cq
-        acc = nxt
-    return acc[i]
+    for i in range(1, (len(cs) - 1 - shift) // k + 1):
+        partial = (UniPoly(r) ** k).coeffs  # index i depends on r[0..i-1] only
+        r.append((cs[shift + i] - (partial[i] if i < len(partial) else 0)) / factor)
+    candidate = BinaryForm._of(UniPoly([0] * (shift // k) + r), f.degree // k)
+    return candidate if candidate.pow(k) == f else None
 
 
 def rat_kth_root(q: Fraction, k: int):
@@ -271,6 +220,31 @@ def primes_upto(n: int) -> list:
         if sieve[i]:
             sieve[i * i :: i] = [False] * len(sieve[i * i :: i])
     return [i for i, b in enumerate(sieve) if b]
+
+
+def is_prime(n: int) -> bool:
+    """True iff n is a prime, by trial division."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def square_split(n: int):
+    """(s, t) with n = s * t^2 and s squarefree, for n >= 0.
+
+    Trial division stops once d^3 exceeds the cofactor R; then R has at most
+    two prime factors, each above R^(1/3), so R is a square (1 or p^2) or
+    squarefree (p or p*q), and coprime to the primes divided out before.
+    """
+    s, t, d = 1, 1, 2
+    while d * d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        s *= d ** (e % 2)
+        t *= d ** (e // 2)
+        d += 1
+    root = math.isqrt(n)
+    return (s, t * root) if root * root == n else (s * n, t)
 
 
 class UniPoly:
@@ -340,6 +314,9 @@ class UniPoly:
         return UniPoly([zero if c is None else c for c in out])
 
     __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> "UniPoly":
+        return power(self, k, UniPoly([1]))
 
     def eval(self, x):
         x = as_coeff(x)

@@ -1,12 +1,14 @@
 """Exact arithmetic in Q[alpha]/(m(alpha)) for a small fixed family of fields.
 
 Elements are coefficient vectors over Q in the power basis 1, alpha, ...,
-alpha^(d-1); multiplication reduces modulo the (monic, rational) minimal
-polynomial.  Norms are Sylvester resultants and S-unit tests run on norms.
-Squareness is decided by one scan over small unramified primes: a modular
-non-residue refutes it, and at a split prime a square root is Hensel-lifted
-p-adically, rationally reconstructed and verified exactly.  No floating
-point is used anywhere.
+alpha^(d-1).  Products and inverses are `UniPoly` arithmetic in alpha,
+reduced in one place (`NumberField.reduce`) by `poly_divmod` modulo the
+(monic, rational) minimal polynomial; powers use `exactmath.power`.  Norms
+are Sylvester resultants and S-unit tests run on norms.  Squareness is
+decided by one scan over small unramified primes: a modular non-residue
+refutes it, and at a split prime a square root is Hensel-lifted p-adically,
+rationally reconstructed and verified exactly.  No floating point is used
+anywhere.
 
 No ring-of-integers or ideal machinery: the handful of fields used here are
 fixed corpus data and everything checkable reduces to exact identities.
@@ -19,7 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .exactmath import UniPoly, as_coeff, poly_divmod, primes_upto, uni_resultant
+from .exactmath import (UniPoly, as_coeff, poly_divmod, power, primes_upto,
+                        uni_resultant)
 
 
 class Undecided(Exception):
@@ -40,15 +43,6 @@ class NumberField:
         self.degree = poly.degree
         self.name = name or f"Q[x]/({list(self.minpoly.coeffs)})"
         d = self.degree
-        # alpha^e for e in [d, 2d-2], as coordinate vectors.
-        self._pow_table = []
-        current = [-c for c in self.minpoly.coeffs[:-1]]
-        self._pow_table.append(tuple(current))
-        for _ in range(d - 2):
-            shifted = [Fraction(0)] + current
-            top = shifted.pop()
-            current = [s + top * t for s, t in zip(shifted, self._pow_table[0])]
-            self._pow_table.append(tuple(current))
         self.zero = FieldElem(self, [0] * d)
         self.one = FieldElem(self, [1] + [0] * (d - 1))
         self.alpha = FieldElem(self, [0, 1] + [0] * (d - 2))
@@ -58,6 +52,11 @@ class NumberField:
 
     def rational(self, q) -> "FieldElem":
         return FieldElem(self, [q] + [0] * (self.degree - 1))
+
+    def reduce(self, poly: UniPoly) -> "FieldElem":
+        """The element poly(alpha): poly's remainder modulo the minimal polynomial."""
+        cs = poly_divmod(poly, self.minpoly)[1].coeffs
+        return FieldElem(self, cs + (0,) * (self.degree - len(cs)))
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.minpoly == other.minpoly
@@ -89,6 +88,11 @@ class FieldElem:
             raise ValueError("coordinate vector has wrong length")
         self.field = field
         self.coords = tuple(cs)
+
+    @property
+    def poly(self) -> UniPoly:
+        """The coordinate polynomial: self == poly(alpha)."""
+        return UniPoly(self.coords)
 
     def _coerce(self, other):
         if isinstance(other, FieldElem):
@@ -125,21 +129,7 @@ class FieldElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        d = self.field.degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coords):
-            if not a:
-                continue
-            for j, b in enumerate(o.coords):
-                if b:
-                    prod[i + j] += a * b
-        out = list(prod[:d])
-        for e in range(d, 2 * d - 1):
-            c = prod[e]
-            if c:
-                row = self.field._pow_table[e - d]
-                out = [s + c * t for s, t in zip(out, row)]
-        return FieldElem(self.field, out)
+        return self.field.reduce(self.poly * o.poly)
 
     __rmul__ = __mul__
 
@@ -147,10 +137,8 @@ class FieldElem:
         """Multiplicative inverse via extended Euclid against the minpoly."""
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        a = UniPoly(list(self.coords))
-        m = self.field.minpoly
         # Extended Euclid over Q[x]: u*a + v*m = g (constant).
-        r0, r1 = m, a
+        r0, r1 = self.field.minpoly, self.poly
         s0, s1 = UniPoly([0]), UniPoly([1])
         while not r1.is_zero and r1.degree > 0:
             q, rem = poly_divmod(r0, r1)
@@ -158,10 +146,7 @@ class FieldElem:
             s0, s1 = s1, s0 - q * s1
         if r1.is_zero:
             raise ZeroDivisionError("element is a zero divisor (reducible minpoly?)")
-        g = r1.coeffs[0]
-        inv_poly = s1 * (Fraction(1) / g)
-        coords = list(inv_poly.coeffs) + [Fraction(0)] * (self.field.degree - len(inv_poly.coeffs))
-        return FieldElem(self.field, coords[: self.field.degree])
+        return self.field.reduce(s1 * (1 / r1.coeffs[0]))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -175,14 +160,7 @@ class FieldElem:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        result = self.field.one
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, self.field.one)
 
     def __bool__(self):
         return any(self.coords)
@@ -216,16 +194,6 @@ class FieldElem:
 # Operation surface
 
 
-def nf_mul(a: FieldElem, b: FieldElem) -> FieldElem:
-    """Product reduced modulo the minimal polynomial."""
-    return a * b
-
-
-def nf_inv(a: FieldElem) -> FieldElem:
-    """Inverse; nf_mul(a, nf_inv(a)) == 1."""
-    return a.inverse()
-
-
 def nf_norm(a: FieldElem) -> Fraction:
     """Field norm: resultant of the minpoly with the coordinate polynomial.
 
@@ -233,7 +201,7 @@ def nf_norm(a: FieldElem) -> Fraction:
     """
     if not a:
         return Fraction(0)
-    return uni_resultant(a.field.minpoly, UniPoly(list(a.coords)))
+    return uni_resultant(a.field.minpoly, a.poly)
 
 
 def nf_is_s_unit(a: FieldElem, s_primes: Iterable[int]) -> bool:

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .curves import EllipticModel, _disc, _integral_model_any
-from .exactmath import UniPoly, poly_divmod, rat_kth_root
+from .exactmath import UniPoly, poly_divmod, rat_kth_root, square_split
 from .numfield import Undecided
 from .sieve import CRT_FACTORS, form_square_tables
 
@@ -81,6 +81,8 @@ def rational_points_search(curve, height: int):
     coeffs, v = _integral_model_any(f)
     points = {}
     for r, s, _val, w in _homogeneous_square_hits(coeffs, height):
+        if math.gcd(r, s) > 1:
+            continue  # (r/g, s/g) is a hit in the same box with the same x
         x = Fraction(r, s)
         y = Fraction(w, v * s**3)
         if y * y != f.eval(x):
@@ -132,21 +134,8 @@ def _valuation(n: int, p: int) -> int:
 
 
 def _squarefree_part(n: int) -> int:
-    if n == 0:
-        return 0
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = sign
-    d = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        if e % 2 == 1:
-            out *= d
-        d += 1
-    return out * n
+    """The squarefree s, sign included, with n = s * t^2; n != 0."""
+    return square_split(n)[0] if n > 0 else -square_split(-n)[0]
 
 
 def _is_square_in_qp(v: int, p: int) -> bool:

@@ -21,11 +21,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .exactmath import BinaryForm, form_eval, form_mul, int_kth_root
+from .exactmath import BinaryForm, form_eval, int_kth_root
 from .sieve import INT64_SAFE, combo_mask, maybe_power
 
 
@@ -244,8 +245,7 @@ def search_theorem3(bound_squares: int, bound_cubes: int,
     if bound_squares < 1 or bound_cubes < 1:
         raise ValueError("bounds must be positive")
     if vectors is None:
-        vectors = [(a, b, c, d) for a in (2, 3) for b in (2, 3)
-                   for c in (2, 3) for d in (2, 3)]
+        vectors = product((2, 3), repeat=4)
     vectors = [tuple(v) for v in vectors]
     bounds_of = lambda l: bound_squares if l == 2 else bound_cubes
     _check_magnitude(4, bounds_of, vectors, 1)
@@ -270,9 +270,7 @@ def search_general(k: int, L: int, bound: int, D: int = 1,
     if L < 2:
         raise ValueError("L must be at least 2")
     if vectors is None:
-        vectors = [()]
-        for _ in range(k):
-            vectors = [v + (l,) for v in vectors for l in range(2, L + 1)]
+        vectors = product(range(2, L + 1), repeat=k)
     vectors = [tuple(v) for v in vectors]
     for v in vectors:
         if len(v) != k or any(l < 2 or l > L for l in v):
@@ -303,24 +301,21 @@ def remark_family_terms() -> dict:
 
     Returns label -> (list of four degree-12 forms, exponent vector).
     """
-
-    def q(coeffs):
-        return BinaryForm(coeffs)
-
+    q = BinaryForm
     f = q([1, 8, 2, -8, 1])
     fam_a = (
-        [form_mul(q([1, -2, -1]), f).pow(2),
-         form_mul(q([1, 0, 1]), f).pow(2),
-         form_mul(q([1, 2, -1]), f).pow(2),
+        [(q([1, -2, -1]) * f).pow(2),
+         (q([1, 0, 1]) * f).pow(2),
+         (q([1, 2, -1]) * f).pow(2),
          f.pow(3)],
         (2, 2, 2, 3),
     )
     g = q([1, 4, 8, -8, 4])
     fam_b = (
-        [form_mul(q([1, -2, -2]), g).pow(2),
-         form_mul(q([1, 0, 2]), g).pow(2),
+        [(q([1, -2, -2]) * g).pow(2),
+         (q([1, 0, 2]) * g).pow(2),
          g.pow(3),
-         form_mul(q([1, 4, -2]), g).pow(2)],
+         (q([1, 4, -2]) * g).pow(2)],
         (2, 2, 3, 2),
     )
     return {"sq_sq_sq_cube": fam_a, "sq_sq_cube_sq": fam_b}

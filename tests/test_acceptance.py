@@ -19,8 +19,7 @@ from apforge.genus import (ALL_GENUS_LE1_POSSIBLE, GENUS_AT_LEAST_2, GENUS_GT1,
 from apforge.points import (locally_solvable, locally_solvable_real,
                             rational_points_search)
 from apforge.exactmath import (BinaryForm, UniPoly, form_eval,
-                               form_exact_root, form_mul, int_kth_root,
-                               uni_resultant)
+                               form_exact_root, int_kth_root, uni_resultant)
 from apforge.numfield import (cbrt2_field, cubic_field_57_4, nf_is_s_unit,
                               nf_norm, quartic_field)
 from apforge.parametrize import param_cover_check, param_verify_identity
@@ -137,7 +136,7 @@ def test_criterion_6_number_field_facts():
                     6 * c**3 + 9 * c**2 - 6 * c + 27,
                     -92 * c**3 - 141 * c**2 + 66 * c - 401])
     f = BinaryForm([3, 18, 9, -148, -27, 162, -81])
-    prod = form_mul(g, h)
+    prod = g * h
     checks["quartic split"] = list(prod.coeffs) == [
         M.rational(t) for t in f.coeffs]
     # Res(Q, R) is an S-unit for S = {2, 3}.

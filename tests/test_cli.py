@@ -230,8 +230,22 @@ def fact_of(data, cid, kind):
     (lambda d: next(f for f in d["families"] if f["id"] == "i").update(power="3"),
      ["verify-lemma", "--bound", "20"],
      "family i: key 'power' holds '3', not a positive integer"),
+    (lambda d: fact_of(d, "2223b", "jacobian_order").update(p=3), None,
+     "case 2223b: jacobian_order fact key 'p': bad reduction of g2_2223 at 3"),
+    (lambda d: fact_of(d, "2223b", "torsion_gcd").update(primes=[5, 3]), None,
+     "case 2223b: torsion_gcd fact key 'primes': bad reduction of g2_2223 at 3"),
+    (lambda d: next(c for c in d["cases"] if c["id"] == "2232")["curve"].update(
+         rhs=["1", "0", "-1", "0", "-1", "0", "1"]),  # (x^2 - 1)^2 (x^2 + 1)
+     ["cases", "--case", "2232", "--height", "20"],
+     "case 2232: curve: f must be squarefree"),
+    (lambda d: next(c for c in d["cases"] if c["id"] == "2223a")["facts"].append(
+         {"kind": "jacobian_order", "p": 5, "value": "21"}),
+     ["cases", "--case", "2223a", "--height", "20"],
+     "case 2223a: jacobian_order fact needs a genus2 curve"),
 ], ids=["value-not-integer", "infinity-string", "p-string", "p-not-prime", "height-string",
-        "primes-empty", "s-unit-one", "expect-string", "family-power-string"])
+        "primes-empty", "s-unit-one", "expect-string", "family-power-string",
+        "p-bad-reduction", "primes-bad-reduction", "rhs-not-squarefree",
+        "jacobian-order-on-elliptic"])
 def test_corpus_badly_typed_value_rejected(tmp_path, edit, argv, message):
     bad = corpus_copy(tmp_path, edit)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

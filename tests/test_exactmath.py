@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from apforge.exactmath import (BinaryForm, UniPoly, form_eval, form_exact_root,
-                               form_mul, int_kth_root, poly_divmod,
-                               uni_resultant)
+                               int_kth_root, is_prime, poly_divmod, primes_upto,
+                               square_split, uni_resultant)
 
 
 def naive_form_mul(a, b):
@@ -22,7 +22,7 @@ def naive_form_mul(a, b):
 
 
 def test_form_mul_difference_of_squares():
-    assert form_mul(BinaryForm([1, 1]), BinaryForm([1, -1])) == BinaryForm([1, 0, -1])
+    assert BinaryForm([1, 1]) * BinaryForm([1, -1]) == BinaryForm([1, 0, -1])
 
 
 def test_form_square_hand_expansion():
@@ -49,9 +49,31 @@ def test_form_mul_eval_homomorphism_random():
                         for _ in range(db + 1)])
         x = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
         y = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
-        prod = form_mul(a, b)
+        prod = a * b
         assert prod == naive_form_mul(a, b)
         assert form_eval(prod, x, y) == form_eval(a, x, y) * form_eval(b, x, y)
+
+
+def test_substitute_linear_matches_eval_random():
+    rng = random.Random(1729)
+    rand = lambda: Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+    collapsed = 0
+    for i in range(600):
+        f = BinaryForm([rand() for _ in range(rng.randint(1, 6))])
+        px, qx, py, qy = (rand() for _ in range(4))
+        if i % 3 == 0:
+            # The rank-one substitution (a l, b l), l = px x + qx y, gives
+            # l^n f(a, b): the zero form, as (b x - a y) divides f.
+            a, b = rand(), rand()
+            f = f * BinaryForm([b, -a])
+            px, qx, py, qy = a * px, a * qx, b * px, b * qx
+        g = f.substitute_linear(px, qx, py, qy)
+        collapsed += g.is_zero
+        assert g.degree == (0 if g.is_zero else f.degree)
+        for _ in range(3):
+            x, y = rand(), rand()
+            assert form_eval(g, x, y) == form_eval(f, px * x + qx * y, py * x + qy * y)
+    assert collapsed >= 200
 
 
 def test_form_exact_root_examples():
@@ -147,7 +169,7 @@ def test_zero_form_conventions():
     z = BinaryForm([0])
     assert z.is_zero and z.degree == 0
     f = BinaryForm([1, 2])
-    assert form_mul(z, f).is_zero
+    assert (z * f).is_zero
     assert form_exact_root(z, 3).is_zero
 
 
@@ -161,3 +183,31 @@ def test_invalid_k_raises():
         int_kth_root(5, 0)
     with pytest.raises(ValueError):
         form_exact_root(BinaryForm([1]), 0)
+
+
+def trial_square_split(n):
+    """Independent oracle: trial division by every d with d^2 <= n."""
+    s, t, d = 1, 1, 2
+    while d * d <= n:
+        while n % (d * d) == 0:
+            n //= d * d
+            t *= d
+        if n % d == 0:
+            n //= d
+            s *= d
+        d += 1
+    return s * n, t
+
+
+def test_square_split_matches_trial_division():
+    for n in range(1, 10**4 + 1):
+        assert square_split(n) == trial_square_split(n)
+    # Primes above 10^4 leave a cofactor p, p*q or p^2 past the cube cutoff.
+    big = [p for p in primes_upto(10**4 + 300) if p > 10**4]
+    for p, q in zip(big, big[1:]):
+        for n in (p, p * q, p * p, 12 * p * p, 18 * p * q):
+            assert square_split(n) == trial_square_split(n)
+
+
+def test_is_prime_matches_sieve():
+    assert [n for n in range(-3, 10**4 + 1) if is_prime(n)] == primes_upto(10**4)

@@ -7,9 +7,8 @@ import pytest
 from sympy import QQ, CRootOf, Poly, Symbol
 
 from apforge.numfield import (FIELDS, NumberField, cbrt2_field,
-                              cubic_field_57_4, field_by_name, nf_inv,
-                              nf_is_s_unit, nf_is_square, nf_mul, nf_norm,
-                              quadratic_field, quartic_field)
+                              cubic_field_57_4, field_by_name, nf_is_s_unit,
+                              nf_is_square, nf_norm, quadratic_field, quartic_field)
 
 ALL_FIELDS = [name for name in FIELDS]
 
@@ -26,15 +25,15 @@ def test_cbrt2_identities():
     assert a**3 == 2
     assert nf_norm(a + 1) == 3
     assert nf_norm(a - 1) == 1
-    assert nf_inv(a) == a * a * Fraction(1, 2)
+    assert a.inverse() == a * a * Fraction(1, 2)
 
 
 def test_sqrt2_identities():
     Q2 = quadratic_field(2)
     u = Q2.element([1, 1])  # 1 + sqrt 2
     assert nf_norm(u) == -1
-    assert nf_mul(u, Q2.element([-1, 1])) == 1
-    assert nf_inv(u) == Q2.element([-1, 1])
+    assert u * Q2.element([-1, 1]) == 1
+    assert u.inverse() == Q2.element([-1, 1])
     assert nf_norm(Q2.rational(3)) == 9
 
 
@@ -52,8 +51,37 @@ def test_identity_and_inverse_random():
             a = rand_elem(K, rng)
             if not a:
                 continue
-            assert nf_mul(K.one, a) == a
-            assert nf_mul(a, nf_inv(a)) == K.one
+            assert K.one * a == a
+            assert a * a.inverse() == K.one
+
+
+def pow_table_product(a, b):
+    """Independent oracle: the coordinate convolution, reduced with a table of
+    alpha^e for d <= e <= 2d - 2 in the power basis."""
+    K = a.field
+    d = K.degree
+    table = [[-c for c in K.minpoly.coeffs[:-1]]]
+    for _ in range(d - 2):
+        shifted = [Fraction(0)] + table[-1]
+        top = shifted.pop()
+        table.append([s + top * t for s, t in zip(shifted, table[0])])
+    prod = [Fraction(0)] * (2 * d - 1)
+    for i, x in enumerate(a.coords):
+        for j, y in enumerate(b.coords):
+            prod[i + j] += x * y
+    out = prod[:d]
+    for e in range(d, 2 * d - 1):
+        out = [s + prod[e] * t for s, t in zip(out, table[e - d])]
+    return K.element(out)
+
+
+def test_product_matches_pow_table_oracle():
+    rng = random.Random(8675309)
+    for name in ALL_FIELDS:
+        K = field_by_name(name)
+        for _ in range(200):
+            a, b = rand_elem(K, rng), rand_elem(K, rng)
+            assert a * b == pow_table_product(a, b)
 
 
 def test_norm_multiplicative_random():
@@ -185,4 +213,4 @@ def test_degree_one_rejected():
 def test_division_by_zero():
     K = quadratic_field(2)
     with pytest.raises(ZeroDivisionError):
-        nf_inv(K.zero)
+        K.zero.inverse()
