@@ -224,17 +224,17 @@ def _parse_records(rec: dict) -> list:
 def _parse_case(rec: dict, families: dict) -> CaseRecord:
     try:
         curve, deriv, *facts = _parse_records(rec)
-        branch = _derivation_branch(deriv, families)
-        check_curve(curve, facts)
+        case = CaseRecord(
+            id=rec["id"],
+            exponent_vector=tuple(rec["exponent_vector"]),
+            partner_vector=tuple(rec["partner_vector"]) if rec.get("partner_vector") else None,
+            description=rec.get("description", ""),
+            derivation=deriv,
+            derivation_branch=_derivation_branch(deriv, families),
+            curve=curve,
+            facts=tuple(facts),
+        )
+        check_curve(case)
     except ValueError as exc:
         raise ValueError(f"case {rec['id']}: {exc}") from None
-    return CaseRecord(
-        id=rec["id"],
-        exponent_vector=tuple(rec["exponent_vector"]),
-        partner_vector=tuple(rec["partner_vector"]) if rec.get("partner_vector") else None,
-        description=rec.get("description", ""),
-        derivation=deriv,
-        derivation_branch=branch,
-        curve=curve,
-        facts=tuple(facts),
-    )
+    return case

@@ -185,15 +185,15 @@ def build_curve(case):
 _REDUCED_AT = {"jacobian_order": "p", "torsion_gcd": "primes"}
 
 
-def check_curve(curve_rec: dict, facts) -> None:
+def check_curve(case) -> None:
     """For the corpus loader: build the recorded curve and check it at every
     prime a fact reduces it at.  A ValueError names the key and the prime;
     the discriminant and integral model stay cached for the checks."""
     try:
-        curve = _CURVES[curve_rec["kind"]][0](curve_rec)
+        curve = build_curve(case)
     except ValueError as exc:
         raise ValueError(f"curve: {exc}") from None
-    for fact in (f for f in facts if f["kind"] in _REDUCED_AT):
+    for fact in (f for f in case.facts if f["kind"] in _REDUCED_AT):
         key = _REDUCED_AT[fact["kind"]]
         if not isinstance(curve, HyperCurve):
             raise ValueError(f"{fact['kind']} fact needs a genus2 curve")

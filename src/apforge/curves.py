@@ -96,22 +96,11 @@ def _integral_model_any(f: UniPoly):
     v the least positive integer making v^2 f integral.
 
     v^2 f is integral iff the lcm L of the denominators divides v^2, so v is
-    the product of p^ceil(e/2) over p^e || L.  Trial division stops once
-    d^3 exceeds the cofactor R; then R has at most two prime factors, each
-    above R^(1/3), so R contributes sqrt(R) if it is a square and R if not.
+    the product of p^ceil(e/2) over p^e || L, which is s t for L = s t^2.
     Cached: point counts, the point search and local solvability each ask.
     """
-    rest = math.lcm(*(Fraction(c).denominator for c in f.coeffs))
-    v, d = 1, 2
-    while d * d * d <= rest:
-        e = 0
-        while rest % d == 0:
-            rest //= d
-            e += 1
-        v *= d ** ((e + 1) // 2)
-        d += 1
-    root = math.isqrt(rest)
-    v *= root if root * root == rest else rest
+    s, t = square_split(math.lcm(*(Fraction(c).denominator for c in f.coeffs)))
+    v = s * t
     coeffs = [int(c * v * v) for c in f.coeffs] + [0] * (6 - f.degree)
     return tuple(coeffs), v
 
