@@ -9,9 +9,13 @@ is an integer string, parsed to int; counts and bounds are JSON ints >= 1
 (``branch`` and ``infinity`` >= 0); ``p`` is an odd prime, ``primes`` and
 ``s_unit`` non-empty lists of odd and of any primes; ``expect`` and ``real``
 are booleans; names and prose stay strings; family branches become Branch
-records.  A wrong type, an unknown name, or a missing or undeclared key is a
-ValueError naming the case or family, the key and the value; so is a curve
-its constructor refuses, or a Jacobian prime at which it has bad reduction.
+records.  Lists have their shape checked too: ``exponent_vector`` and
+``partner_vector`` hold integers >= 2, a form_value's ``at`` two coordinates,
+an ec_point's ``x`` and ``y`` one per degree of the fact's field, and a
+factorization at least two ``factors``.  A wrong type or shape, an unknown
+name, or a missing or undeclared key is a ValueError naming the case or
+family, the key and the value; so is a curve its constructor refuses, or a
+Jacobian prime at which it has bad reduction.
 Case derivations resolve to branches of the same file's families: one corpus
 feeds a run.
 """
@@ -28,7 +32,7 @@ from typing import Optional
 
 from .curvelab import CURVE_KINDS, FACT_KINDS, MAPS, RECIPES, RESULTANT_CLAIMS, check_curve
 from .exactmath import BinaryForm, is_prime
-from .numfield import FIELDS
+from .numfield import FIELDS, field_by_name
 from .parametrize import Branch, ParamFamily
 
 ENV_VAR = "APFORGE_CORPUS"
@@ -124,6 +128,16 @@ def _prime(n, low=2) -> bool:
     return type(n) is int and n >= low and is_prime(n)
 
 
+def _numbers(size_ok, need):
+    """A parser of (value, fact) keeping a list of exact numbers whose
+    length n passes size_ok(n, fact)."""
+    def parse(value, fact):
+        if type(value) is not list or not size_ok(len(value), fact):
+            raise _Wrong(value, need)
+        return _number(value)
+    return parse
+
+
 def _branch(rec) -> Branch:
     if not isinstance(rec, dict) or sorted(rec) != ["a", "b", "c"]:
         raise _Wrong(rec, "a branch of forms a, b, c")
@@ -155,6 +169,17 @@ _TYPES = {
     "branches": lambda rows: tuple(map(_branch, rows)),
     "doubled_branch": _branch,
     "resultant": _claim,
+    **dict.fromkeys(("exponent_vector", "partner_vector"),
+                    _is(lambda v: type(v) is list and v != []
+                        and all(type(l) is int and l >= 2 for l in v),
+                        "a non-empty list of integers >= 2")),
+    # (fact kind, key) -> parser of (value, fact): list shapes that depend on
+    # the fact's kind or field
+    ("form_value", "at"): _numbers(lambda n, fact: n == 2, "two coordinates"),
+    **dict.fromkeys((("ec_point", "x"), ("ec_point", "y")),
+                    _numbers(lambda n, fact: n == field_by_name(fact["field"]).degree,
+                             "one coordinate per degree of the field")),
+    ("factorization", "factors"): _numbers(lambda n, fact: n >= 2, "at least two factors"),
 }
 
 
@@ -162,11 +187,12 @@ def _record(what: str, rec: dict) -> dict:
     """rec with each value parsed to the type its key holds."""
     parsed = {}
     for key, value in rec.items():
+        shaped = _TYPES.get((rec.get("kind"), key))
         try:
-            parsed[key] = _TYPES.get(key, _number)(value)
+            parsed[key] = shaped(value, rec) if shaped else _TYPES.get(key, _number)(value)
         except _Wrong as exc:
             raise ValueError(f"{what} key {key!r} holds {exc.args[0]!r}, "
-                             f"not {exc.args[1]}") from None
+                             f"not {exc.args[1]}".lstrip()) from None
     return parsed
 
 
@@ -224,10 +250,12 @@ def _parse_records(rec: dict) -> list:
 def _parse_case(rec: dict, families: dict) -> CaseRecord:
     try:
         curve, deriv, *facts = _parse_records(rec)
+        vectors = _record("", {key: rec[key] for key in ("exponent_vector", "partner_vector")
+                               if rec.get(key) is not None})
         case = CaseRecord(
             id=rec["id"],
-            exponent_vector=tuple(rec["exponent_vector"]),
-            partner_vector=tuple(rec["partner_vector"]) if rec.get("partner_vector") else None,
+            exponent_vector=tuple(vectors["exponent_vector"]),
+            partner_vector=tuple(vectors["partner_vector"]) if "partner_vector" in vectors else None,
             description=rec.get("description", ""),
             derivation=deriv,
             derivation_branch=_derivation_branch(deriv, families),

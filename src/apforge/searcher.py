@@ -1,26 +1,41 @@
 """Sieved exhaustive search for arithmetic progressions of perfect powers.
 
-The scan enumerates value pairs at the two positions with the fewest
-candidates (powers are sparse, so this beats looping over (h0, increment)),
-derives the remaining terms linearly, and rejects non-powers by residue
-tables before any exact root extraction.  The heavy inner loops run on
-numpy int64 arrays; every surviving candidate is re-validated exactly with
-big integers before being reported.
+For each exponent vector the scan enumerates value pairs (h_i, h_j) at the
+two positions with the fewest candidates (powers are sparse, so this beats
+looping over (h0, increment)) and derives the other terms linearly: the
+term at position m is ((j-m)*h_i + (m-i)*h_j) / (j-i).  Values run on numpy
+int64 arrays, inside a guard that keeps every derived term below 2^62.  The
+sieved scan has three stages:
 
-Residue sieve: with positions i and j as the scanned pair, the term at
-position m is ((j-m)*h_i + (m-i)*h_j) / (j-i), so one derived position is
-one combo of ``sieve.combo_mask``: a divisibility test and one lookup in the
-(l, etas) power table over Z/720720, the AND of the tables of the six CRT
-factors 16*9*5*7*11*13.  The table only rejects; survivors are confirmed
-exactly.  The cubic twin x^3 + y^3 = 2z^3 is the three-term progression
-(y^3, z^3, x^3) and runs through the same scan.
+1. Sieve.  Per outer value h_i, one ``sieve.combo_mask`` call over the inner
+   array, one combo per derived position: a divisibility test and one lookup
+   in the (l, etas) power table over Z/720720, the AND of the tables of the
+   CRT factors 16*9*5*7*11*13.  Later combos run only on the cells that
+   survived the earlier ones.  The table only rejects.
+2. Exact stage.  Survivors are held across outer values and checked in
+   batches of at most _FLUSH pairs: each derived term must be found, by
+   ``np.searchsorted``, in the sorted array of every value eta*x^l that its
+   position can take in the box, and gcd(h0, h1) must be within the cap.
+   Only passing rows reach `_confirm`, which rebuilds each term's (x, eta)
+   with big integers and stays the authority.
+3. Symmetry.  Reversing a progression gives one, with the reversed
+   exponents, and gcd(h0, h1) = gcd(h_{k-1}, h_{k-2}) since both equal the
+   gcd of all terms.  So one vector of each reversal pair is scanned and the
+   other's hits are the reversed hits; a palindromic vector scans only
+   common differences n >= 0 and adds the reverse of each hit with n != 0.
+
+``use_sieve=False`` (``--no-sieve``) is the oracle for all three: it scans
+every requested vector in full, with divisibility tests only, and sends
+every divisible pair to `_confirm`.  The work estimate and its ceiling count
+the requested vectors either way.  The cubic twin x^3 + y^3 = 2z^3 is the
+three-term progression (y^3, z^3, x^3) and runs through the same scan.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Optional, Sequence
 
@@ -119,6 +134,10 @@ class _VectorTask:
     gcd_cap: int
     use_sieve: bool
     outer_slice: tuple = (0, None)  # slice bounds of the outer candidate array
+    half: bool = False     # scan only common differences n >= 0
+
+
+_FLUSH = 4096  # sieve survivors held before the exact stage runs on them
 
 
 def _choose_base_pair(sizes: Sequence[int]):
@@ -139,10 +158,58 @@ def _scan_vector(task: _VectorTask) -> list:
         outer, inner = cands[i], cands[j]
     lo, hi = task.outer_slice
     combos = [(j - m, m - i, j - i, lvec[m], etas[m]) for m in range(k) if m not in (i, j)]
+    if task.use_sieve:
+        return _staged_scan(task, cands, i, j, outer[lo:hi], combos)
     hits = []
     for h_i in outer[lo:hi].tolist():
-        for idx in np.nonzero(combo_mask(h_i, inner, combos, task.use_sieve))[0]:
+        for idx in np.nonzero(combo_mask(h_i, inner, combos, use_sieve=False))[0]:
             hit = _confirm(lvec, bounds, etas, task.gcd_cap, i, j, h_i, int(inner[idx]))
+            if hit is not None:
+                hits.append(hit)
+    return hits
+
+
+def _staged_scan(task, cands, i, j, outer, combos) -> list:
+    """The sieve per outer value, then the exact stage per batch of survivors."""
+    inner, d = cands[j], j - i
+    hits, held, count = [], [], 0
+    for h_i in outer.tolist():
+        w = inner
+        if task.half:  # n = (h_j - h_i) / d >= 0
+            w = (inner[np.searchsorted(inner, h_i):] if d > 0
+                 else inner[:np.searchsorted(inner, h_i, side="right")])
+        survivors = w[combo_mask(h_i, w, combos)]
+        if survivors.size:
+            held.append((np.full(survivors.size, h_i, dtype=np.int64), survivors))
+            count += survivors.size
+        if count >= _FLUSH:
+            hits += _exact_stage(task, cands, i, j, held)
+            held, count = [], 0
+    return hits + _exact_stage(task, cands, i, j, held)
+
+
+def _exact_stage(task, cands, i, j, held) -> list:
+    """Confirm the held (h_i, h_j) pairs, _FLUSH at a time, whose derived
+    terms are all attainable values (exact membership in each position's
+    sorted value array) and whose gcd(h0, h1) is within the cap."""
+    if not held:
+        return []
+    d = j - i
+    hits = []
+    all_i, all_j = (np.concatenate(col) for col in zip(*held))
+    for s in range(0, all_i.size, _FLUSH):
+        hs, ws = all_i[s:s + _FLUSH], all_j[s:s + _FLUSH]
+        ok = (ws - hs) % d == 0
+        n = (ws - hs) // d
+        terms = [hs + (m - i) * n for m in range(len(cands))]
+        for m, values in enumerate(cands):
+            if m not in (i, j):
+                at = np.minimum(np.searchsorted(values, terms[m]), values.size - 1)
+                ok &= values[at] == terms[m]
+        g = np.gcd(terms[0], terms[1])
+        ok &= (g != 0) & (g <= task.gcd_cap)
+        for h_i, h_j in zip(hs[ok].tolist(), ws[ok].tolist()):
+            hit = _confirm(task.lvec, task.bounds, task.etas, task.gcd_cap, i, j, h_i, h_j)
             if hit is not None:
                 hits.append(hit)
     return hits
@@ -193,35 +260,54 @@ def _split_task(task: _VectorTask, parts: int) -> list:
     n = min(_position_sizes(task))
     parts = max(1, min(parts, n))
     step = -(-n // parts)
-    out = []
-    for lo in range(0, n, step):
-        out.append(_VectorTask(task.lvec, task.bounds, task.etas, task.gcd_cap,
-                               task.use_sieve, (lo, min(lo + step, n))))
-    return out
+    return [replace(task, outer_slice=(lo, min(lo + step, n))) for lo in range(0, n, step)]
 
 
 def _run_tasks(tasks: list, jobs: int) -> list:
+    """The hits of each task, as one list per task."""
     if jobs <= 1:
-        hits = []
-        for t in tasks:
-            hits.extend(_scan_vector(t))
-        return hits
+        return [_scan_vector(t) for t in tasks]
     # Range-partition the outer candidate set so workers stay busy even for
     # a single exponent vector; the canonical sort makes the merge order
     # independent of scheduling.
-    chunks = []
     per_task = max(1, (2 * jobs) // max(len(tasks), 1))
-    for t in tasks:
-        chunks.extend(_split_task(t, per_task))
-    hits = []
+    chunks = [(n, c) for n, t in enumerate(tasks) for c in _split_task(t, per_task)]
+    hits = [[] for _ in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_scan_vector, chunks):
-            hits.extend(part)
+        for (n, _), part in zip(chunks, pool.map(_scan_vector, [c for _, c in chunks])):
+            hits[n].extend(part)
     return hits
 
 
+def _reversed(task: _VectorTask) -> _VectorTask:
+    return replace(task, lvec=task.lvec[::-1], bounds=task.bounds[::-1], etas=task.etas[::-1])
+
+
+def _reverse(prog: Progression) -> Progression:
+    return Progression(terms=prog.terms[::-1])
+
+
+def _scan_plan(task: _VectorTask):
+    """(task to scan, whether its hits are reversed).
+
+    Reversing a progression keeps it one, and gcd(h0, h1) = gcd(h_{k-1},
+    h_{k-2}) because both are the gcd of all terms; so a task's hits are the
+    reversed hits of its reversal, and one task of each reversal pair is
+    scanned.  A palindromic task is its own reversal: it scans n >= 0 only,
+    and its hits with n < 0 are the reverses of those with n > 0.
+    """
+    rev = _reversed(task)
+    if rev == task:
+        return replace(task, half=True), False
+    key = lambda t: (t.lvec, t.bounds, t.etas)
+    return (rev, True) if key(rev) < key(task) else (task, False)
+
+
 def _run_search(tasks: list, jobs: int, work_ceiling: int) -> list:
-    """Check the work estimate, scan, and sort hits canonically."""
+    """Check the work estimate, scan, and sort hits canonically.
+
+    The sieved path scans one task per reversal class and mirrors its hits
+    (see _scan_plan); --no-sieve scans every requested task in full."""
     est = 0
     for t in tasks:
         sizes = _position_sizes(t)
@@ -229,7 +315,15 @@ def _run_search(tasks: list, jobs: int, work_ceiling: int) -> list:
         est += sizes[i] * sizes[j]
     if est > work_ceiling:
         raise ResourceLimitError(f"estimated {est} pair evaluations exceeds ceiling")
-    hits = _run_tasks(tasks, jobs)
+    plans = [_scan_plan(t) if t.use_sieve else (t, False) for t in tasks]
+    scans = list(dict.fromkeys(scan for scan, _ in plans))
+    found = dict(zip(scans, _run_tasks(scans, jobs)))
+    hits = []
+    for scan, flipped in plans:
+        got = found[scan]
+        if scan.half:
+            got = got + [_reverse(p) for p in got if p.values[0] != p.values[1]]
+        hits += [_reverse(p) for p in got] if flipped else got
     return sorted(hits, key=lambda p: (p.exponents, p.values))
 
 

@@ -56,24 +56,49 @@ def maybe_power(v, l: int, etas: tuple = (1,)):
     return ok
 
 
+def _combo_ok(v, delta: int, l: int, etas: tuple, use_sieve: bool) -> np.ndarray:
+    """Bool array over v: delta | v and, with the sieve on, maybe_power(v // delta)."""
+    if delta == 1:
+        ok = np.ones(np.shape(v), dtype=bool)
+    else:
+        ok = v % delta == 0
+        v //= delta  # exact on every cell ok still holds
+    if use_sieve:
+        ok &= maybe_power(v, l, etas)
+    return ok
+
+
+def _on_cells(a, cells, shape):
+    """The values of a, broadcast to shape, at the flat indices cells."""
+    if np.ndim(a) == 0:
+        return a
+    if np.shape(a) == shape:
+        return a.reshape(-1)[cells]
+    return np.broadcast_to(a, shape)[np.unravel_index(cells, shape)]
+
+
 def combo_mask(h, inner, combos, use_sieve: bool = True) -> np.ndarray:
     """Bool mask over the broadcast of h and inner (ints or int64 arrays).
 
     A cell passes when, for every (alpha, beta, delta, l, etas) in combos,
     v = alpha*h + beta*inner is divisible by delta and, with the sieve on,
-    maybe_power(v // delta, l, etas) holds.  Stops at the first all-False
-    mask.  Precondition: every |v| < INT64_SAFE, so nothing wraps.
+    maybe_power(v // delta, l, etas) holds.  The first combo runs on the
+    whole grid; each later one runs only on the flat indices that are still
+    alive, so a grid that mostly fails the first combo costs about one combo.
+    Precondition: every |v| < INT64_SAFE, so nothing wraps.
     """
-    mask = np.ones(np.broadcast_shapes(np.shape(h), np.shape(inner)), dtype=bool)
-    for alpha, beta, delta, l, etas in combos:
-        v = alpha * h + beta * inner
-        if delta != 1:
-            mask &= v % delta == 0
-            v //= delta  # exact on every cell the mask still holds
-        if use_sieve:
-            mask &= maybe_power(v, l, etas)
-        if not mask.any():
+    (alpha, beta, delta, l, etas), *rest = combos
+    mask = _combo_ok(alpha * h + beta * inner, delta, l, etas, use_sieve)
+    if not rest:
+        return mask
+    cells = np.flatnonzero(mask)
+    for alpha, beta, delta, l, etas in rest:
+        if not cells.size:
             break
+        hs, ws = (_on_cells(a, cells, mask.shape) for a in (h, inner))
+        cells = cells[_combo_ok(alpha * hs + beta * ws, delta, l, etas, use_sieve)]
+    mask = np.zeros(mask.shape, dtype=bool)
+    mask.reshape(-1)[cells] = True
     return mask
 
 

@@ -242,10 +242,30 @@ def fact_of(data, cid, kind):
          {"kind": "jacobian_order", "p": 5, "value": "21"}),
      ["cases", "--case", "2223a", "--height", "20"],
      "case 2223a: jacobian_order fact needs a genus2 curve"),
+    (lambda d: fact_of(d, "3323", "form_value").update(at=["1", "-1", "0"]),
+     ["cases", "--case", "3323", "--height", "20"],
+     "case 3323: form_value fact key 'at' holds ['1', '-1', '0'], not two coordinates"),
+    (lambda d: fact_of(d, "2233", "ec_point").update(x=["-1", "0"]),
+     ["cases", "--case", "2233", "--height", "20"],
+     "case 2233: ec_point fact key 'x' holds ['-1', '0'], "
+     "not one coordinate per degree of the field"),
+    (lambda d: fact_of(d, "2233", "factorization").update(factors=[[["1", "0", "0"]]]),
+     ["cases", "--case", "2233", "--height", "20"],
+     "case 2233: factorization fact key 'factors' holds [[['1', '0', '0']]], "
+     "not at least two factors"),
+    (lambda d: next(c for c in d["cases"] if c["id"] == "2223b").update(
+         exponent_vector=[2, 2, 1, 3]), None,
+     "case 2223b: key 'exponent_vector' holds [2, 2, 1, 3], "
+     "not a non-empty list of integers >= 2"),
+    (lambda d: next(c for c in d["cases"] if c["id"] == "2223b").update(
+         partner_vector=["3", "2", "2", "2"]), None,
+     "case 2223b: key 'partner_vector' holds ['3', '2', '2', '2'], "
+     "not a non-empty list of integers >= 2"),
 ], ids=["value-not-integer", "infinity-string", "p-string", "p-not-prime", "height-string",
         "primes-empty", "s-unit-one", "expect-string", "family-power-string",
         "p-bad-reduction", "primes-bad-reduction", "rhs-not-squarefree",
-        "jacobian-order-on-elliptic"])
+        "jacobian-order-on-elliptic", "form-value-at-three", "ec-point-x-short",
+        "factorization-one-factor", "exponent-vector-one", "partner-vector-strings"])
 def test_corpus_badly_typed_value_rejected(tmp_path, edit, argv, message):
     bad = corpus_copy(tmp_path, edit)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

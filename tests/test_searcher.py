@@ -2,9 +2,12 @@
 
 import math
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from apforge import searcher
 from apforge.searcher import (Progression, ResourceLimitError,
                               _eta_candidates, is_power_value,
                               remark_family_terms, search_cubic_twin,
@@ -160,3 +163,76 @@ def test_general_scan_derives_terms_before_the_scanned_pair():
                                                  use_sieve=use_sieve)]
     assert (4, 27, 50) in hits(True)
     assert hits(True) == hits(False)
+
+
+# The staged scan (compacting sieve, batched exact stage, one scan per
+# reversal class) against the --no-sieve oracle, which scans every requested
+# vector in full and confirms every divisible pair.
+
+def _terms(progs):
+    return [tuple((t.exponent, t.value, t.x, t.eta) for t in p.terms) for p in progs]
+
+
+def _confirm_calls(monkeypatch):
+    """Record whether each _confirm call found a progression."""
+    calls = []
+    confirm = searcher._confirm
+
+    def spy(*args):
+        hit = confirm(*args)
+        calls.append(hit is not None)
+        return hit
+
+    monkeypatch.setattr(searcher, "_confirm", spy)
+    return calls
+
+
+@pytest.mark.parametrize("lvec", list(product((2, 3), repeat=4)),
+                         ids=lambda v: "".join(map(str, v)))
+def test_theorem3_single_vector_matches_oracle(lvec, monkeypatch):
+    oracle = search_theorem3(200, 60, vectors=[lvec], use_sieve=False)
+    calls = _confirm_calls(monkeypatch)
+    staged = search_theorem3(200, 60, vectors=[lvec])
+    assert _terms(staged) == _terms(oracle)
+    assert oracle and all(p.exponents == lvec for p in staged)
+    # The exact stage passes on only true hits.
+    assert all(calls)
+
+
+@pytest.mark.parametrize("k, L, bound", [(3, 3, 25), (4, 3, 12), (5, 2, 12), (5, 3, 5)])
+@pytest.mark.parametrize("S", [(), (2,), (73,)])
+@pytest.mark.parametrize("D", [1, 4])
+def test_general_search_matches_oracle(k, L, bound, S, D, monkeypatch):
+    oracle = search_general(k, L, bound, D=D, S=S, use_sieve=False)
+    calls = _confirm_calls(monkeypatch)
+    staged = search_general(k, L, bound, D=D, S=S)
+    assert _terms(staged) == _terms(oracle)
+    assert all(calls)
+
+
+@pytest.mark.parametrize("flush", [1, 7])
+def test_exact_stage_batch_boundaries(flush, monkeypatch):
+    oracle = search_general(3, 3, 20, S=(2,), use_sieve=False)
+    monkeypatch.setattr(searcher, "_FLUSH", flush)
+    assert _terms(search_general(3, 3, 20, S=(2,))) == _terms(oracle)
+    assert len(oracle) > 100
+
+
+@st.composite
+def _search_args(draw):
+    k, L = draw(st.integers(3, 5)), draw(st.integers(2, 4))
+    S = tuple(draw(st.lists(st.sampled_from((2, 3, 73)), unique=True)))
+    vector = tuple(draw(st.lists(st.integers(2, L), min_size=k, max_size=k)))
+    # Keep the oracle's pair count near 10^5: it confirms every divisible pair.
+    etas = max(len(_eta_candidates(S, l, 10**6)) for l in vector)
+    bound = draw(st.integers(1, max(1, min(40, 150 // etas))))
+    return k, L, bound, S, draw(st.integers(1, 6)), vector
+
+
+@settings(max_examples=60, deadline=None)
+@given(_search_args())
+def test_staged_scan_matches_oracle_random(args):
+    k, L, bound, S, D, vector = args
+    staged, oracle = (search_general(k, L, bound, D=D, S=S, vectors=[vector], use_sieve=u)
+                      for u in (True, False))
+    assert _terms(staged) == _terms(oracle)

@@ -60,3 +60,22 @@ def test_combo_mask_between_exact_and_divisibility():
         assert np.array_equal(unsieved, divisible)
         exact_cells += int(exact.sum())
     assert exact_cells > 0
+
+
+def test_combo_mask_cascade_is_and_of_single_combos():
+    # Later combos run only on the cells alive after the earlier ones; the
+    # mask must be the AND of each combo's own mask over the whole grid, for
+    # a scalar, a column (a 2-D grid) and a same-shape row as h.
+    rng = random.Random(11)
+    vals = np.array(sorted({s * x**l for x in range(-40, 41) for l in (2, 3)
+                            for s in (1, -1, 2)}), dtype=np.int64)
+    for _ in range(40):
+        combos = [(rng.randint(-4, 4), rng.randint(-4, 4), rng.choice((1, 2, 3, -2)),
+                   rng.randint(2, 4), rng.choice(((1,), (1, -1), (1, 2, -2))))
+                  for _ in range(rng.randint(2, 4))]
+        for h in (int(rng.choice(vals)), vals[::7][:, None], vals[::-1]):
+            for use_sieve in (True, False):
+                want = np.ones(np.broadcast_shapes(np.shape(h), vals.shape), dtype=bool)
+                for c in combos:
+                    want &= combo_mask(h, vals, [c], use_sieve)
+                assert np.array_equal(combo_mask(h, vals, combos, use_sieve), want)
