@@ -172,33 +172,33 @@ def _scan_vector(task: _VectorTask) -> list:
 def _staged_scan(task, cands, i, j, outer, combos) -> list:
     """The sieve per outer value, then the exact stage per batch of survivors."""
     inner, d = cands[j], j - i
-    hits, held, count = [], [], 0
+    # One buffer per scan holds the survivor pairs: a batch fills below
+    # _FLUSH before each row, and a row adds at most inner.size.
+    held_i, held_j = (np.empty(_FLUSH + inner.size, dtype=np.int64) for _ in range(2))
+    hits, count = [], 0
     for h_i in outer.tolist():
         w = inner
         if task.half:  # n = (h_j - h_i) / d >= 0
             w = (inner[np.searchsorted(inner, h_i):] if d > 0
                  else inner[:np.searchsorted(inner, h_i, side="right")])
         survivors = w[combo_mask(h_i, w, combos)]
-        if survivors.size:
-            held.append((np.full(survivors.size, h_i, dtype=np.int64), survivors))
-            count += survivors.size
+        held_i[count:count + survivors.size] = h_i
+        held_j[count:count + survivors.size] = survivors
+        count += survivors.size
         if count >= _FLUSH:
-            hits += _exact_stage(task, cands, i, j, held)
-            held, count = [], 0
-    return hits + _exact_stage(task, cands, i, j, held)
+            hits += _exact_stage(task, cands, i, j, held_i[:count], held_j[:count])
+            count = 0
+    return hits + _exact_stage(task, cands, i, j, held_i[:count], held_j[:count])
 
 
-def _exact_stage(task, cands, i, j, held) -> list:
+def _exact_stage(task, cands, i, j, held_i, held_j) -> list:
     """Confirm the held (h_i, h_j) pairs, _FLUSH at a time, whose derived
     terms are all attainable values (exact membership in each position's
     sorted value array) and whose gcd(h0, h1) is within the cap."""
-    if not held:
-        return []
     d = j - i
     hits = []
-    all_i, all_j = (np.concatenate(col) for col in zip(*held))
-    for s in range(0, all_i.size, _FLUSH):
-        hs, ws = all_i[s:s + _FLUSH], all_j[s:s + _FLUSH]
+    for s in range(0, held_i.size, _FLUSH):
+        hs, ws = held_i[s:s + _FLUSH], held_j[s:s + _FLUSH]
         ok = (ws - hs) % d == 0
         n = (ws - hs) // d
         terms = [hs + (m - i) * n for m in range(len(cands))]
