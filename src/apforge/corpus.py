@@ -192,7 +192,7 @@ def _record(what: str, rec: dict) -> dict:
             parsed[key] = shaped(value, rec) if shaped else _TYPES.get(key, _number)(value)
         except _Wrong as exc:
             raise ValueError(f"{what} key {key!r} holds {exc.args[0]!r}, "
-                             f"not {exc.args[1]}".lstrip()) from None
+                             f"not {exc.args[1]}") from None
     return parsed
 
 
@@ -248,10 +248,11 @@ def _parse_records(rec: dict) -> list:
 
 
 def _parse_case(rec: dict, families: dict) -> CaseRecord:
+    vectors = _record(f"case {rec['id']}:", {
+        key: rec[key] for key in ("exponent_vector", "partner_vector")
+        if rec.get(key) is not None})
     try:
         curve, deriv, *facts = _parse_records(rec)
-        vectors = _record("", {key: rec[key] for key in ("exponent_vector", "partner_vector")
-                               if rec.get(key) is not None})
         case = CaseRecord(
             id=rec["id"],
             exponent_vector=tuple(vectors["exponent_vector"]),

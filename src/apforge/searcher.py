@@ -279,11 +279,11 @@ def _run_tasks(tasks: list, jobs: int) -> list:
     return hits
 
 
-def _reversed(task: _VectorTask) -> _VectorTask:
+def _reversed_task(task: _VectorTask) -> _VectorTask:
     return replace(task, lvec=task.lvec[::-1], bounds=task.bounds[::-1], etas=task.etas[::-1])
 
 
-def _reverse(prog: Progression) -> Progression:
+def _reversed_hit(prog: Progression) -> Progression:
     return Progression(terms=prog.terms[::-1])
 
 
@@ -296,7 +296,7 @@ def _scan_plan(task: _VectorTask):
     scanned.  A palindromic task is its own reversal: it scans n >= 0 only,
     and its hits with n < 0 are the reverses of those with n > 0.
     """
-    rev = _reversed(task)
+    rev = _reversed_task(task)
     if rev == task:
         return replace(task, half=True), False
     key = lambda t: (t.lvec, t.bounds, t.etas)
@@ -322,8 +322,8 @@ def _run_search(tasks: list, jobs: int, work_ceiling: int) -> list:
     for scan, flipped in plans:
         got = found[scan]
         if scan.half:
-            got = got + [_reverse(p) for p in got if p.values[0] != p.values[1]]
-        hits += [_reverse(p) for p in got] if flipped else got
+            got = got + [_reversed_hit(p) for p in got if p.values[0] != p.values[1]]
+        hits += [_reversed_hit(p) for p in got] if flipped else got
     return sorted(hits, key=lambda p: (p.exponents, p.values))
 
 
