@@ -12,10 +12,11 @@ Counting conventions for the smooth projective model:
 The Jacobian order over F_p comes from the L-polynomial evaluated at 1,
 with coefficients fixed by the point counts over F_p and F_{p^2}.
 
-Point counts are numpy kernels over all x at once, in blocks of _BLOCK
-elements so that memory does not grow with q.  Over F_{p^2} = F_p[t]/(t^2 -
-nu) a nonzero value is a square iff its norm is a square in F_p, so one
-p-entry table of squares serves both fields.
+Point counts are numpy kernels in blocks of about _BLOCK cells, so memory
+does not grow with q.  Over F_{p^2} they take each conjugate pair a +- sqrt(w)
+(w a non-residue) once, through the Taylor coefficients of f at each a in
+F_p, and read squareness from the norm E^2 - w O^2 in one p-entry table of
+F_p squares.  Every int64 product stays below p^(e+1) < 2^62 for q = p^e.
 """
 
 from __future__ import annotations
@@ -139,28 +140,42 @@ _BLOCK = 1 << 16
 
 def _count_fq(coeffs, deg: int, p: int, e: int) -> int:
     """Points over F_q, q = p^e, e in {1, 2}: affine ones plus those at
-    infinity.  F_{p^2} is F_p[t]/(t^2 - nu) with nu a non-residue, and F_p
-    is its b = 0 part.
+    infinity.  F_{p^2} is F_p[t]/(t^2 - nu) with nu a non-residue.
 
-    Each block of x = a + b t (flat index a p^(e-1) + b) is evaluated by
-    Horner on int64 coordinate arrays; every product stays below
-    p^(e+1) < 2^62 (checked in count_points).  A nonzero z is a square in
-    F_q iff its norm to F_p (z itself for e = 1, a^2 - nu b^2 for e = 2) is
-    a square in F_p, because z^((q-1)/2) = N(z)^((p-1)/2); N(z) = 0 iff
-    z = 0.
+    Per block of a in F_p: Taylor coefficients g_j(a) = f^(j)(a)/j! by
+    repeated synthetic division by x - a; F_p needs only g_0 = f(a).  Each
+    x in F_{p^2} off F_p is one of a conjugate pair a +- s, s^2 = w = nu b^2,
+    1 <= b <= (p-1)/2 (each non-residue w once), where f(a +- s) = E +- s O
+    for E = sum g_2k(a) w^k and O = sum g_2k+1(a) w^k, one matrix product
+    each.  A nonzero z is a square in F_q iff its norm to F_p is a square in
+    F_p, as z^((q-1)/2) = N(z)^((p-1)/2); so the pair adds 2 (#(N = 0) +
+    2 #(N square)) for N = E^2 - w O^2, and b = 0 adds 1 or 2 as f(a) is 0
+    or not (F_p is all square in F_{p^2}).  Entries are reduced below p, so
+    Horner steps, squares and w O^2 stay below p^2, the matrix products
+    below 4 p^2, nu b^2 and w^3 below p^3 < 2^62 (checked in count_points).
     """
     sq = np.zeros(p, dtype=bool)  # True at the nonzero squares of F_p
     sq[np.arange(1, p, dtype=np.int64) ** 2 % p] = True
     nu = next(n for n in range(2, p) if not sq[n])
-    count = 0
-    for start in range(0, p**e, _BLOCK):
-        idx = np.arange(start, min(start + _BLOCK, p**e), dtype=np.int64)
-        xa, xb = np.divmod(idx, p ** (e - 1))
-        va, vb = np.zeros_like(xa), np.zeros_like(xa)
-        for c in reversed(coeffs[: deg + 1]):
-            va, vb = (va * xa + nu * vb * xb + c % p) % p, (va * xb + vb * xa) % p
-        norm = va if e == 1 else (va * va - nu * vb * vb) % p
-        count += int(np.count_nonzero(norm == 0) + 2 * np.count_nonzero(sq[norm]))
+    count, rows = 0, min(p, _BLOCK)
+    for start in range(0, p, rows):
+        a = np.arange(start, min(start + rows, p), dtype=np.int64)
+        quot, g = [np.full_like(a, c % p) for c in reversed(coeffs[: deg + 1])], []
+        for _ in range(1 if e == 1 else deg + 1):
+            for k in range(1, len(quot)):
+                quot[k] = (quot[k] + a * quot[k - 1]) % p
+            g.append(quot.pop())
+        count += np.count_nonzero(g[0] == 0) + 2 * np.count_nonzero(sq[g[0]] if e == 1 else g[0])
+        if e == 1:
+            continue
+        even, odd = np.stack(g[0::2], axis=1), np.stack(g[1::2], axis=1)
+        step = max(1, _BLOCK // a.size)
+        for b0 in range(1, (p + 1) // 2, step):
+            w = nu * np.arange(b0, min(b0 + step, (p + 1) // 2), dtype=np.int64) ** 2 % p
+            wk = np.stack([w**k % p for k in range(even.shape[1])])
+            ev, od = even @ wk % p, odd @ wk[: odd.shape[1]] % p
+            norm = (ev * ev - w * (od * od % p)) % p
+            count += 2 * (np.count_nonzero(norm == 0) + 2 * np.count_nonzero(sq[norm]))
     if deg == 5:
         return count + 1
     # N(lc) = lc^e; for e = 2 it is always a square, and the test says so.

@@ -138,6 +138,10 @@ class _VectorTask:
 
 
 _FLUSH = 4096  # sieve survivors held before the exact stage runs on them
+# A palindromic half scan widens each inner slice to a multiple of _SLICE
+# values, so that its temporaries come in few sizes: slices of every length
+# fragmented the heap and raised peak RSS.
+_SLICE = 256
 
 
 def _choose_base_pair(sizes: Sequence[int]):
@@ -178,9 +182,11 @@ def _staged_scan(task, cands, i, j, outer, combos) -> list:
     hits, count = [], 0
     for h_i in outer.tolist():
         w = inner
-        if task.half:  # n = (h_j - h_i) / d >= 0
-            w = (inner[np.searchsorted(inner, h_i):] if d > 0
-                 else inner[:np.searchsorted(inner, h_i, side="right")])
+        if task.half:  # n = (h_j - h_i) / d >= 0, in a slice widened to _SLICE multiples
+            n = int(inner.size - np.searchsorted(inner, h_i) if d > 0
+                    else np.searchsorted(inner, h_i, side="right"))
+            n = min(inner.size, -(-n // _SLICE) * _SLICE)
+            w = inner[inner.size - n:] if d > 0 else inner[:n]
         survivors = w[combo_mask(h_i, w, combos)]
         held_i[count:count + survivors.size] = h_i
         held_j[count:count + survivors.size] = survivors
@@ -201,6 +207,8 @@ def _exact_stage(task, cands, i, j, held_i, held_j) -> list:
         hs, ws = held_i[s:s + _FLUSH], held_j[s:s + _FLUSH]
         ok = (ws - hs) % d == 0
         n = (ws - hs) // d
+        if task.half:  # the widened slices let pairs with n < 0 through
+            ok &= n >= 0
         terms = [hs + (m - i) * n for m in range(len(cands))]
         for m, values in enumerate(cands):
             if m not in (i, j):

@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from apforge import curves
 from apforge.corpus import load_corpus
@@ -125,6 +126,25 @@ def test_count_points_vs_loop_reference(monkeypatch):
                 assert got == want, (curve.label, p, block)
             checked += 1
     assert checked >= 120
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((5, 6)), st.lists(st.integers(-40, 40), min_size=7, max_size=7),
+       st.sampled_from(primes_upto(60)[1:]))
+def test_count_fq_vs_loop_reference_random(deg, coeffs, p):
+    """Random integer quintics and sextics at odd primes of good reduction."""
+    coeffs = coeffs[: deg + 1] + [0] * (6 - deg)
+    assume(coeffs[deg] % p != 0 and curves._disc(tuple(coeffs)) % p != 0)
+    for e in (1, 2):
+        assert curves._count_fq(coeffs, deg, p, e) == loop_count(coeffs, deg, p, e), e
+
+
+@pytest.mark.parametrize("curve", [QUINTIC, C1], ids=lambda c: c.label)
+@pytest.mark.parametrize("p", [211, 307])
+def test_count_points_vs_loop_reference_larger_primes(curve, p):
+    coeffs, deg = _good_reduction_data(curve, p)
+    assert count_points(curve, p) == loop_count(coeffs, deg, p, 1)
+    assert count_points(curve, p * p) == loop_count(coeffs, deg, p, 2)
 
 
 def test_fp2_squares_are_norm_squares():
