@@ -180,11 +180,12 @@ def _staged_scan(task, cands, i, j, outer, combos) -> list:
     # _FLUSH before each row, and a row adds at most inner.size.
     held_i, held_j = (np.empty(_FLUSH + inner.size, dtype=np.int64) for _ in range(2))
     hits, count = [], 0
-    for h_i in outer.tolist():
+    # A half scan keeps n = (h_j - h_i) / d >= 0, in a slice widened to _SLICE multiples.
+    cuts = np.searchsorted(inner, outer, side="left" if d > 0 else "right") if task.half else None
+    for row, h_i in enumerate(outer.tolist()):
         w = inner
-        if task.half:  # n = (h_j - h_i) / d >= 0, in a slice widened to _SLICE multiples
-            n = int(inner.size - np.searchsorted(inner, h_i) if d > 0
-                    else np.searchsorted(inner, h_i, side="right"))
+        if task.half:
+            n = inner.size - int(cuts[row]) if d > 0 else int(cuts[row])
             n = min(inner.size, -(-n // _SLICE) * _SLICE)
             w = inner[inner.size - n:] if d > 0 else inner[:n]
         survivors = w[combo_mask(h_i, w, combos)]
