@@ -5,7 +5,7 @@ field elements, which expose the same operator protocol).  No floating point
 enters any result.  `UniPoly` is the only dense polynomial arithmetic: a
 `BinaryForm` is a view of one, `poly_divmod` reduces, and `power` is the one
 square-and-multiply.  On top sit exact k-th roots of forms and integers,
-resultants via Sylvester determinants, and the prime helpers.
+resultants and extended gcds by Euclidean remainders, and the prime helpers.
 """
 
 from __future__ import annotations
@@ -338,10 +338,11 @@ class UniPoly:
 
 
 def poly_divmod(num: UniPoly, den: UniPoly):
-    """Quotient and remainder; coefficients must form a field."""
+    """Quotient and remainder over a field, padded with the ring's zero."""
     if den.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(num.degree - den.degree + 1, 1)
+    zero = _ring_zero(den.lead())
+    q = [zero] * max(num.degree - den.degree + 1, 1)
     rem = list(num.coeffs)
     dlead = den.lead()
     dd = den.degree
@@ -355,56 +356,43 @@ def poly_divmod(num: UniPoly, den: UniPoly):
         for i, c in enumerate(den.coeffs):
             rem[shift + i] -= factor * c
         rem.pop()
-    return UniPoly(q), UniPoly(rem)
+    return UniPoly(q), UniPoly(rem or [zero])
+
+
+def poly_xgcd(a: UniPoly, b: UniPoly):
+    """(g, s, t) with s*a + t*b == g, g the monic gcd of a and b (zero when
+    both are), by the Euclidean remainder sequence over any field."""
+    zero = _ring_zero(b.lead())
+    s0, s1 = UniPoly([zero + 1]), UniPoly([zero])
+    t0, t1 = s1, s0
+    while not b.is_zero:
+        q, r = poly_divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if a.is_zero:
+        return a, s0, t0
+    inv = 1 / a.lead()
+    return a * inv, s0 * inv, t0 * inv
 
 
 def uni_resultant(p: UniPoly, q: UniPoly):
-    """Resultant of p and q via the Sylvester matrix determinant.
+    """Resultant of p and q by the Euclidean remainder sequence, over any field.
 
-    Exact over any coefficient field; Res(p, q) = lc(p)^deg(q) * prod q over
-    the roots of p.  A degree-0 argument c gives c^deg(other).
+    Res(p, q) = lc(p)^deg(q) * prod q over the roots of p.  For degrees m, n
+    and r = p mod q, Res(p, q) = (-1)^(mn) lc(q)^(m - deg r) Res(q, r) (Cohen,
+    A Course in Computational Algebraic Number Theory, 3.3), which is 0 once a
+    remainder vanishes at deg q > 0.  A degree-0 argument c gives c^deg(other).
     """
     if p.is_zero or q.is_zero:
         raise ValueError("resultant of the zero polynomial")
-    m, n = p.degree, q.degree
-    if m == 0:
-        return p.coeffs[0] ** n
-    if n == 0:
-        return q.coeffs[0] ** m
-    size = m + n
-    zero = _ring_zero(p.coeffs[0] * q.coeffs[0])
-    rows = []
-    pd = list(reversed(p.coeffs))  # descending
-    qd = list(reversed(q.coeffs))
-    for i in range(n):
-        rows.append([zero] * i + pd + [zero] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([zero] * i + qd + [zero] * (size - n - 1 - i))
-    return _det_field(rows, zero)
-
-
-def _det_field(rows: list, zero):
-    """Determinant by Gaussian elimination; entries live in a field."""
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    det = zero + 1
-    sign = 1
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            return zero
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            sign = -sign
-        pv = rows[col][col]
-        det = det * pv
-        inv = 1 / pv
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                factor = rows[r][col] * inv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return det if sign == 1 else -det
+    res = _ring_zero(q.lead()) + 1
+    while q.degree > 0:
+        r = poly_divmod(p, q)[1]
+        if r.is_zero:
+            return _ring_zero(res)
+        if p.degree * q.degree % 2:
+            res = -res
+        res = res * q.lead() ** (p.degree - r.degree)
+        p, q = q, r
+    return res * q.coeffs[0] ** p.degree

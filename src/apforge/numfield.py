@@ -1,10 +1,11 @@
 """Exact arithmetic in Q[alpha]/(m(alpha)) for a small fixed family of fields.
 
 Elements are coefficient vectors over Q in the power basis 1, alpha, ...,
-alpha^(d-1).  Products and inverses are `UniPoly` arithmetic in alpha,
-reduced in one place (`NumberField.reduce`) by `poly_divmod` modulo the
-(monic, rational) minimal polynomial; powers use `exactmath.power`.  Norms
-are Sylvester resultants and S-unit tests run on norms.  Squareness is
+alpha^(d-1).  Products are `UniPoly` arithmetic in alpha, reduced in one
+place (`NumberField.reduce`) by `poly_divmod` modulo the (monic, rational)
+minimal polynomial; inverses come from `exactmath.poly_xgcd` against it and
+powers use `exactmath.power`.  Norms are resultants along the same Euclidean
+remainder sequence, and S-unit tests run on norms.  Squareness is
 decided by one scan over small unramified primes: a modular non-residue
 refutes it, and at a split prime a square root is Hensel-lifted p-adically,
 rationally reconstructed and verified exactly.  No floating point is used
@@ -21,8 +22,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .exactmath import (UniPoly, as_coeff, poly_divmod, power, primes_upto,
-                        uni_resultant)
+from .exactmath import (UniPoly, as_coeff, poly_divmod, poly_xgcd, power,
+                        primes_upto, uni_resultant)
 
 
 class Undecided(Exception):
@@ -134,19 +135,13 @@ class FieldElem:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElem":
-        """Multiplicative inverse via extended Euclid against the minpoly."""
+        """Multiplicative inverse: s with s*a + t*m = 1, from `poly_xgcd`."""
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        # Extended Euclid over Q[x]: u*a + v*m = g (constant).
-        r0, r1 = self.field.minpoly, self.poly
-        s0, s1 = UniPoly([0]), UniPoly([1])
-        while not r1.is_zero and r1.degree > 0:
-            q, rem = poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, s0 - q * s1
-        if r1.is_zero:
+        g, s, _t = poly_xgcd(self.poly, self.field.minpoly)
+        if g.degree > 0:
             raise ZeroDivisionError("element is a zero divisor (reducible minpoly?)")
-        return self.field.reduce(s1 * (1 / r1.coeffs[0]))
+        return self.field.reduce(s)
 
     def __truediv__(self, other):
         o = self._coerce(other)

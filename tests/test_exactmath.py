@@ -4,10 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
+from apforge.corpus import load_corpus
+from apforge.curvelab import build_curve
+from apforge.curves import HyperCurve
 from apforge.exactmath import (BinaryForm, UniPoly, form_eval, form_exact_root,
-                               int_kth_root, is_prime, poly_divmod, primes_upto,
-                               square_split, uni_resultant)
+                               int_kth_root, is_prime, poly_divmod, poly_xgcd,
+                               primes_upto, square_split, uni_resultant)
+from apforge.numfield import (FIELDS, FieldElem, NumberField, cbrt2_field,
+                              field_by_name, nf_norm, quadratic_field)
 
 
 def naive_form_mul(a, b):
@@ -134,6 +141,10 @@ def test_uni_resultant_examples():
     assert uni_resultant(p, q) == 0
     q2 = UniPoly([4, 5, 1])  # roots -1, -4
     assert uni_resultant(p, q2) != 0
+    # Odd degrees, lower first: the Sylvester determinant of x + 1 (three
+    # rows) and x^3 + 2 is q(-1) = 1.
+    assert uni_resultant(UniPoly([1, 1]), UniPoly([2, 0, 0, 1])) == 1
+    assert uni_resultant(UniPoly([2, 0, 0, 1]), UniPoly([1, 1])) == -1
 
 
 def test_uni_resultant_shared_root_random():
@@ -163,6 +174,168 @@ def test_poly_divmod_round_trip():
         q, r = poly_divmod(num, den)
         assert q * den + r == num
         assert r.is_zero or r.degree < den.degree
+
+
+def test_poly_divmod_takes_zero_from_ring():
+    K = quadratic_field(-1)
+    i = K.alpha
+    x = UniPoly([K.zero, K.one])
+    cases = [
+        (x ** 3, x),                               # quotient x^2: two interior zeros
+        (x ** 5 + UniPoly([i]), x ** 2 - UniPoly([i])),
+        (x ** 4 + UniPoly([K.one]), UniPoly([i * 2])),   # constant divisor
+        (x, x ** 2 + UniPoly([K.one])),            # deg num < deg den
+    ]
+    for num, den in cases:
+        q, r = poly_divmod(num, den)
+        assert all(isinstance(c, FieldElem) for c in q.coeffs + r.coeffs), (num, den, q, r)
+        assert q * den + r == num
+    assert poly_divmod(x ** 3, x)[0].coeffs == (K.zero, K.zero, K.one)
+
+
+# ---------------------------------------------------------------------------
+# sympy as a differential oracle for resultants, discriminants and norms
+
+X, A = sympy.Symbol("x"), sympy.Symbol("a")
+
+
+def as_sympy(poly, coeff, var=X):
+    return sum(coeff(c) * var ** k for k, c in enumerate(poly.coeffs))
+
+
+def rational(q) -> sympy.Rational:
+    q = Fraction(q)
+    return sympy.Rational(q.numerator, q.denominator)
+
+
+def to_fraction(r) -> Fraction:
+    r = sympy.Rational(r)
+    return Fraction(int(r.p), int(r.q))
+
+
+def field_to_sympy(e: FieldElem):
+    return as_sympy(e.poly, rational, A)
+
+
+def sympy_to_field(K: NumberField, expr) -> FieldElem:
+    """Reduce a polynomial in a modulo m(a) and read off its coordinates."""
+    m = sympy.Poly(as_sympy(K.minpoly, rational, A), A)
+    rem = sympy.Poly(expr, A).rem(m).all_coeffs()[::-1]
+    return K.element([to_fraction(c) for c in rem] + [0] * (K.degree - len(rem)))
+
+
+def corpus_genus2_models():
+    curves = {}
+    for case in load_corpus().cases:
+        curve = build_curve(case)
+        if isinstance(curve, HyperCurve):
+            curves[curve.label] = curve
+    return [curves[k] for k in sorted(curves)]
+
+
+def test_discriminants_match_sympy_on_corpus_models():
+    models = corpus_genus2_models()
+    assert len(models) == 8
+    for curve in models:
+        coeffs, _v = curve.integral_model()
+        for f in (curve.f, UniPoly(coeffs)):
+            F = as_sympy(f, rational)
+            want = sympy.resultant(F, sympy.diff(F, X), X)
+            got = uni_resultant(f, f.derivative())
+            assert got == to_fraction(want), curve.label
+            assert got != 0
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_field_resultants_and_norms_match_sympy(name):
+    K = field_by_name(name)
+    rng = random.Random(f"sympy-{name}")
+    rand = lambda: K.element([Fraction(rng.randint(-4, 4), rng.randint(1, 2))
+                              for _ in range(K.degree)])
+    m = as_sympy(K.minpoly, rational, A)
+    for _ in range(4):
+        # Higher degree first: sympy 1.14 flips the sign when both degrees
+        # are odd and the first is the lower (Res(x + 1, x^3 + 2) is 1, it
+        # gives -1); test_resultant_swap_sign covers the other order.
+        q, p = sorted((UniPoly([rand() for _ in range(rng.randint(1, 3))] + [K.one + rand()])
+                       for _ in range(2)), key=lambda f: f.degree)
+        if p.lead() and q.lead():
+            want = sympy.resultant(as_sympy(p, field_to_sympy), as_sympy(q, field_to_sympy), X)
+            assert uni_resultant(p, q) == sympy_to_field(K, sympy.expand(want))
+    for _ in range(10):
+        e = rand()
+        if e:
+            want = sympy.resultant(m, field_to_sympy(e), A)
+            assert nf_norm(e) == to_fraction(want)
+
+
+# ---------------------------------------------------------------------------
+# The Euclidean core: poly_xgcd and the remainder-sequence resultant
+
+fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+q_polys = st.lists(fractions, min_size=1, max_size=6).map(UniPoly)
+nonzero_q_polys = q_polys.filter(lambda f: not f.is_zero)
+CBRT2 = cbrt2_field()
+cbrt2_polys = st.lists(st.lists(fractions, min_size=3, max_size=3).map(CBRT2.element),
+                       min_size=1, max_size=4).map(UniPoly)
+
+
+def check_xgcd(a, b):
+    g, s, t = poly_xgcd(a, b)
+    assert s * a + t * b == g
+    if a.is_zero and b.is_zero:
+        assert g.is_zero
+        return
+    assert g.lead() == 1
+    for f in (a, b):
+        assert poly_divmod(f, g)[1].is_zero
+
+
+@settings(max_examples=150, deadline=None)
+@given(q_polys, q_polys)
+def test_poly_xgcd_bezout_over_q(a, b):
+    check_xgcd(a, b)
+    check_xgcd(a * b, b)  # a nontrivial common factor
+
+
+@settings(max_examples=40, deadline=None)
+@given(cbrt2_polys, cbrt2_polys)
+def test_poly_xgcd_bezout_over_cbrt2(a, b):
+    check_xgcd(a, b)
+    check_xgcd(a * b, a)
+
+
+def test_poly_xgcd_edge_cases():
+    x = UniPoly([0, 1])
+    f = UniPoly([2, 0, 3])
+    check_xgcd(UniPoly([5]), f)           # a constant
+    check_xgcd(f, UniPoly([Fraction(1, 2)]))  # b constant
+    check_xgcd(UniPoly([0]), f)           # a zero
+    check_xgcd(UniPoly([0]), UniPoly([0]))
+    check_xgcd(x, f)                      # deg a < deg b
+    assert poly_xgcd(UniPoly([0]), f) == (f * Fraction(1, 3), UniPoly([0]),
+                                          UniPoly([Fraction(1, 3)]))
+    assert poly_xgcd(f * x, f * (x + UniPoly([1])))[0] == f * Fraction(1, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nonzero_q_polys, nonzero_q_polys)
+def test_resultant_swap_sign(p, q):
+    sign = -1 if p.degree * q.degree % 2 else 1
+    assert uni_resultant(p, q) == sign * uni_resultant(q, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nonzero_q_polys, nonzero_q_polys, nonzero_q_polys)
+def test_resultant_multiplicative(p, q, r):
+    assert uni_resultant(p * q, r) == uni_resultant(p, r) * uni_resultant(q, r)
+
+
+def test_inverse_of_zero_divisor_raises():
+    K = NumberField([-1, 0, 1])  # x^2 - 1 is reducible
+    with pytest.raises(ZeroDivisionError):
+        (K.alpha - 1).inverse()
+    assert (K.alpha + 2).inverse() * (K.alpha + 2) == K.one
 
 
 def test_zero_form_conventions():

@@ -21,3 +21,36 @@ def test_modulus_names_stay_in_sieve():
             if name in PRIVATE:
                 found.append(f"{path.name}:{getattr(node, 'lineno', '?')}: {name}")
     assert SOURCES and not found, "\n".join(found)
+
+
+# Euclid lives in exactmath: `poly_xgcd` and `uni_resultant` run the remainder
+# sequence.  Outside exactmath.py, `poly_divmod` is called only here:
+DIVMOD_USERS = {
+    # one reduction modulo the minimal polynomial, the remainder only
+    ("numfield.py", "NumberField.reduce"),
+    # the Sturm chain keeps negated remainders, whose signs are the result
+    ("points.py", "_sturm_real_root_count"),
+}
+
+
+def _names_by_scope(node, scope=()):
+    """(qualified name of the enclosing def or class, identifier) for every
+    Name and Attribute below node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _names_by_scope(child, scope + (child.name,))
+            continue
+        if isinstance(child, (ast.Name, ast.Attribute)):
+            yield ".".join(scope), child.id if isinstance(child, ast.Name) else child.attr
+        yield from _names_by_scope(child, scope)
+
+
+def test_poly_divmod_stays_behind_exactmath():
+    found = set()
+    for path in SOURCES:
+        if path.name == "exactmath.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= {(path.name, scope) for scope, name in _names_by_scope(tree)
+                  if name == "poly_divmod"}
+    assert found == DIVMOD_USERS, sorted(found ^ DIVMOD_USERS)
