@@ -304,7 +304,7 @@ class UniPoly:
             other = as_coeff(other)
             return UniPoly([c * other for c in self.coeffs])
         if self.is_zero or other.is_zero:
-            return UniPoly([0])
+            return UniPoly([_ring_zero(self.lead() * other.lead())])
         out = [None] * (self.degree + other.degree + 1)
         for i, ca in enumerate(self.coeffs):
             for j, cb in enumerate(other.coeffs):
@@ -327,7 +327,7 @@ class UniPoly:
 
     def derivative(self) -> "UniPoly":
         if self.degree == 0:
-            return UniPoly([0])
+            return UniPoly([_ring_zero(self.lead())])
         return UniPoly([c * i for i, c in enumerate(self.coeffs)][1:])
 
     def monic(self) -> "UniPoly":
@@ -344,14 +344,14 @@ def poly_divmod(num: UniPoly, den: UniPoly):
     zero = _ring_zero(den.lead())
     q = [zero] * max(num.degree - den.degree + 1, 1)
     rem = list(num.coeffs)
-    dlead = den.lead()
     dd = den.degree
+    inv = 1 / den.lead() if num.degree >= dd else None  # one inversion per division
     while len(rem) - 1 >= dd and any(rem):
         if not rem[-1]:
             rem.pop()
             continue
         shift = len(rem) - 1 - dd
-        factor = rem[-1] / dlead
+        factor = rem[-1] * inv
         q[shift] = factor
         for i, c in enumerate(den.coeffs):
             rem[shift + i] -= factor * c

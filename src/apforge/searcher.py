@@ -7,11 +7,14 @@ term at position m is ((j-m)*h_i + (m-i)*h_j) / (j-i).  Values run on numpy
 int64 arrays, inside a guard that keeps every derived term below 2^62.  The
 sieved scan has three stages:
 
-1. Sieve.  Per outer value h_i, one ``sieve.combo_mask`` call over the inner
-   array, one combo per derived position: a divisibility test and one lookup
-   in the (l, etas) power table over Z/720720, the AND of the tables of the
-   CRT factors 16*9*5*7*11*13.  Later combos run only on the cells that
-   survived the earlier ones.  The table only rejects.
+1. Sieve.  ``sieve.ClassRows`` splits the inner array by class mod |j - i|
+   and precomputes, once per scan, each derived term's residue part over
+   Z/720720 (the CRT factors 16*9*5*7*11*13).  Per outer value h_i it scans
+   only the class h_j = h_i (mod |j - i|), the pairs whose common difference
+   is an integer; a derived position costs one int32 add and one lookup in
+   its (l, etas) power table per cell, and later positions run only on the
+   cells still alive.  The sign rule of even powers and the half scan cut
+   the sorted class before any lookup.  The table only rejects.
 2. Exact stage.  Survivors are held across outer values and checked in
    batches of at most _FLUSH pairs: each derived term must be found, by
    ``np.searchsorted``, in the sorted array of every value eta*x^l that its
@@ -42,7 +45,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exactmath import BinaryForm, form_eval, int_kth_root
-from .sieve import INT64_SAFE, combo_mask, maybe_power
+from .sieve import INT64_SAFE, ClassRows, combo_mask, maybe_power
 
 
 class ResourceLimitError(Exception):
@@ -101,17 +104,10 @@ def _eta_candidates(s_primes: Sequence[int], l: int, cap: int) -> tuple:
 
 def _position_values(l: int, bound: int, etas: tuple):
     """Sorted distinct attainable values eta*x^l at one position."""
-    if l % 2 == 0:
-        xs = range(0, bound + 1)
-    else:
-        xs = range(-bound, bound + 1)
-    vals = set()
-    for x in xs:
-        p = x**l
-        for eta in etas:
-            vals.add(eta * p)
-    arr = np.array(sorted(vals), dtype=np.int64)
-    return arr
+    powers = np.arange(0 if l % 2 == 0 else -bound, bound + 1, dtype=np.int64) ** l
+    if etas == (1,):
+        return powers  # x^l is increasing on the range, so already sorted and distinct
+    return np.unique(np.multiply.outer(np.array(etas, dtype=np.int64), powers))
 
 
 def _decompose(h: int, l: int, etas: tuple, bound: int):
@@ -138,10 +134,6 @@ class _VectorTask:
 
 
 _FLUSH = 4096  # sieve survivors held before the exact stage runs on them
-# A palindromic half scan widens each inner slice to a multiple of _SLICE
-# values, so that its temporaries come in few sizes: slices of every length
-# fragmented the heap and raised peak RSS.
-_SLICE = 256
 
 
 def _choose_base_pair(sizes: Sequence[int]):
@@ -161,9 +153,9 @@ def _scan_vector(task: _VectorTask) -> list:
         i, j = j, i
         outer, inner = cands[i], cands[j]
     lo, hi = task.outer_slice
-    combos = [(j - m, m - i, j - i, lvec[m], etas[m]) for m in range(k) if m not in (i, j)]
     if task.use_sieve:
-        return _staged_scan(task, cands, i, j, outer[lo:hi], combos)
+        return _staged_scan(task, cands, i, j, outer[lo:hi])
+    combos = [(j - m, m - i, j - i, lvec[m], etas[m]) for m in range(k) if m not in (i, j)]
     hits = []
     for h_i in outer[lo:hi].tolist():
         for idx in np.nonzero(combo_mask(h_i, inner, combos, use_sieve=False))[0]:
@@ -173,22 +165,18 @@ def _scan_vector(task: _VectorTask) -> list:
     return hits
 
 
-def _staged_scan(task, cands, i, j, outer, combos) -> list:
+def _staged_scan(task, cands, i, j, outer) -> list:
     """The sieve per outer value, then the exact stage per batch of survivors."""
     inner, d = cands[j], j - i
+    sign = 1 if d > 0 else -1
+    rows = ClassRows(inner, d, [((m - i) * sign, task.lvec[m], task.etas[m])
+                                for m in range(len(cands)) if m not in (i, j)])
     # One buffer per scan holds the survivor pairs: a batch fills below
     # _FLUSH before each row, and a row adds at most inner.size.
     held_i, held_j = (np.empty(_FLUSH + inner.size, dtype=np.int64) for _ in range(2))
     hits, count = [], 0
-    # A half scan keeps n = (h_j - h_i) / d >= 0, in a slice widened to _SLICE multiples.
-    cuts = np.searchsorted(inner, outer, side="left" if d > 0 else "right") if task.half else None
-    for row, h_i in enumerate(outer.tolist()):
-        w = inner
-        if task.half:
-            n = inner.size - int(cuts[row]) if d > 0 else int(cuts[row])
-            n = min(inner.size, -(-n // _SLICE) * _SLICE)
-            w = inner[inner.size - n:] if d > 0 else inner[:n]
-        survivors = w[combo_mask(h_i, w, combos)]
+    for h_i in outer.tolist():
+        survivors = rows.survivors(h_i, half=task.half)
         held_i[count:count + survivors.size] = h_i
         held_j[count:count + survivors.size] = survivors
         count += survivors.size
@@ -208,7 +196,7 @@ def _exact_stage(task, cands, i, j, held_i, held_j) -> list:
         hs, ws = held_i[s:s + _FLUSH], held_j[s:s + _FLUSH]
         ok = (ws - hs) % d == 0
         n = (ws - hs) // d
-        if task.half:  # the widened slices let pairs with n < 0 through
+        if task.half:  # the mirrored hits of a half scan need n >= 0
             ok &= n >= 0
         terms = [hs + (m - i) * n for m in range(len(cands))]
         for m, values in enumerate(cands):

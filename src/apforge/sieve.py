@@ -9,8 +9,10 @@ a sextic F(r, s) = sum c_i r^i s^(6-i) hold, per modulus m, an m x m table
 whose entry [s % m, r % m] marks F(r, s) being a square mod m.
 
 Callers never see the modulus: `maybe_power` tests one value, `combo_mask`
-a grid of (alpha*h + beta*w) / delta, the one pair-scan step of the
-progression search, the cubic twin and the Lemma's brute-force cover grid.
+a grid of (alpha*h + beta*w) / delta (the unsieved progression scan and the
+Lemma's brute-force cover grid), and `ClassRows` the rows of the sieved
+progression scan, the cubic twin's included, from residues it computes once
+per scan.
 """
 
 from __future__ import annotations
@@ -100,6 +102,58 @@ def combo_mask(h, inner, combos, use_sieve: bool = True) -> np.ndarray:
     mask = np.zeros(mask.shape, dtype=bool)
     mask.reshape(-1)[cells] = True
     return mask
+
+
+class ClassRows:
+    """Stage 1 of the progression scan: the pairs (h, w), w in a sorted inner
+    array, whose derived terms h_m = h + e_m * (w - h) / |d| all pass
+    `maybe_power`, for each (e_m, l_m, etas_m) in derived.
+
+    A pair with d not dividing w - h is no progression, so a row h scans only
+    the class w = h (mod |d|).  There (w - h) / |d| = q - h // |d| with
+    q = w // |d|, so h_m % 720720 is a precomputed e_m * q % 720720 plus one
+    scalar per row: one int32 add and one table gather per cell, and each
+    later position runs only on the cells still alive.  The sign rule of
+    `maybe_power` (h_m >= 0 for even l_m and positive etas_m) and the half
+    scan's (w - h) / d >= 0 are bounds on q, so they cut the class's sorted
+    slice before any cell is touched.  Precondition: every |h_m| < INT64_SAFE.
+    """
+
+    def __init__(self, inner, d: int, derived):
+        self.step, self.sign = abs(d), (1 if d > 0 else -1)
+        inner = np.asarray(inner, dtype=np.int64)
+        # Stable by class, so each class is one sorted slice.
+        self.w = inner if self.step == 1 else inner[np.argsort(inner % self.step, kind="stable")]
+        self.starts = np.searchsorted(self.w % self.step, np.arange(self.step + 1)).tolist()
+        signed = [e for e, l, etas in derived if l % 2 == 0 and min(etas) > 0]
+        self.rising, self.falling = [e for e in signed if e > 0], [-e for e in signed if e < 0]
+        q = self.w // self.step
+        self.positions = [(e, ((e * q) % CRT_MODULUS).astype(np.int32),
+                           power_table(l, etas)) for e, l, etas in derived]
+
+    def survivors(self, h: int, half: bool = False) -> np.ndarray:
+        """The w of row h that pass, ascending; with half, only those with
+        (w - h) / d >= 0."""
+        qh, c = divmod(h, self.step)
+        lo, hi = self.starts[c], self.starts[c + 1]
+        # In the class, w = step * q + c, and h + e * (q - qh) >= 0 is
+        # q >= qh - h // e for e > 0 and q <= qh + h // -e for e < 0.
+        floors = [qh - h // e for e in self.rising]
+        ceils = [qh + h // f for f in self.falling]
+        if half:
+            (floors if self.sign > 0 else ceils).append(qh)
+        if floors:
+            lo += int(self.w[lo:hi].searchsorted(self.step * max(floors) + c, "left"))
+        if ceils:
+            hi = lo + int(self.w[lo:hi].searchsorted(self.step * min(ceils) + c, "right"))
+        cells = None
+        for e, residues, table in self.positions:
+            shift = (h - e * qh) % CRT_MODULUS
+            if cells is None:
+                cells = lo + table.take(residues[lo:hi] + shift, mode="wrap").nonzero()[0]
+            elif cells.size:
+                cells = cells[table.take(residues[cells] + shift, mode="wrap")]
+        return self.w[cells]
 
 
 def form_square_tables(coeffs6: Sequence[int], moduli: Sequence[int]) -> dict:

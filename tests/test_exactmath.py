@@ -193,6 +193,45 @@ def test_poly_divmod_takes_zero_from_ring():
     assert poly_divmod(x ** 3, x)[0].coeffs == (K.zero, K.zero, K.one)
 
 
+def test_poly_divmod_inverts_the_divisor_lead_once(monkeypatch):
+    K = quadratic_field(-1)
+    i = K.alpha
+    x = UniPoly([K.zero, K.one])
+    p = UniPoly([K.one, i, K.one * 2, i * 3, K.one + i])   # degree 4
+    q = UniPoly([i, K.one * 5, K.one - i, i * 2])           # degree 3
+    inverses = []
+    inverse = FieldElem.inverse
+
+    def spy(self):
+        inverses.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(FieldElem, "inverse", spy)
+    # Three remainder steps, each dividing by a new leading coefficient.
+    assert uni_resultant(p, q)
+    assert len(inverses) == 3
+    inverses.clear()
+    num, den = x ** 6 + UniPoly([i]), x ** 2 * (K.one + i) + UniPoly([K.one])
+    quo, rem = poly_divmod(num, den)
+    assert quo * den + rem == num and quo.degree == 4
+    assert len(inverses) == 1
+    inverses.clear()
+    assert poly_divmod(x, den) == (UniPoly([K.zero]), x)
+    assert not inverses
+
+
+def test_unipoly_zero_results_take_zero_from_ring():
+    K = quadratic_field(-1)
+    f = UniPoly([K.one, K.alpha])
+    zeros = [UniPoly([K.zero]) * f, f * UniPoly([K.zero]), UniPoly([0]) * f,
+             UniPoly([K.one]).derivative(), UniPoly([K.alpha]).derivative()]
+    for z in zeros:
+        assert z.is_zero and all(isinstance(c, FieldElem) for c in z.coeffs), z
+    # Over Q the zero stays a Fraction.
+    for z in (UniPoly([0]) * UniPoly([1, 2]), UniPoly([5]).derivative()):
+        assert z.is_zero and all(type(c) is Fraction for c in z.coeffs), z
+
+
 # ---------------------------------------------------------------------------
 # sympy as a differential oracle for resultants, discriminants and norms
 

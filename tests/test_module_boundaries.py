@@ -1,6 +1,6 @@
 """The residue modulus is decided in one module: outside `sieve.py` no source
-names `CRT_MODULUS` or `power_table`; callers go through `maybe_power` and
-`combo_mask`."""
+names `CRT_MODULUS` or `power_table`; callers go through `maybe_power`,
+`combo_mask` and `ClassRows`."""
 
 import ast
 from pathlib import Path

@@ -199,6 +199,23 @@ def test_theorem3_single_vector_matches_oracle(lvec, monkeypatch):
     assert all(calls)
 
 
+@pytest.mark.parametrize("args, kwargs, hit", [
+    ((3, 2, 10), dict(vectors=[(2, 2, 2)]), (1, 25, 49)),
+    ((4, 2, 60), dict(S=(73,), vectors=[(2, 2, 2, 2)]), (1, 25, 49, 73)),
+], ids=["222", "2222-eta73"])
+def test_palindromic_half_scan_matches_oracle(args, kwargs, hit, monkeypatch):
+    # A palindromic vector scans only n >= 0 and adds the reverse of each hit
+    # with n != 0; the oracle scans it in full.
+    oracle = search_general(*args, **kwargs, use_sieve=False)
+    calls = _confirm_calls(monkeypatch)
+    staged = search_general(*args, **kwargs)
+    assert _terms(staged) == _terms(oracle)
+    assert len(set(_terms(staged))) == len(staged)
+    values = [p.values for p in staged]
+    assert hit in values and hit[::-1] in values
+    assert all(calls)
+
+
 @pytest.mark.parametrize("k, L, bound", [(3, 3, 25), (4, 3, 12), (5, 2, 12), (5, 3, 5)])
 @pytest.mark.parametrize("S", [(), (2,), (73,)])
 @pytest.mark.parametrize("D", [1, 4])

@@ -1,14 +1,16 @@
-"""Residue tables: the CRT power table against its factor definition, and
-the pair-scan mask against the exact predicate."""
+"""Residue tables: the CRT power table against its factor definition, the
+pair-scan mask against the exact predicate, and the progression scan's row
+kernel against the pair-scan mask."""
 
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apforge.exactmath import int_kth_root
 from apforge.searcher import _eta_candidates
-from apforge.sieve import CRT_FACTORS, CRT_MODULUS, combo_mask, power_table
+from apforge.sieve import CRT_FACTORS, CRT_MODULUS, ClassRows, combo_mask, power_table
 
 
 @pytest.mark.parametrize("l", [2, 3, 4, 5])
@@ -79,3 +81,79 @@ def test_combo_mask_cascade_is_and_of_single_combos():
                 for c in combos:
                     want &= combo_mask(h, vals, [c], use_sieve)
                 assert np.array_equal(combo_mask(h, vals, combos, use_sieve), want)
+
+
+# ClassRows against combo_mask: the combo of derived position (e, l, etas) is
+# (d - e*sign(d), e*sign(d), d, l, etas), since
+# ((d - e*s) * h + e*s * w) / d = h + e * (w - h) / |d|.
+_ETAS = [(1,), (2, 3), (-1,), (1, -1), (1, -1, 73, -73), (-2, 5)]
+
+
+def _class_rows_want(inner, d, derived, h, half):
+    s = 1 if d > 0 else -1
+    combos = [(d - e * s, e * s, d, l, etas) for e, l, etas in derived]
+    keep = combo_mask(h, inner, combos) & ((inner - h) % d == 0)
+    if half:
+        keep &= (inner - h) // d >= 0
+    return inner[keep]
+
+
+@st.composite
+def _class_rows_case(draw):
+    power = st.builds(lambda x, l, c: c * x**l, st.integers(-30, 30), st.integers(2, 4),
+                      st.sampled_from((1, -1, 2, 3, 73)))
+    values = st.lists(st.one_of(power, st.integers(-10**5, 10**5)), max_size=80)
+    inner = np.array(sorted(set(draw(values))), dtype=np.int64)
+    d = draw(st.sampled_from((1, -1, 2, -2, 3, -3)))
+    derived = draw(st.lists(st.tuples(st.integers(-4, 4).filter(bool), st.integers(2, 5),
+                                      st.sampled_from(_ETAS)), min_size=1, max_size=3))
+    rows = draw(st.lists(st.one_of(power, st.sampled_from(inner.tolist() or [0])),
+                         min_size=1, max_size=6))
+    return inner, d, derived, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_class_rows_case(), st.booleans())
+def test_class_rows_survivors_match_combo_mask(case, half):
+    inner, d, derived, rows = case
+    kernel = ClassRows(inner, d, derived)
+    for h in rows:
+        got = kernel.survivors(h, half=half)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _class_rows_want(inner, d, derived, h, half)), h
+
+
+def test_class_rows_empty_classes_and_half_cut():
+    inner = np.array([x * x for x in range(0, 40)], dtype=np.int64)
+    # Squares are 0 or 1 mod 3, so the class 2 mod 3 is empty.
+    kernel = ClassRows(inner, 3, [(1, 2, (1,)), (2, 2, (1,))])
+    assert kernel.survivors(2).size == 0 and kernel.survivors(-1, half=True).size == 0
+    assert ClassRows(inner[:0], -2, [(1, 3, (1,))]).survivors(5).size == 0
+    for d in (3, -3):
+        # The term after w at distance |d|, with a twist that keeps the sign
+        # rule off, so only the half scan cuts the row.
+        derived = [(1 if d > 0 else -1, 2, (1, -1))]
+        kernel, cut = ClassRows(inner, d, derived), 0
+        for h in (1, 49, 625):
+            full, half = kernel.survivors(h), kernel.survivors(h, half=True)
+            assert np.array_equal(full, _class_rows_want(inner, d, derived, h, False))
+            assert np.array_equal(half, full[(full - h) // d >= 0]) and h in half
+            cut += full.size - half.size
+        assert cut > 0
+
+
+def test_class_rows_sign_cut_edges():
+    # Every integer as inner value puts derived terms on -3..1, the edges of
+    # the sign rule's cut, in every class and both directions.  The positive
+    # twists 720720 - t put -t in the power table, so only the cut rejects it.
+    inner = np.arange(-60, 61, dtype=np.int64)
+    below_zero = (720719, 720718, 720717)
+    for d in (1, -1, 2, -2, 3, -3):
+        for e in (-3, -2, -1, 1, 2, 3):
+            for derived in ([(e, 2, (1,))], [(e, 2, below_zero)],
+                            [(e, 4, (2, 3)), (-e, 2, (1,))]):
+                kernel = ClassRows(inner, d, derived)
+                for h in range(-20, 21):
+                    for half in (False, True):
+                        want = _class_rows_want(inner, d, derived, h, half)
+                        assert np.array_equal(kernel.survivors(h, half=half), want), (d, derived, h)
