@@ -316,7 +316,7 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "UniPoly":
-        return power(self, k, UniPoly([1]))
+        return power(self, k, UniPoly([_ring_zero(self.lead()) + 1]))
 
     def eval(self, x):
         x = as_coeff(x)

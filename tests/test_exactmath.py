@@ -227,9 +227,11 @@ def test_unipoly_zero_results_take_zero_from_ring():
              UniPoly([K.one]).derivative(), UniPoly([K.alpha]).derivative()]
     for z in zeros:
         assert z.is_zero and all(isinstance(c, FieldElem) for c in z.coeffs), z
-    # Over Q the zero stays a Fraction.
+    assert f ** 0 == UniPoly([K.one]) and isinstance((f ** 0).lead(), FieldElem)
+    # Over Q the zero and the unit stay Fractions.
     for z in (UniPoly([0]) * UniPoly([1, 2]), UniPoly([5]).derivative()):
         assert z.is_zero and all(type(c) is Fraction for c in z.coeffs), z
+    assert type((UniPoly([1, 2]) ** 0).lead()) is Fraction
 
 
 # ---------------------------------------------------------------------------

@@ -130,8 +130,8 @@ def test_class_rows_empty_classes_and_half_cut():
     assert kernel.survivors(2).size == 0 and kernel.survivors(-1, half=True).size == 0
     assert ClassRows(inner[:0], -2, [(1, 3, (1,))]).survivors(5).size == 0
     for d in (3, -3):
-        # The term after w at distance |d|, with a twist that keeps the sign
-        # rule off, so only the half scan cuts the row.
+        # e = sign(d) is the term h + n, n = (w - h) / d; the twist -1 keeps
+        # the sign rule off, so only the half scan cuts the row.
         derived = [(1 if d > 0 else -1, 2, (1, -1))]
         kernel, cut = ClassRows(inner, d, derived), 0
         for h in (1, 49, 625):
