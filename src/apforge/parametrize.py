@@ -8,10 +8,10 @@ checked against a brute-force enumeration oracle.
 Evaluation and the cover check run on integer forms: each form's
 denominators are cleared once (a cached integer form over a common
 denominator D), so integrality is `value % D == 0`.  The brute-force grid
-cA*a^2 + cB*b^2 is one `sieve.combo_mask` call per int64 block of a rows:
-M must divide the value and the quotient pass the sound residue pre-filter
-(a possible k-th power, non-negative for even k); every survivor is
-confirmed exactly with `int_kth_root` and `math.gcd` on Python ints.
+cA*a^2 + cB*b^2 is built per int64 block of a rows: M must divide the value
+and the quotient pass `sieve.maybe_power`, the sound residue pre-filter (a
+possible k-th power, non-negative for even k); every survivor is confirmed
+exactly with `int_kth_root` and `math.gcd` on Python ints.
 Magnitudes are checked against `sieve.INT64_SAFE` (2^62) before any grid is
 built, so the int64 arrays never wrap.
 
@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .exactmath import BinaryForm, form_exact_root, int_floor_root, int_kth_root
-from .sieve import INT64_SAFE, combo_mask
+from .sieve import INT64_SAFE, maybe_power
 
 _BLOCK = 1 << 14  # grid cells per numpy block (bounds peak memory)
 
@@ -195,7 +195,8 @@ def _enumerate_solutions(family: ParamFamily, bound: int):
     rows = max(1, _BLOCK // (bound + 1))
     for a0 in range(0, bound + 1, rows):
         a = np.arange(a0, min(a0 + rows, bound + 1), dtype=np.int64)
-        ia, ib = np.nonzero(combo_mask((a * a)[:, None], b2, [(ca, cb, m, k, (1,))]))
+        v = ca * (a * a)[:, None] + cb * b2
+        ia, ib = np.nonzero((v % m == 0) & maybe_power(v // m, k))
         for ai, bi in zip((ia + a0).tolist(), ib.tolist()):
             c = int_kth_root((ca * ai * ai + cb * bi * bi) // m, k)
             if c is None:

@@ -2,8 +2,9 @@
 real) solvability on the curve models of `apforge.curves`.
 
 The point search runs on the denominator-cleared model as a binary sextic
-in (r, s), x = r/s, behind the sound residue pre-filter of `apforge.sieve`,
-and confirms every survivor with exact integer square roots.  Local
+in (r, s), x = r/s.  Per row s, `sieve.SquareRows` gives the r where the
+sextic may be a square (its moduli stay in `apforge.sieve`), and every
+survivor is confirmed with exact integer square roots.  Local
 solvability at p lifts residues of y^2 = c*g(x) through Z_p with a bounded
 depth and raises Undecided when the budget runs out.
 """
@@ -18,37 +19,18 @@ import numpy as np
 from .curves import EllipticModel, _disc, _integral_model_any
 from .exactmath import UniPoly, poly_divmod, rat_kth_root, square_split
 from .numfield import Undecided
-from .sieve import CRT_FACTORS, form_square_tables
-
-_EXTRA_PRIMES = (17, 19, 23, 29, 31, 37)
+from .sieve import SquareRows
 
 
 def _homogeneous_square_hits(coeffs6, height: int):
-    """(r, s, value) with value = sum coeffs6[i] r^i s^(6-i) a perfect square,
-    s in [1, height], r in [-height, height].  Sound modular pre-filter,
-    exact big-integer confirmation."""
-    moduli = CRT_FACTORS + _EXTRA_PRIMES
-    tables = form_square_tables(coeffs6, moduli)
+    """(r, s, value, root) with value = sum coeffs6[i] r^i s^(6-i) a perfect
+    square, s in [1, height], r in [-height, height].  Sound modular
+    pre-filter, exact big-integer confirmation."""
+    rows = SquareRows(coeffs6, np.arange(-height, height + 1, dtype=np.int64))
     asc = [int(c) for c in coeffs6]
-    r_all = np.arange(-height, height + 1, dtype=np.int64)
-    r_mod = {m: r_all % m for m in moduli}
     hits = []
     for s in range(1, height + 1):
-        # Stage 1: two cheapest moduli over the full row.
-        mask = None
-        for m in moduli[:2]:
-            t = tables[m][s % m][r_mod[m]]
-            mask = t if mask is None else (mask & t)
-        idx = np.nonzero(mask)[0]
-        if len(idx) == 0:
-            continue
-        # Stage 2: remaining moduli on survivors only.
-        for m in moduli[2:]:
-            idx = idx[tables[m][s % m][r_mod[m][idx]]]
-            if len(idx) == 0:
-                break
-        for i in idx:
-            r = int(r_all[i])
+        for r in rows.survivors(s).tolist():
             val = sum(asc[k] * r**k * s ** (6 - k) for k in range(7))
             if val < 0:
                 continue

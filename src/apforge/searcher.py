@@ -28,8 +28,8 @@ sieved scan has three stages:
    common differences n >= 0 and adds the reverse of each hit with n != 0.
 
 ``use_sieve=False`` (``--no-sieve``) is the oracle for all three: it scans
-every requested vector in full, with divisibility tests only, and sends
-every divisible pair to `_confirm`.  The work estimate and its ceiling count
+every requested vector in full and sends every pair whose common difference
+(h_j - h_i) / (j - i) is an integer to `_confirm`.  The work estimate and its ceiling count
 the requested vectors either way.  The cubic twin x^3 + y^3 = 2z^3 is the
 three-term progression (y^3, z^3, x^3) and runs through the same scan.
 """
@@ -45,7 +45,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exactmath import BinaryForm, form_eval, int_kth_root
-from .sieve import INT64_SAFE, ClassRows, combo_mask, maybe_power
+from .sieve import INT64_SAFE, ClassRows
 
 
 class ResourceLimitError(Exception):
@@ -86,13 +86,6 @@ class Progression:
                 raise AssertionError(f"not an arithmetic progression: {v}")
 
 
-def is_power_value(h: int, l: int, use_sieve: bool = True):
-    """Return x with x**l == h (canonical x >= 0 for even l), else None."""
-    if use_sieve and not maybe_power(h, l):
-        return None
-    return int_kth_root(h, l)
-
-
 def _eta_candidates(s_primes: Sequence[int], l: int, cap: int) -> tuple:
     """l-th-power-free S-units of both signs, |eta| <= cap, sorted."""
     units = [1]
@@ -116,7 +109,7 @@ def _decompose(h: int, l: int, etas: tuple, bound: int):
         if eta == 0 or h % eta != 0:
             continue
         v = h // eta
-        x = is_power_value(v, l, use_sieve=False)
+        x = int_kth_root(v, l)
         if x is not None and abs(x) <= bound:
             return x, eta
     return None
@@ -155,10 +148,9 @@ def _scan_vector(task: _VectorTask) -> list:
     lo, hi = task.outer_slice
     if task.use_sieve:
         return _staged_scan(task, cands, i, j, outer[lo:hi])
-    combos = [(j - m, m - i, j - i, lvec[m], etas[m]) for m in range(k) if m not in (i, j)]
     hits = []
     for h_i in outer[lo:hi].tolist():
-        for idx in np.nonzero(combo_mask(h_i, inner, combos, use_sieve=False))[0]:
+        for idx in np.flatnonzero((inner - h_i) % (j - i) == 0):
             hit = _confirm(lvec, bounds, etas, task.gcd_cap, i, j, h_i, int(inner[idx]))
             if hit is not None:
                 hits.append(hit)

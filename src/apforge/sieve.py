@@ -8,11 +8,9 @@ eta * x^l modulo each CRT factor 16, 9, 5, 7, 11, 13 at once.  Row tables of
 a sextic F(r, s) = sum c_i r^i s^(6-i) hold, per modulus m, an m x m table
 whose entry [s % m, r % m] marks F(r, s) being a square mod m.
 
-Callers never see the modulus: `maybe_power` tests one value, `combo_mask`
-a grid of (alpha*h + beta*w) / delta (the unsieved progression scan and the
-Lemma's brute-force cover grid), and `ClassRows` the rows of the sieved
-progression scan, the cubic twin's included, from residues it computes once
-per scan.
+Callers never see the modulus.  `maybe_power` tests values (the Lemma's
+cover grid), `ClassRows` runs the rows of the sieved progression scan, the
+cubic twin's included, and `SquareRows` the rows of the point search.
 """
 
 from __future__ import annotations
@@ -56,52 +54,6 @@ def maybe_power(v, l: int, etas: tuple = (1,)):
     if l % 2 == 0 and min(etas) > 0:
         ok &= v >= 0
     return ok
-
-
-def _combo_ok(v, delta: int, l: int, etas: tuple, use_sieve: bool) -> np.ndarray:
-    """Bool array over v: delta | v and, with the sieve on, maybe_power(v // delta)."""
-    if delta == 1:
-        ok = np.ones(np.shape(v), dtype=bool)
-    else:
-        ok = v % delta == 0
-        v //= delta  # exact on every cell ok still holds
-    if use_sieve:
-        ok &= maybe_power(v, l, etas)
-    return ok
-
-
-def _on_cells(a, cells, shape):
-    """The values of a, broadcast to shape, at the flat indices cells."""
-    if np.ndim(a) == 0:
-        return a
-    if np.shape(a) == shape:
-        return a.reshape(-1)[cells]
-    return np.broadcast_to(a, shape)[np.unravel_index(cells, shape)]
-
-
-def combo_mask(h, inner, combos, use_sieve: bool = True) -> np.ndarray:
-    """Bool mask over the broadcast of h and inner (ints or int64 arrays).
-
-    A cell passes when, for every (alpha, beta, delta, l, etas) in combos,
-    v = alpha*h + beta*inner is divisible by delta and, with the sieve on,
-    maybe_power(v // delta, l, etas) holds.  The first combo runs on the
-    whole grid; each later one runs only on the flat indices that are still
-    alive, so a grid that mostly fails the first combo costs about one combo.
-    Precondition: every |v| < INT64_SAFE, so nothing wraps.
-    """
-    (alpha, beta, delta, l, etas), *rest = combos
-    mask = _combo_ok(alpha * h + beta * inner, delta, l, etas, use_sieve)
-    if not rest:
-        return mask
-    cells = np.flatnonzero(mask)
-    for alpha, beta, delta, l, etas in rest:
-        if not cells.size:
-            break
-        hs, ws = (_on_cells(a, cells, mask.shape) for a in (h, inner))
-        cells = cells[_combo_ok(alpha * hs + beta * ws, delta, l, etas, use_sieve)]
-    mask = np.zeros(mask.shape, dtype=bool)
-    mask.reshape(-1)[cells] = True
-    return mask
 
 
 class ClassRows:
@@ -156,7 +108,12 @@ class ClassRows:
         return self.w[cells]
 
 
-def form_square_tables(coeffs6: Sequence[int], moduli: Sequence[int]) -> dict:
+
+
+_ROW_PRIMES = (17, 19, 23, 29, 31, 37)  # the point search's moduli after CRT_FACTORS
+
+
+def _form_square_tables(coeffs6: Sequence[int], moduli: Sequence[int]) -> dict:
     """{m: row table} for the sextic with ascending integer coefficients."""
     tables = {}
     for m in moduli:
@@ -168,3 +125,28 @@ def form_square_tables(coeffs6: Sequence[int], moduli: Sequence[int]) -> dict:
             s_pow = s_pow * s % m
         tables[m] = _factor_table(2, m, (1,))[acc]
     return tables
+
+
+class SquareRows:
+    """The point search's row kernel: the r of an int64 array where
+    F(r, s) = sum coeffs6[i] r^i s^(6-i) may be a square, one row s at a time.
+
+    The moduli are the CRT factors and then the primes 17..37.  The first two
+    run over the whole row, each later one only on the r still alive.
+    """
+
+    def __init__(self, coeffs6: Sequence[int], r):
+        self.r = np.asarray(r, dtype=np.int64)
+        moduli = CRT_FACTORS + _ROW_PRIMES
+        tables = _form_square_tables(coeffs6, moduli)
+        self.moduli = [(m, tables[m], self.r % m) for m in moduli]
+
+    def survivors(self, s: int) -> np.ndarray:
+        """The r of row s that pass every modulus, in array order."""
+        (m0, t0, r0), (m1, t1, r1), *rest = self.moduli
+        idx = np.nonzero(t0[s % m0][r0] & t1[s % m1][r1])[0]
+        for m, table, rm in rest:
+            if not idx.size:
+                break
+            idx = idx[table[s % m][rm[idx]]]
+        return self.r[idx]

@@ -1,12 +1,14 @@
-"""The residue modulus is decided in one module: outside `sieve.py` no source
-names `CRT_MODULUS` or `power_table`; callers go through `maybe_power`,
-`combo_mask` and `ClassRows`."""
+"""The residue moduli are decided in one module: outside `sieve.py` no source
+names `CRT_MODULUS`, `CRT_FACTORS`, `power_table`, or the point search's row
+primes and sextic table builder; callers go through `maybe_power`,
+`ClassRows` and `SquareRows`."""
 
 import ast
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "apforge").glob("*.py"))
-PRIVATE = {"CRT_MODULUS", "power_table"}
+PRIVATE = {"CRT_MODULUS", "CRT_FACTORS", "power_table",
+           "form_square_tables", "_form_square_tables", "_ROW_PRIMES"}
 
 
 def test_modulus_names_stay_in_sieve():

@@ -9,21 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from apforge import searcher
 from apforge.searcher import (Progression, ResourceLimitError,
-                              _eta_candidates, is_power_value,
+                              _eta_candidates,
                               remark_family_terms, search_cubic_twin,
                               search_general, search_theorem3,
                               verify_remark_families)
-from apforge.sieve import CRT_MODULUS, power_table
+from apforge.sieve import CRT_MODULUS, maybe_power, power_table
 from apforge.exactmath import form_eval, int_kth_root
-
-
-def test_is_power_value_examples():
-    assert is_power_value(64, 2) == 8
-    assert is_power_value(64, 3) == 4
-    assert is_power_value(5329, 2) == 73
-    assert is_power_value(-27, 3) == -3
-    assert is_power_value(-4, 2) is None
-    assert is_power_value(0, 4) == 0
 
 
 def test_sieve_never_rejects_powers():
@@ -34,7 +25,7 @@ def test_sieve_never_rejects_powers():
         if l % 2 == 0:
             x = abs(x)
         h = x**l
-        assert is_power_value(h, l, use_sieve=True) == is_power_value(h, l, use_sieve=False)
+        assert maybe_power(h, l)
         etas = _eta_candidates((73,), l, 10**6)
         table = power_table(l, etas)
         for eta in etas:

@@ -1,6 +1,6 @@
-"""Residue tables: the CRT power table against its factor definition, the
-pair-scan mask against the exact predicate, and the progression scan's row
-kernel against the pair-scan mask."""
+"""Residue tables: the CRT power table against its factor definition,
+`maybe_power` against exact twisted powers, and the row kernels of the
+progression scan and the point search against plain references."""
 
 import random
 
@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from apforge.exactmath import int_kth_root
 from apforge.searcher import _eta_candidates
-from apforge.sieve import CRT_FACTORS, CRT_MODULUS, ClassRows, combo_mask, power_table
+from apforge import sieve
+from apforge.sieve import (CRT_FACTORS, CRT_MODULUS, ClassRows, SquareRows, maybe_power,
+                           power_table)
 
 
 @pytest.mark.parametrize("l", [2, 3, 4, 5])
@@ -31,10 +33,10 @@ def _is_twisted_power(q, l, etas):
     return any(q % eta == 0 and int_kth_root(q // eta, l) is not None for eta in etas)
 
 
-def test_combo_mask_between_exact_and_divisibility():
-    # exact <= sieved <= unsieved, and unsieved is the divisibility predicate:
-    # the independent check of the scan that the search's sieved path and its
-    # --no-sieve oracle share.
+def test_maybe_power_passes_every_twisted_power():
+    # Soundness: on a grid of v = alpha*h + beta*w, every quotient v / delta
+    # that is exactly eta * x^l, eta in etas, passes, as an int64 array and
+    # as a Python int.
     rng = random.Random(8)
     vals = sorted({s * x**l for x in range(-6, 7) for l in (2, 3) for s in (1, -1, 2, 73)})
     h, w = np.array(vals, dtype=np.int64)[:, None], np.array(vals, dtype=np.int64)
@@ -47,52 +49,27 @@ def test_combo_mask_between_exact_and_divisibility():
             etas = tuple(rng.sample(cands, rng.randint(1, min(4, len(cands)))))
             delta = rng.choice((1, 2, 3, 4)) * rng.choice((1, -1))
             combos.append((rng.randint(-4, 4), rng.randint(-4, 4), delta, l, etas))
-        sieved = combo_mask(h, w, combos, use_sieve=True)
-        unsieved = combo_mask(h, w, combos, use_sieve=False)
-        divisible = np.ones_like(unsieved)
-        exact = np.ones_like(unsieved)
-        for r, hv in enumerate(vals):
-            for c, wv in enumerate(vals):
-                for alpha, beta, delta, l, etas in combos:
+        for alpha, beta, delta, l, etas in combos:
+            passed = maybe_power((alpha * h + beta * w) // delta, l, etas)
+            for r, hv in enumerate(vals):
+                for c, wv in enumerate(vals):
                     v = alpha * hv + beta * wv
-                    divisible[r, c] &= v % delta == 0
-                    exact[r, c] &= v % delta == 0 and _is_twisted_power(v // delta, l, etas)
-        assert not (exact & ~sieved).any()
-        assert not (sieved & ~unsieved).any()
-        assert np.array_equal(unsieved, divisible)
-        exact_cells += int(exact.sum())
+                    if v % delta == 0 and _is_twisted_power(v // delta, l, etas):
+                        assert passed[r, c] and maybe_power(v // delta, l, etas)
+                        exact_cells += 1
     assert exact_cells > 0
 
 
-def test_combo_mask_cascade_is_and_of_single_combos():
-    # Later combos run only on the cells alive after the earlier ones; the
-    # mask must be the AND of each combo's own mask over the whole grid, for
-    # a scalar, a column (a 2-D grid) and a same-shape row as h.
-    rng = random.Random(11)
-    vals = np.array(sorted({s * x**l for x in range(-40, 41) for l in (2, 3)
-                            for s in (1, -1, 2)}), dtype=np.int64)
-    for _ in range(40):
-        combos = [(rng.randint(-4, 4), rng.randint(-4, 4), rng.choice((1, 2, 3, -2)),
-                   rng.randint(2, 4), rng.choice(((1,), (1, -1), (1, 2, -2))))
-                  for _ in range(rng.randint(2, 4))]
-        for h in (int(rng.choice(vals)), vals[::7][:, None], vals[::-1]):
-            for use_sieve in (True, False):
-                want = np.ones(np.broadcast_shapes(np.shape(h), vals.shape), dtype=bool)
-                for c in combos:
-                    want &= combo_mask(h, vals, [c], use_sieve)
-                assert np.array_equal(combo_mask(h, vals, combos, use_sieve), want)
-
-
-# ClassRows against combo_mask: the combo of derived position (e, l, etas) is
-# (d - e*sign(d), e*sign(d), d, l, etas), since
-# ((d - e*s) * h + e*s * w) / d = h + e * (w - h) / |d|.
+# ClassRows against a plain reference: the derived terms
+# h + e * (w - h) / |d| on int64 arrays, each checked with maybe_power.
 _ETAS = [(1,), (2, 3), (-1,), (1, -1), (1, -1, 73, -73), (-2, 5)]
 
 
 def _class_rows_want(inner, d, derived, h, half):
-    s = 1 if d > 0 else -1
-    combos = [(d - e * s, e * s, d, l, etas) for e, l, etas in derived]
-    keep = combo_mask(h, inner, combos) & ((inner - h) % d == 0)
+    keep = (inner - h) % d == 0
+    n = (inner - h) // abs(d)  # exact on every cell keep holds
+    for e, l, etas in derived:
+        keep &= maybe_power(h + e * n, l, etas)
     if half:
         keep &= (inner - h) // d >= 0
     return inner[keep]
@@ -114,7 +91,7 @@ def _class_rows_case(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_class_rows_case(), st.booleans())
-def test_class_rows_survivors_match_combo_mask(case, half):
+def test_class_rows_survivors_match_reference(case, half):
     inner, d, derived, rows = case
     kernel = ClassRows(inner, d, derived)
     for h in rows:
@@ -157,3 +134,29 @@ def test_class_rows_sign_cut_edges():
                     for half in (False, True):
                         want = _class_rows_want(inner, d, derived, h, half)
                         assert np.array_equal(kernel.survivors(h, half=half), want), (d, derived, h)
+
+
+def _square_of_cubic(g):
+    return [sum(g[i] * g[k - i] for i in range(4) if 0 <= k - i < 4) for k in range(7)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.lists(st.integers(-10**4, 10**4), min_size=7, max_size=7),
+                 st.lists(st.integers(-30, 30), min_size=4, max_size=4).map(_square_of_cubic)),
+       st.integers(1, 40))
+def test_square_rows_survivors_match_reference(coeffs6, height):
+    # The r where F(r, s) is a square modulo every one of the point search's
+    # moduli, from F evaluated with Python ints; every square F(r, s) is kept
+    # (F = G^2 makes every value one).
+    moduli = CRT_FACTORS + sieve._ROW_PRIMES
+    squares = {m: {x * x % m for x in range(m)} for m in moduli}
+    r_all = np.arange(-height, height + 1, dtype=np.int64)
+    kernel = SquareRows(coeffs6, r_all)
+    for s in range(1, min(height, 12) + 1):
+        got = kernel.survivors(s)
+        assert got.dtype == np.int64
+        values = {r: sum(c * r**i * s ** (6 - i) for i, c in enumerate(coeffs6))
+                  for r in r_all.tolist()}
+        want = [r for r, v in values.items() if all(v % m in squares[m] for m in moduli)]
+        assert got.tolist() == want, s
+        assert all(r in want for r, v in values.items() if v >= 0 and int_kth_root(v, 2) is not None)
