@@ -25,6 +25,7 @@ from itertools import product
 from . import corpus as corpus_mod
 from . import curvelab, genus, parametrize, searcher
 from .curvelab import CheckResult, timed_check
+from .exactmath import is_prime
 
 
 @dataclass
@@ -106,6 +107,15 @@ def cmd_verify_lemma(args, corpus) -> RunReport:
     return report
 
 
+def _searched(search, *args, **kwargs):
+    """search(*args, **kwargs); a request it refuses (ValueError) exits 2."""
+    try:
+        return search(*args, **kwargs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def cmd_search(args, corpus) -> RunReport:
     report = RunReport("search", corpus.version, corpus.sha256)
     jobs = args.jobs or os.cpu_count() or 1
@@ -124,11 +134,11 @@ def cmd_search(args, corpus) -> RunReport:
             lambda: (searcher.verify_remark_families(), "symbolic + spot checks")))
         return report
     if args.theorem3:
-        vectors = [tuple(int(c) for c in args.vector)] if args.vector else None
+        vectors = [args.vector] if args.vector else None
         def th3():
-            progs = searcher.search_theorem3(
-                args.bound_sq, args.bound_cu, vectors=vectors,
-                use_sieve=not args.no_sieve, jobs=jobs)
+            progs = _searched(
+                searcher.search_theorem3, args.bound_sq, args.bound_cu,
+                vectors=vectors, use_sieve=not args.no_sieve, jobs=jobs)
             vals = sorted(set(p.values for p in progs))
             return vals in ([(1, 1, 1, 1)],
                             [(-1, -1, -1, -1), (1, 1, 1, 1)]), vals
@@ -137,10 +147,10 @@ def cmd_search(args, corpus) -> RunReport:
             "only +-(1,1,1,1) among square/cube 4-term progressions", th3))
         return report
     # general search: report what was found (no pass/fail expectation)
-    etas = tuple(int(p) for p in args.eta) if args.eta else ()
-    vectors = [tuple(int(c) for c in args.vector)] if args.vector else None
-    progs = searcher.search_general(
-        args.k, args.L, args.bound, D=args.D, S=etas, vectors=vectors,
+    vectors = [args.vector] if args.vector else None
+    progs = _searched(
+        searcher.search_general, args.k, args.L, args.bound, D=args.D,
+        S=tuple(args.eta or ()), vectors=vectors,
         use_sieve=not args.no_sieve, jobs=jobs)
     for p in progs[: args.limit]:
         report.records.append(CheckResult(
@@ -218,6 +228,34 @@ _positive_int = _int_at_least(1)
 _nonnegative_int = _int_at_least(0)
 
 
+def _prime(text: str) -> int:
+    """argparse type: an S-unit prime for the twists, at most the twist cap."""
+    value = int(text)
+    if value > searcher.ETA_CAP or not is_prime(value):
+        raise argparse.ArgumentTypeError(
+            f"must be a prime up to {searcher.ETA_CAP}, got {value}")
+    return value
+
+
+_prime.__name__ = "prime"  # argparse's name for a non-integer value
+
+
+def _exponent_vector(text: str) -> tuple:
+    """argparse type: an exponent vector as digits, each at least 2."""
+    if not text or not set(text) <= set("23456789"):
+        raise argparse.ArgumentTypeError(
+            f"must be digits from 2 to 9, e.g. 2223, got {text!r}")
+    return tuple(int(c) for c in text)
+
+
+def _report_path(text: str) -> str:
+    """argparse type: a report path in an existing directory, checked
+    before any work is done."""
+    if not os.path.isdir(os.path.dirname(os.path.abspath(text))):
+        raise argparse.ArgumentTypeError(f"no directory for {text!r}")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="apforge",
@@ -225,11 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "progressions of unlike perfect powers")
     parser.add_argument("--corpus", help="path to a corpus file "
                         f"(or ${corpus_mod.ENV_VAR})")
-    parser.add_argument("--report", help="write a JSON report here")
+    parser.add_argument("--report", type=_report_path,
+                        help="write a JSON report here")
     parser.add_argument("--no-timings", action="store_true",
                         help="zero runtimes in the report (byte-stable output)")
     parser.add_argument("--jobs", type=_nonnegative_int, default=0,
-                        help="worker processes (default: all cores)")
+                        help="worker processes (default: all cores; at most "
+                             "os.cpu_count() are started)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-lemma", help="parametrization identities + cover")
@@ -248,8 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=_int_at_least(2), default=2)
     p.add_argument("--bound", type=_positive_int, default=500)
     p.add_argument("--D", type=_positive_int, default=1)
-    p.add_argument("--eta", nargs="*", help="S-unit primes for the twists")
-    p.add_argument("--vector", help="exponent vector filter, e.g. 2223")
+    p.add_argument("--eta", type=_prime, nargs="*",
+                   help="S-unit primes for the twists")
+    p.add_argument("--vector", type=_exponent_vector,
+                   help="exponent vector filter, e.g. 2223")
     p.add_argument("--no-sieve", action="store_true")
     p.add_argument("--limit", type=_nonnegative_int, default=50,
                    help="max hits echoed into the report")
@@ -289,8 +331,12 @@ def main(argv=None) -> int:
         return 3
     _print_report(report)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json(no_timings=args.no_timings))
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(report.to_json(no_timings=args.no_timings))
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 2
     return report.exit_code
 
 

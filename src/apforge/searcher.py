@@ -37,6 +37,7 @@ three-term progression (y^3, z^3, x^3) and runs through the same scan.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
@@ -52,7 +53,7 @@ class ResourceLimitError(Exception):
     """Estimated work exceeds the configured ceiling; nothing was truncated."""
 
 
-_ETA_CAP = 10**6  # largest |eta| among the twists of search_general
+ETA_CAP = 10**6  # largest |eta| among the twists of search_general
 
 
 @dataclass(frozen=True)
@@ -253,7 +254,9 @@ def _split_task(task: _VectorTask, parts: int) -> list:
 
 
 def _run_tasks(tasks: list, jobs: int) -> list:
-    """The hits of each task, as one list per task."""
+    """The hits of each task, as one list per task, from at most
+    os.cpu_count() worker processes (the pool starts all of them at once)."""
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         return [_scan_vector(t) for t in tasks]
     # Range-partition the outer candidate set so workers stay busy even for
@@ -322,14 +325,18 @@ def search_theorem3(bound_squares: int, bound_cubes: int,
                     work_ceiling: int = 2_000_000_000) -> list:
     """All 4-term progressions of squares/cubes with gcd(h0, h1) = 1.
 
-    Exponent vectors range over {2,3}^4 (or the given subset); |x| is capped
-    by bound_squares for exponent 2 and bound_cubes for exponent 3.
+    Exponent vectors range over {2,3}^4 (or the given subset; any other
+    vector is a ValueError); |x| is capped by bound_squares for exponent 2
+    and bound_cubes for exponent 3.
     """
     if bound_squares < 1 or bound_cubes < 1:
         raise ValueError("bounds must be positive")
     if vectors is None:
         vectors = product((2, 3), repeat=4)
     vectors = [tuple(v) for v in vectors]
+    for v in vectors:
+        if len(v) != 4 or any(l not in (2, 3) for l in v):
+            raise ValueError(f"bad exponent vector {v}: theorem 3 takes four exponents, each 2 or 3")
     bounds_of = lambda l: bound_squares if l == 2 else bound_cubes
     _check_magnitude(4, bounds_of, vectors, 1)
     tasks = [_VectorTask(lvec=lvec, bounds=tuple(bounds_of(l) for l in lvec),
@@ -358,7 +365,7 @@ def search_general(k: int, L: int, bound: int, D: int = 1,
     for v in vectors:
         if len(v) != k or any(l < 2 or l > L for l in v):
             raise ValueError(f"bad exponent vector {v}")
-    eta_by_l = {l: _eta_candidates(S, l, _ETA_CAP) for l in range(2, L + 1)}
+    eta_by_l = {l: _eta_candidates(S, l, ETA_CAP) for l in range(2, L + 1)}
     bounds_of = lambda l: bound
     _check_magnitude(k, bounds_of, vectors, max(abs(e) for l in eta_by_l
                                                 for e in eta_by_l[l]))

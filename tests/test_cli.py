@@ -354,3 +354,44 @@ def test_verify_lemma_bound_beyond_int64(capsys):
         run_cli("verify-lemma", "--family", "i", "--bound", str(2**31))
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith("error: family i: bound 2147483648")
+
+
+@pytest.mark.parametrize("vector", ["2245", "222"])
+def test_theorem3_vector_outside_squares_and_cubes_exits_two(capsys, vector):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--jobs", "1", "search", "--theorem3", "--vector", vector)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: bad exponent vector (")
+    assert "pass" not in captured.out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--vector", "22a3"), "argument --vector: must be digits from 2 to 9, e.g. 2223, got '22a3'"),
+    (("--vector", "2213"), "argument --vector: must be digits from 2 to 9"),
+    (("--eta", "x"), "argument --eta: invalid prime value: 'x'"),
+    (("--eta", "73", "4"), "argument --eta: must be a prime up to 1000000, got 4"),
+])
+def test_search_vector_and_eta_are_parsed_as_usage(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("search", *argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: apforge") and message in err
+
+
+def test_general_search_vector_of_wrong_length_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--jobs", "1", "search", "--k", "3", "--vector", "2222")
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: bad exponent vector (2, 2, 2, 2)\n"
+
+
+def test_report_path_errors_exit_two(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--report", str(tmp_path / "missing" / "r.json"), "genus", "--chi", "2", "3", "7")
+    assert exc.value.code == 2
+    assert "argument --report: no directory for" in capsys.readouterr().err
+    # A path that exists but cannot be written is caught at the write.
+    assert run_cli("--report", str(tmp_path), "genus", "--chi", "2", "3", "7") == 2
+    assert capsys.readouterr().err.startswith("error: cannot write report: ")

@@ -53,6 +53,14 @@ def test_theorem3_single_vector_squares():
     assert [p.values for p in progs] == [(1, 1, 1, 1)]
 
 
+@pytest.mark.parametrize("vector", [(2, 2, 4, 5), (2, 2, 2), (2, 2, 2, 2, 3), (3, 3, 3, 1)])
+def test_theorem3_rejects_vectors_outside_squares_and_cubes(vector):
+    # A 4th or 5th power would run with the cube bound, and a 3-term vector
+    # under the theorem-3 record: both must be refused, not reported.
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        search_theorem3(10, 10, vectors=[(2, 2, 2, 2), vector])
+
+
 def test_theorem3_unit_bounds():
     progs = search_theorem3(1, 1)
     assert sorted(set(p.values for p in progs)) == \
@@ -68,6 +76,38 @@ def test_theorem3_symmetry_closed():
         # Global sign flip when every exponent is odd.
         if all(l % 2 == 1 for l in expo):
             assert (expo, tuple(-v for v in vals)) in found
+
+
+def test_worker_pool_capped_at_cpu_count(monkeypatch):
+    # A fake pool records max_workers and maps in this process, so no worker
+    # is ever started.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(searcher, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(searcher.os, "cpu_count", lambda: 3)
+    want = search_theorem3(60, 20, jobs=1)
+    for jobs, pool in ((5000, [3]), (3, [3]), (2, [2])):
+        sizes.clear()
+        got = search_theorem3(60, 20, jobs=jobs)
+        assert [(p.exponents, p.values) for p in got] == [(p.exponents, p.values) for p in want]
+        assert sizes == pool
+    monkeypatch.setattr(searcher.os, "cpu_count", lambda: None)
+    sizes.clear()
+    search_theorem3(60, 20, jobs=5000)
+    assert sizes == []  # an unknown core count runs serially
 
 
 def test_theorem3_deterministic_across_jobs():
