@@ -29,9 +29,10 @@ sieved scan has three stages:
 
 ``use_sieve=False`` (``--no-sieve``) is the oracle for all three: it scans
 every requested vector in full and sends every pair whose common difference
-(h_j - h_i) / (j - i) is an integer to `_confirm`.  The work estimate and its ceiling count
-the requested vectors either way.  The cubic twin x^3 + y^3 = 2z^3 is the
-three-term progression (y^3, z^3, x^3) and runs through the same scan.
+(h_j - h_i) / (j - i) is an integer to `_confirm`.  The work estimate and
+its ceiling count the requested vectors either way.  The cubic twin
+x^3 + y^3 = 2z^3 is the three-term progression (y^3, z^3, x^3) and runs
+through the same scan.
 """
 
 from __future__ import annotations
@@ -336,7 +337,8 @@ def search_theorem3(bound_squares: int, bound_cubes: int,
     vectors = [tuple(v) for v in vectors]
     for v in vectors:
         if len(v) != 4 or any(l not in (2, 3) for l in v):
-            raise ValueError(f"bad exponent vector {v}: theorem 3 takes four exponents, each 2 or 3")
+            raise ValueError(f"bad exponent vector {v}: theorem 3 takes "
+                             "four exponents, each 2 or 3")
     bounds_of = lambda l: bound_squares if l == 2 else bound_cubes
     _check_magnitude(4, bounds_of, vectors, 1)
     tasks = [_VectorTask(lvec=lvec, bounds=tuple(bounds_of(l) for l in lvec),

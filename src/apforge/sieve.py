@@ -113,18 +113,15 @@ class ClassRows:
 _ROW_PRIMES = (17, 19, 23, 29, 31, 37)  # the point search's moduli after CRT_FACTORS
 
 
-def _form_square_tables(coeffs6: Sequence[int], moduli: Sequence[int]) -> dict:
-    """{m: row table} for the sextic with ascending integer coefficients."""
-    tables = {}
-    for m in moduli:
-        grid = np.arange(m, dtype=np.int64)
-        r, s = grid[None, :], grid[:, None]
-        acc, s_pow = np.zeros((m, m), dtype=np.int64), np.ones_like(s)
-        for c in reversed(coeffs6):  # homogeneous Horner in r
-            acc = (acc * r + (int(c) % m) * s_pow) % m
-            s_pow = s_pow * s % m
-        tables[m] = _factor_table(2, m, (1,))[acc]
-    return tables
+def _form_square_table(coeffs6: Sequence[int], m: int) -> np.ndarray:
+    """The row table mod m of the sextic with ascending integer coefficients."""
+    grid = np.arange(m, dtype=np.int64)
+    r, s = grid[None, :], grid[:, None]
+    acc, s_pow = np.zeros((m, m), dtype=np.int64), np.ones_like(s)
+    for c in reversed(coeffs6):  # homogeneous Horner in r
+        acc = (acc * r + (int(c) % m) * s_pow) % m
+        s_pow = s_pow * s % m
+    return _factor_table(2, m, (1,))[acc]
 
 
 class SquareRows:
@@ -137,9 +134,8 @@ class SquareRows:
 
     def __init__(self, coeffs6: Sequence[int], r):
         self.r = np.asarray(r, dtype=np.int64)
-        moduli = CRT_FACTORS + _ROW_PRIMES
-        tables = _form_square_tables(coeffs6, moduli)
-        self.moduli = [(m, tables[m], self.r % m) for m in moduli]
+        self.moduli = [(m, _form_square_table(coeffs6, m), self.r % m)
+                       for m in CRT_FACTORS + _ROW_PRIMES]
 
     def survivors(self, s: int) -> np.ndarray:
         """The r of row s that pass every modulus, in array order."""

@@ -371,6 +371,7 @@ def test_theorem3_vector_outside_squares_and_cubes_exits_two(capsys, vector):
     (("--vector", "2213"), "argument --vector: must be digits from 2 to 9"),
     (("--eta", "x"), "argument --eta: invalid prime value: 'x'"),
     (("--eta", "73", "4"), "argument --eta: must be a prime up to 1000000, got 4"),
+    (("--eta", "1000003"), "argument --eta: must be a prime up to 1000000, got 1000003"),
 ])
 def test_search_vector_and_eta_are_parsed_as_usage(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

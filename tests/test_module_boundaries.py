@@ -8,7 +8,7 @@ from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "apforge").glob("*.py"))
 PRIVATE = {"CRT_MODULUS", "CRT_FACTORS", "power_table",
-           "form_square_tables", "_form_square_tables", "_ROW_PRIMES"}
+           "form_square_tables", "_form_square_table", "_ROW_PRIMES"}
 
 
 def test_modulus_names_stay_in_sieve():

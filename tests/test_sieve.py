@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from apforge.exactmath import int_kth_root
 from apforge.searcher import _eta_candidates
-from apforge import sieve
 from apforge.sieve import (CRT_FACTORS, CRT_MODULUS, ClassRows, SquareRows, maybe_power,
                            power_table)
 
@@ -148,7 +147,7 @@ def test_square_rows_survivors_match_reference(coeffs6, height):
     # The r where F(r, s) is a square modulo every one of the point search's
     # moduli, from F evaluated with Python ints; every square F(r, s) is kept
     # (F = G^2 makes every value one).
-    moduli = CRT_FACTORS + sieve._ROW_PRIMES
+    moduli = (16, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     squares = {m: {x * x % m for x in range(m)} for m in moduli}
     r_all = np.arange(-height, height + 1, dtype=np.int64)
     kernel = SquareRows(coeffs6, r_all)
