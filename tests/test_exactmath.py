@@ -118,11 +118,6 @@ def test_int_kth_root_examples():
     assert int_kth_root(-8, 3) == -2
     assert int_kth_root(-4, 2) is None
     assert int_kth_root(10, 3) is None
-    assert int_kth_root(64, 2) == 8
-    assert int_kth_root(64, 3) == 4
-    assert int_kth_root(5329, 2) == 73
-    assert int_kth_root(-27, 3) == -3
-    assert int_kth_root(0, 4) == 0
 
 
 def test_int_kth_root_exhaustive_small():

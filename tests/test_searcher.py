@@ -17,6 +17,20 @@ from apforge.sieve import CRT_MODULUS, maybe_power, power_table
 from apforge.exactmath import form_eval, int_kth_root
 
 
+def test_is_power_value_examples():
+    # A power test is the residue sieve followed by the exact root: the sieve
+    # must pass every true power, and the root gives the canonical x.
+    def is_power_value(h, l):
+        return int_kth_root(h, l) if maybe_power(h, l) else None
+
+    assert is_power_value(64, 2) == 8
+    assert is_power_value(64, 3) == 4
+    assert is_power_value(5329, 2) == 73
+    assert is_power_value(-27, 3) == -3
+    assert is_power_value(-4, 2) is None
+    assert is_power_value(0, 4) == 0
+
+
 def test_sieve_never_rejects_powers():
     rng = random.Random(99)
     for _ in range(2000):
