@@ -116,10 +116,39 @@ def _searched(search, *args, **kwargs):
         raise SystemExit(2)
 
 
+# The options each search mode reads, with their defaults.  The parser
+# defaults them all to None, so an option given to a mode that does not read
+# it is told apart from an unset one, and refused.
+SEARCH_MODES = {
+    "theorem3": {"bound_sq": 10**4, "bound_cu": 10**3, "vector": None, "no_sieve": False},
+    "cubic-twin": {"bound": 500},
+    "remark-families": {},
+    "general": {"k": 4, "L": 2, "bound": 500, "D": 1, "eta": None, "vector": None,
+                "no_sieve": False, "limit": 50},
+}
+_SEARCH_OPTIONS = list(dict.fromkeys(name for reads in SEARCH_MODES.values() for name in reads))
+
+
+def _read_search_options(args) -> None:
+    """Fill in the defaults of the options args.mode reads; an option that
+    only another mode reads is a usage error (exit 2)."""
+    reads = SEARCH_MODES[args.mode]
+    foreign = [name for name in _SEARCH_OPTIONS
+               if name not in reads and getattr(args, name) is not None]
+    if foreign:
+        flags = ", ".join("--" + name.replace("_", "-") for name in foreign)
+        print(f"error: the {args.mode} search does not read {flags}", file=sys.stderr)
+        raise SystemExit(2)
+    for name, default in reads.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+
+
 def cmd_search(args, corpus) -> RunReport:
+    _read_search_options(args)
     report = RunReport("search", corpus.version, corpus.sha256)
     jobs = args.jobs or os.cpu_count() or 1
-    if args.cubic_twin:
+    if args.mode == "cubic-twin":
         def twin():
             sols = searcher.search_cubic_twin(args.bound)
             return sols == [(-1, -1, -1), (1, 1, 1)], sols
@@ -127,13 +156,13 @@ def cmd_search(args, corpus) -> RunReport:
             f"search:cubic-twin:{args.bound}",
             "x^3 + y^3 = 2z^3 has only +-(1,1,1)", twin))
         return report
-    if args.remark_families:
+    if args.mode == "remark-families":
         report.records.append(timed_check(
             "search:remark-families",
             "both infinite families are APs identically",
             lambda: (searcher.verify_remark_families(), "symbolic + spot checks")))
         return report
-    if args.theorem3:
+    if args.mode == "theorem3":
         vectors = [args.vector] if args.vector else None
         def th3():
             progs = _searched(
@@ -200,13 +229,14 @@ def cmd_genus(args, corpus) -> RunReport:
         vectors = [tuple(args.l)]
     for vec in vectors:
         def classify(vec=vec):
+            # The paper's statement: for k = 3 the chi trichotomy; for k = 4
+            # genus >= 2 unless every exponent is 2; for k = 5 always.
             got = genus.rh_genus_bound(args.k, vec)
             if args.k == 3:
-                chi = genus.chi_classify(*vec)
-                agree = ((got == genus.GENUS_AT_LEAST_2)
-                         == (chi == genus.GENUS_GT1))
-                return agree, got
-            return True, got
+                at_least_2 = genus.chi_classify(*vec) == genus.GENUS_GT1
+            else:
+                at_least_2 = args.k == 5 or vec != (2, 2, 2, 2)
+            return (got == genus.GENUS_AT_LEAST_2) == at_least_2, got
         report.records.append(timed_check(
             f"genus:k{args.k}:{','.join(str(l) for l in vec)}",
             "ramification classification", classify))
@@ -268,8 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-timings", action="store_true",
                         help="zero runtimes in the report (byte-stable output)")
     parser.add_argument("--jobs", type=_nonnegative_int, default=0,
-                        help="worker processes (default: all cores; at most "
-                             "os.cpu_count() are started)")
+                        help="worker processes of a search (default: all cores; "
+                             "at most os.cpu_count() are started); cases, "
+                             "verify-lemma and genus run in one process")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-lemma", help="parametrization identities + cover")
@@ -278,23 +309,33 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cover-check bound (0 = identities only)")
     p.set_defaults(fn=cmd_verify_lemma)
 
-    p = sub.add_parser("search", help="progression searches")
-    p.add_argument("--theorem3", action="store_true")
-    p.add_argument("--bound-sq", type=_positive_int, default=10**4)
-    p.add_argument("--bound-cu", type=_positive_int, default=10**3)
-    p.add_argument("--cubic-twin", action="store_true")
-    p.add_argument("--remark-families", action="store_true")
-    p.add_argument("--k", type=_int_at_least(3), default=4)
-    p.add_argument("--L", type=_int_at_least(2), default=2)
-    p.add_argument("--bound", type=_positive_int, default=500)
-    p.add_argument("--D", type=_positive_int, default=1)
+    p = sub.add_parser("search", help="progression searches",
+                       description="One search mode, the general search unless "
+                                   "a mode flag is given; an option the mode "
+                                   "does not read is a usage error.")
+    mode = p.add_mutually_exclusive_group()
+    for flag in ("--theorem3", "--cubic-twin", "--remark-families"):
+        mode.add_argument(flag, dest="mode", action="store_const", const=flag[2:])
+    p.set_defaults(mode="general")
+    p.add_argument("--bound-sq", type=_positive_int,
+                   help="theorem3: square bound (default 10000)")
+    p.add_argument("--bound-cu", type=_positive_int,
+                   help="theorem3: cube bound (default 1000)")
+    p.add_argument("--k", type=_int_at_least(3), help="general: terms (default 4)")
+    p.add_argument("--L", type=_int_at_least(2),
+                   help="general: largest exponent (default 2)")
+    p.add_argument("--bound", type=_positive_int,
+                   help="general and cubic-twin: search bound (default 500)")
+    p.add_argument("--D", type=_positive_int,
+                   help="general: bound on gcd(h0, h1) (default 1)")
     p.add_argument("--eta", type=_prime, nargs="*",
-                   help="S-unit primes for the twists")
+                   help="general: S-unit primes for the twists")
     p.add_argument("--vector", type=_exponent_vector,
-                   help="exponent vector filter, e.g. 2223")
-    p.add_argument("--no-sieve", action="store_true")
-    p.add_argument("--limit", type=_nonnegative_int, default=50,
-                   help="max hits echoed into the report")
+                   help="theorem3 and general: exponent vector filter, e.g. 2223")
+    p.add_argument("--no-sieve", action="store_true", default=None,
+                   help="theorem3 and general: the unsieved oracle scan")
+    p.add_argument("--limit", type=_nonnegative_int,
+                   help="general: max hits echoed into the report (default 50)")
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("cases", help="case derivations and facts")

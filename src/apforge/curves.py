@@ -123,7 +123,7 @@ def count_points(curve: HyperCurve, q: int) -> int:
     if p ** (e + 1) >= INT64_SAFE:
         raise ValueError("the int64 kernels need p^(e+1) < 2^62")
     coeffs, deg = _good_reduction_data(curve, p)
-    return _count_fq(coeffs, deg, p, e)
+    return int(_count_fq(coeffs, deg, p, e))  # numpy counts are numpy.intp
 
 
 def _prime_power(q: int):

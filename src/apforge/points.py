@@ -2,9 +2,9 @@
 real) solvability on the curve models of `apforge.curves`.
 
 The point search runs on the denominator-cleared model as a binary sextic
-in (r, s), x = r/s.  Per row s, `sieve.SquareRows` gives the r where the
-sextic may be a square (its moduli stay in `apforge.sieve`), and every
-survivor is confirmed with exact integer square roots.  Local
+in (r, s), x = r/s.  Per block of rows, `sieve.SquareRows` gives the cells
+(s, r) where the sextic may be a square (its moduli stay in `apforge.sieve`),
+and every such cell is confirmed with exact integer square roots.  Local
 solvability at p lifts residues of y^2 = c*g(x) through Z_p with a bounded
 depth and raises Undecided when the budget runs out.
 """
@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .curves import EllipticModel, _disc, _integral_model_any
 from .exactmath import UniPoly, poly_divmod, rat_kth_root, square_split
 from .numfield import Undecided
@@ -24,14 +22,16 @@ from .sieve import SquareRows
 
 def _homogeneous_square_hits(coeffs6, height: int):
     """(r, s, value, root) with value = sum coeffs6[i] r^i s^(6-i) a perfect
-    square, s in [1, height], r in [-height, height].  Sound modular
-    pre-filter, exact big-integer confirmation."""
-    rows = SquareRows(coeffs6, np.arange(-height, height + 1, dtype=np.int64))
+    square, s in [1, height], r in [-height, height], in row-major order.
+    Sound modular pre-filter, exact big-integer confirmation."""
     asc = [int(c) for c in coeffs6]
-    hits = []
-    for s in range(1, height + 1):
-        for r in rows.survivors(s).tolist():
-            val = sum(asc[k] * r**k * s ** (6 - k) for k in range(7))
+    hits, row = [], None
+    for s_cells, r_cells in SquareRows(coeffs6, height).cells():
+        for s, r in zip(s_cells.tolist(), r_cells.tolist()):
+            if s != row:  # Horner in r over c_i s^(6-i), once per row
+                row = s
+                c0, c1, c2, c3, c4, c5, c6 = (c * s ** (6 - i) for i, c in enumerate(asc))
+            val = (((((c6 * r + c5) * r + c4) * r + c3) * r + c2) * r + c1) * r + c0
             if val < 0:
                 continue
             w = math.isqrt(val)

@@ -6,11 +6,13 @@ values that cannot occur; callers confirm survivors exactly.  Tables are
 built on first use.  Power tables are indexed by h % 720720 and mark
 eta * x^l modulo each CRT factor 16, 9, 5, 7, 11, 13 at once.  Row tables of
 a sextic F(r, s) = sum c_i r^i s^(6-i) hold, per modulus m, an m x m table
-whose entry [s % m, r % m] marks F(r, s) being a square mod m.
+whose entry [s % m, r % m] marks F(r, s) being a square mod m; the point
+search packs each one's columns over its r range into 64-bit row patterns.
 
 Callers never see the modulus.  `maybe_power` tests values (the Lemma's
 cover grid), `ClassRows` runs the rows of the sieved progression scan, the
-cubic twin's included, and `SquareRows` the rows of the point search.
+cubic twin's included, and `SquareRows` the point search's box, a block of
+rows at a time.
 """
 
 from __future__ import annotations
@@ -111,6 +113,7 @@ class ClassRows:
 
 
 _ROW_PRIMES = (17, 19, 23, 29, 31, 37)  # the point search's moduli after CRT_FACTORS
+ROW_BLOCK = 64  # rows per AND of the point search's row patterns
 
 
 def _form_square_table(coeffs6: Sequence[int], m: int) -> np.ndarray:
@@ -125,24 +128,37 @@ def _form_square_table(coeffs6: Sequence[int], m: int) -> np.ndarray:
 
 
 class SquareRows:
-    """The point search's row kernel: the r of an int64 array where
-    F(r, s) = sum coeffs6[i] r^i s^(6-i) may be a square, one row s at a time.
+    """The point search's sieve over the box s in [1, height], r in
+    [-height, height]: the cells where F(r, s) = sum coeffs6[i] r^i s^(6-i)
+    may be a square.
 
-    The moduli are the CRT factors and then the primes 17..37.  The first two
-    run over the whole row, each later one only on the r still alive.
+    The moduli are the CRT factors and then the primes 17..37.  Each one's
+    row table is packed once into m row patterns of 64-bit words: bit j of
+    word k of pattern s % m is its entry at r = -height + 64 k + j, and the
+    bits past r = height are zero.  A block of ROW_BLOCK rows is the AND of
+    one row gather per modulus, and only its nonzero words are unpacked.
     """
 
-    def __init__(self, coeffs6: Sequence[int], r):
-        self.r = np.asarray(r, dtype=np.int64)
-        self.moduli = [(m, _form_square_table(coeffs6, m), self.r % m)
-                       for m in CRT_FACTORS + _ROW_PRIMES]
+    def __init__(self, coeffs6: Sequence[int], height: int):
+        self.height = height
+        self.r = np.arange(-height, height + 1, dtype=np.int64)
+        width = self.r.size + -self.r.size % 64  # whole words, zero padded
+        self.patterns = []
+        for m in CRT_FACTORS + _ROW_PRIMES:
+            table = np.zeros((m, width), dtype=bool)
+            table[:, : self.r.size] = _form_square_table(coeffs6, m)[:, self.r % m]
+            self.patterns.append((m, np.packbits(table, axis=1, bitorder="little").view("<u8")))
 
-    def survivors(self, s: int) -> np.ndarray:
-        """The r of row s that pass every modulus, in array order."""
-        (m0, t0, r0), (m1, t1, r1), *rest = self.moduli
-        idx = np.nonzero(t0[s % m0][r0] & t1[s % m1][r1])[0]
-        for m, table, rm in rest:
-            if not idx.size:
-                break
-            idx = idx[table[s % m][rm[idx]]]
-        return self.r[idx]
+    def cells(self):
+        """Per block of ROW_BLOCK rows, the (s, r) int64 arrays of the cells
+        that pass every modulus, in row-major order: s, then r, ascending."""
+        for start in range(1, self.height + 1, ROW_BLOCK):
+            s = np.arange(start, min(start + ROW_BLOCK, self.height + 1), dtype=np.int64)
+            (m, pattern), *rest = self.patterns
+            words = pattern[s % m]
+            for m, pattern in rest:
+                words &= pattern[s % m]
+            live = np.flatnonzero(words)
+            bit = np.flatnonzero(np.unpackbits(words.ravel()[live].view(np.uint8), bitorder="little"))
+            row, col = np.divmod(64 * live[bit >> 6] + (bit & 63), 64 * words.shape[1])
+            yield s[row], self.r[col]

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from apforge import genus
 from apforge.cli import main
 from apforge.corpus import corpus_path, load_corpus
 
@@ -71,6 +72,19 @@ def test_genus_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("genus", "--k", "4", "--l", "2", "3")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, wrong", [
+    (("--k", "4", "--l", "2", "3", "2", "2"), "ALL_GENUS_LE1_POSSIBLE"),
+    (("--k", "4", "--l", "2", "2", "2", "2"), "GENUS_AT_LEAST_2"),
+    (("--k", "5", "--l", "2", "2", "2", "2", "2"), "ALL_GENUS_LE1_POSSIBLE"),
+], ids=["k4-2322", "k4-2222", "k5-22222"])
+def test_genus_record_fails_on_a_wrong_classification(tmp_path, capsys, monkeypatch, argv, wrong):
+    # k = 4: genus >= 2 exactly when the vector is not (2,2,2,2); k = 5: always.
+    monkeypatch.setattr(genus, "rh_genus_bound", lambda k, vec: getattr(genus, wrong))
+    path = tmp_path / "r.json"
+    assert run_cli("--report", str(path), "genus", *argv) == 1
+    assert [r["status"] for r in json.loads(path.read_text())["records"]] == ["fail"]
 
 
 def test_cases_single(capsys):
@@ -379,6 +393,29 @@ def test_search_vector_and_eta_are_parsed_as_usage(capsys, argv, message):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: apforge") and message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--theorem3", "--eta", "73", "--k", "7", "--D", "5", "--bound-sq", "50", "--bound-cu", "20"),
+     "error: the theorem3 search does not read --k, --D, --eta\n"),
+    (("--cubic-twin", "--vector", "2223", "--no-sieve", "--eta", "--bound", "50"),
+     "error: the cubic-twin search does not read --vector, --no-sieve, --eta\n"),
+    (("--k", "3", "--L", "2", "--bound", "20", "--bound-sq", "50"),
+     "error: the general search does not read --bound-sq\n"),
+], ids=["theorem3", "cubic-twin", "general"])
+def test_search_option_of_another_mode_exits_two(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--jobs", "1", "search", *argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == message and captured.out == ""
+
+
+def test_search_modes_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("search", "--theorem3", "--cubic-twin")
+    assert exc.value.code == 2
+    assert "not allowed with argument --theorem3" in capsys.readouterr().err
 
 
 def test_general_search_vector_of_wrong_length_exits_two(capsys):

@@ -25,6 +25,7 @@ from apforge.points import (_homogeneous_square_hits, locally_solvable,
                             locally_solvable_real, rational_points_search)
 from apforge.exactmath import BinaryForm, UniPoly, primes_upto
 from apforge.numfield import cbrt2_field
+from apforge.sieve import ROW_BLOCK
 
 
 CORPUS = load_corpus()
@@ -176,6 +177,14 @@ def test_jacobian_orders_pinned():
     assert torsion_gcd_bound(C1, [5]) == jacobian_order(C1, 5)
 
 
+def test_point_counts_are_python_ints():
+    curve = build_curve(CASES["2223b"])
+    assert type(count_points(curve, 5)) is int and type(count_points(curve, 25)) is int
+    assert all(type(c) is int for c in l_poly_coeffs(curve, 5))
+    assert type(jacobian_order(curve, 5)) is int
+    assert type(torsion_gcd_bound(curve, [5, 7])) is int
+
+
 def test_weil_bounds_all_corpus_curves():
     checked = 0
     for curve in ALL_GENUS2:
@@ -242,20 +251,20 @@ def test_rational_points_pinned_inventories():
 
 
 def test_point_sieve_matches_unfiltered_scan():
-    height = 40
     curves = [build_curve(c) for c in CORPUS.cases]
     curves = [c for c in curves if isinstance(c, (HyperCurve, EllipticModel))]
     assert any(isinstance(c, EllipticModel) for c in curves)
-    for curve in curves:
-        f = curve.rhs if isinstance(curve, EllipticModel) else curve.f
-        coeffs, _v = _integral_model_any(f)
-        want = []
-        for s in range(1, height + 1):
-            for r in range(-height, height + 1):
-                val = sum(coeffs[k] * r**k * s ** (6 - k) for k in range(7))
-                if val >= 0 and math.isqrt(val) ** 2 == val:
-                    want.append((r, s, val, math.isqrt(val)))
-        assert _homogeneous_square_hits(coeffs, height) == want, curve.label
+    for height in (40, ROW_BLOCK + 9):  # the second spans two row blocks
+        for curve in curves:
+            f = curve.rhs if isinstance(curve, EllipticModel) else curve.f
+            coeffs, _v = _integral_model_any(f)
+            want = []
+            for s in range(1, height + 1):
+                for r in range(-height, height + 1):
+                    val = sum(coeffs[k] * r**k * s ** (6 - k) for k in range(7))
+                    if val >= 0 and math.isqrt(val) ** 2 == val:
+                        want.append((r, s, val, math.isqrt(val)))
+            assert _homogeneous_square_hits(coeffs, height) == want, (curve.label, height)
 
 
 def brute_model_scale(f: UniPoly) -> int:

@@ -6,12 +6,12 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from apforge.exactmath import int_kth_root
 from apforge.searcher import _eta_candidates
-from apforge.sieve import (CRT_FACTORS, CRT_MODULUS, ClassRows, SquareRows, maybe_power,
-                           power_table)
+from apforge.sieve import (CRT_FACTORS, CRT_MODULUS, ROW_BLOCK, ClassRows, SquareRows,
+                           maybe_power, power_table)
 
 
 @pytest.mark.parametrize("l", [2, 3, 4, 5])
@@ -139,23 +139,44 @@ def _square_of_cubic(g):
     return [sum(g[i] * g[k - i] for i in range(4) if 0 <= k - i < 4) for k in range(7)]
 
 
+def _check_square_rows(coeffs6, height):
+    # The cells (s, r), row-major, where F(r, s) is a square modulo every one
+    # of the point search's moduli, from F evaluated with Python ints; every
+    # square F(r, s) is kept (F = G^2 makes every value one).
+    moduli = (16, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    squares = {m: {x * x % m for x in range(m)} for m in moduli}
+    blocks = list(SquareRows(coeffs6, height).cells())
+    assert len(blocks) == -(-height // ROW_BLOCK)
+    got = []
+    for b, (s_cells, r_cells) in enumerate(blocks):
+        assert s_cells.dtype == r_cells.dtype == np.int64
+        assert all(b * ROW_BLOCK < s <= (b + 1) * ROW_BLOCK for s in s_cells.tolist())
+        got += zip(s_cells.tolist(), r_cells.tolist())
+    values = {(s, r): sum(c * r**i * s ** (6 - i) for i, c in enumerate(coeffs6))
+              for s in range(1, height + 1) for r in range(-height, height + 1)}
+    want = [cell for cell, v in values.items() if all(v % m in squares[m] for m in moduli)]
+    assert got == want
+    kept = set(want)
+    assert all(cell in kept for cell, v in values.items() if v >= 0 and int_kth_root(v, 2) is not None)
+
+
+# Explicit heights: a row of r spans 2 height + 1 bits, never whole words,
+# and 31 and 32 leave 1 and 63 padding bits; ROW_BLOCK + 1 and
+# 2 ROW_BLOCK + 3 span two and three row blocks.  With F = G^2 every cell
+# is kept, so a stray padding bit would show.
+_EXAMPLE_SEXTIC = [-7, 11, 0, 5, -9344, 2, 13]
+_EXAMPLE_SQUARE = _square_of_cubic([3, -1, 0, 2])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(st.lists(st.integers(-10**4, 10**4), min_size=7, max_size=7),
                  st.lists(st.integers(-30, 30), min_size=4, max_size=4).map(_square_of_cubic)),
        st.integers(1, 40))
+@example(_EXAMPLE_SEXTIC, 31)
+@example(_EXAMPLE_SQUARE, 32)
+@example(_EXAMPLE_SEXTIC, ROW_BLOCK + 1)
+@example(_EXAMPLE_SQUARE, ROW_BLOCK + 1)
+@example(_EXAMPLE_SEXTIC, 2 * ROW_BLOCK + 3)
+@example(_EXAMPLE_SQUARE, 2 * ROW_BLOCK + 3)
 def test_square_rows_survivors_match_reference(coeffs6, height):
-    # The r where F(r, s) is a square modulo every one of the point search's
-    # moduli, from F evaluated with Python ints; every square F(r, s) is kept
-    # (F = G^2 makes every value one).
-    moduli = (16, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    squares = {m: {x * x % m for x in range(m)} for m in moduli}
-    r_all = np.arange(-height, height + 1, dtype=np.int64)
-    kernel = SquareRows(coeffs6, r_all)
-    for s in range(1, min(height, 12) + 1):
-        got = kernel.survivors(s)
-        assert got.dtype == np.int64
-        values = {r: sum(c * r**i * s ** (6 - i) for i, c in enumerate(coeffs6))
-                  for r in r_all.tolist()}
-        want = [r for r, v in values.items() if all(v % m in squares[m] for m in moduli)]
-        assert got.tolist() == want, s
-        assert all(r in want for r, v in values.items() if v >= 0 and int_kth_root(v, 2) is not None)
+    _check_square_rows(coeffs6, height)
