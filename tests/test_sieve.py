@@ -139,27 +139,6 @@ def _square_of_cubic(g):
     return [sum(g[i] * g[k - i] for i in range(4) if 0 <= k - i < 4) for k in range(7)]
 
 
-def _check_square_rows(coeffs6, height):
-    # The cells (s, r), row-major, where F(r, s) is a square modulo every one
-    # of the point search's moduli, from F evaluated with Python ints; every
-    # square F(r, s) is kept (F = G^2 makes every value one).
-    moduli = (16, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    squares = {m: {x * x % m for x in range(m)} for m in moduli}
-    blocks = list(SquareRows(coeffs6, height).cells())
-    assert len(blocks) == -(-height // ROW_BLOCK)
-    got = []
-    for b, (s_cells, r_cells) in enumerate(blocks):
-        assert s_cells.dtype == r_cells.dtype == np.int64
-        assert all(b * ROW_BLOCK < s <= (b + 1) * ROW_BLOCK for s in s_cells.tolist())
-        got += zip(s_cells.tolist(), r_cells.tolist())
-    values = {(s, r): sum(c * r**i * s ** (6 - i) for i, c in enumerate(coeffs6))
-              for s in range(1, height + 1) for r in range(-height, height + 1)}
-    want = [cell for cell, v in values.items() if all(v % m in squares[m] for m in moduli)]
-    assert got == want
-    kept = set(want)
-    assert all(cell in kept for cell, v in values.items() if v >= 0 and int_kth_root(v, 2) is not None)
-
-
 # Explicit heights: a row of r spans 2 height + 1 bits, never whole words,
 # and 31 and 32 leave 1 and 63 padding bits; ROW_BLOCK + 1 and
 # 2 ROW_BLOCK + 3 span two and three row blocks.  With F = G^2 every cell
@@ -179,4 +158,21 @@ _EXAMPLE_SQUARE = _square_of_cubic([3, -1, 0, 2])
 @example(_EXAMPLE_SEXTIC, 2 * ROW_BLOCK + 3)
 @example(_EXAMPLE_SQUARE, 2 * ROW_BLOCK + 3)
 def test_square_rows_survivors_match_reference(coeffs6, height):
-    _check_square_rows(coeffs6, height)
+    # The cells (s, r), row-major, where F(r, s) is a square modulo every one
+    # of the point search's moduli, from F evaluated with Python ints; every
+    # square F(r, s) is kept (F = G^2 makes every value one).
+    moduli = (16, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    squares = {m: {x * x % m for x in range(m)} for m in moduli}
+    blocks = list(SquareRows(coeffs6, height).cells())
+    assert len(blocks) == -(-height // ROW_BLOCK)
+    got = []
+    for b, (s_cells, r_cells) in enumerate(blocks):
+        assert s_cells.dtype == r_cells.dtype == np.int64
+        assert all(b * ROW_BLOCK < s <= (b + 1) * ROW_BLOCK for s in s_cells.tolist())
+        got += zip(s_cells.tolist(), r_cells.tolist())
+    values = {(s, r): sum(c * r**i * s ** (6 - i) for i, c in enumerate(coeffs6))
+              for s in range(1, height + 1) for r in range(-height, height + 1)}
+    want = [cell for cell, v in values.items() if all(v % m in squares[m] for m in moduli)]
+    assert got == want
+    kept = set(want)
+    assert all(cell in kept for cell, v in values.items() if v >= 0 and int_kth_root(v, 2) is not None)
