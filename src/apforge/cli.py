@@ -122,7 +122,6 @@ def _searched(search, *args, **kwargs):
 SEARCH_MODES = {
     "theorem3": {"bound_sq": 10**4, "bound_cu": 10**3, "vector": None, "no_sieve": False},
     "cubic-twin": {"bound": 500},
-    "remark-families": {},
     "general": {"k": 4, "L": 2, "bound": 500, "D": 1, "eta": None, "vector": None,
                 "no_sieve": False, "limit": 50},
 }
@@ -155,12 +154,6 @@ def cmd_search(args, corpus) -> RunReport:
         report.records.append(timed_check(
             f"search:cubic-twin:{args.bound}",
             "x^3 + y^3 = 2z^3 has only +-(1,1,1)", twin))
-        return report
-    if args.mode == "remark-families":
-        report.records.append(timed_check(
-            "search:remark-families",
-            "both infinite families are APs identically",
-            lambda: (searcher.verify_remark_families(), "symbolic + spot checks")))
         return report
     if args.mode == "theorem3":
         vectors = [args.vector] if args.vector else None
@@ -314,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "a mode flag is given; an option the mode "
                                    "does not read is a usage error.")
     mode = p.add_mutually_exclusive_group()
-    for flag in ("--theorem3", "--cubic-twin", "--remark-families"):
+    for flag in ("--theorem3", "--cubic-twin"):
         mode.add_argument(flag, dest="mode", action="store_const", const=flag[2:])
     p.set_defaults(mode="general")
     p.add_argument("--bound-sq", type=_positive_int,

@@ -7,20 +7,20 @@ term at position m is ((j-m)*h_i + (m-i)*h_j) / (j-i).  Values run on numpy
 int64 arrays, inside a guard that keeps every derived term below 2^62.  The
 sieved scan has three stages:
 
-1. Sieve.  ``sieve.ClassRows`` splits the inner array by class mod |j - i|
-   and precomputes, once per scan, each derived term's residue part over
-   Z/720720 (the CRT factors 16*9*5*7*11*13).  Per outer value h_i it scans
-   only the class h_j = h_i (mod |j - i|), the pairs whose common difference
-   is an integer; a derived position costs one int32 add and one lookup in
-   its (l, etas) power table per cell, and later positions run only on the
-   cells still alive.  The sign rule of even powers and the half scan cut
-   the sorted class before any lookup.  The table only rejects.
-2. Exact stage.  Survivors are held across outer values and checked in
-   batches of at most _FLUSH pairs: each derived term must be found, by
-   ``np.searchsorted``, in the sorted array of every value eta*x^l that its
-   position can take in the box, and gcd(h0, h1) must be within the cap.
-   Only passing rows reach `_confirm`, which rebuilds each term's (x, eta)
-   with big integers and stays the authority.
+1. Sieve.  ``sieve.ClassRows`` sorts the inner array by class mod |j - i|
+   and packs, once per scan, each derived term's residue patterns for each
+   CRT factor of 720720 (16, 9, 5, 7, 11, 13) into 64-bit words.  For a
+   block of outer values h_i it keeps only the pairs in the class
+   h_j = h_i (mod |j - i|), whose common difference is an integer: per
+   class, one AND of one pattern gather per derived term and factor over
+   the words that the sign rule of even powers and the half scan admit,
+   then those bounds and the class cut per cell.  The patterns only reject.
+2. Exact stage.  The blocks' survivors are held until there are _FLUSH of
+   them and checked in batches of at most _FLUSH pairs: each derived term
+   must be found, by ``np.searchsorted``, in the sorted array of every
+   value eta*x^l that its position can take in the box, and gcd(h0, h1)
+   must be within the cap.  Only passing rows reach `_confirm`, which
+   rebuilds each term's (x, eta) with big integers and stays the authority.
 3. Symmetry.  Reversing a progression gives one, with the reversed
    exponents, and gcd(h0, h1) = gcd(h_{k-1}, h_{k-2}) since both equal the
    gcd of all terms.  So one vector of each reversal pair is scanned and the
@@ -160,31 +160,32 @@ def _scan_vector(task: _VectorTask) -> list:
 
 
 def _staged_scan(task, cands, i, j, outer) -> list:
-    """The sieve per outer value, then the exact stage per batch of survivors."""
+    """The sieve a block of outer values at a time, then the exact stage on
+    the held survivors once they reach _FLUSH, and on the rest at the end."""
     inner, d = cands[j], j - i
     sign = 1 if d > 0 else -1
     rows = ClassRows(inner, d, [((m - i) * sign, task.lvec[m], task.etas[m])
                                 for m in range(len(cands)) if m not in (i, j)])
-    # One buffer per scan holds the survivor pairs: a batch fills below
-    # _FLUSH before each row, and a row adds at most inner.size.
-    held_i, held_j = (np.empty(_FLUSH + inner.size, dtype=np.int64) for _ in range(2))
-    hits, count = [], 0
-    for h_i in outer.tolist():
-        survivors = rows.survivors(h_i, half=task.half)
-        held_i[count:count + survivors.size] = h_i
-        held_j[count:count + survivors.size] = survivors
-        count += survivors.size
+    # The held pairs stay below _FLUSH plus one block's survivors.
+    hits, held, count = [], [], 0
+    for block in rows.cells(outer, half=task.half):
+        held.append(block)
+        count += block[0].size
         if count >= _FLUSH:
-            hits += _exact_stage(task, cands, i, j, held_i[:count], held_j[:count])
-            count = 0
-    return hits + _exact_stage(task, cands, i, j, held_i[:count], held_j[:count])
+            hits += _exact_stage(task, cands, i, j, held)
+            held, count = [], 0
+    return hits + _exact_stage(task, cands, i, j, held)
 
 
-def _exact_stage(task, cands, i, j, held_i, held_j) -> list:
-    """Confirm the held (h_i, h_j) pairs, _FLUSH at a time, whose derived
-    terms are all attainable values (exact membership in each position's
-    sorted value array) and whose gcd(h0, h1) is within the cap."""
+def _exact_stage(task, cands, i, j, held) -> list:
+    """Confirm the (h_i, h_j) pairs of the held sieve blocks, _FLUSH at a
+    time, whose derived terms are all attainable values (exact membership in
+    each position's sorted value array) and whose gcd(h0, h1) is within the
+    cap."""
+    if not held:
+        return []
     d = j - i
+    held_i, held_j = (np.concatenate(side) for side in zip(*held))
     hits = []
     for s in range(0, held_i.size, _FLUSH):
         hs, ws = held_i[s:s + _FLUSH], held_j[s:s + _FLUSH]

@@ -418,6 +418,14 @@ def test_search_modes_are_exclusive(capsys):
     assert "not allowed with argument --theorem3" in capsys.readouterr().err
 
 
+def test_search_remark_families_flag_is_gone(capsys):
+    # `cases` reports the same check as cases:remark-families.
+    with pytest.raises(SystemExit) as exc:
+        run_cli("search", "--remark-families")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --remark-families" in capsys.readouterr().err
+
+
 def test_general_search_vector_of_wrong_length_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("--jobs", "1", "search", "--k", "3", "--vector", "2222")

@@ -280,6 +280,26 @@ def test_exact_stage_batch_boundaries(flush, monkeypatch):
     assert len(oracle) > 100
 
 
+@pytest.mark.parametrize("search, args, kwargs", [
+    (search_theorem3, (200, 60), {}),
+    (search_general, (4, 2, 60), dict(S=(73,))),
+], ids=["theorem3", "eta73"])
+def test_flush_inside_a_sieve_block_matches_oracle(search, args, kwargs, monkeypatch):
+    # At _FLUSH = 7 a block of the sieve holds more pairs than one flush, so
+    # the exact stage runs on batches that split blocks.
+    oracle = search(*args, **kwargs, use_sieve=False)
+    monkeypatch.setattr(searcher, "_FLUSH", 7)
+    exact_stage, held = searcher._exact_stage, []
+
+    def spy(task, cands, i, j, blocks):
+        held.append(sum(hs.size for hs, _ in blocks))
+        return exact_stage(task, cands, i, j, blocks)
+
+    monkeypatch.setattr(searcher, "_exact_stage", spy)
+    assert _terms(search(*args, **kwargs)) == _terms(oracle)
+    assert oracle and max(held) > 7
+
+
 @st.composite
 def _search_args(draw):
     k, L = draw(st.integers(3, 5)), draw(st.integers(2, 4))

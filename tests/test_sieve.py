@@ -88,34 +88,68 @@ def _class_rows_case(draw):
     return inner, d, derived, rows
 
 
+def _class_rows_pairs(kernel, rows, half=False):
+    """kernel.cells(rows, half) as one row-major list of (h, w) pairs; each
+    block is int64 and holds only pairs of its own ROW_BLOCK rows."""
+    blocks = list(kernel.cells(np.array(rows, dtype=np.int64), half=half))
+    assert len(blocks) == -(-len(rows) // ROW_BLOCK)
+    got = []
+    for b, (hs, ws) in enumerate(blocks):
+        assert hs.dtype == ws.dtype == np.int64
+        assert set(hs.tolist()) <= set(rows[b * ROW_BLOCK:(b + 1) * ROW_BLOCK])
+        got += zip(hs.tolist(), ws.tolist())
+    return got
+
+
+def _class_rows_want_pairs(inner, d, derived, rows, half=False):
+    return [(h, w) for h in rows for w in _class_rows_want(inner, d, derived, h, half).tolist()]
+
+
+# Explicit cases: inner sizes 63, 64, 65 and 129 end a row of patterns one
+# bit short of, on, and one and 65 bits past a word edge; outer sizes
+# ROW_BLOCK - 1, ROW_BLOCK + 1 and 2 ROW_BLOCK + 3 are one, two and three
+# blocks, unsorted and with repeats.  The twists of S = {2, 3} mark every
+# residue, so their position keeps every cell of the class.
+_EVERY_RESIDUE = _eta_candidates((2, 3), 2, 10**6)
+
+
+def _edge_case(inner_size, outer_size, d, derived):
+    inner = np.arange(inner_size, dtype=np.int64) * 7 - 200
+    rows = [(37 * t) % 101 * 5 - 250 for t in range(outer_size)]
+    return inner, d, derived, rows
+
+
 @settings(max_examples=300, deadline=None)
 @given(_class_rows_case(), st.booleans())
+@example(_edge_case(63, 5, 1, [(2, 2, _EVERY_RESIDUE)]), False)
+@example(_edge_case(64, 7, -2, [(1, 2, (1, -1, 73, -73)), (-1, 2, _EVERY_RESIDUE)]), True)
+@example(_edge_case(65, 9, 3, [(-1, 3, (1,)), (2, 2, _EVERY_RESIDUE)]), False)
+@example(_edge_case(129, 11, -3, [(2, 2, _EVERY_RESIDUE), (1, 3, (1, -1))]), True)
+@example(_edge_case(129, ROW_BLOCK - 1, 2, [(1, 2, _EVERY_RESIDUE)]), False)
+@example(_edge_case(65, ROW_BLOCK + 1, -1, [(-2, 2, _EVERY_RESIDUE)]), True)
+@example(_edge_case(64, 2 * ROW_BLOCK + 3, 3, [(1, 2, (1, -1, 73, -73))]), False)
 def test_class_rows_survivors_match_reference(case, half):
     inner, d, derived, rows = case
-    kernel = ClassRows(inner, d, derived)
-    for h in rows:
-        got = kernel.survivors(h, half=half)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, _class_rows_want(inner, d, derived, h, half)), h
+    got = _class_rows_pairs(ClassRows(inner, d, derived), rows, half)
+    assert got == _class_rows_want_pairs(inner, d, derived, rows, half)
 
 
 def test_class_rows_empty_classes_and_half_cut():
     inner = np.array([x * x for x in range(0, 40)], dtype=np.int64)
     # Squares are 0 or 1 mod 3, so the class 2 mod 3 is empty.
     kernel = ClassRows(inner, 3, [(1, 2, (1,)), (2, 2, (1,))])
-    assert kernel.survivors(2).size == 0 and kernel.survivors(-1, half=True).size == 0
-    assert ClassRows(inner[:0], -2, [(1, 3, (1,))]).survivors(5).size == 0
+    assert _class_rows_pairs(kernel, [2, -1, 5]) == _class_rows_pairs(kernel, [-1], half=True) == []
+    assert _class_rows_pairs(ClassRows(inner[:0], -2, [(1, 3, (1,))]), [5, 4]) == []
+    assert _class_rows_pairs(kernel, []) == []
     for d in (3, -3):
         # e = sign(d) is the term h + n, n = (w - h) / d; the twist -1 keeps
         # the sign rule off, so only the half scan cuts the row.
-        derived = [(1 if d > 0 else -1, 2, (1, -1))]
-        kernel, cut = ClassRows(inner, d, derived), 0
-        for h in (1, 49, 625):
-            full, half = kernel.survivors(h), kernel.survivors(h, half=True)
-            assert np.array_equal(full, _class_rows_want(inner, d, derived, h, False))
-            assert np.array_equal(half, full[(full - h) // d >= 0]) and h in half
-            cut += full.size - half.size
-        assert cut > 0
+        derived, rows = [(1 if d > 0 else -1, 2, (1, -1))], [1, 49, 625]
+        kernel = ClassRows(inner, d, derived)
+        full, half = _class_rows_pairs(kernel, rows), _class_rows_pairs(kernel, rows, half=True)
+        assert full == _class_rows_want_pairs(inner, d, derived, rows)
+        assert half == [(h, w) for h, w in full if (w - h) // d >= 0]
+        assert {(h, h) for h in rows} <= set(half) and len(half) < len(full)
 
 
 def test_class_rows_sign_cut_edges():
@@ -124,15 +158,15 @@ def test_class_rows_sign_cut_edges():
     # twists 720720 - t put -t in the power table, so only the cut rejects it.
     inner = np.arange(-60, 61, dtype=np.int64)
     below_zero = (720719, 720718, 720717)
+    rows = list(range(-20, 21))
     for d in (1, -1, 2, -2, 3, -3):
         for e in (-3, -2, -1, 1, 2, 3):
             for derived in ([(e, 2, (1,))], [(e, 2, below_zero)],
                             [(e, 4, (2, 3)), (-e, 2, (1,))]):
                 kernel = ClassRows(inner, d, derived)
-                for h in range(-20, 21):
-                    for half in (False, True):
-                        want = _class_rows_want(inner, d, derived, h, half)
-                        assert np.array_equal(kernel.survivors(h, half=half), want), (d, derived, h)
+                for half in (False, True):
+                    want = _class_rows_want_pairs(inner, d, derived, rows, half)
+                    assert _class_rows_pairs(kernel, rows, half) == want, (d, derived)
 
 
 def _square_of_cubic(g):
