@@ -106,7 +106,8 @@ def _class_rows_want_pairs(inner, d, derived, rows, half=False):
 
 
 # Explicit cases: inner sizes 63, 64, 65 and 129 end a row of patterns one
-# bit short of, on, and one and 65 bits past a word edge; outer sizes
+# bit short of a word edge, on one, and one bit past the first and the
+# second; outer sizes
 # ROW_BLOCK - 1, ROW_BLOCK + 1 and 2 ROW_BLOCK + 3 are one, two and three
 # blocks, unsorted and with repeats.  The twists of S = {2, 3} mark every
 # residue, so their position keeps every cell of the class.
