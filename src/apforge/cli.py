@@ -74,6 +74,15 @@ def _print_report(report: RunReport) -> None:
           f"undecided, {s['unchecked-claim']} unchecked claims")
 
 
+def _exit_2_if_refused(work, *args, **kwargs):
+    """work(*args, **kwargs); a request it refuses (ValueError) exits 2."""
+    try:
+        return work(*args, **kwargs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def cmd_verify_lemma(args, corpus) -> RunReport:
     report = RunReport("verify-lemma", corpus.version, corpus.sha256)
     fams = corpus.families
@@ -92,11 +101,7 @@ def cmd_verify_lemma(args, corpus) -> RunReport:
             ))
         if args.bound > 0:
             def cover(fam=fam):
-                try:
-                    rep = parametrize.param_cover_check(fam, args.bound)
-                except ValueError as exc:  # bound beyond the int64 grid
-                    print(f"error: {exc}", file=sys.stderr)
-                    raise SystemExit(2)
+                rep = _exit_2_if_refused(parametrize.param_cover_check, fam, args.bound)
                 detail = (f"{rep.matched}/{rep.solutions_found} matched"
                           + (f", {len(rep.via_doubled_forms)} via doubled forms"
                              if rep.via_doubled_forms else ""))
@@ -105,15 +110,6 @@ def cmd_verify_lemma(args, corpus) -> RunReport:
                 f"lemma:{fam.id}:cover{args.bound}",
                 f"0 unmatched solutions up to {args.bound}", cover))
     return report
-
-
-def _searched(search, *args, **kwargs):
-    """search(*args, **kwargs); a request it refuses (ValueError) exits 2."""
-    try:
-        return search(*args, **kwargs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
 
 
 # The options each search mode reads, with their defaults.  The parser
@@ -158,7 +154,7 @@ def cmd_search(args, corpus) -> RunReport:
     if args.mode == "theorem3":
         vectors = [args.vector] if args.vector else None
         def th3():
-            progs = _searched(
+            progs = _exit_2_if_refused(
                 searcher.search_theorem3, args.bound_sq, args.bound_cu,
                 vectors=vectors, use_sieve=not args.no_sieve, jobs=jobs)
             vals = sorted(set(p.values for p in progs))
@@ -170,7 +166,7 @@ def cmd_search(args, corpus) -> RunReport:
         return report
     # general search: report what was found (no pass/fail expectation)
     vectors = [args.vector] if args.vector else None
-    progs = _searched(
+    progs = _exit_2_if_refused(
         searcher.search_general, args.k, args.L, args.bound, D=args.D,
         S=tuple(args.eta or ()), vectors=vectors,
         use_sieve=not args.no_sieve, jobs=jobs)

@@ -9,13 +9,15 @@ is an integer string, parsed to int; counts and bounds are JSON ints >= 1
 (``branch`` and ``infinity`` >= 0); ``p`` is an odd prime, ``primes`` and
 ``s_unit`` non-empty lists of odd and of any primes; ``expect`` and ``real``
 are booleans; names and prose stay strings; family branches become Branch
-records.  Lists have their shape checked too: ``exponent_vector`` and
-``partner_vector`` hold integers >= 2, a form_value's ``at`` two coordinates,
-an ec_point's ``x`` and ``y`` one per degree of the fact's field, and a
-factorization at least two ``factors``.  A wrong type or shape, an unknown
-name, or a missing or undeclared key is a ValueError naming the case or
-family, the key and the value; so is a curve its constructor refuses, or a
-Jacobian prime at which it has bad reduction.
+records.  A fact's ``field`` becomes its NumberField; there a field element
+is written as its coordinates in the power basis, and the keys in `_IN_FIELD`
+hold FieldElems (or lists of them).  List shapes are checked too: e.g.
+``exponent_vector`` holds integers >= 2, ``at`` one or two coordinates, an
+ec_point's ``rhs`` a squarefree cubic (its EllipticModel).  A wrong type or
+shape, an unknown name, or a missing or undeclared key is a ValueError naming
+the case or family, the key and the value; so is a curve its constructor
+refuses, or a Jacobian prime at which it has bad reduction.  Each case's
+curve is built here once, by `curvelab.check_curve`.
 Case derivations resolve to branches of the same file's families: one corpus
 feeds a run.
 """
@@ -31,8 +33,9 @@ from importlib import resources
 from typing import Optional
 
 from .curvelab import CURVE_KINDS, FACT_KINDS, MAPS, RECIPES, RESULTANT_CLAIMS, check_curve
-from .exactmath import BinaryForm, is_prime
-from .numfield import FIELDS, field_by_name
+from .curves import EllipticModel
+from .exactmath import BinaryForm, UniPoly, is_prime
+from .numfield import FIELDS, FieldElem, field_by_name
 from .parametrize import Branch, ParamFamily
 
 ENV_VAR = "APFORGE_CORPUS"
@@ -40,7 +43,7 @@ ENV_VAR = "APFORGE_CORPUS"
 
 @dataclass(frozen=True)
 class CaseRecord:
-    """One exponent case: derivation recipe, expected curve, typed facts."""
+    """One exponent case: derivation recipe, recorded curve, typed facts."""
 
     id: str
     exponent_vector: tuple
@@ -48,7 +51,7 @@ class CaseRecord:
     description: str
     derivation: dict
     derivation_branch: Optional[Branch]  # the family branch it reads; None for cube_pair_product
-    curve: dict
+    curve: object  # the HyperCurve, EllipticModel or SuperellipticForm, built at load
     facts: tuple
 
     def matches(self, selector: str) -> bool:
@@ -96,17 +99,17 @@ class _Wrong(ValueError):
     """A JSON value (args[0]) that is not what its key holds (args[1])."""
 
 
-def _is(ok, need):
-    """A parser that keeps a JSON value for which ok(value) holds."""
-    def keep(value):
+def _is(ok, need, parse=lambda value, fact: value):
+    """A parser of (value, fact=None): parse(value, fact) of a value with ok(value)."""
+    def check(value, fact=None):
         if not ok(value):
             raise _Wrong(value, need)
-        return value
-    return keep
+        return parse(value, fact)
+    return check
 
 
-def _number(value):
-    """A decimal string, or nested lists of them, parsed to Fraction."""
+def _number(value, fact=None):
+    """A decimal string, or nested lists of them, parsed to Fraction (fact unused)."""
     if isinstance(value, list):
         return [_number(v) for v in value]
     try:
@@ -128,14 +131,30 @@ def _prime(n, low=2) -> bool:
     return type(n) is int and n >= low and is_prime(n)
 
 
-def _numbers(size_ok, need):
-    """A parser of (value, fact) keeping a list of exact numbers whose
-    length n passes size_ok(n, fact)."""
+def _flat(value, size: int) -> bool:
+    """Whether value is a list of size values, none of them a list."""
+    return type(value) is list and len(value) == size and not any(type(v) is list for v in value)
+
+
+def _elements(depth: int):
+    """A parser of (value, fact): elements of the fact's field, each a list of
+    its coordinates, inside depth levels of lists."""
     def parse(value, fact):
-        if type(value) is not list or not size_ok(len(value), fact):
-            raise _Wrong(value, need)
-        return _number(value)
+        if depth and type(value) is list:
+            return [_elements(depth - 1)(v, fact) for v in value]
+        field = field_by_name(fact["field"])
+        if not depth and _flat(value, field.degree):
+            return FieldElem(field, _number(value))
+        raise _Wrong(value, "a list" if depth else "one coordinate per degree of the field")
     return parse
+
+
+def _ec_model(value, fact) -> EllipticModel:
+    rhs = UniPoly(_elements(1)(value, fact))
+    try:
+        return EllipticModel("ec_point", rhs, field_by_name(fact["field"]))
+    except ValueError:  # not a cubic, or one with a repeated root
+        raise _Wrong(value, "a squarefree cubic") from None
 
 
 def _branch(rec) -> Branch:
@@ -144,11 +163,11 @@ def _branch(rec) -> Branch:
     return Branch(*(BinaryForm(_number(rec[k])) for k in "abc"))
 
 
-def _claim(claim) -> dict:
+def _claim(claim, fact) -> dict:
     if not isinstance(claim, dict) or len(claim) != 1 or not set(claim) <= set(RESULTANT_CLAIMS):
         raise ValueError(f"factorization resultant claim {claim!r} "
                          f"must name exactly one of {', '.join(RESULTANT_CLAIMS)}")
-    return _record("factorization fact", claim)
+    return _record("factorization fact", claim, fact)
 
 
 # key -> parser of its JSON value; a key not listed holds exact numbers
@@ -164,32 +183,46 @@ _TYPES = {
                   "a non-empty list of primes"),
     **dict.fromkeys(("expect", "real"), _is(lambda v: type(v) is bool, "a boolean")),
     **dict.fromkeys(("id", "equation", "parity_rule", "kind", "label", "text", "recipe", "map",
-                     "family", "field", "shape"), _is(lambda v: type(v) is str, "a string")),
+                     "family", "shape"), _is(lambda v: type(v) is str, "a string")),
+    "field": field_by_name,  # a name the loader has checked
     "value": _integer,
     "branches": lambda rows: tuple(map(_branch, rows)),
     "doubled_branch": _branch,
-    "resultant": _claim,
     **dict.fromkeys(("exponent_vector", "partner_vector"),
                     _is(lambda v: type(v) is list and v != []
                         and all(type(l) is int and l >= 2 for l in v),
                         "a non-empty list of integers >= 2")),
-    # (fact kind, key) -> parser of (value, fact): list shapes that depend on
-    # the fact's kind or field
-    ("form_value", "at"): _numbers(lambda n, fact: n == 2, "two coordinates"),
-    **dict.fromkeys((("ec_point", "x"), ("ec_point", "y")),
-                    _numbers(lambda n, fact: n == field_by_name(fact["field"]).degree,
-                             "one coordinate per degree of the field")),
-    ("factorization", "factors"): _numbers(lambda n, fact: n >= 2, "at least two factors"),
+    # (fact kind, key) -> parser of (value, fact): values whose shape depends
+    # on the fact's kind or field
+    **dict.fromkeys((("form_value", "at"), ("cube_class_value", "at")),
+                    _is(lambda v: _flat(v, 2), "two coordinates", _number)),
+    **dict.fromkeys((("value_identity", "at"), ("value_square", "at")),
+                    _is(lambda v: _flat(v, 1), "one coordinate", _number)),
+    ("involution", "sub"): _is(lambda v: _flat(v, 4), "four numbers", _number),
+    ("involution", "solution_pairs"): _is(
+        lambda v: type(v) is list and all(type(pair) is list and len(pair) == 2
+                                          and all(_flat(u, 2) for u in pair) for pair in v),
+        "a list of pairs of 2-vectors", _number),
+    ("factorization", "factors"): _is(lambda v: type(v) is list and len(v) >= 2,
+                                      "at least two factors", _elements(2)),
+    ("factorization", "resultant"): _claim,
+    ("ec_point", "rhs"): _ec_model,
 }
 
+# key -> parser of (value, fact) of the field elements it holds in a fact with a field
+_IN_FIELD = {**dict.fromkeys(("x", "y", "equals", "root", "delta", "z",
+                              "equals_one_with_scale"), _elements(0)),
+             **dict.fromkeys(("rhs", "poly", "xs"), _elements(1))}
 
-def _record(what: str, rec: dict) -> dict:
-    """rec with each value parsed to the type its key holds."""
+
+def _record(what: str, rec: dict, fact: Optional[dict] = None) -> dict:
+    """rec with each value parsed to the type its key holds in fact (rec by default)."""
+    fact = rec if fact is None else fact
     parsed = {}
     for key, value in rec.items():
-        shaped = _TYPES.get((rec.get("kind"), key))
+        shaped = _TYPES.get((fact.get("kind"), key)) or ("field" in fact and _IN_FIELD.get(key))
         try:
-            parsed[key] = shaped(value, rec) if shaped else _TYPES.get(key, _number)(value)
+            parsed[key] = shaped(value, fact) if shaped else _TYPES.get(key, _number)(value)
         except _Wrong as exc:
             raise ValueError(f"{what} key {key!r} holds {exc.args[0]!r}, "
                              f"not {exc.args[1]}") from None
@@ -260,10 +293,9 @@ def _parse_case(rec: dict, families: dict) -> CaseRecord:
             description=rec.get("description", ""),
             derivation=deriv,
             derivation_branch=_derivation_branch(deriv, families),
-            curve=curve,
+            curve=check_curve(curve, facts),
             facts=tuple(facts),
         )
-        check_curve(case)
     except ValueError as exc:
         raise ValueError(f"case {rec['id']}: {exc}") from None
     return case

@@ -4,6 +4,8 @@ A case names a recipe that re-derives its binary sextic from a family
 branch, a map that dehomogenizes the sextic to the recorded curve, and a
 list of facts.  `_FACTS` holds (expected, check, required keys) per fact kind;
 `run_case` turns the derivation and every fact into CheckResult records.
+The corpus loader builds what the checks read: each case's curve, through
+`check_curve`, and each fact's field elements.
 The curve, point and genus layers below this one are `apforge.curves`,
 `apforge.points` and `apforge.genus`.
 """
@@ -20,8 +22,7 @@ from .curves import (BadReduction, EllipticModel, HyperCurve, SuperellipticForm,
 from .curves import count_points  # noqa: F401; perfbench/traced.py finds it here to wrap it
 from .exactmath import (BinaryForm, UniPoly, form_eval, int_kth_root, primes_upto,
                         rat_kth_root, uni_resultant)
-from .numfield import (FieldElem, NumberField, Undecided, field_by_name, nf_is_s_unit,
-                       nf_is_square)
+from .numfield import Undecided, nf_is_s_unit, nf_is_square
 from .points import locally_solvable, locally_solvable_real, rational_points_search
 
 
@@ -159,10 +160,6 @@ def timed_check(rid: str, expected: str, fn) -> CheckResult:
 # Curves and derivations
 
 
-def _nf_poly(field: NumberField, rows) -> UniPoly:
-    return UniPoly([FieldElem(field, r) for r in rows])
-
-
 # kind -> (curve record -> curve, required curve keys, required derivation keys);
 # every kind but a superelliptic form is reached through a derivation map.
 _CURVES = {
@@ -176,24 +173,18 @@ _CURVES = {
 }
 
 
-def build_curve(case):
-    """Instantiate the case's recorded target curve (no derivation)."""
-    return _CURVES[case.curve["kind"]][0](case.curve)
-
-
 # fact kind -> key of the primes its check reduces the curve at
 _REDUCED_AT = {"jacobian_order": "p", "torsion_gcd": "primes"}
 
 
-def check_curve(case) -> None:
-    """For the corpus loader: build the recorded curve and check it at every
-    prime a fact reduces it at.  A ValueError names the key and the prime;
-    the discriminant and integral model stay cached for the checks."""
+def check_curve(rec: dict, facts) -> object:
+    """For the corpus loader: the curve of a parsed curve record, checked at every
+    prime one of the facts reduces it at; a ValueError names the key and prime."""
     try:
-        curve = build_curve(case)
+        curve = _CURVES[rec["kind"]][0](rec)
     except ValueError as exc:
         raise ValueError(f"curve: {exc}") from None
-    for fact in (f for f in case.facts if f["kind"] in _REDUCED_AT):
+    for fact in (f for f in facts if f["kind"] in _REDUCED_AT):
         key = _REDUCED_AT[fact["kind"]]
         if not isinstance(curve, HyperCurve):
             raise ValueError(f"{fact['kind']} fact needs a genus2 curve")
@@ -202,6 +193,7 @@ def check_curve(case) -> None:
                 _good_reduction_data(curve, p)
             except BadReduction as exc:
                 raise ValueError(f"{fact['kind']} fact key {key!r}: {exc}") from None
+    return curve
 
 
 def _square_combo(rec, br, cid):
@@ -266,7 +258,7 @@ def derive_case(case):
     expected = BinaryForm(rec[expected_key])
     if sextic != expected:
         raise DerivationMismatch(_coeff_diff(case.id, sextic, expected))
-    target = build_curve(case)
+    target = case.curve
     if isinstance(target, SuperellipticForm):
         if sextic != target.form:
             raise DerivationMismatch(_coeff_diff(case.id, sextic, target.form))
@@ -291,26 +283,25 @@ def _coeff_diff(cid: str, got, want) -> str:
 
 
 def _check_jacobian_order(case, fact):
-    actual = jacobian_order(build_curve(case), fact["p"])
+    actual = jacobian_order(case.curve, fact["p"])
     return actual == fact["value"], actual
 
 
 def _check_torsion_gcd(case, fact):
-    actual = torsion_gcd_bound(build_curve(case), fact["primes"])
+    actual = torsion_gcd_bound(case.curve, fact["primes"])
     return actual == fact["value"] and actual % fact.get("divisible_by", 1) == 0, actual
 
 
 def _check_rational_points(case, fact):
-    pts, inf = rational_points_search(build_curve(case), fact["height"])
+    pts, inf = rational_points_search(case.curve, fact["height"])
     want = sorted((x, y) for x, y in fact["affine"])
     return (pts == want and inf == fact["infinity"],
             f"affine {[(str(x), str(y)) for x, y in pts]}, infinity {inf}")
 
 
 def _check_local_solvability(case, fact):
-    curve = build_curve(case)
-    bad = [p for p in primes_upto(fact["primes_upto"]) if not locally_solvable(curve, p)]
-    real_ok = locally_solvable_real(curve) == fact["real"]
+    bad = [p for p in primes_upto(fact["primes_upto"]) if not locally_solvable(case.curve, p)]
+    real_ok = locally_solvable_real(case.curve) == fact["real"]
     return (not bad) == fact["expect"] and real_ok, f"non-solvable at {bad}" if bad else "solvable everywhere"
 
 
@@ -318,90 +309,65 @@ RESULTANT_CLAIMS = ("equals_one_with_scale", "s_unit")  # a factorization fact n
 
 
 def _check_factorization(case, fact):
-    field = field_by_name(fact["field"])
     ring = UniPoly if fact["shape"] == "unipoly" else BinaryForm
-    factors = [ring([FieldElem(field, r) for r in rows]) for rows in fact["factors"]]
-    if math.prod(factors) != ring([field.rational(c) for c in fact["product"]]):
+    factors = [ring(rows) for rows in fact["factors"]]
+    if math.prod(factors) != ring(fact["product"]):
         return False, "product mismatch"
     res = uni_resultant(factors[0], factors[1]) if ring is UniPoly else None
     claim = fact["resultant"]
     if "equals_one_with_scale" in claim:
-        s = FieldElem(field, claim["equals_one_with_scale"])
+        s = claim["equals_one_with_scale"]
         if s * s != res:
             return False, f"scale^2 != resultant ({res!r})"
         res_n = uni_resultant(factors[0] * s, factors[1] * s.inverse())
-        return res_n == field.one, f"normalized resultant {res_n!r}"
+        return res_n == 1, f"normalized resultant {res_n!r}"
     # The loader admits only the two claims in RESULTANT_CLAIMS.
     if res is None:
         # binary sextic splitting as two cubic forms: resultant of the
         # dehomogenized cubics witnesses the same S-unit property
-        u0 = UniPoly(list(reversed(list(factors[0].coeffs))))
-        u1 = UniPoly(list(reversed(list(factors[1].coeffs))))
-        res = uni_resultant(u0, u1)
+        res = uni_resultant(*(UniPoly(f.coeffs[::-1]) for f in factors[:2]))
     ok = nf_is_s_unit(res, claim["s_unit"])
     return ok, f"resultant {res!r}"
 
 
-def _value_at(fact):
-    """(field, value of the fact's polynomial at its rational point)."""
-    field = field_by_name(fact["field"])
-    poly = _nf_poly(field, fact["poly"])
-    return field, poly.eval(field.rational(fact["at"][0]))
-
-
-def _check_value_identity(case, fact):
-    field, got = _value_at(fact)
-    return got == FieldElem(field, fact["equals"]), repr(got)
-
-
-def _check_value_square(case, fact):
-    field, got = _value_at(fact)
-    root = FieldElem(field, fact["root"])
-    return got == root * root, repr(got)
+def _check_value(case, fact):
+    """A value_identity or value_square: the polynomial at the rational point."""
+    got = UniPoly(fact["poly"]).eval(fact["at"][0])
+    return got == (fact["root"] * fact["root"] if "root" in fact else fact["equals"]), repr(got)
 
 
 def _check_ec_point(case, fact):
-    field = field_by_name(fact["field"])
-    model = EllipticModel(f"{case.id}:ec", _nf_poly(field, fact["rhs"]), field)
-    x = FieldElem(field, fact["x"])
-    y = FieldElem(field, fact["y"]) if "y" in fact else None
-    return ec_point_check(model, x, y), "on curve"
+    return ec_point_check(fact["rhs"], fact["x"], fact.get("y")), "on curve"
 
 
 def _check_ec_two_torsion(case, fact):
-    field = field_by_name(fact["field"])
-    rhs = _nf_poly(field, fact["rhs"])
-    bad = [coords for coords in fact["xs"] if rhs.eval(FieldElem(field, coords))]
+    rhs = UniPoly(fact["rhs"])
+    bad = [x for x in fact["xs"] if rhs.eval(x)]
     return not bad, f"{len(fact['xs']) - len(bad)} of {len(fact['xs'])} vanish"
 
 
 def _check_ec_square_x(case, fact):
-    field = field_by_name(fact["field"])
-    rhs = _nf_poly(field, fact["rhs"])
-    for coords in fact["xs"]:
-        val = rhs.eval(FieldElem(field, coords))
+    rhs = UniPoly(fact["rhs"])
+    for x in fact["xs"]:
+        val = rhs.eval(x)
         root = nf_is_square(val)
         if root is None or root * root != val:
-            return False, f"non-square rhs at {[str(c) for c in coords]}"
+            return False, f"non-square rhs at {[str(c) for c in x.coords]}"
     return True, f"{len(fact['xs'])} abscissae lift to points"
 
 
 def _check_cube_class_value(case, fact):
-    field = field_by_name(fact["field"])
-    poly = BinaryForm([FieldElem(field, r) for r in fact["poly"]])
-    got = form_eval(poly, *(field.rational(t) for t in fact["at"]))
-    delta = FieldElem(field, fact["delta"])
-    z = FieldElem(field, fact["z"])
-    return got == delta * z**3, repr(got)
+    got = form_eval(BinaryForm(fact["poly"]), *fact["at"])
+    return got == fact["delta"] * fact["z"]**3, repr(got)
 
 
 def _check_form_value(case, fact):
-    got = form_eval(build_curve(case).form, *fact["at"])
+    got = form_eval(case.curve.form, *fact["at"])
     return got == fact["equals"], str(got)
 
 
 def _check_involution(case, fact):
-    form = build_curve(case).form
+    form = case.curve.form
     px, qx, py, qy = fact["sub"]
     factor = fact["factor"]
     if not involution_check(form, px, qx, py, qy, factor):
@@ -444,9 +410,9 @@ _FACTS = {
     "factorization": (lambda f: "factorization and resultant class (norm-level S-unit test)",
                       _check_factorization,
                       ("field", "shape", "factors", "product", "resultant")),
-    "value_identity": (lambda f: "value identity over the field", _check_value_identity,
+    "value_identity": (lambda f: "value identity over the field", _check_value,
                        ("field", "poly", "at", "equals")),
-    "value_square": (lambda f: "value equals the recorded square", _check_value_square,
+    "value_square": (lambda f: "value equals the recorded square", _check_value,
                      ("field", "poly", "at", "root")),
     "ec_point": (lambda f: "point satisfies the Weierstrass equation", _check_ec_point,
                  ("field", "rhs", "x")),

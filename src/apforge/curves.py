@@ -86,7 +86,7 @@ class SuperellipticForm:
 def _disc(coeffs) -> Fraction:
     """Res(f, f') for f with these ascending rational coefficients (trailing
     zeros ignored): zero iff f has a repeated root, an integer for integer f.
-    Cached because every fact rebuilds its curve."""
+    Cached: every point count and local solvability test asks again."""
     poly = UniPoly(coeffs)
     return uni_resultant(poly, poly.derivative())
 

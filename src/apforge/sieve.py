@@ -3,8 +3,8 @@ and of the parametrization cover check.
 
 A table marks the residues a value can have mod m, so it rejects only
 values that cannot occur; callers confirm survivors exactly.  Tables are
-built on first use.  Power tables are indexed by h % 720720 and mark
-eta * x^l modulo each CRT factor 16, 9, 5, 7, 11, 13 at once.  Row tables of
+built on first use.  A factor table marks the residues of eta * x^l modulo
+one CRT factor 16, 9, 5, 7, 11 or 13 (which multiply to 720720).  Row tables of
 a sextic F(r, s) = sum c_i r^i s^(6-i) hold, per modulus m, an m x m table
 whose entry [s % m, r % m] marks F(r, s) being a square mod m.
 
@@ -23,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 CRT_FACTORS = (16, 9, 5, 7, 11, 13)
-CRT_MODULUS = 720720
 INT64_SAFE = 1 << 62  # int64 kernels keep every value below this in absolute value
 
 
@@ -35,24 +34,14 @@ def _factor_table(l: int, m: int, etas: tuple) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=None)
-def power_table(l: int, etas: tuple = (1,)) -> np.ndarray:
-    """Bool table over Z/720720: the AND of the CRT factor tables."""
-    table = np.ones(CRT_MODULUS, dtype=bool)
-    for f in CRT_FACTORS:
-        # AND the factor table into each row of an (720720/f, f) view of the
-        # table, so no index or tiled temporary is allocated.
-        rows = table.reshape(-1, f)
-        rows &= _factor_table(l, f, etas)
-    table.flags.writeable = False  # shared by every caller through the cache
-    return table
-
-
 def maybe_power(v, l: int, etas: tuple = (1,)):
     """Whether v (an int or an int64 array) may be eta * x^l, eta in etas:
-    the power table at v % 720720, and v >= 0 for even l when every eta is
+    every CRT factor table at v, and v >= 0 for even l when every eta is
     positive.  False only where no such x exists."""
-    ok = power_table(l, etas)[v % CRT_MODULUS]
+    f, *rest = CRT_FACTORS
+    ok = _factor_table(l, f, etas)[v % f]  # a new array (or scalar), so &= is safe
+    for f in rest:
+        ok &= _factor_table(l, f, etas)[v % f]
     if l % 2 == 0 and min(etas) > 0:
         ok &= v >= 0
     return ok

@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 from apforge.corpus import load_corpus
-from apforge.curvelab import build_curve, derive_case
+from apforge.curvelab import derive_case
 from apforge.curves import (BadReduction, HyperCurve, count_points,
                             jacobian_order, l_poly_coeffs, torsion_gcd_bound)
 from apforge.genus import (ALL_GENUS_LE1_POSSIBLE, GENUS_AT_LEAST_2, GENUS_GT1,
@@ -69,7 +69,7 @@ def test_criterion_2_theorem3_desk_scale():
 
 def test_criterion_3_jacobian_orders():
     t0 = time.monotonic()
-    c1 = build_curve(CASES["2223b"])
+    c1 = CASES["2223b"].curve
     j5 = jacobian_order(c1, 5)
     j7 = jacobian_order(c1, 7)
     gcd_order = torsion_gcd_bound(c1, [5, 7])
@@ -100,10 +100,10 @@ def test_criterion_5_rational_point_inventories():
         ("3232", [("-1", "0"), ("1", "-2"), ("1", "2")], 0),
         ("3223d2", [("0", "-1"), ("0", "1")], 2),
     ]:
-        pts, inf = rational_points_search(build_curve(CASES[cid]), 1000)
+        pts, inf = rational_points_search(CASES[cid].curve, 1000)
         want = sorted((Fraction(x), Fraction(y)) for x, y in want_aff)
         checks.append(pts == want and inf == want_inf)
-    quintic = build_curve(CASES["3223d1"])
+    quintic = CASES["3223d1"].curve
     pts, inf = rational_points_search(quintic, 10000)
     checks.append(pts == [] and inf == 0)
     primes = [p for p in range(2, 101) if all(p % d for d in range(2, p))]
@@ -212,7 +212,7 @@ def test_criterion_9_property_suites():
 
     # Weil / L-polynomial invariants on every corpus genus-2 curve, p <= 31.
     for case in CORPUS.cases:
-        curve = build_curve(case)
+        curve = case.curve
         if not isinstance(curve, HyperCurve):
             continue
         for p in [5, 7, 11, 13, 17, 19, 23, 29, 31]:

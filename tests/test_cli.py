@@ -267,6 +267,40 @@ def fact_of(data, cid, kind):
      ["cases", "--case", "2233", "--height", "20"],
      "case 2233: factorization fact key 'factors' holds [[['1', '0', '0']]], "
      "not at least two factors"),
+    (lambda d: fact_of(d, "2233", "value_identity").update(equals=["-1", "1"]), None,
+     "case 2233: value_identity fact key 'equals' holds ['-1', '1'], "
+     "not one coordinate per degree of the field"),
+    (lambda d: fact_of(d, "2332", "value_square").update(root=["1", "1", "1", "0"]), None,
+     "case 2332: value_square fact key 'root' holds ['1', '1', '1', '0'], "
+     "not one coordinate per degree of the field"),
+    (lambda d: fact_of(d, "3323", "cube_class_value").update(delta=["-1", "-1", "1"]), None,
+     "case 3323: cube_class_value fact key 'delta' holds ['-1', '-1', '1'], "
+     "not one coordinate per degree of the field"),
+    (lambda d: fact_of(d, "3323", "ec_square_x")["xs"].__setitem__(0, ["1"]), None,
+     "case 3323: ec_square_x fact key 'xs' holds ['1'], "
+     "not one coordinate per degree of the field"),
+    (lambda d: fact_of(d, "3223d2", "ec_two_torsion")["rhs"].__setitem__(1, ["1", "2"]), None,
+     "case 3223d2: ec_two_torsion fact key 'rhs' holds ['1', '2'], "
+     "not one coordinate per degree of the field"),
+    (lambda d: fact_of(d, "2233", "factorization")["factors"][0].__setitem__(0, ["2", "0"]),
+     None, "case 2233: factorization fact key 'factors' holds ['2', '0'], "
+     "not one coordinate per degree of the field"),
+    (lambda d: fact_of(d, "2332", "factorization").update(
+         resultant={"equals_one_with_scale": ["12", "6"]}), None,
+     "case 2332: factorization fact key 'equals_one_with_scale' holds ['12', '6'], "
+     "not one coordinate per degree of the field"),
+    (lambda d: fact_of(d, "2233", "value_identity").update(at=[]), None,
+     "case 2233: value_identity fact key 'at' holds [], not one coordinate"),
+    (lambda d: fact_of(d, "3323", "cube_class_value").update(at=["1"]), None,
+     "case 3323: cube_class_value fact key 'at' holds ['1'], not two coordinates"),
+    (lambda d: fact_of(d, "3323", "involution").update(sub=["0", "-3", "1"]), None,
+     "case 3323: involution fact key 'sub' holds ['0', '-3', '1'], not four numbers"),
+    (lambda d: fact_of(d, "3323", "involution").update(solution_pairs=[[["1", "-1"]]]), None,
+     "case 3323: involution fact key 'solution_pairs' holds [[['1', '-1']]], "
+     "not a list of pairs of 2-vectors"),
+    (lambda d: fact_of(d, "2233", "ec_point").update(rhs=[["0", "0", "0"]] * 3 + [["1", "0", "0"]]),
+     None, "case 2233: ec_point fact key 'rhs' holds [['0', '0', '0'], ['0', '0', '0'], "
+     "['0', '0', '0'], ['1', '0', '0']], not a squarefree cubic"),
     (lambda d: next(c for c in d["cases"] if c["id"] == "2223b").update(
          exponent_vector=[2, 2, 1, 3]), None,
      "case 2223b: key 'exponent_vector' holds [2, 2, 1, 3], "
@@ -279,7 +313,11 @@ def fact_of(data, cid, kind):
         "primes-empty", "s-unit-one", "expect-string", "family-power-string",
         "p-bad-reduction", "primes-bad-reduction", "rhs-not-squarefree",
         "jacobian-order-on-elliptic", "form-value-at-three", "ec-point-x-short",
-        "factorization-one-factor", "exponent-vector-one", "partner-vector-strings"])
+        "factorization-one-factor", "value-identity-equals-short", "value-square-root-long",
+        "cube-class-delta-short", "square-x-abscissa-short", "two-torsion-rhs-row-short",
+        "factor-row-short", "resultant-scale-short", "value-identity-at-empty",
+        "cube-class-at-one", "involution-sub-three", "solution-pair-one-vector",
+        "ec-point-rhs-repeated-root", "exponent-vector-one", "partner-vector-strings"])
 def test_corpus_badly_typed_value_rejected(tmp_path, edit, argv, message):
     bad = corpus_copy(tmp_path, edit)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

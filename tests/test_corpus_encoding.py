@@ -25,6 +25,8 @@ def string_leaves(node, path="", key=None):
         node = {f.name: getattr(node, f.name) for f in dataclasses.fields(node)}
     elif isinstance(node, (BinaryForm, UniPoly)):
         node = list(node.coeffs)
+    elif isinstance(node, FieldElem):
+        node = list(node.coords)
     if isinstance(node, dict):
         items = node.items()
     elif isinstance(node, (list, tuple)):

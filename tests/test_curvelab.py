@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from apforge import curves
 from apforge.corpus import load_corpus
 from apforge.curvelab import (CheckResult, DerivationMismatch, NoRepresentation,
-                              build_curve, derive_case, descent_sample_pairs,
+                              derive_case, descent_sample_pairs,
                               ec_point_check, eq7_descent_step,
                               eq7_s3_blocks_progression, involution_check,
                               mod4_progression_impossible, run_case)
@@ -178,7 +178,7 @@ def test_jacobian_orders_pinned():
 
 
 def test_point_counts_are_python_ints():
-    curve = build_curve(CASES["2223b"])
+    curve = CASES["2223b"].curve
     assert type(count_points(curve, 5)) is int and type(count_points(curve, 25)) is int
     assert all(type(c) is int for c in l_poly_coeffs(curve, 5))
     assert type(jacobian_order(curve, 5)) is int
@@ -251,7 +251,7 @@ def test_rational_points_pinned_inventories():
 
 
 def test_point_sieve_matches_unfiltered_scan():
-    curves = [build_curve(c) for c in CORPUS.cases]
+    curves = [c.curve for c in CORPUS.cases]
     curves = [c for c in curves if isinstance(c, (HyperCurve, EllipticModel))]
     assert any(isinstance(c, EllipticModel) for c in curves)
     for height in (40, ROW_BLOCK + 9):  # the second spans two row blocks
@@ -356,7 +356,7 @@ def test_genus_k4_scan():
 def test_derive_all_cases():
     for case in CORPUS.cases:
         target = derive_case(case)
-        assert target.label == case.curve["label"]
+        assert target is case.curve
 
 
 def test_derivation_mismatch_detected():
@@ -434,9 +434,9 @@ def test_run_case_3223d2_green():
 
 
 def test_build_curve_kinds():
-    assert isinstance(build_curve(CASES["2223a"]), EllipticModel)
-    assert isinstance(build_curve(CASES["2223b"]), HyperCurve)
-    form_case = build_curve(CASES["3323"])
+    assert isinstance(CASES["2223a"].curve, EllipticModel)
+    assert isinstance(CASES["2223b"].curve, HyperCurve)
+    form_case = CASES["3323"].curve
     assert isinstance(form_case, SuperellipticForm)
     assert form_case.z_mult == 2 and form_case.z_power == 3
 

@@ -8,7 +8,6 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from apforge.corpus import load_corpus
-from apforge.curvelab import build_curve
 from apforge.curves import HyperCurve
 from apforge.exactmath import (BinaryForm, UniPoly, form_eval, form_exact_root,
                                int_kth_root, is_prime, poly_divmod, poly_xgcd,
@@ -268,7 +267,7 @@ def sympy_to_field(K: NumberField, expr) -> FieldElem:
 def corpus_genus2_models():
     curves = {}
     for case in load_corpus().cases:
-        curve = build_curve(case)
+        curve = case.curve
         if isinstance(curve, HyperCurve):
             curves[curve.label] = curve
     return [curves[k] for k in sorted(curves)]

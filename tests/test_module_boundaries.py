@@ -56,3 +56,26 @@ def test_poly_divmod_stays_behind_exactmath():
         found |= {(path.name, scope) for scope, name in _names_by_scope(tree)
                   if name == "poly_divmod"}
     assert found == DIVMOD_USERS, sorted(found ^ DIVMOD_USERS)
+
+
+# Corpus data becomes algebra objects at load: outside these two modules no
+# source calls `field_by_name` or `FieldElem`, and none defines `build_curve`.
+BUILDERS = {"corpus.py", "numfield.py"}
+
+
+def test_corpus_values_are_built_at_load():
+    found = []
+    for path in SOURCES:
+        if path.name in BUILDERS:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name) else
+                        func.attr if isinstance(func, ast.Attribute) else None)
+                if name in ("field_by_name", "FieldElem"):
+                    found.append(f"{path.name}:{node.lineno}: calls {name}")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and node.name == "build_curve":
+                found.append(f"{path.name}:{node.lineno}: defines build_curve")
+    assert SOURCES and not found, "\n".join(found)

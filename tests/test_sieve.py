@@ -1,7 +1,8 @@
-"""Residue tables: the CRT power table against its factor definition,
-`maybe_power` against exact twisted powers, and the row kernels of the
+"""Residue tables: `maybe_power` against the AND of independently built
+factor tables and against exact twisted powers, and the row kernels of the
 progression scan and the point search against plain references."""
 
+import math
 import random
 
 import numpy as np
@@ -10,22 +11,23 @@ from hypothesis import example, given, settings, strategies as st
 
 from apforge.exactmath import int_kth_root
 from apforge.searcher import _eta_candidates
-from apforge.sieve import (CRT_FACTORS, CRT_MODULUS, ROW_BLOCK, ClassRows, SquareRows,
-                           maybe_power, power_table)
+from apforge.sieve import CRT_FACTORS, ROW_BLOCK, ClassRows, SquareRows, maybe_power
 
 
 @pytest.mark.parametrize("l", [2, 3, 4, 5])
 def test_power_table_is_and_of_factor_tables(l):
-    r = np.arange(CRT_MODULUS)
+    # maybe_power on every residue mod 16 * 9 * 5 * 7 * 11 * 13, where the
+    # sign rule passes every value.
+    r = np.arange(math.prod(CRT_FACTORS))
     for etas in (_eta_candidates((73,), l, 10**6), (1,)):
-        want = np.ones(CRT_MODULUS, dtype=bool)
+        want = np.ones(r.size, dtype=bool)
         for f in CRT_FACTORS:
             factor = np.zeros(f, dtype=bool)
             for eta in etas:
                 for x in range(f):
                     factor[(eta * pow(x, l, f)) % f] = True
             want &= factor[r % f]
-        assert np.array_equal(power_table(l, etas), want)
+        assert np.array_equal(maybe_power(r, l, etas), want)
 
 
 def _is_twisted_power(q, l, etas):
