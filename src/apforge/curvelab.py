@@ -313,19 +313,18 @@ def _check_factorization(case, fact):
     factors = [ring(rows) for rows in fact["factors"]]
     if math.prod(factors) != ring(fact["product"]):
         return False, "product mismatch"
-    res = uni_resultant(factors[0], factors[1]) if ring is UniPoly else None
+    # Forms are dehomogenized to f(x, 1), whose resultant witnesses the same
+    # property; both claims read it.
+    polys = factors[:2] if ring is UniPoly else [UniPoly(f.coeffs[::-1]) for f in factors[:2]]
+    res = uni_resultant(*polys)
     claim = fact["resultant"]
     if "equals_one_with_scale" in claim:
         s = claim["equals_one_with_scale"]
         if s * s != res:
             return False, f"scale^2 != resultant ({res!r})"
-        res_n = uni_resultant(factors[0] * s, factors[1] * s.inverse())
+        res_n = uni_resultant(polys[0] * s, polys[1] * s.inverse())
         return res_n == 1, f"normalized resultant {res_n!r}"
     # The loader admits only the two claims in RESULTANT_CLAIMS.
-    if res is None:
-        # binary sextic splitting as two cubic forms: resultant of the
-        # dehomogenized cubics witnesses the same S-unit property
-        res = uni_resultant(*(UniPoly(f.coeffs[::-1]) for f in factors[:2]))
     ok = nf_is_s_unit(res, claim["s_unit"])
     return ok, f"resultant {res!r}"
 

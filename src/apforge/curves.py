@@ -12,11 +12,15 @@ Counting conventions for the smooth projective model:
 The Jacobian order over F_p comes from the L-polynomial evaluated at 1,
 with coefficients fixed by the point counts over F_p and F_{p^2}.
 
-Point counts are numpy kernels in blocks of about _BLOCK cells, so memory
-does not grow with q.  Over F_{p^2} they take each conjugate pair a +- sqrt(w)
-(w a non-residue) once, through the Taylor coefficients of f at each a in
-F_p, and read squareness from the norm E^2 - w O^2 in one p-entry table of
-F_p squares.  Every int64 product stays below p^(e+1) < 2^62 for q = p^e.
+Point counts are numpy kernels in blocks of about _BLOCK cells, so their
+working memory does not grow with q; the per-prime tables they read are
+O(p) and cached.  Each x adds its number of square roots of f(x), read from
+one p-entry table.  Over F_p, f(x) comes from Horner steps.  Over F_{p^2}
+they take each conjugate pair a +- s (s^2 = w, w a non-residue) once and
+read the norm f(a + s) f(a - s) from the curve's norm form, an exact 13 x 7
+integer matrix H: one block of (a, w) is ((V @ H) % p) @ W % p for power
+tables V of a and W of w.  Every int64 value stays below 13 p^2, far under
+2^62 as count_points asks p^(e+1) < 2^62 for q = p^e.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -51,9 +55,10 @@ class HyperCurve:
         if not _disc(self.f.coeffs):
             raise ValueError("f must be squarefree")
 
+    @cached_property
     def integral_model(self):
         """(coeffs ascending as ints padded to degree 6, scale v) with
-        v^2 * f integral and v minimal."""
+        v^2 * f integral and v minimal; built once per curve."""
         return _integral_model_any(self.f)
 
 
@@ -68,7 +73,7 @@ class EllipticModel:
     def __post_init__(self):
         if self.rhs.degree != 3:
             raise ValueError("elliptic model needs a cubic right-hand side")
-        if not uni_resultant(self.rhs, self.rhs.derivative()):
+        if not cubic_discriminant(self.rhs):
             raise ValueError("discriminant vanishes")
 
 
@@ -91,6 +96,13 @@ def _disc(coeffs) -> Fraction:
     return uni_resultant(poly, poly.derivative())
 
 
+def cubic_discriminant(rhs: UniPoly):
+    """b^2 c^2 - 4 a c^3 - 4 b^3 d - 27 a^2 d^2 + 18 a b c d for the cubic
+    a x^3 + b x^2 + c x + d, which is -Res(rhs, rhs')/a."""
+    d, c, b, a = rhs.coeffs
+    return b * b * c * c - 4 * a * c**3 - 4 * b**3 * d - 27 * a * a * d * d + 18 * a * b * c * d
+
+
 @lru_cache(maxsize=None)
 def _integral_model_any(f: UniPoly):
     """(ascending integer coefficients of v^2 f padded to degree 6, v), with
@@ -107,9 +119,9 @@ def _integral_model_any(f: UniPoly):
 
 
 def _good_reduction_data(curve: HyperCurve, p: int):
-    coeffs, v = curve.integral_model()
+    coeffs, v = curve.integral_model
     deg = curve.f.degree
-    disc = _disc(coeffs)
+    disc = _disc(coeffs).numerator  # an integer, as coeffs are
     if p < 3:
         raise BadReduction("odd primes only")
     if v % p == 0 or coeffs[deg] % p == 0 or disc % p == 0:
@@ -123,63 +135,109 @@ def count_points(curve: HyperCurve, q: int) -> int:
     if p ** (e + 1) >= INT64_SAFE:
         raise ValueError("the int64 kernels need p^(e+1) < 2^62")
     coeffs, deg = _good_reduction_data(curve, p)
-    return int(_count_fq(coeffs, deg, p, e))  # numpy counts are numpy.intp
+    return _count_fq(coeffs, deg, p, e)
 
 
 def _prime_power(q: int):
-    if is_prime(q):
-        return q, 1
-    r = math.isqrt(q)
+    r = math.isqrt(q)  # the square test first: trial division of p^2 runs to p
     if r * r == q and is_prime(r):
         return r, 2
+    if is_prime(q):
+        return q, 1
     raise ValueError("q must be a prime or the square of a prime")
 
 
 _BLOCK = 1 << 16
+# Per-prime tables are O(p) and read-only, shared by every curve counted at p;
+# 128 primes is every prime below 727.
+_PRIMES_CACHED = 128
+
+
+def _frozen(array):
+    array.flags.writeable = False
+    return array
+
+
+@lru_cache(maxsize=_PRIMES_CACHED)
+def _root_counts(p: int):
+    """int64 table over F_p of #{y in F_p : y^2 = z}: 1 at 0, 2 at the nonzero
+    squares, 0 at the non-residues."""
+    roots = np.zeros(p, dtype=np.int64)
+    roots[np.arange(1, p, dtype=np.int64) ** 2 % p] = 2
+    roots[0] = 1
+    return _frozen(roots)
+
+
+@lru_cache(maxsize=_PRIMES_CACHED)
+def _fp2_powers(p: int):
+    """(V, W) for F_{p^2} = F_p[t]/(t^2 - nu), nu the least non-residue:
+    V[a, i] = a^i for a in F_p and i <= 12, W[j, b] = (nu b^2)^j for j <= 6
+    and 0 <= b <= (p-1)/2, all reduced mod p (int64)."""
+    nu = int(np.flatnonzero(_root_counts(p) == 0)[0])
+    a = np.arange(p, dtype=np.int64)
+    w = nu * (a[: (p + 1) // 2] ** 2 % p) % p
+    powers_a, powers_w = np.ones((p, 13), dtype=np.int64), np.ones((7, w.size), dtype=np.int64)
+    for i in range(1, 13):
+        powers_a[:, i] = powers_a[:, i - 1] * a % p
+    for j in range(1, 7):
+        powers_w[j] = powers_w[j - 1] * w % p
+    return _frozen(powers_a), _frozen(powers_w)
+
+
+@lru_cache(maxsize=None)
+def _norm_form(coeffs):
+    """H (13 x 7, exact integers) with f(x + s) f(x - s) = sum H[i, j] x^i (s^2)^j
+    for f of degree <= 6 with these ascending integer coefficients."""
+    taylor = [(k - m, m, c * math.comb(k, m))  # f(x + s) = sum c x^i s^m
+              for k, c in enumerate(coeffs) if c for m in range(k + 1)]
+    h = np.zeros((13, 7), dtype=object)
+    for i1, m1, c1 in taylor:
+        for i2, m2, c2 in taylor:
+            if (m1 + m2) % 2 == 0:  # odd powers of s cancel between the two factors
+                h[i1 + i2, (m1 + m2) // 2] += c1 * c2 * (-1) ** m2
+    return _frozen(h)
 
 
 def _count_fq(coeffs, deg: int, p: int, e: int) -> int:
     """Points over F_q, q = p^e, e in {1, 2}: affine ones plus those at
-    infinity.  F_{p^2} is F_p[t]/(t^2 - nu) with nu a non-residue.
+    infinity.  Each x adds #{y in F_q : y^2 = f(x)}; over F_p that is
+    R[f(x)] for R = _root_counts(p), with f(x) by Horner steps on a block of x.
 
-    Per block of a in F_p: Taylor coefficients g_j(a) = f^(j)(a)/j! by
-    repeated synthetic division by x - a; F_p needs only g_0 = f(a).  Each
-    x in F_{p^2} off F_p is one of a conjugate pair a +- s, s^2 = w = nu b^2,
-    1 <= b <= (p-1)/2 (each non-residue w once), where f(a +- s) = E +- s O
-    for E = sum g_2k(a) w^k and O = sum g_2k+1(a) w^k, one matrix product
-    each.  A nonzero z is a square in F_q iff its norm to F_p is a square in
-    F_p, as z^((q-1)/2) = N(z)^((p-1)/2); so the pair adds 2 (#(N = 0) +
-    2 #(N square)) for N = E^2 - w O^2, and b = 0 adds 1 or 2 as f(a) is 0
-    or not (F_p is all square in F_{p^2}).  Entries are reduced below p, so
-    Horner steps, squares and w O^2 stay below p^2, the matrix products
-    below 4 p^2, nu b^2 and w^3 below p^3 < 2^62 (checked in count_points).
+    F_{p^2} is F_p[t]/(t^2 - nu).  Each x in it is a + s with a in F_p and
+    s^2 = w = nu b^2, 0 <= b <= (p-1)/2; b = 0 is x = a, and b >= 1 is one
+    conjugate pair a +- s, both with the same count.  A z in F_{p^2} is a
+    nonzero square iff its norm is a nonzero square in F_p, as z^((q-1)/2) =
+    N(z)^((p-1)/2), so x adds R[N(f(x))], and N(f(a + s)) = f(a + s) f(a - s)
+    = sum H[i, j] a^i w^j for H = _norm_form(f).  Per block of (a, b) that is
+    ((V @ H) % p) @ W % p, with V and W the power tables of _fp2_powers, and
+    the count is one bincount against R.  Every table entry is below p, so
+    Horner steps stay below p^2 and the two products below 13 p^2 and 7 p^2,
+    far under 2^62 as p^(e+1) < 2^62 (checked in count_points).
     """
-    sq = np.zeros(p, dtype=bool)  # True at the nonzero squares of F_p
-    sq[np.arange(1, p, dtype=np.int64) ** 2 % p] = True
-    nu = next(n for n in range(2, p) if not sq[n])
+    roots = _root_counts(p)
     count, rows = 0, min(p, _BLOCK)
-    for start in range(0, p, rows):
-        a = np.arange(start, min(start + rows, p), dtype=np.int64)
-        quot, g = [np.full_like(a, c % p) for c in reversed(coeffs[: deg + 1])], []
-        for _ in range(1 if e == 1 else deg + 1):
-            for k in range(1, len(quot)):
-                quot[k] = (quot[k] + a * quot[k - 1]) % p
-            g.append(quot.pop())
-        count += np.count_nonzero(g[0] == 0) + 2 * np.count_nonzero(sq[g[0]] if e == 1 else g[0])
-        if e == 1:
-            continue
-        even, odd = np.stack(g[0::2], axis=1), np.stack(g[1::2], axis=1)
-        step = max(1, _BLOCK // a.size)
-        for b0 in range(1, (p + 1) // 2, step):
-            w = nu * np.arange(b0, min(b0 + step, (p + 1) // 2), dtype=np.int64) ** 2 % p
-            wk = np.stack([w**k % p for k in range(even.shape[1])])
-            ev, od = even @ wk % p, odd @ wk[: odd.shape[1]] % p
-            norm = (ev * ev - w * (od * od % p)) % p
-            count += 2 * (np.count_nonzero(norm == 0) + 2 * np.count_nonzero(sq[norm]))
+    if e == 1:
+        for start in range(0, p, rows):
+            a = np.arange(start, min(start + rows, p), dtype=np.int64)
+            value = np.zeros_like(a)
+            for c in reversed(coeffs[: deg + 1]):
+                value = (value * a + c % p) % p
+            count += int(np.bincount(value, minlength=p) @ roots)
+    else:
+        h = (_norm_form(tuple(coeffs[: deg + 1])) % p).astype(np.int64)
+        powers_a, powers_w = _fp2_powers(p)
+        step = max(1, _BLOCK // rows)
+        for start in range(0, p, rows):
+            m = powers_a[start : start + rows] @ h % p
+            for b0 in range(0, powers_w.shape[1], step):
+                norm = m @ powers_w[:, b0 : b0 + step] % p
+                count += 2 * int(np.bincount(norm.ravel(), minlength=p) @ roots)
+                if b0 == 0:  # x = a in F_p is its own conjugate: count it once
+                    count -= int(roots[norm[:, 0]].sum())
     if deg == 5:
         return count + 1
-    # N(lc) = lc^e; for e = 2 it is always a square, and the test says so.
-    return count + (2 if sq[coeffs[deg] ** e % p] else 0)
+    # Two points at infinity when lc(f) is a square in F_q; N(lc) = lc^e.
+    return count + int(roots[coeffs[deg] ** e % p])
 
 
 def l_poly_coeffs(curve: HyperCurve, p: int):

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Optional, Sequence
@@ -267,6 +266,9 @@ def _run_tasks(tasks: list, jobs: int) -> list:
     per_task = max(1, (2 * jobs) // max(len(tasks), 1))
     chunks = [(n, c) for n, t in enumerate(tasks) for c in _split_task(t, per_task)]
     hits = [[] for _ in tasks]
+    # Imported here: the pool pulls in multiprocessing, which only this path needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         for (n, _), part in zip(chunks, pool.map(_scan_vector, [c for _, c in chunks])):
             hits[n].extend(part)

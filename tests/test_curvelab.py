@@ -1,6 +1,7 @@
 """Curve laboratory: counts vs oracles, pinned orders, searches, local tests."""
 
 import dataclasses
+import json
 import math
 import time
 from fractions import Fraction
@@ -9,21 +10,21 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from apforge import curves
-from apforge.corpus import load_corpus
+from apforge.corpus import corpus_path, load_corpus
 from apforge.curvelab import (CheckResult, DerivationMismatch, NoRepresentation,
                               derive_case, descent_sample_pairs,
                               ec_point_check, eq7_descent_step,
                               eq7_s3_blocks_progression, involution_check,
                               mod4_progression_impossible, run_case)
 from apforge.curves import (BadReduction, EllipticModel, HyperCurve,
-                            SuperellipticForm, count_points, jacobian_order,
-                            l_poly_coeffs, torsion_gcd_bound)
+                            SuperellipticForm, count_points, cubic_discriminant,
+                            jacobian_order, l_poly_coeffs, torsion_gcd_bound)
 from apforge.curves import _good_reduction_data, _integral_model_any
 from apforge.genus import (ALL_GENUS_LE1_POSSIBLE, GENUS_AT_LEAST_2, GENUS_GT1,
                            GENUS_ONE, GenusZero, chi_classify, rh_genus_bound)
 from apforge.points import (_homogeneous_square_hits, locally_solvable,
                             locally_solvable_real, rational_points_search)
-from apforge.exactmath import BinaryForm, UniPoly, primes_upto
+from apforge.exactmath import BinaryForm, UniPoly, primes_upto, uni_resultant
 from apforge.numfield import cbrt2_field
 from apforge.sieve import ROW_BLOCK
 
@@ -47,7 +48,7 @@ X5P1 = HyperCurve("t_x5p1", UniPoly([1, 0, 0, 0, 0, 1]))
 
 def oracle_count(curve: HyperCurve, p: int, e: int) -> int:
     """Independent oracle: enumerate (x, y) pairs over F_q directly."""
-    coeffs, _v = curve.integral_model()
+    coeffs, _v = curve.integral_model
     deg = curve.f.degree
     desc = list(reversed(coeffs[: deg + 1]))
     if e == 1:
@@ -142,10 +143,37 @@ def test_count_fq_vs_loop_reference_random(deg, coeffs, p):
 
 @pytest.mark.parametrize("curve", [QUINTIC, C1], ids=lambda c: c.label)
 @pytest.mark.parametrize("p", [211, 307])
-def test_count_points_vs_loop_reference_larger_primes(curve, p):
+def test_count_points_vs_loop_reference_larger_primes(curve, p, monkeypatch):
     coeffs, deg = _good_reduction_data(curve, p)
-    assert count_points(curve, p) == loop_count(coeffs, deg, p, 1)
-    assert count_points(curve, p * p) == loop_count(coeffs, deg, p, 2)
+    want = (loop_count(coeffs, deg, p, 1), loop_count(coeffs, deg, p, 2))
+    for block in (curves._BLOCK, 37):  # 37 splits both fields
+        monkeypatch.setattr(curves, "_BLOCK", block)
+        assert (count_points(curve, p), count_points(curve, p * p)) == want, block
+
+
+def test_count_points_quintic_at_3(monkeypatch):
+    """The smallest odd prime: one pair a +- s per a, and one row block."""
+    coeffs, deg = _good_reduction_data(X5P1, 3)
+    assert deg == 5
+    for block in (curves._BLOCK, 2):
+        monkeypatch.setattr(curves, "_BLOCK", block)
+        for e in (1, 2):
+            assert count_points(X5P1, 3**e) == loop_count(coeffs, deg, 3, e) \
+                == oracle_count(X5P1, 3, e), (block, e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((5, 6)), st.lists(st.integers(-10**6, 10**6), min_size=7, max_size=7),
+       st.integers(-10**4, 10**4), st.integers(-10**4, 10**4))
+def test_norm_form_identity(deg, coeffs, x, s):
+    """f(x + s) f(x - s) = sum h_ij x^i (s^2)^j, exactly, for integer f, x, s."""
+    coeffs = coeffs[: deg + 1]
+    assume(coeffs[deg] != 0)
+    h = curves._norm_form(tuple(coeffs))
+    assert h.shape == (13, 7)
+    f = UniPoly(coeffs)
+    want = f.eval(x + s) * f.eval(x - s)
+    assert sum(int(h[i, j]) * x**i * s ** (2 * j) for i in range(13) for j in range(7)) == want
 
 
 def test_fp2_squares_are_norm_squares():
@@ -374,6 +402,25 @@ def test_factorization_checks():
         assert records and all(r.status == "pass" for r in records), (cid, records)
 
 
+@pytest.mark.parametrize("scale, status", [(["12", "6", "3"], "pass"),
+                                           (["24", "12", "6"], "fail")])
+def test_form_factorization_scale_claim(tmp_path, scale, status):
+    """2332's factorization as binary forms: the scale claim reads the
+    resultant of the dehomogenized factors, so it can pass or fail."""
+    with open(corpus_path(), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    case = next(c for c in raw["cases"] if c["id"] == "2332")
+    fact = next(f for f in case["facts"] if f["kind"] == "factorization")
+    fact.update(shape="form", resultant={"equals_one_with_scale": scale})
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    case = next(c for c in load_corpus(str(path)).cases if c.id == "2332")
+    [rec] = [r for r in run_case(case) if ":factorization:" in r.id]
+    assert rec.status == status, rec
+    if status == "fail":
+        assert rec.actual.startswith("scale^2 != resultant (") and "None" not in rec.actual
+
+
 def test_involution_of_sextic_form():
     form = BinaryForm([3, 18, 9, -148, -27, 162, -81])
     assert involution_check(form, 0, -3, 1, 0, -27)
@@ -439,6 +486,22 @@ def test_build_curve_kinds():
     form_case = CASES["3323"].curve
     assert isinstance(form_case, SuperellipticForm)
     assert form_case.z_mult == 2 and form_case.z_power == 3
+
+
+def test_cubic_discriminant_is_scaled_resultant():
+    models = [f["rhs"] for c in CORPUS.cases for f in c.facts if f["kind"] == "ec_point"]
+    assert models
+    for model in models:
+        rhs = model.rhs
+        assert cubic_discriminant(rhs) == -uni_resultant(rhs, rhs.derivative()) / rhs.coeffs[3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(-100, 100, max_denominator=50), min_size=4, max_size=4))
+def test_cubic_discriminant_random_rational(coeffs):
+    assume(coeffs[3] != 0)
+    rhs = UniPoly(coeffs)
+    assert cubic_discriminant(rhs) == -uni_resultant(rhs, rhs.derivative()) / coeffs[3]
 
 
 def test_squarefree_enforced():

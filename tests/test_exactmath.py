@@ -277,7 +277,7 @@ def test_discriminants_match_sympy_on_corpus_models():
     models = corpus_genus2_models()
     assert len(models) == 8
     for curve in models:
-        coeffs, _v = curve.integral_model()
+        coeffs, _v = curve.integral_model
         for f in (curve.f, UniPoly(coeffs)):
             F = as_sympy(f, rational)
             want = sympy.resultant(F, sympy.diff(F, X), X)

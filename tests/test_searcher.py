@@ -1,7 +1,11 @@
 """Search engine: sieve soundness, pinned hits, symmetry, determinism."""
 
+import concurrent.futures
 import math
+import os
 import random
+import subprocess
+import sys
 from itertools import product
 
 import pytest
@@ -109,7 +113,8 @@ def test_worker_pool_capped_at_cpu_count(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(searcher, "ProcessPoolExecutor", SerialPool)
+    # _run_tasks imports the pool class from concurrent.futures when it starts one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(searcher.os, "cpu_count", lambda: 3)
     want = search_theorem3(60, 20, jobs=1)
     for jobs, pool in ((5000, [3]), (3, [3]), (2, [2])):
@@ -121,6 +126,17 @@ def test_worker_pool_capped_at_cpu_count(monkeypatch):
     sizes.clear()
     search_theorem3(60, 20, jobs=5000)
     assert sizes == []  # an unknown core count runs serially
+
+
+def test_cli_import_leaves_process_pool_out():
+    # Only a search with --jobs > 1 starts a pool, so loading the CLI skips the
+    # multiprocessing import.  The child imports apforge from wherever this
+    # process does.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    code = "import sys, apforge.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_theorem3_deterministic_across_jobs():
