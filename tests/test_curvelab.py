@@ -152,7 +152,8 @@ def test_count_points_vs_loop_reference_larger_primes(curve, p, monkeypatch):
 
 
 def test_count_points_quintic_at_3(monkeypatch):
-    """The smallest odd prime: one pair a +- s per a, and one row block."""
+    """The smallest odd prime, where b = 1 gives each a its only pair a +- s;
+    a block of 2 splits both fields."""
     coeffs, deg = _good_reduction_data(X5P1, 3)
     assert deg == 5
     for block in (curves._BLOCK, 2):
