@@ -7,7 +7,8 @@ Subcommands
                  infinite-family identities
   genus          ramification/chi genus classification
 
-Exit codes: 0 all pass, 1 any failure, 2 usage error, 3 resource ceiling.
+Exit codes: 0 all pass (unchecked claims aside), 1 any fail or undecided
+record, 2 usage error, 3 resource ceiling.
 A machine-readable report goes to --report; records are canonically ordered
 so reports are byte-identical across runs (pass --no-timings to zero the
 per-record runtimes, which are the only volatile field).
@@ -21,6 +22,10 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field
 from itertools import product
+
+# numpy's OpenBLAS starts a thread per CPU at import; apforge never calls BLAS
+# (its matrix products are int64), so one thread will do unless the user asks.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import corpus as corpus_mod
 from . import curvelab, genus, parametrize, searcher
@@ -44,7 +49,9 @@ class RunReport:
 
     @property
     def exit_code(self) -> int:
-        return 1 if self.summary["fail"] else 0
+        """1 when any record failed or is undecided; unchecked claims exit 0."""
+        s = self.summary
+        return 1 if s["fail"] or s["undecided"] else 0
 
     def to_dict(self, no_timings: bool = False) -> dict:
         recs = []

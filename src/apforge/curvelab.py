@@ -39,16 +39,16 @@ class NoRepresentation(Exception):
 
 
 def ec_point_check(model: EllipticModel, x, y=None):
-    """Verify (x, y) on Y^2 = rhs(X); with y omitted, test rhs(x) for
+    """Verify (x, y) on Y^2 = f(X); with y omitted, test f(x) for
     squareness in the model's field (Undecided propagates)."""
-    rhs_val = model.rhs.eval(x)
+    value = model.f.eval(x)
     if y is not None:
-        return y * y == rhs_val
+        return y * y == value
     if model.field is None:
-        return rat_kth_root(rhs_val, 2) is not None
-    if not rhs_val:
+        return rat_kth_root(value, 2) is not None
+    if not value:
         return True
-    return nf_is_square(rhs_val) is not None
+    return nf_is_square(value) is not None
 
 
 def involution_check(form: BinaryForm, px, qx, py, qy, factor) -> bool:
@@ -265,11 +265,10 @@ def derive_case(case):
         return target
     divisor = rec["curve_divisor"]
     mapped = UniPoly([c / divisor for c in _MAPS[rec["map"]][0](case.id, sextic.coeffs)])
-    recorded = target.rhs if isinstance(target, EllipticModel) else target.f
-    if mapped != recorded:
+    if mapped != target.f:
         raise DerivationMismatch(
             f"{case.id}: mapped curve {list(mapped.coeffs)} differs from "
-            f"recorded {list(recorded.coeffs)}")
+            f"recorded {list(target.f.coeffs)}")
     return target
 
 

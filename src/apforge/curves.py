@@ -6,9 +6,9 @@ of degree 5 or 6.  Finite-field work happens on the denominator-cleared
 model (x, y) -> (x, v*y) with the smallest v making v^2*f integral, which
 is a point-count-preserving change of model away from p | v.
 
-Counting conventions for the smooth projective model:
-  deg f = 6: two points at infinity when lc(f) is a square in F_q, else none
-  deg f = 5: exactly one point at infinity
+Counting convention for the smooth projective model of y^2 = f(x), in
+every layer: odd deg f gives exactly one point at infinity; even deg f gives
+two when lc(f) is a square in the field, else none.
 The Jacobian order over F_p comes from the L-polynomial evaluated at 1,
 with coefficients fixed by the point counts over F_p and F_{p^2}.
 
@@ -64,16 +64,16 @@ class HyperCurve:
 
 @dataclass(frozen=True)
 class EllipticModel:
-    """Y^2 = rhs(X) with rhs a cubic over Q or a corpus number field."""
+    """Y^2 = f(X) with f a cubic over Q or a corpus number field."""
 
     label: str
-    rhs: UniPoly
+    f: UniPoly
     field: Optional[NumberField] = None
 
     def __post_init__(self):
-        if self.rhs.degree != 3:
+        if self.f.degree != 3:
             raise ValueError("elliptic model needs a cubic right-hand side")
-        if not cubic_discriminant(self.rhs):
+        if not cubic_discriminant(self.f):
             raise ValueError("discriminant vanishes")
 
 
@@ -96,10 +96,10 @@ def _disc(coeffs) -> Fraction:
     return uni_resultant(poly, poly.derivative())
 
 
-def cubic_discriminant(rhs: UniPoly):
+def cubic_discriminant(f: UniPoly):
     """b^2 c^2 - 4 a c^3 - 4 b^3 d - 27 a^2 d^2 + 18 a b c d for the cubic
-    a x^3 + b x^2 + c x + d, which is -Res(rhs, rhs')/a."""
-    d, c, b, a = rhs.coeffs
+    a x^3 + b x^2 + c x + d, which is -Res(f, f')/a."""
+    d, c, b, a = f.coeffs
     return b * b * c * c - 4 * a * c**3 - 4 * b**3 * d - 27 * a * a * d * d + 18 * a * b * c * d
 
 
@@ -234,10 +234,8 @@ def _count_fq(coeffs, deg: int, p: int, e: int) -> int:
                 count += 2 * int(np.bincount(norm.ravel(), minlength=p) @ roots)
                 if b0 == 0:  # x = a in F_p is its own conjugate: count it once
                     count -= int(roots[norm[:, 0]].sum())
-    if deg == 5:
-        return count + 1
-    # Two points at infinity when lc(f) is a square in F_q; N(lc) = lc^e.
-    return count + int(roots[coeffs[deg] ** e % p])
+    # At infinity: one for odd deg; for even deg two when lc(f) is a square in F_q, N(lc) = lc^e.
+    return count + (1 if deg % 2 else int(roots[coeffs[deg] ** e % p]))
 
 
 def l_poly_coeffs(curve: HyperCurve, p: int):

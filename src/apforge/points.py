@@ -42,24 +42,19 @@ def _homogeneous_square_hits(coeffs6, height: int):
 
 def rational_points_search(curve, height: int):
     """All affine rational points (X, Y) of height up to the bound, plus the
-    number of rational points at infinity.
+    number of rational points at infinity: one for odd deg f, and for even
+    deg f two when lc(f) is a rational square, else none.
 
     Returns (sorted list of (Fraction, Fraction), infinity_count).  Accepts
-    HyperCurve (deg 5/6) and EllipticModel over Q (deg 3).
+    any y^2 = f(x) model over Q with deg f <= 6: a HyperCurve, or an
+    EllipticModel without a number field.
     """
     if height < 1:
         raise ValueError("height must be positive")
-    if isinstance(curve, EllipticModel):
-        if curve.field is not None:
-            raise ValueError("point search runs over Q only")
-        f = curve.rhs
-        infinity = 1
-    else:
-        f = curve.f
-        if f.degree == 5:
-            infinity = 1
-        else:
-            infinity = 2 if rat_kth_root(f.lead(), 2) is not None else 0
+    if isinstance(curve, EllipticModel) and curve.field is not None:
+        raise ValueError("point search runs over Q only")
+    f = curve.f
+    infinity = 1 if f.degree % 2 else 2 if rat_kth_root(f.lead(), 2) is not None else 0
     coeffs, v = _integral_model_any(f)
     points = {}
     for r, s, _val, w in _homogeneous_square_hits(coeffs, height):
@@ -76,10 +71,8 @@ def rational_points_search(curve, height: int):
 
 def locally_solvable(curve, p: int) -> bool:
     """True iff y^2 = f(x) has a Q_p point (affine charts and infinity)."""
-    f = curve.rhs if isinstance(curve, EllipticModel) else curve.f
-    if isinstance(curve, EllipticModel) or f.degree == 5:
-        return True  # a rational point at infinity always exists
-    if rat_kth_root(f.lead(), 2) is not None:
+    f = curve.f
+    if f.degree % 2 or rat_kth_root(f.lead(), 2) is not None:
         return True  # rational points at infinity
     coeffs, _v = _integral_model_any(f)
     content = math.gcd(*coeffs)
@@ -95,12 +88,8 @@ def locally_solvable(curve, p: int) -> bool:
 
 def locally_solvable_real(curve) -> bool:
     """True iff the curve has a real point."""
-    f = curve.rhs if isinstance(curve, EllipticModel) else curve.f
-    if isinstance(curve, EllipticModel) or f.degree % 2 == 1:
-        return True
-    if f.lead() > 0:
-        return True
-    if f.eval(Fraction(0)) >= 0:
+    f = curve.f
+    if f.degree % 2 or f.lead() > 0 or f.eval(Fraction(0)) >= 0:
         return True
     return _sturm_real_root_count(f) > 0
 

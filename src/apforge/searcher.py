@@ -50,10 +50,11 @@ from .sieve import INT64_SAFE, ClassRows
 
 
 class ResourceLimitError(Exception):
-    """Estimated work exceeds the configured ceiling; nothing was truncated."""
+    """Estimated work exceeds WORK_CEILING; nothing was truncated."""
 
 
 ETA_CAP = 10**6  # largest |eta| among the twists of search_general
+WORK_CEILING = 2_000_000_000  # estimated pair evaluations a search may take
 
 
 @dataclass(frozen=True)
@@ -131,8 +132,9 @@ _FLUSH = 4096  # sieve survivors held before the exact stage runs on them
 
 
 def _choose_base_pair(sizes: Sequence[int]):
-    order = sorted(range(len(sizes)), key=lambda i: (sizes[i], i))
-    i, j = sorted(order[:2])
+    """The two positions with the fewest candidates, the smaller first: the
+    scan loops over the first and looks up the second."""
+    i, j = sorted(range(len(sizes)), key=lambda i: (sizes[i], i))[:2]
     return i, j
 
 
@@ -142,10 +144,6 @@ def _scan_vector(task: _VectorTask) -> list:
     cands = [_position_values(lvec[m], bounds[m], etas[m]) for m in range(k)]
     i, j = _choose_base_pair([len(c) for c in cands])
     outer, inner = cands[i], cands[j]
-    if len(outer) > len(inner):
-        # Keep the python-level loop on the smaller set.
-        i, j = j, i
-        outer, inner = cands[i], cands[j]
     lo, hi = task.outer_slice
     if task.use_sieve:
         return _staged_scan(task, cands, i, j, outer[lo:hi])
@@ -299,7 +297,7 @@ def _scan_plan(task: _VectorTask):
     return (rev, True) if key(rev) < key(task) else (task, False)
 
 
-def _run_search(tasks: list, jobs: int, work_ceiling: int) -> list:
+def _run_search(tasks: list, jobs: int) -> list:
     """Check the work estimate, scan, and sort hits canonically.
 
     The sieved path scans one task per reversal class and mirrors its hits
@@ -309,7 +307,7 @@ def _run_search(tasks: list, jobs: int, work_ceiling: int) -> list:
         sizes = _position_sizes(t)
         i, j = _choose_base_pair(sizes)
         est += sizes[i] * sizes[j]
-    if est > work_ceiling:
+    if est > WORK_CEILING:
         raise ResourceLimitError(f"estimated {est} pair evaluations exceeds ceiling")
     plans = [_scan_plan(t) if t.use_sieve else (t, False) for t in tasks]
     scans = list(dict.fromkeys(scan for scan, _ in plans))
@@ -325,8 +323,7 @@ def _run_search(tasks: list, jobs: int, work_ceiling: int) -> list:
 
 def search_theorem3(bound_squares: int, bound_cubes: int,
                     vectors: Optional[Sequence] = None,
-                    use_sieve: bool = True, jobs: int = 1,
-                    work_ceiling: int = 2_000_000_000) -> list:
+                    use_sieve: bool = True, jobs: int = 1) -> list:
     """All 4-term progressions of squares/cubes with gcd(h0, h1) = 1.
 
     Exponent vectors range over {2,3}^4 (or the given subset; any other
@@ -347,13 +344,12 @@ def search_theorem3(bound_squares: int, bound_cubes: int,
     tasks = [_VectorTask(lvec=lvec, bounds=tuple(bounds_of(l) for l in lvec),
                          etas=((1,),) * 4, gcd_cap=1, use_sieve=use_sieve)
              for lvec in vectors]
-    return _run_search(tasks, jobs, work_ceiling)
+    return _run_search(tasks, jobs)
 
 
 def search_general(k: int, L: int, bound: int, D: int = 1,
                    S: Sequence[int] = (), vectors: Optional[Sequence] = None,
-                   use_sieve: bool = True, jobs: int = 1,
-                   work_ceiling: int = 2_000_000_000) -> list:
+                   use_sieve: bool = True, jobs: int = 1) -> list:
     """k-term progressions h = eta * x^l, 2 <= l <= L, gcd(h0, h1) <= D.
 
     eta ranges over l-th-power-free S-units of both signs up to 10^6;
@@ -378,7 +374,7 @@ def search_general(k: int, L: int, bound: int, D: int = 1,
                          etas=tuple(eta_by_l[l] for l in lvec), gcd_cap=D,
                          use_sieve=use_sieve)
              for lvec in vectors]
-    return _run_search(tasks, jobs, work_ceiling)
+    return _run_search(tasks, jobs)
 
 
 def search_cubic_twin(bound: int) -> list:

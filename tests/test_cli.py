@@ -8,8 +8,9 @@ import sys
 import pytest
 
 from apforge import genus
-from apforge.cli import main
+from apforge.cli import RunReport, main
 from apforge.corpus import corpus_path, load_corpus
+from apforge.curvelab import CheckResult
 
 
 def run_cli(*argv):
@@ -133,6 +134,42 @@ def test_console_script_entry():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "GenusZero" in proc.stdout
+
+
+@pytest.mark.parametrize("statuses, code", [
+    ((), 0),
+    (("pass",), 0),
+    (("pass", "unchecked-claim"), 0),
+    (("pass", "fail"), 1),
+    (("pass", "undecided"), 1),
+    (("undecided", "unchecked-claim"), 1),
+    (("fail", "undecided"), 1),
+])
+def test_exit_code_rule(statuses, code):
+    """A fail or an undecided record exits 1; an unchecked claim alone does not."""
+    report = RunReport("cases", "v", "sha", [CheckResult(f"r{n}", status, "e", "a")
+                                             for n, status in enumerate(statuses)])
+    assert report.exit_code == code
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("user_value", [None, "3"])
+def test_cli_import_caps_openblas_threads(user_value):
+    """Loading the CLI leaves one thread when the user sets no OpenBLAS thread
+    count, and keeps a count the user sets.  The child imports apforge from
+    wherever this process does."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    if user_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = user_value
+    code = ("import os, apforge.cli; "
+            "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    threads, value = proc.stdout.split()
+    assert value == (user_value or "1")
+    if user_value is None:
+        assert threads == "1"
 
 
 def test_verify_lemma_unknown_family_message(capsys):

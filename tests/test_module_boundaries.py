@@ -79,3 +79,39 @@ def test_corpus_values_are_built_at_load():
                     and node.name == "build_curve":
                 found.append(f"{path.name}:{node.lineno}: defines build_curve")
     assert SOURCES and not found, "\n".join(found)
+
+
+# No dead helpers: every private module-level function, class or constant is
+# read somewhere in the package outside its own definition.
+def _private_definitions(tree):
+    """(name, first line, last line) for each private module-level def,
+    class or assigned name; dunders are not private helpers."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno, node.end_lineno
+
+
+def test_private_helpers_are_used():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    uses = {}  # identifier -> [(file, line)] of every Name or Attribute
+    for fname, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                uses.setdefault(name, []).append((fname, node.lineno))
+    defined, unused = 0, []
+    for fname, tree in trees.items():
+        for name, first, last in _private_definitions(tree):
+            defined += 1
+            if not any(f != fname or not first <= line <= last
+                       for f, line in uses.get(name, ())):
+                unused.append(f"{fname}:{first}: {name}")
+    assert defined >= 100 and not unused, "\n".join(unused)

@@ -1,9 +1,10 @@
 """Number field layer: corpus identities, norms, S-units, squareness."""
 
-import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from sympy import QQ, CRootOf, Poly, Symbol
 
 from apforge.numfield import (FIELDS, NumberField, cbrt2_field,
@@ -13,9 +14,23 @@ from apforge.numfield import (FIELDS, NumberField, cbrt2_field,
 ALL_FIELDS = [name for name in FIELDS]
 
 
-def rand_elem(field, rng, span=9):
-    return field.element([Fraction(rng.randint(-span, span), rng.randint(1, 3))
-                          for _ in range(field.degree)])
+@st.composite
+def same_field(draw, count, span=9, fields=tuple(ALL_FIELDS)):
+    """count elements of one field, drawn from `fields` (a name listed twice
+    is drawn twice as often), each coordinate n/d with |n| <= span and
+    1 <= d <= 3.  An element is drawn as one integer, whose digits in base
+    3 (2 span + 1) are its coordinates: one draw per element keeps the
+    thousands of examples below cheap."""
+    K = field_by_name(draw(st.sampled_from(fields)))
+    base = 3 * (2 * span + 1)
+    elems = []
+    for _ in range(count):
+        code, coords = draw(st.integers(0, base**K.degree - 1)), []
+        for _ in range(K.degree):
+            code, digit = divmod(code, base)
+            coords.append(Fraction(digit // 3 - span, digit % 3 + 1))
+        elems.append(K.element(coords))
+    return elems
 
 
 def test_cbrt2_identities():
@@ -43,16 +58,14 @@ def test_sqrtm2_square_of_root():
     assert -(K.alpha**2) == 2
 
 
-def test_identity_and_inverse_random():
-    rng = random.Random(31337)
-    for name in ALL_FIELDS:
-        K = field_by_name(name)
-        for _ in range(60):
-            a = rand_elem(K, rng)
-            if not a:
-                continue
-            assert K.one * a == a
-            assert a * a.inverse() == K.one
+@settings(max_examples=60 * len(ALL_FIELDS), deadline=None)
+@given(same_field(1))
+def test_identity_and_inverse_random(elems):
+    (a,) = elems
+    assume(a)
+    K = a.field
+    assert K.one * a == a
+    assert a * a.inverse() == K.one
 
 
 def pow_table_product(a, b):
@@ -75,28 +88,25 @@ def pow_table_product(a, b):
     return K.element(out)
 
 
-def test_product_matches_pow_table_oracle():
-    rng = random.Random(8675309)
-    for name in ALL_FIELDS:
-        K = field_by_name(name)
-        for _ in range(200):
-            a, b = rand_elem(K, rng), rand_elem(K, rng)
-            assert a * b == pow_table_product(a, b)
+@settings(max_examples=200 * len(ALL_FIELDS), deadline=None)
+@given(same_field(2))
+def test_product_matches_pow_table_oracle(elems):
+    a, b = elems
+    assert a * b == pow_table_product(a, b)
 
 
-def test_norm_multiplicative_random():
-    rng = random.Random(424242)
-    trials_per_field = {name: (1500 if field_by_name(name).degree == 2 else 350)
-                        for name in ALL_FIELDS}
-    total = 0
-    for name in ALL_FIELDS:
-        K = field_by_name(name)
-        for _ in range(trials_per_field[name]):
-            a = rand_elem(K, rng, span=6)
-            b = rand_elem(K, rng, span=6)
-            assert nf_norm(a * b) == nf_norm(a) * nf_norm(b)
-            total += 1
-    assert total >= 8000
+# 1500 examples per quadratic field and 350 per other field, in expectation:
+# the fields are drawn in the ratio 1500 : 350 = 30 : 7.
+NORM_FIELDS = tuple(name for name in ALL_FIELDS
+                    for _ in range(30 if field_by_name(name).degree == 2 else 7))
+
+
+@settings(max_examples=sum(1500 if field_by_name(name).degree == 2 else 350
+                           for name in ALL_FIELDS), deadline=None)
+@given(same_field(2, span=6, fields=NORM_FIELDS))
+def test_norm_multiplicative_random(elems):
+    a, b = elems
+    assert nf_norm(a * b) == nf_norm(a) * nf_norm(b)
 
 
 def test_norm_of_rational_is_power():
@@ -128,20 +138,17 @@ def test_is_square_examples():
     assert nf_is_square(Q3.rational(2)) is None
 
 
-def test_is_square_round_trip_random():
-    rng = random.Random(2718281)
-    for name in ALL_FIELDS:
-        K = field_by_name(name)
-        n = 40 if K.degree <= 3 else 25
-        for _ in range(n):
-            b = rand_elem(K, rng, span=5)
-            if not b:
-                continue
-            a = b * b
-            got = nf_is_square(a)
-            assert got is not None
-            assert got * got == a
-            assert got in (b, -b)
+@settings(max_examples=sum(40 if field_by_name(name).degree <= 3 else 25
+                           for name in ALL_FIELDS), deadline=None)
+@given(same_field(1, span=5))
+def test_is_square_round_trip_random(elems):
+    (b,) = elems
+    assume(b)
+    a = b * b
+    got = nf_is_square(a)
+    assert got is not None
+    assert got * got == a
+    assert got in (b, -b)
 
 
 def test_is_square_refutations():
@@ -158,31 +165,32 @@ def test_is_square_zero_and_rationals():
     assert nf_is_square(K.rational(Fraction(9, 4))) == K.rational(Fraction(3, 2))
 
 
-def test_is_square_matches_sympy_factorization():
+@lru_cache(maxsize=None)
+def sympy_field(K):
+    """(F, alpha): sympy's Q(CRootOf(m, 0)) for K's minimal polynomial m and
+    the image of K's generator, checked to be a root of m."""
+    ascending = [QQ(c.numerator, c.denominator) for c in K.minpoly.coeffs]
+    root = CRootOf(Poly(ascending[::-1], Symbol("x"), domain=QQ).as_expr(), 0)
+    F = QQ.algebraic_field(root)
+    alpha = F.convert(root)
+    assert sum((c * alpha**i for i, c in enumerate(ascending)), F.zero) == F.zero
+    return F, alpha
+
+
+@settings(max_examples=30 * len(ALL_FIELDS), deadline=None)
+@given(same_field(2, span=7), st.booleans())
+def test_is_square_matches_sympy_factorization(elems, square):
     """Differential oracle: a != 0 is a square in K exactly when t^2 - a
-    splits over Q(CRootOf(m, 0)) in sympy's algebraic-field factorization."""
-    rng = random.Random(161803)
-    t, x = Symbol("t"), Symbol("x")
-    for name in ALL_FIELDS:
-        K = field_by_name(name)
-        ascending = [QQ(c.numerator, c.denominator) for c in K.minpoly.coeffs]
-        m = Poly(ascending[::-1], x, domain=QQ)
-        root = CRootOf(m.as_expr(), 0)
-        F = QQ.algebraic_field(root)
-        alpha = F.convert(root)
-        assert sum((c * alpha**i for i, c in enumerate(ascending)), F.zero) == F.zero
-        checked = 0
-        for i in range(30):
-            b = rand_elem(K, rng, span=7)
-            a = b * b if i % 2 == 0 else rand_elem(K, rng, span=7)
-            if not a:
-                continue
-            elem = sum((QQ(c.numerator, c.denominator) * alpha**j
-                        for j, c in enumerate(a.coords)), F.zero)
-            _, factors = Poly([F.one, F.zero, -elem], t, domain=F).factor_list()
-            assert (nf_is_square(a) is None) == (len(factors) == 1), (name, a)
-            checked += 1
-        assert checked >= 25
+    splits over Q(CRootOf(m, 0)) in sympy's algebraic-field factorization.
+    Half the examples square an element, so both answers are drawn."""
+    b, c = elems
+    a = b * b if square else c
+    assume(a)
+    F, alpha = sympy_field(a.field)
+    elem = sum((QQ(q.numerator, q.denominator) * alpha**j
+                for j, q in enumerate(a.coords)), F.zero)
+    _, factors = Poly([F.one, F.zero, -elem], Symbol("t"), domain=F).factor_list()
+    assert (nf_is_square(a) is None) == (len(factors) == 1), a
 
 
 def test_field_mismatch_rejected():

@@ -175,7 +175,7 @@ def test_general_search_five_squares_trivial():
 
 def test_resource_ceiling():
     with pytest.raises(ResourceLimitError):
-        search_general(4, 2, 10**6, work_ceiling=10**6)
+        search_general(4, 2, 10**6)  # about 4 (10^6 + 1)^2 pairs, over WORK_CEILING
     with pytest.raises(ResourceLimitError):
         search_general(4, 7, 10**3)  # values overflow the int64 kernel
 
