@@ -12,9 +12,12 @@ are booleans; names and prose stay strings; family branches become Branch
 records.  A fact's ``field`` becomes its NumberField; there a field element
 is written as its coordinates in the power basis, and the keys in `_IN_FIELD`
 hold FieldElems (or lists of them).  List shapes are checked too: e.g.
-``exponent_vector`` holds integers >= 2, ``at`` one or two coordinates, an
-ec_point's ``rhs`` a squarefree cubic (its EllipticModel).  A wrong type or
-shape, an unknown name, or a missing or undeclared key is a ValueError naming
+``exponent_vector`` holds integers >= 2, ``at`` one or two coordinates, the
+``rhs`` of an ec_point, ec_two_torsion or ec_square_x fact a squarefree cubic
+(its EllipticModel).  The file is an object whose ``families`` and ``cases``
+are lists of objects, as are a case's ``facts``; its ``version`` is a string,
+and no two families or cases share an id.  A wrong type or shape, an unknown
+name, a repeated id, or a missing or undeclared key is a ValueError naming
 the case or family, the key and the value; so is a curve its constructor
 refuses, or a Jacobian prime at which it has bad reduction.  Each case's
 curve is built here once, by `curvelab.check_curve`.
@@ -84,15 +87,42 @@ def load_corpus(path: Optional[str] = None) -> Corpus:
     with open(resolved, "rb") as fh:
         raw = fh.read()
     data = json.loads(raw.decode("utf-8"))
-    families = tuple(_parse_family(f) for f in data["families"])
-    by_id = {f.id: f for f in families}
+    if type(data) is not dict:
+        raise ValueError(f"the corpus is a JSON {type(data).__name__}, not an object")
+    families = tuple(_parse_family(f) for f in _objects(data, "families"))
+    by_id = _by_id(families, "family")
+    cases = tuple(_parse_case(c, by_id) for c in _objects(data, "cases"))
+    _by_id(cases, "case")
     return Corpus(
-        version=data["version"],
+        version=_record("corpus", {"version": data["version"]})["version"],
         path=resolved,
         sha256=hashlib.sha256(raw).hexdigest(),
         families=families,
-        cases=tuple(_parse_case(c, by_id) for c in data["cases"]),
+        cases=cases,
     )
+
+
+def _object(value, where: str) -> dict:
+    if type(value) is not dict:
+        raise ValueError(f"{where} holds {value!r}, not an object")
+    return value
+
+
+def _objects(rec: dict, key: str) -> list:
+    """rec[key], a list of JSON objects; a ValueError names the first that is not."""
+    rows = rec[key]
+    if type(rows) is not list:
+        raise ValueError(f"key {key!r} holds {rows!r}, not a list")
+    return [_object(row, f"{key}[{i}]") for i, row in enumerate(rows)]
+
+
+def _by_id(records, what: str) -> dict:
+    """The records keyed by id; a repeated id is a ValueError naming it."""
+    out = {}
+    for rec in records:
+        if out.setdefault(rec.id, rec) is not rec:
+            raise ValueError(f"{what} {rec.id} is given twice")
+    return out
 
 
 class _Wrong(ValueError):
@@ -152,7 +182,7 @@ def _elements(depth: int):
 def _ec_model(value, fact) -> EllipticModel:
     rhs = UniPoly(_elements(1)(value, fact))
     try:
-        return EllipticModel("ec_point", rhs, field_by_name(fact["field"]))
+        return EllipticModel(fact["kind"], rhs, field_by_name(fact["field"]))
     except ValueError:  # not a cubic, or one with a repeated root
         raise _Wrong(value, "a squarefree cubic") from None
 
@@ -182,8 +212,9 @@ _TYPES = {
     "s_unit": _is(lambda v: type(v) is list and v != [] and all(map(_prime, v)),
                   "a non-empty list of primes"),
     **dict.fromkeys(("expect", "real"), _is(lambda v: type(v) is bool, "a boolean")),
-    **dict.fromkeys(("id", "equation", "parity_rule", "kind", "label", "text", "recipe", "map",
-                     "family", "shape"), _is(lambda v: type(v) is str, "a string")),
+    **dict.fromkeys(("id", "version", "equation", "parity_rule", "kind", "label", "text",
+                     "recipe", "map", "family", "shape"),
+                    _is(lambda v: type(v) is str, "a string")),
     "field": field_by_name,  # a name the loader has checked
     "value": _integer,
     "branches": lambda rows: tuple(map(_branch, rows)),
@@ -206,7 +237,8 @@ _TYPES = {
     ("factorization", "factors"): _is(lambda v: type(v) is list and len(v) >= 2,
                                       "at least two factors", _elements(2)),
     ("factorization", "resultant"): _claim,
-    ("ec_point", "rhs"): _ec_model,
+    **dict.fromkeys((("ec_point", "rhs"), ("ec_two_torsion", "rhs"), ("ec_square_x", "rhs")),
+                    _ec_model),
 }
 
 # key -> parser of (value, fact) of the field elements it holds in a fact with a field
@@ -252,7 +284,8 @@ def _derivation_branch(deriv: dict, families: dict) -> Optional[Branch]:
 
 def _parse_records(rec: dict) -> list:
     """The case's curve, derivation and facts, parsed once names and keys check."""
-    curve, deriv, facts = rec["curve"], rec["derivation"], rec.get("facts", ())
+    curve, deriv = (_object(rec[key], f"key {key!r}") for key in ("curve", "derivation"))
+    facts = _objects(rec, "facts") if "facts" in rec else []
     names = [("curve kind", curve["kind"], CURVE_KINDS),
              ("derivation recipe", deriv["recipe"], RECIPES)]
     if "map" in deriv:
@@ -281,15 +314,15 @@ def _parse_records(rec: dict) -> list:
 
 
 def _parse_case(rec: dict, families: dict) -> CaseRecord:
-    vectors = _record(f"case {rec['id']}:", {
+    head = _record(f"case {rec['id']}:", {"id": rec["id"], **{
         key: rec[key] for key in ("exponent_vector", "partner_vector")
-        if rec.get(key) is not None})
+        if rec.get(key) is not None}})
     try:
         curve, deriv, *facts = _parse_records(rec)
         case = CaseRecord(
-            id=rec["id"],
-            exponent_vector=tuple(vectors["exponent_vector"]),
-            partner_vector=tuple(vectors["partner_vector"]) if "partner_vector" in vectors else None,
+            id=head["id"],
+            exponent_vector=tuple(head["exponent_vector"]),
+            partner_vector=tuple(head["partner_vector"]) if "partner_vector" in head else None,
             description=rec.get("description", ""),
             derivation=deriv,
             derivation_branch=_derivation_branch(deriv, families),

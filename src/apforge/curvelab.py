@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .curves import (BadReduction, EllipticModel, HyperCurve, SuperellipticForm,
-                     _good_reduction_data, jacobian_order, torsion_gcd_bound)
+                     good_reduction_data, jacobian_order, torsion_gcd_bound)
 from .curves import count_points  # noqa: F401; perfbench/traced.py finds it here to wrap it
 from .exactmath import (BinaryForm, UniPoly, form_eval, int_kth_root, primes_upto,
                         rat_kth_root, uni_resultant)
@@ -190,7 +190,7 @@ def check_curve(rec: dict, facts) -> object:
             raise ValueError(f"{fact['kind']} fact needs a genus2 curve")
         for p in fact[key] if key == "primes" else [fact[key]]:
             try:
-                _good_reduction_data(curve, p)
+                good_reduction_data(curve, p)
             except BadReduction as exc:
                 raise ValueError(f"{fact['kind']} fact key {key!r}: {exc}") from None
     return curve
@@ -339,17 +339,13 @@ def _check_ec_point(case, fact):
 
 
 def _check_ec_two_torsion(case, fact):
-    rhs = UniPoly(fact["rhs"])
-    bad = [x for x in fact["xs"] if rhs.eval(x)]
+    bad = [x for x in fact["xs"] if fact["rhs"].f.eval(x)]
     return not bad, f"{len(fact['xs']) - len(bad)} of {len(fact['xs'])} vanish"
 
 
 def _check_ec_square_x(case, fact):
-    rhs = UniPoly(fact["rhs"])
     for x in fact["xs"]:
-        val = rhs.eval(x)
-        root = nf_is_square(val)
-        if root is None or root * root != val:
+        if not ec_point_check(fact["rhs"], x):
             return False, f"non-square rhs at {[str(c) for c in x.coords]}"
     return True, f"{len(fact['xs'])} abscissae lift to points"
 

@@ -2,9 +2,11 @@
 counts and Jacobian orders over finite fields.
 
 Genus-2 curves are y^2 = f(x) with rational coefficients and squarefree f
-of degree 5 or 6.  Finite-field work happens on the denominator-cleared
-model (x, y) -> (x, v*y) with the smallest v making v^2*f integral, which
-is a point-count-preserving change of model away from p | v.
+of degree 5 or 6; both models test f through `exactmath.discriminant`.
+Finite-field work happens on the denominator-cleared model (x, y) ->
+(x, v*y) with the smallest v making v^2*f integral, which is a
+point-count-preserving change of model away from p | v: `integral_model(f)`
+builds it once per f, and `good_reduction_data` checks a prime against it.
 
 Counting convention for the smooth projective model of y^2 = f(x), in
 every layer: odd deg f gives exactly one point at infinity; even deg f gives
@@ -15,12 +17,13 @@ with coefficients fixed by the point counts over F_p and F_{p^2}.
 Point counts are numpy kernels in blocks of about _BLOCK cells, so their
 working memory does not grow with q; the per-prime tables they read are
 O(p) and cached.  Each x adds its number of square roots of f(x), read from
-one p-entry table.  Over F_p, f(x) comes from Horner steps.  Over F_{p^2}
-they take each conjugate pair a +- s (s^2 = w, w a non-residue) once and
-read the norm f(a + s) f(a - s) from the curve's norm form, an exact 13 x 7
-integer matrix H: one block of (a, w) is ((V @ H) % p) @ W % p for power
-tables V of a and W of w.  Every int64 value stays below 13 p^2, far under
-2^62 as count_points asks p^(e+1) < 2^62 for q = p^e.
+one p-entry table.  Over F_p, f(x) comes from `exactmath.horner` mod p.
+Over F_{p^2} they take each conjugate pair a +- s (s^2 = w, w a
+non-residue) once and read the norm f(a + s) f(a - s) from the curve's norm
+form, an exact 13 x 7 integer matrix H: one block of (a, w) is
+((V @ H) % p) @ W % p for power tables V of a and W of w.  Every int64
+value stays below 13 p^2, far under 2^62 as count_points asks
+p^(e+1) < 2^62 for q = p^e.
 """
 
 from __future__ import annotations
@@ -28,12 +31,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .exactmath import BinaryForm, UniPoly, is_prime, square_split, uni_resultant
+from .exactmath import BinaryForm, UniPoly, discriminant, horner, is_prime, square_split
 from .numfield import NumberField
 from .sieve import INT64_SAFE
 
@@ -52,14 +55,8 @@ class HyperCurve:
     def __post_init__(self):
         if self.f.degree not in (5, 6):
             raise ValueError("hyperelliptic model needs degree 5 or 6")
-        if not _disc(self.f.coeffs):
+        if not discriminant(self.f.coeffs):
             raise ValueError("f must be squarefree")
-
-    @cached_property
-    def integral_model(self):
-        """(coeffs ascending as ints padded to degree 6, scale v) with
-        v^2 * f integral and v minimal; built once per curve."""
-        return _integral_model_any(self.f)
 
 
 @dataclass(frozen=True)
@@ -73,7 +70,7 @@ class EllipticModel:
     def __post_init__(self):
         if self.f.degree != 3:
             raise ValueError("elliptic model needs a cubic right-hand side")
-        if not cubic_discriminant(self.f):
+        if not discriminant(self.f.coeffs):
             raise ValueError("discriminant vanishes")
 
 
@@ -88,23 +85,7 @@ class SuperellipticForm:
 
 
 @lru_cache(maxsize=None)
-def _disc(coeffs) -> Fraction:
-    """Res(f, f') for f with these ascending rational coefficients (trailing
-    zeros ignored): zero iff f has a repeated root, an integer for integer f.
-    Cached: every point count and local solvability test asks again."""
-    poly = UniPoly(coeffs)
-    return uni_resultant(poly, poly.derivative())
-
-
-def cubic_discriminant(f: UniPoly):
-    """b^2 c^2 - 4 a c^3 - 4 b^3 d - 27 a^2 d^2 + 18 a b c d for the cubic
-    a x^3 + b x^2 + c x + d, which is -Res(f, f')/a."""
-    d, c, b, a = f.coeffs
-    return b * b * c * c - 4 * a * c**3 - 4 * b**3 * d - 27 * a * a * d * d + 18 * a * b * c * d
-
-
-@lru_cache(maxsize=None)
-def _integral_model_any(f: UniPoly):
+def integral_model(f: UniPoly):
     """(ascending integer coefficients of v^2 f padded to degree 6, v), with
     v the least positive integer making v^2 f integral.
 
@@ -118,10 +99,12 @@ def _integral_model_any(f: UniPoly):
     return tuple(coeffs), v
 
 
-def _good_reduction_data(curve: HyperCurve, p: int):
-    coeffs, v = curve.integral_model
+def good_reduction_data(curve: HyperCurve, p: int):
+    """(integral-model coefficients, deg f) of a curve with good reduction at
+    the odd prime p; raises BadReduction otherwise."""
+    coeffs, v = integral_model(curve.f)
     deg = curve.f.degree
-    disc = _disc(coeffs).numerator  # an integer, as coeffs are
+    disc = discriminant(coeffs).numerator  # an integer, as coeffs are
     if p < 3:
         raise BadReduction("odd primes only")
     if v % p == 0 or coeffs[deg] % p == 0 or disc % p == 0:
@@ -134,7 +117,7 @@ def count_points(curve: HyperCurve, q: int) -> int:
     p, e = _prime_power(q)
     if p ** (e + 1) >= INT64_SAFE:
         raise ValueError("the int64 kernels need p^(e+1) < 2^62")
-    coeffs, deg = _good_reduction_data(curve, p)
+    coeffs, deg = good_reduction_data(curve, p)
     return _count_fq(coeffs, deg, p, e)
 
 
@@ -201,7 +184,7 @@ def _norm_form(coeffs):
 def _count_fq(coeffs, deg: int, p: int, e: int) -> int:
     """Points over F_q, q = p^e, e in {1, 2}: affine ones plus those at
     infinity.  Each x adds #{y in F_q : y^2 = f(x)}; over F_p that is
-    R[f(x)] for R = _root_counts(p), with f(x) by Horner steps on a block of x.
+    R[f(x)] for R = _root_counts(p), f(x) by `horner` mod p on a block of x.
 
     F_{p^2} is F_p[t]/(t^2 - nu).  Each x in it is a + s with a in F_p and
     s^2 = w = nu b^2, 0 <= b <= (p-1)/2; b = 0 is x = a, and b >= 1 is one
@@ -219,9 +202,7 @@ def _count_fq(coeffs, deg: int, p: int, e: int) -> int:
     if e == 1:
         for start in range(0, p, rows):
             a = np.arange(start, min(start + rows, p), dtype=np.int64)
-            value = np.zeros_like(a)
-            for c in reversed(coeffs[: deg + 1]):
-                value = (value * a + c % p) % p
+            value = horner(coeffs[: deg + 1], a, p)
             count += int(np.bincount(value, minlength=p) @ roots)
     else:
         h = (_norm_form(tuple(coeffs[: deg + 1])) % p).astype(np.int64)

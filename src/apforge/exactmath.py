@@ -4,14 +4,18 @@ Everything here is exact: coefficients are `fractions.Fraction` (or number
 field elements, which expose the same operator protocol).  No floating point
 enters any result.  `UniPoly` is the only dense polynomial arithmetic: a
 `BinaryForm` is a view of one, `poly_divmod` reduces, and `power` is the one
-square-and-multiply.  On top sit exact k-th roots of forms and integers,
-resultants and extended gcds by Euclidean remainders, and the prime helpers.
+square-and-multiply.  `horner` and `form_value` are the one evaluator of a
+coefficient list and of a binary form, exact or modulo an integer and on
+int64 arrays alike.  On top sit exact k-th roots of forms and integers,
+resultants, discriminants and extended gcds by Euclidean remainders, and the
+prime helpers.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 
@@ -119,14 +123,31 @@ class BinaryForm:
         return BinaryForm._of(acc, n)
 
 
-def form_eval(f: BinaryForm, x, y):
-    """Exact value f(x, y), by Horner's rule in x with the powers of y alongside."""
-    x, y = as_coeff(x), as_coeff(y)
-    acc, ypow = f.coeffs[0], 1
-    for c in f.coeffs[1:]:
-        ypow = ypow * y
-        acc = acc * x + c * ypow
+def horner(coeffs: Sequence, x, mod=None):
+    """sum coeffs[i] x^i, coefficients ascending, at an int, Fraction, ring
+    element or int64 array x.  With mod, each coefficient and each step is
+    reduced, so no coefficient enters an array and, for 0 <= x < mod, every
+    value stays below mod^2."""
+    acc = coeffs[-1] if mod is None else coeffs[-1] % mod
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c if mod is None else (acc * x + c % mod) % mod
     return acc
+
+
+def form_value(coeffs: Sequence, x, y, mod=None):
+    """sum coeffs[j] x^(n-j) y^j, n = len(coeffs) - 1: Horner's rule in x with
+    the powers of y alongside.  Inputs and reduction are as for `horner`; for
+    0 <= x, y < mod every value stays below 2 mod^2."""
+    acc, ypow = coeffs[0] if mod is None else coeffs[0] % mod, 1
+    for c in coeffs[1:]:
+        ypow = ypow * y if mod is None else ypow * y % mod
+        acc = acc * x + c * ypow if mod is None else (acc * x + c % mod * ypow) % mod
+    return acc
+
+
+def form_eval(f: BinaryForm, x, y):
+    """Exact value f(x, y)."""
+    return form_value(f.coeffs, as_coeff(x), as_coeff(y))
 
 
 def form_exact_root(f: BinaryForm, k: int):
@@ -319,11 +340,7 @@ class UniPoly:
         return power(self, k, UniPoly([_ring_zero(self.lead()) + 1]))
 
     def eval(self, x):
-        x = as_coeff(x)
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
+        return horner(self.coeffs, as_coeff(x))
 
     def derivative(self) -> "UniPoly":
         if self.degree == 0:
@@ -396,3 +413,17 @@ def uni_resultant(p: UniPoly, q: UniPoly):
         res = res * q.lead() ** (p.degree - r.degree)
         p, q = q, r
     return res * q.coeffs[0] ** p.degree
+
+
+@lru_cache(maxsize=None)
+def discriminant(coeffs: tuple):
+    """Res(f, f') for f with these ascending coefficients (trailing zeros
+    ignored): zero iff f has a repeated root, an integer for integer f.  A
+    cubic takes the closed form, other degrees `uni_resultant`.  Cached:
+    curves, fields, point counts and local solvability each ask again."""
+    f = UniPoly(coeffs)
+    if f.degree != 3:
+        return uni_resultant(f, f.derivative())
+    d, c, b, a = f.coeffs
+    return -a * (b * b * c * c - 4 * a * c**3 - 4 * b**3 * d - 27 * a * a * d * d
+                 + 18 * a * b * c * d)

@@ -5,11 +5,13 @@ alpha^(d-1).  Products are `UniPoly` arithmetic in alpha, reduced in one
 place (`NumberField.reduce`) by `poly_divmod` modulo the (monic, rational)
 minimal polynomial; inverses come from `exactmath.poly_xgcd` against it and
 powers use `exactmath.power`.  Norms are resultants along the same Euclidean
-remainder sequence, and S-unit tests run on norms.  Squareness is
-decided by one scan over small unramified primes: a modular non-residue
-refutes it, and at a split prime a square root is Hensel-lifted p-adically,
-rationally reconstructed and verified exactly.  No floating point is used
-anywhere.
+remainder sequence, the field discriminant is `exactmath.discriminant` of the
+minimal polynomial, and S-unit tests run on norms.  Squareness is decided by
+one scan over small unramified primes: a modular non-residue refutes it, and
+at a split prime a square root is Hensel-lifted p-adically, rationally
+reconstructed and verified exactly.  Every evaluation mod p or p^n (roots of
+the minimal polynomial, the scan, the Newton lifts) is `exactmath.horner`.
+No floating point is used anywhere.
 
 No ring-of-integers or ideal machinery: the handful of fields used here are
 fixed corpus data and everything checkable reduces to exact identities.
@@ -22,8 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .exactmath import (UniPoly, as_coeff, poly_divmod, poly_xgcd, power,
-                        primes_upto, uni_resultant)
+from .exactmath import (UniPoly, as_coeff, discriminant, horner, poly_divmod, poly_xgcd,
+                        power, primes_upto, uni_resultant)
 
 
 class Undecided(Exception):
@@ -70,12 +72,8 @@ class NumberField:
 
     @property
     def discriminant(self) -> Fraction:
-        return _field_disc(self)
-
-
-@lru_cache(maxsize=None)
-def _field_disc(field: NumberField) -> Fraction:
-    return uni_resultant(field.minpoly, field.minpoly.derivative())
+        """Res(m, m') of the minimal polynomial, from `exactmath.discriminant`."""
+        return discriminant(self.minpoly.coeffs)
 
 
 class FieldElem:
@@ -246,7 +244,7 @@ def nf_is_square(a: FieldElem):
         except ZeroDivisionError:
             continue  # p divides a denominator of a
         checked += 1
-        values = [_poly_eval_mod(coords, r, p) for r in roots]
+        values = [horner(coords, r, p) for r in roots]
         if any(v and pow(v, (p - 1) // 2, p) == p - 1 for v in values):
             return None
         if split is None and len(roots) == field.degree and all(values):
@@ -270,7 +268,7 @@ def _roots_mod(field: NumberField, p: int):
         m = [_frac_mod(c, p) for c in field.minpoly.coeffs]
     except ZeroDivisionError:
         return None
-    return [r for r in range(p) if _poly_eval_mod(m, r, p) == 0]
+    return [r for r in range(p) if horner(m, r, p) == 0]
 
 
 def _root_at_split_prime(a: FieldElem, p: int, roots, values, prec: int):
@@ -290,7 +288,7 @@ def _root_at_split_prime(a: FieldElem, p: int, roots, values, prec: int):
     m = [_frac_mod(c, mod) for c in field.minpoly.coeffs]
     lifted = [_newton_lift(m, r, mod, steps) for r in roots]
     acoords = [_frac_mod(c, mod) for c in a.coords]
-    sqrts = [_newton_lift([-_poly_eval_mod(acoords, r, mod), 0, 1],
+    sqrts = [_newton_lift([-horner(acoords, r, mod), 0, 1],
                           next(s for s in range(1, p) if s * s % p == v), mod, steps)
              for r, v in zip(lifted, values)]
     # Lagrange basis: basis[i] has value 1 at lifted[i] and 0 at the others.
@@ -319,8 +317,8 @@ def _newton_lift(coeffs_ascending, x: int, mod: int, steps: int) -> int:
     each Newton step doubles the p-adic digits, so steps >= log2(n)."""
     deriv = [i * c for i, c in enumerate(coeffs_ascending)][1:]
     for _ in range(steps):
-        fx = _poly_eval_mod(coeffs_ascending, x, mod)
-        x = (x - fx * pow(_poly_eval_mod(deriv, x, mod), -1, mod)) % mod
+        fx = horner(coeffs_ascending, x, mod)
+        x = (x - fx * pow(horner(deriv, x, mod), -1, mod)) % mod
     return x
 
 
@@ -341,13 +339,6 @@ def _frac_mod(q: Fraction, mod: int) -> int:
     if math.gcd(den, mod) != 1:
         raise ZeroDivisionError
     return (q.numerator % mod) * pow(den, -1, mod) % mod
-
-
-def _poly_eval_mod(coeffs_ascending, x: int, mod: int) -> int:
-    acc = 0
-    for c in reversed(coeffs_ascending):
-        acc = (acc * x + c) % mod
-    return acc
 
 
 # ---------------------------------------------------------------------------

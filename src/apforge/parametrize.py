@@ -7,13 +7,16 @@ checked against a brute-force enumeration oracle.
 
 Evaluation and the cover check run on integer forms: each form's
 denominators are cleared once (a cached integer form over a common
-denominator D), so integrality is `value % D == 0`.  The brute-force grid
+denominator D), so integrality is `value % D == 0`.  A form is evaluated by
+`exactmath.form_value`, at one (x, y) on Python ints and on a block of the
+parameter box on int64 arrays.  The brute-force grid
 cA*a^2 + cB*b^2 is built per int64 block of a rows: M must divide the value
 and the quotient pass `sieve.maybe_power`, the sound residue pre-filter (a
 possible k-th power, non-negative for even k); every survivor is confirmed
 exactly with `int_kth_root` and `math.gcd` on Python ints.
 Magnitudes are checked against `sieve.INT64_SAFE` (2^62) before any grid is
-built, so the int64 arrays never wrap.
+built, so the int64 arrays never wrap: every Horner step of a form on the
+box is bounded by the sum of its |coefficients| times radius^degree.
 
 The half-integral family (a = +/-(x^2-3y^2)/2, b = +/-xy) only yields
 integers when x and y are both odd; primitive solutions with odd c are
@@ -31,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exactmath import BinaryForm, form_exact_root, int_floor_root, int_kth_root
+from .exactmath import BinaryForm, form_exact_root, form_value, int_floor_root, int_kth_root
 from .sieve import INT64_SAFE, maybe_power
 
 _BLOCK = 1 << 14  # grid cells per numpy block (bounds peak memory)
@@ -107,16 +110,6 @@ def _int_equation(family: ParamFamily) -> tuple:
     return _clear((family.coef_a, family.coef_b, family.rhs_mult))[0]
 
 
-def _np_form(coeffs: tuple, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The integer form on the broadcast grid of x and y (int64)."""
-    deg = len(coeffs) - 1
-    total = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=np.int64)
-    for j, c in enumerate(coeffs):
-        if c:
-            total += c * x ** (deg - j) * y ** j
-    return total
-
-
 def param_eval(family: ParamFamily, branch: int, sign_a: int, sign_b: int,
                x: int, y: int) -> TernarySolution:
     """Evaluate one branch at integer (x, y) with independent signs on a, b.
@@ -132,8 +125,7 @@ def param_eval(family: ParamFamily, branch: int, sign_a: int, sign_b: int,
             f"family {family.id} needs x = y (mod 2); got ({x}, {y})")
     values = []
     for coeffs, den in br.int_forms:
-        deg = len(coeffs) - 1
-        num = sum(c * x ** (deg - j) * y ** j for j, c in enumerate(coeffs))
+        num = form_value(coeffs, x, y)
         if num % den:
             raise IntegralityViolation(
                 f"family {family.id} produced a non-integer at ({x}, {y})")
@@ -233,7 +225,7 @@ def _parametrized_keys(family: ParamFamily, radius: int):
                 mask &= (x - y) % 2 == 0
             values = []
             for coeffs, den in br.int_forms:
-                num = _np_form(coeffs, x, y)
+                num = form_value(coeffs, x, y)
                 mask &= num % den == 0
                 values.append(num // den)
             a, b = (np.abs(v[mask]) for v in values[:2])

@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .curves import EllipticModel, _disc, _integral_model_any
-from .exactmath import UniPoly, poly_divmod, rat_kth_root, square_split
+from .curves import EllipticModel, integral_model
+from .exactmath import UniPoly, discriminant, horner, poly_divmod, rat_kth_root, square_split
 from .numfield import Undecided
 from .sieve import SquareRows
 
@@ -55,7 +55,7 @@ def rational_points_search(curve, height: int):
         raise ValueError("point search runs over Q only")
     f = curve.f
     infinity = 1 if f.degree % 2 else 2 if rat_kth_root(f.lead(), 2) is not None else 0
-    coeffs, v = _integral_model_any(f)
+    coeffs, v = integral_model(f)
     points = {}
     for r, s, _val, w in _homogeneous_square_hits(coeffs, height):
         if math.gcd(r, s) > 1:
@@ -74,11 +74,11 @@ def locally_solvable(curve, p: int) -> bool:
     f = curve.f
     if f.degree % 2 or rat_kth_root(f.lead(), 2) is not None:
         return True  # rational points at infinity
-    coeffs, _v = _integral_model_any(f)
+    coeffs, _v = integral_model(f)
     content = math.gcd(*coeffs)
     g = [c // content for c in coeffs]
     c0 = _squarefree_part(content)
-    disc = int(_disc(tuple(g)))
+    disc = int(discriminant(tuple(g)))
     depth = 2 * _valuation(disc, p) + 3
     if _zp_solvable(g, p, c0, depth):
         return True
@@ -127,10 +127,10 @@ def _zp_solvable(g, p: int, c: int, depth: int) -> bool:
         raise Undecided(f"local solvability lifting budget exhausted at {p}")
     span = 8 if p == 2 else p
     for x in range(span):
-        if _is_square_in_qp(c * _int_eval(g, x), p):
+        if _is_square_in_qp(c * horner(g, x), p):
             return True
     for z in range(p):
-        if _int_eval(g, z) % p == 0:
+        if horner(g, z, p) == 0:
             if _zp_branch(g, p, c, z, depth - 1):
                 return True
     return False
@@ -147,13 +147,6 @@ def _zp_branch(g, p: int, c: int, z: int, depth: int) -> bool:
     g1 = [cc // content for cc in g1]
     c1 = _squarefree_part(c * content)
     return _zp_solvable(g1, p, c1, depth)
-
-
-def _int_eval(g, x: int) -> int:
-    acc = 0
-    for c in reversed(g):
-        acc = acc * x + c
-    return acc
 
 
 def _shift_scale(g, z: int, p: int):

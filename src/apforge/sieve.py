@@ -22,6 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .exactmath import form_value
+
 CRT_FACTORS = (16, 9, 5, 7, 11, 13)
 INT64_SAFE = 1 << 62  # int64 kernels keep every value below this in absolute value
 
@@ -162,14 +164,11 @@ _ROW_PRIMES = (17, 19, 23, 29, 31, 37)  # the point search's moduli after CRT_FA
 
 
 def _form_square_table(coeffs6: Sequence[int], m: int) -> np.ndarray:
-    """The row table mod m of the sextic with ascending integer coefficients."""
+    """The row table mod m of the sextic with ascending integer coefficients;
+    F(r, s) = sum c_i r^i s^(6-i) is `form_value` of the reversed ones."""
     grid = np.arange(m, dtype=np.int64)
-    r, s = grid[None, :], grid[:, None]
-    acc, s_pow = np.zeros((m, m), dtype=np.int64), np.ones_like(s)
-    for c in reversed(coeffs6):  # homogeneous Horner in r
-        acc = (acc * r + (int(c) % m) * s_pow) % m
-        s_pow = s_pow * s % m
-    return _factor_table(2, m, (1,))[acc]
+    values = form_value(coeffs6[::-1], grid[None, :], grid[:, None], m)  # [s, r]
+    return _factor_table(2, m, (1,))[values]
 
 
 class SquareRows:

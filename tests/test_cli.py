@@ -365,6 +365,56 @@ def test_corpus_badly_typed_value_rejected(tmp_path, edit, argv, message):
     assert (proc.returncode, proc.stderr) == (2, f"error: cannot load corpus: {message}\n")
 
 
+def case_of(data, cid):
+    return next(c for c in data["cases"] if c["id"] == cid)
+
+
+REPEATED_ROOT_CUBIC = {3: [["0", "0", "0"]] * 3 + [["1", "0", "0"]],
+                       4: [["0", "0", "0", "0"]] * 3 + [["1", "0", "0", "0"]]}
+
+
+# A record of the wrong JSON type, a repeated id or a repeated-root elliptic
+# rhs: each once ended in a traceback or loaded silently.  Each edit returns
+# the whole file's data.
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: [d], "the corpus is a JSON list, not an object"),
+    (lambda d: {**d, "version": 1}, "corpus key 'version' holds 1, not a string"),
+    (lambda d: {**d, "families": 7}, "key 'families' holds 7, not a list"),
+    (lambda d: {**d, "families": ["i", *d["families"][1:]]},
+     "families[0] holds 'i', not an object"),
+    (lambda d: {**d, "cases": [3232, *d["cases"]]}, "cases[0] holds 3232, not an object"),
+    (lambda d: case_of(d, "3232").update(curve="g2_3232") or d,
+     "case 3232: key 'curve' holds 'g2_3232', not an object"),
+    (lambda d: case_of(d, "3232").update(derivation=5) or d,
+     "case 3232: key 'derivation' holds 5, not an object"),
+    (lambda d: case_of(d, "3232").update(facts="torsion_gcd") or d,
+     "case 3232: key 'facts' holds 'torsion_gcd', not a list"),
+    (lambda d: case_of(d, "3232")["facts"].__setitem__(1, 3) or d,
+     "case 3232: facts[1] holds 3, not an object"),
+    (lambda d: case_of(d, "3232").update(id=3232) or d,
+     "case 3232: key 'id' holds 3232, not a string"),
+    (lambda d: {**d, "cases": [*d["cases"], case_of(d, "3232")]}, "case 3232 is given twice"),
+    (lambda d: {**d, "families": [*d["families"], d["families"][0]]},
+     "family i is given twice"),
+    (lambda d: fact_of(d, "3223d2", "ec_two_torsion").update(rhs=REPEATED_ROOT_CUBIC[3]) or d,
+     f"case 3223d2: ec_two_torsion fact key 'rhs' holds {REPEATED_ROOT_CUBIC[3]!r}, "
+     "not a squarefree cubic"),
+    (lambda d: fact_of(d, "3323", "ec_square_x").update(rhs=REPEATED_ROOT_CUBIC[4]) or d,
+     f"case 3323: ec_square_x fact key 'rhs' holds {REPEATED_ROOT_CUBIC[4]!r}, "
+     "not a squarefree cubic"),
+], ids=["top-level-array", "version-number", "families-number", "family-string",
+        "case-number", "curve-string", "derivation-number", "facts-string", "fact-number",
+        "case-id-number", "case-id-repeated", "family-id-repeated",
+        "two-torsion-rhs-repeated-root", "square-x-rhs-repeated-root"])
+def test_corpus_badly_shaped_record_rejected(tmp_path, capsys, edit, message):
+    with open(corpus_path(), encoding="utf-8") as fh:
+        data = edit(json.load(fh))
+    bad = tmp_path / "corpus.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    assert run_cli("--corpus", str(bad), "cases", "--case", "3232") == 2
+    assert capsys.readouterr().err == f"error: cannot load corpus: {message}\n"
+
+
 def test_corpus_flag_reaches_derivations(tmp_path, capsys, monkeypatch):
     def alter_family_i_branch1(data):
         fam = next(f for f in data["families"] if f["id"] == "i")

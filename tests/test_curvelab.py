@@ -17,14 +17,14 @@ from apforge.curvelab import (CheckResult, DerivationMismatch, NoRepresentation,
                               eq7_s3_blocks_progression, involution_check,
                               mod4_progression_impossible, run_case)
 from apforge.curves import (BadReduction, EllipticModel, HyperCurve,
-                            SuperellipticForm, count_points, cubic_discriminant,
-                            jacobian_order, l_poly_coeffs, torsion_gcd_bound)
-from apforge.curves import _good_reduction_data, _integral_model_any
+                            SuperellipticForm, count_points, good_reduction_data,
+                            integral_model, jacobian_order, l_poly_coeffs,
+                            torsion_gcd_bound)
 from apforge.genus import (ALL_GENUS_LE1_POSSIBLE, GENUS_AT_LEAST_2, GENUS_GT1,
                            GENUS_ONE, GenusZero, chi_classify, rh_genus_bound)
 from apforge.points import (_homogeneous_square_hits, locally_solvable,
                             locally_solvable_real, rational_points_search)
-from apforge.exactmath import BinaryForm, UniPoly, primes_upto, uni_resultant
+from apforge.exactmath import BinaryForm, UniPoly, discriminant, primes_upto, uni_resultant
 from apforge.numfield import cbrt2_field
 from apforge.sieve import ROW_BLOCK
 
@@ -48,7 +48,7 @@ X5P1 = HyperCurve("t_x5p1", UniPoly([1, 0, 0, 0, 0, 1]))
 
 def oracle_count(curve: HyperCurve, p: int, e: int) -> int:
     """Independent oracle: enumerate (x, y) pairs over F_q directly."""
-    coeffs, _v = curve.integral_model
+    coeffs, _v = integral_model(curve.f)
     deg = curve.f.degree
     desc = list(reversed(coeffs[: deg + 1]))
     if e == 1:
@@ -117,7 +117,7 @@ def test_count_points_vs_loop_reference(monkeypatch):
     for curve in ALL_GENUS2 + [X5P1]:
         for p in primes_upto(61)[1:]:
             try:
-                coeffs, deg = _good_reduction_data(curve, p)
+                coeffs, deg = good_reduction_data(curve, p)
             except BadReduction:
                 continue
             want = (loop_count(coeffs, deg, p, 1), loop_count(coeffs, deg, p, 2))
@@ -137,7 +137,7 @@ def test_count_fq_vs_loop_reference_random(deg, coeffs, p):
     """Random integer cubics, quintics and sextics at odd primes of good
     reduction; a cubic has one point at infinity, as a quintic does."""
     coeffs = coeffs[: deg + 1] + [0] * (6 - deg)
-    assume(coeffs[deg] % p != 0 and curves._disc(tuple(coeffs)) % p != 0)
+    assume(coeffs[deg] % p != 0 and discriminant(tuple(coeffs)) % p != 0)
     for e in (1, 2):
         assert curves._count_fq(coeffs, deg, p, e) == loop_count(coeffs, deg, p, e), e
 
@@ -145,7 +145,7 @@ def test_count_fq_vs_loop_reference_random(deg, coeffs, p):
 @pytest.mark.parametrize("curve", [QUINTIC, C1], ids=lambda c: c.label)
 @pytest.mark.parametrize("p", [211, 307])
 def test_count_points_vs_loop_reference_larger_primes(curve, p, monkeypatch):
-    coeffs, deg = _good_reduction_data(curve, p)
+    coeffs, deg = good_reduction_data(curve, p)
     want = (loop_count(coeffs, deg, p, 1), loop_count(coeffs, deg, p, 2))
     for block in (curves._BLOCK, 37):  # 37 splits both fields
         monkeypatch.setattr(curves, "_BLOCK", block)
@@ -155,7 +155,7 @@ def test_count_points_vs_loop_reference_larger_primes(curve, p, monkeypatch):
 def test_count_points_quintic_at_3(monkeypatch):
     """The smallest odd prime, where b = 1 gives each a its only pair a +- s;
     a block of 2 splits both fields."""
-    coeffs, deg = _good_reduction_data(X5P1, 3)
+    coeffs, deg = good_reduction_data(X5P1, 3)
     assert deg == 5
     for block in (curves._BLOCK, 2):
         monkeypatch.setattr(curves, "_BLOCK", block)
@@ -286,7 +286,7 @@ def test_point_sieve_matches_unfiltered_scan():
     assert any(isinstance(c, EllipticModel) for c in curves)
     for height in (40, ROW_BLOCK + 9):  # the second spans two row blocks
         for curve in curves:
-            coeffs, _v = _integral_model_any(curve.f)
+            coeffs, _v = integral_model(curve.f)
             want = []
             for s in range(1, height + 1):
                 for r in range(-height, height + 1):
@@ -310,12 +310,12 @@ def test_integral_model_scale_vs_brute_force():
               UniPoly([Fraction(3, 4), 0, Fraction(1, 9), 0, 0, 0, Fraction(1, 50)]),
               UniPoly([Fraction(2, 49), 1, Fraction(1, 343), Fraction(5, 6), 0, 1])]
     for f in polys:
-        coeffs, v = _integral_model_any(f)
+        coeffs, v = integral_model(f)
         assert v == brute_model_scale(f), f
         padded = [c * v * v for c in f.coeffs] + [0] * (6 - f.degree)
         assert list(coeffs) == padded, f
     t0 = time.perf_counter()
-    coeffs, v = _integral_model_any(UniPoly([Fraction(1, 1000003), 0, 0, 0, 0, 1]))
+    coeffs, v = integral_model(UniPoly([Fraction(1, 1000003), 0, 0, 0, 0, 1]))
     assert time.perf_counter() - t0 < 0.5
     assert v == 1000003 and coeffs == (1000003, 0, 0, 0, 0, 1000003**2, 0)
 
@@ -490,11 +490,14 @@ def test_build_curve_kinds():
 
 
 def test_cubic_discriminant_is_scaled_resultant():
-    models = [f["rhs"] for c in CORPUS.cases for f in c.facts if f["kind"] == "ec_point"]
-    assert models
+    """The closed form for a cubic is Res(f, f'), over Q and over the corpus fields."""
+    models = [f["rhs"] for c in CORPUS.cases for f in c.facts
+              if f["kind"] in ("ec_point", "ec_two_torsion", "ec_square_x")]
+    models += [c.curve for c in CORPUS.cases if isinstance(c.curve, EllipticModel)]
+    assert len(models) == 5
     for model in models:
         f = model.f
-        assert cubic_discriminant(f) == -uni_resultant(f, f.derivative()) / f.coeffs[3]
+        assert discriminant(f.coeffs) == uni_resultant(f, f.derivative())
 
 
 @settings(max_examples=60, deadline=None)
@@ -502,7 +505,7 @@ def test_cubic_discriminant_is_scaled_resultant():
 def test_cubic_discriminant_random_rational(coeffs):
     assume(coeffs[3] != 0)
     rhs = UniPoly(coeffs)
-    assert cubic_discriminant(rhs) == -uni_resultant(rhs, rhs.derivative()) / coeffs[3]
+    assert discriminant(tuple(coeffs)) == uni_resultant(rhs, rhs.derivative())
 
 
 def test_squarefree_enforced():

@@ -3,14 +3,15 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 from apforge.corpus import load_corpus
-from apforge.curves import HyperCurve
-from apforge.exactmath import (BinaryForm, UniPoly, form_eval, form_exact_root,
-                               int_kth_root, is_prime, poly_divmod, poly_xgcd,
+from apforge.curves import HyperCurve, integral_model
+from apforge.exactmath import (BinaryForm, UniPoly, form_eval, form_exact_root, form_value,
+                               horner, int_kth_root, is_prime, poly_divmod, poly_xgcd,
                                primes_upto, square_split, uni_resultant)
 from apforge.numfield import (FIELDS, FieldElem, NumberField, cbrt2_field,
                               field_by_name, nf_norm, quadratic_field)
@@ -43,6 +44,36 @@ def test_form_eval_pinned_values():
     sextic = BinaryForm([3, 18, 9, -148, -27, 162, -81])
     assert form_eval(sextic, 1, -1) == -128  # 2 * (-4)^3
     assert form_eval(sextic, 3, 1) == 3456   # 2 * 12^3
+
+
+# Coefficients beyond int64 either way: horner and form_value must reduce
+# each one before it meets an array, or numpy refuses the Python int.
+BIG_COEFFS = st.lists(st.integers(2**63, 2**80) | st.integers(-2**80, -2**63) | st.just(0),
+                      min_size=2, max_size=8)
+
+
+@st.composite
+def residues_mod(draw):
+    """(m, xs, ys): a modulus m <= 2^30 and two equal-length lists in [0, m)."""
+    m = draw(st.integers(2, 2**30))
+    xs = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=16))
+    ys = draw(st.lists(st.integers(0, m - 1), min_size=len(xs), max_size=len(xs)))
+    return m, xs, ys
+
+
+@settings(max_examples=200, deadline=None)
+@given(BIG_COEFFS, residues_mod())
+def test_modular_evaluators_match_python_ints_on_int64_arrays(coeffs, data):
+    m, xs, ys = data
+    x, y = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
+    n = len(coeffs) - 1
+    value = horner(coeffs, x, m)
+    assert value.dtype == np.int64
+    assert value.tolist() == [sum(c * a**i for i, c in enumerate(coeffs)) % m for a in xs]
+    value = form_value(coeffs, x, y, m)
+    assert value.dtype == np.int64
+    assert value.tolist() == [sum(c * a ** (n - j) * b**j for j, c in enumerate(coeffs)) % m
+                              for a, b in zip(xs, ys)]
 
 
 def test_form_mul_eval_homomorphism_random():
@@ -277,7 +308,7 @@ def test_discriminants_match_sympy_on_corpus_models():
     models = corpus_genus2_models()
     assert len(models) == 8
     for curve in models:
-        coeffs, _v = curve.integral_model
+        coeffs, _v = integral_model(curve.f)
         for f in (curve.f, UniPoly(coeffs)):
             F = as_sympy(f, rational)
             want = sympy.resultant(F, sympy.diff(F, X), X)

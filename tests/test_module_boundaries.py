@@ -115,3 +115,30 @@ def test_private_helpers_are_used():
                        for f, line in uses.get(name, ())):
                 unused.append(f"{fname}:{first}: {name}")
     assert defined >= 100 and not unused, "\n".join(unused)
+
+
+# Modules talk through public names: no source imports another apforge
+# module's underscore name (`from .curves import _disc`) or reads one off an
+# imported module (`curves._disc`).
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_private_names_across_modules():
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()  # names this file binds to apforge modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "apforge"
+                                                     or node.module.startswith("apforge.")):
+                for alias in node.names:
+                    if _is_private(alias.name):
+                        found.append(f"{path.name}:{node.lineno}: imports {alias.name}")
+                    if node.module in (None, "apforge"):  # `from . import curves`
+                        modules.add(alias.asname or alias.name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules and _is_private(node.attr)):
+                found.append(f"{path.name}:{node.lineno}: reads {node.value.id}.{node.attr}")
+    assert SOURCES and not found, "\n".join(found)
