@@ -295,7 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="zero runtimes in the report (byte-stable output)")
     parser.add_argument("--jobs", type=_nonnegative_int, default=0,
                         help="worker processes of a search (default: all cores; "
-                             "at most os.cpu_count() are started); cases, "
+                             "at most os.cpu_count()); a search starts them only "
+                             "when it outlasts a 0.3 s head start in one process, "
+                             "which costs a long search about 0.3 s; cases, "
                              "verify-lemma and genus run in one process")
     sub = parser.add_subparsers(dest="command", required=True)
 

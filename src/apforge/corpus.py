@@ -17,10 +17,11 @@ hold FieldElems (or lists of them).  List shapes are checked too: e.g.
 (its EllipticModel).  The file is an object whose ``families`` and ``cases``
 are lists of objects, as are a case's ``facts``; its ``version`` is a string,
 and no two families or cases share an id.  A wrong type or shape, an unknown
-name, a repeated id, or a missing or undeclared key is a ValueError naming
-the case or family, the key and the value; so is a curve its constructor
-refuses, or a Jacobian prime at which it has bad reduction.  Each case's
-curve is built here once, by `curvelab.check_curve`.
+name, a repeated id, or a missing or undeclared key (of the file, a family, a
+case or one of its records) is a ValueError naming the case or family (by
+index, as ``cases[3]``, when it has no id), the key and the value; so is a
+curve its constructor refuses, or a Jacobian prime at which it has bad
+reduction.  Each case's curve is built here once, by `curvelab.check_curve`.
 Case derivations resolve to branches of the same file's families: one corpus
 feeds a run.
 """
@@ -30,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from importlib import resources
 from typing import Optional
@@ -89,9 +90,10 @@ def load_corpus(path: Optional[str] = None) -> Corpus:
     data = json.loads(raw.decode("utf-8"))
     if type(data) is not dict:
         raise ValueError(f"the corpus is a JSON {type(data).__name__}, not an object")
-    families = tuple(_parse_family(f) for f in _objects(data, "families"))
+    _check_keys("the corpus", data, ("version", "families", "cases"))
+    families = tuple(_parse_family(f, n) for n, f in enumerate(_objects(data, "families")))
     by_id = _by_id(families, "family")
-    cases = tuple(_parse_case(c, by_id) for c in _objects(data, "cases"))
+    cases = tuple(_parse_case(c, n, by_id) for n, c in enumerate(_objects(data, "cases")))
     _by_id(cases, "case")
     return Corpus(
         version=_record("corpus", {"version": data["version"]})["version"],
@@ -114,6 +116,22 @@ def _objects(rec: dict, key: str) -> list:
     if type(rows) is not list:
         raise ValueError(f"key {key!r} holds {rows!r}, not a list")
     return [_object(row, f"{key}[{i}]") for i, row in enumerate(rows)]
+
+
+def _check_keys(what: str, rec: dict, required, optional=()) -> None:
+    """A ValueError naming what when rec lacks a required key or has one
+    that is neither required nor optional."""
+    for key in required:
+        if key not in rec:
+            raise ValueError(f"{what} lacks required key {key!r}")
+    for key in rec:
+        if key not in required and key not in optional:
+            raise ValueError(f"{what} has undeclared key {key!r}")
+
+
+def _name(rec: dict, what: str, key: str, n: int) -> str:
+    """How messages name record n of list key: what and its id, else key[n]."""
+    return f"{what} {rec['id']}" if "id" in rec else f"{key}[{n}]"
 
 
 def _by_id(records, what: str) -> dict:
@@ -213,7 +231,7 @@ _TYPES = {
                   "a non-empty list of primes"),
     **dict.fromkeys(("expect", "real"), _is(lambda v: type(v) is bool, "a boolean")),
     **dict.fromkeys(("id", "version", "equation", "parity_rule", "kind", "label", "text",
-                     "recipe", "map", "family", "shape"),
+                     "recipe", "map", "family", "shape", "description"),
                     _is(lambda v: type(v) is str, "a string")),
     "field": field_by_name,  # a name the loader has checked
     "value": _integer,
@@ -261,11 +279,18 @@ def _record(what: str, rec: dict, fact: Optional[dict] = None) -> dict:
     return parsed
 
 
-def _parse_family(rec: dict) -> ParamFamily:
+# A family's keys are ParamFamily's fields, required unless they have a default.
+_FAMILY_REQUIRED = tuple(f.name for f in fields(ParamFamily) if f.default is MISSING)
+_FAMILY_OPTIONAL = tuple(f.name for f in fields(ParamFamily) if f.default is not MISSING)
+
+
+def _parse_family(rec: dict, n: int) -> ParamFamily:
+    name = _name(rec, "family", "families", n)
+    _check_keys(name, rec, _FAMILY_REQUIRED, _FAMILY_OPTIONAL)
     try:
-        return ParamFamily(**_record(f"family {rec['id']}:", rec))
-    except TypeError as exc:  # a missing or unknown key, or branches not in a list
-        raise ValueError(f"family {rec['id']}: {exc}") from None
+        return ParamFamily(**_record(f"{name}:", rec))
+    except TypeError as exc:  # branches not in a list
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def _derivation_branch(deriv: dict, families: dict) -> Optional[Branch]:
@@ -304,18 +329,16 @@ def _parse_records(rec: dict) -> list:
     records += [(f"{fact['kind']} fact", fact, FACT_KINDS[fact["kind"]][0],
                  FACT_KINDS[fact["kind"]][1] + ("kind",)) for fact in facts]
     for what, record, keys, optional in records:
-        for key in keys:
-            if key not in record:
-                raise ValueError(f"{what} lacks required key {key!r}")
-        for key in record:
-            if key not in keys and key not in optional:
-                raise ValueError(f"{what} has undeclared key {key!r}")
+        _check_keys(what, record, keys, optional)
     return [_record(what, record) for what, record, _, _ in records]
 
 
-def _parse_case(rec: dict, families: dict) -> CaseRecord:
-    head = _record(f"case {rec['id']}:", {"id": rec["id"], **{
-        key: rec[key] for key in ("exponent_vector", "partner_vector")
+def _parse_case(rec: dict, n: int, families: dict) -> CaseRecord:
+    name = _name(rec, "case", "cases", n)
+    _check_keys(name, rec, ("id", "exponent_vector", "curve", "derivation"),
+                ("partner_vector", "description", "facts"))
+    head = _record(f"{name}:", {"id": rec["id"], **{
+        key: rec[key] for key in ("exponent_vector", "partner_vector", "description")
         if rec.get(key) is not None}})
     try:
         curve, deriv, *facts = _parse_records(rec)
@@ -323,12 +346,12 @@ def _parse_case(rec: dict, families: dict) -> CaseRecord:
             id=head["id"],
             exponent_vector=tuple(head["exponent_vector"]),
             partner_vector=tuple(head["partner_vector"]) if "partner_vector" in head else None,
-            description=rec.get("description", ""),
+            description=head.get("description", ""),
             derivation=deriv,
             derivation_branch=_derivation_branch(deriv, families),
             curve=check_curve(curve, facts),
             facts=tuple(facts),
         )
     except ValueError as exc:
-        raise ValueError(f"case {rec['id']}: {exc}") from None
+        raise ValueError(f"{name}: {exc}") from None
     return case

@@ -39,14 +39,16 @@ from __future__ import annotations
 
 import math
 import os
+import time
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .exactmath import BinaryForm, form_eval, int_kth_root
-from .sieve import INT64_SAFE, ClassRows
+from .sieve import INT64_SAFE, ROW_BLOCK, ClassRows
 
 
 class ResourceLimitError(Exception):
@@ -55,6 +57,7 @@ class ResourceLimitError(Exception):
 
 ETA_CAP = 10**6  # largest |eta| among the twists of search_general
 WORK_CEILING = 2_000_000_000  # estimated pair evaluations a search may take
+POOL_AFTER_S = Fraction(3, 10)  # seconds a search with jobs > 1 scans alone before any worker
 
 
 @dataclass(frozen=True)
@@ -138,40 +141,60 @@ def _choose_base_pair(sizes: Sequence[int]):
     return i, j
 
 
-def _scan_vector(task: _VectorTask) -> list:
+def _past(until: Optional[int]) -> bool:
+    """Whether the time.perf_counter_ns clock has reached until (never if None)."""
+    return until is not None and time.perf_counter_ns() >= until
+
+
+def _scan_vector(task: _VectorTask, until: Optional[int] = None) -> tuple:
+    """(hits, rest): the hits of the task's scan, which stops before the
+    first block of outer values (one outer value without the sieve) that
+    would start once `_past(until)`; rest is the task of the outer values
+    left, or None when the scan finished."""
+    if _past(until):
+        return [], task
     lvec, bounds, etas = task.lvec, task.bounds, task.etas
     k = len(lvec)
     cands = [_position_values(lvec[m], bounds[m], etas[m]) for m in range(k)]
     i, j = _choose_base_pair([len(c) for c in cands])
-    outer, inner = cands[i], cands[j]
     lo, hi = task.outer_slice
+    outer, inner = cands[i][lo:hi], cands[j]
     if task.use_sieve:
-        return _staged_scan(task, cands, i, j, outer[lo:hi])
-    hits = []
-    for h_i in outer[lo:hi].tolist():
-        for idx in np.flatnonzero((inner - h_i) % (j - i) == 0):
-            hit = _confirm(lvec, bounds, etas, task.gcd_cap, i, j, h_i, int(inner[idx]))
-            if hit is not None:
-                hits.append(hit)
-    return hits
+        hits, done = _staged_scan(task, cands, i, j, outer, until)
+    else:
+        hits, done = [], 0
+        for h_i in outer.tolist():
+            for idx in np.flatnonzero((inner - h_i) % (j - i) == 0):
+                hit = _confirm(lvec, bounds, etas, task.gcd_cap, i, j, h_i, int(inner[idx]))
+                if hit is not None:
+                    hits.append(hit)
+            done += 1
+            if _past(until):
+                break
+    return hits, (replace(task, outer_slice=(lo + done, hi)) if done < outer.size else None)
 
 
-def _staged_scan(task, cands, i, j, outer) -> list:
-    """The sieve a block of outer values at a time, then the exact stage on
-    the held survivors once they reach _FLUSH, and on the rest at the end."""
+def _staged_scan(task, cands, i, j, outer, until) -> tuple:
+    """(hits, outer values scanned): the sieve a block of outer values at a
+    time, up to the first block that ends once `_past(until)`; the exact
+    stage on the held survivors once they reach _FLUSH, and on the rest at
+    the end."""
     inner, d = cands[j], j - i
     sign = 1 if d > 0 else -1
     rows = ClassRows(inner, d, [((m - i) * sign, task.lvec[m], task.etas[m])
                                 for m in range(len(cands)) if m not in (i, j)])
     # The held pairs stay below _FLUSH plus one block's survivors.
-    hits, held, count = [], [], 0
+    hits, held, count, done = [], [], 0, 0
     for block in rows.cells(outer, half=task.half):
         held.append(block)
         count += block[0].size
         if count >= _FLUSH:
             hits += _exact_stage(task, cands, i, j, held)
             held, count = [], 0
-    return hits + _exact_stage(task, cands, i, j, held)
+        done += ROW_BLOCK
+        if _past(until):
+            break
+    return hits + _exact_stage(task, cands, i, j, held), min(done, outer.size)
 
 
 def _exact_stage(task, cands, i, j, held) -> list:
@@ -231,6 +254,14 @@ def _position_sizes(task: _VectorTask) -> list:
             for l, b, e in zip(task.lvec, task.bounds, task.etas)]
 
 
+def _pairs(task: _VectorTask) -> int:
+    """The work estimate of a task: the outer values in its slice times the
+    inner position's size, both counted before deduplication."""
+    sizes = _position_sizes(task)
+    i, j = _choose_base_pair(sizes)
+    return len(range(sizes[i])[slice(*task.outer_slice)]) * sizes[j]
+
+
 def _check_magnitude(k: int, bounds_of, lvecs, eta_cap: int) -> None:
     # Extrapolated terms reach (2k+1) times the largest candidate value;
     # keep that inside int64 with margin.
@@ -244,32 +275,48 @@ def _check_magnitude(k: int, bounds_of, lvecs, eta_cap: int) -> None:
 
 
 def _split_task(task: _VectorTask, parts: int) -> list:
+    """The task's outer slice cut into at most `parts` consecutive slices."""
     # Safe for range slicing: the scan's outer set is the smallest
     # deduplicated value set, which this pointwise bound dominates.
-    n = min(_position_sizes(task))
-    parts = max(1, min(parts, n))
-    step = -(-n // parts)
-    return [replace(task, outer_slice=(lo, min(lo + step, n))) for lo in range(0, n, step)]
+    lo, hi, _ = slice(*task.outer_slice).indices(min(_position_sizes(task)))
+    step = max(1, -(-(hi - lo) // parts))
+    return [replace(task, outer_slice=(s, min(s + step, hi))) for s in range(lo, hi, step)]
 
 
 def _run_tasks(tasks: list, jobs: int) -> list:
-    """The hits of each task, as one list per task, from at most
-    os.cpu_count() worker processes (the pool starts all of them at once)."""
+    """The hits of each task, as one list per task.
+
+    With jobs > 1 (at most os.cpu_count()) this process first scans the
+    tasks in order for POOL_AFTER_S seconds, to the end of the row block
+    that runs past them: a search that ends within this head start starts
+    no worker and never imports concurrent.futures.  What is left is then
+    range-partitioned into chunks of at most about 1/(4 jobs) of its
+    estimated pairs, which a pool of jobs worker processes scans; on Linux
+    they fork with this process's warm residue tables.  Against starting
+    every worker at once, a long search loses the parallel share of the
+    head start, about POOL_AFTER_S * (1 - 1/jobs) plus the rest of the block
+    it stopped in, and one ClassRows build per extra chunk.  The hits are
+    sorted canonically after the merge, so the result does not depend on
+    where the head start stopped or on scheduling.
+    """
     jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1:
-        return [_scan_vector(t) for t in tasks]
-    # Range-partition the outer candidate set so workers stay busy even for
-    # a single exponent vector; the canonical sort makes the merge order
-    # independent of scheduling.
-    per_task = max(1, (2 * jobs) // max(len(tasks), 1))
-    chunks = [(n, c) for n, t in enumerate(tasks) for c in _split_task(t, per_task)]
-    hits = [[] for _ in tasks]
+    until = time.perf_counter_ns() + int(POOL_AFTER_S * 10**9) if jobs > 1 else None
+    hits, rest = [], []
+    for n, task in enumerate(tasks):
+        got, left = _scan_vector(task, until)
+        hits.append(got)
+        if left is not None:
+            rest.append((n, left))
+    if not rest:
+        return hits
+    left = sum(_pairs(t) for _, t in rest)  # each chunk: at most about left / (4 jobs) pairs
+    chunks = [(n, c) for n, t in rest for c in _split_task(t, -(-4 * jobs * _pairs(t) // left))]
     # Imported here: the pool pulls in multiprocessing, which only this path needs.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for (n, _), part in zip(chunks, pool.map(_scan_vector, [c for _, c in chunks])):
-            hits[n].extend(part)
+        for (n, _), (part, _) in zip(chunks, pool.map(_scan_vector, [c for _, c in chunks])):
+            hits[n] += part
     return hits
 
 
@@ -302,11 +349,7 @@ def _run_search(tasks: list, jobs: int) -> list:
 
     The sieved path scans one task per reversal class and mirrors its hits
     (see _scan_plan); --no-sieve scans every requested task in full."""
-    est = 0
-    for t in tasks:
-        sizes = _position_sizes(t)
-        i, j = _choose_base_pair(sizes)
-        est += sizes[i] * sizes[j]
+    est = sum(map(_pairs, tasks))
     if est > WORK_CEILING:
         raise ResourceLimitError(f"estimated {est} pair evaluations exceeds ceiling")
     plans = [_scan_plan(t) if t.use_sieve else (t, False) for t in tasks]

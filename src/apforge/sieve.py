@@ -49,7 +49,7 @@ def maybe_power(v, l: int, etas: tuple = (1,)):
     return ok
 
 
-ROW_BLOCK = 64  # rows per AND of row patterns: outer values of ClassRows, s of SquareRows
+ROW_BLOCK = 192  # rows per AND of row patterns: outer values of ClassRows, s of SquareRows
 
 
 def _packed_rows(table: np.ndarray) -> np.ndarray:

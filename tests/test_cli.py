@@ -373,9 +373,10 @@ REPEATED_ROOT_CUBIC = {3: [["0", "0", "0"]] * 3 + [["1", "0", "0"]],
                        4: [["0", "0", "0", "0"]] * 3 + [["1", "0", "0", "0"]]}
 
 
-# A record of the wrong JSON type, a repeated id or a repeated-root elliptic
-# rhs: each once ended in a traceback or loaded silently.  Each edit returns
-# the whole file's data.
+# A record of the wrong JSON type, a repeated id, a repeated-root elliptic
+# rhs, or a missing or undeclared key of the file, a case or a family: each
+# once ended in a traceback, a message naming only the key, or a silent load.
+# Each edit returns the whole file's data.
 @pytest.mark.parametrize("edit, message", [
     (lambda d: [d], "the corpus is a JSON list, not an object"),
     (lambda d: {**d, "version": 1}, "corpus key 'version' holds 1, not a string"),
@@ -402,10 +403,30 @@ REPEATED_ROOT_CUBIC = {3: [["0", "0", "0"]] * 3 + [["1", "0", "0"]],
     (lambda d: fact_of(d, "3323", "ec_square_x").update(rhs=REPEATED_ROOT_CUBIC[4]) or d,
      f"case 3323: ec_square_x fact key 'rhs' holds {REPEATED_ROOT_CUBIC[4]!r}, "
      "not a squarefree cubic"),
+    (lambda d: {**d, "comment": "draft"}, "the corpus has undeclared key 'comment'"),
+    (lambda d: {k: v for k, v in d.items() if k != "version"},
+     "the corpus lacks required key 'version'"),
+    (lambda d: case_of(d, "3232").update(partner_vectr=[2, 3, 3, 2]) or d,
+     "case 3232 has undeclared key 'partner_vectr'"),
+    (lambda d: case_of(d, "3232").pop("curve") and d, "case 3232 lacks required key 'curve'"),
+    (lambda d: case_of(d, "3232").pop("derivation") and d,
+     "case 3232 lacks required key 'derivation'"),
+    (lambda d: case_of(d, "3232").pop("exponent_vector") and d,
+     "case 3232 lacks required key 'exponent_vector'"),
+    (lambda d: d["cases"][1].pop("id") and d, "cases[1] lacks required key 'id'"),
+    (lambda d: case_of(d, "3232").update(description=5) or d,
+     "case 3232: key 'description' holds 5, not a string"),
+    (lambda d: d["families"][2].pop("id") and d, "families[2] lacks required key 'id'"),
+    (lambda d: d["families"][0].pop("power") and d, "family i lacks required key 'power'"),
+    (lambda d: d["families"][0].update(pwer=2) or d, "family i has undeclared key 'pwer'"),
 ], ids=["top-level-array", "version-number", "families-number", "family-string",
         "case-number", "curve-string", "derivation-number", "facts-string", "fact-number",
         "case-id-number", "case-id-repeated", "family-id-repeated",
-        "two-torsion-rhs-repeated-root", "square-x-rhs-repeated-root"])
+        "two-torsion-rhs-repeated-root", "square-x-rhs-repeated-root",
+        "top-level-key-unknown", "version-missing", "case-key-unknown", "curve-missing",
+        "derivation-missing", "exponent-vector-missing", "case-id-missing",
+        "description-number", "family-id-missing", "family-key-missing",
+        "family-key-unknown"])
 def test_corpus_badly_shaped_record_rejected(tmp_path, capsys, edit, message):
     with open(corpus_path(), encoding="utf-8") as fh:
         data = edit(json.load(fh))

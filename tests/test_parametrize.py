@@ -3,10 +3,10 @@
 import dataclasses
 import json
 import math
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apforge import parametrize
 from apforge.corpus import corpus_path, load_corpus
@@ -101,27 +101,43 @@ def test_param_eval_pinned_examples():
     assert sol.a**2 + 3 * sol.b**2 == sol.c**2
 
 
-def test_param_eval_equation_random():
-    rng = random.Random(1234321)
-    for fam in FAMILIES.values():
-        count = 0
-        while count < 10_000:
-            x = rng.randint(-30, 30)
-            y = rng.randint(-30, 30)
-            if math.gcd(abs(x), abs(y)) != 1:
-                continue
-            branch = rng.randrange(len(fam.branches))
-            sa = rng.choice([1, -1])
-            sb = rng.choice([1, -1])
-            if fam.parity_rule and (x - y) % 2 != 0:
-                with pytest.raises(IntegralityViolation):
-                    param_eval(fam, branch, sa, sb, x, y)
-                count += 1
-                continue
-            sol = param_eval(fam, branch, sa, sb, x, y)
-            lhs = fam.coef_a * sol.a**2 + fam.coef_b * sol.b**2
-            assert lhs == fam.rhs_mult * Fraction(sol.c) ** fam.power
-            count += 1
+@st.composite
+def coprime_samples(draw, count, span, families=tuple(FAMILIES)):
+    """A family drawn from `families` and count samples (branch, sa, sb, x, y)
+    of it with |x|, |y| <= span, branch < 2 (taken mod the family's branch
+    count) and signs sa, sb = +-1, keeping those with gcd(x, y) = 1.  The
+    samples are drawn as one byte string, three bytes each (x and y each a
+    byte mod 2 span + 1, then branch and signs in the low bits): one draw
+    per example keeps the tens of thousands of samples below cheap."""
+    fam = FAMILIES[draw(st.sampled_from(families))]
+    side, data = 2 * span + 1, draw(st.binary(min_size=3 * count, max_size=3 * count))
+    samples = []
+    for bx, by, bits in zip(data[::3], data[1::3], data[2::3]):
+        x, y = bx % side - span, by % side - span
+        if math.gcd(x, y) == 1:
+            samples.append((bits % 2 % len(fam.branches), 1 - (bits & 2), 1 - (bits >> 1 & 2),
+                            x, y))
+    return fam, samples
+
+
+# About 10^4 samples per family before the coprime cut, as the seeded loop
+# this replaces drew; SAMPLES per example, as hypothesis spends more per
+# example than one param_eval costs.
+SAMPLES = 100
+
+
+@settings(max_examples=10_000 * len(FAMILIES) // SAMPLES, deadline=None)
+@given(coprime_samples(SAMPLES, 30))
+def test_param_eval_equation_random(drawn):
+    fam, samples = drawn
+    for branch, sa, sb, x, y in samples:
+        if fam.parity_rule and (x - y) % 2 != 0:
+            with pytest.raises(IntegralityViolation):
+                param_eval(fam, branch, sa, sb, x, y)
+            continue
+        sol = param_eval(fam, branch, sa, sb, x, y)
+        lhs = fam.coef_a * sol.a**2 + fam.coef_b * sol.b**2
+        assert lhs == fam.rhs_mult * Fraction(sol.c) ** fam.power
 
 
 def test_sign_choices_flip_a_and_b_only():
@@ -131,21 +147,20 @@ def test_sign_choices_flip_a_and_b_only():
     assert (flipped.a, flipped.b, flipped.c) == (-base.a, base.b, base.c)
 
 
-def test_family_i_gcd_bound():
-    # Observed divisor bound for gcd(a, b) over coprime parameters: 2.
-    fam = FAMILIES["i"]
-    rng = random.Random(8080)
-    seen = set()
-    for _ in range(2000):
-        x, y = rng.randint(-40, 40), rng.randint(-40, 40)
-        if math.gcd(abs(x), abs(y)) != 1:
-            continue
+@settings(max_examples=2000 // SAMPLES, deadline=None)
+@given(coprime_samples(SAMPLES, 40, families=("i",)))
+def test_family_i_gcd_bound(drawn):
+    # Observed divisor bound for gcd(a, b) over coprime parameters: 2, and
+    # both divisors occur, at (x, y) = (1, 0) and (0, 1).
+    fam, samples = drawn
+    for _, _, _, x, y in samples:
         for b in range(2):
             sol = param_eval(fam, b, 1, 1, x, y)
             g = math.gcd(abs(sol.a), abs(sol.b))
-            seen.add(g)
             assert 2 % g == 0, (x, y, b, g)
-    assert seen == {1, 2}
+    assert {math.gcd(sol.a, sol.b) for sol in (param_eval(fam, b, 1, 1, x, y)
+                                              for b in range(2) for x, y in ((1, 0), (0, 1)))} \
+        == {1, 2}
 
 
 def test_cover_checks_small():

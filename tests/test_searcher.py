@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,7 @@ from apforge.searcher import (Progression, ResourceLimitError,
                               remark_family_terms, search_cubic_twin,
                               search_general, search_theorem3,
                               verify_remark_families)
-from apforge.sieve import maybe_power
+from apforge.sieve import ROW_BLOCK, maybe_power
 from apforge.exactmath import form_eval, int_kth_root
 
 
@@ -95,14 +96,17 @@ def test_theorem3_symmetry_closed():
             assert (expo, tuple(-v for v in vals)) in found
 
 
-def test_worker_pool_capped_at_cpu_count(monkeypatch):
-    # A fake pool records max_workers and maps in this process, so no worker
-    # is ever started.
-    sizes = []
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """A fake ProcessPoolExecutor that maps in this process, so no worker is
+    ever started; its `sizes` and `chunks` record each pool's max_workers
+    and the chunks it was given."""
 
     class SerialPool:
+        sizes, chunks = [], []
+
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            self.sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -111,35 +115,81 @@ def test_worker_pool_capped_at_cpu_count(monkeypatch):
             return False
 
         def map(self, fn, items):
+            items = list(items)
+            self.chunks.extend(items)
             return map(fn, items)
 
     # _run_tasks imports the pool class from concurrent.futures when it starts one.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return SerialPool
+
+
+def test_worker_pool_capped_at_cpu_count(monkeypatch, serial_pool):
+    # No head start, so even this small search reaches the pool.
+    monkeypatch.setattr(searcher, "POOL_AFTER_S", 0)
     monkeypatch.setattr(searcher.os, "cpu_count", lambda: 3)
     want = search_theorem3(60, 20, jobs=1)
     for jobs, pool in ((5000, [3]), (3, [3]), (2, [2])):
-        sizes.clear()
+        serial_pool.sizes.clear()
         got = search_theorem3(60, 20, jobs=jobs)
         assert [(p.exponents, p.values) for p in got] == [(p.exponents, p.values) for p in want]
-        assert sizes == pool
+        assert serial_pool.sizes == pool
     monkeypatch.setattr(searcher.os, "cpu_count", lambda: None)
-    sizes.clear()
+    serial_pool.sizes.clear()
     search_theorem3(60, 20, jobs=5000)
-    assert sizes == []  # an unknown core count runs serially
+    assert serial_pool.sizes == []  # an unknown core count runs serially
+
+
+@pytest.mark.parametrize("search, args, kwargs", [
+    (search_theorem3, (150, 40), {}),
+    (search_general, (4, 2, 60), dict(S=(73,))),
+], ids=["theorem3", "eta73"])
+@pytest.mark.parametrize("use_sieve", [True, False], ids=["sieve", "no-sieve"])
+@pytest.mark.parametrize("early", [1, 2, 5])
+def test_head_start_hands_the_rest_to_the_pool(search, args, kwargs, use_sieve, early,
+                                               monkeypatch, serial_pool):
+    # A fake clock reads 0 ns for `early` readings, then POOL_AFTER_S.  The
+    # first reading sets the deadline; a scan reads it once before it starts
+    # and once after each row block (each outer value without the sieve).
+    # So at early = 1 the pool gets every scan, and at 2 the head start ends
+    # after the first block of the first scan: inside it, except for the
+    # sieved theorem3 scans, which are one block each.  At 5 the sieved
+    # theorem3 head start ends after two scans.
+    want = _terms(search(*args, **kwargs, jobs=1))
+    assert want and _terms(search(*args, **kwargs, use_sieve=False, jobs=1)) == want
+    readings = iter(range(10**9))
+    clock = lambda: 0 if next(readings) < early else int(searcher.POOL_AFTER_S * 10**9)
+    monkeypatch.setattr(searcher, "time", SimpleNamespace(perf_counter_ns=clock))
+    monkeypatch.setattr(searcher.os, "cpu_count", lambda: 2)
+    assert _terms(search(*args, **kwargs, use_sieve=use_sieve, jobs=2)) == want
+    if early < 5:
+        assert serial_pool.sizes == [2]
+    if early == 2:
+        left_at = 1 if not use_sieve else ROW_BLOCK if search is search_general else 0
+        assert serial_pool.chunks[0].outer_slice[0] == left_at
+    if early == 5 and search is search_theorem3 and use_sieve:
+        assert serial_pool.chunks[0].lvec == (2, 2, 3, 2)  # after 2222 and 2223
 
 
 def test_cli_import_leaves_process_pool_out():
-    # Only a search with --jobs > 1 starts a pool, so loading the CLI skips the
-    # multiprocessing import.  The child imports apforge from wherever this
-    # process does.
+    # Only a search that outlasts its head start starts a pool, so neither
+    # loading the CLI nor a short search at --jobs 2 imports multiprocessing.
+    # The child imports apforge from wherever this process does.
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    code = "import sys, apforge.cli; print('concurrent.futures' in sys.modules)"
+    code = ("import contextlib, io, sys, apforge.cli\n"
+            "loaded = 'concurrent.futures' in sys.modules\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = apforge.cli.main(['--jobs', '2', 'search', '--theorem3',\n"
+            "                             '--bound-sq', '200', '--bound-cu', '40'])\n"
+            "print(code, loaded, 'concurrent.futures' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "0 False False"
 
 
-def test_theorem3_deterministic_across_jobs():
+def test_theorem3_deterministic_across_jobs(monkeypatch):
+    # No head start, so the two real workers scan every chunk.
+    monkeypatch.setattr(searcher, "POOL_AFTER_S", 0)
     a = search_theorem3(150, 40, jobs=1)
     b = search_theorem3(150, 40, jobs=2)
     assert [(p.exponents, p.values) for p in a] == [(p.exponents, p.values) for p in b]
