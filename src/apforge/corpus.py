@@ -311,6 +311,10 @@ def _parse_records(rec: dict) -> list:
     """The case's curve, derivation and facts, parsed once names and keys check."""
     curve, deriv = (_object(rec[key], f"key {key!r}") for key in ("curve", "derivation"))
     facts = _objects(rec, "facts") if "facts" in rec else []
+    for what, record, key in [("curve", curve, "kind"), ("derivation", deriv, "recipe"),
+                              *((f"facts[{n}]", fact, "kind") for n, fact in enumerate(facts))]:
+        if key not in record:
+            raise ValueError(f"{what} lacks required key {key!r}")
     names = [("curve kind", curve["kind"], CURVE_KINDS),
              ("derivation recipe", deriv["recipe"], RECIPES)]
     if "map" in deriv:

@@ -140,29 +140,14 @@ def _zp_branch(g, p: int, c: int, z: int, depth: int) -> bool:
     """Restrict to x = z + p*t and recurse on t in Z_p."""
     if depth < 0:
         raise Undecided(f"local solvability lifting budget exhausted at {p}")
-    g1 = _shift_scale(g, z, p)
+    # The coefficients of g(z + p*t) as a polynomial in t.
+    g1 = [int(cc) for cc in horner([UniPoly([cc]) for cc in g], UniPoly([z, p])).coeffs]
     content = math.gcd(*g1)
     if content == 0:
         return True  # identically zero: y = 0 works
     g1 = [cc // content for cc in g1]
     c1 = _squarefree_part(c * content)
     return _zp_solvable(g1, p, c1, depth)
-
-
-def _shift_scale(g, z: int, p: int):
-    """Coefficients of g(z + p*t) as a polynomial in t."""
-    n = len(g) - 1
-    out = [0] * (n + 1)
-    for k, c in enumerate(g):
-        if c == 0:
-            continue
-        # c * (z + p t)^k
-        term = c
-        binom = 1
-        for j in range(k + 1):
-            out[j] += term * binom * z ** (k - j) * p**j
-            binom = binom * (k - j) // (j + 1)
-    return out
 
 
 def _sturm_real_root_count(f: UniPoly) -> int:

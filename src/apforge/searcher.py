@@ -15,12 +15,12 @@ sieved scan has three stages:
    class, one AND of one pattern gather per derived term and factor over
    the words that the sign rule of even powers and the half scan admit,
    then those bounds and the class cut per cell.  The patterns only reject.
-2. Exact stage.  The blocks' survivors are held until there are _FLUSH of
-   them and checked in batches of at most _FLUSH pairs: each derived term
-   must be found, by ``np.searchsorted``, in the sorted array of every
-   value eta*x^l that its position can take in the box, and gcd(h0, h1)
-   must be within the cap.  Only passing rows reach `_confirm`, which
-   rebuilds each term's (x, eta) with big integers and stays the authority.
+2. Exact stage.  Each block's survivors are checked as the sieve yields
+   them, in batches of at most _FLUSH pairs: each derived term must be
+   found, by ``np.searchsorted``, in the sorted array of every value
+   eta*x^l that its position can take in the box, and gcd(h0, h1) must be
+   within the cap.  Only passing rows reach `_confirm`, which rebuilds each
+   term's (x, eta) with big integers and stays the authority.
 3. Symmetry.  Reversing a progression gives one, with the reversed
    exponents, and gcd(h0, h1) = gcd(h_{k-1}, h_{k-2}) since both equal the
    gcd of all terms.  So one vector of each reversal pair is scanned and the
@@ -131,7 +131,7 @@ class _VectorTask:
     half: bool = False     # scan only common differences n >= 0
 
 
-_FLUSH = 4096  # sieve survivors held before the exact stage runs on them
+_FLUSH = 4096  # sieve survivors the exact stage checks at a time
 
 
 def _choose_base_pair(sizes: Sequence[int]):
@@ -154,76 +154,53 @@ def _scan_vector(task: _VectorTask, until: Optional[int] = None) -> tuple:
     if _past(until):
         return [], task
     lvec, bounds, etas = task.lvec, task.bounds, task.etas
-    k = len(lvec)
-    cands = [_position_values(lvec[m], bounds[m], etas[m]) for m in range(k)]
+    cands = [_position_values(lvec[m], bounds[m], etas[m]) for m in range(len(lvec))]
     i, j = _choose_base_pair([len(c) for c in cands])
     lo, hi = task.outer_slice
     outer, inner = cands[i][lo:hi], cands[j]
+    # Steps of (_confirm results, outer values consumed).
     if task.use_sieve:
-        hits, done = _staged_scan(task, cands, i, j, outer, until)
+        sign = 1 if j > i else -1
+        rows = ClassRows(inner, j - i, [((m - i) * sign, lvec[m], etas[m])
+                                        for m in range(len(lvec)) if m not in (i, j)])
+        steps = ((_exact_stage(task, cands, i, j, hs, ws), ROW_BLOCK)
+                 for hs, ws in rows.cells(outer, half=task.half))
     else:
-        hits, done = [], 0
-        for h_i in outer.tolist():
-            for idx in np.flatnonzero((inner - h_i) % (j - i) == 0):
-                hit = _confirm(lvec, bounds, etas, task.gcd_cap, i, j, h_i, int(inner[idx]))
-                if hit is not None:
-                    hits.append(hit)
-            done += 1
-            if _past(until):
-                break
+        steps = (([_confirm(lvec, bounds, etas, task.gcd_cap, i, j, h_i, int(inner[idx]))
+                   for idx in np.flatnonzero((inner - h_i) % (j - i) == 0)], 1)
+                 for h_i in outer.tolist())
+    hits, done = [], 0
+    for got, used in steps:
+        hits += [hit for hit in got if hit is not None]
+        done += used
+        if _past(until):
+            break
+    done = min(done, outer.size)
     return hits, (replace(task, outer_slice=(lo + done, hi)) if done < outer.size else None)
 
 
-def _staged_scan(task, cands, i, j, outer, until) -> tuple:
-    """(hits, outer values scanned): the sieve a block of outer values at a
-    time, up to the first block that ends once `_past(until)`; the exact
-    stage on the held survivors once they reach _FLUSH, and on the rest at
-    the end."""
-    inner, d = cands[j], j - i
-    sign = 1 if d > 0 else -1
-    rows = ClassRows(inner, d, [((m - i) * sign, task.lvec[m], task.etas[m])
-                                for m in range(len(cands)) if m not in (i, j)])
-    # The held pairs stay below _FLUSH plus one block's survivors.
-    hits, held, count, done = [], [], 0, 0
-    for block in rows.cells(outer, half=task.half):
-        held.append(block)
-        count += block[0].size
-        if count >= _FLUSH:
-            hits += _exact_stage(task, cands, i, j, held)
-            held, count = [], 0
-        done += ROW_BLOCK
-        if _past(until):
-            break
-    return hits + _exact_stage(task, cands, i, j, held), min(done, outer.size)
-
-
-def _exact_stage(task, cands, i, j, held) -> list:
-    """Confirm the (h_i, h_j) pairs of the held sieve blocks, _FLUSH at a
-    time, whose derived terms are all attainable values (exact membership in
-    each position's sorted value array) and whose gcd(h0, h1) is within the
-    cap."""
-    if not held:
-        return []
+def _exact_stage(task, cands, i, j, hs, ws) -> list:
+    """The `_confirm` results of the (h_i, h_j) pairs of one sieve block,
+    checked _FLUSH at a time, whose derived terms are all attainable values
+    (exact membership in each position's sorted value array) and whose
+    gcd(h0, h1) is within the cap."""
     d = j - i
-    held_i, held_j = (np.concatenate(side) for side in zip(*held))
     hits = []
-    for s in range(0, held_i.size, _FLUSH):
-        hs, ws = held_i[s:s + _FLUSH], held_j[s:s + _FLUSH]
-        ok = (ws - hs) % d == 0
-        n = (ws - hs) // d
+    for s in range(0, hs.size, _FLUSH):
+        h, w = hs[s:s + _FLUSH], ws[s:s + _FLUSH]
+        ok = (w - h) % d == 0
+        n = (w - h) // d
         if task.half:  # the mirrored hits of a half scan need n >= 0
             ok &= n >= 0
-        terms = [hs + (m - i) * n for m in range(len(cands))]
+        terms = [h + (m - i) * n for m in range(len(cands))]
         for m, values in enumerate(cands):
             if m not in (i, j):
                 at = np.minimum(np.searchsorted(values, terms[m]), values.size - 1)
                 ok &= values[at] == terms[m]
         g = np.gcd(terms[0], terms[1])
         ok &= (g != 0) & (g <= task.gcd_cap)
-        for h_i, h_j in zip(hs[ok].tolist(), ws[ok].tolist()):
-            hit = _confirm(task.lvec, task.bounds, task.etas, task.gcd_cap, i, j, h_i, h_j)
-            if hit is not None:
-                hits.append(hit)
+        hits += [_confirm(task.lvec, task.bounds, task.etas, task.gcd_cap, i, j, h_i, h_j)
+                 for h_i, h_j in zip(h[ok].tolist(), w[ok].tolist())]
     return hits
 
 
@@ -260,18 +237,6 @@ def _pairs(task: _VectorTask) -> int:
     sizes = _position_sizes(task)
     i, j = _choose_base_pair(sizes)
     return len(range(sizes[i])[slice(*task.outer_slice)]) * sizes[j]
-
-
-def _check_magnitude(k: int, bounds_of, lvecs, eta_cap: int) -> None:
-    # Extrapolated terms reach (2k+1) times the largest candidate value;
-    # keep that inside int64 with margin.
-    worst = 0
-    for lvec in lvecs:
-        for l in lvec:
-            worst = max(worst, eta_cap * bounds_of(l) ** l)
-    if worst * (2 * k + 2) >= INT64_SAFE:
-        raise ResourceLimitError(
-            "candidate values exceed the 62-bit kernel range; shrink bounds")
 
 
 def _split_task(task: _VectorTask, parts: int) -> list:
@@ -344,15 +309,33 @@ def _scan_plan(task: _VectorTask):
     return (rev, True) if key(rev) < key(task) else (task, False)
 
 
-def _run_search(tasks: list, jobs: int) -> list:
-    """Check the work estimate, scan, and sort hits canonically.
-
-    The sieved path scans one task per reversal class and mirrors its hits
-    (see _scan_plan); --no-sieve scans every requested task in full."""
+def _search(k: int, vectors, exponents, rule: str, bound_of, etas_of, gcd_cap: int,
+            use_sieve: bool, jobs: int) -> list:
+    """The hits of the k-term vectors over exponents (all of them when
+    vectors is None), sorted canonically; a position of exponent l has x
+    bound bound_of(l) and twists etas_of(l).  Any other vector is a
+    ValueError, its message ending in rule.  The sieved path scans one task
+    per reversal class and mirrors its hits (see _scan_plan); --no-sieve
+    scans every requested task in full."""
+    if vectors is None:
+        vectors = product(exponents, repeat=k)
+    vectors = [tuple(v) for v in vectors]
+    for v in vectors:
+        if len(v) != k or any(l not in exponents for l in v):
+            raise ValueError(f"bad exponent vector {v}{rule}")
+    # Extrapolated terms reach (2k+1) times the largest candidate value;
+    # keep that inside int64 with margin.
+    eta_cap = max(abs(e) for l in exponents for e in etas_of(l))
+    worst = max((eta_cap * bound_of(l) ** l for v in vectors for l in v), default=0)
+    if worst * (2 * k + 2) >= INT64_SAFE:
+        raise ResourceLimitError(
+            "candidate values exceed the 62-bit kernel range; shrink bounds")
+    tasks = [_VectorTask(lvec=v, bounds=tuple(map(bound_of, v)), etas=tuple(map(etas_of, v)),
+                         gcd_cap=gcd_cap, use_sieve=use_sieve) for v in vectors]
     est = sum(map(_pairs, tasks))
     if est > WORK_CEILING:
         raise ResourceLimitError(f"estimated {est} pair evaluations exceeds ceiling")
-    plans = [_scan_plan(t) if t.use_sieve else (t, False) for t in tasks]
+    plans = [_scan_plan(t) if use_sieve else (t, False) for t in tasks]
     scans = list(dict.fromkeys(scan for scan, _ in plans))
     found = dict(zip(scans, _run_tasks(scans, jobs)))
     hits = []
@@ -375,19 +358,9 @@ def search_theorem3(bound_squares: int, bound_cubes: int,
     """
     if bound_squares < 1 or bound_cubes < 1:
         raise ValueError("bounds must be positive")
-    if vectors is None:
-        vectors = product((2, 3), repeat=4)
-    vectors = [tuple(v) for v in vectors]
-    for v in vectors:
-        if len(v) != 4 or any(l not in (2, 3) for l in v):
-            raise ValueError(f"bad exponent vector {v}: theorem 3 takes "
-                             "four exponents, each 2 or 3")
-    bounds_of = lambda l: bound_squares if l == 2 else bound_cubes
-    _check_magnitude(4, bounds_of, vectors, 1)
-    tasks = [_VectorTask(lvec=lvec, bounds=tuple(bounds_of(l) for l in lvec),
-                         etas=((1,),) * 4, gcd_cap=1, use_sieve=use_sieve)
-             for lvec in vectors]
-    return _run_search(tasks, jobs)
+    return _search(4, vectors, (2, 3), ": theorem 3 takes four exponents, each 2 or 3",
+                   lambda l: bound_squares if l == 2 else bound_cubes, lambda l: (1,), 1,
+                   use_sieve, jobs)
 
 
 def search_general(k: int, L: int, bound: int, D: int = 1,
@@ -403,21 +376,9 @@ def search_general(k: int, L: int, bound: int, D: int = 1,
         raise ValueError("k must be at least 3")
     if L < 2:
         raise ValueError("L must be at least 2")
-    if vectors is None:
-        vectors = product(range(2, L + 1), repeat=k)
-    vectors = [tuple(v) for v in vectors]
-    for v in vectors:
-        if len(v) != k or any(l < 2 or l > L for l in v):
-            raise ValueError(f"bad exponent vector {v}")
     eta_by_l = {l: _eta_candidates(S, l, ETA_CAP) for l in range(2, L + 1)}
-    bounds_of = lambda l: bound
-    _check_magnitude(k, bounds_of, vectors, max(abs(e) for l in eta_by_l
-                                                for e in eta_by_l[l]))
-    tasks = [_VectorTask(lvec=lvec, bounds=(bound,) * k,
-                         etas=tuple(eta_by_l[l] for l in lvec), gcd_cap=D,
-                         use_sieve=use_sieve)
-             for lvec in vectors]
-    return _run_search(tasks, jobs)
+    return _search(k, vectors, range(2, L + 1), "", lambda l: bound, eta_by_l.__getitem__,
+                   D, use_sieve, jobs)
 
 
 def search_cubic_twin(bound: int) -> list:

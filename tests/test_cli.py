@@ -419,6 +419,12 @@ REPEATED_ROOT_CUBIC = {3: [["0", "0", "0"]] * 3 + [["1", "0", "0"]],
     (lambda d: d["families"][2].pop("id") and d, "families[2] lacks required key 'id'"),
     (lambda d: d["families"][0].pop("power") and d, "family i lacks required key 'power'"),
     (lambda d: d["families"][0].update(pwer=2) or d, "family i has undeclared key 'pwer'"),
+    (lambda d: case_of(d, "3232")["curve"].pop("kind") and d,
+     "case 3232: curve lacks required key 'kind'"),
+    (lambda d: case_of(d, "3232")["derivation"].pop("recipe") and d,
+     "case 3232: derivation lacks required key 'recipe'"),
+    (lambda d: case_of(d, "3232")["facts"][1].pop("kind") and d,
+     "case 3232: facts[1] lacks required key 'kind'"),
 ], ids=["top-level-array", "version-number", "families-number", "family-string",
         "case-number", "curve-string", "derivation-number", "facts-string", "fact-number",
         "case-id-number", "case-id-repeated", "family-id-repeated",
@@ -426,7 +432,8 @@ REPEATED_ROOT_CUBIC = {3: [["0", "0", "0"]] * 3 + [["1", "0", "0"]],
         "top-level-key-unknown", "version-missing", "case-key-unknown", "curve-missing",
         "derivation-missing", "exponent-vector-missing", "case-id-missing",
         "description-number", "family-id-missing", "family-key-missing",
-        "family-key-unknown"])
+        "family-key-unknown", "curve-kind-missing", "derivation-recipe-missing",
+        "fact-kind-missing"])
 def test_corpus_badly_shaped_record_rejected(tmp_path, capsys, edit, message):
     with open(corpus_path(), encoding="utf-8") as fh:
         data = edit(json.load(fh))

@@ -3,7 +3,6 @@
 import concurrent.futures
 import math
 import os
-import random
 import subprocess
 import sys
 from itertools import product
@@ -36,11 +35,16 @@ def test_is_power_value_examples():
     assert is_power_value(0, 4) == 0
 
 
-def test_sieve_never_rejects_powers():
-    rng = random.Random(99)
-    for _ in range(2000):
-        l = rng.randint(2, 7)
-        x = rng.randint(-50, 50)
+# 2000 draws in all, POWER_DRAWS per example, as hypothesis spends more per
+# example than one draw costs.
+POWER_DRAWS = 100
+
+
+@settings(max_examples=2000 // POWER_DRAWS, deadline=None)
+@given(st.lists(st.tuples(st.integers(2, 7), st.integers(-50, 50)),
+                min_size=POWER_DRAWS, max_size=POWER_DRAWS))
+def test_sieve_never_rejects_powers(draws):
+    for l, x in draws:
         if l % 2 == 0:
             x = abs(x)
         h = x**l
@@ -230,6 +234,19 @@ def test_resource_ceiling():
         search_general(4, 7, 10**3)  # values overflow the int64 kernel
 
 
+@pytest.mark.parametrize("search, last_in_range", [
+    (lambda bound: search_theorem3(1, bound, vectors=[(3, 3, 3, 3)]), 772597),
+    (lambda bound: search_general(4, 2, bound, S=(73,)), 79481935),
+], ids=["theorem3-cubes", "eta73-squares"])
+def test_int64_guard_boundary(search, last_in_range):
+    # (2k + 2) * eta_cap * bound^l stays below 2^62 up to last_in_range: the
+    # work ceiling refuses that search, the int64 guard the next one.
+    with pytest.raises(ResourceLimitError, match="exceeds ceiling"):
+        search(last_in_range)
+    with pytest.raises(ResourceLimitError, match="62-bit"):
+        search(last_in_range + 1)
+
+
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         search_theorem3(0, 10)
@@ -350,19 +367,27 @@ def test_exact_stage_batch_boundaries(flush, monkeypatch):
     (search_general, (4, 2, 60), dict(S=(73,))),
 ], ids=["theorem3", "eta73"])
 def test_flush_inside_a_sieve_block_matches_oracle(search, args, kwargs, monkeypatch):
-    # At _FLUSH = 7 a block of the sieve holds more pairs than one flush, so
-    # the exact stage runs on batches that split blocks.
+    # At _FLUSH = 7 a block of the sieve holds more pairs than one slice, so
+    # the exact stage checks that block in several slices.  It runs once per
+    # block that ClassRows.cells yields.
     oracle = search(*args, **kwargs, use_sieve=False)
     monkeypatch.setattr(searcher, "_FLUSH", 7)
-    exact_stage, held = searcher._exact_stage, []
+    exact_stage, cells = searcher._exact_stage, searcher.ClassRows.cells
+    checked, yielded = [], []
 
-    def spy(task, cands, i, j, blocks):
-        held.append(sum(hs.size for hs, _ in blocks))
-        return exact_stage(task, cands, i, j, blocks)
+    def spy(task, cands, i, j, hs, ws):
+        checked.append(hs.size)
+        return exact_stage(task, cands, i, j, hs, ws)
+
+    def counted_cells(rows, outer, half=False):
+        for hs, ws in cells(rows, outer, half=half):
+            yielded.append(hs.size)
+            yield hs, ws
 
     monkeypatch.setattr(searcher, "_exact_stage", spy)
+    monkeypatch.setattr(searcher.ClassRows, "cells", counted_cells)
     assert _terms(search(*args, **kwargs)) == _terms(oracle)
-    assert oracle and max(held) > 7
+    assert oracle and max(checked) > 7 and checked == yielded
 
 
 @st.composite
