@@ -2,26 +2,28 @@
 
 The corpus is a JSON file (bundled copy under ``apforge/data/corpus.json``,
 overridden by APFORGE_CORPUS or an explicit path; its sha256 is stamped into
-reports).  Only this module knows how the file writes values: `_TYPES` parses
-each once, at load, to the type its key needs.  Unlisted keys hold exact
-numbers (decimal strings or nested lists of them), parsed to Fraction; ``value``
-is an integer string, parsed to int; counts and bounds are JSON ints >= 1
-(``branch`` and ``infinity`` >= 0); ``p`` is an odd prime, ``primes`` and
-``s_unit`` non-empty lists of odd and of any primes; ``expect`` and ``real``
-are booleans; names and prose stay strings; family branches become Branch
-records.  A fact's ``field`` becomes its NumberField; there a field element
-is written as its coordinates in the power basis, and the keys in `_IN_FIELD`
-hold FieldElems (or lists of them).  List shapes are checked too: e.g.
-``exponent_vector`` holds integers >= 2, ``at`` one or two coordinates, the
-``rhs`` of an ec_point, ec_two_torsion or ec_square_x fact a squarefree cubic
-(its EllipticModel).  The file is an object whose ``families`` and ``cases``
-are lists of objects, as are a case's ``facts``; its ``version`` is a string,
-and no two families or cases share an id.  A wrong type or shape, an unknown
-name, a repeated id, or a missing or undeclared key (of the file, a family, a
-case or one of its records) is a ValueError naming the case or family (by
-index, as ``cases[3]``, when it has no id), the key and the value; so is a
-curve its constructor refuses, or a Jacobian prime at which it has bad
-reduction.  Each case's curve is built here once, by `curvelab.check_curve`.
+reports).  Only this module knows how the file writes values: `_TYPES` lists
+every key a record may hold, with the parser that turns its value, once, at
+load, into the type and shape the key needs.  Exact numbers are decimal
+strings parsed to Fraction: one (``divisor``, ``curve_divisor`` and
+``rhs_mult`` nonzero), a non-empty list (a curve's ``rhs``), two, or (x, y)
+pairs (``affine``); ``value`` is an integer string, parsed to int; counts and
+bounds are JSON ints >= 1 (``branch`` and ``infinity`` >= 0); ``p`` is an odd
+prime, ``primes`` and ``s_unit`` non-empty lists of odd and of any primes;
+``expect`` and ``real`` are booleans; ``shape`` is ``unipoly`` (or, in a
+factorization, ``form``); names and prose stay strings; family branches
+become Branch records.  A fact's ``field`` becomes its NumberField; there a
+field element is written as its coordinates in the power basis, and the keys
+in `_IN_FIELD` hold FieldElems (or lists of them).  The file is an object
+whose ``families`` and ``cases`` are lists of objects, as are a case's
+``facts``; no two families or cases share an id.  A wrong type or shape, an
+unknown name, a repeated id, or a missing or undeclared key (of the file, a
+family, a case or one of its records) is a ValueError naming the case or
+family (by index, as ``cases[3]``, when it has no id), the key and the value;
+so is a curve its constructor refuses, or a Jacobian prime at which it has
+bad reduction.  This module builds every curve model: each case's curve once,
+from its kind's row of `_CURVES`, and the EllipticModel of each ec_* fact's
+``rhs``, which must be a squarefree cubic.
 Case derivations resolve to branches of the same file's families: one corpus
 feeds a run.
 """
@@ -36,8 +38,8 @@ from fractions import Fraction
 from importlib import resources
 from typing import Optional
 
-from .curvelab import CURVE_KINDS, FACT_KINDS, MAPS, RECIPES, RESULTANT_CLAIMS, check_curve
-from .curves import EllipticModel
+from .curvelab import FACT_KINDS, MAPS, RECIPES, RESULTANT_CLAIMS
+from .curves import BadReduction, EllipticModel, HyperCurve, SuperellipticForm, good_reduction_data
 from .exactmath import BinaryForm, UniPoly, is_prime
 from .numfield import FIELDS, FieldElem, field_by_name
 from .parametrize import Branch, ParamFamily
@@ -54,7 +56,7 @@ class CaseRecord:
     partner_vector: Optional[tuple]
     description: str
     derivation: dict
-    derivation_branch: Optional[Branch]  # the family branch it reads; None for cube_pair_product
+    derivation_branch: Optional[Branch]  # the family branch it reads, if its recipe names one
     curve: object  # the HyperCurve, EllipticModel or SuperellipticForm, built at load
     facts: tuple
 
@@ -179,9 +181,14 @@ def _prime(n, low=2) -> bool:
     return type(n) is int and n >= low and is_prime(n)
 
 
+def _row(value) -> bool:
+    """Whether value is a non-empty list of values, none of them a list."""
+    return type(value) is list and value != [] and not any(type(v) is list for v in value)
+
+
 def _flat(value, size: int) -> bool:
     """Whether value is a list of size values, none of them a list."""
-    return type(value) is list and len(value) == size and not any(type(v) is list for v in value)
+    return _row(value) and len(value) == size
 
 
 def _elements(depth: int):
@@ -218,8 +225,19 @@ def _claim(claim, fact) -> dict:
     return _record("factorization fact", claim, fact)
 
 
-# key -> parser of its JSON value; a key not listed holds exact numbers
+# key -> parser of its JSON value; every key a record may hold is listed
 _TYPES = {
+    **dict.fromkeys(("coef_a", "coef_b", "y_mult", "factor", "equals"),
+                    _is(lambda v: type(v) is str, "an exact number", _number)),
+    **dict.fromkeys(("divisor", "curve_divisor", "rhs_mult"),
+                    _is(lambda v: type(v) is str and _number(v) != 0, "a nonzero exact number",
+                        _number)),
+    **dict.fromkeys(("rhs", "form", "expected_sextic", "expected_form", "product"),
+                    _is(_row, "a non-empty list of exact numbers", _number)),
+    **dict.fromkeys(("factor1", "factor2"), _is(lambda v: _flat(v, 2), "two exact numbers",
+                                                _number)),
+    "affine": _is(lambda v: type(v) is list and all(_flat(xy, 2) for xy in v),
+                  "a list of (x, y) pairs", _number),
     **dict.fromkeys(("power", "z_mult", "z_power", "height", "primes_upto", "divisible_by",
                      "scan"), _is(lambda v: type(v) is int and v >= 1, "a positive integer")),
     **dict.fromkeys(("branch", "infinity"),
@@ -231,7 +249,7 @@ _TYPES = {
                   "a non-empty list of primes"),
     **dict.fromkeys(("expect", "real"), _is(lambda v: type(v) is bool, "a boolean")),
     **dict.fromkeys(("id", "version", "equation", "parity_rule", "kind", "label", "text",
-                     "recipe", "map", "family", "shape", "description"),
+                     "recipe", "map", "family", "description"),
                     _is(lambda v: type(v) is str, "a string")),
     "field": field_by_name,  # a name the loader has checked
     "value": _integer,
@@ -255,6 +273,9 @@ _TYPES = {
     ("factorization", "factors"): _is(lambda v: type(v) is list and len(v) >= 2,
                                       "at least two factors", _elements(2)),
     ("factorization", "resultant"): _claim,
+    ("factorization", "shape"): _is(lambda v: v in ("unipoly", "form"), "'unipoly' or 'form'"),
+    **dict.fromkeys((("value_identity", "shape"), ("value_square", "shape")),
+                    _is(lambda v: v == "unipoly", "'unipoly'")),
     **dict.fromkeys((("ec_point", "rhs"), ("ec_two_torsion", "rhs"), ("ec_square_x", "rhs")),
                     _ec_model),
 }
@@ -262,7 +283,7 @@ _TYPES = {
 # key -> parser of (value, fact) of the field elements it holds in a fact with a field
 _IN_FIELD = {**dict.fromkeys(("x", "y", "equals", "root", "delta", "z",
                               "equals_one_with_scale"), _elements(0)),
-             **dict.fromkeys(("rhs", "poly", "xs"), _elements(1))}
+             **dict.fromkeys(("poly", "xs"), _elements(1))}
 
 
 def _record(what: str, rec: dict, fact: Optional[dict] = None) -> dict:
@@ -272,7 +293,7 @@ def _record(what: str, rec: dict, fact: Optional[dict] = None) -> dict:
     for key, value in rec.items():
         shaped = _TYPES.get((fact.get("kind"), key)) or ("field" in fact and _IN_FIELD.get(key))
         try:
-            parsed[key] = shaped(value, fact) if shaped else _TYPES.get(key, _number)(value)
+            parsed[key] = shaped(value, fact) if shaped else _TYPES[key](value)
         except _Wrong as exc:
             raise ValueError(f"{what} key {key!r} holds {exc.args[0]!r}, "
                              f"not {exc.args[1]}") from None
@@ -294,17 +315,52 @@ def _parse_family(rec: dict, n: int) -> ParamFamily:
 
 
 def _derivation_branch(deriv: dict, families: dict) -> Optional[Branch]:
-    """The family branch a case's derivation reads: the named branch for
-    square_combo, branch 0 for eq7_combo, none for cube_pair_product."""
-    if deriv["recipe"] == "cube_pair_product":
+    """The family branch a case's derivation reads: its branch (0 unless
+    given) of its family, or none for a recipe that names no family."""
+    if "family" not in deriv:
         return None
     fam = families.get(deriv["family"])
     if fam is None:
         raise ValueError(f"unknown family {deriv['family']!r}")
-    index = deriv.get("branch", 0)  # only square_combo declares a branch
+    index = deriv.get("branch", 0)
     if index >= len(fam.branches):
         raise ValueError(f"family {fam.id} has no branch {index!r}")
     return fam.branches[index]
+
+
+# kind -> (curve record -> curve, required curve keys, required derivation keys);
+# every kind but a superelliptic form is reached through a derivation map.
+_CURVES = {
+    "genus2": (lambda rec: HyperCurve(rec["label"], UniPoly(rec["rhs"])),
+               ("label", "rhs"), ("map",)),
+    "elliptic": (lambda rec: EllipticModel(rec["label"], UniPoly(rec["rhs"])),
+                 ("label", "rhs"), ("map",)),
+    "superelliptic_form": (lambda rec: SuperellipticForm(
+        rec["label"], BinaryForm(rec["form"]), z_mult=rec["z_mult"], z_power=rec["z_power"]),
+        ("label", "form", "z_mult", "z_power"), ()),
+}
+
+# fact kind -> key of the primes its check reduces the curve at
+_REDUCED_AT = {"jacobian_order": "p", "torsion_gcd": "primes"}
+
+
+def _curve(rec: dict, facts) -> object:
+    """The curve of a parsed curve record, checked at every prime one of the
+    facts reduces it at; a ValueError names the key and prime."""
+    try:
+        curve = _CURVES[rec["kind"]][0](rec)
+    except ValueError as exc:
+        raise ValueError(f"curve: {exc}") from None
+    for fact in (f for f in facts if f["kind"] in _REDUCED_AT):
+        key = _REDUCED_AT[fact["kind"]]
+        if not isinstance(curve, HyperCurve):
+            raise ValueError(f"{fact['kind']} fact needs a genus2 curve")
+        for p in fact[key] if key == "primes" else [fact[key]]:
+            try:
+                good_reduction_data(curve, p)
+            except BadReduction as exc:
+                raise ValueError(f"{fact['kind']} fact key {key!r}: {exc}") from None
+    return curve
 
 
 def _parse_records(rec: dict) -> list:
@@ -315,7 +371,7 @@ def _parse_records(rec: dict) -> list:
                               *((f"facts[{n}]", fact, "kind") for n, fact in enumerate(facts))]:
         if key not in record:
             raise ValueError(f"{what} lacks required key {key!r}")
-    names = [("curve kind", curve["kind"], CURVE_KINDS),
+    names = [("curve kind", curve["kind"], _CURVES),
              ("derivation recipe", deriv["recipe"], RECIPES)]
     if "map" in deriv:
         names.append(("derivation map", deriv["map"], MAPS))
@@ -326,7 +382,7 @@ def _parse_records(rec: dict) -> list:
     for what, name, known in names:
         if not isinstance(name, str) or name not in known:
             raise ValueError(f"unknown {what} {name!r}")
-    curve_keys, deriv_keys = CURVE_KINDS[curve["kind"]]
+    curve_keys, deriv_keys = _CURVES[curve["kind"]][1:]
     deriv_keys += RECIPES[deriv["recipe"]] + MAPS.get(deriv.get("map"), ())
     records = [("curve", curve, curve_keys, ("kind",)),
                ("derivation", deriv, deriv_keys, ("recipe",))]
@@ -353,7 +409,7 @@ def _parse_case(rec: dict, n: int, families: dict) -> CaseRecord:
             description=head.get("description", ""),
             derivation=deriv,
             derivation_branch=_derivation_branch(deriv, families),
-            curve=check_curve(curve, facts),
+            curve=_curve(curve, facts),
             facts=tuple(facts),
         )
     except ValueError as exc:

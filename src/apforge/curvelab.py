@@ -2,10 +2,11 @@
 
 A case names a recipe that re-derives its binary sextic from a family
 branch, a map that dehomogenizes the sextic to the recorded curve, and a
-list of facts.  `_FACTS` holds (expected, check, required keys) per fact kind;
-`run_case` turns the derivation and every fact into CheckResult records.
-The corpus loader builds what the checks read: each case's curve, through
-`check_curve`, and each fact's field elements.
+list of facts.  Each recipe, map and fact kind declares the corpus keys it
+reads (`RECIPES`, `MAPS`, `FACT_KINDS`), for the loader to check records
+against; `run_case` turns the derivation and every fact into CheckResult
+records.  The checks read only what `apforge.corpus` built at load: the
+case's curve, field elements and elliptic models.
 The curve, point and genus layers below this one are `apforge.curves`,
 `apforge.points` and `apforge.genus`.
 """
@@ -17,8 +18,7 @@ import time as _time
 from dataclasses import dataclass
 from typing import Optional
 
-from .curves import (BadReduction, EllipticModel, HyperCurve, SuperellipticForm,
-                     good_reduction_data, jacobian_order, torsion_gcd_bound)
+from .curves import EllipticModel, SuperellipticForm, jacobian_order, torsion_gcd_bound
 from .curves import count_points  # noqa: F401; perfbench/traced.py finds it here to wrap it
 from .exactmath import (BinaryForm, UniPoly, form_eval, int_kth_root, primes_upto,
                         rat_kth_root, uni_resultant)
@@ -157,43 +157,7 @@ def timed_check(rid: str, expected: str, fn) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# Curves and derivations
-
-
-# kind -> (curve record -> curve, required curve keys, required derivation keys);
-# every kind but a superelliptic form is reached through a derivation map.
-_CURVES = {
-    "genus2": (lambda rec: HyperCurve(rec["label"], UniPoly(rec["rhs"])),
-               ("label", "rhs"), ("map",)),
-    "elliptic": (lambda rec: EllipticModel(rec["label"], UniPoly(rec["rhs"])),
-                 ("label", "rhs"), ("map",)),
-    "superelliptic_form": (lambda rec: SuperellipticForm(
-        rec["label"], BinaryForm(rec["form"]), z_mult=rec["z_mult"], z_power=rec["z_power"]),
-        ("label", "form", "z_mult", "z_power"), ()),
-}
-
-
-# fact kind -> key of the primes its check reduces the curve at
-_REDUCED_AT = {"jacobian_order": "p", "torsion_gcd": "primes"}
-
-
-def check_curve(rec: dict, facts) -> object:
-    """For the corpus loader: the curve of a parsed curve record, checked at every
-    prime one of the facts reduces it at; a ValueError names the key and prime."""
-    try:
-        curve = _CURVES[rec["kind"]][0](rec)
-    except ValueError as exc:
-        raise ValueError(f"curve: {exc}") from None
-    for fact in (f for f in facts if f["kind"] in _REDUCED_AT):
-        key = _REDUCED_AT[fact["kind"]]
-        if not isinstance(curve, HyperCurve):
-            raise ValueError(f"{fact['kind']} fact needs a genus2 curve")
-        for p in fact[key] if key == "primes" else [fact[key]]:
-            try:
-                good_reduction_data(curve, p)
-            except BadReduction as exc:
-                raise ValueError(f"{fact['kind']} fact key {key!r}: {exc}") from None
-    return curve
+# Derivations
 
 
 def _square_combo(rec, br, cid):
@@ -238,10 +202,7 @@ def _even_powers(cid, cs):
 _MAPS = {"x_over_y": (lambda cid, cs: cs[::-1], ("curve_divisor",)),
          "even_powers": (_even_powers, ("curve_divisor",))}
 
-# name -> required keys, for the corpus loader to check each record against;
-# a curve kind gives (curve keys, derivation keys)
-CURVE_KINDS = {kind: (curve_keys, derivation_keys)
-               for kind, (_, curve_keys, derivation_keys) in _CURVES.items()}
+# name -> required keys, for the corpus loader to check each record against
 RECIPES = {recipe: keys for recipe, (_, keys) in _RECIPES.items()}
 MAPS = {name: keys for name, (_, keys) in _MAPS.items()}
 

@@ -14,7 +14,8 @@ the minimal polynomial, the scan, the Newton lifts) is `exactmath.horner`.
 No floating point is used anywhere.
 
 No ring-of-integers or ideal machinery: the handful of fields used here are
-fixed corpus data and everything checkable reduces to exact identities.
+fixed corpus data, one row of `FIELDS` each, and everything checkable reduces
+to exact identities.
 """
 
 from __future__ import annotations
@@ -345,48 +346,25 @@ def _frac_mod(q: Fraction, mod: int) -> int:
 # Corpus fields
 
 
-@lru_cache(maxsize=None)
-def quadratic_field(d: int) -> NumberField:
-    """Q(sqrt(d)) for a squarefree integer d."""
-    if d in (0, 1):
-        raise ValueError("d must define a quadratic extension")
-    return NumberField([-d, 0, 1], name=f"Q(sqrt({d}))")
-
-
-@lru_cache(maxsize=None)
-def cbrt2_field() -> NumberField:
-    """Q(2^(1/3)), minimal polynomial x^3 - 2."""
-    return NumberField([-2, 0, 0, 1], name="Q(cbrt(2))")
-
-
-@lru_cache(maxsize=None)
-def quartic_field() -> NumberField:
-    """The quartic field x^4 + 2x^3 + 4x + 2 over which the degree-6 form of
-    the cube-cube-square-cube case splits into two cubic forms."""
-    return NumberField([2, 4, 0, 2, 1], name="Q[x]/(x^4+2x^3+4x+2)")
-
-
-@lru_cache(maxsize=None)
-def cubic_field_57_4() -> NumberField:
-    """The cubic field x^3 + (57/4)x^2 + 39x + 1 used to factor the even
-    sextic y^2 = x^6 + (57/4)x^4 + 39x^2 + 1."""
-    return NumberField([1, 39, Fraction(57, 4), 1], name="Q[x]/(x^3+(57/4)x^2+39x+1)")
-
-
+# name -> (minimal polynomial, ascending coefficients; display name).  The
+# quartic splits the degree-6 form of the cube-cube-square-cube case into two
+# cubic forms; the cubic field of 57/4 factors the even sextic
+# y^2 = x^6 + (57/4)x^4 + 39x^2 + 1.
 FIELDS = {
-    "sqrt2": lambda: quadratic_field(2),
-    "i": lambda: quadratic_field(-1),
-    "sqrt-2": lambda: quadratic_field(-2),
-    "sqrt3": lambda: quadratic_field(3),
-    "sqrt6": lambda: quadratic_field(6),
-    "cbrt2": cbrt2_field,
-    "quartic": quartic_field,
-    "cubic57over4": cubic_field_57_4,
+    "sqrt2": ((-2, 0, 1), "Q(sqrt(2))"),
+    "i": ((1, 0, 1), "Q(sqrt(-1))"),
+    "sqrt-2": ((2, 0, 1), "Q(sqrt(-2))"),
+    "sqrt3": ((-3, 0, 1), "Q(sqrt(3))"),
+    "sqrt6": ((-6, 0, 1), "Q(sqrt(6))"),
+    "cbrt2": ((-2, 0, 0, 1), "Q(cbrt(2))"),
+    "quartic": ((2, 4, 0, 2, 1), "Q[x]/(x^4+2x^3+4x+2)"),
+    "cubic57over4": ((1, 39, Fraction(57, 4), 1), "Q[x]/(x^3+(57/4)x^2+39x+1)"),
 }
 
 
+@lru_cache(maxsize=None)
 def field_by_name(name: str) -> NumberField:
-    try:
-        return FIELDS[name]()
-    except KeyError:
-        raise ValueError(f"unknown corpus field {name!r}") from None
+    """The corpus field of that name, built once."""
+    if name not in FIELDS:
+        raise ValueError(f"unknown corpus field {name!r}")
+    return NumberField(*FIELDS[name])

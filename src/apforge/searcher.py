@@ -94,10 +94,9 @@ class Progression:
 def _eta_candidates(s_primes: Sequence[int], l: int, cap: int) -> tuple:
     """l-th-power-free S-units of both signs, |eta| <= cap, sorted."""
     units = [1]
-    for p in sorted(s_primes):
+    for p in sorted(set(s_primes)):
         units = [u * p**e for u in units for e in range(l) if u * p**e <= cap]
-    units = sorted(set(units))
-    return tuple(sorted([u for u in units] + [-u for u in units], key=lambda t: (abs(t), -t)))
+    return tuple(sorted(units + [-u for u in units], key=lambda t: (abs(t), -t)))
 
 
 def _position_values(l: int, bound: int, etas: tuple):

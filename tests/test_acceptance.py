@@ -20,8 +20,7 @@ from apforge.points import (locally_solvable, locally_solvable_real,
                             rational_points_search)
 from apforge.exactmath import (BinaryForm, UniPoly, form_eval,
                                form_exact_root, int_kth_root, uni_resultant)
-from apforge.numfield import (cbrt2_field, cubic_field_57_4, nf_is_s_unit,
-                              nf_norm, quartic_field)
+from apforge.numfield import field_by_name, nf_is_s_unit, nf_norm
 from apforge.parametrize import param_cover_check, param_verify_identity
 from apforge.searcher import search_cubic_twin, search_theorem3, verify_remark_families
 from apforge.sieve import maybe_power
@@ -116,7 +115,7 @@ def test_criterion_5_rational_point_inventories():
 def test_criterion_6_number_field_facts():
     t0 = time.monotonic()
     checks = {}
-    K = cbrt2_field()
+    K = field_by_name("cbrt2")
     a = K.alpha
     checks["unit-cube identity"] = (a - 1) * (a + 1) ** 3 == 3
     # Res(G, H) = 1 for the square-cube-cube-square case (normalized pair).
@@ -127,7 +126,7 @@ def test_criterion_6_number_field_facts():
     checks["resultant square scale"] = s * s == res
     checks["resultant one"] = uni_resultant(G * s, H * s.inverse()) == K.one
     # g*h = f over the quartic field.
-    M = quartic_field()
+    M = field_by_name("quartic")
     c = M.alpha
     g = BinaryForm([c**2 + 2 * c + 1, -2 * c**3 - c**2 + 2 * c + 1,
                     3 * c**2 - 26 * c - 13, -6 * c**3 - 3 * c**2 + 6 * c + 3])
@@ -140,7 +139,7 @@ def test_criterion_6_number_field_facts():
     checks["quartic split"] = list(prod.coeffs) == [
         M.rational(t) for t in f.coeffs]
     # Res(Q, R) is an S-unit for S = {2, 3}.
-    L = cubic_field_57_4()
+    L = field_by_name("cubic57over4")
     b = L.alpha
     Q = UniPoly([-b, L.zero, L.one])
     R = UniPoly([b**2 + Fraction(57, 4) * b + 39, L.zero,
@@ -242,7 +241,7 @@ def test_criterion_9_property_suites():
             failures += 1
 
     # Norm multiplicativity over every corpus field.
-    from apforge.numfield import FIELDS, field_by_name
+    from apforge.numfield import FIELDS
 
     for name in FIELDS:
         K = field_by_name(name)

@@ -374,8 +374,9 @@ REPEATED_ROOT_CUBIC = {3: [["0", "0", "0"]] * 3 + [["1", "0", "0"]],
 
 
 # A record of the wrong JSON type, a repeated id, a repeated-root elliptic
-# rhs, or a missing or undeclared key of the file, a case or a family: each
-# once ended in a traceback, a message naming only the key, or a silent load.
+# rhs, a missing or undeclared key of the file, a case or a family, a
+# misspelt shape, or an exact number of the wrong nesting or zero: each once
+# ended in a traceback, a message naming only the key, or a silent load.
 # Each edit returns the whole file's data.
 @pytest.mark.parametrize("edit, message", [
     (lambda d: [d], "the corpus is a JSON list, not an object"),
@@ -425,6 +426,33 @@ REPEATED_ROOT_CUBIC = {3: [["0", "0", "0"]] * 3 + [["1", "0", "0"]],
      "case 3232: derivation lacks required key 'recipe'"),
     (lambda d: case_of(d, "3232")["facts"][1].pop("kind") and d,
      "case 3232: facts[1] lacks required key 'kind'"),
+    (lambda d: fact_of(d, "2332", "factorization").update(shape="unipolly") or d,
+     "case 2332: factorization fact key 'shape' holds 'unipolly', not 'unipoly' or 'form'"),
+    (lambda d: fact_of(d, "2233", "value_identity").update(shape="form") or d,
+     "case 2233: value_identity fact key 'shape' holds 'form', not 'unipoly'"),
+    (lambda d: fact_of(d, "2332", "rational_points").update(affine=[["1"]]) or d,
+     "case 2332: rational_points fact key 'affine' holds [['1']], not a list of (x, y) pairs"),
+    (lambda d: case_of(d, "3232")["curve"].update(rhs="1") or d,
+     "case 3232: curve key 'rhs' holds '1', not a non-empty list of exact numbers"),
+    (lambda d: case_of(d, "3232")["derivation"].update(curve_divisor=["1"]) or d,
+     "case 3232: derivation key 'curve_divisor' holds ['1'], not a nonzero exact number"),
+    (lambda d: case_of(d, "3232")["derivation"].update(curve_divisor="0") or d,
+     "case 3232: derivation key 'curve_divisor' holds '0', not a nonzero exact number"),
+    (lambda d: case_of(d, "2223a")["derivation"].update(divisor="0") or d,
+     "case 2223a: derivation key 'divisor' holds '0', not a nonzero exact number"),
+    (lambda d: case_of(d, "3232")["derivation"].update(factor1=["1"]) or d,
+     "case 3232: derivation key 'factor1' holds ['1'], not two exact numbers"),
+    (lambda d: fact_of(d, "3323", "involution").update(factor=["1"]) or d,
+     "case 3323: involution fact key 'factor' holds ['1'], not an exact number"),
+    (lambda d: fact_of(d, "2332", "factorization").update(product="1") or d,
+     "case 2332: factorization fact key 'product' holds '1', "
+     "not a non-empty list of exact numbers"),
+    (lambda d: d["families"][0].update(rhs_mult=["1"]) or d,
+     "family i: key 'rhs_mult' holds ['1'], not a nonzero exact number"),
+    (lambda d: d["families"][0].update(rhs_mult="0") or d,
+     "family i: key 'rhs_mult' holds '0', not a nonzero exact number"),
+    (lambda d: fact_of(d, "3323", "form_value").update(equals=["1"]) or d,
+     "case 3323: form_value fact key 'equals' holds ['1'], not an exact number"),
 ], ids=["top-level-array", "version-number", "families-number", "family-string",
         "case-number", "curve-string", "derivation-number", "facts-string", "fact-number",
         "case-id-number", "case-id-repeated", "family-id-repeated",
@@ -433,7 +461,10 @@ REPEATED_ROOT_CUBIC = {3: [["0", "0", "0"]] * 3 + [["1", "0", "0"]],
         "derivation-missing", "exponent-vector-missing", "case-id-missing",
         "description-number", "family-id-missing", "family-key-missing",
         "family-key-unknown", "curve-kind-missing", "derivation-recipe-missing",
-        "fact-kind-missing"])
+        "fact-kind-missing", "factorization-shape-misspelt", "value-identity-shape-form",
+        "affine-one-coordinate", "curve-rhs-string", "curve-divisor-list",
+        "curve-divisor-zero", "divisor-zero", "factor1-one-number", "involution-factor-list",
+        "product-string", "rhs-mult-list", "rhs-mult-zero", "form-value-equals-list"])
 def test_corpus_badly_shaped_record_rejected(tmp_path, capsys, edit, message):
     with open(corpus_path(), encoding="utf-8") as fh:
         data = edit(json.load(fh))

@@ -1,18 +1,39 @@
-"""The corpus's string encoding stays in `corpus`: after `load_corpus()` no
-value outside the name and prose keys is still a string, and the exact
-algebra types refuse string coefficients instead of parsing them."""
+"""The corpus's string encoding stays in `corpus`: every key a record may
+declare has a parser, after `load_corpus()` no value outside the name and
+prose keys is still a string, and the exact algebra types refuse string
+coefficients instead of parsing them."""
 
 import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from apforge import corpus
 from apforge.corpus import load_corpus
+from apforge.curvelab import FACT_KINDS, MAPS, RECIPES, RESULTANT_CLAIMS
 from apforge.exactmath import BinaryForm, UniPoly
-from apforge.numfield import FieldElem, NumberField, quadratic_field
+from apforge.numfield import FieldElem, NumberField, field_by_name
+from apforge.parametrize import ParamFamily
 
 NAME_KEYS = {"id", "equation", "parity_rule", "kind", "label", "text", "recipe", "map",
              "family", "field", "shape"}
+
+
+def test_every_declared_key_has_a_parser():
+    # (fact kind or None, key, whether the record names a field)
+    declared = [(None, key, False) for keys in (("kind", "recipe"), *RECIPES.values(),
+                                                *MAPS.values()) for key in keys]
+    declared += [(None, key, False) for _, curve_keys, deriv_keys in corpus._CURVES.values()
+                 for key in curve_keys + deriv_keys]
+    declared += [(None, f.name, False) for f in dataclasses.fields(ParamFamily)]
+    for kind, (required, optional) in FACT_KINDS.items():
+        claims = RESULTANT_CLAIMS if "resultant" in required else ()
+        declared += [(kind, key, "field" in required)
+                     for key in ("kind", *required, *optional, *claims)]
+    missing = [(kind, key) for kind, key, in_field in declared
+               if (kind, key) not in corpus._TYPES and key not in corpus._TYPES
+               and not (in_field and key in corpus._IN_FIELD)]
+    assert len(declared) > 50 and not missing, missing
 
 
 def string_leaves(node, path="", key=None):
@@ -48,7 +69,7 @@ def test_no_string_leaf_after_load():
 @pytest.mark.parametrize("build", [
     lambda: BinaryForm([1, "2"]),
     lambda: UniPoly(["1", 0]),
-    lambda: FieldElem(quadratic_field(2), ["1", Fraction(0)]),
+    lambda: FieldElem(field_by_name("sqrt2"), ["1", Fraction(0)]),
     lambda: NumberField(["-2", 0, 1]),
 ], ids=["BinaryForm", "UniPoly", "FieldElem", "NumberField"])
 def test_exact_types_refuse_string_coefficients(build):

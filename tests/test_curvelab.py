@@ -25,7 +25,7 @@ from apforge.genus import (ALL_GENUS_LE1_POSSIBLE, GENUS_AT_LEAST_2, GENUS_GT1,
 from apforge.points import (_homogeneous_square_hits, locally_solvable,
                             locally_solvable_real, rational_points_search)
 from apforge.exactmath import BinaryForm, UniPoly, discriminant, primes_upto, uni_resultant
-from apforge.numfield import cbrt2_field
+from apforge.numfield import field_by_name
 from apforge.sieve import ROW_BLOCK
 
 
@@ -429,7 +429,7 @@ def test_involution_of_sextic_form():
 
 
 def test_ec_point_check_over_cbrt2():
-    K = cbrt2_field()
+    K = field_by_name("cbrt2")
     a = K.alpha
     rhs = UniPoly([504 * a**2 + 630 * a + 798, -72 * a**2 - 90 * a - 108,
                    K.zero, K.one])

@@ -13,8 +13,7 @@ from apforge.curves import HyperCurve, integral_model
 from apforge.exactmath import (BinaryForm, UniPoly, form_eval, form_exact_root, form_value,
                                horner, int_kth_root, is_prime, poly_divmod, poly_xgcd,
                                primes_upto, square_split, uni_resultant)
-from apforge.numfield import (FIELDS, FieldElem, NumberField, cbrt2_field,
-                              field_by_name, nf_norm, quadratic_field)
+from apforge.numfield import FIELDS, FieldElem, NumberField, field_by_name, nf_norm
 
 
 def naive_form_mul(a, b):
@@ -207,7 +206,7 @@ def test_poly_divmod_round_trip():
 
 
 def test_poly_divmod_takes_zero_from_ring():
-    K = quadratic_field(-1)
+    K = field_by_name("i")
     i = K.alpha
     x = UniPoly([K.zero, K.one])
     cases = [
@@ -224,7 +223,7 @@ def test_poly_divmod_takes_zero_from_ring():
 
 
 def test_poly_divmod_inverts_the_divisor_lead_once(monkeypatch):
-    K = quadratic_field(-1)
+    K = field_by_name("i")
     i = K.alpha
     x = UniPoly([K.zero, K.one])
     p = UniPoly([K.one, i, K.one * 2, i * 3, K.one + i])   # degree 4
@@ -251,7 +250,7 @@ def test_poly_divmod_inverts_the_divisor_lead_once(monkeypatch):
 
 
 def test_unipoly_zero_results_take_zero_from_ring():
-    K = quadratic_field(-1)
+    K = field_by_name("i")
     f = UniPoly([K.one, K.alpha])
     zeros = [UniPoly([K.zero]) * f, f * UniPoly([K.zero]), UniPoly([0]) * f,
              UniPoly([K.one]).derivative(), UniPoly([K.alpha]).derivative()]
@@ -346,7 +345,7 @@ def test_field_resultants_and_norms_match_sympy(name):
 fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
 q_polys = st.lists(fractions, min_size=1, max_size=6).map(UniPoly)
 nonzero_q_polys = q_polys.filter(lambda f: not f.is_zero)
-CBRT2 = cbrt2_field()
+CBRT2 = field_by_name("cbrt2")
 cbrt2_polys = st.lists(st.lists(fractions, min_size=3, max_size=3).map(CBRT2.element),
                        min_size=1, max_size=4).map(UniPoly)
 

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from sympy import QQ, CRootOf, Poly, Symbol
 
-from apforge.numfield import (FIELDS, NumberField, cbrt2_field,
-                              cubic_field_57_4, field_by_name, nf_is_s_unit,
-                              nf_is_square, nf_norm, quadratic_field, quartic_field)
+from apforge.numfield import (FIELDS, NumberField, field_by_name, nf_is_s_unit,
+                              nf_is_square, nf_norm)
 
 ALL_FIELDS = [name for name in FIELDS]
 
@@ -34,7 +33,7 @@ def same_field(draw, count, span=9, fields=tuple(ALL_FIELDS)):
 
 
 def test_cbrt2_identities():
-    K = cbrt2_field()
+    K = field_by_name("cbrt2")
     a = K.alpha
     assert (a - 1) * (a + 1) ** 3 == 3
     assert a**3 == 2
@@ -44,7 +43,7 @@ def test_cbrt2_identities():
 
 
 def test_sqrt2_identities():
-    Q2 = quadratic_field(2)
+    Q2 = field_by_name("sqrt2")
     u = Q2.element([1, 1])  # 1 + sqrt 2
     assert nf_norm(u) == -1
     assert u * Q2.element([-1, 1]) == 1
@@ -54,7 +53,7 @@ def test_sqrt2_identities():
 
 def test_sqrtm2_square_of_root():
     # 2 = -(sqrt(-2))^2 in Q(sqrt(-2))
-    K = quadratic_field(-2)
+    K = field_by_name("sqrt-2")
     assert -(K.alpha**2) == 2
 
 
@@ -119,7 +118,7 @@ def test_norm_of_rational_is_power():
 
 
 def test_s_unit_on_norms():
-    Q2 = quadratic_field(2)
+    Q2 = field_by_name("sqrt2")
     a = Q2.element([4, 2])  # norm 16 - 8 = 8
     assert nf_norm(a) == 8
     assert nf_is_s_unit(a, [2, 3])
@@ -132,12 +131,12 @@ def test_s_unit_on_norms():
 
 
 def test_is_square_examples():
-    Q2 = quadratic_field(2)
+    Q2 = field_by_name("sqrt2")
     assert nf_is_square(Q2.rational(4)) == Q2.rational(2)
     u = Q2.element([1, 1])
     root = nf_is_square(u * u)
     assert root in (u, -u)
-    Q3 = quadratic_field(3)
+    Q3 = field_by_name("sqrt3")
     assert nf_is_square(Q3.rational(2)) is None
 
 
@@ -155,15 +154,15 @@ def test_is_square_round_trip_random(elems):
 
 
 def test_is_square_refutations():
-    Qi = quadratic_field(-1)
+    Qi = field_by_name("i")
     assert nf_is_square(Qi.element([0, 2])) == Qi.element([1, 1])  # sqrt(2i)
-    K = cbrt2_field()
+    K = field_by_name("cbrt2")
     assert nf_is_square(K.alpha) is None  # 2^(1/3) is not a square there
     assert nf_is_square(K.rational(-1)) is None
 
 
 def test_is_square_zero_and_rationals():
-    K = quartic_field()
+    K = field_by_name("quartic")
     assert nf_is_square(K.zero) == K.zero
     assert nf_is_square(K.rational(Fraction(9, 4))) == K.rational(Fraction(3, 2))
 
@@ -197,21 +196,21 @@ def test_is_square_matches_sympy_factorization(elems, square):
 
 
 def test_field_mismatch_rejected():
-    Q2 = quadratic_field(2)
-    Q3 = quadratic_field(3)
+    Q2 = field_by_name("sqrt2")
+    Q3 = field_by_name("sqrt3")
     with pytest.raises(ValueError):
         Q2.alpha + Q3.alpha
 
 
 def test_non_monic_cubic_normalizes():
-    K = cubic_field_57_4()
+    K = field_by_name("cubic57over4")
     a = K.alpha
     assert a**3 + Fraction(57, 4) * a**2 + 39 * a + 1 == 0
     assert K.minpoly.lead() == 1
 
 
 def test_quartic_minpoly():
-    K = quartic_field()
+    K = field_by_name("quartic")
     a = K.alpha
     assert a**4 + 2 * a**3 + 4 * a + 2 == 0
 
@@ -222,6 +221,6 @@ def test_degree_one_rejected():
 
 
 def test_division_by_zero():
-    K = quadratic_field(2)
+    K = field_by_name("sqrt2")
     with pytest.raises(ZeroDivisionError):
         K.zero.inverse()

@@ -221,6 +221,12 @@ def test_general_search_eta_73_family():
                for p in progs)
 
 
+def test_repeated_s_prime_keeps_the_search_box():
+    # A repeated prime once multiplied in twice: S = (2, 2) admitted eta = +-4,
+    # a square, and found (-4*13^2, -17^2, 2*7^2) outside the box.
+    assert search_general(3, 2, 20, S=(2, 2)) == search_general(3, 2, 20, S=(2,))
+
+
 def test_general_search_five_squares_trivial():
     progs = search_general(5, 2, 1000, D=1)
     assert {p.values for p in progs} <= {(1,) * 5, (-1,) * 5}

@@ -3,7 +3,6 @@ factor tables and against exact twisted powers, and the row kernels of the
 progression scan and the point search against plain references."""
 
 import math
-import random
 
 import numpy as np
 import pytest
@@ -34,31 +33,38 @@ def _is_twisted_power(q, l, etas):
     return any(q % eta == 0 and int_kth_root(q // eta, l) is not None for eta in etas)
 
 
-def test_maybe_power_passes_every_twisted_power():
+@st.composite
+def _twist_combo(draw):
+    """(alpha, beta, delta, l, etas): the value alpha*h + beta*w over delta,
+    tested for eta * x^l with up to four S-units of S = (73,)."""
+    l = draw(st.integers(2, 5))
+    cands = _eta_candidates((73,), l, 10**6)
+    etas = draw(st.lists(st.sampled_from(cands), min_size=1, max_size=min(4, len(cands)),
+                         unique=True))
+    delta = draw(st.sampled_from((1, 2, 3, 4))) * draw(st.sampled_from((1, -1)))
+    return draw(st.integers(-4, 4)), draw(st.integers(-4, 4)), delta, l, tuple(etas)
+
+
+TWIST_DRAWS = 6
+
+
+@settings(max_examples=120 // TWIST_DRAWS, deadline=None)
+@given(st.lists(_twist_combo(), min_size=TWIST_DRAWS, max_size=TWIST_DRAWS))
+def test_maybe_power_passes_every_twisted_power(combos):
     # Soundness: on a grid of v = alpha*h + beta*w, every quotient v / delta
     # that is exactly eta * x^l, eta in etas, passes, as an int64 array and
     # as a Python int.
-    rng = random.Random(8)
     vals = sorted({s * x**l for x in range(-6, 7) for l in (2, 3) for s in (1, -1, 2, 73)})
     h, w = np.array(vals, dtype=np.int64)[:, None], np.array(vals, dtype=np.int64)
-    exact_cells = 0
-    for _ in range(60):
-        combos = []
-        for _ in range(rng.randint(1, 3)):
-            l = rng.randint(2, 5)
-            cands = _eta_candidates((73,), l, 10**6)
-            etas = tuple(rng.sample(cands, rng.randint(1, min(4, len(cands)))))
-            delta = rng.choice((1, 2, 3, 4)) * rng.choice((1, -1))
-            combos.append((rng.randint(-4, 4), rng.randint(-4, 4), delta, l, etas))
-        for alpha, beta, delta, l, etas in combos:
-            passed = maybe_power((alpha * h + beta * w) // delta, l, etas)
-            for r, hv in enumerate(vals):
-                for c, wv in enumerate(vals):
-                    v = alpha * hv + beta * wv
-                    if v % delta == 0 and _is_twisted_power(v // delta, l, etas):
-                        assert passed[r, c] and maybe_power(v // delta, l, etas)
-                        exact_cells += 1
-    assert exact_cells > 0
+    for alpha, beta, delta, l, etas in combos:
+        v = alpha * h + beta * w
+        whole = v % delta == 0
+        passed = maybe_power(v // delta, l, etas)
+        exact = [q for q in np.unique(v[whole] // delta).tolist()
+                 if _is_twisted_power(q, l, etas)]
+        assert exact
+        for q in exact:
+            assert passed[whole & (v // delta == q)].all() and maybe_power(q, l, etas)
 
 
 # ClassRows against a plain reference: the derived terms
