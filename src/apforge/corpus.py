@@ -20,7 +20,8 @@ whose ``families`` and ``cases`` are lists of objects, as are a case's
 unknown name, a repeated id, or a missing or undeclared key (of the file, a
 family, a case or one of its records) is a ValueError naming the case or
 family (by index, as ``cases[3]``, when it has no id), the key and the value;
-so is a curve its constructor refuses, or a Jacobian prime at which it has
+so is a curve its constructor refuses, a fact whose check reads another
+kind of curve than the case's, or a Jacobian prime at which the curve has
 bad reduction.  This module builds every curve model: each case's curve once,
 from its kind's row of `_CURVES`, and the EllipticModel of each ec_* fact's
 ``rhs``, which must be a squarefree cubic.
@@ -340,21 +341,29 @@ _CURVES = {
         ("label", "form", "z_mult", "z_power"), ()),
 }
 
+# fact kind -> the curve kinds its check can read; the other kinds read no curve
+_CURVE_KINDS = {**dict.fromkeys(("jacobian_order", "torsion_gcd"), ("genus2",)),
+                **dict.fromkeys(("rational_points", "local_solvability"), ("genus2", "elliptic")),
+                **dict.fromkeys(("form_value", "involution"), ("superelliptic_form",))}
+
 # fact kind -> key of the primes its check reduces the curve at
 _REDUCED_AT = {"jacobian_order": "p", "torsion_gcd": "primes"}
 
 
 def _curve(rec: dict, facts) -> object:
-    """The curve of a parsed curve record, checked at every prime one of the
-    facts reduces it at; a ValueError names the key and prime."""
+    """The curve of a parsed curve record, of a kind every fact's check
+    reads, and checked at every prime one of the facts reduces it at; a
+    ValueError names the fact and the kinds, or the key and prime."""
     try:
         curve = _CURVES[rec["kind"]][0](rec)
     except ValueError as exc:
         raise ValueError(f"curve: {exc}") from None
+    for fact in facts:
+        kinds = _CURVE_KINDS.get(fact["kind"])
+        if kinds and rec["kind"] not in kinds:
+            raise ValueError(f"{fact['kind']} fact needs a {' or '.join(kinds)} curve")
     for fact in (f for f in facts if f["kind"] in _REDUCED_AT):
         key = _REDUCED_AT[fact["kind"]]
-        if not isinstance(curve, HyperCurve):
-            raise ValueError(f"{fact['kind']} fact needs a genus2 curve")
         for p in fact[key] if key == "primes" else [fact[key]]:
             try:
                 good_reduction_data(curve, p)

@@ -25,6 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .exactmath import (UniPoly, as_coeff, discriminant, horner, poly_divmod, poly_xgcd,
                         power, primes_upto, uni_resultant)
 
@@ -269,7 +271,7 @@ def _roots_mod(field: NumberField, p: int):
         m = [_frac_mod(c, p) for c in field.minpoly.coeffs]
     except ZeroDivisionError:
         return None
-    return [r for r in range(p) if horner(m, r, p) == 0]
+    return np.flatnonzero(horner(m, np.arange(p, dtype=np.int64), p) == 0).tolist()
 
 
 def _root_at_split_prime(a: FieldElem, p: int, roots, values, prec: int):

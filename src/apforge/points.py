@@ -3,8 +3,9 @@ real) solvability on the curve models of `apforge.curves`.
 
 The point search runs on the denominator-cleared model as a binary sextic
 in (r, s), x = r/s.  Per block of rows, `sieve.SquareRows` gives the cells
-(s, r) where the sextic may be a square (its moduli stay in `apforge.sieve`),
-and every such cell is confirmed with exact integer square roots.  Local
+(s, r) where the sextic may be a square (its moduli stay in `apforge.sieve`);
+one `np.gcd` keeps the cells with gcd(r, s) = 1, each x once in lowest terms,
+and each of those is confirmed with exact integer square roots.  Local
 solvability at p lifts residues of y^2 = c*g(x) through Z_p with a bounded
 depth and raises Undecided when the budget runs out.
 """
@@ -14,6 +15,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .curves import EllipticModel, integral_model
 from .exactmath import UniPoly, discriminant, horner, poly_divmod, rat_kth_root, square_split
 from .numfield import Undecided
@@ -22,12 +25,15 @@ from .sieve import SquareRows
 
 def _homogeneous_square_hits(coeffs6, height: int):
     """(r, s, value, root) with value = sum coeffs6[i] r^i s^(6-i) a perfect
-    square, s in [1, height], r in [-height, height], in row-major order.
-    Sound modular pre-filter, exact big-integer confirmation."""
+    square, gcd(r, s) = 1, s in [1, height], r in [-height, height], in
+    row-major order.  Sound modular pre-filter, exact big-integer
+    confirmation of the coprime cells only: F(r, s) = g^6 F(r/g, s/g), and
+    (r/g, s/g) is a cell of the same box with the same x = r/s."""
     asc = [int(c) for c in coeffs6]
     hits, row = [], None
     for s_cells, r_cells in SquareRows(coeffs6, height).cells():
-        for s, r in zip(s_cells.tolist(), r_cells.tolist()):
+        coprime = np.gcd(s_cells, r_cells) == 1
+        for s, r in zip(s_cells[coprime].tolist(), r_cells[coprime].tolist()):
             if s != row:  # Horner in r over c_i s^(6-i), once per row
                 row = s
                 c0, c1, c2, c3, c4, c5, c6 = (c * s ** (6 - i) for i, c in enumerate(asc))
@@ -58,8 +64,6 @@ def rational_points_search(curve, height: int):
     coeffs, v = integral_model(f)
     points = {}
     for r, s, _val, w in _homogeneous_square_hits(coeffs, height):
-        if math.gcd(r, s) > 1:
-            continue  # (r/g, s/g) is a hit in the same box with the same x
         x = Fraction(r, s)
         y = Fraction(w, v * s**3)
         if y * y != f.eval(x):

@@ -5,8 +5,9 @@ A table marks the residues a value can have mod m, so it rejects only
 values that cannot occur; callers confirm survivors exactly.  Tables are
 built on first use.  A factor table marks the residues of eta * x^l modulo
 one CRT factor 16, 9, 5, 7, 11 or 13 (which multiply to 720720).  Row tables of
-a sextic F(r, s) = sum c_i r^i s^(6-i) hold, per modulus m, an m x m table
-whose entry [s % m, r % m] marks F(r, s) being a square mod m.
+a sextic F(r, s) = sum c_i r^i s^(6-i) hold, per modulus m (the CRT factors,
+then the primes 17..53), an m x m table whose entry [s % m, r % m] marks
+F(r, s) being a square mod m.
 
 Callers never see the modulus.  `maybe_power` tests values (the Lemma's
 cover grid).  Two kernels pack their tables into 64-bit row patterns and
@@ -160,7 +161,8 @@ class ClassRows:
             yield h[row[order]], self.w[np.concatenate(cols)[order]]
 
 
-_ROW_PRIMES = (17, 19, 23, 29, 31, 37)  # the point search's moduli after CRT_FACTORS
+# the point search's moduli after CRT_FACTORS
+_ROW_PRIMES = (17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
 def _form_square_table(coeffs6: Sequence[int], m: int) -> np.ndarray:
@@ -176,7 +178,7 @@ class SquareRows:
     [-height, height]: the cells where F(r, s) = sum coeffs6[i] r^i s^(6-i)
     may be a square.
 
-    The moduli are the CRT factors and then the primes 17..37.  Each one's
+    The moduli are the CRT factors and then the primes 17..53.  Each one's
     row table is packed once into m row patterns of 64-bit words: bit j of
     word k of pattern s % m is its entry at r = -height + 64 k + j, and the
     bits past r = height are zero.  A block of ROW_BLOCK rows is the AND of

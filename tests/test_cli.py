@@ -453,6 +453,14 @@ REPEATED_ROOT_CUBIC = {3: [["0", "0", "0"]] * 3 + [["1", "0", "0"]],
      "family i: key 'rhs_mult' holds '0', not a nonzero exact number"),
     (lambda d: fact_of(d, "3323", "form_value").update(equals=["1"]) or d,
      "case 3323: form_value fact key 'equals' holds ['1'], not an exact number"),
+    *((lambda d, kind=kind, cid=cid, on=on:
+       case_of(d, on)["facts"].append(dict(fact_of(d, cid, kind))) or d,
+       f"case {on}: {kind} fact needs a {needs} curve")
+      for kind, cid, on, needs in [
+          ("rational_points", "2232", "3323", "genus2 or elliptic"),
+          ("local_solvability", "3223d1", "3323", "genus2 or elliptic"),
+          ("form_value", "3323", "2232", "superelliptic_form"),
+          ("involution", "3323", "2232", "superelliptic_form")]),
 ], ids=["top-level-array", "version-number", "families-number", "family-string",
         "case-number", "curve-string", "derivation-number", "facts-string", "fact-number",
         "case-id-number", "case-id-repeated", "family-id-repeated",
@@ -464,7 +472,9 @@ REPEATED_ROOT_CUBIC = {3: [["0", "0", "0"]] * 3 + [["1", "0", "0"]],
         "fact-kind-missing", "factorization-shape-misspelt", "value-identity-shape-form",
         "affine-one-coordinate", "curve-rhs-string", "curve-divisor-list",
         "curve-divisor-zero", "divisor-zero", "factor1-one-number", "involution-factor-list",
-        "product-string", "rhs-mult-list", "rhs-mult-zero", "form-value-equals-list"])
+        "product-string", "rhs-mult-list", "rhs-mult-zero", "form-value-equals-list",
+        "rational-points-on-form", "local-solvability-on-form", "form-value-on-genus2",
+        "involution-on-genus2"])
 def test_corpus_badly_shaped_record_rejected(tmp_path, capsys, edit, message):
     with open(corpus_path(), encoding="utf-8") as fh:
         data = edit(json.load(fh))

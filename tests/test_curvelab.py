@@ -5,9 +5,10 @@ import json
 import math
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from apforge import curves
 from apforge.corpus import corpus_path, load_corpus
@@ -291,9 +292,63 @@ def test_point_sieve_matches_unfiltered_scan():
             for s in range(1, height + 1):
                 for r in range(-height, height + 1):
                     val = sum(coeffs[k] * r**k * s ** (6 - k) for k in range(7))
-                    if val >= 0 and math.isqrt(val) ** 2 == val:
+                    if math.gcd(r, s) == 1 and val >= 0 and math.isqrt(val) ** 2 == val:
                         want.append((r, s, val, math.isqrt(val)))
             assert _homogeneous_square_hits(coeffs, height) == want, (curve.label, height)
+
+
+def _cubic_squared(c, g):
+    return [c * sum(g[i] * g[k - i] for i in range(4) if 0 <= k - i < 4) for k in range(7)]
+
+
+@st.composite
+def _quintic_or_sextic(draw):
+    """Ascending integer coefficients of f, degree 5 or 6.  Some are c G^2,
+    G a cubic, so a square c makes every cell (r, s) a hit at every scale
+    g (r, s); some have f(0) a square, so F(0, s) = f(0) s^6 is a square down
+    the whole r = 0 column."""
+    shape = draw(st.sampled_from(("plain", "c_g_squared", "square_at_zero")))
+    if shape == "c_g_squared":
+        g = draw(st.lists(st.integers(-6, 6), min_size=4, max_size=4).filter(lambda g: g[3]))
+        return _cubic_squared(draw(st.sampled_from((1, 4, 9, -1, 2, 3))), g)
+    coeffs = draw(st.lists(st.integers(-60, 60), min_size=6, max_size=7).filter(lambda c: c[-1]))
+    if shape == "square_at_zero":
+        coeffs[0] = draw(st.integers(0, 9)) ** 2
+    return coeffs
+
+
+def _points_by_fractions(f: UniPoly, height: int):
+    """Reference: every (x, y) on y^2 = f(x) with x = r/s, gcd(r, s) = 1,
+    s in [1, height] and |r| <= height, from f(x) as a Fraction."""
+    points = set()
+    for s in range(1, height + 1):
+        for r in range(-height, height + 1):
+            if math.gcd(r, s) != 1:
+                continue
+            x = Fraction(r, s)
+            v = f.eval(x)
+            if v >= 0:
+                y = Fraction(math.isqrt(v.numerator), math.isqrt(v.denominator))
+                if y * y == v:
+                    points |= {(x, y), (x, -y)}
+    return sorted(points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_quintic_or_sextic(), st.integers(1, 40))
+@example(_cubic_squared(2, [0, -3, 1, 2]), ROW_BLOCK + 1)
+def test_point_search_matches_coprime_fraction_scan(coeffs, height):
+    # The search reads only the model's f, so f = c G^2, which no HyperCurve
+    # admits, goes in as a bare model.  The explicit example spans two row
+    # blocks: 2 G^2 with G = x (x - 1) (2x + 3) is zero down the r = 0
+    # column and at every multiple of (1, 1) and (-3, 2), and nowhere else
+    # a square.
+    f = UniPoly(coeffs)
+    pts, infinity = rational_points_search(SimpleNamespace(f=f), height)
+    assert pts == _points_by_fractions(f, height)
+    lead = int(f.lead())
+    assert infinity == (1 if f.degree % 2 else 2 if lead > 0 and math.isqrt(lead) ** 2 == lead
+                        else 0)
 
 
 def brute_model_scale(f: UniPoly) -> int:

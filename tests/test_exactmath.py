@@ -75,41 +75,56 @@ def test_modular_evaluators_match_python_ints_on_int64_arrays(coeffs, data):
                               for a, b in zip(xs, ys)]
 
 
-def test_form_mul_eval_homomorphism_random():
-    rng = random.Random(20240501)
-    for _ in range(1000):
-        da, db = rng.randint(0, 6), rng.randint(0, 6)
-        a = BinaryForm([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                        for _ in range(da + 1)])
-        b = BinaryForm([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                        for _ in range(db + 1)])
-        x = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
-        y = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
+class Digits:
+    """The numbers of one case, read off a byte string as the digits of an
+    integer in mixed radix."""
+
+    def __init__(self, data: bytes):
+        self.code = int.from_bytes(data, "little")
+
+    def int(self, lo: int, hi: int) -> int:
+        self.code, digit = divmod(self.code, hi - lo + 1)
+        return lo + digit
+
+    def fraction(self, span: int, den: int) -> Fraction:
+        return Fraction(self.int(-span, span), self.int(1, den))
+
+
+def batches(count: int, size: int):
+    """count cases per example, each a Digits over its own size bytes of one
+    drawn byte string: one draw per example keeps thousands of cases cheap."""
+    return st.binary(min_size=count * size, max_size=count * size).map(
+        lambda data: [Digits(data[i:i + size]) for i in range(0, len(data), size)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(batches(40, 16))
+def test_form_mul_eval_homomorphism_random(cases):
+    for d in cases:
+        a, b = (BinaryForm([d.fraction(9, 4) for _ in range(d.int(1, 7))]) for _ in "ab")
+        x, y = d.fraction(20, 7), d.fraction(20, 7)
         prod = a * b
         assert prod == naive_form_mul(a, b)
         assert form_eval(prod, x, y) == form_eval(a, x, y) * form_eval(b, x, y)
 
 
-def test_substitute_linear_matches_eval_random():
-    rng = random.Random(1729)
-    rand = lambda: Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-    collapsed = 0
-    for i in range(600):
-        f = BinaryForm([rand() for _ in range(rng.randint(1, 6))])
-        px, qx, py, qy = (rand() for _ in range(4))
-        if i % 3 == 0:
+@settings(max_examples=20, deadline=None)
+@given(batches(30, 16))
+def test_substitute_linear_matches_eval_random(cases):
+    for i, d in enumerate(cases):
+        f = BinaryForm([d.fraction(6, 3) for _ in range(d.int(1, 6))])
+        px, qx, py, qy, a, b, *xys = (d.fraction(6, 3) for _ in range(12))
+        rank_one = i % 3 == 0
+        if rank_one:
             # The rank-one substitution (a l, b l), l = px x + qx y, gives
             # l^n f(a, b): the zero form, as (b x - a y) divides f.
-            a, b = rand(), rand()
             f = f * BinaryForm([b, -a])
             px, qx, py, qy = a * px, a * qx, b * px, b * qx
         g = f.substitute_linear(px, qx, py, qy)
-        collapsed += g.is_zero
+        assert g.is_zero or not rank_one
         assert g.degree == (0 if g.is_zero else f.degree)
-        for _ in range(3):
-            x, y = rand(), rand()
+        for x, y in zip(xys[::2], xys[1::2]):
             assert form_eval(g, x, y) == form_eval(f, px * x + qx * y, py * x + qy * y)
-    assert collapsed >= 200
 
 
 def test_form_exact_root_examples():
@@ -119,12 +134,12 @@ def test_form_exact_root_examples():
     assert form_exact_root(BinaryForm([1, 0, 0, 0, 0, 0, 1]), 3) is None
 
 
-def test_form_exact_root_round_trip_random():
-    rng = random.Random(987)
-    for _ in range(3000):
-        k = rng.choice([2, 3])
-        deg = rng.randint(0, 3)
-        coeffs = [Fraction(rng.randint(-6, 6)) for _ in range(deg + 1)]
+@settings(max_examples=30, deadline=None)
+@given(batches(100, 3))
+def test_form_exact_root_round_trip_random(cases):
+    for d in cases:
+        k = d.int(2, 3)
+        coeffs = [Fraction(d.int(-6, 6)) for _ in range(d.int(1, 4))]
         if not any(coeffs):
             coeffs[0] = Fraction(1)
         f = BinaryForm(coeffs)
@@ -176,10 +191,11 @@ def test_uni_resultant_examples():
     assert uni_resultant(UniPoly([2, 0, 0, 1]), UniPoly([1, 1])) == -1
 
 
-def test_uni_resultant_shared_root_random():
-    rng = random.Random(5150)
-    for _ in range(300):
-        a, b, c = [rng.randint(-12, 12) for _ in range(3)]
+@settings(max_examples=10, deadline=None)
+@given(batches(30, 2))
+def test_uni_resultant_shared_root_random(cases):
+    for d in cases:
+        a, b, c = (d.int(-12, 12) for _ in "abc")
         p = UniPoly([-a, 1]) * UniPoly([-b, 1])
         q = UniPoly([-b, 1]) * UniPoly([-c, 1])
         assert uni_resultant(p, q) == 0
@@ -193,11 +209,12 @@ def test_uni_resultant_constant_convention():
     assert uni_resultant(m, UniPoly([3])) == 9
 
 
-def test_poly_divmod_round_trip():
-    rng = random.Random(77)
-    for _ in range(200):
-        num = UniPoly([Fraction(rng.randint(-9, 9)) for _ in range(rng.randint(1, 7))])
-        den = UniPoly([Fraction(rng.randint(-9, 9)) for _ in range(rng.randint(1, 4))])
+@settings(max_examples=10, deadline=None)
+@given(batches(20, 8))
+def test_poly_divmod_round_trip(cases):
+    for d in cases:
+        num, den = (UniPoly([Fraction(d.int(-9, 9)) for _ in range(d.int(1, most))])
+                    for most in (7, 4))
         if den.is_zero:
             continue
         q, r = poly_divmod(num, den)

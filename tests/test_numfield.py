@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from sympy import QQ, CRootOf, Poly, Symbol
 
-from apforge.numfield import (FIELDS, NumberField, field_by_name, nf_is_s_unit,
+from apforge.exactmath import primes_upto
+from apforge.numfield import (FIELDS, NumberField, _roots_mod, field_by_name, nf_is_s_unit,
                               nf_is_square, nf_norm)
 
 ALL_FIELDS = [name for name in FIELDS]
@@ -193,6 +194,28 @@ def test_is_square_matches_sympy_factorization(elems, square):
                 for j, q in enumerate(a.coords)), F.zero)
     _, factors = Poly([F.one, F.zero, -elem], Symbol("t"), domain=F).factor_list()
     assert (nf_is_square(a) is None) == (len(factors) == 1), a
+
+
+def _roots_by_scan(field, p):
+    """Reference: the residues r with m(r) = 0 mod p, one residue at a time,
+    for m the minimal polynomial; None where p divides the discriminant or a
+    denominator of m (or of the discriminant)."""
+    disc, coeffs = Fraction(field.discriminant), [Fraction(c) for c in field.minpoly.coeffs]
+    if disc.numerator % p == 0 or any(q.denominator % p == 0 for q in (disc, *coeffs)):
+        return None
+    m = [q.numerator * pow(q.denominator, -1, p) % p for q in coeffs]
+    return [r for r in range(p) if sum(c * pow(r, i, p) for i, c in enumerate(m)) % p == 0]
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_roots_mod_matches_residue_scan(name):
+    K = field_by_name(name)
+    primes = primes_upto(699)[1:]
+    assert primes[-1] == 691
+    got = {p: _roots_mod(K, p) for p in primes}
+    assert got == {p: _roots_by_scan(K, p) for p in primes}
+    assert any(roots and len(roots) == K.degree for roots in got.values())
+    assert all(type(r) is int for roots in got.values() if roots for r in roots)
 
 
 def test_field_mismatch_rejected():

@@ -204,7 +204,7 @@ def test_square_rows_survivors_match_reference(coeffs6, height):
     # The cells (s, r), row-major, where F(r, s) is a square modulo every one
     # of the point search's moduli, from F evaluated with Python ints; every
     # square F(r, s) is kept (F = G^2 makes every value one).
-    moduli = (16, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    moduli = (16, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
     squares = {m: {x * x % m for x in range(m)} for m in moduli}
     blocks = list(SquareRows(coeffs6, height).cells())
     assert len(blocks) == -(-height // ROW_BLOCK)
