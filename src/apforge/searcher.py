@@ -9,12 +9,13 @@ sieved scan has three stages:
 
 1. Sieve.  ``sieve.ClassRows`` sorts the inner array by class mod |j - i|
    and packs, once per scan, each derived term's residue patterns for each
-   CRT factor of 720720 (16, 9, 5, 7, 11, 13) into 64-bit words.  For a
-   block of outer values h_i it keeps only the pairs in the class
-   h_j = h_i (mod |j - i|), whose common difference is an integer: per
-   class, one AND of one pattern gather per derived term and factor over
-   the words that the sign rule of even powers and the half scan admit,
-   then those bounds and the class cut per cell.  The patterns only reject.
+   power modulus (the CRT factors 16, 9, 5, 7, 11, 13 of 720720, then 17
+   and 19) into 64-bit words.  For a block of outer values h_i it keeps
+   only the pairs in the class h_j = h_i (mod |j - i|), whose common
+   difference is an integer: per class, one AND of one pattern gather per
+   derived term and modulus over the words that the sign rule of even
+   powers and the half scan admit, then those bounds and the class cut per
+   cell.  The patterns only reject.
 2. Exact stage.  Each block's survivors are checked as the sieve yields
    them, in batches of at most _FLUSH pairs: each derived term must be
    found, by ``np.searchsorted``, in the sorted array of every value

@@ -4,16 +4,19 @@ and of the parametrization cover check.
 A table marks the residues a value can have mod m, so it rejects only
 values that cannot occur; callers confirm survivors exactly.  Tables are
 built on first use.  A factor table marks the residues of eta * x^l modulo
-one CRT factor 16, 9, 5, 7, 11 or 13 (which multiply to 720720).  Row tables of
-a sextic F(r, s) = sum c_i r^i s^(6-i) hold, per modulus m (the CRT factors,
-then the primes 17..53), an m x m table whose entry [s % m, r % m] marks
-F(r, s) being a square mod m.
+one power modulus: a CRT factor 16, 9, 5, 7, 11 or 13 (which multiply to
+720720), or the prime 17 or 19.  Row tables of a sextic
+F(r, s) = sum c_i r^i s^(6-i) hold, per modulus m (the CRT factors, then the
+primes 17..53), an m x m table whose entry [s % m, r % m] marks F(r, s)
+being a square mod m.
 
 Callers never see the modulus.  `maybe_power` tests values (the Lemma's
-cover grid).  Two kernels pack their tables into 64-bit row patterns and
-run a block of rows at a time, unpacking only the nonzero words: `ClassRows`
-the sieved progression scan, the cubic twin's included, over a block of
-outer values, and `SquareRows` the point search's box over a block of s.
+cover grid).  Two kernels pack their tables into 64-bit row patterns, each
+an OR of the packed masks of the columns in one residue class, and run a
+block of rows at a time, unpacking only the nonzero bytes of the nonzero
+words: `ClassRows` the sieved progression scan, the cubic twin's included,
+over a block of outer values, and `SquareRows` the point search's box over
+a block of s.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ import numpy as np
 from .exactmath import form_value
 
 CRT_FACTORS = (16, 9, 5, 7, 11, 13)
+_POWER_PRIMES = (17, 19)  # the power moduli after CRT_FACTORS
+_POWER_MODULI = CRT_FACTORS + _POWER_PRIMES  # of maybe_power and ClassRows
 INT64_SAFE = 1 << 62  # int64 kernels keep every value below this in absolute value
 
 
@@ -39,9 +44,9 @@ def _factor_table(l: int, m: int, etas: tuple) -> np.ndarray:
 
 def maybe_power(v, l: int, etas: tuple = (1,)):
     """Whether v (an int or an int64 array) may be eta * x^l, eta in etas:
-    every CRT factor table at v, and v >= 0 for even l when every eta is
-    positive.  False only where no such x exists."""
-    f, *rest = CRT_FACTORS
+    every power modulus's factor table at v, and v >= 0 for even l when
+    every eta is positive.  False only where no such x exists."""
+    f, *rest = _POWER_MODULI
     ok = _factor_table(l, f, etas)[v % f]  # a new array (or scalar), so &= is safe
     for f in rest:
         ok &= _factor_table(l, f, etas)[v % f]
@@ -53,20 +58,33 @@ def maybe_power(v, l: int, etas: tuple = (1,)):
 ROW_BLOCK = 192  # rows per AND of row patterns: outer values of ClassRows, s of SquareRows
 
 
-def _packed_rows(table: np.ndarray) -> np.ndarray:
-    """The rows of a 2-d bool table as little-endian 64-bit words: bit j of
-    word k of a row is its column 64 k + j, and the padding bits are zero."""
-    padded = np.zeros((table.shape[0], table.shape[1] + -table.shape[1] % 64), dtype=bool)
-    padded[:, : table.shape[1]] = table
-    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+def _class_masks(cls: np.ndarray, m: int) -> np.ndarray:
+    """Row u of the result packs, as little-endian 64-bit words, the columns
+    c with cls[c] == u, for u in range(m): bit j of word k is column
+    64 k + j, and the padding bits are zero."""
+    bits = np.zeros((m, -(-cls.size // 64) * 64), dtype=bool)
+    bits[cls, np.arange(cls.size)] = True
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
+
+
+def _class_patterns(table: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """The packed row patterns whose row r has column c set when
+    table[r, u] holds for the class u of c: per row, the OR of the class
+    masks that the table marks.  The masks are disjoint, so that OR is
+    their sum, one small integer matrix product."""
+    return table.astype(np.uint64) @ masks
 
 
 def _set_cells(words: np.ndarray):
     """The (row, column) int64 arrays of the set bits of a block of packed
-    rows, in row-major order; only the nonzero words are unpacked."""
+    rows, in row-major order; only the nonzero bytes of the nonzero words
+    are unpacked."""
     live = np.flatnonzero(words)
-    bit = np.flatnonzero(np.unpackbits(words.ravel()[live].view(np.uint8), bitorder="little"))
-    return np.divmod(64 * live[bit >> 6] + (bit & 63), 64 * words.shape[1])
+    data = words.ravel()[live].view(np.uint8)  # little-endian: byte b holds bits 8 b..8 b + 7
+    byte = np.flatnonzero(data)
+    bit = np.flatnonzero(np.unpackbits(data[byte], bitorder="little"))
+    at = byte[bit >> 3]
+    return np.divmod(64 * live[at >> 3] + 8 * (at & 7) + (bit & 7), 64 * words.shape[1])
 
 
 class ClassRows:
@@ -77,16 +95,18 @@ class ClassRows:
 
     A pair with d not dividing w - h is no progression, so a row h scans only
     the class w = h (mod |d|).  There (w - h) / |d| = q - h // |d| with
-    q = w // |d|, so h_m modulo a CRT factor f is e_m * q + r, where
+    q = w // |d|, so h_m modulo a power modulus f is e_m * q + r, where
     r = (h - e_m * (h // |d|)) % f depends on the row alone.  Each (position,
-    factor) therefore packs f row patterns, one per r, over the inner array
-    sorted by class, and the rows of one class in a block of ROW_BLOCK are
-    the AND of one pattern gather per (position, factor); a factor table
-    that marks every residue is left out.  The sign rule of `maybe_power`
-    (h_m >= 0 for even l_m and positive etas_m) and the half scan's
-    (w - h) / d >= 0 are bounds on q: the block's widest bounds cut the
-    class's columns before the gathers, and each row's own bounds cut the
-    unpacked cells.  Precondition: every |h_m| < INT64_SAFE.
+    modulus) therefore packs f row patterns, one per r, over the inner array
+    sorted by class, each the OR of the masks of the columns with q = u
+    (mod f) for the u that the factor table admits; the rows of one class
+    in a block of ROW_BLOCK are the AND of one pattern gather per (position,
+    modulus), and a factor table that marks every residue is left out.  The
+    sign rule of `maybe_power` (h_m >= 0 for even l_m and positive etas_m)
+    and the half scan's (w - h) / d >= 0 are bounds on q: the block's
+    widest bounds cut the class's columns before the gathers, and each
+    row's own bounds cut the unpacked cells.  Precondition: every
+    |h_m| < INT64_SAFE.
     """
 
     def __init__(self, inner, d: int, derived):
@@ -98,19 +118,21 @@ class ClassRows:
         self.starts = np.searchsorted(self.w % self.step, np.arange(self.step + 1)).tolist()
         signed = [e for e, l, etas in derived if l % 2 == 0 and min(etas) > 0]
         self.rising, self.falling = [e for e in signed if e > 0], [-e for e in signed if e < 0]
+        masks = {f: _class_masks(self.q % f, f) for f in _POWER_MODULI}
         self.positions = []
         for e, l, etas in derived:
             factors = []
-            for f in CRT_FACTORS:
+            for f in _POWER_MODULI:
                 table = _factor_table(l, f, etas)
                 if not table.all():
-                    # Row r of the patterns is table[(e * q + r) % f] per column.
-                    shifted = table[(np.arange(f)[:, None] + np.arange(f)) % f]
-                    factors.append((f, _packed_rows(shifted[:, e * (self.q % f) % f])))
+                    # Row r of the patterns marks the columns with q = u (mod f)
+                    # where table[(e * u + r) % f] holds.
+                    u = np.arange(f)
+                    factors.append((f, _class_patterns(table[(e * u + u[:, None]) % f], masks[f])))
             if factors:
                 self.positions.append((e, factors))
         if not self.positions:  # every table marks every residue: one row of ones
-            self.positions.append((0, [(1, _packed_rows(np.ones((1, self.w.size), dtype=bool)))]))
+            self.positions.append((0, [(1, _class_masks(self.q % 1, 1))]))
 
     def cells(self, outer, half: bool = False):
         """Per block of ROW_BLOCK outer values h, the (h, w) int64 arrays of
@@ -179,16 +201,19 @@ class SquareRows:
     may be a square.
 
     The moduli are the CRT factors and then the primes 17..53.  Each one's
-    row table is packed once into m row patterns of 64-bit words: bit j of
-    word k of pattern s % m is its entry at r = -height + 64 k + j, and the
-    bits past r = height are zero.  A block of ROW_BLOCK rows is the AND of
-    one row gather per modulus, and only its nonzero words are unpacked.
+    row table is packed once into m row patterns of 64-bit words, from the
+    masks of the columns with r = u (mod m): bit j of word k of pattern
+    s % m is its entry at r = -height + 64 k + j, and the bits past
+    r = height are zero.  A block of ROW_BLOCK rows is the AND of one row
+    gather per modulus, and only the nonzero bytes of its nonzero words are
+    unpacked.
     """
 
     def __init__(self, coeffs6: Sequence[int], height: int):
         self.height = height
         self.r = np.arange(-height, height + 1, dtype=np.int64)
-        self.patterns = [(m, _packed_rows(_form_square_table(coeffs6, m)[:, self.r % m]))
+        self.patterns = [(m, _class_patterns(_form_square_table(coeffs6, m),
+                                             _class_masks(self.r % m, m)))
                          for m in CRT_FACTORS + _ROW_PRIMES]
 
     def cells(self):

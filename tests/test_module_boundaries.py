@@ -1,13 +1,13 @@
 """The residue moduli are decided in one module: outside `sieve.py` no source
-names `CRT_MODULUS`, `CRT_FACTORS`, `power_table`, or the point search's row
-primes and sextic table builder; callers go through `maybe_power`,
-`ClassRows` and `SquareRows`."""
+names `CRT_MODULUS`, `CRT_FACTORS`, `power_table`, the power moduli past the
+CRT factors, or the point search's row primes and sextic table builder;
+callers go through `maybe_power`, `ClassRows` and `SquareRows`."""
 
 import ast
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "apforge").glob("*.py"))
-PRIVATE = {"CRT_MODULUS", "CRT_FACTORS", "power_table",
+PRIVATE = {"CRT_MODULUS", "CRT_FACTORS", "_POWER_PRIMES", "_POWER_MODULI", "power_table",
            "form_square_tables", "_form_square_table", "_ROW_PRIMES"}
 
 

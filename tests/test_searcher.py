@@ -396,6 +396,21 @@ def test_flush_inside_a_sieve_block_matches_oracle(search, args, kwargs, monkeyp
     assert oracle and max(checked) > 7 and checked == yielded
 
 
+def test_theorem3_grid_exact_stage_pairs(monkeypatch):
+    # The residue tables pass few pairs of the acceptance grid to the exact
+    # stage: 19 940 with the moduli 16, 9, 5, 7, 11, 13, 17 and 19 (92 381
+    # with the first six alone).
+    exact_stage, pairs = searcher._exact_stage, []
+
+    def spy(task, cands, i, j, hs, ws):
+        pairs.append(hs.size)
+        return exact_stage(task, cands, i, j, hs, ws)
+
+    monkeypatch.setattr(searcher, "_exact_stage", spy)
+    search_theorem3(10**4, 10**3)
+    assert sum(pairs) <= 20_000
+
+
 @st.composite
 def _search_args(draw):
     k, L = draw(st.integers(3, 5)), draw(st.integers(2, 4))

@@ -1,5 +1,6 @@
 """Residue tables: `maybe_power` against the AND of independently built
-factor tables and against exact twisted powers, and the row kernels of the
+factor tables and against exact twisted powers, the packed row patterns and
+the set-bit unpacking against plain references, and the row kernels of the
 progression scan and the point search against plain references."""
 
 import math
@@ -8,25 +9,60 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from apforge import sieve
 from apforge.exactmath import int_kth_root
 from apforge.searcher import _eta_candidates
-from apforge.sieve import CRT_FACTORS, ROW_BLOCK, ClassRows, SquareRows, maybe_power
+from apforge.sieve import (CRT_FACTORS, ROW_BLOCK, ClassRows, SquareRows, _set_cells,
+                           maybe_power)
+
+# The moduli maybe_power and ClassRows test a power against: the CRT factors
+# of 720720, then 17 and 19.
+POWER_MODULI = (16, 9, 5, 7, 11, 13, 17, 19)
+
+
+def _factor_residues(l, f, etas):
+    """The residues mod f of eta * x^l, eta in etas, as a bool table."""
+    factor = np.zeros(f, dtype=bool)
+    for eta in etas:
+        for x in range(f):
+            factor[(eta * pow(x, l, f)) % f] = True
+    return factor
 
 
 @pytest.mark.parametrize("l", [2, 3, 4, 5])
 def test_power_table_is_and_of_factor_tables(l):
-    # maybe_power on every residue mod 16 * 9 * 5 * 7 * 11 * 13, where the
-    # sign rule passes every value.
+    # maybe_power on 0..720719: every residue mod 16 * 9 * 5 * 7 * 11 * 13,
+    # and every residue mod 17 and mod 19 many times, where the sign rule
+    # passes every value.
     r = np.arange(math.prod(CRT_FACTORS))
     for etas in (_eta_candidates((73,), l, 10**6), (1,)):
         want = np.ones(r.size, dtype=bool)
-        for f in CRT_FACTORS:
-            factor = np.zeros(f, dtype=bool)
-            for eta in etas:
-                for x in range(f):
-                    factor[(eta * pow(x, l, f)) % f] = True
-            want &= factor[r % f]
+        for f in POWER_MODULI:
+            want &= _factor_residues(l, f, etas)[r % f]
         assert np.array_equal(maybe_power(r, l, etas), want)
+
+
+def test_power_moduli_are_one_tuple(monkeypatch):
+    # CRT_FACTORS stays the six coprime factors of 720720; maybe_power and
+    # ClassRows both read the one tuple that follows them with 17 and 19, and
+    # the point search lists each of its 16 moduli once.
+    assert math.prod(CRT_FACTORS) == 720720 and math.lcm(*CRT_FACTORS) == 720720
+    assert sieve._POWER_MODULI == POWER_MODULI
+    moduli = [m for m, _ in SquareRows([1, 0, 0, 0, 0, 0, 1], 1).patterns]
+    assert len(moduli) == len(set(moduli)) == 16
+
+    def class_rows_moduli():
+        # Squares miss some residue of every modulus, so none is left out.
+        (_, factors), = ClassRows(np.arange(50), 1, [(1, 2, (1,))]).positions
+        return [f for f, _ in factors]
+
+    r = np.arange(5 * 17 * 19)
+    assert class_rows_moduli() == list(POWER_MODULI)
+    for moduli in ((17,), (19, 16)):
+        monkeypatch.setattr(sieve, "_POWER_MODULI", moduli)
+        assert class_rows_moduli() == list(moduli)
+        want = np.logical_and.reduce([_factor_residues(2, f, (1,))[r % f] for f in moduli])
+        assert np.array_equal(maybe_power(r, 2), want)
 
 
 def _is_twisted_power(q, l, etas):
@@ -164,9 +200,10 @@ def test_class_rows_empty_classes_and_half_cut():
 def test_class_rows_sign_cut_edges():
     # Every integer as inner value puts derived terms on -3..1, the edges of
     # the sign rule's cut, in every class and both directions.  The positive
-    # twists 720720 - t put -t in the power table, so only the cut rejects it.
+    # twists P - t, P the product of the power moduli, put -t in the power
+    # table, so only the cut rejects it.
     inner = np.arange(-60, 61, dtype=np.int64)
-    below_zero = (720719, 720718, 720717)
+    below_zero = tuple(math.prod(POWER_MODULI) - t for t in (1, 2, 3))
     rows = list(range(-20, 21))
     for d in (1, -1, 2, -2, 3, -3):
         for e in (-3, -2, -1, 1, 2, 3):
@@ -176,6 +213,93 @@ def test_class_rows_sign_cut_edges():
                 for half in (False, True):
                     want = _class_rows_want_pairs(inner, d, derived, rows, half)
                     assert _class_rows_pairs(kernel, rows, half) == want, (d, derived)
+
+
+# ClassRows' row patterns against a column gather: row r of the patterns of
+# (position e, modulus f) has column c set when the factor table holds at
+# (e * q_c + r) % f, q_c = w_c // |d|, packed little-endian with zero
+# padding; a position whose tables all mark every residue is left out, and
+# with none left one all-ones row stands in.
+def _packed(bits):
+    padded = np.zeros((bits.shape[0], -(-bits.shape[1] // 64) * 64), dtype=bool)
+    padded[:, :bits.shape[1]] = bits
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+
+def _gathered_patterns(q, derived):
+    positions = []
+    for e, l, etas in derived:
+        factors = []
+        for f in POWER_MODULI:
+            table = _factor_residues(l, f, etas)
+            if not table.all():
+                factors.append((f, _packed(table[(e * q + np.arange(f)[:, None]) % f])))
+        if factors:
+            positions.append((e, factors))
+    return positions or [(0, [(1, _packed(np.ones((1, q.size), dtype=bool)))])]
+
+
+def _assert_patterns_match(inner, d, derived):
+    kernel = ClassRows(inner, d, derived)
+    want = _gathered_patterns(kernel.q, derived)
+    assert [(e, [f for f, _ in fs]) for e, fs in kernel.positions] == \
+        [(e, [f for f, _ in fs]) for e, fs in want]
+    for (_, got_factors), (_, want_factors) in zip(kernel.positions, want):
+        for (_, got), (_, bits) in zip(got_factors, want_factors):
+            assert got.dtype == np.dtype("<u8") and np.array_equal(got, bits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), unique=True, max_size=200),
+       st.sampled_from((1, -1, 2, -2, 3, -3)),
+       st.lists(st.tuples(st.integers(-4, 4).filter(bool), st.integers(2, 5),
+                          st.sampled_from(_ETAS + [_EVERY_RESIDUE])), min_size=1, max_size=3))
+def test_class_rows_patterns_match_column_gather(inner, d, derived):
+    _assert_patterns_match(np.array(sorted(inner), dtype=np.int64), d, derived)
+
+
+@pytest.mark.parametrize("size", [63, 64, 65, 129])
+@pytest.mark.parametrize("d", [1, -2, 3])
+def test_class_rows_patterns_at_word_edges(size, d):
+    # e = 2 against f = 16 and e = 3 against f = 9 share a factor with the
+    # modulus, so e * u mod f misses residues; the twists of S = {2, 3} mark
+    # every residue, alone and beside a position that keeps its tables.
+    inner = np.arange(size, dtype=np.int64) * 7 - 200
+    for derived in ([(2, 2, (1,))], [(3, 3, (1,))], [(2, 4, (1, -1)), (-3, 3, (2, 3))],
+                    [(1, 2, _EVERY_RESIDUE)], [(2, 2, _EVERY_RESIDUE), (3, 3, (1,))]):
+        _assert_patterns_match(inner, d, derived)
+
+
+# _set_cells against np.unpackbits of every word, in row-major order.
+def _set_cells_want(words):
+    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+    return np.nonzero(bits)
+
+
+_WORDS = st.sampled_from([0, (1 << 64) - 1, 1 << 63, 1, 0x8000_0001_0080_0100]) | \
+    st.integers(0, (1 << 64) - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(st.lists(_WORDS, min_size=n, max_size=n),
+                                                    min_size=1, max_size=6)))
+@example([[0]])
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[(1 << 64) - 1] * 3] * 2)
+@example([[1 << 63], [1 << 63]])
+@example([[1 << 63, 0, 1 << 63]])
+@example([[5], [0], [1 << 63]])
+def test_set_cells_matches_unpackbits(rows):
+    words = np.array(rows, dtype="<u8")
+    got, want = _set_cells(words), _set_cells_want(words)
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64 and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (2, 0), (0, 0)])
+def test_set_cells_of_an_empty_block(shape):
+    row, col = _set_cells(np.zeros(shape, dtype="<u8"))
+    assert row.size == col.size == 0
 
 
 def _square_of_cubic(g):
