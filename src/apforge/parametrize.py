@@ -9,14 +9,16 @@ Evaluation and the cover check run on integer forms: each form's
 denominators are cleared once (a cached integer form over a common
 denominator D), so integrality is `value % D == 0`.  A form is evaluated by
 `exactmath.form_value`, at one (x, y) on Python ints and on a block of the
-parameter box on int64 arrays.  The brute-force grid
-cA*a^2 + cB*b^2 is built per int64 block of a rows: M must divide the value
-and the quotient pass `sieve.maybe_power`, the sound residue pre-filter (a
-possible k-th power, non-negative for even k); every survivor is confirmed
-exactly with `int_kth_root` and `math.gcd` on Python ints.
-Magnitudes are checked against `sieve.INT64_SAFE` (2^62) before any grid is
-built, so the int64 arrays never wrap: every Horner step of a form on the
-box is bounded by the sum of its |coefficients| times radius^degree.
+parameter box on int64 arrays.  The brute-force grid of
+cA*a^2 + cB*b^2 comes from `sieve.TernaryRows`, the sound residue
+pre-filter (M may divide the value with a quotient that may be a k-th
+power), a block of a rows at a time; when M is squarefree one `np.gcd`
+per block keeps only the cells with gcd(a, b) = 1, and every kept cell is
+confirmed exactly with `divmod`, `int_kth_root` and `math.gcd` on Python
+ints.  Magnitudes are checked against `sieve.INT64_SAFE` (2^62) before any
+grid is built, so the int64 arrays never wrap: every Horner step of a form
+on the box is bounded by the sum of its |coefficients| times
+radius^degree.
 
 The half-integral family (a = +/-(x^2-3y^2)/2, b = +/-xy) only yields
 integers when x and y are both odd; primitive solutions with odd c are
@@ -34,8 +36,9 @@ from typing import Optional
 
 import numpy as np
 
-from .exactmath import BinaryForm, form_exact_root, form_value, int_floor_root, int_kth_root
-from .sieve import INT64_SAFE, maybe_power
+from .exactmath import (BinaryForm, form_exact_root, form_value, int_floor_root, int_kth_root,
+                        square_split)
+from .sieve import INT64_SAFE, TernaryRows
 
 _BLOCK = 1 << 14  # grid cells per numpy block (bounds peak memory)
 
@@ -177,24 +180,26 @@ def _check_int64(family: ParamFamily, bound: int, radius: int) -> None:
 def _enumerate_solutions(family: ParamFamily, bound: int):
     """Brute-force all primitive (a, b, c), 0 <= a, b <= bound, solving for c.
 
-    Cells where M divides cA*a^2 + cB*b^2 and the quotient passes the power
-    table survive; each survivor's c is confirmed exactly.
+    The cells of `sieve.TernaryRows` survive, per block of rows; when M is
+    squarefree, only those with gcd(a, b) = 1 (a prime p dividing a and b
+    but not c puts p^2 in M c^k, so in M).  Each survivor's c is confirmed
+    exactly on Python ints.
     """
     out = []
     k = family.power
     ca, cb, m = _int_equation(family)
-    b2 = np.arange(bound + 1, dtype=np.int64) ** 2
-    rows = max(1, _BLOCK // (bound + 1))
-    for a0 in range(0, bound + 1, rows):
-        a = np.arange(a0, min(a0 + rows, bound + 1), dtype=np.int64)
-        v = ca * (a * a)[:, None] + cb * b2
-        ia, ib = np.nonzero((v % m == 0) & maybe_power(v // m, k))
-        for ai, bi in zip((ia + a0).tolist(), ib.tolist()):
-            c = int_kth_root((ca * ai * ai + cb * bi * bi) // m, k)
+    coprime = square_split(m)[1] == 1
+    for a_cells, b_cells in TernaryRows(ca, cb, m, k, bound).cells():
+        if coprime:
+            keep = np.gcd(a_cells, b_cells) == 1
+            a_cells, b_cells = a_cells[keep], b_cells[keep]
+        for a, b in zip(a_cells.tolist(), b_cells.tolist()):
+            q, r = divmod(ca * a * a + cb * b * b, m)
+            c = None if r else int_kth_root(q, k)
             if c is None:
                 continue
             # Quarter-plane canonical: signs of (a,b) are free in the equation.
-            sol = TernarySolution(ai, bi, c)
+            sol = TernarySolution(a, b, c)
             if sol.primitive:
                 out.append(sol)
     return out

@@ -141,17 +141,17 @@ def _choose_base_pair(sizes: Sequence[int]):
     return i, j
 
 
-def _past(until: Optional[int]) -> bool:
-    """Whether the time.perf_counter_ns clock has reached until (never if None)."""
-    return until is not None and time.perf_counter_ns() >= until
-
-
 def _scan_vector(task: _VectorTask, until: Optional[int] = None) -> tuple:
     """(hits, rest): the hits of the task's scan, which stops before the
     first block of outer values (one outer value without the sieve) that
-    would start once `_past(until)`; rest is the task of the outer values
-    left, or None when the scan finished."""
-    if _past(until):
+    would start once the time.perf_counter_ns clock reads until, or that
+    would end past until if it took as long as the block before it (the
+    first block's time includes the scan's set-up); rest is the task of the
+    outer values left, or None when the scan finished.  The clock is read
+    once before the scan and once after each block, and never without
+    until."""
+    last = time.perf_counter_ns() if until is not None else None
+    if last is not None and last >= until:
         return [], task
     lvec, bounds, etas = task.lvec, task.bounds, task.etas
     cands = [_position_values(lvec[m], bounds[m], etas[m]) for m in range(len(lvec))]
@@ -173,8 +173,11 @@ def _scan_vector(task: _VectorTask, until: Optional[int] = None) -> tuple:
     for got, used in steps:
         hits += [hit for hit in got if hit is not None]
         done += used
-        if _past(until):
-            break
+        if last is not None:
+            now = time.perf_counter_ns()
+            if 2 * now - last >= until:
+                break
+            last = now
     done = min(done, outer.size)
     return hits, (replace(task, outer_slice=(lo + done, hi)) if done < outer.size else None)
 
@@ -252,17 +255,17 @@ def _run_tasks(tasks: list, jobs: int) -> list:
     """The hits of each task, as one list per task.
 
     With jobs > 1 (at most os.cpu_count()) this process first scans the
-    tasks in order for POOL_AFTER_S seconds, to the end of the row block
-    that runs past them: a search that ends within this head start starts
-    no worker and never imports concurrent.futures.  What is left is then
-    range-partitioned into chunks of at most about 1/(4 jobs) of its
-    estimated pairs, which a pool of jobs worker processes scans; on Linux
-    they fork with this process's warm residue tables.  Against starting
-    every worker at once, a long search loses the parallel share of the
-    head start, about POOL_AFTER_S * (1 - 1/jobs) plus the rest of the block
-    it stopped in, and one ClassRows build per extra chunk.  The hits are
-    sorted canonically after the merge, so the result does not depend on
-    where the head start stopped or on scheduling.
+    tasks in order for POOL_AFTER_S seconds, stopping before the row block
+    that `_scan_vector` expects to end past them: a search that ends within
+    this head start starts no worker and never imports concurrent.futures.
+    What is left is then range-partitioned into chunks of at most about
+    1/(4 jobs) of its estimated pairs, which a pool of jobs worker processes
+    scans; on Linux they fork with this process's warm residue tables.
+    Against starting every worker at once, a long search loses the parallel
+    share of the head start, about POOL_AFTER_S * (1 - 1/jobs), and one
+    ClassRows build per extra chunk.  The hits are sorted canonically after
+    the merge, so the result does not depend on where the head start
+    stopped or on scheduling.
     """
     jobs = min(jobs, os.cpu_count() or 1)
     until = time.perf_counter_ns() + int(POOL_AFTER_S * 10**9) if jobs > 1 else None

@@ -5,18 +5,21 @@ A table marks the residues a value can have mod m, so it rejects only
 values that cannot occur; callers confirm survivors exactly.  Tables are
 built on first use.  A factor table marks the residues of eta * x^l modulo
 one power modulus: a CRT factor 16, 9, 5, 7, 11 or 13 (which multiply to
-720720), or the prime 17 or 19.  Row tables of a sextic
-F(r, s) = sum c_i r^i s^(6-i) hold, per modulus m (the CRT factors, then the
-primes 17..53), an m x m table whose entry [s % m, r % m] marks F(r, s)
-being a square mod m.
+720720), or the prime 17 or 19.  The box tables are m x m, entry
+[row % m, col % m]: for a sextic F(r, s) = sum c_i r^i s^(6-i), per modulus
+m (the CRT factors, then the primes 17..53), F(r, s) being a square mod m
+at [s % m, r % m]; for the Lemma's cover grid cA a^2 + cB b^2 = M c^k, per
+power modulus f, modulo M f, M dividing the value with a quotient in the
+k-th-power factor table at [a % M f, b % M f].
 
-Callers never see the modulus.  `maybe_power` tests values (the Lemma's
-cover grid).  Two kernels pack their tables into 64-bit row patterns, each
-an OR of the packed masks of the columns in one residue class, and run a
-block of rows at a time, unpacking only the nonzero bytes of the nonzero
-words: `ClassRows` the sieved progression scan, the cubic twin's included,
-over a block of outer values, and `SquareRows` the point search's box over
-a block of s.
+Callers never see the modulus.  `maybe_power` tests values.  Two kernels
+pack their tables into 64-bit row patterns, each an OR of the packed masks
+of the columns in one residue class, and run a block of rows at a time,
+unpacking only the nonzero bytes of the nonzero words: `ClassRows` the
+sieved progression scan, the cubic twin's included, over a block of outer
+values, and `BoxRows` a 2-D box over a block of rows, with column masks
+cached per column range and modulus; it runs as `SquareRows`, the point
+search's box, and `TernaryRows`, the cover grid.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .exactmath import form_value
 
 CRT_FACTORS = (16, 9, 5, 7, 11, 13)
 _POWER_PRIMES = (17, 19)  # the power moduli after CRT_FACTORS
-_POWER_MODULI = CRT_FACTORS + _POWER_PRIMES  # of maybe_power and ClassRows
+_POWER_MODULI = CRT_FACTORS + _POWER_PRIMES  # of maybe_power, ClassRows and TernaryRows
 INT64_SAFE = 1 << 62  # int64 kernels keep every value below this in absolute value
 
 
@@ -55,7 +58,7 @@ def maybe_power(v, l: int, etas: tuple = (1,)):
     return ok
 
 
-ROW_BLOCK = 192  # rows per AND of row patterns: outer values of ClassRows, s of SquareRows
+ROW_BLOCK = 192  # rows per AND of row patterns: outer values of ClassRows, rows of BoxRows
 
 
 def _class_masks(cls: np.ndarray, m: int) -> np.ndarray:
@@ -183,6 +186,47 @@ class ClassRows:
             yield h[row[order]], self.w[np.concatenate(cols)[order]]
 
 
+@lru_cache(maxsize=128)
+def _column_masks(lo: int, hi: int, m: int) -> np.ndarray:
+    """`_class_masks` of the columns lo..hi - 1 by residue mod m, read-only:
+    every box kernel over that column range shares them."""
+    masks = _class_masks(np.arange(lo, hi, dtype=np.int64) % m, m)
+    masks.flags.writeable = False
+    return masks
+
+
+class BoxRows:
+    """The packed row kernel over a 2-D box, rows and cols ranges of step 1:
+    the cells (row, col) where every table (m, table) marks
+    [row % m, col % m].
+
+    Each table is packed once into m row patterns of 64-bit words, from the
+    masks of the columns with col = u (mod m): bit j of word k of pattern
+    row % m is its entry at col = cols[64 k + j], and the padding bits are
+    zero.  A block of ROW_BLOCK rows is the AND of one row gather per
+    modulus, and only the nonzero bytes of its nonzero words are unpacked.
+    With no table every cell passes.
+    """
+
+    def __init__(self, tables, rows: range, cols: range):
+        self.rows, self.lo = rows, cols.start
+        self.patterns = [(m, _class_patterns(table, _column_masks(cols.start, cols.stop, m)))
+                         for m, table in tables] or [(1, _column_masks(cols.start, cols.stop, 1))]
+
+    def cells(self):
+        """Per block of ROW_BLOCK rows, the (row, col) int64 arrays of the
+        cells that pass every modulus, in row-major order: row, then col,
+        ascending."""
+        for start in range(self.rows.start, self.rows.stop, ROW_BLOCK):
+            row = np.arange(start, min(start + ROW_BLOCK, self.rows.stop), dtype=np.int64)
+            (m, pattern), *rest = self.patterns
+            words = pattern[row % m]  # a gather, so a new array
+            for m, pattern in rest:
+                words &= pattern[row % m]
+            at, col = _set_cells(words)
+            yield row[at], col + self.lo
+
+
 # the point search's moduli after CRT_FACTORS
 _ROW_PRIMES = (17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
@@ -195,35 +239,44 @@ def _form_square_table(coeffs6: Sequence[int], m: int) -> np.ndarray:
     return _factor_table(2, m, (1,))[values]
 
 
-class SquareRows:
+class SquareRows(BoxRows):
     """The point search's sieve over the box s in [1, height], r in
-    [-height, height]: the cells where F(r, s) = sum coeffs6[i] r^i s^(6-i)
-    may be a square.
-
-    The moduli are the CRT factors and then the primes 17..53.  Each one's
-    row table is packed once into m row patterns of 64-bit words, from the
-    masks of the columns with r = u (mod m): bit j of word k of pattern
-    s % m is its entry at r = -height + 64 k + j, and the bits past
-    r = height are zero.  A block of ROW_BLOCK rows is the AND of one row
-    gather per modulus, and only the nonzero bytes of its nonzero words are
-    unpacked.
-    """
+    [-height, height]: the cells (s, r) where
+    F(r, s) = sum coeffs6[i] r^i s^(6-i) may be a square modulo the CRT
+    factors and then the primes 17..53, each one's row table an m x m table
+    whose entry [s % m, r % m] marks F(r, s) being a square mod m."""
 
     def __init__(self, coeffs6: Sequence[int], height: int):
-        self.height = height
-        self.r = np.arange(-height, height + 1, dtype=np.int64)
-        self.patterns = [(m, _class_patterns(_form_square_table(coeffs6, m),
-                                             _class_masks(self.r % m, m)))
-                         for m in CRT_FACTORS + _ROW_PRIMES]
+        super().__init__([(m, _form_square_table(coeffs6, m)) for m in CRT_FACTORS + _ROW_PRIMES],
+                         range(1, height + 1), range(-height, height + 1))
 
-    def cells(self):
-        """Per block of ROW_BLOCK rows, the (s, r) int64 arrays of the cells
-        that pass every modulus, in row-major order: s, then r, ascending."""
-        for start in range(1, self.height + 1, ROW_BLOCK):
-            s = np.arange(start, min(start + ROW_BLOCK, self.height + 1), dtype=np.int64)
-            (m, pattern), *rest = self.patterns
-            words = pattern[s % m]
-            for m, pattern in rest:
-                words &= pattern[s % m]
-            row, col = _set_cells(words)
-            yield s[row], self.r[col]
+
+_TERNARY_CAP = 512  # the largest modulus M * f that TernaryRows tabulates
+
+
+def _ternary_power_table(ca: int, cb: int, m: int, k: int, f: int) -> np.ndarray:
+    """The cover grid's table mod F = m * f: entry [a % F, b % F] is set iff
+    m divides ca a^2 + cb b^2 and the quotient's residue mod f is in the
+    k-th-power factor table (every residue when f = 1)."""
+    mf = m * f
+    squares = np.arange(mf, dtype=np.int64) ** 2 % mf
+    v = ((ca % mf) * squares[:, None] + (cb % mf) * squares) % mf
+    return (v % m == 0) & _factor_table(k, f, (1,))[v // m]
+
+
+class TernaryRows(BoxRows):
+    """The Lemma's cover grid over a, b in [0, bound]: the cells (a, b)
+    where m may divide ca a^2 + cb b^2 with a quotient that may be a k-th
+    power, by one table mod m * f per power modulus f.  A factor table
+    that marks every residue leaves only the divisibility, so it becomes
+    the one table mod m; a table that marks every cell, or one past
+    _TERNARY_CAP, is left out.  The sign of the quotient is not sieved."""
+
+    def __init__(self, ca: int, cb: int, m: int, k: int, bound: int):
+        tables = {}
+        for f in _POWER_MODULI:
+            mf = m * f if not _factor_table(k, f, (1,)).all() else m
+            if mf <= _TERNARY_CAP and mf not in tables:
+                tables[mf] = _ternary_power_table(ca, cb, m, k, mf // m)
+        super().__init__([(mf, t) for mf, t in tables.items() if not t.all()],
+                         range(bound + 1), range(bound + 1))

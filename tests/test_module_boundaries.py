@@ -1,14 +1,17 @@
 """The residue moduli are decided in one module: outside `sieve.py` no source
 names `CRT_MODULUS`, `CRT_FACTORS`, `power_table`, the power moduli past the
-CRT factors, or the point search's row primes and sextic table builder;
-callers go through `maybe_power`, `ClassRows` and `SquareRows`."""
+CRT factors, the point search's row primes and sextic table builder, or the
+cover grid's table builder and its modulus cap; callers go through
+`maybe_power`, `ClassRows` and the box kernel `BoxRows`, as `SquareRows` and
+`TernaryRows`."""
 
 import ast
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "apforge").glob("*.py"))
 PRIVATE = {"CRT_MODULUS", "CRT_FACTORS", "_POWER_PRIMES", "_POWER_MODULI", "power_table",
-           "form_square_tables", "_form_square_table", "_ROW_PRIMES"}
+           "form_square_tables", "_form_square_table", "_ROW_PRIMES", "_ternary_power_table",
+           "_TERNARY_CAP"}
 
 
 def test_modulus_names_stay_in_sieve():

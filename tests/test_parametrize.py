@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from apforge import parametrize
 from apforge.corpus import corpus_path, load_corpus
@@ -210,6 +210,51 @@ def test_sieved_enumeration_matches_fraction_oracle(fid):
     fam = FAMILIES[fid]
     for bound in (1, 10, 57, 200):
         assert _enumerate_solutions(fam, bound) == fraction_enumerate(fam, bound), bound
+
+
+# a^2 + b^2 = 8 c^3 has the primitive solution (2, 2, 1) with gcd(a, b) = 2:
+# M = 8 is not squarefree, so the gcd(a, b) = 1 cut must not run.
+EIGHT_C3 = dataclasses.replace(FAMILIES["ii"], id="8c3", equation="a^2 + b^2 = 8c^3",
+                               rhs_mult=Fraction(8))
+
+
+def test_enumeration_keeps_non_coprime_cells_when_m_is_not_squarefree():
+    sols = _enumerate_solutions(EIGHT_C3, 40)
+    assert TernarySolution(2, 2, 1) in sols
+    assert sols == fraction_enumerate(EIGHT_C3, 40)
+
+
+# a^2 + b^2 = 1009 c^2: every modulus 1009 f is past what the grid
+# tabulates, so divisibility by M is settled by the exact confirmation alone.
+PRIME_1009 = dataclasses.replace(FAMILIES["vi"], id="1009c2", equation="a^2 + b^2 = 1009c^2",
+                                 rhs_mult=Fraction(1009))
+
+
+def test_enumeration_with_untabulated_m_matches_fraction_oracle():
+    sols = _enumerate_solutions(PRIME_1009, 40)
+    assert TernarySolution(15, 28, 1) in sols and TernarySolution(28, 15, 1) in sols
+    assert sols == fraction_enumerate(PRIME_1009, 40)
+
+
+# Bounds 63, 64, 65 put the last column one bit short of a word edge, on it
+# and one past; 191, 192, 193 do the same for the rows and a ROW_BLOCK.  The
+# oracle runs once, at the largest bound: its solutions up to a smaller
+# bound are those with a, b within it, in the same row-major order.
+_ENUMERATION_BOUNDS = (0, 1, 63, 64, 65, 191, 192, 193)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 12), st.sampled_from((2, 3, 4)))
+@example(-1, 2, 1, 3)
+@example(-2, 7, 12, 2)
+@example(3, 5, 4, 4)
+def test_sieved_enumeration_matches_fraction_oracle_on_random_equations(ca, cb, m, k):
+    fam = dataclasses.replace(FAMILIES["ii"], id="random", coef_a=Fraction(ca),
+                              coef_b=Fraction(cb), rhs_mult=Fraction(m), power=k)
+    want = fraction_enumerate(fam, max(_ENUMERATION_BOUNDS))
+    for bound in _ENUMERATION_BOUNDS:
+        got = _enumerate_solutions(fam, bound)
+        assert got == [s for s in want if s.a <= bound and s.b <= bound], bound
 
 
 @pytest.mark.parametrize("fid", sorted(FAMILIES))

@@ -175,6 +175,34 @@ def test_head_start_hands_the_rest_to_the_pool(search, args, kwargs, use_sieve, 
         assert serial_pool.chunks[0].lvec == (2, 2, 3, 2)  # after 2222 and 2223
 
 
+@pytest.mark.parametrize("block_ns, left_at", [
+    (130_000_000, ROW_BLOCK),  # the second block would end at 0.39 s: stop after one
+    (100_000_000, ROW_BLOCK),  # the second block would end on the deadline itself
+    (90_000_000, None),  # both blocks end by 0.27 s: no pool
+], ids=["0.13s", "0.10s", "0.09s"])
+def test_head_start_stops_before_a_block_past_the_deadline(block_ns, left_at, monkeypatch,
+                                                          serial_pool):
+    # A fake clock advances block_ns per reading, so each of the two row
+    # blocks of the one eta-73 scan seems to take block_ns: the head start
+    # ends before the block that would run past POOL_AFTER_S, and no
+    # reading inside it is past the deadline, set by the first reading.
+    want = _terms(search_general(4, 2, 60, S=(73,), jobs=1))
+    readings = []
+
+    def clock():
+        readings.append(len(readings) * block_ns)
+        return readings[-1]
+
+    monkeypatch.setattr(searcher, "time", SimpleNamespace(perf_counter_ns=clock))
+    monkeypatch.setattr(searcher.os, "cpu_count", lambda: 2)
+    assert _terms(search_general(4, 2, 60, S=(73,), jobs=2)) == want
+    assert max(readings) <= int(searcher.POOL_AFTER_S * 10**9)
+    if left_at is None:
+        assert serial_pool.sizes == []
+    else:
+        assert serial_pool.sizes == [2] and serial_pool.chunks[0].outer_slice[0] == left_at
+
+
 def test_cli_import_leaves_process_pool_out():
     # Only a search that outlasts its head start starts a pool, so neither
     # loading the CLI nor a short search at --jobs 2 imports multiprocessing.

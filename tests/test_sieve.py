@@ -343,3 +343,62 @@ def test_square_rows_survivors_match_reference(coeffs6, height):
     assert got == want
     kept = set(want)
     assert all(cell in kept for cell, v in values.items() if v >= 0 and int_kth_root(v, 2) is not None)
+
+
+# TernaryRows, the Lemma's cover grid a, b in [0, bound], against the rule
+# of the int64 grid it replaced: M | v and maybe_power(v // M, k) for
+# v = cA a^2 + cB b^2.  Tables are built mod M f, so for M up to 12 every
+# power modulus f is kept and the cells are exactly those where M | v and
+# the quotient's residues pass (its sign is not sieved: q mod the product of
+# the moduli has q's residues and is non-negative).  Explicit bounds: 62, 63
+# and 64 end the columns one bit short of a word, on it and one past it; 190,
+# 191 and 192 end the rows one short of a ROW_BLOCK, on it and one past.
+def _ternary_cells(kernel, bound):
+    """kernel.cells() as one list of (a, b) pairs; each block is int64 and
+    holds only cells of its own ROW_BLOCK rows."""
+    blocks = list(kernel.cells())
+    assert len(blocks) == -(-(bound + 1) // ROW_BLOCK)
+    got = []
+    for n, (a, b) in enumerate(blocks):
+        assert a.dtype == b.dtype == np.int64
+        assert all(n * ROW_BLOCK <= x < (n + 1) * ROW_BLOCK for x in a.tolist())
+        got += zip(a.tolist(), b.tolist())
+    return got
+
+
+def _old_grid_rule(ca, cb, m, k, bound):
+    """(v, M | v and maybe_power(v // M, k)) over the box, as [a, b] arrays."""
+    x = np.arange(bound + 1, dtype=np.int64) ** 2
+    v = ca * x[:, None] + cb * x
+    return v, (v % m == 0) & maybe_power(v // m, k)
+
+
+_TERNARY = st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 12),
+                     st.sampled_from((2, 3, 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_TERNARY, st.sampled_from((0, 1, 5, 62, 63, 64, 127, 128, 190, 191, 192)))
+@example((1, 1, 2, 3), 191)
+@example((-1, 2, 1, 3), 64)
+@example((1, 1, 8, 3), 63)
+@example((-7, 3, 12, 4), 192)
+def test_ternary_rows_drop_only_cells_the_old_grid_drops(equation, bound):
+    ca, cb, m, k = equation
+    got = _ternary_cells(sieve.TernaryRows(ca, cb, m, k, bound), bound)
+    assert got == sorted(got) and len(set(got)) == len(got)  # row-major, each cell once
+    v, old = _old_grid_rule(ca, cb, m, k, bound)
+    kept = np.zeros(v.shape, dtype=bool)
+    kept[tuple(np.array(got, dtype=np.int64).reshape(-1, 2).T)] = True
+    assert not (old & ~kept).any()
+    residues = (v // m) % math.prod(POWER_MODULI)
+    assert np.array_equal(kept, (v % m == 0) & maybe_power(residues, k))
+
+
+@pytest.mark.parametrize("m", [600, 10**6 + 3])
+def test_ternary_rows_past_the_table_cap_keep_every_cell(m):
+    # Every M f (and M itself) is past the largest tabulated modulus, so no
+    # table is built and every cell of the box is kept.
+    assert m > sieve._TERNARY_CAP
+    got = _ternary_cells(sieve.TernaryRows(3, -5, m, 2, 64), 64)
+    assert got == [(a, b) for a in range(65) for b in range(65)]
