@@ -12,11 +12,19 @@ record, 2 usage error, 3 resource ceiling.
 A machine-readable report goes to --report; records are canonically ordered
 so reports are byte-identical across runs (pass --no-timings to zero the
 per-record runtimes, which are the only volatile field).
+
+Two entries: `run()` is the process's (`python -m apforge.cli` and the
+`apforge` script), which freezes the start-up heap (gc.freeze) and then
+calls `main(argv)`; `main` is the in-process API that tests and
+perfbench/traced.py call, and it never freezes.  Importing this module
+pauses the collector over the imports of numpy and apforge and restores the
+state it found.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -27,10 +35,18 @@ from itertools import product
 # (its matrix products are int64), so one thread will do unless the user asks.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import corpus as corpus_mod
-from . import curvelab, genus, parametrize, searcher
-from .curvelab import CheckResult, timed_check
-from .exactmath import is_prime
+# The imports below (numpy and every apforge module) allocate objects that
+# live until exit, so collecting while they pile up frees nothing.
+_gc_was_enabled = gc.isenabled()
+gc.disable()
+try:
+    from . import corpus as corpus_mod
+    from . import curvelab, genus, parametrize, searcher
+    from .curvelab import CheckResult, timed_check
+    from .exactmath import is_prime
+finally:
+    if _gc_was_enabled:
+        gc.enable()
 
 
 @dataclass
@@ -379,5 +395,15 @@ def main(argv=None) -> int:
     return report.exit_code
 
 
+def run() -> int:
+    """The process entry, of `python -m apforge.cli` and the `apforge`
+    script: main(sys.argv[1:]) after gc.freeze().  The objects alive by then
+    (the interpreter's, numpy's, apforge's) live until exit, so no later
+    collection walks them, not even the full collections the interpreter
+    runs at exit whether or not the collector is enabled."""
+    gc.freeze()
+    return main(sys.argv[1:])
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -12,9 +12,9 @@ at [s % m, r % m]; for the Lemma's cover grid cA a^2 + cB b^2 = M c^k, per
 power modulus f, modulo M f, M dividing the value with a quotient in the
 k-th-power factor table at [a % M f, b % M f].
 
-Callers never see the modulus.  `maybe_power` tests values.  Two kernels
-pack their tables into 64-bit row patterns, each an OR of the packed masks
-of the columns in one residue class, and run a block of rows at a time,
+Callers never see the modulus.  Two kernels pack their tables into 64-bit
+row patterns, each an OR of the packed masks of the columns in one residue
+class, and run a block of rows at a time,
 unpacking only the nonzero bytes of the nonzero words: `ClassRows` the
 sieved progression scan, the cubic twin's included, over a block of outer
 values, and `BoxRows` a 2-D box over a block of rows, with column masks
@@ -33,7 +33,7 @@ from .exactmath import form_value
 
 CRT_FACTORS = (16, 9, 5, 7, 11, 13)
 _POWER_PRIMES = (17, 19)  # the power moduli after CRT_FACTORS
-_POWER_MODULI = CRT_FACTORS + _POWER_PRIMES  # of maybe_power, ClassRows and TernaryRows
+_POWER_MODULI = CRT_FACTORS + _POWER_PRIMES  # of ClassRows and TernaryRows
 INT64_SAFE = 1 << 62  # int64 kernels keep every value below this in absolute value
 
 
@@ -43,19 +43,6 @@ def _factor_table(l: int, m: int, etas: tuple) -> np.ndarray:
     powers = {pow(x, l, m) for x in range(m)}
     table[[(eta * t) % m for eta in etas for t in powers]] = True
     return table
-
-
-def maybe_power(v, l: int, etas: tuple = (1,)):
-    """Whether v (an int or an int64 array) may be eta * x^l, eta in etas:
-    every power modulus's factor table at v, and v >= 0 for even l when
-    every eta is positive.  False only where no such x exists."""
-    f, *rest = _POWER_MODULI
-    ok = _factor_table(l, f, etas)[v % f]  # a new array (or scalar), so &= is safe
-    for f in rest:
-        ok &= _factor_table(l, f, etas)[v % f]
-    if l % 2 == 0 and min(etas) > 0:
-        ok &= v >= 0
-    return ok
 
 
 ROW_BLOCK = 192  # rows per AND of row patterns: outer values of ClassRows, rows of BoxRows
@@ -93,8 +80,10 @@ def _set_cells(words: np.ndarray):
 class ClassRows:
     """Stage 1 of the progression scan: the pairs (h, w), h an outer value
     and w in a sorted inner array, whose derived terms
-    h_m = h + e_m * (w - h) / |d| all pass `maybe_power`, for each
-    (e_m, l_m, etas_m) in derived.
+    h_m = h + e_m * (w - h) / |d| may each be eta * x^l_m, eta in etas_m,
+    for each (e_m, l_m, etas_m) in derived: by the factor table of every
+    power modulus, and by the sign rule, h_m >= 0 for even l_m and positive
+    etas_m.
 
     A pair with d not dividing w - h is no progression, so a row h scans only
     the class w = h (mod |d|).  There (w - h) / |d| = q - h // |d| with
@@ -105,10 +94,9 @@ class ClassRows:
     (mod f) for the u that the factor table admits; the rows of one class
     in a block of ROW_BLOCK are the AND of one pattern gather per (position,
     modulus), and a factor table that marks every residue is left out.  The
-    sign rule of `maybe_power` (h_m >= 0 for even l_m and positive etas_m)
-    and the half scan's (w - h) / d >= 0 are bounds on q: the block's
-    widest bounds cut the class's columns before the gathers, and each
-    row's own bounds cut the unpacked cells.  Precondition: every
+    sign rule and the half scan's (w - h) / d >= 0 are bounds on q: the
+    block's widest bounds cut the class's columns before the gathers, and
+    each row's own bounds cut the unpacked cells.  Precondition: every
     |h_m| < INT64_SAFE.
     """
 

@@ -23,7 +23,7 @@ from apforge.exactmath import (BinaryForm, UniPoly, form_eval,
 from apforge.numfield import field_by_name, nf_is_s_unit, nf_norm
 from apforge.parametrize import param_cover_check, param_verify_identity
 from apforge.searcher import search_cubic_twin, search_theorem3, verify_remark_families
-from apforge.sieve import maybe_power
+from power_rule import maybe_power
 
 CORPUS = load_corpus()
 CASES = {c.id: c for c in CORPUS.cases}

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +135,96 @@ def test_console_script_entry():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "GenusZero" in proc.stdout
+
+
+def _python(*argv):
+    """A fresh interpreter run with argv, importing apforge from wherever this
+    process does."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+# Runs the -m entry of apforge.cli on the arguments after -c's code, with
+# stdout kept out of the way, then prints the exit code, whether objects are
+# frozen and whether a worker pool was started.
+_MODULE_ENTRY = ("import contextlib, gc, io, runpy, sys\n"
+                 "try:\n"
+                 "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "        runpy.run_module('apforge.cli', run_name='__main__')\n"
+                 "except SystemExit as exc:\n"
+                 "    print(exc.code, gc.get_freeze_count() > 0, 'concurrent.futures' in sys.modules)\n")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_cli_import_pauses_the_collector_and_restores_it(enabled):
+    # No collection runs from the first apforge import of apforge.cli to the
+    # last (while numpy is imported too), and the collector is left as the
+    # importer had it.
+    code = ("import gc, sys\n"
+            f"if not {enabled}: gc.disable()\n"
+            "inside = []\n"
+            "def seen(phase, info):\n"
+            "    cli = sys.modules.get('apforge.cli')\n"
+            "    inside.append('apforge.corpus' in sys.modules and not hasattr(cli, 'is_prime'))\n"
+            "gc.callbacks.append(seen)\n"
+            "import apforge.cli\n"
+            "gc.callbacks.remove(seen)\n"
+            "print(gc.isenabled(), 'numpy' in sys.modules, any(inside), gc.get_freeze_count())")
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(enabled), "True", "False", "0"]
+
+
+def test_module_entry_freezes_the_start_up_heap():
+    proc = _python("-c", _MODULE_ENTRY, "genus", "--chi", "2", "2", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "True", "False"]
+
+
+def test_in_process_main_never_freezes():
+    # So a test session, which calls main() many times, freezes nothing.
+    code = ("import contextlib, gc, io, apforge.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = apforge.cli.main(['genus', '--chi', '2', '2', '2'])\n"
+            "print(code, gc.get_freeze_count())")
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--theorem3", "--bound-sq", "150", "--bound-cu", "40"],
+    ["search", "--k", "4", "--L", "2", "--eta", "73", "--bound", "60"],
+])
+def test_pool_forked_after_the_freeze_matches_one_process(tmp_path, capsys, argv):
+    # With no head start the -m entry's search forks its workers from the
+    # frozen heap; their merged report is the one-process report.
+    code = "from apforge import searcher\nsearcher.POOL_AFTER_S = 0\n" + _MODULE_ENTRY
+    pooled, alone = tmp_path / "pooled.json", tmp_path / "alone.json"
+    proc = _python("-c", code, "--jobs", "2", "--no-timings", "--report", str(pooled), *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "True", str((os.cpu_count() or 1) > 1)]
+    assert run_cli("--jobs", "1", "--no-timings", "--report", str(alone), *argv) == 0
+    assert pooled.read_text(encoding="utf-8") == alone.read_text(encoding="utf-8")
+
+
+def test_console_script_runs_the_freezing_entry():
+    # The [project.scripts] target, called as the generated script calls it,
+    # prints and exits as `python -m apforge.cli` does, from a frozen heap.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["apforge"]
+    module, func = target.split(":")
+    script = ("import atexit, gc, sys\n"
+              "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+              f"from {module} import {func}\n"
+              f"sys.exit({func}())")
+    argv = ["genus", "--chi", "2", "2", "2"]
+    proc = _python("-c", script, *argv)
+    entry = _python("-m", "apforge.cli", *argv)
+    assert proc.returncode == entry.returncode == 0
+    assert proc.stdout == entry.stdout and "GenusZero" in proc.stdout
+    assert proc.stderr == "frozen True\n"
 
 
 @pytest.mark.parametrize("statuses, code", [

@@ -2,8 +2,9 @@
 names `CRT_MODULUS`, `CRT_FACTORS`, `power_table`, the power moduli past the
 CRT factors, the point search's row primes and sextic table builder, or the
 cover grid's table builder and its modulus cap; callers go through
-`maybe_power`, `ClassRows` and the box kernel `BoxRows`, as `SquareRows` and
-`TernaryRows`."""
+`ClassRows` and the box kernel `BoxRows`, as `SquareRows` and `TernaryRows`.
+The tests' reference rule `maybe_power` (tests/power_rule.py) reads the
+tables directly, as a test may."""
 
 import ast
 from pathlib import Path

@@ -17,7 +17,8 @@ from apforge.searcher import (Progression, ResourceLimitError,
                               remark_family_terms, search_cubic_twin,
                               search_general, search_theorem3,
                               verify_remark_families)
-from apforge.sieve import ROW_BLOCK, maybe_power
+from apforge.sieve import ROW_BLOCK
+from power_rule import maybe_power
 from apforge.exactmath import form_eval, int_kth_root
 
 

@@ -1,7 +1,8 @@
-"""Residue tables: `maybe_power` against the AND of independently built
-factor tables and against exact twisted powers, the packed row patterns and
-the set-bit unpacking against plain references, and the row kernels of the
-progression scan and the point search against plain references."""
+"""Residue tables: the reference rule `maybe_power` (power_rule.py) against
+the AND of independently built factor tables and against exact twisted
+powers, the packed row patterns and the set-bit unpacking against plain
+references, and the row kernels of the progression scan and the point
+search against plain references."""
 
 import math
 
@@ -12,8 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 from apforge import sieve
 from apforge.exactmath import int_kth_root
 from apforge.searcher import _eta_candidates
-from apforge.sieve import (CRT_FACTORS, ROW_BLOCK, ClassRows, SquareRows, _set_cells,
-                           maybe_power)
+from apforge.sieve import CRT_FACTORS, ROW_BLOCK, ClassRows, SquareRows, _set_cells
+from power_rule import maybe_power
 
 # The moduli maybe_power and ClassRows test a power against: the CRT factors
 # of 720720, then 17 and 19.
