@@ -14,12 +14,12 @@ k-th-power factor table at [a % M f, b % M f].
 
 Callers never see the modulus.  Two kernels pack their tables into 64-bit
 row patterns, each an OR of the packed masks of the columns in one residue
-class, and run a block of rows at a time,
-unpacking only the nonzero bytes of the nonzero words: `ClassRows` the
-sieved progression scan, the cubic twin's included, over a block of outer
-values, and `BoxRows` a 2-D box over a block of rows, with column masks
-cached per column range and modulus; it runs as `SquareRows`, the point
-search's box, and `TernaryRows`, the cover grid.
+class, and run a block of rows at a time, unpacking only the nonzero bytes
+of the nonzero words: `ClassRows` the sieved progression scan, the cubic
+twin's included, over a block of outer values, and `BoxRows` a 2-D box over
+a block of rows, with column masks cached per column range and modulus; it
+runs as `SquareRows`, the point search's box, and `TernaryRows`, the cover
+grid.
 """
 
 from __future__ import annotations

@@ -196,7 +196,7 @@ def test_in_process_main_never_freezes():
     ["search", "--theorem3", "--bound-sq", "150", "--bound-cu", "40"],
     ["search", "--k", "4", "--L", "2", "--eta", "73", "--bound", "60"],
 ])
-def test_pool_forked_after_the_freeze_matches_one_process(tmp_path, capsys, argv):
+def test_pool_forked_after_the_freeze_matches_one_process(tmp_path, argv):
     # With no head start the -m entry's search forks its workers from the
     # frozen heap; their merged report is the one-process report.
     code = "from apforge import searcher\nsearcher.POOL_AFTER_S = 0\n" + _MODULE_ENTRY
