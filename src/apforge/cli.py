@@ -18,7 +18,8 @@ Two entries: `run()` is the process's (`python -m apforge.cli` and the
 calls `main(argv)`; `main` is the in-process API that tests and
 perfbench/traced.py call, and it never freezes.  Importing this module
 pauses the collector over the imports of numpy and apforge and restores the
-state it found.
+state it found.  `searcher` and `genus` are imported by the commands that
+call them, so `verify-lemma` never loads them.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ _gc_was_enabled = gc.isenabled()
 gc.disable()
 try:
     from . import corpus as corpus_mod
-    from . import curvelab, genus, parametrize, searcher
+    from . import curvelab, parametrize
     from .curvelab import CheckResult, timed_check
     from .exactmath import is_prime
 finally:
@@ -97,6 +98,10 @@ def _print_report(report: RunReport) -> None:
           f"undecided, {s['unchecked-claim']} unchecked claims")
 
 
+class _ResourceCeiling(Exception):
+    """A search refused for its resource ceiling: `main` exits 3."""
+
+
 def _exit_2_if_refused(work, *args, **kwargs):
     """work(*args, **kwargs); a request it refuses (ValueError) exits 2."""
     try:
@@ -104,6 +109,17 @@ def _exit_2_if_refused(work, *args, **kwargs):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
+
+
+def _search_or_exit(work, *args, **kwargs):
+    """`_exit_2_if_refused` of a searcher function; a search past the
+    searcher's resource ceiling raises _ResourceCeiling."""
+    from . import searcher
+
+    try:
+        return _exit_2_if_refused(work, *args, **kwargs)
+    except searcher.ResourceLimitError as exc:
+        raise _ResourceCeiling(exc) from exc
 
 
 def cmd_verify_lemma(args, corpus) -> RunReport:
@@ -163,12 +179,14 @@ def _read_search_options(args) -> None:
 
 
 def cmd_search(args, corpus) -> RunReport:
+    from . import searcher
+
     _read_search_options(args)
     report = RunReport("search", corpus.version, corpus.sha256)
     jobs = args.jobs or os.cpu_count() or 1
     if args.mode == "cubic-twin":
         def twin():
-            sols = searcher.search_cubic_twin(args.bound)
+            sols = _search_or_exit(searcher.search_cubic_twin, args.bound)
             return sols == [(-1, -1, -1), (1, 1, 1)], sols
         report.records.append(timed_check(
             f"search:cubic-twin:{args.bound}",
@@ -177,7 +195,7 @@ def cmd_search(args, corpus) -> RunReport:
     if args.mode == "theorem3":
         vectors = [args.vector] if args.vector else None
         def th3():
-            progs = _exit_2_if_refused(
+            progs = _search_or_exit(
                 searcher.search_theorem3, args.bound_sq, args.bound_cu,
                 vectors=vectors, use_sieve=not args.no_sieve, jobs=jobs)
             vals = sorted(set(p.values for p in progs))
@@ -189,7 +207,7 @@ def cmd_search(args, corpus) -> RunReport:
         return report
     # general search: report what was found (no pass/fail expectation)
     vectors = [args.vector] if args.vector else None
-    progs = _exit_2_if_refused(
+    progs = _search_or_exit(
         searcher.search_general, args.k, args.L, args.bound, D=args.D,
         S=tuple(args.eta or ()), vectors=vectors,
         use_sieve=not args.no_sieve, jobs=jobs)
@@ -205,6 +223,8 @@ def cmd_search(args, corpus) -> RunReport:
 
 
 def cmd_cases(args, corpus) -> RunReport:
+    from . import searcher
+
     report = RunReport("cases", corpus.version, corpus.sha256)
     cases = corpus.cases
     if args.case:
@@ -224,6 +244,8 @@ def cmd_cases(args, corpus) -> RunReport:
 
 
 def cmd_genus(args, corpus) -> RunReport:
+    from . import genus
+
     report = RunReport("genus", corpus.version, corpus.sha256)
     if args.chi:
         r, s, t = args.chi
@@ -272,6 +294,8 @@ _nonnegative_int = _int_at_least(0)
 
 def _prime(text: str) -> int:
     """argparse type: an S-unit prime for the twists, at most the twist cap."""
+    from . import searcher
+
     value = int(text)
     if value > searcher.ETA_CAP or not is_prime(value):
         raise argparse.ArgumentTypeError(
@@ -381,7 +405,7 @@ def main(argv=None) -> int:
         return 2
     try:
         report = args.fn(args, corpus)
-    except searcher.ResourceLimitError as exc:
+    except _ResourceCeiling as exc:
         print(f"error: resource ceiling: {exc}", file=sys.stderr)
         return 3
     _print_report(report)

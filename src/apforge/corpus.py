@@ -36,7 +36,6 @@ import json
 import os
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
-from importlib import resources
 from typing import Optional
 
 from .curvelab import FACT_KINDS, MAPS, RECIPES, RESULTANT_CLAIMS
@@ -83,7 +82,8 @@ def corpus_path(path: Optional[str] = None) -> str:
     env = os.environ.get(ENV_VAR)
     if env:
         return env
-    return str(resources.files("apforge").joinpath("data/corpus.json"))
+    # The bundled copy ships as package data beside this module.
+    return os.path.join(os.path.dirname(__file__), "data", "corpus.json")
 
 
 def load_corpus(path: Optional[str] = None) -> Corpus:

@@ -6,7 +6,8 @@ of degree 5 or 6; both models test f through `exactmath.discriminant`.
 Finite-field work happens on the denominator-cleared model (x, y) ->
 (x, v*y) with the smallest v making v^2*f integral, which is a
 point-count-preserving change of model away from p | v: `integral_model(f)`
-builds it once per f, and `good_reduction_data` checks a prime against it.
+builds it, `HyperCurve.model` keeps it once per curve with its
+discriminant, and `good_reduction_data` checks a prime against it.
 
 Counting convention for the smooth projective model of y^2 = f(x), in
 every layer: odd deg f gives exactly one point at infinity; even deg f gives
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -57,6 +58,13 @@ class HyperCurve:
             raise ValueError("hyperelliptic model needs degree 5 or 6")
         if not discriminant(self.f.coeffs):
             raise ValueError("f must be squarefree")
+
+    @cached_property
+    def model(self) -> tuple:
+        """(coefficients, v, discriminant) of the integral model
+        `integral_model(f)`, built once: every prime's reduction reads it."""
+        coeffs, v = integral_model(self.f)
+        return coeffs, v, discriminant(coeffs).numerator  # an integer, as coeffs are
 
 
 @dataclass(frozen=True)
@@ -91,7 +99,8 @@ def integral_model(f: UniPoly):
 
     v^2 f is integral iff the lcm L of the denominators divides v^2, so v is
     the product of p^ceil(e/2) over p^e || L, which is s t for L = s t^2.
-    Cached: point counts, the point search and local solvability each ask.
+    Cached: the point search and local solvability each ask again, and
+    `HyperCurve.model` keeps it for point counts.
     """
     s, t = square_split(math.lcm(*(Fraction(c).denominator for c in f.coeffs)))
     v = s * t
@@ -102,9 +111,8 @@ def integral_model(f: UniPoly):
 def good_reduction_data(curve: HyperCurve, p: int):
     """(integral-model coefficients, deg f) of a curve with good reduction at
     the odd prime p; raises BadReduction otherwise."""
-    coeffs, v = integral_model(curve.f)
+    coeffs, v, disc = curve.model
     deg = curve.f.degree
-    disc = discriminant(coeffs).numerator  # an integer, as coeffs are
     if p < 3:
         raise BadReduction("odd primes only")
     if v % p == 0 or coeffs[deg] % p == 0 or disc % p == 0:

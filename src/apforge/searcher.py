@@ -8,14 +8,18 @@ int64 arrays, inside a guard that keeps every derived term below 2^62.  The
 sieved scan has three stages:
 
 1. Sieve.  ``sieve.ClassRows`` sorts the inner array by class mod |j - i|
-   and packs, once per scan, each derived term's residue patterns for each
-   power modulus (the CRT factors 16, 9, 5, 7, 11, 13 of 720720, then 17
-   and 19) into 64-bit words.  For a block of outer values h_i it keeps
-   only the pairs in the class h_j = h_i (mod |j - i|), whose common
-   difference is an integer: per class, one AND of one pattern gather per
-   derived term and modulus over the words that the sign rule of even
-   powers and the half scan admit, then those bounds and the class cut per
-   cell.  The patterns only reject.
+   and packs, once per scan, each derived term's residue patterns for the
+   power moduli (the CRT factors of 720720 in the coprime pairs 16 * 9,
+   5 * 7 and 11 * 13, then 17 and 19) into 64-bit words.  For a block of
+   outer values h_i (``sieve.ROW_BLOCK``, or more while the block stays
+   within ``sieve.CLASS_BLOCK_WORDS`` pattern words and ``sieve.BLOCK_CELLS``
+   expected cells) it keeps only the pairs in the class
+   h_j = h_i (mod |j - i|), whose common difference is an integer: per
+   class, one AND of one pattern gather per derived term and modulus pair
+   (or lone modulus) over the words that the sign rule of even powers and
+   the half scan admit, then those bounds and the class cut per cell.  The
+   patterns only reject.  Each block reports how many outer values it took,
+   which the scan counts.
 2. Exact stage.  Each block's survivors are checked as the sieve yields
    them, in batches of at most _FLUSH pairs: each derived term must be
    found, by ``np.searchsorted``, in the sorted array of every value
@@ -49,7 +53,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exactmath import BinaryForm, form_eval, int_kth_root
-from .sieve import INT64_SAFE, ROW_BLOCK, ClassRows
+from .sieve import INT64_SAFE, ClassRows
 
 
 class ResourceLimitError(Exception):
@@ -154,7 +158,10 @@ def _scan_vector(task: _VectorTask, until: Optional[int] = None) -> tuple:
     if last is not None and last >= until:
         return [], task
     lvec, bounds, etas = task.lvec, task.bounds, task.etas
-    cands = [_position_values(lvec[m], bounds[m], etas[m]) for m in range(len(lvec))]
+    # Positions with the same exponent, bound and twists share one array.
+    keys = list(zip(lvec, bounds, etas))
+    values = {key: _position_values(*key) for key in set(keys)}
+    cands = [values[key] for key in keys]
     i, j = _choose_base_pair([len(c) for c in cands])
     lo, hi = task.outer_slice
     outer, inner = cands[i][lo:hi], cands[j]
@@ -163,8 +170,8 @@ def _scan_vector(task: _VectorTask, until: Optional[int] = None) -> tuple:
         sign = 1 if j > i else -1
         rows = ClassRows(inner, j - i, [((m - i) * sign, lvec[m], etas[m])
                                         for m in range(len(lvec)) if m not in (i, j)])
-        steps = ((_exact_stage(task, cands, i, j, hs, ws), ROW_BLOCK)
-                 for hs, ws in rows.cells(outer, half=task.half))
+        steps = ((_exact_stage(task, cands, i, j, hs, ws), used)
+                 for hs, ws, used in rows.cells(outer, half=task.half))
     else:
         steps = (([_confirm(lvec, bounds, etas, task.gcd_cap, i, j, h_i, int(inner[idx]))
                    for idx in np.flatnonzero((inner - h_i) % (j - i) == 0)], 1)
@@ -178,7 +185,6 @@ def _scan_vector(task: _VectorTask, until: Optional[int] = None) -> tuple:
             if 2 * now - last >= until:
                 break
             last = now
-    done = min(done, outer.size)
     return hits, (replace(task, outer_slice=(lo + done, hi)) if done < outer.size else None)
 
 

@@ -16,14 +16,20 @@ Callers never see the modulus.  Two kernels pack their tables into 64-bit
 row patterns, each an OR of the packed masks of the columns in one residue
 class, and run a block of rows at a time, unpacking only the nonzero bytes
 of the nonzero words: `ClassRows` the sieved progression scan, the cubic
-twin's included, over a block of outer values, and `BoxRows` a 2-D box over
-a block of rows, with column masks cached per column range and modulus; it
-runs as `SquareRows`, the point search's box, and `TernaryRows`, the cover
-grid.
+twin's included, over a block of outer values, with the CRT factors packed
+in coprime pairs (16 * 9, 5 * 7, 11 * 13) so a pair is one gather, and
+`BoxRows` a 2-D box over a block of rows, with column masks cached per
+column range and modulus; it runs as `SquareRows`, the point search's box,
+and `TernaryRows`, the cover grid.  A block takes ROW_BLOCK rows, or more
+while its patterns stay within the kernel's word cap (CLASS_BLOCK_WORDS,
+BLOCK_WORDS) and it keeps about BLOCK_CELLS cells (`_block_rows`, from the
+share of residues the tables admit), so a narrow sparse scan loops over few
+blocks, and a wide or a dense one keeps its arrays small.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Sequence
 
@@ -33,7 +39,11 @@ from .exactmath import form_value
 
 CRT_FACTORS = (16, 9, 5, 7, 11, 13)
 _POWER_PRIMES = (17, 19)  # the power moduli after CRT_FACTORS
-_POWER_MODULI = CRT_FACTORS + _POWER_PRIMES  # of ClassRows and TernaryRows
+_POWER_MODULI = CRT_FACTORS + _POWER_PRIMES  # of TernaryRows and the tests' reference rule
+# ClassRows' pattern groups: the CRT factors in coprime pairs, whose f1 * f2
+# rows are the AND of the two factors' rows, then the primes alone (17 * 19
+# would add 323 rows a pattern and save no time).
+_CLASS_GROUPS = tuple(zip(CRT_FACTORS[::2], CRT_FACTORS[1::2])) + tuple((p,) for p in _POWER_PRIMES)
 INT64_SAFE = 1 << 62  # int64 kernels keep every value below this in absolute value
 
 
@@ -45,7 +55,37 @@ def _factor_table(l: int, m: int, etas: tuple) -> np.ndarray:
     return table
 
 
-ROW_BLOCK = 192  # rows per AND of row patterns: outer values of ClassRows, rows of BoxRows
+ROW_BLOCK = 192  # the fewest rows in a block: outer values of ClassRows, rows of BoxRows
+# A block takes more rows while its patterns stay within the kernel's word cap
+# and it keeps about BLOCK_CELLS cells.  Large blocks cut the per-block loop
+# of a sparse scan but cost a dense one more per cell: the rows of
+# search_general(4, 2, 1000, S=(73,)) keep about 460 cells each, and in
+# blocks of 260 rows instead of 192 its sieve stage took 95 ms against 83.
+# A ClassRows block also loops over the classes and feeds the exact stage,
+# so the Theorem-3 grid ran 8% faster at 49 152 words than at 16 384; a
+# BoxRows block is one gather per modulus, and at 49 152 words the point
+# search only raised the peak memory of `cases --height 1000` by 0.3 MB
+# (2-vCPU x86-64 VM, numpy 2.4).
+BLOCK_WORDS = 1 << 14  # BoxRows
+CLASS_BLOCK_WORDS = 3 << 14  # ClassRows
+BLOCK_CELLS = 1 << 16
+
+
+def _block_rows(width: int, cells: int, words: int) -> int:
+    """Rows per block of a kernel whose rows are width words wide and keep
+    about `cells` cells each: ROW_BLOCK, or more while the block stays
+    within `words` words and BLOCK_CELLS cells."""
+    return max(ROW_BLOCK, min(words // max(width, 1), BLOCK_CELLS // max(cells, 1)))
+
+
+def _kept_cells(cols: int, tables) -> int:
+    """About how many of cols cells every table marks, were the tables
+    independent: cols times the product of each table's share."""
+    kept, total = cols, 1
+    for table in tables:
+        kept *= int(np.count_nonzero(table))
+        total *= table.size
+    return kept // total
 
 
 def _class_masks(cls: np.ndarray, m: int) -> np.ndarray:
@@ -89,15 +129,17 @@ class ClassRows:
     the class w = h (mod |d|).  There (w - h) / |d| = q - h // |d| with
     q = w // |d|, so h_m modulo a power modulus f is e_m * q + r, where
     r = (h - e_m * (h // |d|)) % f depends on the row alone.  Each (position,
-    modulus) therefore packs f row patterns, one per r, over the inner array
+    modulus) therefore has f row patterns, one per r, over the inner array
     sorted by class, each the OR of the masks of the columns with q = u
-    (mod f) for the u that the factor table admits; the rows of one class
-    in a block of ROW_BLOCK are the AND of one pattern gather per (position,
-    modulus), and a factor table that marks every residue is left out.  The
-    sign rule and the half scan's (w - h) / d >= 0 are bounds on q: the
-    block's widest bounds cut the class's columns before the gathers, and
-    each row's own bounds cut the unpacked cells.  Precondition: every
-    |h_m| < INT64_SAFE.
+    (mod f) for the u that the factor table admits.  A factor table that
+    marks every residue is left out; the others are packed by group of
+    _CLASS_GROUPS, a coprime pair f1, f2 as f1 * f2 patterns whose row r is
+    the AND of row r % f1 and row r % f2 of its factors'.  The rows of one
+    class in a block are the AND of one pattern gather per (position,
+    group).  The sign rule and the half scan's (w - h) / d >= 0 are bounds
+    on q: the block's widest bounds cut the class's columns before the
+    gathers, and each row's own bounds cut the unpacked cells.
+    Precondition: every |h_m| < INT64_SAFE.
     """
 
     def __init__(self, inner, d: int, derived):
@@ -107,31 +149,45 @@ class ClassRows:
         self.w = inner[np.argsort(inner % self.step, kind="stable")]
         self.q = self.w // self.step
         self.starts = np.searchsorted(self.w % self.step, np.arange(self.step + 1)).tolist()
+        # A row scans its class's columns and keeps those every factor table admits.
+        cells = _kept_cells(self.w.size // self.step, (
+            _factor_table(l, f, etas) for _, l, etas in derived for g in _CLASS_GROUPS for f in g))
+        self.block = _block_rows(-(-self.w.size // 64), cells, CLASS_BLOCK_WORDS)
         signed = [e for e, l, etas in derived if l % 2 == 0 and min(etas) > 0]
         self.rising, self.falling = [e for e in signed if e > 0], [-e for e in signed if e < 0]
-        masks = {f: _class_masks(self.q % f, f) for f in _POWER_MODULI}
+        masks = {f: _class_masks(self.q % f, f) for group in _CLASS_GROUPS for f in group}
         self.positions = []
         for e, l, etas in derived:
-            factors = []
-            for f in _POWER_MODULI:
-                table = _factor_table(l, f, etas)
-                if not table.all():
-                    # Row r of the patterns marks the columns with q = u (mod f)
-                    # where table[(e * u + r) % f] holds.
+            groups = []
+            for group in _CLASS_GROUPS:
+                live = [f for f in group if not _factor_table(l, f, etas).all()]
+                if not live:
+                    continue
+                r, patterns = np.arange(math.prod(live)), None
+                for f in live:
+                    # Row r of f's patterns marks the columns with q = u (mod f)
+                    # where the table holds at (e * u + r) % f.
                     u = np.arange(f)
-                    factors.append((f, _class_patterns(table[(e * u + u[:, None]) % f], masks[f])))
-            if factors:
-                self.positions.append((e, factors))
+                    table = _factor_table(l, f, etas)[(e * u + u[:, None]) % f]
+                    part = _class_patterns(table, masks[f])[r % f]  # a gather, so a new array
+                    if patterns is None:
+                        patterns = part
+                    else:
+                        patterns &= part
+                groups.append((r.size, patterns))
+            if groups:
+                self.positions.append((e, groups))
         if not self.positions:  # every table marks every residue: one row of ones
             self.positions.append((0, [(1, _class_masks(self.q % 1, 1))]))
 
     def cells(self, outer, half: bool = False):
-        """Per block of ROW_BLOCK outer values h, the (h, w) int64 arrays of
-        the pairs that pass, in row-major order: h in the order given, then w
-        ascending; with half, only those with (w - h) / d >= 0."""
+        """Per block of self.block outer values h, (h, w, n): the int64
+        arrays of the pairs that pass, in row-major order (h in the order
+        given, then w ascending; with half, only those with (w - h) / d >= 0),
+        and the number n of outer values the block took."""
         outer = np.asarray(outer, dtype=np.int64)
-        for start in range(0, outer.size, ROW_BLOCK):
-            h = outer[start:start + ROW_BLOCK]
+        for start in range(0, outer.size, self.block):
+            h = outer[start:start + self.block]
             qh, c = np.divmod(h, self.step)
             # Per row, floor <= q <= ceil: h + e * (q - qh) >= 0 is
             # q >= qh - h // e for e > 0 and q <= qh + h // -e for e < 0.
@@ -156,13 +212,13 @@ class ClassRows:
                 if first >= last:
                     continue
                 span, words = slice(first // 64, -(-last // 64)), None
-                for e, factors in self.positions:
+                for e, groups in self.positions:
                     shift = h[at] - e * qh[at]
-                    for f, patterns in factors:
+                    for m, patterns in groups:
                         if words is None:
-                            words = patterns[shift % f, span]
+                            words = patterns[shift % m, span]
                         else:
-                            words &= patterns[shift % f, span]
+                            words &= patterns[shift % m, span]
                 row, col = _set_cells(words)
                 row, col = at[row], col + 64 * span.start
                 q = self.q[col]
@@ -171,7 +227,7 @@ class ClassRows:
                 cols.append(col[keep])
             row = np.concatenate(rows)
             order = np.argsort(row, kind="stable")
-            yield h[row[order]], self.w[np.concatenate(cols)[order]]
+            yield h[row[order]], self.w[np.concatenate(cols)[order]], h.size
 
 
 @lru_cache(maxsize=128)
@@ -191,22 +247,25 @@ class BoxRows:
     Each table is packed once into m row patterns of 64-bit words, from the
     masks of the columns with col = u (mod m): bit j of word k of pattern
     row % m is its entry at col = cols[64 k + j], and the padding bits are
-    zero.  A block of ROW_BLOCK rows is the AND of one row gather per
-    modulus, and only the nonzero bytes of its nonzero words are unpacked.
-    With no table every cell passes.
+    zero.  A block of self.block rows (`_block_rows` of the pattern width
+    and the cells a row keeps, its columns times the share of cells every
+    table marks) is the AND of one row gather per modulus, and only the nonzero bytes of
+    its nonzero words are unpacked.  With no table every cell passes.
     """
 
     def __init__(self, tables, rows: range, cols: range):
         self.rows, self.lo = rows, cols.start
+        cells = _kept_cells(len(cols), (table for _, table in tables))
+        self.block = _block_rows(-(-len(cols) // 64), cells, BLOCK_WORDS)
         self.patterns = [(m, _class_patterns(table, _column_masks(cols.start, cols.stop, m)))
                          for m, table in tables] or [(1, _column_masks(cols.start, cols.stop, 1))]
 
     def cells(self):
-        """Per block of ROW_BLOCK rows, the (row, col) int64 arrays of the
+        """Per block of self.block rows, the (row, col) int64 arrays of the
         cells that pass every modulus, in row-major order: row, then col,
         ascending."""
-        for start in range(self.rows.start, self.rows.stop, ROW_BLOCK):
-            row = np.arange(start, min(start + ROW_BLOCK, self.rows.stop), dtype=np.int64)
+        for start in range(self.rows.start, self.rows.stop, self.block):
+            row = np.arange(start, min(start + self.block, self.rows.stop), dtype=np.int64)
             (m, pattern), *rest = self.patterns
             words = pattern[row % m]  # a gather, so a new array
             for m, pattern in rest:

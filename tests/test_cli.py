@@ -175,6 +175,20 @@ def test_cli_import_pauses_the_collector_and_restores_it(enabled):
     assert proc.stdout.split() == [str(enabled), "True", "False", "0"]
 
 
+def test_cli_import_leaves_searcher_and_genus_out():
+    # Only the commands that call them import them, so verify-lemma, which
+    # calls neither, starts without them.
+    code = ("import contextlib, io, sys, apforge.cli\n"
+            "loaded = [m for m in ('apforge.searcher', 'apforge.genus') if m in sys.modules]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = apforge.cli.main(['verify-lemma', '--bound', '5'])\n"
+            "print(code, loaded, [m for m in ('apforge.searcher', 'apforge.genus') "
+            "if m in sys.modules])")
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 [] []"
+
+
 def test_module_entry_freezes_the_start_up_heap():
     proc = _python("-c", _MODULE_ENTRY, "genus", "--chi", "2", "2", "2")
     assert proc.returncode == 0, proc.stderr

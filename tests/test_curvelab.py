@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from apforge import curves
+from apforge import curves, sieve
 from apforge.corpus import corpus_path, load_corpus
 from apforge.curvelab import (CheckResult, DerivationMismatch, NoRepresentation,
                               derive_case, descent_sample_pairs,
@@ -281,11 +281,14 @@ def test_rational_points_pinned_inventories():
     assert rational_points_search(ell, 1000) == ([], 1)
 
 
-def test_point_sieve_matches_unfiltered_scan():
+def test_point_sieve_matches_unfiltered_scan(monkeypatch):
     curves = [c.curve for c in CORPUS.cases]
     curves = [c for c in curves if isinstance(c, (HyperCurve, EllipticModel))]
     assert any(isinstance(c, EllipticModel) for c in curves)
-    for height in (40, ROW_BLOCK + 9):  # the second spans two row blocks
+    # Blocks at the ROW_BLOCK floor of the block rule, so the second height
+    # spans two blocks (at the word cap the box would need height 725).
+    monkeypatch.setattr(sieve, "BLOCK_WORDS", 0)
+    for height in (40, ROW_BLOCK + 9):
         for curve in curves:
             coeffs, _v = integral_model(curve.f)
             want = []
@@ -339,12 +342,14 @@ def _points_by_fractions(f: UniPoly, height: int):
 @example(_cubic_squared(2, [0, -3, 1, 2]), ROW_BLOCK + 1)
 def test_point_search_matches_coprime_fraction_scan(coeffs, height):
     # The search reads only the model's f, so f = c G^2, which no HyperCurve
-    # admits, goes in as a bare model.  The explicit example spans two row
-    # blocks: 2 G^2 with G = x (x - 1) (2x + 3) is zero down the r = 0
-    # column and at every multiple of (1, 1) and (-3, 2), and nowhere else
-    # a square.
+    # admits, goes in as a bare model.  With blocks at the ROW_BLOCK floor of
+    # the block rule, the explicit example spans two blocks: 2 G^2 with
+    # G = x (x - 1) (2x + 3) is zero down the r = 0 column and at every
+    # multiple of (1, 1) and (-3, 2), and nowhere else a square.
     f = UniPoly(coeffs)
-    pts, infinity = rational_points_search(SimpleNamespace(f=f), height)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sieve, "BLOCK_WORDS", 0)
+        pts, infinity = rational_points_search(SimpleNamespace(f=f), height)
     assert pts == _points_by_fractions(f, height)
     lead = int(f.lead())
     assert infinity == (1 if f.degree % 2 else 2 if lead > 0 and math.isqrt(lead) ** 2 == lead
@@ -373,6 +378,22 @@ def test_integral_model_scale_vs_brute_force():
     coeffs, v = integral_model(UniPoly([Fraction(1, 1000003), 0, 0, 0, 0, 1]))
     assert time.perf_counter() - t0 < 0.5
     assert v == 1000003 and coeffs == (1000003, 0, 0, 0, 0, 1000003**2, 0)
+
+
+def test_reduction_reads_one_integral_model_per_curve(monkeypatch):
+    # Every prime's reduction check reads the curve's model, built on the
+    # first: the integral model of f and the discriminant of its integer
+    # coefficients.
+    built = []
+    monkeypatch.setattr(curves, "integral_model", lambda f: built.append(f) or integral_model(f))
+    curve = HyperCurve("fresh", UniPoly([Fraction(1, 12), 0, 3, 0, 0, Fraction(5, 4)]))
+    for p in (7, 11, 13, 17):
+        coeffs, deg = good_reduction_data(curve, p)
+        assert count_points(curve, p) > 0
+    with pytest.raises(BadReduction):
+        good_reduction_data(curve, 5)  # 5 divides the discriminant
+    assert built == [curve.f]
+    assert curve.model == (coeffs, 6, discriminant(coeffs).numerator) and deg == 5
 
 
 def test_rational_points_monotone_in_height():

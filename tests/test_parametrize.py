@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from apforge import parametrize
+from apforge import parametrize, sieve
 from apforge.corpus import corpus_path, load_corpus
 from apforge.exactmath import form_eval, int_kth_root
 from apforge.parametrize import (IntegralityViolation, TernarySolution,
@@ -237,9 +237,11 @@ def test_enumeration_with_untabulated_m_matches_fraction_oracle():
 
 
 # Bounds 63, 64, 65 put the last column one bit short of a word edge, on it
-# and one past; 191, 192, 193 do the same for the rows and a ROW_BLOCK.  The
-# oracle runs once, at the largest bound: its solutions up to a smaller
-# bound are those with a, b within it, in the same row-major order.
+# and one past; with blocks at the ROW_BLOCK floor of the block rule (at the
+# word cap they would take 4096 rows or more), 191, 192, 193 do the same for
+# the rows and a block.  The oracle runs once, at the largest bound: its
+# solutions up to a smaller bound are those with a, b within it, in the
+# same row-major order.
 _ENUMERATION_BOUNDS = (0, 1, 63, 64, 65, 191, 192, 193)
 
 
@@ -252,9 +254,11 @@ def test_sieved_enumeration_matches_fraction_oracle_on_random_equations(ca, cb, 
     fam = dataclasses.replace(FAMILIES["ii"], id="random", coef_a=Fraction(ca),
                               coef_b=Fraction(cb), rhs_mult=Fraction(m), power=k)
     want = fraction_enumerate(fam, max(_ENUMERATION_BOUNDS))
-    for bound in _ENUMERATION_BOUNDS:
-        got = _enumerate_solutions(fam, bound)
-        assert got == [s for s in want if s.a <= bound and s.b <= bound], bound
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sieve, "BLOCK_WORDS", 0)
+        for bound in _ENUMERATION_BOUNDS:
+            got = _enumerate_solutions(fam, bound)
+            assert got == [s for s in want if s.a <= bound and s.b <= bound], bound
 
 
 @pytest.mark.parametrize("fid", sorted(FAMILIES))

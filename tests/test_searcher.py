@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from apforge import searcher
+from apforge import searcher, sieve
 from apforge.searcher import (Progression, ResourceLimitError,
                               _eta_candidates,
                               remark_family_terms, search_cubic_twin,
@@ -156,10 +156,12 @@ def test_head_start_hands_the_rest_to_the_pool(search, args, kwargs, use_sieve, 
     # A fake clock reads 0 ns for `early` readings, then POOL_AFTER_S.  The
     # first reading sets the deadline; a scan reads it once before it starts
     # and once after each row block (each outer value without the sieve).
-    # So at early = 1 the pool gets every scan, and at 2 the head start ends
-    # after the first block of the first scan: inside it, except for the
-    # sieved theorem3 scans, which are one block each.  At 5 the sieved
-    # theorem3 head start ends after two scans.
+    # Blocks are held at the ROW_BLOCK floor of the block rule, which splits
+    # the eta-73 scan.  So at early = 1 the pool gets every scan, and at 2
+    # the head start ends after the first block of the first scan: inside
+    # it, except for the sieved theorem3 scans, which are one block each.
+    # At 5 the sieved theorem3 head start ends after two scans.
+    monkeypatch.setattr(sieve, "CLASS_BLOCK_WORDS", 0)
     want = _terms(search(*args, **kwargs, jobs=1))
     assert want and _terms(search(*args, **kwargs, use_sieve=False, jobs=1)) == want
     readings = iter(range(10**9))
@@ -184,9 +186,11 @@ def test_head_start_hands_the_rest_to_the_pool(search, args, kwargs, use_sieve, 
 def test_head_start_stops_before_a_block_past_the_deadline(block_ns, left_at, monkeypatch,
                                                           serial_pool):
     # A fake clock advances block_ns per reading, so each of the two row
-    # blocks of the one eta-73 scan seems to take block_ns: the head start
-    # ends before the block that would run past POOL_AFTER_S, and no
-    # reading inside it is past the deadline, set by the first reading.
+    # blocks of the one eta-73 scan, at the ROW_BLOCK floor of the block
+    # rule, seems to take block_ns: the head start ends before the block
+    # that would run past POOL_AFTER_S, and no reading inside it is past the
+    # deadline, set by the first reading.
+    monkeypatch.setattr(sieve, "CLASS_BLOCK_WORDS", 0)
     want = _terms(search_general(4, 2, 60, S=(73,), jobs=1))
     readings = []
 
@@ -202,6 +206,27 @@ def test_head_start_stops_before_a_block_past_the_deadline(block_ns, left_at, mo
         assert serial_pool.sizes == []
     else:
         assert serial_pool.sizes == [2] and serial_pool.chunks[0].outer_slice[0] == left_at
+
+
+def _vector_task(lvec, bound_of, etas_of, gcd_cap):
+    return searcher._VectorTask(lvec=lvec, bounds=tuple(map(bound_of, lvec)),
+                                etas=tuple(map(etas_of, lvec)), gcd_cap=gcd_cap, use_sieve=True)
+
+
+def test_scan_without_a_deadline_finishes_every_task():
+    # Without a deadline a scan takes every outer value, counting what each
+    # block took: the grid's scans with two cubes or more run in blocks of
+    # 1536 outer values, and the eta-73 scan at bound 200 in blocks of 712
+    # of its 801 (more than ROW_BLOCK each).  Counting ROW_BLOCK per block would
+    # leave rows that a --jobs 1 search hands to a pool.
+    tasks = [_vector_task(v, lambda l: 10**4 if l == 2 else 10**3, lambda l: (1,), 1)
+             for v in product((2, 3), repeat=4)]
+    eta73 = _eta_candidates((73,), 2, searcher.ETA_CAP)
+    tasks.append(_vector_task((2, 2, 2, 2), lambda l: 200, lambda l: eta73, 1))
+    for task in tasks:
+        hits, rest = searcher._scan_vector(task)
+        assert rest is None, task.lvec
+    assert searcher._scan_vector(tasks[-1])[0]  # (1, 25, 49, 73) and its kin
 
 
 def test_cli_import_leaves_process_pool_out():
@@ -415,9 +440,9 @@ def test_flush_inside_a_sieve_block_matches_oracle(search, args, kwargs, monkeyp
         return exact_stage(task, cands, i, j, hs, ws)
 
     def counted_cells(rows, outer, half=False):
-        for hs, ws in cells(rows, outer, half=half):
+        for hs, ws, used in cells(rows, outer, half=half):
             yielded.append(hs.size)
-            yield hs, ws
+            yield hs, ws, used
 
     monkeypatch.setattr(searcher, "_exact_stage", spy)
     monkeypatch.setattr(searcher.ClassRows, "cells", counted_cells)

@@ -4,6 +4,7 @@ powers, the packed row patterns and the set-bit unpacking against plain
 references, and the row kernels of the progression scan and the point
 search against plain references."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -13,12 +14,24 @@ from hypothesis import example, given, settings, strategies as st
 from apforge import sieve
 from apforge.exactmath import int_kth_root
 from apforge.searcher import _eta_candidates
-from apforge.sieve import CRT_FACTORS, ROW_BLOCK, ClassRows, SquareRows, _set_cells
+from apforge.sieve import CRT_FACTORS, ROW_BLOCK, ClassRows, SquareRows, _block_rows, _set_cells
 from power_rule import maybe_power
 
 # The moduli maybe_power and ClassRows test a power against: the CRT factors
-# of 720720, then 17 and 19.
+# of 720720, then 17 and 19; ClassRows packs the factors in coprime pairs.
 POWER_MODULI = (16, 9, 5, 7, 11, 13, 17, 19)
+CLASS_GROUPS = ((16, 9), (5, 7), (11, 13), (17,), (19,))
+
+
+@contextlib.contextmanager
+def _floor_blocks():
+    """Every packed kernel built inside takes ROW_BLOCK rows a block, the
+    floor of `_block_rows`: the block edges of a wide box at real
+    constants are past what a Python-int reference can afford."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sieve, "BLOCK_WORDS", 0)
+        patch.setattr(sieve, "CLASS_BLOCK_WORDS", 0)
+        yield
 
 
 def _factor_residues(l, f, etas):
@@ -44,24 +57,28 @@ def test_power_table_is_and_of_factor_tables(l):
 
 
 def test_power_moduli_are_one_tuple(monkeypatch):
-    # CRT_FACTORS stays the six coprime factors of 720720; maybe_power and
-    # ClassRows both read the one tuple that follows them with 17 and 19, and
-    # the point search lists each of its 16 moduli once.
+    # CRT_FACTORS stays the six coprime factors of 720720; maybe_power reads
+    # the one tuple that follows them with 17 and 19, ClassRows the same
+    # moduli in coprime groups, and the point search lists each of its 16
+    # moduli once.
     assert math.prod(CRT_FACTORS) == 720720 and math.lcm(*CRT_FACTORS) == 720720
     assert sieve._POWER_MODULI == POWER_MODULI
+    assert sieve._CLASS_GROUPS == CLASS_GROUPS
+    assert all(math.prod(g) == math.lcm(*g) for g in CLASS_GROUPS)
     moduli = [m for m, _ in SquareRows([1, 0, 0, 0, 0, 0, 1], 1).patterns]
     assert len(moduli) == len(set(moduli)) == 16
 
     def class_rows_moduli():
         # Squares miss some residue of every modulus, so none is left out.
-        (_, factors), = ClassRows(np.arange(50), 1, [(1, 2, (1,))]).positions
-        return [f for f, _ in factors]
+        (_, groups), = ClassRows(np.arange(50), 1, [(1, 2, (1,))]).positions
+        return [m for m, _ in groups]
 
     r = np.arange(5 * 17 * 19)
-    assert class_rows_moduli() == list(POWER_MODULI)
+    assert class_rows_moduli() == [144, 35, 143, 17, 19]
     for moduli in ((17,), (19, 16)):
+        monkeypatch.setattr(sieve, "_CLASS_GROUPS", (moduli,))
+        assert class_rows_moduli() == [math.prod(moduli)]
         monkeypatch.setattr(sieve, "_POWER_MODULI", moduli)
-        assert class_rows_moduli() == list(moduli)
         want = np.logical_and.reduce([_factor_residues(2, f, (1,))[r % f] for f in moduli])
         assert np.array_equal(maybe_power(r, 2), want)
 
@@ -109,14 +126,21 @@ def test_maybe_power_passes_every_twisted_power(combos):
 _ETAS = [(1,), (2, 3), (-1,), (1, -1), (1, -1, 73, -73), (-2, 5)]
 
 
-def _class_rows_want(inner, d, derived, h, half):
-    keep = (inner - h) % d == 0
-    n = (inner - h) // abs(d)  # exact on every cell keep holds
-    for e, l, etas in derived:
-        keep &= maybe_power(h + e * n, l, etas)
-    if half:
-        keep &= (inner - h) // d >= 0
-    return inner[keep]
+def _class_rows_want_pairs(inner, d, derived, rows, half=False):
+    """The (h, w) pairs the reference keeps, row-major: h in the order given,
+    then w ascending (inner is sorted); 1024 rows at a time."""
+    pairs = []
+    for start in range(0, len(rows), 1024):
+        h = np.array(rows[start:start + 1024], dtype=np.int64).reshape(-1, 1)
+        keep = (inner - h) % d == 0
+        n = (inner - h) // abs(d)  # exact on every cell keep holds
+        for e, l, etas in derived:
+            keep &= maybe_power(h + e * n, l, etas)
+        if half:
+            keep &= (inner - h) // d >= 0
+        at, col = np.nonzero(keep)
+        pairs += zip(h[at, 0].tolist(), inner[col].tolist())
+    return pairs
 
 
 @st.composite
@@ -135,32 +159,42 @@ def _class_rows_case(draw):
 
 def _class_rows_pairs(kernel, rows, half=False):
     """kernel.cells(rows, half) as one row-major list of (h, w) pairs; each
-    block is int64 and holds only pairs of its own ROW_BLOCK rows."""
+    block takes the next kernel.block rows (fewer at the end), is int64,
+    reports the number of rows it took and holds only pairs of its own
+    rows."""
     blocks = list(kernel.cells(np.array(rows, dtype=np.int64), half=half))
-    assert len(blocks) == -(-len(rows) // ROW_BLOCK)
+    block = kernel.block
+    assert len(blocks) == -(-len(rows) // block)
     got = []
-    for b, (hs, ws) in enumerate(blocks):
-        assert hs.dtype == ws.dtype == np.int64
-        assert set(hs.tolist()) <= set(rows[b * ROW_BLOCK:(b + 1) * ROW_BLOCK])
+    for b, (hs, ws, n) in enumerate(blocks):
+        own = rows[b * block:(b + 1) * block]
+        assert hs.dtype == ws.dtype == np.int64 and n == len(own)
+        assert np.isin(hs, own).all()
         got += zip(hs.tolist(), ws.tolist())
     return got
 
 
-def _class_rows_want_pairs(inner, d, derived, rows, half=False):
-    return [(h, w) for h in rows for w in _class_rows_want(inner, d, derived, h, half).tolist()]
-
-
 # Explicit cases: inner sizes 63, 64, 65 and 129 end a row of patterns one
 # bit short of a word edge, on one, and one bit past the first and the
-# second; outer sizes
-# ROW_BLOCK - 1, ROW_BLOCK + 1 and 2 ROW_BLOCK + 3 are one, two and three
-# blocks, unsorted and with repeats.  The twists of S = {2, 3} mark every
-# residue, so their position keeps every cell of the class.
+# second.  The outer sizes, unsorted and with repeats, end one row short of
+# one block, one past it and three past two blocks, on each bound of
+# `_block_rows`: the cell cap (about 64, 65 and 7 cells a row: blocks of
+# 1024, 1008 and 9362 rows), the word cap (2 and 3 words a row: 24 576 and
+# 16 384 rows) and the ROW_BLOCK floor (400 cells a row).  The twists of
+# S = {2, 3} mark every residue, so their position keeps every cell of the
+# class; the twists (1, -1, 73, -73) of squares mark every residue mod 5, so
+# 7 is left alone in its pair, as 7 and 13 are for every cube.
 _EVERY_RESIDUE = _eta_candidates((2, 3), 2, 10**6)
+_PLUS_MINUS_73 = (1, -1, 73, -73)
 
 
 def _edge_case(inner_size, outer_size, d, derived):
+    """The case's outer size is an int, or (k, t) for k blocks of the
+    kernel's plus t."""
     inner = np.arange(inner_size, dtype=np.int64) * 7 - 200
+    if isinstance(outer_size, tuple):
+        k, t = outer_size
+        outer_size = k * ClassRows(inner, d, derived).block + t
     rows = [(37 * t) % 101 * 5 - 250 for t in range(outer_size)]
     return inner, d, derived, rows
 
@@ -168,12 +202,16 @@ def _edge_case(inner_size, outer_size, d, derived):
 @settings(max_examples=300, deadline=None)
 @given(_class_rows_case(), st.booleans())
 @example(_edge_case(63, 5, 1, [(2, 2, _EVERY_RESIDUE)]), False)
-@example(_edge_case(64, 7, -2, [(1, 2, (1, -1, 73, -73)), (-1, 2, _EVERY_RESIDUE)]), True)
+@example(_edge_case(64, 7, -2, [(1, 2, _PLUS_MINUS_73), (-1, 2, _EVERY_RESIDUE)]), True)
 @example(_edge_case(65, 9, 3, [(-1, 3, (1,)), (2, 2, _EVERY_RESIDUE)]), False)
 @example(_edge_case(129, 11, -3, [(2, 2, _EVERY_RESIDUE), (1, 3, (1, -1))]), True)
-@example(_edge_case(129, ROW_BLOCK - 1, 2, [(1, 2, _EVERY_RESIDUE)]), False)
-@example(_edge_case(65, ROW_BLOCK + 1, -1, [(-2, 2, _EVERY_RESIDUE)]), True)
-@example(_edge_case(64, 2 * ROW_BLOCK + 3, 3, [(1, 2, (1, -1, 73, -73))]), False)
+@example(_edge_case(129, (1, -1), 2, [(1, 2, _EVERY_RESIDUE)]), False)
+@example(_edge_case(65, (1, 1), -1, [(-2, 2, _EVERY_RESIDUE)]), True)
+@example(_edge_case(64, (2, 3), 3, [(1, 2, _PLUS_MINUS_73)]), False)
+@example(_edge_case(65, (1, 1), 1, [(1, 2, (1,)), (2, 3, (1,))]), True)
+@example(_edge_case(129, (1, -1), -2, [(1, 3, (1, -1))]), False)
+@example(_edge_case(400, (1, 1), 1, [(2, 2, _EVERY_RESIDUE)]), True)
+@example(_edge_case(400, (2, 3), -1, [(1, 2, _EVERY_RESIDUE)]), False)
 def test_class_rows_survivors_match_reference(case, half):
     inner, d, derived, rows = case
     got = _class_rows_pairs(ClassRows(inner, d, derived), rows, half)
@@ -217,10 +255,12 @@ def test_class_rows_sign_cut_edges():
 
 
 # ClassRows' row patterns against a column gather: row r of the patterns of
-# (position e, modulus f) has column c set when the factor table holds at
-# (e * q_c + r) % f, q_c = w_c // |d|, packed little-endian with zero
-# padding; a position whose tables all mark every residue is left out, and
-# with none left one all-ones row stands in.
+# (position e, group g) has column c set when the factor table of every
+# modulus f of g holds at (e * q_c + r) % f, q_c = w_c // |d|, packed
+# little-endian with zero padding, for r below the product of g's moduli; a
+# modulus whose table marks every residue is left out of its group, a group
+# with none left and a position with no group are left out, and with none
+# left one all-ones row stands in.
 def _packed(bits):
     padded = np.zeros((bits.shape[0], -(-bits.shape[1] // 64) * 64), dtype=bool)
     padded[:, :bits.shape[1]] = bits
@@ -230,23 +270,26 @@ def _packed(bits):
 def _gathered_patterns(q, derived):
     positions = []
     for e, l, etas in derived:
-        factors = []
-        for f in POWER_MODULI:
-            table = _factor_residues(l, f, etas)
-            if not table.all():
-                factors.append((f, _packed(table[(e * q + np.arange(f)[:, None]) % f])))
-        if factors:
-            positions.append((e, factors))
+        groups = []
+        for group in CLASS_GROUPS:
+            live = [f for f in group if not _factor_residues(l, f, etas).all()]
+            if live:
+                r = np.arange(math.prod(live))[:, None]
+                bits = np.logical_and.reduce([_factor_residues(l, f, etas)[(e * q + r) % f]
+                                              for f in live])
+                groups.append((r.size, _packed(bits)))
+        if groups:
+            positions.append((e, groups))
     return positions or [(0, [(1, _packed(np.ones((1, q.size), dtype=bool)))])]
 
 
 def _assert_patterns_match(inner, d, derived):
     kernel = ClassRows(inner, d, derived)
     want = _gathered_patterns(kernel.q, derived)
-    assert [(e, [f for f, _ in fs]) for e, fs in kernel.positions] == \
-        [(e, [f for f, _ in fs]) for e, fs in want]
-    for (_, got_factors), (_, want_factors) in zip(kernel.positions, want):
-        for (_, got), (_, bits) in zip(got_factors, want_factors):
+    assert [(e, [m for m, _ in gs]) for e, gs in kernel.positions] == \
+        [(e, [m for m, _ in gs]) for e, gs in want]
+    for (_, got_groups), (_, want_groups) in zip(kernel.positions, want):
+        for (_, got), (_, bits) in zip(got_groups, want_groups):
             assert got.dtype == np.dtype("<u8") and np.array_equal(got, bits)
 
 
@@ -263,10 +306,13 @@ def test_class_rows_patterns_match_column_gather(inner, d, derived):
 @pytest.mark.parametrize("d", [1, -2, 3])
 def test_class_rows_patterns_at_word_edges(size, d):
     # e = 2 against f = 16 and e = 3 against f = 9 share a factor with the
-    # modulus, so e * u mod f misses residues; the twists of S = {2, 3} mark
-    # every residue, alone and beside a position that keeps its tables.
+    # modulus, so e * u mod f misses residues; the twists (1, -1, 73, -73)
+    # leave 7 alone in its pair, for squares and cubes, and 13 for cubes;
+    # the twists of S = {2, 3} mark every residue, alone and beside a
+    # position that keeps its tables.
     inner = np.arange(size, dtype=np.int64) * 7 - 200
     for derived in ([(2, 2, (1,))], [(3, 3, (1,))], [(2, 4, (1, -1)), (-3, 3, (2, 3))],
+                    [(1, 2, _PLUS_MINUS_73), (2, 3, _PLUS_MINUS_73)],
                     [(1, 2, _EVERY_RESIDUE)], [(2, 2, _EVERY_RESIDUE), (3, 3, (1,))]):
         _assert_patterns_match(inner, d, derived)
 
@@ -308,9 +354,9 @@ def _square_of_cubic(g):
 
 
 # Explicit heights: a row of r spans 2 height + 1 bits, never whole words,
-# and 31 and 32 leave 1 and 63 padding bits; ROW_BLOCK + 1 and
-# 2 ROW_BLOCK + 3 span two and three row blocks.  With F = G^2 every cell
-# is kept, so a stray padding bit would show.
+# and 31 and 32 leave 1 and 63 padding bits; with blocks at the ROW_BLOCK
+# floor, ROW_BLOCK + 1 and 2 ROW_BLOCK + 3 span two and three blocks.  With
+# F = G^2 every cell is kept, so a stray padding bit would show.
 _EXAMPLE_SEXTIC = [-7, 11, 0, 5, -9344, 2, 13]
 _EXAMPLE_SQUARE = _square_of_cubic([3, -1, 0, 2])
 
@@ -331,12 +377,14 @@ def test_square_rows_survivors_match_reference(coeffs6, height):
     # square F(r, s) is kept (F = G^2 makes every value one).
     moduli = (16, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
     squares = {m: {x * x % m for x in range(m)} for m in moduli}
-    blocks = list(SquareRows(coeffs6, height).cells())
-    assert len(blocks) == -(-height // ROW_BLOCK)
+    with _floor_blocks():
+        kernel = SquareRows(coeffs6, height)
+    blocks, block = list(kernel.cells()), kernel.block
+    assert block == ROW_BLOCK and len(blocks) == -(-height // block)
     got = []
     for b, (s_cells, r_cells) in enumerate(blocks):
         assert s_cells.dtype == r_cells.dtype == np.int64
-        assert all(b * ROW_BLOCK < s <= (b + 1) * ROW_BLOCK for s in s_cells.tolist())
+        assert all(b * block < s <= (b + 1) * block for s in s_cells.tolist())
         got += zip(s_cells.tolist(), r_cells.tolist())
     values = {(s, r): sum(c * r**i * s ** (6 - i) for i, c in enumerate(coeffs6))
               for s in range(1, height + 1) for r in range(-height, height + 1)}
@@ -352,17 +400,18 @@ def test_square_rows_survivors_match_reference(coeffs6, height):
 # power modulus f is kept and the cells are exactly those where M | v and
 # the quotient's residues pass (its sign is not sieved: q mod the product of
 # the moduli has q's residues and is non-negative).  Explicit bounds: 62, 63
-# and 64 end the columns one bit short of a word, on it and one past it; 190,
-# 191 and 192 end the rows one short of a ROW_BLOCK, on it and one past.
+# and 64 end the columns one bit short of a word, on it and one past it;
+# with blocks at the ROW_BLOCK floor, 190, 191 and 192 end the rows one
+# short of a block, on it and one past.
 def _ternary_cells(kernel, bound):
     """kernel.cells() as one list of (a, b) pairs; each block is int64 and
-    holds only cells of its own ROW_BLOCK rows."""
-    blocks = list(kernel.cells())
-    assert len(blocks) == -(-(bound + 1) // ROW_BLOCK)
+    holds only cells of its own kernel.block rows."""
+    blocks, block = list(kernel.cells()), kernel.block
+    assert len(blocks) == -(-(bound + 1) // block)
     got = []
     for n, (a, b) in enumerate(blocks):
         assert a.dtype == b.dtype == np.int64
-        assert all(n * ROW_BLOCK <= x < (n + 1) * ROW_BLOCK for x in a.tolist())
+        assert all(n * block <= x < (n + 1) * block for x in a.tolist())
         got += zip(a.tolist(), b.tolist())
     return got
 
@@ -386,7 +435,9 @@ _TERNARY = st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 12),
 @example((-7, 3, 12, 4), 192)
 def test_ternary_rows_drop_only_cells_the_old_grid_drops(equation, bound):
     ca, cb, m, k = equation
-    got = _ternary_cells(sieve.TernaryRows(ca, cb, m, k, bound), bound)
+    with _floor_blocks():
+        kernel = sieve.TernaryRows(ca, cb, m, k, bound)
+    got = _ternary_cells(kernel, bound)
     assert got == sorted(got) and len(set(got)) == len(got)  # row-major, each cell once
     v, old = _old_grid_rule(ca, cb, m, k, bound)
     kept = np.zeros(v.shape, dtype=bool)
@@ -403,3 +454,51 @@ def test_ternary_rows_past_the_table_cap_keep_every_cell(m):
     assert m > sieve._TERNARY_CAP
     got = _ternary_cells(sieve.TernaryRows(3, -5, m, 2, 64), 64)
     assert got == [(a, b) for a in range(65) for b in range(65)]
+
+
+def test_blocks_grow_to_the_word_and_cell_caps():
+    # A block takes ROW_BLOCK rows, or more while it stays within its
+    # kernel's word cap and BLOCK_CELLS cells, a row keeping its columns
+    # times the share of residues every table admits.  In ClassRows 2001
+    # cubes (a cube position at bound 1000, 32 words a row) take 1536 rows,
+    # so 2 blocks, and 10 001 squares (157 words) 313.  The 4001 values of a
+    # square position with the twists of S = {73} at bound 1000 are 63
+    # words, but a row keeps about 463 cells of them: ROW_BLOCK.  The point
+    # search at height 1000 (2001 columns) runs in 2 blocks of BoxRows, and
+    # the cover grid at bound 200 in 1.
+    assert (ROW_BLOCK, sieve.BLOCK_WORDS, sieve.CLASS_BLOCK_WORDS, sieve.BLOCK_CELLS) == \
+        (192, 16384, 49152, 65536)
+    assert [_block_rows(w, 0, 16384) for w in (0, 1, 2, 3, 32, 85, 86, 157)] == \
+        [16384, 16384, 8192, 5461, 512, 192, 192, 192]
+    assert [_block_rows(1, c, 16384) for c in (0, 1, 4, 5, 300, 1000)] == \
+        [16384, 16384, 16384, 13107, 218, 192]
+    cubes = np.arange(-1000, 1001, dtype=np.int64) ** 3
+    kernel = ClassRows(cubes, 1, [(1, 3, (1,)), (2, 3, (1,))])
+    assert kernel.block == 1536
+    assert [n for _, _, n in kernel.cells(cubes)] == [1536, 465]
+    assert ClassRows(np.arange(10001) ** 2, 1, [(1, 2, (1,))]).block == 313
+    eta73 = _eta_candidates((73,), 2, 10**6)
+    twisted = np.unique(np.multiply.outer(eta73, np.arange(1001) ** 2))
+    assert twisted.size == 4001
+    assert ClassRows(twisted, 1, [(2, 2, eta73), (3, 2, eta73)]).block == ROW_BLOCK
+    sextic = [1, 0, -3, 2, 0, 5, 1]
+    assert SquareRows(sextic, 1000).block == 512
+    assert len(list(SquareRows(sextic, 1000).cells())) == 2
+    assert len(list(sieve.TernaryRows(1, 1, 2, 3, 200).cells())) == 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SquareRows([1, 0, -3, 2, 0, 5, 1], 1000),
+    lambda: sieve.TernaryRows(1, 1, 2, 3, 1024),  # 1025 rows of 17 words: 963 rows a block
+    lambda: sieve.TernaryRows(-7, 3, 12, 4, 1499),  # 1500 rows of 24 words: 682 rows a block
+], ids=["points-1000", "cover-1024", "cover-1499"])
+def test_box_cells_do_not_depend_on_the_block(build):
+    # Blocks at the caps and at the ROW_BLOCK floor give the same cells.
+    kernel = build()
+    with _floor_blocks():
+        floor = build()
+    assert floor.block == ROW_BLOCK < kernel.block
+    assert len(list(kernel.cells())) > 1
+    for got, want in zip(map(np.concatenate, zip(*kernel.cells())),
+                         map(np.concatenate, zip(*floor.cells()))):
+        assert np.array_equal(got, want)
