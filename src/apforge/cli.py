@@ -383,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--case", help="case id or exponent string, e.g. 3232")
     p.add_argument("--height", type=_positive_int, default=None,
                    help="override rational point search height")
-    p.add_argument("--local-primes", type=_positive_int, default=None,
+    p.add_argument("--local-primes", type=_int_at_least(2), default=None,
                    help="override the local solvability prime bound")
     p.set_defaults(fn=cmd_cases)
 

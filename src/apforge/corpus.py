@@ -8,22 +8,22 @@ load, into the type and shape the key needs.  Exact numbers are decimal
 strings parsed to Fraction: one (``divisor``, ``curve_divisor`` and
 ``rhs_mult`` nonzero), a non-empty list (a curve's ``rhs``), two, or (x, y)
 pairs (``affine``); ``value`` is an integer string, parsed to int; counts and
-bounds are JSON ints >= 1 (``branch`` and ``infinity`` >= 0); ``p`` is an odd
-prime, ``primes`` and ``s_unit`` non-empty lists of odd and of any primes;
-``expect`` and ``real`` are booleans; ``shape`` is ``unipoly`` (or, in a
-factorization, ``form``); names and prose stay strings; family branches
-become Branch records.  A fact's ``field`` becomes its NumberField; there a
-field element is written as its coordinates in the power basis, and the keys
-in `_IN_FIELD` hold FieldElems (or lists of them).  The file is an object
-whose ``families`` and ``cases`` are lists of objects, as are a case's
-``facts``; no two families or cases share an id.  A wrong type or shape, an
-unknown name, a repeated id, or a missing or undeclared key (of the file, a
-family, a case or one of its records) is a ValueError naming the case or
-family (by index, as ``cases[3]``, when it has no id), the key and the value;
-so is a curve its constructor refuses, a fact whose check reads another
-kind of curve than the case's, or a Jacobian prime at which the curve has
-bad reduction.  This module builds every curve model: each case's curve once,
-from its kind's row of `_CURVES`, and the EllipticModel of each ec_* fact's
+bounds are JSON ints >= 1 (``primes_upto`` >= 2, ``branch`` and ``infinity``
+>= 0); ``p`` is an odd prime, ``primes`` and ``s_unit`` non-empty lists of
+odd and of any primes; ``expect`` and ``real`` are booleans; ``shape`` is
+``unipoly`` (or, in a factorization, ``form``); names and prose stay strings;
+family branches become Branch records.  A fact's ``field`` becomes its
+NumberField; there a field element is written as its coordinates in the power
+basis, and the keys in `_IN_FIELD` hold FieldElems (or lists of them).  The
+file is an object whose ``families`` and ``cases`` are lists of objects, as
+are a case's ``facts``; no two families or cases share an id.  A wrong type or
+shape, an unknown name, a repeated id, or a missing or undeclared key (of the
+file, a family, a case or one of its records) is a ValueError naming the case
+or family (by index, as ``cases[3]``, when it has no id), the key and the
+value; so is a curve its constructor refuses, a fact whose check reads another
+kind of curve than the case's, or a Jacobian prime at which the curve has bad
+reduction.  This module builds every curve model: each case's curve once, from
+its kind's row of `_CURVES`, and the EllipticModel of each ec_* fact's
 ``rhs``, which must be a squarefree cubic.
 Case derivations resolve to branches of the same file's families: one corpus
 feeds a run.
@@ -239,8 +239,9 @@ _TYPES = {
                                                 _number)),
     "affine": _is(lambda v: type(v) is list and all(_flat(xy, 2) for xy in v),
                   "a list of (x, y) pairs", _number),
-    **dict.fromkeys(("power", "z_mult", "z_power", "height", "primes_upto", "divisible_by",
-                     "scan"), _is(lambda v: type(v) is int and v >= 1, "a positive integer")),
+    **dict.fromkeys(("power", "z_mult", "z_power", "height", "divisible_by", "scan"),
+                    _is(lambda v: type(v) is int and v >= 1, "a positive integer")),
+    "primes_upto": _is(lambda v: type(v) is int and v >= 2, "an integer >= 2"),
     **dict.fromkeys(("branch", "infinity"),
                     _is(lambda v: type(v) is int and v >= 0, "a non-negative integer")),
     "p": _is(lambda v: _prime(v, 3), "an odd prime"),

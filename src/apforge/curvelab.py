@@ -80,15 +80,6 @@ def eq7_descent_step(x1: int, x3: int):
     raise NoRepresentation(f"no (s, u, v) decomposition for ({x1}, {x3})")
 
 
-def eq7_s3_blocks_progression(x1: int, x3: int, u: int, v: int) -> bool:
-    """Mod-9 obstruction: with s = 3 the would-be leading term 2*x1^3 - x2^2
-    is congruent to +-2 mod 9, never a cube, so no progression extends the
-    pair.  (Cubes mod 9 are 0, +-1; 3 | x1 is barred by coprimality.)"""
-    x2sq = 9 * u * u * v * v
-    lead = 2 * x1**3 - x2sq
-    return lead % 9 in (2, 7) and x1 % 3 != 0
-
-
 def mod4_progression_impossible() -> bool:
     """No residue tuple mod 8 supports a square, cube, cube, square
     progression with an even inner base and coprime leading pair."""

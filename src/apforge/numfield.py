@@ -6,12 +6,14 @@ place (`NumberField.reduce`) by `poly_divmod` modulo the (monic, rational)
 minimal polynomial; inverses come from `exactmath.poly_xgcd` against it and
 powers use `exactmath.power`.  Norms are resultants along the same Euclidean
 remainder sequence, the field discriminant is `exactmath.discriminant` of the
-minimal polynomial, and S-unit tests run on norms.  Squareness is decided by
-one scan over small unramified primes: a modular non-residue refutes it, and
-at a split prime a square root is Hensel-lifted p-adically, rationally
-reconstructed and verified exactly.  Every evaluation mod p or p^n (roots of
-the minimal polynomial, the scan, the Newton lifts) is `exactmath.horner`.
-No floating point is used anywhere.
+minimal polynomial, and S-unit tests run on norms (`padic.valuation`).
+Squareness is decided by one scan over small unramified primes: a value that
+is not a square in Q_p (`padic.is_square_qp`) refutes it, and at a split
+prime a square root is lifted by `padic.hensel_lift`, rebuilt by
+`padic.rational_reconstruct` and verified exactly.  This module keeps only
+what reads the field: the roots of the minimal polynomial mod p and the
+interpolation of the lifted roots.  Every evaluation mod p or p^n is
+`exactmath.horner`.  No floating point is used anywhere.
 
 No ring-of-integers or ideal machinery: the handful of fields used here are
 fixed corpus data, one row of `FIELDS` each, and everything checkable reduces
@@ -20,7 +22,6 @@ to exact identities.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -29,10 +30,7 @@ import numpy as np
 
 from .exactmath import (UniPoly, as_coeff, discriminant, horner, poly_divmod, poly_xgcd,
                         power, primes_upto, uni_resultant)
-
-
-class Undecided(Exception):
-    """Squareness could not be verified or refuted within configured bounds."""
+from .padic import Undecided, frac_mod, hensel_lift, is_square_qp, rational_reconstruct, valuation
 
 
 class NumberField:
@@ -205,13 +203,10 @@ def nf_is_s_unit(a: FieldElem, s_primes: Iterable[int]) -> bool:
     if not a:
         raise ValueError("zero element is not an S-unit")
     nm = nf_norm(a)
-    for n in (abs(nm.numerator), nm.denominator):
-        for p in s_primes:
-            while n % p == 0:
-                n //= p
-        if n != 1:
-            return False
-    return True
+    n = abs(nm.numerator) * nm.denominator  # coprime, so both factor iff n does
+    for p in s_primes:
+        n //= p ** valuation(n, p)
+    return n == 1
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +238,12 @@ def nf_is_square(a: FieldElem):
         if roots is None:
             continue
         try:
-            coords = [_frac_mod(c, p) for c in a.coords]
+            coords = [frac_mod(c, p) for c in a.coords]
         except ZeroDivisionError:
             continue  # p divides a denominator of a
         checked += 1
         values = [horner(coords, r, p) for r in roots]
-        if any(v and pow(v, (p - 1) // 2, p) == p - 1 for v in values):
+        if not all(is_square_qp(v, p) for v in values):
             return None
         if split is None and len(roots) == field.degree and all(values):
             split = (p, roots, values)
@@ -266,9 +261,9 @@ def _roots_mod(field: NumberField, p: int):
     """Roots of the minimal polynomial mod p; None when p divides the
     discriminant or a denominator of the minimal polynomial."""
     try:
-        if _frac_mod(field.discriminant, p) == 0:
+        if frac_mod(field.discriminant, p) == 0:
             return None
-        m = [_frac_mod(c, p) for c in field.minpoly.coeffs]
+        m = [frac_mod(c, p) for c in field.minpoly.coeffs]
     except ZeroDivisionError:
         return None
     return np.flatnonzero(horner(m, np.arange(p, dtype=np.int64), p) == 0).tolist()
@@ -287,12 +282,11 @@ def _root_at_split_prime(a: FieldElem, p: int, roots, values, prec: int):
     field = a.field
     n = (2 * prec + 1) // (p.bit_length() - 1) + 1  # p^n > 2^(2*prec+1)
     mod = p**n
-    steps = n.bit_length()
-    m = [_frac_mod(c, mod) for c in field.minpoly.coeffs]
-    lifted = [_newton_lift(m, r, mod, steps) for r in roots]
-    acoords = [_frac_mod(c, mod) for c in a.coords]
-    sqrts = [_newton_lift([-horner(acoords, r, mod), 0, 1],
-                          next(s for s in range(1, p) if s * s % p == v), mod, steps)
+    m = [frac_mod(c, mod) for c in field.minpoly.coeffs]
+    lifted = [hensel_lift(m, r, p, n) for r in roots]
+    acoords = [frac_mod(c, mod) for c in a.coords]
+    sqrts = [hensel_lift([-horner(acoords, r, mod), 0, 1],
+                         next(s for s in range(1, p) if s * s % p == v), p, n)
              for r, v in zip(lifted, values)]
     # Lagrange basis: basis[i] has value 1 at lifted[i] and 0 at the others.
     basis = []
@@ -306,42 +300,13 @@ def _root_at_split_prime(a: FieldElem, p: int, roots, values, prec: int):
         basis.append([c * inv % mod for c in poly])
     for pattern in range(1 << (len(roots) - 1)):  # the last sign stays +
         signed = [-s if pattern >> i & 1 else s for i, s in enumerate(sqrts)]
-        coords = [_rational_reconstruct(sum(s * row[k] for s, row in zip(signed, basis)) % mod,
-                                        mod) for k in range(field.degree)]
+        coords = [rational_reconstruct(sum(s * row[k] for s, row in zip(signed, basis)) % mod,
+                                       mod) for k in range(field.degree)]
         if None not in coords:
             b = FieldElem(field, coords)
             if b * b == a:
                 return b
     return None
-
-
-def _newton_lift(coeffs_ascending, x: int, mod: int, steps: int) -> int:
-    """Lift a simple root x mod p of the polynomial to a root mod p^n;
-    each Newton step doubles the p-adic digits, so steps >= log2(n)."""
-    deriv = [i * c for i, c in enumerate(coeffs_ascending)][1:]
-    for _ in range(steps):
-        fx = horner(coeffs_ascending, x, mod)
-        x = (x - fx * pow(horner(deriv, x, mod), -1, mod)) % mod
-    return x
-
-
-def _rational_reconstruct(c: int, mod: int):
-    """The fraction u/v == c mod `mod` with |u|, v <= sqrt(mod/2), or None."""
-    bound = math.isqrt(mod // 2)
-    r0, r1, t0, t1 = mod, c, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    if not t1 or abs(t1) > bound:
-        return None
-    return Fraction(r1, t1)
-
-
-def _frac_mod(q: Fraction, mod: int) -> int:
-    den = q.denominator % mod
-    if math.gcd(den, mod) != 1:
-        raise ZeroDivisionError
-    return (q.numerator % mod) * pow(den, -1, mod) % mod
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ in (r, s), x = r/s.  Per block of rows, `sieve.SquareRows` gives the cells
 (s, r) where the sextic may be a square (its moduli stay in `apforge.sieve`);
 one `np.gcd` keeps the cells with gcd(r, s) = 1, each x once in lowest terms,
 and each of those is confirmed with exact integer square roots.  Local
-solvability at p lifts residues of y^2 = c*g(x) through Z_p with a bounded
-depth and raises Undecided when the budget runs out.
+solvability at p asks `padic.zp_solvable` on y^2 = c*g(x) and on the chart
+at infinity, with a lifting depth set by the discriminant; the Sturm chain
+decides the real place.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from .curves import EllipticModel, integral_model
-from .exactmath import UniPoly, discriminant, horner, poly_divmod, rat_kth_root, square_split
-from .numfield import Undecided
+from .exactmath import UniPoly, discriminant, poly_divmod, rat_kth_root
+from .padic import squarefree_part, substitute, valuation, zp_solvable
 from .sieve import SquareRows
 
 
@@ -81,13 +82,11 @@ def locally_solvable(curve, p: int) -> bool:
     coeffs, _v = integral_model(f)
     content = math.gcd(*coeffs)
     g = [c // content for c in coeffs]
-    c0 = _squarefree_part(content)
-    disc = int(discriminant(tuple(g)))
-    depth = 2 * _valuation(disc, p) + 3
-    if _zp_solvable(g, p, c0, depth):
-        return True
-    rev = list(reversed(g))
-    return _zp_branch(rev, p, c0, 0, depth)
+    c0 = squarefree_part(content)
+    depth = 2 * valuation(int(discriminant(tuple(g))), p) + 3
+    # x in Z_p, or x = 1/(p*t) on the chart at infinity
+    return (zp_solvable(g, c0, p, depth)
+            or zp_solvable(*substitute(g[::-1], c0, p, 0), p, depth))
 
 
 def locally_solvable_real(curve) -> bool:
@@ -96,62 +95,6 @@ def locally_solvable_real(curve) -> bool:
     if f.degree % 2 or f.lead() > 0 or f.eval(Fraction(0)) >= 0:
         return True
     return _sturm_real_root_count(f) > 0
-
-
-def _valuation(n: int, p: int) -> int:
-    if n == 0:
-        return 0
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def _squarefree_part(n: int) -> int:
-    """The squarefree s, sign included, with n = s * t^2; n != 0."""
-    return square_split(n)[0] if n > 0 else -square_split(-n)[0]
-
-
-def _is_square_in_qp(v: int, p: int) -> bool:
-    if v == 0:
-        return True
-    w = _valuation(v, p)
-    if w % 2 == 1:
-        return False
-    u = v // p**w
-    if p == 2:
-        return u % 8 == 1
-    return pow(u % p, (p - 1) // 2, p) == 1
-
-
-def _zp_solvable(g, p: int, c: int, depth: int) -> bool:
-    """Does y^2 = c*g(x) have a point with x in Z_p?  g integral, primitive."""
-    if depth < 0:
-        raise Undecided(f"local solvability lifting budget exhausted at {p}")
-    span = 8 if p == 2 else p
-    for x in range(span):
-        if _is_square_in_qp(c * horner(g, x), p):
-            return True
-    for z in range(p):
-        if horner(g, z, p) == 0:
-            if _zp_branch(g, p, c, z, depth - 1):
-                return True
-    return False
-
-
-def _zp_branch(g, p: int, c: int, z: int, depth: int) -> bool:
-    """Restrict to x = z + p*t and recurse on t in Z_p."""
-    if depth < 0:
-        raise Undecided(f"local solvability lifting budget exhausted at {p}")
-    # The coefficients of g(z + p*t) as a polynomial in t.
-    g1 = [int(cc) for cc in horner([UniPoly([cc]) for cc in g], UniPoly([z, p])).coeffs]
-    content = math.gcd(*g1)
-    if content == 0:
-        return True  # identically zero: y = 0 works
-    g1 = [cc // content for cc in g1]
-    c1 = _squarefree_part(c * content)
-    return _zp_solvable(g1, p, c1, depth)
 
 
 def _sturm_real_root_count(f: UniPoly) -> int:

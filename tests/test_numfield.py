@@ -127,6 +127,8 @@ def test_s_unit_on_norms():
     assert nf_is_s_unit(b, [])
     c = Q2.element([5, 2])  # norm 25 - 8 = 17
     assert not nf_is_s_unit(c, [2, 3])
+    d = Q2.element([Fraction(1, 3), 0])  # norm 1/9: the primes are read once
+    assert nf_is_s_unit(d, iter([2, 3])) and not nf_is_s_unit(d, iter([2]))
     with pytest.raises(ValueError):
         nf_is_s_unit(Q2.zero, [2])
 
