@@ -389,9 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("genus", help="genus classification")
     p.add_argument("--k", type=int, choices=(3, 4, 5), default=4)
-    p.add_argument("--l", type=_int_at_least(2), nargs="*")
-    p.add_argument("--scan-L", type=_int_at_least(2), default=0)
-    p.add_argument("--chi", type=_int_at_least(2), nargs=3)
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--l", type=_int_at_least(2), nargs="*")
+    which.add_argument("--scan-L", type=_int_at_least(2), default=0)
+    which.add_argument("--chi", type=_int_at_least(2), nargs=3)
     p.set_defaults(fn=cmd_genus)
     return parser
 

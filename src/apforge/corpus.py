@@ -20,11 +20,11 @@ are a case's ``facts``; no two families or cases share an id.  A wrong type or
 shape, an unknown name, a repeated id, or a missing or undeclared key (of the
 file, a family, a case or one of its records) is a ValueError naming the case
 or family (by index, as ``cases[3]``, when it has no id), the key and the
-value; so is a curve its constructor refuses, a fact whose check reads another
-kind of curve than the case's, or a Jacobian prime at which the curve has bad
-reduction.  This module builds every curve model: each case's curve once, from
-its kind's row of `_CURVES`, and the EllipticModel of each ec_* fact's
-``rhs``, which must be a squarefree cubic.
+value; so is a curve its constructor refuses, or a fact whose check reads
+another kind of curve than the case's or reduces it at a prime of bad
+reduction (its kind's `curvelab.FACT_KINDS` row says which).  This module
+builds every curve model: each case's curve once, from its kind's row of
+`_CURVES`, and the EllipticModel of each ec_* fact's ``rhs``, a squarefree cubic.
 Case derivations resolve to branches of the same file's families: one corpus
 feeds a run.
 """
@@ -342,15 +342,6 @@ _CURVES = {
         ("label", "form", "z_mult", "z_power"), ()),
 }
 
-# fact kind -> the curve kinds its check can read; the other kinds read no curve
-_CURVE_KINDS = {**dict.fromkeys(("jacobian_order", "torsion_gcd"), ("genus2",)),
-                **dict.fromkeys(("rational_points", "local_solvability"), ("genus2", "elliptic")),
-                **dict.fromkeys(("form_value", "involution"), ("superelliptic_form",))}
-
-# fact kind -> key of the primes its check reduces the curve at
-_REDUCED_AT = {"jacobian_order": "p", "torsion_gcd": "primes"}
-
-
 def _curve(rec: dict, facts) -> object:
     """The curve of a parsed curve record, of a kind every fact's check
     reads, and checked at every prime one of the facts reduces it at; a
@@ -359,13 +350,12 @@ def _curve(rec: dict, facts) -> object:
         curve = _CURVES[rec["kind"]][0](rec)
     except ValueError as exc:
         raise ValueError(f"curve: {exc}") from None
-    for fact in facts:
-        kinds = _CURVE_KINDS.get(fact["kind"])
-        if kinds and rec["kind"] not in kinds:
-            raise ValueError(f"{fact['kind']} fact needs a {' or '.join(kinds)} curve")
-    for fact in (f for f in facts if f["kind"] in _REDUCED_AT):
-        key = _REDUCED_AT[fact["kind"]]
-        for p in fact[key] if key == "primes" else [fact[key]]:
+    rows = [(fact, FACT_KINDS[fact["kind"]]) for fact in facts]
+    for fact, row in rows:
+        if row.curves and rec["kind"] not in row.curves:
+            raise ValueError(f"{fact['kind']} fact needs a {' or '.join(row.curves)} curve")
+    for fact, key in ((fact, row.reduces_at) for fact, row in rows if row.reduces_at):
+        for p in fact[key] if type(fact[key]) is list else [fact[key]]:
             try:
                 good_reduction_data(curve, p)
             except BadReduction as exc:
@@ -393,11 +383,11 @@ def _parse_records(rec: dict) -> list:
         if not isinstance(name, str) or name not in known:
             raise ValueError(f"unknown {what} {name!r}")
     curve_keys, deriv_keys = _CURVES[curve["kind"]][1:]
-    deriv_keys += RECIPES[deriv["recipe"]] + MAPS.get(deriv.get("map"), ())
+    deriv_keys += RECIPES[deriv["recipe"]][1] + (MAPS[deriv["map"]][1] if "map" in deriv else ())
     records = [("curve", curve, curve_keys, ("kind",)),
                ("derivation", deriv, deriv_keys, ("recipe",))]
-    records += [(f"{fact['kind']} fact", fact, FACT_KINDS[fact["kind"]][0],
-                 FACT_KINDS[fact["kind"]][1] + ("kind",)) for fact in facts]
+    records += [(f"{fact['kind']} fact", fact, FACT_KINDS[fact["kind"]].keys,
+                 FACT_KINDS[fact["kind"]].optional + ("kind",)) for fact in facts]
     for what, record, keys, optional in records:
         _check_keys(what, record, keys, optional)
     return [_record(what, record) for what, record, _, _ in records]

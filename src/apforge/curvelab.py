@@ -1,12 +1,13 @@
 """Case layer: each corpus case's derivation and its typed fact checks.
 
 A case names a recipe that re-derives its binary sextic from a family
-branch, a map that dehomogenizes the sextic to the recorded curve, and a
-list of facts.  Each recipe, map and fact kind declares the corpus keys it
-reads (`RECIPES`, `MAPS`, `FACT_KINDS`), for the loader to check records
-against; `run_case` turns the derivation and every fact into CheckResult
-records.  The checks read only what `apforge.corpus` built at load: the
-case's curve, field elements and elliptic models.
+branch, a map that dehomogenizes the sextic to the recorded curve (none for
+a superelliptic form), and a list of facts.  Each recipe, map and fact kind
+is one row (`RECIPES`, `MAPS`, `FACT_KINDS`) of its function and the corpus
+keys, curve kinds and reduction primes it reads, which the loader checks
+records against; `run_case` turns the derivation and every fact into
+CheckResult records.  The checks read only what `apforge.corpus` built at
+load: the case's curve, field elements and elliptic models.
 The curve, point and genus layers below this one are `apforge.curves`,
 `apforge.points` and `apforge.genus`.
 """
@@ -16,9 +17,9 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
-from .curves import EllipticModel, SuperellipticForm, jacobian_order, torsion_gcd_bound
+from .curves import EllipticModel, jacobian_order, torsion_gcd_bound
 from .curves import count_points  # noqa: F401; perfbench/traced.py finds it here to wrap it
 from .exactmath import (BinaryForm, UniPoly, form_eval, int_kth_root, primes_upto,
                         rat_kth_root, uni_resultant)
@@ -172,8 +173,8 @@ def _eq7_combo(rec, br, cid):
 
 
 # recipe -> ((derivation, family branch, case id) -> binary sextic,
-#            required derivation keys)
-_RECIPES = {
+#            required derivation keys); the loader checks records against the keys
+RECIPES = {
     "square_combo": (_square_combo, ("family", "branch", "coef_a", "coef_b", "divisor",
                                      "expected_sextic")),
     "cube_pair_product": (_cube_pair_product, ("factor1", "factor2", "y_mult",
@@ -190,12 +191,8 @@ def _even_powers(cid, cs):
 
 # map -> ((case id, sextic coefficients, j-th at x^(6-j) y^j) -> ascending
 #         coefficients in x, required derivation keys)
-_MAPS = {"x_over_y": (lambda cid, cs: cs[::-1], ("curve_divisor",)),
-         "even_powers": (_even_powers, ("curve_divisor",))}
-
-# name -> required keys, for the corpus loader to check each record against
-RECIPES = {recipe: keys for recipe, (_, keys) in _RECIPES.items()}
-MAPS = {name: keys for name, (_, keys) in _MAPS.items()}
+MAPS = {"x_over_y": (lambda cid, cs: cs[::-1], ("curve_divisor",)),
+        "even_powers": (_even_powers, ("curve_divisor",))}
 
 
 def derive_case(case):
@@ -205,18 +202,18 @@ def derive_case(case):
     intermediate or the final model differs from the recorded polynomials.
     """
     rec = case.derivation
-    sextic = _RECIPES[rec["recipe"]][0](rec, case.derivation_branch, case.id)
+    sextic = RECIPES[rec["recipe"]][0](rec, case.derivation_branch, case.id)
     expected_key = "expected_form" if "expected_form" in rec else "expected_sextic"
     expected = BinaryForm(rec[expected_key])
     if sextic != expected:
         raise DerivationMismatch(_coeff_diff(case.id, sextic, expected))
     target = case.curve
-    if isinstance(target, SuperellipticForm):
+    if "map" not in rec:  # a superelliptic form; the loader gives every other curve a map
         if sextic != target.form:
             raise DerivationMismatch(_coeff_diff(case.id, sextic, target.form))
         return target
     divisor = rec["curve_divisor"]
-    mapped = UniPoly([c / divisor for c in _MAPS[rec["map"]][0](case.id, sextic.coeffs)])
+    mapped = UniPoly([c / divisor for c in MAPS[rec["map"]][0](case.id, sextic.coeffs)])
     if mapped != target.f:
         raise DerivationMismatch(
             f"{case.id}: mapped curve {list(mapped.coeffs)} differs from "
@@ -308,8 +305,11 @@ def _check_cube_class_value(case, fact):
 
 
 def _check_form_value(case, fact):
-    got = form_eval(case.curve.form, *fact["at"])
-    return got == fact["equals"], str(got)
+    """F(at) is the recorded value, which is z_mult * z^z_power for a rational z."""
+    form = case.curve
+    got = form_eval(form.form, *fact["at"])
+    ok = got == fact["equals"] and rat_kth_root(got / form.z_mult, form.z_power) is not None
+    return ok, str(got)
 
 
 def _check_involution(case, fact):
@@ -338,53 +338,62 @@ def _check_descent_s1(case, fact):
     return True, f"s = 1 for all {len(pairs)} progression-compatible pairs"
 
 
-# kind -> (expected(fact) -> str, check(case, fact) -> (ok, actual),
-#          required fact keys)
-_FACTS = {
-    "jacobian_order": (lambda f: f"#J(F_{f['p']}) = {f['value']}",
-                       _check_jacobian_order, ("p", "value")),
-    "torsion_gcd": (lambda f: f"gcd of orders = {f['value']}", _check_torsion_gcd,
-                    ("primes", "value")),
-    "rational_points": (lambda f: f"affine {[(str(x), str(y)) for x, y in f['affine']]}, "
-                                  f"infinity {f['infinity']} at height {f['height']}",
-                        _check_rational_points, ("height", "affine", "infinity")),
-    "local_solvability": (lambda f: f"Q_p points for all p <= {f['primes_upto']} "
-                                    "and real points",
-                          _check_local_solvability, ("primes_upto", "expect", "real")),
+class FactKind(NamedTuple):
+    """A fact kind's row: what the loader and `run_case` read of the kind."""
+
+    expected: Callable  # fact -> the record's expected string
+    check: Optional[Callable]  # (case, fact) -> (ok, actual); None: a claim no check tests
+    keys: tuple  # the keys a fact must hold
+    optional: tuple = ()  # the keys it may add
+    curves: tuple = ()  # the curve kinds the check reads; none: it reads no curve
+    reduces_at: Optional[str] = None  # the key of the primes it reduces the curve at
+
+
+# kind -> its row; the loader checks each fact against its kind's row
+FACT_KINDS = {
+    "jacobian_order": FactKind(lambda f: f"#J(F_{f['p']}) = {f['value']}", _check_jacobian_order,
+                               ("p", "value"), curves=("genus2",), reduces_at="p"),
+    "torsion_gcd": FactKind(lambda f: f"gcd of orders = {f['value']}", _check_torsion_gcd,
+                            ("primes", "value"), ("divisible_by",),
+                            curves=("genus2",), reduces_at="primes"),
+    "rational_points": FactKind(
+        lambda f: f"affine {[(str(x), str(y)) for x, y in f['affine']]}, "
+                  f"infinity {f['infinity']} at height {f['height']}",
+        _check_rational_points, ("height", "affine", "infinity"), curves=("genus2", "elliptic")),
+    "local_solvability": FactKind(
+        lambda f: f"Q_p points for all p <= {f['primes_upto']} and real points",
+        _check_local_solvability, ("primes_upto", "expect", "real"),
+        curves=("genus2", "elliptic")),
     # The S-unit test runs on the rational norm, which is weaker than a
     # place-by-place valuation check; flagged here so reports say so.
-    "factorization": (lambda f: "factorization and resultant class (norm-level S-unit test)",
-                      _check_factorization,
-                      ("field", "shape", "factors", "product", "resultant")),
-    "value_identity": (lambda f: "value identity over the field", _check_value,
-                       ("field", "poly", "at", "equals")),
-    "value_square": (lambda f: "value equals the recorded square", _check_value,
-                     ("field", "poly", "at", "root")),
-    "ec_point": (lambda f: "point satisfies the Weierstrass equation", _check_ec_point,
-                 ("field", "rhs", "x")),
-    "ec_two_torsion": (lambda f: "rhs vanishes at every 2-torsion abscissa",
-                       _check_ec_two_torsion, ("field", "rhs", "xs")),
-    "ec_square_x": (lambda f: "rhs is a square at every listed abscissa", _check_ec_square_x,
-                    ("field", "rhs", "xs")),
-    "cube_class_value": (lambda f: "value falls in the recorded cube class",
-                         _check_cube_class_value, ("field", "poly", "at", "delta", "z")),
-    "form_value": (lambda f: f"form value {f['equals']} at {tuple(str(t) for t in f['at'])}",
-                   _check_form_value, ("at", "equals")),
-    "involution": (lambda f: f"f(({f['sub'][0]})x+({f['sub'][1]})y, ...) = {f['factor']} f",
-                   _check_involution, ("sub", "factor")),
-    "mod4_progression": (lambda f: "square-cube-cube-square pattern dies mod 4",
-                         lambda case, f: (mod4_progression_impossible(),
-                                          "residue enumeration empty"), ()),
-    "descent_s1": (lambda f: "descent scale s = 1 on progression-compatible pairs",
-                   _check_descent_s1, ("scan",)),
+    "factorization": FactKind(
+        lambda f: "factorization and resultant class (norm-level S-unit test)",
+        _check_factorization, ("field", "shape", "factors", "product", "resultant")),
+    "value_identity": FactKind(lambda f: "value identity over the field", _check_value,
+                               ("field", "poly", "at", "equals"), ("shape",)),
+    "value_square": FactKind(lambda f: "value equals the recorded square", _check_value,
+                             ("field", "poly", "at", "root"), ("shape",)),
+    "ec_point": FactKind(lambda f: "point satisfies the Weierstrass equation",
+                         _check_ec_point, ("field", "rhs", "x"), ("y",)),
+    "ec_two_torsion": FactKind(lambda f: "rhs vanishes at every 2-torsion abscissa",
+                               _check_ec_two_torsion, ("field", "rhs", "xs")),
+    "ec_square_x": FactKind(lambda f: "rhs is a square at every listed abscissa",
+                            _check_ec_square_x, ("field", "rhs", "xs")),
+    "cube_class_value": FactKind(lambda f: "value falls in the recorded cube class",
+                                 _check_cube_class_value, ("field", "poly", "at", "delta", "z")),
+    "form_value": FactKind(
+        lambda f: f"form value {f['equals']} at {tuple(str(t) for t in f['at'])}",
+        _check_form_value, ("at", "equals"), curves=("superelliptic_form",)),
+    "involution": FactKind(
+        lambda f: f"f(({f['sub'][0]})x+({f['sub'][1]})y, ...) = {f['factor']} f",
+        _check_involution, ("sub", "factor"), ("solution_pairs",), curves=("superelliptic_form",)),
+    "mod4_progression": FactKind(lambda f: "square-cube-cube-square pattern dies mod 4",
+                                 lambda case, f: (mod4_progression_impossible(),
+                                                  "residue enumeration empty"), ()),
+    "descent_s1": FactKind(lambda f: "descent scale s = 1 on progression-compatible pairs",
+                           _check_descent_s1, ("scan",)),
+    "unchecked_claim": FactKind(lambda f: f["text"], None, ("text",)),
 }
-
-# kind -> keys a fact may add; FACT_KINDS gives the loader (required, optional) keys
-_OPTIONAL_KEYS = {"torsion_gcd": ("divisible_by",), "ec_point": ("y",),
-                  "involution": ("solution_pairs",), "value_identity": ("shape",),
-                  "value_square": ("shape",)}
-FACT_KINDS = {kind: (keys, _OPTIONAL_KEYS.get(kind, ())) for kind, (_, _, keys) in _FACTS.items()}
-FACT_KINDS["unchecked_claim"] = (("text",), ())
 
 
 def run_case(case, height: Optional[int] = None,
@@ -405,10 +414,10 @@ def run_case(case, height: Optional[int] = None,
                            run_derivation)]
     for idx, fact in enumerate(case.facts):
         rid = f"{case.id}:{fact['kind']}:{idx}"
-        if fact["kind"] == "unchecked_claim":
-            results.append(CheckResult(rid, "unchecked-claim", fact["text"], "not tested"))
+        kind = FACT_KINDS[fact["kind"]]
+        if kind.check is None:
+            results.append(CheckResult(rid, "unchecked-claim", kind.expected(fact), "not tested"))
             continue
         fact = {key: overrides.get(key, value) for key, value in fact.items()}
-        expected, check, _ = _FACTS[fact["kind"]]
-        results.append(timed_check(rid, expected(fact), lambda: check(case, fact)))
+        results.append(timed_check(rid, kind.expected(fact), lambda: kind.check(case, fact)))
     return results

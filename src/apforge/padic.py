@@ -21,7 +21,9 @@ class Undecided(Exception):
 
 
 def valuation(n: int, p: int) -> int:
-    """The exponent of p in n; 0 for n == 0."""
+    """The exponent of p in n; 0 for n == 0.  A p below 2 is a ValueError."""
+    if p < 2:
+        raise ValueError(f"valuation at p = {p}: p must be at least 2")
     v = 0
     while n and n % p == 0:
         n //= p

@@ -8,13 +8,12 @@ checked against a brute-force enumeration oracle.
 Evaluation and the cover check run on integer forms: each form's
 denominators are cleared once (a cached integer form over a common
 denominator D), so integrality is `value % D == 0`.  A form is evaluated by
-`exactmath.form_value`, at one (x, y) on Python ints and on a block of the
-parameter box on int64 arrays.  The brute-force grid of
-cA*a^2 + cB*b^2 comes from `sieve.TernaryRows`, the sound residue
-pre-filter (M may divide the value with a quotient that may be a k-th
-power), a block of a rows at a time; when M is squarefree one `np.gcd`
-per block keeps only the cells with gcd(a, b) = 1, and every kept cell is
-confirmed exactly with `divmod`, `int_kth_root` and `math.gcd` on Python
+`exactmath.form_value` on a block of the parameter box on int64 arrays.
+The brute-force grid of cA*a^2 + cB*b^2 comes from `sieve.TernaryRows`, the
+sound residue pre-filter (M may divide the value with a quotient that may be
+a k-th power), a block of a rows at a time; when M is squarefree one
+`np.gcd` per block keeps only the cells with gcd(a, b) = 1, and every kept
+cell is confirmed exactly with `divmod`, `int_kth_root` and `math.gcd` on Python
 ints.  Magnitudes are checked against `sieve.INT64_SAFE` (2^62) before any
 grid is built, so the int64 arrays never wrap: every Horner step of a form
 on the box is bounded by the sum of its |coefficients| times
@@ -47,10 +46,6 @@ def _clear(values) -> tuple:
     """(integers, D) with values[i] == integers[i] / D and D > 0 minimal."""
     den = math.lcm(*(Fraction(v).denominator for v in values))
     return tuple(int(v * den) for v in values), den
-
-
-class IntegralityViolation(Exception):
-    """Parameter parity outside the family's integrality domain."""
 
 
 @dataclass(frozen=True)
@@ -111,30 +106,6 @@ class CoverReport:
 def _int_equation(family: ParamFamily) -> tuple:
     """(cA, cB, M) scaled to integers; the equation is unchanged."""
     return _clear((family.coef_a, family.coef_b, family.rhs_mult))[0]
-
-
-def param_eval(family: ParamFamily, branch: int, sign_a: int, sign_b: int,
-               x: int, y: int) -> TernarySolution:
-    """Evaluate one branch at integer (x, y) with independent signs on a, b.
-
-    The sign of c is fixed by the identity (odd power) or by the positive
-    definite c-form (even power).
-    """
-    if sign_a not in (1, -1) or sign_b not in (1, -1):
-        raise ValueError("signs must be +1 or -1")
-    br = family.branches[branch]
-    if family.parity_rule == "x=y mod 2" and (x - y) % 2 != 0:
-        raise IntegralityViolation(
-            f"family {family.id} needs x = y (mod 2); got ({x}, {y})")
-    values = []
-    for coeffs, den in br.int_forms:
-        num = form_value(coeffs, x, y)
-        if num % den:
-            raise IntegralityViolation(
-                f"family {family.id} produced a non-integer at ({x}, {y})")
-        values.append(num // den)
-    a, b, c = values
-    return TernarySolution(a * sign_a, b * sign_b, c)
 
 
 def param_verify_identity(family: ParamFamily, branch: int) -> bool:

@@ -723,6 +723,20 @@ def test_search_modes_are_exclusive(capsys):
     assert "not allowed with argument --theorem3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--chi", "2", "3", "7", "--scan-L", "5"), "argument --scan-L: not allowed with argument --chi"),
+    (("--k", "4", "--l", "2", "2", "2", "2", "--scan-L", "3"),
+     "argument --scan-L: not allowed with argument --l"),
+], ids=["chi-scan-L", "l-scan-L"])
+def test_genus_modes_are_exclusive(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("genus", *argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: apforge genus") and message in captured.err
+    assert captured.out == ""
+
+
 def test_search_remark_families_flag_is_gone(capsys):
     # `cases` reports the same check as cases:remark-families.
     with pytest.raises(SystemExit) as exc:

@@ -21,12 +21,13 @@ NAME_KEYS = {"id", "equation", "parity_rule", "kind", "label", "text", "recipe",
 
 def test_every_declared_key_has_a_parser():
     # (fact kind or None, key, whether the record names a field)
-    declared = [(None, key, False) for keys in (("kind", "recipe"), *RECIPES.values(),
-                                                *MAPS.values()) for key in keys]
+    row_keys = [keys for _, keys in (*RECIPES.values(), *MAPS.values())]
+    declared = [(None, key, False) for keys in (("kind", "recipe"), *row_keys) for key in keys]
     declared += [(None, key, False) for _, curve_keys, deriv_keys in corpus._CURVES.values()
                  for key in curve_keys + deriv_keys]
     declared += [(None, f.name, False) for f in dataclasses.fields(ParamFamily)]
-    for kind, (required, optional) in FACT_KINDS.items():
+    for kind, row in FACT_KINDS.items():
+        required, optional = row.keys, row.optional
         claims = RESULTANT_CLAIMS if "resultant" in required else ()
         declared += [(kind, key, "field" in required)
                      for key in ("kind", *required, *optional, *claims)]
@@ -34,6 +35,15 @@ def test_every_declared_key_has_a_parser():
                if (kind, key) not in corpus._TYPES and key not in corpus._TYPES
                and not (in_field and key in corpus._IN_FIELD)]
     assert len(declared) > 50 and not missing, missing
+
+
+def test_fact_kind_rows_name_known_curves_and_keys():
+    # A row's curve kinds are the loader's, and the primes it reduces the
+    # curve at sit under one of the fact's required keys.
+    bad = [(kind, row.curves, row.reduces_at) for kind, row in FACT_KINDS.items()
+           if not set(row.curves) <= set(corpus._CURVES)
+           or row.reduces_at not in (None, *row.keys)]
+    assert FACT_KINDS and not bad, bad
 
 
 def string_leaves(node, path="", key=None):

@@ -497,6 +497,21 @@ def test_form_factorization_scale_claim(tmp_path, scale, status):
         assert rec.actual.startswith("scale^2 != resultant (") and "None" not in rec.actual
 
 
+def test_form_value_reads_the_z_relation(tmp_path):
+    """3323's values -128 = 2*(-4)^3 and 3456 = 2*12^3 fit F = z_mult * z^3
+    with z_mult 2; with z_mult 3 neither is 3 times a cube, so both fail."""
+    with open(corpus_path(), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    next(c for c in raw["cases"] if c["id"] == "3323")["curve"]["z_mult"] = 3
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    case = next(c for c in load_corpus(str(path)).cases if c.id == "3323")
+    records = [r for r in run_case(case) if ":form_value:" in r.id]
+    assert [r.status for r in records] == ["fail", "fail"], records
+    assert [r.actual for r in records] == ["-128", "3456"]
+    assert [r.status for r in run_case(CASES["3323"]) if ":form_value:" in r.id] == ["pass"] * 2
+
+
 def test_involution_of_sextic_form():
     form = BinaryForm([3, 18, 9, -148, -27, 162, -81])
     assert involution_check(form, 0, -3, 1, 0, -27)

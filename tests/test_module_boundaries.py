@@ -88,25 +88,28 @@ def test_corpus_values_are_built_at_load():
     assert SOURCES and not found, "\n".join(found)
 
 
-# No dead helpers: every private module-level function, class or constant is
-# read somewhere in the package outside its own definition.
-def _private_definitions(tree):
-    """(name, first line, last line) for each private module-level def,
-    class or assigned name; dunders are not private helpers."""
+# No dead helpers: every private module-level function, class or constant,
+# and every public module-level function or class, is read somewhere in the
+# package outside its own definition.  A helper only the tests call lives
+# under tests/, as `param_eval` in tests/param_rule.py.
+def _definitions(tree):
+    """(name, first line, last line, whether a def or class) for each
+    module-level def, class or assigned name."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names = [node.name]
+            names, is_def = [node.name], True
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            names, is_def = [t.id for t in targets if isinstance(t, ast.Name)], False
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, node.lineno, node.end_lineno
+            yield name, node.lineno, node.end_lineno, is_def
 
 
-def test_private_helpers_are_used():
+def _unread(wanted):
+    """(how many module-level definitions wanted(name, is_def) picks, the
+    ones among them that no source reads outside their own definition)."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
     uses = {}  # identifier -> [(file, line)] of every Name or Attribute
     for fname, tree in trees.items():
@@ -116,12 +119,25 @@ def test_private_helpers_are_used():
                 uses.setdefault(name, []).append((fname, node.lineno))
     defined, unused = 0, []
     for fname, tree in trees.items():
-        for name, first, last in _private_definitions(tree):
+        for name, first, last, is_def in _definitions(tree):
+            if not wanted(name, is_def):
+                continue
             defined += 1
             if not any(f != fname or not first <= line <= last
                        for f, line in uses.get(name, ())):
                 unused.append(f"{fname}:{first}: {name}")
+    return defined, unused
+
+
+def test_private_helpers_are_used():
+    # dunders are not private helpers
+    defined, unused = _unread(lambda name, is_def: _is_private(name))
     assert defined >= 100 and not unused, "\n".join(unused)
+
+
+def test_public_functions_and_classes_are_used():
+    defined, unused = _unread(lambda name, is_def: is_def and not name.startswith("_"))
+    assert defined >= 80 and not unused, "\n".join(unused)
 
 
 # Modules talk through public names: no source imports another apforge

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from apforge import padic
 from apforge.curves import HyperCurve
 from apforge.exactmath import UniPoly, horner
-from apforge.numfield import Undecided as NumfieldUndecided
+from apforge.numfield import Undecided as NumfieldUndecided, field_by_name, nf_is_s_unit
 from apforge.padic import (Undecided, frac_mod, hensel_lift, is_square_qp, rational_reconstruct,
                            valuation)
 from apforge.points import locally_solvable
@@ -22,6 +22,12 @@ def test_valuation():
     assert valuation(-81, 3) == 4
     assert valuation(7, 5) == 0
     assert valuation(0, 7) == 0
+    # p below 2 is refused: p = 1 would divide forever, p = -2 would count 2s
+    for p in (1, 0, -2):
+        with pytest.raises(ValueError):
+            valuation(8, p)
+    with pytest.raises(ValueError):
+        nf_is_s_unit(field_by_name("sqrt2").one * 8, [1])
 
 
 @pytest.mark.parametrize("v", [1, 17, -7, -15, 4, 68, 9 * 41])

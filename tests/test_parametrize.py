@@ -11,11 +11,11 @@ from hypothesis import example, given, settings, strategies as st
 from apforge import parametrize, sieve
 from apforge.corpus import corpus_path, load_corpus
 from apforge.exactmath import form_eval, int_kth_root
-from apforge.parametrize import (IntegralityViolation, TernarySolution,
-                                 _check_int64, _enumerate_solutions,
-                                 _parametrized_keys, cover_radius,
-                                 param_cover_check, param_eval,
+from apforge.parametrize import (TernarySolution, _check_int64, _enumerate_solutions,
+                                 _parametrized_keys, cover_radius, param_cover_check,
                                  param_verify_identity)
+
+from param_rule import IntegralityViolation, param_eval
 
 FAMILIES = {f.id: f for f in load_corpus().families}
 # Synthetic variants that reach paths the corpus never does: half-integral
