@@ -246,34 +246,38 @@ def cmd_cases(args, corpus) -> RunReport:
 def cmd_genus(args, corpus) -> RunReport:
     from . import genus
 
+    def classify(k, vec):
+        # The paper's statement: for k = 3 the chi trichotomy; for k = 4
+        # genus >= 2 unless every exponent is 2; for k = 5 always.
+        got = genus.rh_genus_bound(k, vec)
+        if k == 3:
+            at_least_2 = genus.chi_classify(*vec) == genus.GENUS_GT1
+        else:
+            at_least_2 = k == 5 or vec != (2, 2, 2, 2)
+        return (got == genus.GENUS_AT_LEAST_2) == at_least_2, got
+
     report = RunReport("genus", corpus.version, corpus.sha256)
     if args.chi:
-        r, s, t = args.chi
-        got = genus.chi_classify(r, s, t)
-        report.records.append(CheckResult(
-            f"genus:chi:{r},{s},{t}", "pass", "trichotomy on 1/r+1/s+1/t",
-            str(got)))
+        if args.k not in (None, 3):
+            print(f"error: --chi is the k = 3 trichotomy, not --k {args.k}", file=sys.stderr)
+            raise SystemExit(2)
+        vec = tuple(args.chi)
+        report.records.append(timed_check(
+            f"genus:chi:{','.join(map(str, vec))}", "trichotomy on 1/r+1/s+1/t",
+            lambda: (classify(3, vec)[0], genus.chi_classify(*vec))))
         return report
+    k = args.k or 4
     if args.scan_L:
-        vectors = product(range(2, args.scan_L + 1), repeat=args.k)
+        vectors = product(range(2, args.scan_L + 1), repeat=k)
     else:
-        if not args.l or len(args.l) != args.k:
+        if not args.l or len(args.l) != k:
             print("error: need --l with k entries or --scan-L", file=sys.stderr)
             raise SystemExit(2)
         vectors = [tuple(args.l)]
     for vec in vectors:
-        def classify(vec=vec):
-            # The paper's statement: for k = 3 the chi trichotomy; for k = 4
-            # genus >= 2 unless every exponent is 2; for k = 5 always.
-            got = genus.rh_genus_bound(args.k, vec)
-            if args.k == 3:
-                at_least_2 = genus.chi_classify(*vec) == genus.GENUS_GT1
-            else:
-                at_least_2 = args.k == 5 or vec != (2, 2, 2, 2)
-            return (got == genus.GENUS_AT_LEAST_2) == at_least_2, got
         report.records.append(timed_check(
-            f"genus:k{args.k}:{','.join(str(l) for l in vec)}",
-            "ramification classification", classify))
+            f"genus:k{k}:{','.join(map(str, vec))}",
+            "ramification classification", lambda vec=vec: classify(k, vec)))
     return report
 
 
@@ -388,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_cases)
 
     p = sub.add_parser("genus", help="genus classification")
-    p.add_argument("--k", type=int, choices=(3, 4, 5), default=4)
+    p.add_argument("--k", type=int, choices=(3, 4, 5), help="terms (default 4; --chi takes 3)")
     which = p.add_mutually_exclusive_group()
     which.add_argument("--l", type=_int_at_least(2), nargs="*")
     which.add_argument("--scan-L", type=_int_at_least(2), default=0)

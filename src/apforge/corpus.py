@@ -54,7 +54,6 @@ class CaseRecord:
     id: str
     exponent_vector: tuple
     partner_vector: Optional[tuple]
-    description: str
     derivation: dict
     derivation_branch: Optional[Branch]  # the family branch it reads, if its recipe names one
     curve: object  # the HyperCurve, EllipticModel or SuperellipticForm, built at load
@@ -70,7 +69,6 @@ class CaseRecord:
 @dataclass(frozen=True)
 class Corpus:
     version: str
-    path: str
     sha256: str
     families: tuple
     cases: tuple
@@ -87,8 +85,7 @@ def corpus_path(path: Optional[str] = None) -> str:
 
 
 def load_corpus(path: Optional[str] = None) -> Corpus:
-    resolved = corpus_path(path)
-    with open(resolved, "rb") as fh:
+    with open(corpus_path(path), "rb") as fh:
         raw = fh.read()
     data = json.loads(raw.decode("utf-8"))
     if type(data) is not dict:
@@ -100,7 +97,6 @@ def load_corpus(path: Optional[str] = None) -> Corpus:
     _by_id(cases, "case")
     return Corpus(
         version=_record("corpus", {"version": data["version"]})["version"],
-        path=resolved,
         sha256=hashlib.sha256(raw).hexdigest(),
         families=families,
         cases=cases,
@@ -406,7 +402,6 @@ def _parse_case(rec: dict, n: int, families: dict) -> CaseRecord:
             id=head["id"],
             exponent_vector=tuple(head["exponent_vector"]),
             partner_vector=tuple(head["partner_vector"]) if "partner_vector" in head else None,
-            description=head.get("description", ""),
             derivation=deriv,
             derivation_branch=_derivation_branch(deriv, families),
             curve=_curve(curve, facts),

@@ -15,15 +15,15 @@ two when lc(f) is a square in the field, else none.
 The Jacobian order over F_p comes from the L-polynomial evaluated at 1,
 with coefficients fixed by the point counts over F_p and F_{p^2}.
 
-Point counts are numpy kernels in blocks of about _BLOCK cells, so their
-working memory does not grow with q; the per-prime tables they read are
-O(p) and cached.  Each x adds its number of square roots of f(x), read from
-one p-entry table.  Over F_p, f(x) comes from `exactmath.horner` mod p.
-Over F_{p^2} they take each conjugate pair a +- s (s^2 = w, w a
-non-residue) once and read the norm f(a + s) f(a - s) from the curve's norm
-form, an exact 13 x 7 integer matrix H: one block of (a, w) is
-((V @ H) % p) @ W % p for power tables V of a and W of w.  Every int64
-value stays below 13 p^2, far under 2^62 as count_points asks
+Point counts are numpy kernels in blocks of at most `sieve.BLOCK_CELLS`
+cells, so their working memory does not grow with q; the per-prime tables
+they read are O(p) and cached.  Each x adds its number of square roots of
+f(x), read from one p-entry table.  Over F_p, f(x) comes from
+`exactmath.horner` mod p.  Over F_{p^2} they take each conjugate pair
+a +- s (s^2 = w, w a non-residue) once and read the norm f(a + s) f(a - s)
+from the curve's norm form, an exact 13 x 7 integer matrix H: one block of
+(a, w) is ((V @ H) % p) @ W % p for power tables V of a and W of w.  Every
+int64 value stays below 13 p^2, far under 2^62 as count_points asks
 p^(e+1) < 2^62 for q = p^e.
 """
 
@@ -39,7 +39,7 @@ import numpy as np
 
 from .exactmath import BinaryForm, UniPoly, discriminant, horner, is_prime, square_split
 from .numfield import NumberField
-from .sieve import INT64_SAFE
+from .sieve import BLOCK_CELLS, INT64_SAFE
 
 
 class BadReduction(Exception):
@@ -138,7 +138,6 @@ def _prime_power(q: int):
     raise ValueError("q must be a prime or the square of a prime")
 
 
-_BLOCK = 1 << 16
 # Per-prime tables are O(p) and read-only, shared by every curve counted at p;
 # 128 primes is every prime below 727.
 _PRIMES_CACHED = 128
@@ -206,7 +205,7 @@ def _count_fq(coeffs, deg: int, p: int, e: int) -> int:
     far under 2^62 as p^(e+1) < 2^62 (checked in count_points).
     """
     roots = _root_counts(p)
-    count, rows = 0, min(p, _BLOCK)
+    count, rows = 0, min(p, BLOCK_CELLS)
     if e == 1:
         for start in range(0, p, rows):
             a = np.arange(start, min(start + rows, p), dtype=np.int64)
@@ -215,7 +214,7 @@ def _count_fq(coeffs, deg: int, p: int, e: int) -> int:
     else:
         h = (_norm_form(tuple(coeffs[: deg + 1])) % p).astype(np.int64)
         powers_a, powers_w = _fp2_powers(p)
-        step = max(1, _BLOCK // rows)
+        step = max(1, BLOCK_CELLS // rows)
         for start in range(0, p, rows):
             m = powers_a[start : start + rows] @ h % p
             for b0 in range(0, powers_w.shape[1], step):

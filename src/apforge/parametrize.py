@@ -37,9 +37,7 @@ import numpy as np
 
 from .exactmath import (BinaryForm, form_exact_root, form_value, int_floor_root, int_kth_root,
                         square_split)
-from .sieve import INT64_SAFE, TernaryRows
-
-_BLOCK = 1 << 14  # grid cells per numpy block (bounds peak memory)
+from .sieve import BLOCK_CELLS, INT64_SAFE, TernaryRows
 
 
 def _clear(values) -> tuple:
@@ -181,7 +179,8 @@ def _parametrized_keys(family: ParamFamily, radius: int):
 
     Keys are inserted branch by branch, the doubled forms last, each x-major
     and y-minor, so the first branch reaching a key names it.  The box is
-    evaluated in numpy blocks of x rows.
+    evaluated in numpy blocks of x rows, at most `sieve.BLOCK_CELLS` cells
+    (or one row) each.
     """
     keys = {}
     k = family.power
@@ -190,7 +189,7 @@ def _parametrized_keys(family: ParamFamily, radius: int):
     if family.doubled_branch is not None:
         passes.append((family.doubled_branch, ("doubled", 0)))
     grid = np.arange(-radius, radius + 1, dtype=np.int64)
-    rows = max(1, _BLOCK // grid.size)
+    rows = max(1, BLOCK_CELLS // grid.size)
     for br, tag in passes:
         for x0 in range(0, grid.size, rows):
             x, y = grid[x0:x0 + rows, None], grid[None, :]

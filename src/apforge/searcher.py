@@ -21,11 +21,11 @@ sieved scan has three stages:
    patterns only reject.  Each block reports how many outer values it took,
    which the scan counts.
 2. Exact stage.  Each block's survivors are checked as the sieve yields
-   them, in batches of at most _FLUSH pairs: each derived term must be
-   found, by ``np.searchsorted``, in the sorted array of every value
-   eta*x^l that its position can take in the box, and gcd(h0, h1) must be
-   within the cap.  Only passing rows reach `_confirm`, which rebuilds each
-   term's (x, eta) with big integers and stays the authority.
+   them, in slices of at most ``sieve.BLOCK_CELLS`` pairs: each derived
+   term must be found, by ``np.searchsorted``, in the sorted array of every
+   value eta*x^l that its position can take in the box, and gcd(h0, h1)
+   must be within the cap.  Only passing rows reach `_confirm`, which
+   rebuilds each term's (x, eta) with big integers and stays the authority.
 3. Symmetry.  Reversing a progression gives one, with the reversed
    exponents, and gcd(h0, h1) = gcd(h_{k-1}, h_{k-2}) since both equal the
    gcd of all terms.  So one vector of each reversal pair is scanned and the
@@ -53,7 +53,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exactmath import BinaryForm, form_eval, int_kth_root
-from .sieve import INT64_SAFE, ClassRows
+from .sieve import BLOCK_CELLS, INT64_SAFE, ClassRows
 
 
 class ResourceLimitError(Exception):
@@ -135,9 +135,6 @@ class _VectorTask:
     half: bool = False     # scan only common differences n >= 0
 
 
-_FLUSH = 4096  # sieve survivors the exact stage checks at a time
-
-
 def _choose_base_pair(sizes: Sequence[int]):
     """The two positions with the fewest candidates, the smaller first: the
     scan loops over the first and looks up the second."""
@@ -190,13 +187,13 @@ def _scan_vector(task: _VectorTask, until: Optional[int] = None) -> tuple:
 
 def _exact_stage(task, cands, i, j, hs, ws) -> list:
     """The `_confirm` results of the (h_i, h_j) pairs of one sieve block,
-    checked _FLUSH at a time, whose derived terms are all attainable values
-    (exact membership in each position's sorted value array) and whose
-    gcd(h0, h1) is within the cap."""
+    checked BLOCK_CELLS at a time, whose derived terms are all attainable
+    values (exact membership in each position's sorted value array) and
+    whose gcd(h0, h1) is within the cap."""
     d = j - i
     hits = []
-    for s in range(0, hs.size, _FLUSH):
-        h, w = hs[s:s + _FLUSH], ws[s:s + _FLUSH]
+    for s in range(0, hs.size, BLOCK_CELLS):
+        h, w = hs[s:s + BLOCK_CELLS], ws[s:s + BLOCK_CELLS]
         ok = (w - h) % d == 0
         n = (w - h) // d
         if task.half:  # the mirrored hits of a half scan need n >= 0

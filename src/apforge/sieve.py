@@ -25,6 +25,8 @@ while its patterns stay within the kernel's word cap (CLASS_BLOCK_WORDS,
 BLOCK_WORDS) and it keeps about BLOCK_CELLS cells (`_block_rows`, from the
 share of residues the tables admit), so a narrow sparse scan loops over few
 blocks, and a wide or a dense one keeps its arrays small.
+BLOCK_CELLS is also the cell budget of every other numpy block: `searcher`'s
+exact-stage slices, `parametrize`'s parameter box and `curves`' point counts.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ ROW_BLOCK = 192  # the fewest rows in a block: outer values of ClassRows, rows o
 # (2-vCPU x86-64 VM, numpy 2.4).
 BLOCK_WORDS = 1 << 14  # BoxRows
 CLASS_BLOCK_WORDS = 3 << 14  # ClassRows
-BLOCK_CELLS = 1 << 16
+BLOCK_CELLS = 1 << 16  # the cell budget of a numpy block, in every module
 
 
 def _block_rows(width: int, cells: int, words: int) -> int:

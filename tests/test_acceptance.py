@@ -162,6 +162,11 @@ def test_criterion_7_genus_classifier():
     for vec in [(a, b, c, d, e) for a in range(2, 5) for b in range(2, 5)
                 for c in range(2, 5) for d in range(2, 5) for e in range(2, 5)]:
         ok = ok and rh_genus_bound(5, vec) == GENUS_AT_LEAST_2
+    # The genus-0 cover's degree is the spherical triangle group's order.
+    orders = {(2, 2, n): 2 * n for n in range(2, 8)}
+    orders.update({(2, 3, 3): 12, (2, 3, 4): 24, (2, 3, 5): 60})
+    for vec, order in orders.items():
+        ok = ok and chi_classify(*vec) == GenusZero(cover_degree=order)
     for r in range(2, 8):
         for s in range(2, 8):
             for t in range(2, 8):
@@ -169,7 +174,8 @@ def test_criterion_7_genus_classifier():
                 got = chi_classify(r, s, t)
                 if chi > 1:
                     ok = ok and isinstance(got, GenusZero) \
-                        and got.cover_degree == 2 / chi
+                        and isinstance(got.cover_degree, int) \
+                        and got.cover_degree == 2 / (chi - 1)
                 elif chi == 1:
                     ok = ok and got == GENUS_ONE
                 else:

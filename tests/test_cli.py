@@ -69,6 +69,9 @@ def test_search_eta_twist(capsys):
 
 def test_genus_subcommand(capsys):
     assert run_cli("genus", "--chi", "2", "3", "7") == 0
+    assert run_cli("genus", "--k", "3", "--chi", "2", "3", "7") == 0
+    chi = [line for line in capsys.readouterr().out.splitlines() if line.startswith("genus:chi")]
+    assert chi == 2 * ["genus:chi:2,3,7  pass            trichotomy on 1/r+1/s+1/t  => GenusGT1"]
     assert run_cli("genus", "--k", "4", "--scan-L", "3") == 0
     assert run_cli("genus", "--k", "3", "--l", "2", "3", "6") == 0
     with pytest.raises(SystemExit) as exc:
@@ -80,9 +83,11 @@ def test_genus_subcommand(capsys):
     (("--k", "4", "--l", "2", "3", "2", "2"), "ALL_GENUS_LE1_POSSIBLE"),
     (("--k", "4", "--l", "2", "2", "2", "2"), "GENUS_AT_LEAST_2"),
     (("--k", "5", "--l", "2", "2", "2", "2", "2"), "ALL_GENUS_LE1_POSSIBLE"),
-], ids=["k4-2322", "k4-2222", "k5-22222"])
+    (("--chi", "2", "3", "7"), "ALL_GENUS_LE1_POSSIBLE"),
+], ids=["k4-2322", "k4-2222", "k5-22222", "chi-237"])
 def test_genus_record_fails_on_a_wrong_classification(tmp_path, capsys, monkeypatch, argv, wrong):
-    # k = 4: genus >= 2 exactly when the vector is not (2,2,2,2); k = 5: always.
+    # k = 4: genus >= 2 exactly when the vector is not (2,2,2,2); k = 5: always;
+    # k = 3 and --chi: exactly when 1/r + 1/s + 1/t < 1.
     monkeypatch.setattr(genus, "rh_genus_bound", lambda k, vec: getattr(genus, wrong))
     path = tmp_path / "r.json"
     assert run_cli("--report", str(path), "genus", *argv) == 1
@@ -721,6 +726,16 @@ def test_search_modes_are_exclusive(capsys):
         run_cli("search", "--theorem3", "--cubic-twin")
     assert exc.value.code == 2
     assert "not allowed with argument --theorem3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["4", "5"])
+def test_genus_chi_refuses_other_k(capsys, k):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("genus", "--k", k, "--chi", "2", "3", "7")
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --chi is the k = 3 trichotomy, not --k {k}\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv, message", [

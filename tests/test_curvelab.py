@@ -112,7 +112,7 @@ def loop_count(coeffs, deg: int, p: int, e: int) -> int:
 
 
 def test_count_points_vs_loop_reference(monkeypatch):
-    default_block = curves._BLOCK
+    default_block = curves.BLOCK_CELLS
     checked = 0
     for curve in ALL_GENUS2 + [X5P1]:
         for p in primes_upto(61)[1:]:
@@ -123,7 +123,7 @@ def test_count_points_vs_loop_reference(monkeypatch):
             want = (loop_count(coeffs, deg, p, 1), loop_count(coeffs, deg, p, 2))
             # The default block holds all of F_{61^2}; 37 splits both fields.
             for block in (default_block, 37):
-                monkeypatch.setattr(curves, "_BLOCK", block)
+                monkeypatch.setattr(curves, "BLOCK_CELLS", block)
                 got = (count_points(curve, p), count_points(curve, p * p))
                 assert got == want, (curve.label, p, block)
             checked += 1
@@ -147,8 +147,8 @@ def test_count_fq_vs_loop_reference_random(deg, coeffs, p):
 def test_count_points_vs_loop_reference_larger_primes(curve, p, monkeypatch):
     coeffs, deg = good_reduction_data(curve, p)
     want = (loop_count(coeffs, deg, p, 1), loop_count(coeffs, deg, p, 2))
-    for block in (curves._BLOCK, 37):  # 37 splits both fields
-        monkeypatch.setattr(curves, "_BLOCK", block)
+    for block in (curves.BLOCK_CELLS, 37):  # 37 splits both fields
+        monkeypatch.setattr(curves, "BLOCK_CELLS", block)
         assert (count_points(curve, p), count_points(curve, p * p)) == want, block
 
 
@@ -157,8 +157,8 @@ def test_count_points_quintic_at_3(monkeypatch):
     a block of 2 splits both fields."""
     coeffs, deg = good_reduction_data(X5P1, 3)
     assert deg == 5
-    for block in (curves._BLOCK, 2):
-        monkeypatch.setattr(curves, "_BLOCK", block)
+    for block in (curves.BLOCK_CELLS, 2):
+        monkeypatch.setattr(curves, "BLOCK_CELLS", block)
         for e in (1, 2):
             assert count_points(X5P1, 3**e) == loop_count(coeffs, deg, 3, e) \
                 == oracle_count(X5P1, 3, e), (block, e)
@@ -436,7 +436,7 @@ def test_genus_classifiers():
     assert rh_genus_bound(4, (2, 2, 2, 3)) == GENUS_AT_LEAST_2
     assert rh_genus_bound(5, (2, 2, 2, 2, 2)) == GENUS_AT_LEAST_2
     got = chi_classify(2, 2, 2)
-    assert isinstance(got, GenusZero) and got.cover_degree == Fraction(4, 3)
+    assert isinstance(got, GenusZero) and got.cover_degree == 4
     assert chi_classify(2, 3, 6) == GENUS_ONE
     assert chi_classify(2, 3, 7) == GENUS_GT1
 

@@ -140,6 +140,16 @@ def test_public_functions_and_classes_are_used():
     assert defined >= 80 and not unused, "\n".join(unused)
 
 
+# One cell budget: `sieve.BLOCK_CELLS` sizes every numpy block of the package
+# and sits beside the kernels' row floor and word caps, so a block is retuned
+# in one place; other modules import it.
+def test_block_sizes_stay_in_sieve():
+    found = [f"{path.name}:{first}: {name}" for path in SOURCES if path.name != "sieve.py"
+             for name, first, _, is_def in _definitions(ast.parse(path.read_text(encoding="utf-8")))
+             if not is_def and ("BLOCK" in name or "FLUSH" in name)]
+    assert SOURCES and not found, "\n".join(found)
+
+
 # Modules talk through public names: no source imports another apforge
 # module's underscore name (`from .curves import _disc`) or reads one off an
 # imported module (`curves._disc`).

@@ -417,7 +417,7 @@ def test_general_search_matches_oracle(k, L, bound, S, D, monkeypatch):
 @pytest.mark.parametrize("flush", [1, 7])
 def test_exact_stage_batch_boundaries(flush, monkeypatch):
     oracle = search_general(3, 3, 20, S=(2,), use_sieve=False)
-    monkeypatch.setattr(searcher, "_FLUSH", flush)
+    monkeypatch.setattr(searcher, "BLOCK_CELLS", flush)
     assert _terms(search_general(3, 3, 20, S=(2,))) == _terms(oracle)
     assert len(oracle) > 100
 
@@ -427,11 +427,12 @@ def test_exact_stage_batch_boundaries(flush, monkeypatch):
     (search_general, (4, 2, 60), dict(S=(73,))),
 ], ids=["theorem3", "eta73"])
 def test_flush_inside_a_sieve_block_matches_oracle(search, args, kwargs, monkeypatch):
-    # At _FLUSH = 7 a block of the sieve holds more pairs than one slice, so
-    # the exact stage checks that block in several slices.  It runs once per
-    # block that ClassRows.cells yields.
+    # With searcher's own BLOCK_CELLS binding at 7 (sieve's keeps its blocks)
+    # a block of the sieve holds more pairs than one slice, so the exact
+    # stage checks that block in several slices.  It runs once per block
+    # that ClassRows.cells yields.
     oracle = search(*args, **kwargs, use_sieve=False)
-    monkeypatch.setattr(searcher, "_FLUSH", 7)
+    monkeypatch.setattr(searcher, "BLOCK_CELLS", 7)
     exact_stage, cells = searcher._exact_stage, searcher.ClassRows.cells
     checked, yielded = [], []
 
