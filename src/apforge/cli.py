@@ -45,6 +45,7 @@ try:
     from . import curvelab, parametrize
     from .curvelab import CheckResult, timed_check
     from .exactmath import is_prime
+    from .sieve import ResourceLimitError
 finally:
     if _gc_was_enabled:
         gc.enable()
@@ -98,10 +99,6 @@ def _print_report(report: RunReport) -> None:
           f"undecided, {s['unchecked-claim']} unchecked claims")
 
 
-class _ResourceCeiling(Exception):
-    """A search refused for its resource ceiling: `main` exits 3."""
-
-
 def _exit_2_if_refused(work, *args, **kwargs):
     """work(*args, **kwargs); a request it refuses (ValueError) exits 2."""
     try:
@@ -109,17 +106,6 @@ def _exit_2_if_refused(work, *args, **kwargs):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
-
-
-def _search_or_exit(work, *args, **kwargs):
-    """`_exit_2_if_refused` of a searcher function; a search past the
-    searcher's resource ceiling raises _ResourceCeiling."""
-    from . import searcher
-
-    try:
-        return _exit_2_if_refused(work, *args, **kwargs)
-    except searcher.ResourceLimitError as exc:
-        raise _ResourceCeiling(exc) from exc
 
 
 def cmd_verify_lemma(args, corpus) -> RunReport:
@@ -186,7 +172,7 @@ def cmd_search(args, corpus) -> RunReport:
     jobs = args.jobs or os.cpu_count() or 1
     if args.mode == "cubic-twin":
         def twin():
-            sols = _search_or_exit(searcher.search_cubic_twin, args.bound)
+            sols = _exit_2_if_refused(searcher.search_cubic_twin, args.bound)
             return sols == [(-1, -1, -1), (1, 1, 1)], sols
         report.records.append(timed_check(
             f"search:cubic-twin:{args.bound}",
@@ -195,7 +181,7 @@ def cmd_search(args, corpus) -> RunReport:
     if args.mode == "theorem3":
         vectors = [args.vector] if args.vector else None
         def th3():
-            progs = _search_or_exit(
+            progs = _exit_2_if_refused(
                 searcher.search_theorem3, args.bound_sq, args.bound_cu,
                 vectors=vectors, use_sieve=not args.no_sieve, jobs=jobs)
             vals = sorted(set(p.values for p in progs))
@@ -207,7 +193,7 @@ def cmd_search(args, corpus) -> RunReport:
         return report
     # general search: report what was found (no pass/fail expectation)
     vectors = [args.vector] if args.vector else None
-    progs = _search_or_exit(
+    progs = _exit_2_if_refused(
         searcher.search_general, args.k, args.L, args.bound, D=args.D,
         S=tuple(args.eta or ()), vectors=vectors,
         use_sieve=not args.no_sieve, jobs=jobs)
@@ -410,7 +396,7 @@ def main(argv=None) -> int:
         return 2
     try:
         report = args.fn(args, corpus)
-    except _ResourceCeiling as exc:
+    except ResourceLimitError as exc:
         print(f"error: resource ceiling: {exc}", file=sys.stderr)
         return 3
     _print_report(report)

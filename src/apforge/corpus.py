@@ -9,8 +9,9 @@ strings parsed to Fraction: one (``divisor``, ``curve_divisor`` and
 ``rhs_mult`` nonzero), a non-empty list (a curve's ``rhs``), two, or (x, y)
 pairs (``affine``); ``value`` is an integer string, parsed to int; counts and
 bounds are JSON ints >= 1 (``primes_upto`` >= 2, ``branch`` and ``infinity``
->= 0); ``p`` is an odd prime, ``primes`` and ``s_unit`` non-empty lists of
-odd and of any primes; ``expect`` and ``real`` are booleans; ``shape`` is
+>= 0); ``p`` is an odd prime with p^3 < `sieve.INT64_SAFE`, ``primes`` and
+``s_unit`` non-empty lists of such and of any primes; ``expect`` and ``real``
+are booleans; ``shape`` is
 ``unipoly`` (or, in a factorization, ``form``); names and prose stay strings;
 family branches become Branch records.  A fact's ``field`` becomes its
 NumberField; there a field element is written as its coordinates in the power
@@ -23,8 +24,10 @@ or family (by index, as ``cases[3]``, when it has no id), the key and the
 value; so is a curve its constructor refuses, or a fact whose check reads
 another kind of curve than the case's or reduces it at a prime of bad
 reduction (its kind's `curvelab.FACT_KINDS` row says which).  This module
-builds every curve model: each case's curve once, from its kind's row of
-`_CURVES`, and the EllipticModel of each ec_* fact's ``rhs``, a squarefree cubic.
+builds every curve model, one y^2 = f(x) class of genus 1 or 2 (HyperCurve)
+but a superelliptic form: each case's curve once, from its kind's row of
+`_CURVES` (``genus2`` of degree 5 or 6, ``elliptic`` a cubic), and that of
+each ec_* fact's ``rhs``, a squarefree cubic.
 Case derivations resolve to branches of the same file's families: one corpus
 feeds a run.
 """
@@ -39,10 +42,11 @@ from fractions import Fraction
 from typing import Optional
 
 from .curvelab import FACT_KINDS, MAPS, RECIPES, RESULTANT_CLAIMS
-from .curves import BadReduction, EllipticModel, HyperCurve, SuperellipticForm, good_reduction_data
+from .curves import BadReduction, HyperCurve, SuperellipticForm, good_reduction_data
 from .exactmath import BinaryForm, UniPoly, is_prime
 from .numfield import FIELDS, FieldElem, field_by_name
 from .parametrize import Branch, ParamFamily
+from .sieve import INT64_SAFE
 
 ENV_VAR = "APFORGE_CORPUS"
 
@@ -56,7 +60,7 @@ class CaseRecord:
     partner_vector: Optional[tuple]
     derivation: dict
     derivation_branch: Optional[Branch]  # the family branch it reads, if its recipe names one
-    curve: object  # the HyperCurve, EllipticModel or SuperellipticForm, built at load
+    curve: object  # the HyperCurve or SuperellipticForm, built at load
     facts: tuple
 
     def matches(self, selector: str) -> bool:
@@ -178,6 +182,11 @@ def _prime(n, low=2) -> bool:
     return type(n) is int and n >= low and is_prime(n)
 
 
+def _countable(p) -> bool:
+    """Whether an int p has p^3 < INT64_SAFE, as counts over F_{p^2} need."""
+    return type(p) is not int or p**3 < INT64_SAFE
+
+
 def _row(value) -> bool:
     """Whether value is a non-empty list of values, none of them a list."""
     return type(value) is list and value != [] and not any(type(v) is list for v in value)
@@ -201,10 +210,17 @@ def _elements(depth: int):
     return parse
 
 
-def _ec_model(value, fact) -> EllipticModel:
+def _y2(label: str, f: UniPoly, degrees: tuple, need: str, field=None) -> HyperCurve:
+    """y^2 = f(x) for a curve kind that admits these degrees, else ValueError(need)."""
+    if f.degree not in degrees:
+        raise ValueError(need)
+    return HyperCurve(label, f, field)
+
+
+def _ec_model(value, fact) -> HyperCurve:
     rhs = UniPoly(_elements(1)(value, fact))
     try:
-        return EllipticModel(fact["kind"], rhs, field_by_name(fact["field"]))
+        return _y2(fact["kind"], rhs, (3,), "a cubic", field_by_name(fact["field"]))
     except ValueError:  # not a cubic, or one with a repeated root
         raise _Wrong(value, "a squarefree cubic") from None
 
@@ -240,9 +256,12 @@ _TYPES = {
     "primes_upto": _is(lambda v: type(v) is int and v >= 2, "an integer >= 2"),
     **dict.fromkeys(("branch", "infinity"),
                     _is(lambda v: type(v) is int and v >= 0, "a non-negative integer")),
-    "p": _is(lambda v: _prime(v, 3), "an odd prime"),
-    "primes": _is(lambda v: type(v) is list and v != [] and all(_prime(p, 3) for p in v),
-                  "a non-empty list of odd primes"),
+    # the bound before the primality test, which trial-divides up to sqrt(p)
+    "p": _is(_countable, "a prime p with p^3 < 2^62", _is(lambda v: _prime(v, 3), "an odd prime")),
+    "primes": _is(lambda v: type(v) is not list or all(map(_countable, v)),
+                  "a list of primes p with p^3 < 2^62",
+                  _is(lambda v: type(v) is list and v != [] and all(_prime(p, 3) for p in v),
+                      "a non-empty list of odd primes")),
     "s_unit": _is(lambda v: type(v) is list and v != [] and all(map(_prime, v)),
                   "a non-empty list of primes"),
     **dict.fromkeys(("expect", "real"), _is(lambda v: type(v) is bool, "a boolean")),
@@ -329,9 +348,11 @@ def _derivation_branch(deriv: dict, families: dict) -> Optional[Branch]:
 # kind -> (curve record -> curve, required curve keys, required derivation keys);
 # every kind but a superelliptic form is reached through a derivation map.
 _CURVES = {
-    "genus2": (lambda rec: HyperCurve(rec["label"], UniPoly(rec["rhs"])),
+    "genus2": (lambda rec: _y2(rec["label"], UniPoly(rec["rhs"]), (5, 6),
+                               "hyperelliptic model needs degree 5 or 6"),
                ("label", "rhs"), ("map",)),
-    "elliptic": (lambda rec: EllipticModel(rec["label"], UniPoly(rec["rhs"])),
+    "elliptic": (lambda rec: _y2(rec["label"], UniPoly(rec["rhs"]), (3,),
+                                 "elliptic model needs a cubic right-hand side"),
                  ("label", "rhs"), ("map",)),
     "superelliptic_form": (lambda rec: SuperellipticForm(
         rec["label"], BinaryForm(rec["form"]), z_mult=rec["z_mult"], z_power=rec["z_power"]),

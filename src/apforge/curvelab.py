@@ -7,7 +7,8 @@ is one row (`RECIPES`, `MAPS`, `FACT_KINDS`) of its function and the corpus
 keys, curve kinds and reduction primes it reads, which the loader checks
 records against; `run_case` turns the derivation and every fact into
 CheckResult records.  The checks read only what `apforge.corpus` built at
-load: the case's curve, field elements and elliptic models.
+load: the case's curve, field elements and ec_* models, each curve but a
+superelliptic form a `curves.HyperCurve` (y^2 = f(x), genus 1 or 2).
 The curve, point and genus layers below this one are `apforge.curves`,
 `apforge.points` and `apforge.genus`.
 """
@@ -19,7 +20,7 @@ import time as _time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from .curves import EllipticModel, jacobian_order, torsion_gcd_bound
+from .curves import HyperCurve, jacobian_order, torsion_gcd_bound
 from .curves import count_points  # noqa: F401; perfbench/traced.py finds it here to wrap it
 from .exactmath import (BinaryForm, UniPoly, form_eval, int_kth_root, primes_upto,
                         rat_kth_root, uni_resultant)
@@ -39,7 +40,7 @@ class NoRepresentation(Exception):
 # Point checks over number fields, involution, descent step
 
 
-def ec_point_check(model: EllipticModel, x, y=None):
+def ec_point_check(model: HyperCurve, x, y=None):
     """Verify (x, y) on Y^2 = f(X); with y omitted, test f(x) for
     squareness in the model's field (Undecided propagates)."""
     value = model.f.eval(x)

@@ -1,10 +1,10 @@
 """Curve layer: the curve models and their reduction mod p, with point
 counts and Jacobian orders over finite fields.
 
-Genus-2 curves are y^2 = f(x) with rational coefficients and squarefree f
-of degree 5 or 6; both models test f through `exactmath.discriminant`.
-Finite-field work happens on the denominator-cleared model (x, y) ->
-(x, v*y) with the smallest v making v^2*f integral, which is a
+One class, `HyperCurve`, holds every y^2 = f(x) curve, genus 1 or 2: f
+squarefree of degree 3, 5 or 6, over Q or a corpus number field.
+Finite-field work happens on the denominator-cleared model over Q, (x, y)
+-> (x, v*y) with the smallest v making v^2*f integral, which is a
 point-count-preserving change of model away from p | v: `integral_model(f)`
 builds it, `HyperCurve.model` keeps it once per curve with its
 discriminant, and `good_reduction_data` checks a prime against it.
@@ -12,7 +12,7 @@ discriminant, and `good_reduction_data` checks a prime against it.
 Counting convention for the smooth projective model of y^2 = f(x), in
 every layer: odd deg f gives exactly one point at infinity; even deg f gives
 two when lc(f) is a square in the field, else none.
-The Jacobian order over F_p comes from the L-polynomial evaluated at 1,
+The genus-2 Jacobian order over F_p comes from the L-polynomial at 1,
 with coefficients fixed by the point counts over F_p and F_{p^2}.
 
 Point counts are numpy kernels in blocks of at most `sieve.BLOCK_CELLS`
@@ -48,38 +48,24 @@ class BadReduction(Exception):
 
 @dataclass(frozen=True)
 class HyperCurve:
-    """y^2 = f(x), deg f in {5, 6}, f squarefree; genus 2."""
-
-    label: str
-    f: UniPoly
-
-    def __post_init__(self):
-        if self.f.degree not in (5, 6):
-            raise ValueError("hyperelliptic model needs degree 5 or 6")
-        if not discriminant(self.f.coeffs):
-            raise ValueError("f must be squarefree")
-
-    @cached_property
-    def model(self) -> tuple:
-        """(coefficients, v, discriminant) of the integral model
-        `integral_model(f)`, built once: every prime's reduction reads it."""
-        coeffs, v = integral_model(self.f)
-        return coeffs, v, discriminant(coeffs).numerator  # an integer, as coeffs are
-
-
-@dataclass(frozen=True)
-class EllipticModel:
-    """Y^2 = f(X) with f a cubic over Q or a corpus number field."""
+    """y^2 = f(x), f squarefree of degree 3, 5 or 6 (genus 1 or 2), over Q or field."""
 
     label: str
     f: UniPoly
     field: Optional[NumberField] = None
 
     def __post_init__(self):
-        if self.f.degree != 3:
-            raise ValueError("elliptic model needs a cubic right-hand side")
+        if self.f.degree not in (3, 5, 6):
+            raise ValueError("y^2 = f(x) model needs degree 3, 5 or 6")
         if not discriminant(self.f.coeffs):
-            raise ValueError("discriminant vanishes")
+            raise ValueError("f must be squarefree")
+
+    @cached_property
+    def model(self) -> tuple:
+        """(coefficients, v, discriminant) of `integral_model(f)` over Q, built
+        once: every prime's reduction and local solvability read it."""
+        coeffs, v = integral_model(self.f)
+        return coeffs, v, discriminant(coeffs).numerator  # an integer, as coeffs are
 
 
 @dataclass(frozen=True)
@@ -92,15 +78,13 @@ class SuperellipticForm:
     z_power: int
 
 
-@lru_cache(maxsize=None)
 def integral_model(f: UniPoly):
     """(ascending integer coefficients of v^2 f padded to degree 6, v), with
     v the least positive integer making v^2 f integral.
 
     v^2 f is integral iff the lcm L of the denominators divides v^2, so v is
     the product of p^ceil(e/2) over p^e || L, which is s t for L = s t^2.
-    Cached: the point search and local solvability each ask again, and
-    `HyperCurve.model` keeps it for point counts.
+    `HyperCurve.model` keeps it per curve.
     """
     s, t = square_split(math.lcm(*(Fraction(c).denominator for c in f.coeffs)))
     v = s * t

@@ -51,9 +51,6 @@ class NumberField:
         self.one = FieldElem(self, [1] + [0] * (d - 1))
         self.alpha = FieldElem(self, [0, 1] + [0] * (d - 2))
 
-    def element(self, coords: Iterable) -> "FieldElem":
-        return FieldElem(self, coords)
-
     def rational(self, q) -> "FieldElem":
         return FieldElem(self, [q] + [0] * (self.degree - 1))
 

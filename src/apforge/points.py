@@ -1,5 +1,5 @@
 """Point layer: rational points of bounded height and local (p-adic and
-real) solvability on the curve models of `apforge.curves`.
+real) solvability on y^2 = f(x), genus 1 or 2: a `curves.HyperCurve` over Q.
 
 The point search runs on the denominator-cleared model as a binary sextic
 in (r, s), x = r/s.  Per block of rows, `sieve.SquareRows` gives the cells
@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curves import EllipticModel, integral_model
+from .curves import integral_model
 from .exactmath import UniPoly, discriminant, poly_divmod, rat_kth_root
 from .padic import squarefree_part, substitute, valuation, zp_solvable
 from .sieve import SquareRows
@@ -52,13 +52,12 @@ def rational_points_search(curve, height: int):
     number of rational points at infinity: one for odd deg f, and for even
     deg f two when lc(f) is a rational square, else none.
 
-    Returns (sorted list of (Fraction, Fraction), infinity_count).  Accepts
-    any y^2 = f(x) model over Q with deg f <= 6: a HyperCurve, or an
-    EllipticModel without a number field.
+    Returns (sorted list of (Fraction, Fraction), infinity_count).  Reads
+    only f and field (None: over Q), so f of degree <= 6 need not be squarefree.
     """
     if height < 1:
         raise ValueError("height must be positive")
-    if isinstance(curve, EllipticModel) and curve.field is not None:
+    if curve.field is not None:
         raise ValueError("point search runs over Q only")
     f = curve.f
     infinity = 1 if f.degree % 2 else 2 if rat_kth_root(f.lead(), 2) is not None else 0
@@ -79,7 +78,7 @@ def locally_solvable(curve, p: int) -> bool:
     f = curve.f
     if f.degree % 2 or rat_kth_root(f.lead(), 2) is not None:
         return True  # rational points at infinity
-    coeffs, _v = integral_model(f)
+    coeffs, _v, _disc = curve.model
     content = math.gcd(*coeffs)
     g = [c // content for c in coeffs]
     c0 = squarefree_part(content)

@@ -53,12 +53,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exactmath import BinaryForm, form_eval, int_kth_root
-from .sieve import BLOCK_CELLS, INT64_SAFE, ClassRows
-
-
-class ResourceLimitError(Exception):
-    """Estimated work exceeds WORK_CEILING; nothing was truncated."""
-
+from .sieve import BLOCK_CELLS, INT64_SAFE, ClassRows, ResourceLimitError
 
 ETA_CAP = 10**6  # largest |eta| among the twists of search_general
 WORK_CEILING = 2_000_000_000  # estimated pair evaluations a search may take
@@ -231,10 +226,13 @@ def _confirm(lvec, bounds, etas, gcd_cap, i, j, h_i, h_j) -> Optional[Progressio
     return prog
 
 
+def _position_size(l: int, bound: int, etas: tuple) -> int:
+    """A position's candidate count before deduplication (an upper bound)."""
+    return ((bound + 1) if l % 2 == 0 else (2 * bound + 1)) * len(etas)
+
+
 def _position_sizes(task: _VectorTask) -> list:
-    """Per-position candidate counts before deduplication (upper bounds)."""
-    return [((b + 1) if l % 2 == 0 else (2 * b + 1)) * len(e)
-            for l, b, e in zip(task.lvec, task.bounds, task.etas)]
+    return [_position_size(*key) for key in zip(task.lvec, task.bounds, task.etas)]
 
 
 def _pairs(task: _VectorTask) -> int:
@@ -323,19 +321,28 @@ def _search(k: int, vectors, exponents, rule: str, bound_of, etas_of, gcd_cap: i
     ValueError, its message ending in rule.  The sieved path scans one task
     per reversal class and mirrors its hits (see _scan_plan); --no-sieve
     scans every requested task in full."""
-    if vectors is None:
-        vectors = product(exponents, repeat=k)
-    vectors = [tuple(v) for v in vectors]
-    for v in vectors:
-        if len(v) != k or any(l not in exponents for l in v):
-            raise ValueError(f"bad exponent vector {v}{rule}")
+    if vectors is not None:
+        vectors = [tuple(v) for v in vectors]
+        for v in vectors:
+            if len(v) != k or any(l not in exponents for l in v):
+                raise ValueError(f"bad exponent vector {v}{rule}")
     # Extrapolated terms reach (2k+1) times the largest candidate value;
     # keep that inside int64 with margin.
     eta_cap = max(abs(e) for l in exponents for e in etas_of(l))
-    worst = max((eta_cap * bound_of(l) ** l for v in vectors for l in v), default=0)
+    used = exponents if vectors is None else {l for v in vectors for l in v}
+    worst = max((eta_cap * bound_of(l) ** l for l in used), default=0)
     if worst * (2 * k + 2) >= INT64_SAFE:
         raise ResourceLimitError(
             "candidate values exceed the 62-bit kernel range; shrink bounds")
+    if vectors is None:
+        # Before enumerating: no vector's estimate is below s_min^2, s_min the
+        # smallest position size, so this refuses only what the estimate would.
+        least = len(exponents) ** k * min(
+            _position_size(l, bound_of(l), etas_of(l)) for l in exponents) ** 2
+        if least > WORK_CEILING:
+            raise ResourceLimitError(
+                f"estimated at least {least} pair evaluations exceeds ceiling")
+        vectors = list(product(exponents, repeat=k))
     tasks = [_VectorTask(lvec=v, bounds=tuple(map(bound_of, v)), etas=tuple(map(etas_of, v)),
                          gcd_cap=gcd_cap, use_sieve=use_sieve) for v in vectors]
     est = sum(map(_pairs, tasks))

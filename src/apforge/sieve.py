@@ -49,6 +49,10 @@ _CLASS_GROUPS = tuple(zip(CRT_FACTORS[::2], CRT_FACTORS[1::2])) + tuple((p,) for
 INT64_SAFE = 1 << 62  # int64 kernels keep every value below this in absolute value
 
 
+class ResourceLimitError(Exception):
+    """A request past a resource ceiling, refused before any work is done."""
+
+
 @lru_cache(maxsize=None)
 def _factor_table(l: int, m: int, etas: tuple) -> np.ndarray:
     table = np.zeros(m, dtype=bool)

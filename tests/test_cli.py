@@ -459,6 +459,17 @@ def fact_of(data, cid, kind):
     (lambda d: fact_of(d, "3223d1", "local_solvability").update(primes_upto=1),
      ["cases", "--case", "3223d1", "--height", "20"],
      "case 3223d1: local_solvability fact key 'primes_upto' holds 1, not an integer >= 2"),
+    # Past the point counts' int64 range, p^3 >= 2^62: the first once ended in
+    # a traceback from count_points, the second in a primality test that
+    # trial-divides to sqrt(p).
+    (lambda d: fact_of(d, "2223b", "jacobian_order").update(p=2_000_003), None,
+     "case 2223b: jacobian_order fact key 'p' holds 2000003, not a prime p with p^3 < 2^62"),
+    (lambda d: fact_of(d, "2223b", "jacobian_order").update(p=2**61 - 1), None,
+     f"case 2223b: jacobian_order fact key 'p' holds {2**61 - 1}, "
+     "not a prime p with p^3 < 2^62"),
+    (lambda d: fact_of(d, "2223b", "torsion_gcd").update(primes=[5, 2_000_003]), None,
+     "case 2223b: torsion_gcd fact key 'primes' holds [5, 2000003], "
+     "not a list of primes p with p^3 < 2^62"),
 ], ids=["value-not-integer", "infinity-string", "p-string", "p-not-prime", "height-string",
         "primes-empty", "s-unit-one", "expect-string", "family-power-string",
         "p-bad-reduction", "primes-bad-reduction", "rhs-not-squarefree",
@@ -468,7 +479,7 @@ def fact_of(data, cid, kind):
         "factor-row-short", "resultant-scale-short", "value-identity-at-empty",
         "cube-class-at-one", "involution-sub-three", "solution-pair-one-vector",
         "ec-point-rhs-repeated-root", "exponent-vector-one", "partner-vector-strings",
-        "primes-upto-one"])
+        "primes-upto-one", "p-past-int64-counts", "p-mersenne-61", "primes-past-int64-counts"])
 def test_corpus_badly_typed_value_rejected(tmp_path, edit, argv, message):
     bad = corpus_copy(tmp_path, edit)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -485,6 +496,7 @@ def case_of(data, cid):
 
 REPEATED_ROOT_CUBIC = {3: [["0", "0", "0"]] * 3 + [["1", "0", "0"]],
                        4: [["0", "0", "0", "0"]] * 3 + [["1", "0", "0", "0"]]}
+QUINTIC_RHS = [["1", "0", "0"]] + [["0", "0", "0"]] * 4 + [["1", "0", "0"]]  # x^5 + 1
 
 
 # A record of the wrong JSON type, a repeated id, a repeated-root elliptic
@@ -575,6 +587,14 @@ REPEATED_ROOT_CUBIC = {3: [["0", "0", "0"]] * 3 + [["1", "0", "0"]],
           ("local_solvability", "3223d1", "3323", "genus2 or elliptic"),
           ("form_value", "3323", "2232", "superelliptic_form"),
           ("involution", "3323", "2232", "superelliptic_form")]),
+    # Each curve kind keeps its degrees: genus2 5 or 6, elliptic and ec_* rhs 3.
+    (lambda d: case_of(d, "3232")["curve"].update(rhs=["3", "0", "0", "2"]) or d,
+     "case 3232: curve: hyperelliptic model needs degree 5 or 6"),
+    (lambda d: case_of(d, "2223a")["curve"].update(rhs=["2", "15", "60", "-4", "0", "1"]) or d,
+     "case 2223a: curve: elliptic model needs a cubic right-hand side"),
+    (lambda d: fact_of(d, "3223d2", "ec_two_torsion").update(rhs=QUINTIC_RHS) or d,
+     f"case 3223d2: ec_two_torsion fact key 'rhs' holds {QUINTIC_RHS!r}, "
+     "not a squarefree cubic"),
 ], ids=["top-level-array", "version-number", "families-number", "family-string",
         "case-number", "curve-string", "derivation-number", "facts-string", "fact-number",
         "case-id-number", "case-id-repeated", "family-id-repeated",
@@ -588,7 +608,8 @@ REPEATED_ROOT_CUBIC = {3: [["0", "0", "0"]] * 3 + [["1", "0", "0"]],
         "curve-divisor-zero", "divisor-zero", "factor1-one-number", "involution-factor-list",
         "product-string", "rhs-mult-list", "rhs-mult-zero", "form-value-equals-list",
         "rational-points-on-form", "local-solvability-on-form", "form-value-on-genus2",
-        "involution-on-genus2"])
+        "involution-on-genus2", "genus2-rhs-cubic", "elliptic-rhs-quintic",
+        "two-torsion-rhs-quintic"])
 def test_corpus_badly_shaped_record_rejected(tmp_path, capsys, edit, message):
     with open(corpus_path(), encoding="utf-8") as fh:
         data = edit(json.load(fh))

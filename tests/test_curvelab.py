@@ -16,8 +16,8 @@ from apforge.curvelab import (CheckResult, DerivationMismatch, NoRepresentation,
                               derive_case, descent_sample_pairs,
                               ec_point_check, eq7_descent_step, involution_check,
                               mod4_progression_impossible, run_case)
-from apforge.curves import (BadReduction, EllipticModel, HyperCurve,
-                            SuperellipticForm, count_points, good_reduction_data,
+from apforge.curves import (BadReduction, HyperCurve, SuperellipticForm,
+                            count_points, good_reduction_data,
                             integral_model, jacobian_order, l_poly_coeffs,
                             torsion_gcd_bound)
 from apforge.genus import (ALL_GENUS_LE1_POSSIBLE, GENUS_AT_LEAST_2, GENUS_GT1,
@@ -197,6 +197,19 @@ def test_count_points_vs_oracle():
         assert count_points(curve, p * p) == oracle_count(curve, p, 2)
 
 
+def test_count_points_genus_one():
+    # Corpus case 2223a's curve y^2 = -4X^3 + 60X^2 + 15X + 2, genus 1.
+    ell = CASES["2223a"].curve
+    counts = {q: count_points(ell, q) for q in (5, 7, 11, 13, 25, 49)}
+    assert counts == {5: 6, 7: 7, 11: 6, 13: 13, 25: 36, 49: 63}
+    for p in (5, 7, 11, 13):
+        assert counts[p] == oracle_count(ell, p, 1)
+    for p in (5, 7):
+        assert counts[p * p] == oracle_count(ell, p, 2)
+        a = p + 1 - counts[p]  # the trace of Frobenius: N(p^2) = p^2 + 1 - (a^2 - 2p)
+        assert counts[p * p] == p * p + 1 - (a * a - 2 * p)
+
+
 def test_jacobian_orders_pinned():
     assert jacobian_order(C1, 5) == 21
     assert jacobian_order(C1, 7) == 52
@@ -276,14 +289,14 @@ def test_rational_points_pinned_inventories():
     pts, inf = rational_points_search(C4, 1000)
     assert pts == [(Fraction(0), Fraction(-1)), (Fraction(0), Fraction(1))]
     assert inf == 2
-    ell = EllipticModel("ell_2223", UniPoly([2, 15, 60, -4]))
+    ell = HyperCurve("ell_2223", UniPoly([2, 15, 60, -4]))
     assert rational_points_search(ell, 1000) == ([], 1)
 
 
 def test_point_sieve_matches_unfiltered_scan(monkeypatch):
     curves = [c.curve for c in CORPUS.cases]
-    curves = [c for c in curves if isinstance(c, (HyperCurve, EllipticModel))]
-    assert any(isinstance(c, EllipticModel) for c in curves)
+    curves = [c for c in curves if isinstance(c, HyperCurve)]
+    assert any(c.f.degree == 3 for c in curves)
     # Blocks at the ROW_BLOCK floor of the block rule, so the second height
     # spans two blocks (at the word cap the box would need height 725).
     monkeypatch.setattr(sieve, "BLOCK_WORDS", 0)
@@ -348,7 +361,7 @@ def test_point_search_matches_coprime_fraction_scan(coeffs, height):
     f = UniPoly(coeffs)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sieve, "BLOCK_WORDS", 0)
-        pts, infinity = rational_points_search(SimpleNamespace(f=f), height)
+        pts, infinity = rational_points_search(SimpleNamespace(f=f, field=None), height)
     assert pts == _points_by_fractions(f, height)
     lead = int(f.lead())
     assert infinity == (1 if f.degree % 2 else 2 if lead > 0 and math.isqrt(lead) ** 2 == lead
@@ -523,7 +536,7 @@ def test_ec_point_check_over_cbrt2():
     a = K.alpha
     rhs = UniPoly([504 * a**2 + 630 * a + 798, -72 * a**2 - 90 * a - 108,
                    K.zero, K.one])
-    model = EllipticModel("t_ec", rhs, K)
+    model = HyperCurve("t_ec", rhs, K)
     x = -a**2 - 1
     y = 12 * a**2 + 15 * a + 19
     assert ec_point_check(model, x, y)
@@ -570,7 +583,7 @@ def test_run_case_3223d2_green():
 
 
 def test_build_curve_kinds():
-    assert isinstance(CASES["2223a"].curve, EllipticModel)
+    assert isinstance(CASES["2223a"].curve, HyperCurve) and CASES["2223a"].curve.f.degree == 3
     assert isinstance(CASES["2223b"].curve, HyperCurve)
     form_case = CASES["3323"].curve
     assert isinstance(form_case, SuperellipticForm)
@@ -581,7 +594,8 @@ def test_cubic_discriminant_is_scaled_resultant():
     """The closed form for a cubic is Res(f, f'), over Q and over the corpus fields."""
     models = [f["rhs"] for c in CORPUS.cases for f in c.facts
               if f["kind"] in ("ec_point", "ec_two_torsion", "ec_square_x")]
-    models += [c.curve for c in CORPUS.cases if isinstance(c.curve, EllipticModel)]
+    models += [c.curve for c in CORPUS.cases
+               if isinstance(c.curve, HyperCurve) and c.curve.f.degree == 3]
     assert len(models) == 5
     for model in models:
         f = model.f

@@ -66,8 +66,7 @@ def test_poly_divmod_stays_behind_exactmath():
 # module that defines it, no source calls a field or curve constructor, and
 # none defines `build_curve`.
 BUILT_IN = {"field_by_name": "numfield.py", "FieldElem": "numfield.py",
-            "HyperCurve": "curves.py", "EllipticModel": "curves.py",
-            "SuperellipticForm": "curves.py"}
+            "HyperCurve": "curves.py", "SuperellipticForm": "curves.py"}
 
 
 def test_corpus_values_are_built_at_load():
@@ -89,9 +88,10 @@ def test_corpus_values_are_built_at_load():
 
 
 # No dead helpers: every private module-level function, class or constant,
-# and every public module-level function or class, is read somewhere in the
-# package outside its own definition.  A helper only the tests call lives
-# under tests/, as `param_eval` in tests/param_rule.py.
+# every public module-level function or class, and every public method or
+# property of a package class (dunders and dataclass fields aside) is read
+# somewhere in the package outside its own definition.  A helper only the
+# tests call lives under tests/, as `param_eval` in tests/param_rule.py.
 def _definitions(tree):
     """(name, first line, last line, whether a def or class) for each
     module-level def, class or assigned name."""
@@ -107,9 +107,19 @@ def _definitions(tree):
             yield name, node.lineno, node.end_lineno, is_def
 
 
-def _unread(wanted):
-    """(how many module-level definitions wanted(name, is_def) picks, the
-    ones among them that no source reads outside their own definition)."""
+def _methods(tree):
+    """(name, first line, last line, True) for each method or property
+    defined in the body of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield item.name, item.lineno, item.end_lineno, True
+
+
+def _unread(wanted, definitions=_definitions):
+    """(how many definitions wanted(name, is_def) picks, the ones among
+    them that no source reads outside their own definition)."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
     uses = {}  # identifier -> [(file, line)] of every Name or Attribute
     for fname, tree in trees.items():
@@ -119,7 +129,7 @@ def _unread(wanted):
                 uses.setdefault(name, []).append((fname, node.lineno))
     defined, unused = 0, []
     for fname, tree in trees.items():
-        for name, first, last, is_def in _definitions(tree):
+        for name, first, last, is_def in definitions(tree):
             if not wanted(name, is_def):
                 continue
             defined += 1
@@ -138,6 +148,11 @@ def test_private_helpers_are_used():
 def test_public_functions_and_classes_are_used():
     defined, unused = _unread(lambda name, is_def: is_def and not name.startswith("_"))
     assert defined >= 80 and not unused, "\n".join(unused)
+
+
+def test_public_methods_and_properties_are_used():
+    defined, unused = _unread(lambda name, is_def: not name.startswith("_"), _methods)
+    assert defined >= 30 and not unused, "\n".join(unused)
 
 
 # One cell budget: `sieve.BLOCK_CELLS` sizes every numpy block of the package

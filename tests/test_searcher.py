@@ -294,6 +294,28 @@ def test_resource_ceiling():
         search_general(4, 7, 10**3)  # values overflow the int64 kernel
 
 
+def test_work_ceiling_refuses_before_enumerating(monkeypatch):
+    # 2^30 vectors, each of at least 11^2 pairs (bound 10, squares the
+    # smallest position): about 1.3e11 pairs, refused before a vector is built.
+    # Enumerating them all would take minutes and gigabytes, so the wrapper
+    # stops a request that takes more than the 16 vectors of theorem 3.
+    taken = []
+
+    def counted(*args, **kwargs):
+        for vector in product(*args, **kwargs):
+            taken.append(vector)
+            assert len(taken) <= 16, "a refused request enumerated its vectors"
+            yield vector
+
+    monkeypatch.setattr(searcher, "product", counted)
+    with pytest.raises(ResourceLimitError, match="exceeds ceiling"):
+        search_general(30, 3, 10)
+    assert taken == []
+    search_theorem3(10, 10)  # an admitted request still enumerates through it
+    assert len(taken) == 16
+    assert searcher.ResourceLimitError is sieve.ResourceLimitError
+
+
 @pytest.mark.parametrize("search, last_in_range", [
     (lambda bound: search_theorem3(1, bound, vectors=[(3, 3, 3, 3)]), 772597),
     (lambda bound: search_general(4, 2, bound, S=(73,)), 79481935),
