@@ -16,10 +16,8 @@ per-record runtimes, which are the only volatile field).
 Two entries: `run()` is the process's (`python -m apforge.cli` and the
 `apforge` script), which freezes the start-up heap (gc.freeze) and then
 calls `main(argv)`; `main` is the in-process API that tests and
-perfbench/traced.py call, and it never freezes.  Importing this module
-pauses the collector over the imports of numpy and apforge and restores the
-state it found.  `searcher` and `genus` are imported by the commands that
-call them, so `verify-lemma` never loads them.
+perfbench/traced.py call, and it never freezes.  `searcher` and `genus` are
+imported by the commands that call them, so `verify-lemma` never loads them.
 """
 
 from __future__ import annotations
@@ -36,19 +34,11 @@ from itertools import product
 # (its matrix products are int64), so one thread will do unless the user asks.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-# The imports below (numpy and every apforge module) allocate objects that
-# live until exit, so collecting while they pile up frees nothing.
-_gc_was_enabled = gc.isenabled()
-gc.disable()
-try:
-    from . import corpus as corpus_mod
-    from . import curvelab, parametrize
-    from .curvelab import CheckResult, timed_check
-    from .exactmath import is_prime
-    from .sieve import ResourceLimitError
-finally:
-    if _gc_was_enabled:
-        gc.enable()
+from . import corpus as corpus_mod
+from . import curvelab, parametrize
+from .curvelab import CheckResult, timed_check
+from .exactmath import is_prime
+from .sieve import ResourceLimitError
 
 
 @dataclass

@@ -9,11 +9,11 @@ strings parsed to Fraction: one (``divisor``, ``curve_divisor`` and
 ``rhs_mult`` nonzero), a non-empty list (a curve's ``rhs``), two, or (x, y)
 pairs (``affine``); ``value`` is an integer string, parsed to int; counts and
 bounds are JSON ints >= 1 (``primes_upto`` >= 2, ``branch`` and ``infinity``
->= 0); ``p`` is an odd prime with p^3 < `sieve.INT64_SAFE`, ``primes`` and
-``s_unit`` non-empty lists of such and of any primes; ``expect`` and ``real``
-are booleans; ``shape`` is
-``unipoly`` (or, in a factorization, ``form``); names and prose stay strings;
-family branches become Branch records.  A fact's ``field`` becomes its
+>= 0); ``p`` is an odd prime with p^3 < `sieve.INT64_SAFE`, ``primes`` a
+non-empty list of such and ``s_unit`` one of any primes under the same
+bound; ``expect`` and ``real`` are booleans; ``shape`` is ``unipoly`` (or,
+in a factorization, ``form``); names and prose stay strings; a family's
+``branches``, a list, become Branch records.  A fact's ``field`` becomes its
 NumberField; there a field element is written as its coordinates in the power
 basis, and the keys in `_IN_FIELD` hold FieldElems (or lists of them).  The
 file is an object whose ``families`` and ``cases`` are lists of objects, as
@@ -183,8 +183,17 @@ def _prime(n, low=2) -> bool:
 
 
 def _countable(p) -> bool:
-    """Whether an int p has p^3 < INT64_SAFE, as counts over F_{p^2} need."""
+    """Whether an int p has p^3 < INT64_SAFE, as counts over F_{p^2} need;
+    every prime the corpus names is bounded so."""
     return type(p) is not int or p**3 < INT64_SAFE
+
+
+def _primes(low: int, need: str):
+    """A parser of a non-empty list of primes >= low, each bounded before
+    the primality test, which trial-divides up to sqrt(p)."""
+    return _is(lambda v: type(v) is not list or all(map(_countable, v)),
+               "a list of primes p with p^3 < 2^62",
+               _is(lambda v: type(v) is list and v != [] and all(_prime(p, low) for p in v), need))
 
 
 def _row(value) -> bool:
@@ -258,19 +267,16 @@ _TYPES = {
                     _is(lambda v: type(v) is int and v >= 0, "a non-negative integer")),
     # the bound before the primality test, which trial-divides up to sqrt(p)
     "p": _is(_countable, "a prime p with p^3 < 2^62", _is(lambda v: _prime(v, 3), "an odd prime")),
-    "primes": _is(lambda v: type(v) is not list or all(map(_countable, v)),
-                  "a list of primes p with p^3 < 2^62",
-                  _is(lambda v: type(v) is list and v != [] and all(_prime(p, 3) for p in v),
-                      "a non-empty list of odd primes")),
-    "s_unit": _is(lambda v: type(v) is list and v != [] and all(map(_prime, v)),
-                  "a non-empty list of primes"),
+    "primes": _primes(3, "a non-empty list of odd primes"),
+    "s_unit": _primes(2, "a non-empty list of primes"),
     **dict.fromkeys(("expect", "real"), _is(lambda v: type(v) is bool, "a boolean")),
     **dict.fromkeys(("id", "version", "equation", "parity_rule", "kind", "label", "text",
                      "recipe", "map", "family", "description"),
                     _is(lambda v: type(v) is str, "a string")),
     "field": field_by_name,  # a name the loader has checked
     "value": _integer,
-    "branches": lambda rows: tuple(map(_branch, rows)),
+    "branches": _is(lambda v: type(v) is list, "a list of branches",
+                    lambda rows, fact: tuple(map(_branch, rows))),
     "doubled_branch": _branch,
     **dict.fromkeys(("exponent_vector", "partner_vector"),
                     _is(lambda v: type(v) is list and v != []
@@ -325,10 +331,7 @@ _FAMILY_OPTIONAL = tuple(f.name for f in fields(ParamFamily) if f.default is not
 def _parse_family(rec: dict, n: int) -> ParamFamily:
     name = _name(rec, "family", "families", n)
     _check_keys(name, rec, _FAMILY_REQUIRED, _FAMILY_OPTIONAL)
-    try:
-        return ParamFamily(**_record(f"{name}:", rec))
-    except TypeError as exc:  # branches not in a list
-        raise ValueError(f"{name}: {exc}") from None
+    return ParamFamily(**_record(f"{name}:", rec))
 
 
 def _derivation_branch(deriv: dict, families: dict) -> Optional[Branch]:

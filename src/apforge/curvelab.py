@@ -48,8 +48,6 @@ def ec_point_check(model: HyperCurve, x, y=None):
         return y * y == value
     if model.field is None:
         return rat_kth_root(value, 2) is not None
-    if not value:
-        return True
     return nf_is_square(value) is not None
 
 

@@ -63,7 +63,11 @@ class HyperCurve:
     @cached_property
     def model(self) -> tuple:
         """(coefficients, v, discriminant) of `integral_model(f)` over Q, built
-        once: every prime's reduction and local solvability read it."""
+        once: every prime's reduction and local solvability read it.  A curve
+        over a number field has none (ValueError)."""
+        if self.field is not None:
+            raise ValueError(f"{self.label} is over {self.field.name}: "
+                             "reduction mod p runs over Q only")
         coeffs, v = integral_model(self.f)
         return coeffs, v, discriminant(coeffs).numerator  # an integer, as coeffs are
 

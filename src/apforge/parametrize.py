@@ -91,8 +91,6 @@ class TernarySolution:
 
 @dataclass
 class CoverReport:
-    family_id: str
-    bound: int
     radius: int
     solutions_found: int
     matched: int
@@ -241,8 +239,6 @@ def param_cover_check(family: ParamFamily, bound: int) -> CoverReport:
         radius *= 2
         doubled = True
     return CoverReport(
-        family_id=family.id,
-        bound=bound,
         radius=radius,
         solutions_found=len(solutions),
         matched=len(solutions) - len(unmatched),

@@ -75,10 +75,10 @@ def rational_points_search(curve, height: int):
 
 def locally_solvable(curve, p: int) -> bool:
     """True iff y^2 = f(x) has a Q_p point (affine charts and infinity)."""
+    coeffs, _v, _disc = curve.model  # refuses a curve over a number field
     f = curve.f
     if f.degree % 2 or rat_kth_root(f.lead(), 2) is not None:
         return True  # rational points at infinity
-    coeffs, _v, _disc = curve.model
     content = math.gcd(*coeffs)
     g = [c // content for c in coeffs]
     c0 = squarefree_part(content)

@@ -161,23 +161,16 @@ _MODULE_ENTRY = ("import contextlib, gc, io, runpy, sys\n"
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-def test_cli_import_pauses_the_collector_and_restores_it(enabled):
-    # No collection runs from the first apforge import of apforge.cli to the
-    # last (while numpy is imported too), and the collector is left as the
-    # importer had it.
+def test_cli_import_leaves_the_collector_as_found(enabled):
+    # Importing apforge.cli (and numpy with it) neither toggles nor freezes
+    # the collector.
     code = ("import gc, sys\n"
             f"if not {enabled}: gc.disable()\n"
-            "inside = []\n"
-            "def seen(phase, info):\n"
-            "    cli = sys.modules.get('apforge.cli')\n"
-            "    inside.append('apforge.corpus' in sys.modules and not hasattr(cli, 'is_prime'))\n"
-            "gc.callbacks.append(seen)\n"
             "import apforge.cli\n"
-            "gc.callbacks.remove(seen)\n"
-            "print(gc.isenabled(), 'numpy' in sys.modules, any(inside), gc.get_freeze_count())")
+            "print(gc.isenabled(), 'numpy' in sys.modules, gc.get_freeze_count())")
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [str(enabled), "True", "False", "0"]
+    assert proc.stdout.split() == [str(enabled), "True", "0"]
 
 
 def test_cli_import_leaves_searcher_and_genus_out():
@@ -470,6 +463,14 @@ def fact_of(data, cid, kind):
     (lambda d: fact_of(d, "2223b", "torsion_gcd").update(primes=[5, 2_000_003]), None,
      "case 2223b: torsion_gcd fact key 'primes' holds [5, 2000003], "
      "not a list of primes p with p^3 < 2^62"),
+    (lambda d: fact_of(d, "2233", "factorization").update(resultant={"s_unit": [2**61 - 1]}),
+     ["cases", "--case", "2233", "--height", "20"],
+     f"case 2233: factorization fact key 's_unit' holds [{2**61 - 1}], "
+     "not a list of primes p with p^3 < 2^62"),
+    *((lambda d, rows=rows: next(f for f in d["families"] if f["id"] == "i").update(
+           branches=rows), ["verify-lemma", "--bound", "20"],
+       f"family i: key 'branches' holds {rows!r}, not a list of branches")
+      for rows in (5, "abc")),
 ], ids=["value-not-integer", "infinity-string", "p-string", "p-not-prime", "height-string",
         "primes-empty", "s-unit-one", "expect-string", "family-power-string",
         "p-bad-reduction", "primes-bad-reduction", "rhs-not-squarefree",
@@ -479,7 +480,8 @@ def fact_of(data, cid, kind):
         "factor-row-short", "resultant-scale-short", "value-identity-at-empty",
         "cube-class-at-one", "involution-sub-three", "solution-pair-one-vector",
         "ec-point-rhs-repeated-root", "exponent-vector-one", "partner-vector-strings",
-        "primes-upto-one", "p-past-int64-counts", "p-mersenne-61", "primes-past-int64-counts"])
+        "primes-upto-one", "p-past-int64-counts", "p-mersenne-61", "primes-past-int64-counts",
+        "s-unit-mersenne-61", "branches-number", "branches-string"])
 def test_corpus_badly_typed_value_rejected(tmp_path, edit, argv, message):
     bad = corpus_copy(tmp_path, edit)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

@@ -279,6 +279,16 @@ def test_bad_reduction_raises():
         count_points(C1, 1000)  # not p or p^2
 
 
+def test_reduction_refuses_a_curve_over_a_number_field():
+    # Every entry that reads the integral model refuses it by its label, as
+    # the point search does.
+    ec = next(f["rhs"] for f in CASES["3223d2"].facts if f["kind"] == "ec_two_torsion")
+    for entry in (count_points, good_reduction_data, locally_solvable):
+        with pytest.raises(ValueError, match=r"^ec_two_torsion is over Q\[x\]/\(.*\): "
+                                             "reduction mod p runs over Q only$"):
+            entry(ec, 5)
+
+
 def test_rational_points_pinned_inventories():
     assert rational_points_search(C1, 1000) == ([], 2)
     assert rational_points_search(C2, 1000) == ([], 2)
@@ -542,6 +552,13 @@ def test_ec_point_check_over_cbrt2():
     assert ec_point_check(model, x, y)
     assert not ec_point_check(model, x, y + 1)
     assert ec_point_check(model, x)  # squareness route
+
+
+def test_ec_point_check_at_a_root_of_f_over_a_field():
+    # f(x) = 0 is a square, through nf_is_square's zero test.
+    ec = next(f["rhs"] for f in CASES["3223d2"].facts if f["kind"] == "ec_two_torsion")
+    assert not ec.f.eval(ec.field.zero)
+    assert ec_point_check(ec, ec.field.zero)
 
 
 def test_eq7_descent_step():

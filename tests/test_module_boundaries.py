@@ -206,3 +206,16 @@ def test_padic_imports_only_exactmath():
             imported |= {alias.name.removeprefix("apforge.") for alias in node.names
                          if alias.name.startswith("apforge")}
     assert imported == {"exactmath"}, sorted(imported)
+
+
+# The collector runs as the interpreter schedules it: no source turns it off
+# or on or runs it, and only the process entry `cli.run` freezes the start-up
+# heap (tests and perfbench/traced.py call `cli.main`, which never freezes).
+GC_CALLS = {("cli.py", "run", "freeze")}
+
+
+def test_only_the_process_entry_touches_the_collector():
+    found = {(path.name, scope, name) for path in SOURCES
+             for scope, name in _names_by_scope(ast.parse(path.read_text(encoding="utf-8")))
+             if name in ("disable", "enable", "collect", "freeze", "unfreeze")}
+    assert found == GC_CALLS

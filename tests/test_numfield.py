@@ -10,6 +10,7 @@ from sympy import QQ, CRootOf, Poly, Symbol
 from apforge.exactmath import primes_upto
 from apforge.numfield import (FIELDS, FieldElem, NumberField, _roots_mod, field_by_name,
                               nf_is_s_unit, nf_is_square, nf_norm)
+from apforge.padic import Undecided
 
 ALL_FIELDS = [name for name in FIELDS]
 
@@ -168,6 +169,15 @@ def test_is_square_zero_and_rationals():
     K = field_by_name("quartic")
     assert nf_is_square(K.zero) == K.zero
     assert nf_is_square(K.rational(Fraction(9, 4))) == K.rational(Fraction(3, 2))
+
+
+def test_is_square_undecided_past_the_reconstruction_precision():
+    # b's coordinates need more than the 1024-bit reconstruction, so the
+    # root built at the split prime 5 never checks exactly.
+    Qi = field_by_name("i")
+    b = FieldElem(Qi, [2**1300 + 1, 3])
+    with pytest.raises(Undecided, match=r"\(split prime 5\)$"):
+        nf_is_square(b * b)
 
 
 @lru_cache(maxsize=None)
