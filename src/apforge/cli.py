@@ -101,7 +101,7 @@ def _exit_2_if_refused(work, *args, **kwargs):
 def cmd_verify_lemma(args, corpus) -> RunReport:
     report = RunReport("verify-lemma", corpus.version, corpus.sha256)
     fams = corpus.families
-    if args.family:
+    if args.family is not None:
         fams = [f for f in fams if f.id == args.family]
         if not fams:
             print(f"error: no family matches {args.family!r}", file=sys.stderr)
@@ -162,7 +162,7 @@ def cmd_search(args, corpus) -> RunReport:
     jobs = args.jobs or os.cpu_count() or 1
     if args.mode == "cubic-twin":
         def twin():
-            sols = _exit_2_if_refused(searcher.search_cubic_twin, args.bound)
+            sols = _exit_2_if_refused(searcher.search_cubic_twin, args.bound, jobs=jobs)
             return sols == [(-1, -1, -1), (1, 1, 1)], sols
         report.records.append(timed_check(
             f"search:cubic-twin:{args.bound}",
@@ -203,7 +203,7 @@ def cmd_cases(args, corpus) -> RunReport:
 
     report = RunReport("cases", corpus.version, corpus.sha256)
     cases = corpus.cases
-    if args.case:
+    if args.case is not None:
         cases = [c for c in corpus.cases if c.matches(args.case)]
         if not cases:
             print(f"error: no case matches {args.case!r}", file=sys.stderr)
@@ -211,7 +211,7 @@ def cmd_cases(args, corpus) -> RunReport:
     for case in cases:
         report.records.extend(curvelab.run_case(
             case, height=args.height, local_primes=args.local_primes))
-    if not args.case:
+    if args.case is None:
         report.records.append(timed_check(
             "cases:remark-families",
             "both infinite families are APs identically",

@@ -67,7 +67,8 @@ class CaseRecord:
         vec = "".join(str(l) for l in self.exponent_vector)
         partner = ("".join(str(l) for l in self.partner_vector)
                    if self.partner_vector else "")
-        return selector in (self.id, vec, partner) or self.id.startswith(selector)
+        return bool(selector) and (selector in (self.id, vec, partner)
+                                   or self.id.startswith(selector))
 
 
 @dataclass(frozen=True)

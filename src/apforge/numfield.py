@@ -7,13 +7,13 @@ minimal polynomial; inverses come from `exactmath.poly_xgcd` against it and
 powers use `exactmath.power`.  Norms are resultants along the same Euclidean
 remainder sequence, the field discriminant is `exactmath.discriminant` of the
 minimal polynomial, and S-unit tests run on norms (`padic.valuation`).
-Squareness is decided by one scan over small unramified primes: a value that
-is not a square in Q_p (`padic.is_square_qp`) refutes it, and at a split
-prime a square root is lifted by `padic.hensel_lift`, rebuilt by
+Squareness is decided by one scan over every small unramified prime: a value
+that is not a square in Q_p (`padic.is_square_qp`) refutes it; after the scan
+a square root at a split prime is lifted by `padic.hensel_lift`, rebuilt by
 `padic.rational_reconstruct` and verified exactly.  This module keeps only
 what reads the field: the roots of the minimal polynomial mod p and the
-interpolation of the lifted roots.  Every evaluation mod p or p^n is
-`exactmath.horner`.  No floating point is used anywhere.
+`UniPoly` interpolation of the lifted roots.  Every evaluation mod p or p^n
+is `exactmath.horner`.  No floating point is used anywhere.
 
 No ring-of-integers or ideal machinery: the handful of fields used here are
 fixed corpus data, one row of `FIELDS` each, and everything checkable reduces
@@ -22,6 +22,7 @@ to exact identities.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -210,27 +211,24 @@ def nf_is_s_unit(a: FieldElem, s_primes: Iterable[int]) -> bool:
 # Squareness: modular refutation, p-adic construction with exact verification.
 
 _PRECISIONS = (64, 128, 256, 512, 1024)
-_WITNESS_PRIME_COUNT = 50
 _PRIME_LIMIT = 699
 
 
 def nf_is_square(a: FieldElem):
     """Return b with b*b == a, or None when a is provably not a square.
 
-    Scans odd primes p <= 699 that are unramified and prime to every
+    Scans every odd prime p <= 699 that is unramified and prime to every
     denominator.  A non-residue a(r) at a root r of the minimal polynomial
-    mod p refutes.  The scan covers 50 such primes, and more only until it
-    meets a split prime (d distinct roots, a(r) != 0 at each), where a root
-    is built p-adically at each precision and verified exactly.  The root's
-    first nonzero coordinate is positive.  Raises Undecided otherwise.
+    mod p refutes.  After the scan, at the first split prime (d distinct
+    roots, a(r) != 0 at each) a root is built p-adically at each precision
+    and verified exactly.  The root's first nonzero coordinate is positive.
+    Raises Undecided otherwise.
     """
     if not a:
         return a.field.zero
     field = a.field
-    checked, split = 0, None
+    split = None
     for p in primes_upto(_PRIME_LIMIT)[1:]:
-        if checked >= _WITNESS_PRIME_COUNT and split is not None:
-            break
         roots = _roots_mod(field, p)
         if roots is None:
             continue
@@ -238,7 +236,6 @@ def nf_is_square(a: FieldElem):
             coords = [frac_mod(c, p) for c in a.coords]
         except ZeroDivisionError:
             continue  # p divides a denominator of a
-        checked += 1
         values = [horner(coords, r, p) for r in roots]
         if not all(is_square_qp(v, p) for v in values):
             return None
@@ -288,13 +285,10 @@ def _root_at_split_prime(a: FieldElem, p: int, roots, values, prec: int):
     # Lagrange basis: basis[i] has value 1 at lifted[i] and 0 at the others.
     basis = []
     for i, ri in enumerate(lifted):
-        poly, scale = [1], 1
-        for j, rj in enumerate(lifted):
-            if j != i:
-                poly = [(lo - rj * hi) % mod for lo, hi in zip([0] + poly, poly + [0])]
-                scale = scale * (ri - rj) % mod
-        inv = pow(scale, -1, mod)
-        basis.append([c * inv % mod for c in poly])
+        others = [rj for j, rj in enumerate(lifted) if j != i]
+        inv = pow(math.prod(ri - rj for rj in others), -1, mod)
+        row = math.prod(UniPoly([-rj, 1]) for rj in others).coeffs
+        basis.append([int(c) * inv % mod for c in row])
     for pattern in range(1 << (len(roots) - 1)):  # the last sign stays +
         signed = [-s if pattern >> i & 1 else s for i, s in enumerate(sqrts)]
         coords = [rational_reconstruct(sum(s * row[k] for s, row in zip(signed, basis)) % mod,

@@ -92,11 +92,13 @@ class Progression:
 
 
 def _eta_candidates(s_primes: Sequence[int], l: int, cap: int) -> tuple:
-    """l-th-power-free S-units of both signs, |eta| <= cap, sorted."""
+    """l-th-power-free S-units, |eta| <= cap, sorted; negative ones for even l only."""
     units = [1]
     for p in sorted(set(s_primes)):
         units = [u * p**e for u in units for e in range(l) if u * p**e <= cap]
-    return tuple(sorted(units + [-u for u in units], key=lambda t: (abs(t), -t)))
+    if l % 2 == 0:
+        units += [-u for u in units]
+    return tuple(sorted(units, key=lambda t: (abs(t), -t)))
 
 
 def _position_values(l: int, bound: int, etas: tuple):
@@ -381,9 +383,10 @@ def search_general(k: int, L: int, bound: int, D: int = 1,
                    use_sieve: bool = True, jobs: int = 1) -> list:
     """k-term progressions h = eta * x^l, 2 <= l <= L, gcd(h0, h1) <= D.
 
-    eta ranges over l-th-power-free S-units of both signs up to 10^6;
-    each term reports its own (x, l, eta).  Raises ResourceLimitError when
-    the estimated scan size exceeds the ceiling (never truncates silently).
+    eta ranges over l-th-power-free S-units up to 10^6, negative ones only
+    for even l (for odd l the sign goes into x); each term reports its own
+    (x, l, eta).  Raises ResourceLimitError when the estimated scan size
+    exceeds the ceiling (never truncates silently).
     """
     if k < 3:
         raise ValueError("k must be at least 3")
@@ -394,12 +397,12 @@ def search_general(k: int, L: int, bound: int, D: int = 1,
                    D, use_sieve, jobs)
 
 
-def search_cubic_twin(bound: int) -> list:
+def search_cubic_twin(bound: int, jobs: int = 1) -> list:
     """Coprime nonzero solutions of x^3 + y^3 = 2 z^3 up to the bound."""
     if bound < 1:
         raise ValueError("bound must be positive")
     # The progression (y^3, z^3, x^3); gcd(y^3, z^3) = 1 iff gcd(x, y, z) = 1.
-    progs = search_general(3, 3, bound, vectors=[(3, 3, 3)])
+    progs = search_general(3, 3, bound, vectors=[(3, 3, 3)], jobs=jobs)
     return sorted((p.terms[2].x, p.terms[0].x, p.terms[1].x) for p in progs
                   if all(t.x != 0 for t in p.terms))
 

@@ -282,6 +282,28 @@ def test_verify_lemma_unknown_family_message(capsys):
     assert "error: no family matches 'zz'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("verify-lemma", "--family", "", "--bound", "0"), "error: no family matches ''"),
+    (("cases", "--case", "", "--height", "20"), "error: no case matches ''"),
+], ids=["family", "case"])
+def test_empty_selector_is_usage_error(capsys, argv, message):
+    # An empty selector names nothing; read as absent, it would select everything.
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cubic_twin_passes_jobs(monkeypatch):
+    from apforge import searcher
+
+    seen, run_tasks = [], searcher._run_tasks
+    monkeypatch.setattr(searcher, "_run_tasks",
+                        lambda tasks, jobs: seen.append(jobs) or run_tasks(tasks, jobs))
+    assert run_cli("--jobs", "2", "search", "--cubic-twin", "--bound", "5") == 0
+    assert seen == [2]
+
+
 def corpus_copy(tmp_path, edit):
     """Write the bundled corpus, changed in place by edit(data), to a file."""
     with open(corpus_path(), encoding="utf-8") as fh:

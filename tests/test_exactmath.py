@@ -1,6 +1,5 @@
 """Exact arithmetic layer: pinned examples and randomized properties."""
 
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -333,27 +332,35 @@ def test_discriminants_match_sympy_on_corpus_models():
             assert got != 0
 
 
+def small_elems(K: NumberField):
+    """Elements of K with coordinates n/d, -4 <= n <= 4 and 1 <= d <= 2."""
+    coord = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 2))
+    return st.lists(coord, min_size=K.degree, max_size=K.degree).map(
+        lambda cs: FieldElem(K, cs))
+
+
 @pytest.mark.parametrize("name", list(FIELDS))
-def test_field_resultants_and_norms_match_sympy(name):
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_field_resultants_and_norms_match_sympy(name, data):
+    # Each example: 4 resultant pairs and 10 norms of one field.  A pair's
+    # polynomials have degree 1..3 and lead K.one + e, kept nonzero.
     K = field_by_name(name)
-    rng = random.Random(f"sympy-{name}")
-    rand = lambda: FieldElem(K, [Fraction(rng.randint(-4, 4), rng.randint(1, 2))
-                                 for _ in range(K.degree)])
-    m = as_sympy(K.minpoly, rational, A)
-    for _ in range(4):
+    elems = small_elems(K)
+    leads = elems.map(lambda e: K.one + e).filter(bool)
+    polys = st.builds(lambda low, lead: UniPoly(low + [lead]),
+                      st.lists(elems, min_size=1, max_size=3), leads)
+    pairs = data.draw(st.lists(st.tuples(polys, polys), min_size=4, max_size=4))
+    for pair in pairs:
         # Higher degree first: sympy 1.14 flips the sign when both degrees
         # are odd and the first is the lower (Res(x + 1, x^3 + 2) is 1, it
         # gives -1); test_resultant_swap_sign covers the other order.
-        q, p = sorted((UniPoly([rand() for _ in range(rng.randint(1, 3))] + [K.one + rand()])
-                       for _ in range(2)), key=lambda f: f.degree)
-        if p.lead() and q.lead():
-            want = sympy.resultant(as_sympy(p, field_to_sympy), as_sympy(q, field_to_sympy), X)
-            assert uni_resultant(p, q) == sympy_to_field(K, sympy.expand(want))
-    for _ in range(10):
-        e = rand()
-        if e:
-            want = sympy.resultant(m, field_to_sympy(e), A)
-            assert nf_norm(e) == to_fraction(want)
+        q, p = sorted(pair, key=lambda f: f.degree)
+        want = sympy.resultant(as_sympy(p, field_to_sympy), as_sympy(q, field_to_sympy), X)
+        assert uni_resultant(p, q) == sympy_to_field(K, sympy.expand(want))
+    m = as_sympy(K.minpoly, rational, A)
+    for e in data.draw(st.lists(elems.filter(bool), min_size=10, max_size=10)):
+        assert nf_norm(e) == to_fraction(sympy.resultant(m, field_to_sympy(e), A))
 
 
 # ---------------------------------------------------------------------------

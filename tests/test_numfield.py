@@ -1,5 +1,6 @@
 """Number field layer: corpus identities, norms, S-units, squareness."""
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -178,6 +179,15 @@ def test_is_square_undecided_past_the_reconstruction_precision():
     b = FieldElem(Qi, [2**1300 + 1, 3])
     with pytest.raises(Undecided, match=r"\(split prime 5\)$"):
         nf_is_square(b * b)
+
+
+def test_is_square_refutes_past_the_first_fifty_witness_primes():
+    # q = 1 mod every odd prime below 250, so only a prime between 250 and
+    # the scan limit 699 refutes it: the scan must go on past its first 50
+    # witness primes, though it meets the split prime 5 before them.
+    Qi = field_by_name("i")
+    q = 1 + 8 * math.prod(primes_upto(250)[1:])
+    assert nf_is_square(Qi.rational(q)) is None
 
 
 @lru_cache(maxsize=None)

@@ -258,6 +258,17 @@ def test_cubic_twin():
     assert search_cubic_twin(1) == [(-1, -1, -1), (1, 1, 1)]
 
 
+def test_odd_exponent_twists_are_positive(monkeypatch):
+    # -eta * x^l = eta * (-x)^l for odd l, so a negative twist repeats a
+    # positive one and would double the position's size and the estimate.
+    for l in (3, 5):
+        assert all(eta > 0 for eta in _eta_candidates((2, 73), l, 10**6))
+    assert -73 in _eta_candidates((73,), 2, 10**6)
+    # The twin scans (2 * 10 + 1)^2 pairs, so its estimate is that many.
+    monkeypatch.setattr(searcher, "WORK_CEILING", 21**2)
+    assert search_cubic_twin(10) == [(-1, -1, -1), (1, 1, 1)]
+
+
 def test_general_search_three_term_squares():
     progs = search_general(3, 3, 500, D=1)
     vals = {p.values for p in progs}
