@@ -9,14 +9,13 @@ Evaluation and the cover check run on integer forms: each form's
 denominators are cleared once (a cached integer form over a common
 denominator D), so integrality is `value % D == 0`.  A form is evaluated by
 `exactmath.form_value` on a block of the parameter box on int64 arrays.
-The brute-force grid of cA*a^2 + cB*b^2 comes from `sieve.TernaryRows`, the
-sound residue pre-filter (M may divide the value with a quotient that may be
-a k-th power), a block of a rows at a time; when M is squarefree one
-`np.gcd` per block keeps only the cells with gcd(a, b) = 1, and every kept
-cell is confirmed exactly with `divmod`, `int_kth_root` and `math.gcd` on Python
-ints.  Magnitudes are checked against `sieve.INT64_SAFE` (2^62) before any
-grid is built, so the int64 arrays never wrap: every Horner step of a form
-on the box is bounded by the sum of its |coefficients| times
+The brute-force grid of cA*a^2 + cB*b^2 is the box `sieve.TernaryRows`:
+its `hits` are the cells where M divides the value with an exact k-th power
+as quotient, sieved by residues and confirmed on Python ints (when M is
+squarefree, only the cells with gcd(a, b) = 1); `math.gcd` then keeps the
+primitive ones.  Magnitudes are checked against `sieve.INT64_SAFE` (2^62)
+before any grid is built, so the int64 arrays never wrap: every Horner step
+of a form on the box is bounded by the sum of its |coefficients| times
 radius^degree.
 
 The half-integral family (a = +/-(x^2-3y^2)/2, b = +/-xy) only yields
@@ -35,8 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exactmath import (BinaryForm, form_exact_root, form_value, int_floor_root, int_kth_root,
-                        square_split)
+from .exactmath import BinaryForm, form_exact_root, form_value, int_floor_root, square_split
 from .sieve import BLOCK_CELLS, INT64_SAFE, TernaryRows
 
 
@@ -145,31 +143,15 @@ def _check_int64(family: ParamFamily, bound: int, radius: int) -> None:
 
 
 def _enumerate_solutions(family: ParamFamily, bound: int):
-    """Brute-force all primitive (a, b, c), 0 <= a, b <= bound, solving for c.
-
-    The cells of `sieve.TernaryRows` survive, per block of rows; when M is
-    squarefree, only those with gcd(a, b) = 1 (a prime p dividing a and b
-    but not c puts p^2 in M c^k, so in M).  Each survivor's c is confirmed
-    exactly on Python ints.
+    """Brute-force all primitive (a, b, c), 0 <= a, b <= bound, solving for c:
+    the hits of `sieve.TernaryRows`, only those with gcd(a, b) = 1 when M is
+    squarefree (a prime p dividing a and b but not c puts p^2 in M c^k, so
+    in M).  The quarter plane is canonical: the signs of (a, b) are free in
+    the equation.
     """
-    out = []
-    k = family.power
     ca, cb, m = _int_equation(family)
-    coprime = square_split(m)[1] == 1
-    for a_cells, b_cells in TernaryRows(ca, cb, m, k, bound).cells():
-        if coprime:
-            keep = np.gcd(a_cells, b_cells) == 1
-            a_cells, b_cells = a_cells[keep], b_cells[keep]
-        for a, b in zip(a_cells.tolist(), b_cells.tolist()):
-            q, r = divmod(ca * a * a + cb * b * b, m)
-            c = None if r else int_kth_root(q, k)
-            if c is None:
-                continue
-            # Quarter-plane canonical: signs of (a,b) are free in the equation.
-            sol = TernarySolution(a, b, c)
-            if sol.primitive:
-                out.append(sol)
-    return out
+    hits = TernaryRows(ca, cb, m, family.power, bound).hits(coprime=square_split(m)[1] == 1)
+    return [sol for sol in (TernarySolution(*hit) for hit in hits) if sol.primitive]
 
 
 def _parametrized_keys(family: ParamFamily, radius: int):

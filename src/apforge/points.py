@@ -2,13 +2,12 @@
 real) solvability on y^2 = f(x), genus 1 or 2: a `curves.HyperCurve` over Q.
 
 The point search runs on the denominator-cleared model as a binary sextic
-in (r, s), x = r/s.  Per block of rows, `sieve.SquareRows` gives the cells
-(s, r) where the sextic may be a square (its moduli stay in `apforge.sieve`);
-one `np.gcd` keeps the cells with gcd(r, s) = 1, each x once in lowest terms,
-and each of those is confirmed with exact integer square roots.  Local
-solvability at p asks `padic.zp_solvable` on y^2 = c*g(x) and on the chart
-at infinity, with a lifting depth set by the discriminant; the Sturm chain
-decides the real place.
+in (r, s), x = r/s: `sieve.SquareRows` is its box, whose `hits` are the
+cells (s, r) with gcd(r, s) = 1, each x once in lowest terms, where the
+sextic is exactly a square (the moduli and the confirmation stay in
+`apforge.sieve`).  Local solvability at p asks `padic.zp_solvable` on
+y^2 = c*g(x) and on the chart at infinity, with a lifting depth set by the
+discriminant; the Sturm chain decides the real place.
 """
 
 from __future__ import annotations
@@ -16,35 +15,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .curves import integral_model
 from .exactmath import UniPoly, discriminant, poly_divmod, rat_kth_root
 from .padic import squarefree_part, substitute, valuation, zp_solvable
 from .sieve import SquareRows
-
-
-def _homogeneous_square_hits(coeffs6, height: int):
-    """(r, s, value, root) with value = sum coeffs6[i] r^i s^(6-i) a perfect
-    square, gcd(r, s) = 1, s in [1, height], r in [-height, height], in
-    row-major order.  Sound modular pre-filter, exact big-integer
-    confirmation of the coprime cells only: F(r, s) = g^6 F(r/g, s/g), and
-    (r/g, s/g) is a cell of the same box with the same x = r/s."""
-    asc = [int(c) for c in coeffs6]
-    hits, row = [], None
-    for s_cells, r_cells in SquareRows(coeffs6, height).cells():
-        coprime = np.gcd(s_cells, r_cells) == 1
-        for s, r in zip(s_cells[coprime].tolist(), r_cells[coprime].tolist()):
-            if s != row:  # Horner in r over c_i s^(6-i), once per row
-                row = s
-                c0, c1, c2, c3, c4, c5, c6 = (c * s ** (6 - i) for i, c in enumerate(asc))
-            val = (((((c6 * r + c5) * r + c4) * r + c3) * r + c2) * r + c1) * r + c0
-            if val < 0:
-                continue
-            w = math.isqrt(val)
-            if w * w == val:
-                hits.append((r, s, val, w))
-    return hits
 
 
 def rational_points_search(curve, height: int):
@@ -63,7 +37,9 @@ def rational_points_search(curve, height: int):
     infinity = 1 if f.degree % 2 else 2 if rat_kth_root(f.lead(), 2) is not None else 0
     coeffs, v = integral_model(f)
     points = {}
-    for r, s, _val, w in _homogeneous_square_hits(coeffs, height):
+    # Only the coprime cells: F(r, s) = g^6 F(r/g, s/g), and (r/g, s/g) is a
+    # cell of the same box with the same x = r/s.
+    for s, r, w in SquareRows(coeffs, height).hits(coprime=True):
         x = Fraction(r, s)
         y = Fraction(w, v * s**3)
         if y * y != f.eval(x):

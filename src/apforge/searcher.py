@@ -53,10 +53,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exactmath import BinaryForm, form_eval, int_kth_root
-from .sieve import BLOCK_CELLS, INT64_SAFE, ClassRows, ResourceLimitError
+from .sieve import BLOCK_CELLS, INT64_SAFE, WORK_CEILING, ClassRows, ResourceLimitError
 
 ETA_CAP = 10**6  # largest |eta| among the twists of search_general
-WORK_CEILING = 2_000_000_000  # estimated pair evaluations a search may take
 POOL_AFTER_S = Fraction(3, 10)  # seconds a search with jobs > 1 scans alone before any worker
 
 

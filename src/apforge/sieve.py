@@ -1,16 +1,17 @@
 """Residue tables: the sound pre-filter of the progression and point searches
-and of the parametrization cover check.
+and of the parametrization cover check, and the box search that confirms its
+own cells.
 
 A table marks the residues a value can have mod m, so it rejects only
-values that cannot occur; callers confirm survivors exactly.  Tables are
+values that cannot occur; survivors are confirmed exactly.  Tables are
 built on first use.  A factor table marks the residues of eta * x^l modulo
 one power modulus: a CRT factor 16, 9, 5, 7, 11 or 13 (which multiply to
-720720), or the prime 17 or 19.  The box tables are m x m, entry
-[row % m, col % m]: for a sextic F(r, s) = sum c_i r^i s^(6-i), per modulus
-m (the CRT factors, then the primes 17..53), F(r, s) being a square mod m
-at [s % m, r % m]; for the Lemma's cover grid cA a^2 + cB b^2 = M c^k, per
-power modulus f, modulo M f, M dividing the value with a quotient in the
-k-th-power factor table at [a % M f, b % M f].
+720720), or the prime 17 or 19.  A box asks where a binary form F(col, row)
+is M times a k-th power: the point search asks it of the sextic with M = 1
+and k = 2, the Lemma's cover grid of cA a^2 + cB b^2 = M c^k.  Its tables
+follow one rule (`_form_table`): per power modulus f, entry
+[row % M f, col % M f] marks M dividing F with a quotient in the k-th-power
+factor table mod f.
 
 Callers never see the modulus.  Two kernels pack their tables into 64-bit
 row patterns, each an OR of the packed masks of the columns in one residue
@@ -19,14 +20,16 @@ of the nonzero words: `ClassRows` the sieved progression scan, the cubic
 twin's included, over a block of outer values, with the CRT factors packed
 in coprime pairs (16 * 9, 5 * 7, 11 * 13) so a pair is one gather, and
 `BoxRows` a 2-D box over a block of rows, with column masks cached per
-column range and modulus; it runs as `SquareRows`, the point search's box,
-and `TernaryRows`, the cover grid.  A block takes ROW_BLOCK rows, or more
-while its patterns stay within the kernel's word cap (CLASS_BLOCK_WORDS,
-BLOCK_WORDS) and it keeps about BLOCK_CELLS cells (`_block_rows`, from the
-share of residues the tables admit), so a narrow sparse scan loops over few
-blocks, and a wide or a dense one keeps its arrays small.
+column range and modulus, whose `hits` confirm each surviving cell on Python
+ints; it runs as `SquareRows`, the point search's box, and `TernaryRows`,
+the cover grid.  A block takes ROW_BLOCK rows, or more while its patterns
+stay within the kernel's word cap (CLASS_BLOCK_WORDS, BLOCK_WORDS) and it
+keeps about BLOCK_CELLS cells (`_block_rows`, from the share of residues the
+tables admit), so a narrow sparse scan loops over few blocks, and a wide or
+a dense one keeps its arrays small.
 BLOCK_CELLS is also the cell budget of every other numpy block: `searcher`'s
 exact-stage slices, `parametrize`'s parameter box and `curves`' point counts.
+WORK_CEILING bounds the pairs of a progression search and the cells of a box.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactmath import form_value
+from .exactmath import form_value, int_kth_root
 
 CRT_FACTORS = (16, 9, 5, 7, 11, 13)
 _POWER_PRIMES = (17, 19)  # the power moduli after CRT_FACTORS
@@ -47,6 +50,7 @@ _POWER_MODULI = CRT_FACTORS + _POWER_PRIMES  # of TernaryRows and the tests' ref
 # would add 323 rows a pattern and save no time).
 _CLASS_GROUPS = tuple(zip(CRT_FACTORS[::2], CRT_FACTORS[1::2])) + tuple((p,) for p in _POWER_PRIMES)
 INT64_SAFE = 1 << 62  # int64 kernels keep every value below this in absolute value
+WORK_CEILING = 2_000_000_000  # the pair evaluations a search, or the cells a box, may take
 
 
 class ResourceLimitError(Exception):
@@ -245,26 +249,56 @@ def _column_masks(lo: int, hi: int, m: int) -> np.ndarray:
     return masks
 
 
-class BoxRows:
-    """The packed row kernel over a 2-D box, rows and cols ranges of step 1:
-    the cells (row, col) where every table (m, table) marks
-    [row % m, col % m].
+_TABLE_CAP = 512  # the largest modulus m * f that BoxRows tabulates
 
-    Each table is packed once into m row patterns of 64-bit words, from the
-    masks of the columns with col = u (mod m): bit j of word k of pattern
-    row % m is its entry at col = cols[64 k + j], and the padding bits are
-    zero.  A block of self.block rows (`_block_rows` of the pattern width
-    and the cells a row keeps, its columns times the share of cells every
-    table marks) is the AND of one row gather per modulus, and only the nonzero bytes of
-    its nonzero words are unpacked.  With no table every cell passes.
+
+def _form_table(coeffs: Sequence[int], m: int, k: int, f: int) -> np.ndarray:
+    """The box table mod m * f of F(col, row) = `form_value`(coeffs, col,
+    row): entry [row % (m f), col % (m f)] is set iff m divides F and the
+    quotient's residue mod f is in the k-th-power factor table (every
+    residue when f = 1)."""
+    admitted = np.zeros(m * f, dtype=bool)
+    admitted[::m] = _factor_table(k, f, (1,))  # the residues m t mod m f, t a k-th power mod f
+    grid = np.arange(m * f, dtype=np.int64)
+    return admitted[form_value(coeffs, grid, grid[:, None], m * f)]  # [row, col]
+
+
+class BoxRows:
+    """The box search over rows x cols, ranges of step 1: the cells
+    (row, col) where F(col, row) = sum coeffs[j] col^(n - j) row^j may be
+    m * (a k-th power), and `hits`, those where it is.
+
+    One table per power modulus f in moduli, mod m f, or mod m when the
+    k-th-power table mod f marks every residue (`_form_table`); a repeated
+    modulus, one past _TABLE_CAP and a table that marks every cell are left
+    out.  The sign of F / m is not sieved.  A box of more than WORK_CEILING
+    cells is refused before any table is built.
+
+    Each table is packed once into m f row patterns of 64-bit words, from
+    the masks of the columns with col = u (mod m f): bit j of word k of
+    pattern row % (m f) is its entry at col = cols[64 k + j], and the
+    padding bits are zero.  A block of self.block rows (`_block_rows` of the
+    pattern width and the cells a row keeps, its columns times the share of
+    cells every table marks) is the AND of one row gather per modulus, and
+    only the nonzero bytes of its nonzero words are unpacked.  With no table
+    every cell passes.
     """
 
-    def __init__(self, tables, rows: range, cols: range):
+    def __init__(self, coeffs: Sequence[int], m: int, k: int, moduli, rows: range, cols: range):
+        if len(rows) * len(cols) > WORK_CEILING:
+            raise ResourceLimitError(f"box of {len(rows) * len(cols)} cells exceeds ceiling")
+        self.coeffs, self.m, self.k = coeffs, m, k
         self.rows, self.lo = rows, cols.start
+        tables = {}
+        for f in moduli:
+            f = 1 if _factor_table(k, f, (1,)).all() else f
+            if m * f <= _TABLE_CAP and m * f not in tables:
+                tables[m * f] = _form_table(self.coeffs, m, k, f)
+        tables = [(mf, table) for mf, table in tables.items() if not table.all()]
         cells = _kept_cells(len(cols), (table for _, table in tables))
         self.block = _block_rows(-(-len(cols) // 64), cells, BLOCK_WORDS)
-        self.patterns = [(m, _class_patterns(table, _column_masks(cols.start, cols.stop, m)))
-                         for m, table in tables] or [(1, _column_masks(cols.start, cols.stop, 1))]
+        self.patterns = [(mf, _class_patterns(table, _column_masks(cols.start, cols.stop, mf)))
+                         for mf, table in tables] or [(1, _column_masks(cols.start, cols.stop, 1))]
 
     def cells(self):
         """Per block of self.block rows, the (row, col) int64 arrays of the
@@ -279,57 +313,39 @@ class BoxRows:
             at, col = _set_cells(words)
             yield row[at], col + self.lo
 
+    def hits(self, coprime: bool = False):
+        """The (row, col, root) with F(col, row) = m * root^k, in row-major
+        order, each cell confirmed exactly on Python ints (`int_kth_root`'s
+        root); with coprime, only the cells with gcd(row, col) = 1, cut by
+        one `np.gcd` per block."""
+        for row, col in self.cells():
+            if coprime:
+                keep = np.gcd(row, col) == 1
+                row, col = row[keep], col[keep]
+            for r, c in zip(row.tolist(), col.tolist()):
+                q, rem = divmod(form_value(self.coeffs, c, r), self.m)
+                root = None if rem else int_kth_root(q, self.k)
+                if root is not None:
+                    yield r, c, root
+
 
 # the point search's moduli after CRT_FACTORS
 _ROW_PRIMES = (17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
-def _form_square_table(coeffs6: Sequence[int], m: int) -> np.ndarray:
-    """The row table mod m of the sextic with ascending integer coefficients;
-    F(r, s) = sum c_i r^i s^(6-i) is `form_value` of the reversed ones."""
-    grid = np.arange(m, dtype=np.int64)
-    values = form_value(coeffs6[::-1], grid[None, :], grid[:, None], m)  # [s, r]
-    return _factor_table(2, m, (1,))[values]
-
-
 class SquareRows(BoxRows):
-    """The point search's sieve over the box s in [1, height], r in
-    [-height, height]: the cells (s, r) where
-    F(r, s) = sum coeffs6[i] r^i s^(6-i) may be a square modulo the CRT
-    factors and then the primes 17..53, each one's row table an m x m table
-    whose entry [s % m, r % m] marks F(r, s) being a square mod m."""
+    """The point search's box s in [1, height], r in [-height, height]:
+    F(r, s) = sum coeffs6[i] r^i s^(6-i) a square, sieved modulo the CRT
+    factors and then the primes 17..53."""
 
     def __init__(self, coeffs6: Sequence[int], height: int):
-        super().__init__([(m, _form_square_table(coeffs6, m)) for m in CRT_FACTORS + _ROW_PRIMES],
+        super().__init__(coeffs6[::-1], 1, 2, CRT_FACTORS + _ROW_PRIMES,
                          range(1, height + 1), range(-height, height + 1))
 
 
-_TERNARY_CAP = 512  # the largest modulus M * f that TernaryRows tabulates
-
-
-def _ternary_power_table(ca: int, cb: int, m: int, k: int, f: int) -> np.ndarray:
-    """The cover grid's table mod F = m * f: entry [a % F, b % F] is set iff
-    m divides ca a^2 + cb b^2 and the quotient's residue mod f is in the
-    k-th-power factor table (every residue when f = 1)."""
-    mf = m * f
-    squares = np.arange(mf, dtype=np.int64) ** 2 % mf
-    v = ((ca % mf) * squares[:, None] + (cb % mf) * squares) % mf
-    return (v % m == 0) & _factor_table(k, f, (1,))[v // m]
-
-
 class TernaryRows(BoxRows):
-    """The Lemma's cover grid over a, b in [0, bound]: the cells (a, b)
-    where m may divide ca a^2 + cb b^2 with a quotient that may be a k-th
-    power, by one table mod m * f per power modulus f.  A factor table
-    that marks every residue leaves only the divisibility, so it becomes
-    the one table mod m; a table that marks every cell, or one past
-    _TERNARY_CAP, is left out.  The sign of the quotient is not sieved."""
+    """The Lemma's cover grid a, b in [0, bound]: ca a^2 + cb b^2 = m c^k,
+    sieved modulo m f for the power moduli f."""
 
     def __init__(self, ca: int, cb: int, m: int, k: int, bound: int):
-        tables = {}
-        for f in _POWER_MODULI:
-            mf = m * f if not _factor_table(k, f, (1,)).all() else m
-            if mf <= _TERNARY_CAP and mf not in tables:
-                tables[mf] = _ternary_power_table(ca, cb, m, k, mf // m)
-        super().__init__([(mf, t) for mf, t in tables.items() if not t.all()],
-                         range(bound + 1), range(bound + 1))
+        super().__init__((cb, 0, ca), m, k, _POWER_MODULI, range(bound + 1), range(bound + 1))

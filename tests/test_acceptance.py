@@ -6,9 +6,10 @@ are exact equality and the stated runtime budgets.
 """
 
 import math
-import random
 import time
 from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
 
 from apforge.corpus import load_corpus
 from apforge.curvelab import derive_case
@@ -195,6 +196,43 @@ def test_criterion_8_theorem_b_c_empirics():
            sq_ok and twin_ok, f"squares {sq_ok}, twin {twin_ok}", t0)
 
 
+def _property(examples, batch, draw, check):
+    """Run check on examples * batch draws of the strategy draw: a
+    hypothesis property over lists of `batch` draws.  Returns how many draws
+    it checked, so a run that checked fewer than asked shows in the
+    criterion's count instead of passing unnoticed."""
+    checked = []
+
+    @settings(max_examples=examples, deadline=None)
+    @given(st.lists(draw, min_size=batch, max_size=batch))
+    def prop(drawn):
+        for args in drawn:
+            check(*args)
+        checked.append(len(drawn))
+
+    prop()
+    assert sum(checked) >= examples * batch, (sum(checked), examples, batch)
+    return sum(checked)
+
+
+# The l-th powers x^l of criterion 9: l in 2..7, x in 0..60 for even l and
+# -60..60 for odd l.
+POWERS = [(l, x) for l in range(2, 8) for x in range(0 if l % 2 == 0 else -60, 61)]
+# Field coordinates n / d with |n| <= 6 and 1 <= d <= 3.
+COORDS = [Fraction(n, d) for n in range(-6, 7) for d in (1, 2, 3)]
+
+
+def _power_passes(l, x):
+    assert maybe_power(x**l, l), (x, l)
+
+
+def _root_round_trips(k, coeffs):
+    if not any(coeffs):
+        coeffs = [1] + coeffs[1:]
+    fform = BinaryForm([Fraction(c) for c in coeffs])
+    assert form_exact_root(fform.pow(k), k) in (fform, -fform), (fform, k)
+
+
 def test_criterion_9_property_suites():
     t0 = time.monotonic()
     trials = 0
@@ -206,14 +244,8 @@ def test_criterion_9_property_suites():
     failures += 0 if [(p.exponents, p.values) for p in a] == \
         [(p.exponents, p.values) for p in b] else 1
     trials += 1
-    rng = random.Random(60601)
-    for _ in range(2000):
-        l = rng.randint(2, 7)
-        x = rng.randint(0, 60) if l % 2 == 0 else rng.randint(-60, 60)
-        h = x**l
-        trials += 1
-        if not maybe_power(h, l):
-            failures += 1
+    # Every l-th power passes the power rule.
+    trials += _property(20, 100, st.sampled_from(POWERS), _power_passes)
 
     # Weil / L-polynomial invariants on every corpus genus-2 curve, p <= 31.
     for case in CORPUS.cases:
@@ -233,33 +265,26 @@ def test_criterion_9_property_suites():
                     and n2 >= n1 and c1 == n1 - (p + 1))
             failures += 0 if good else 1
 
-    # Exact k-th root round trips.
-    for _ in range(3000):
-        k = rng.choice([2, 3])
-        deg = rng.randint(0, 3)
-        coeffs = [Fraction(rng.randint(-6, 6)) for _ in range(deg + 1)]
-        if not any(coeffs):
-            coeffs[0] = Fraction(1)
-        fform = BinaryForm(coeffs)
-        got = form_exact_root(fform.pow(k), k)
-        trials += 1
-        if got is None or got not in (fform, -fform):
-            failures += 1
+    # Exact k-th root round trips: forms of degree 0..3 with coefficients in
+    # -6..6 (an all-zero list with its first coefficient set to 1), squared
+    # or cubed.
+    trials += _property(30, 100, st.tuples(st.sampled_from((2, 3)), st.lists(
+        st.integers(-6, 6), min_size=1, max_size=4)), _root_round_trips)
 
-    # Norm multiplicativity over every corpus field.
+    # Norm multiplicativity over every corpus field, 900 pairs in each
+    # quadratic field and 220 in each other.
     from apforge.numfield import FIELDS
 
     for name in FIELDS:
         K = field_by_name(name)
-        n = 900 if K.degree == 2 else 220
-        for _ in range(n):
-            u = FieldElem(K, [Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-                              for _ in range(K.degree)])
-            v = FieldElem(K, [Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-                              for _ in range(K.degree)])
-            trials += 1
-            if nf_norm(u * v) != nf_norm(u) * nf_norm(v):
-                failures += 1
+        elem = st.lists(st.sampled_from(COORDS), min_size=K.degree, max_size=K.degree)
+
+        def norm_multiplies(u, v, K=K):
+            u, v = FieldElem(K, u), FieldElem(K, v)
+            assert nf_norm(u * v) == nf_norm(u) * nf_norm(v), (u, v)
+
+        examples, batch = (9, 100) if K.degree == 2 else (2, 110)
+        trials += _property(examples, batch, st.tuples(elem, elem), norm_multiplies)
 
     # Deterministic integer root grid |r| <= 1000, k in 2..7.
     for r in range(-1000, 1001):

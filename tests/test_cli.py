@@ -43,9 +43,14 @@ def test_usage_error_exit_two():
 
 
 def test_resource_ceiling_exit_three(capsys):
-    code = run_cli("--jobs", "1", "search", "--k", "4", "--L", "2",
-                   "--bound", "1000000")
-    assert code == 3
+    # A progression search of about 4 (10^6 + 1)^2 pairs, the point search's
+    # box of 2 10^12 cells and the cover grid's of about 10^12, each refused
+    # before any table is built.
+    for argv in (("--jobs", "1", "search", "--k", "4", "--L", "2", "--bound", "1000000"),
+                 ("cases", "--case", "2223a", "--height", "1000000"),
+                 ("verify-lemma", "--family", "i", "--bound", "1000000")):
+        assert run_cli(*argv) == 3, argv
+        assert "error: resource ceiling:" in capsys.readouterr().err
 
 
 def test_search_cubic_twin(capsys):

@@ -22,8 +22,7 @@ from apforge.curves import (BadReduction, HyperCurve, SuperellipticForm,
                             torsion_gcd_bound)
 from apforge.genus import (ALL_GENUS_LE1_POSSIBLE, GENUS_AT_LEAST_2, GENUS_GT1,
                            GENUS_ONE, GenusZero, chi_classify, rh_genus_bound)
-from apforge.points import (_homogeneous_square_hits, locally_solvable,
-                            locally_solvable_real, rational_points_search)
+from apforge.points import locally_solvable, locally_solvable_real, rational_points_search
 from apforge.exactmath import BinaryForm, UniPoly, discriminant, primes_upto, uni_resultant
 from apforge.numfield import field_by_name
 from apforge.sieve import ROW_BLOCK
@@ -318,8 +317,8 @@ def test_point_sieve_matches_unfiltered_scan(monkeypatch):
                 for r in range(-height, height + 1):
                     val = sum(coeffs[k] * r**k * s ** (6 - k) for k in range(7))
                     if math.gcd(r, s) == 1 and val >= 0 and math.isqrt(val) ** 2 == val:
-                        want.append((r, s, val, math.isqrt(val)))
-            assert _homogeneous_square_hits(coeffs, height) == want, (curve.label, height)
+                        want.append((s, r, math.isqrt(val)))
+            assert list(sieve.SquareRows(coeffs, height).hits(True)) == want, (curve.label, height)
 
 
 def _cubic_squared(c, g):
@@ -597,6 +596,78 @@ def test_run_case_all_green():
 def test_run_case_3223d2_green():
     results = run_case(CASES["3223d2"])
     assert not [r for r in results if r.status == "fail"]
+
+
+# Every pass can fail: each leaf of every checked corpus fact, changed alone,
+# must make the fact's record read fail or the corpus be refused at load.
+# Budgets (height, primes_upto, scan) and the kind and field names are not
+# statements and stay as they are; mod4_progression and descent_s1 carry no
+# data.  A number or a decimal string goes up by one, a boolean flips and a
+# factorization's shape swaps.  Each mutated corpus holds the families and
+# the fact's case with that fact alone, so only its check and the derivation
+# run.  The mutations below still read pass because they leave a true
+# statement:
+STAYS_TRUE = (
+    # (0, 0) is on y^2 = a x^3 + b x^2 + c x for every a, b, c: only the
+    # constant coefficient rhs[0] decides the ec_point fact at the origin.
+    {("3223d2", 3, ("rhs", i, j)) for i in (1, 2, 3) for j in range(3)}
+    # The product of coefficient lists is one convolution whether they are
+    # read as polynomials or as forms of full degree, and reversing two
+    # factors of degrees m and n multiplies their resultant by (-1)^(m n):
+    # still an S-unit, and unchanged for 2332's even m n = 8.
+    | {(cid, i, ("shape",)) for cid, i in (("3223d2", 0), ("2233", 0), ("2332", 0), ("3323", 3))}
+)
+_NOT_STATEMENTS = {"height", "primes_upto", "scan", "kind", "field"}
+
+
+def _leaf_paths(value, path=()):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if key not in _NOT_STATEMENTS:
+                yield from _leaf_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaf_paths(item, path + (i,))
+    else:
+        yield path
+
+
+def _mutated(leaf):
+    if isinstance(leaf, bool):
+        return not leaf
+    if isinstance(leaf, int):
+        return leaf + 1
+    if leaf in ("unipoly", "form"):
+        return "form" if leaf == "unipoly" else "unipoly"
+    return str(Fraction(leaf) + 1)
+
+
+def test_every_checked_fact_leaf_can_fail(tmp_path):
+    with open(corpus_path(), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    outcomes, path = {}, tmp_path / "corpus.json"
+    for case in raw["cases"]:
+        for idx, fact in enumerate(case["facts"]):
+            if fact["kind"] == "unchecked_claim":
+                continue
+            for leaf_path in _leaf_paths(fact):
+                mutant = json.loads(json.dumps(fact))
+                node = mutant
+                for key in leaf_path[:-1]:
+                    node = node[key]
+                node[leaf_path[-1]] = _mutated(node[leaf_path[-1]])
+                path.write_text(json.dumps(dict(raw, cases=[dict(case, facts=[mutant])])),
+                                encoding="utf-8")
+                try:
+                    (loaded,) = load_corpus(str(path)).cases
+                except (ValueError, KeyError):
+                    outcomes[case["id"], idx, leaf_path] = "refused"
+                    continue
+                records = {r.id: r.status for r in run_case(loaded)}
+                outcomes[case["id"], idx, leaf_path] = records[f"{case['id']}:{fact['kind']}:0"]
+    assert len(outcomes) >= 300
+    assert set(outcomes.values()) <= {"fail", "refused", "pass"}
+    assert {key for key, status in outcomes.items() if status == "pass"} == STAYS_TRUE
 
 
 def test_build_curve_kinds():

@@ -1,18 +1,17 @@
 """The residue moduli are decided in one module: outside `sieve.py` no source
 names `CRT_MODULUS`, `CRT_FACTORS`, `power_table`, the power moduli past the
-CRT factors and their grouping in `ClassRows`, the point search's row primes
-and sextic table builder, or the cover grid's table builder and its modulus
-cap; callers go through `ClassRows` and the box kernel `BoxRows`, as
-`SquareRows` and `TernaryRows`.  The tests' reference rule `maybe_power`
-(tests/power_rule.py) reads the tables directly, as a test may."""
+CRT factors and their grouping in `ClassRows`, the point search's row primes,
+or the box tables' builder and its modulus cap; callers go through `ClassRows`
+and the box search `BoxRows`, as `SquareRows` and `TernaryRows`.  The tests'
+reference rule `maybe_power` (tests/power_rule.py) reads the tables directly,
+as a test may."""
 
 import ast
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "apforge").glob("*.py"))
 PRIVATE = {"CRT_MODULUS", "CRT_FACTORS", "_POWER_PRIMES", "_POWER_MODULI", "_CLASS_GROUPS",
-           "power_table", "form_square_tables", "_form_square_table", "_ROW_PRIMES",
-           "_ternary_power_table", "_TERNARY_CAP"}
+           "power_table", "form_square_tables", "_ROW_PRIMES", "_form_table", "_TABLE_CAP"}
 
 
 def test_modulus_names_stay_in_sieve():

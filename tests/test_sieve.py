@@ -60,13 +60,16 @@ def test_power_moduli_are_one_tuple(monkeypatch):
     # CRT_FACTORS stays the six coprime factors of 720720; maybe_power reads
     # the one tuple that follows them with 17 and 19, ClassRows the same
     # moduli in coprime groups, and the point search lists each of its 16
-    # moduli once.
+    # moduli once.  A table that marks every cell is left out: x^6 + y^6
+    # is 0, 1 or 2 mod 7, all squares, so its box drops the modulus 7.
     assert math.prod(CRT_FACTORS) == 720720 and math.lcm(*CRT_FACTORS) == 720720
     assert sieve._POWER_MODULI == POWER_MODULI
     assert sieve._CLASS_GROUPS == CLASS_GROUPS
     assert all(math.prod(g) == math.lcm(*g) for g in CLASS_GROUPS)
-    moduli = [m for m, _ in SquareRows([1, 0, 0, 0, 0, 0, 1], 1).patterns]
-    assert len(moduli) == len(set(moduli)) == 16
+    point_moduli = [16, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+    assert [m for m, _ in SquareRows([3, 0, 0, 0, 0, 0, 1], 1).patterns] == point_moduli
+    point_moduli.remove(7)
+    assert [m for m, _ in SquareRows([1, 0, 0, 0, 0, 0, 1], 1).patterns] == point_moduli
 
     def class_rows_moduli():
         # Squares miss some residue of every modulus, so none is left out.
@@ -451,9 +454,28 @@ def test_ternary_rows_drop_only_cells_the_old_grid_drops(equation, bound):
 def test_ternary_rows_past_the_table_cap_keep_every_cell(m):
     # Every M f (and M itself) is past the largest tabulated modulus, so no
     # table is built and every cell of the box is kept.
-    assert m > sieve._TERNARY_CAP
+    assert m > sieve._TABLE_CAP
     got = _ternary_cells(sieve.TernaryRows(3, -5, m, 2, 64), 64)
     assert got == [(a, b) for a in range(65) for b in range(65)]
+
+
+def test_box_past_the_work_ceiling_is_refused_before_any_table(monkeypatch):
+    # Boxes of WORK_CEILING cells are searched; one cell more is refused
+    # before a table is built.  The point search at height h has h (2 h + 1)
+    # cells, the cover grid at bound b (b + 1)^2.
+    monkeypatch.setattr(sieve, "WORK_CEILING", 15**2)
+    assert list(sieve.TernaryRows(1, 1, 2, 3, 14).hits(True)) == [(1, 1, 1), (9, 13, 5), (13, 9, 5)]
+    assert list(SquareRows([1, 0, 0, 0, 0, 0, 1], 10).hits(True)) == [(1, 0, 1)]
+
+    def no_table(*args):
+        raise AssertionError("a refused box built a table")
+
+    monkeypatch.setattr(sieve, "_form_table", no_table)
+    for build, cells in ((lambda: sieve.TernaryRows(1, 1, 2, 3, 15), 256),
+                         (lambda: SquareRows([1, 0, 0, 0, 0, 0, 1], 11), 253)):
+        with pytest.raises(sieve.ResourceLimitError,
+                           match=f"^box of {cells} cells exceeds ceiling$"):
+            build()
 
 
 def test_blocks_grow_to_the_word_and_cell_caps():
