@@ -5,7 +5,8 @@ Modules:
   exactmath   exact rationals, binary forms, univariate polynomials
   padic       p-adic valuations, squares in Q_p, Z_p-solvability, Hensel lifting
   numfield    arithmetic in the corpus number fields
-  parametrize the ternary-equation parametrization families
+  parametrize the ternary-equation parametrization families and the two
+              infinite progression families
   sieve       residue pre-filters; every modulus and the numpy block budget
   searcher    sieved exhaustive progression searches
   curves      curve models, point counts over F_p and F_{p^2}, Jacobian orders

@@ -17,7 +17,8 @@ Two entries: `run()` is the process's (`python -m apforge.cli` and the
 `apforge` script), which freezes the start-up heap (gc.freeze) and then
 calls `main(argv)`; `main` is the in-process API that tests and
 perfbench/traced.py call, and it never freezes.  `searcher` and `genus` are
-imported by the commands that call them, so `verify-lemma` never loads them.
+imported by the commands that call them, so `verify-lemma` and `cases` never
+load them (the family identities that `cases` checks are `parametrize`'s).
 """
 
 from __future__ import annotations
@@ -199,8 +200,6 @@ def cmd_search(args, corpus) -> RunReport:
 
 
 def cmd_cases(args, corpus) -> RunReport:
-    from . import searcher
-
     report = RunReport("cases", corpus.version, corpus.sha256)
     cases = corpus.cases
     if args.case is not None:
@@ -215,7 +214,7 @@ def cmd_cases(args, corpus) -> RunReport:
         report.records.append(timed_check(
             "cases:remark-families",
             "both infinite families are APs identically",
-            lambda: (searcher.verify_remark_families(), "symbolic + spot checks")))
+            lambda: (parametrize.verify_remark_families(), "symbolic + spot checks")))
     return report
 
 

@@ -1,16 +1,22 @@
 """Exact arithmetic in Q[alpha]/(m(alpha)) for a small fixed family of fields.
 
-Elements are coefficient vectors over Q in the power basis 1, alpha, ...,
-alpha^(d-1).  Products are `UniPoly` arithmetic in alpha, reduced in one
-place (`NumberField.reduce`) by `poly_divmod` modulo the (monic, rational)
-minimal polynomial; inverses come from `exactmath.poly_xgcd` against it and
-powers use `exactmath.power`.  Norms are resultants along the same Euclidean
-remainder sequence, the field discriminant is `exactmath.discriminant` of the
-minimal polynomial, and S-unit tests run on norms (`padic.valuation`).
+Elements are integer numerator vectors over one positive denominator, in
+lowest terms, in the power basis 1, alpha, ..., alpha^(d-1) (Cohen, A Course
+in Computational Algebraic Number Theory, 4.2).  A sum or a rational scalar
+is one integer pass and one gcd; a product is one integer convolution folded
+by the field's integer table of alpha^d .. alpha^(2d-2) over one denominator,
+then one gcd.  The table is read once off `NumberField.reduce`, which reduces
+a `UniPoly` by `poly_divmod` modulo the (monic, rational) minimal polynomial;
+inverses come from `exactmath.poly_xgcd` against it on the Fraction view
+`FieldElem.poly`, and powers use `exactmath.power`.  Norms are resultants
+along the same Euclidean remainder sequence, the field discriminant is
+`exactmath.discriminant` of the minimal polynomial, and S-unit tests run on
+norms (`padic.valuation`).
 Squareness is decided by one scan over every small unramified prime: a value
 that is not a square in Q_p (`padic.is_square_qp`) refutes it; after the scan
 a square root at a split prime is lifted by `padic.hensel_lift`, rebuilt by
-`padic.rational_reconstruct` and verified exactly.  This module keeps only
+`padic.rational_reconstruct` and verified exactly.  Both read the numerators
+mod p (or p^n) through one inverse of the denominator.  This module keeps only
 what reads the field: the roots of the minimal polynomial mod p and the
 `UniPoly` interpolation of the lifted roots.  Every evaluation mod p or p^n
 is `exactmath.horner`.  No floating point is used anywhere.
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,7 +43,9 @@ from .padic import Undecided, frac_mod, hensel_lift, is_square_qp, rational_reco
 class NumberField:
     """Q[x]/(m(x)) with m monic (after scaling) of degree 2..4.
 
-    Irreducibility of m is corpus data, not re-proven here.
+    Irreducibility of m is corpus data, not re-proven here.  Built once: the
+    hash, and the integer table of alpha^d .. alpha^(2d-2) over one positive
+    denominator that every product reduces with, each read off `reduce`.
     """
 
     def __init__(self, minpoly_coeffs: Sequence, name: str = ""):
@@ -47,10 +55,15 @@ class NumberField:
         self.minpoly = poly.monic()
         self.degree = poly.degree
         self.name = name or f"Q[x]/({list(self.minpoly.coeffs)})"
+        self._hash = hash(self.minpoly)
         d = self.degree
         self.zero = FieldElem(self, [0] * d)
         self.one = FieldElem(self, [1] + [0] * (d - 1))
         self.alpha = FieldElem(self, [0, 1] + [0] * (d - 2))
+        powers = [self.reduce(UniPoly([0] * e + [1])) for e in range(d, 2 * d - 1)]
+        self._table_den = math.lcm(*(e.den for e in powers))
+        self._table = tuple(tuple(n * (self._table_den // e.den) for n in e.num)
+                            for e in powers)
 
     def rational(self, q) -> "FieldElem":
         return FieldElem(self, [q] + [0] * (self.degree - 1))
@@ -60,32 +73,72 @@ class NumberField:
         cs = poly_divmod(poly, self.minpoly)[1].coeffs
         return FieldElem(self, cs + (0,) * (self.degree - len(cs)))
 
+    def product(self, a: "FieldElem", b: "FieldElem") -> "FieldElem":
+        """a * b: the integer convolution of the numerators, its terms at
+        alpha^d .. alpha^(2d-2) folded in by the table, over one denominator."""
+        d, scale = self.degree, self._table_den
+        conv = [0] * (2 * d - 1)
+        for i, x in enumerate(a.num):
+            if x:
+                for j, y in enumerate(b.num):
+                    conv[i + j] += x * y
+        out = conv[:d] if scale == 1 else [c * scale for c in conv[:d]]
+        for c, row in zip(conv[d:], self._table):
+            if c:
+                for k, t in enumerate(row):
+                    out[k] += c * t
+        return _canonical(self, out, a.den * b.den * scale)
+
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.minpoly == other.minpoly
 
     def __hash__(self):
-        return hash(self.minpoly)
+        return self._hash
 
     def __repr__(self):
         return f"NumberField({self.name})"
 
-    @property
+    @cached_property
     def discriminant(self) -> Fraction:
         """Res(m, m') of the minimal polynomial, from `exactmath.discriminant`."""
         return discriminant(self.minpoly.coeffs)
 
 
-class FieldElem:
-    """Element of a NumberField as an exact coordinate vector."""
+def _canonical(field: NumberField, num, den: int) -> "FieldElem":
+    """The element num / den (den > 0), divided through by gcd(den, *num)."""
+    g = math.gcd(den, *num)
+    elem = object.__new__(FieldElem)
+    elem.field = field
+    elem.num = tuple(num) if g == 1 else tuple(n // g for n in num)
+    elem.den = den // g
+    return elem
 
-    __slots__ = ("field", "coords")
+
+class FieldElem:
+    """Element of a NumberField: integer numerators over one denominator.
+
+    self == sum(num[i] * alpha^i) / den, with den > 0 and gcd(den, *num) = 1,
+    so zero is (0, ..., 0) / 1 and equal elements have equal (num, den).
+    `coords` and `poly` are the same element as Fractions.
+    """
+
+    __slots__ = ("field", "num", "den")
 
     def __init__(self, field: NumberField, coords: Iterable):
         cs = [as_coeff(c) for c in coords]
         if len(cs) != field.degree:
             raise ValueError("coordinate vector has wrong length")
+        # Each Fraction is in lowest terms, so over the lcm of the
+        # denominators no prime divides every numerator and den.
+        den = math.lcm(*(c.denominator for c in cs))
         self.field = field
-        self.coords = tuple(cs)
+        self.num = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self.den = den
+
+    @property
+    def coords(self) -> tuple:
+        """The coordinates in the power basis, as Fractions."""
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     @property
     def poly(self) -> UniPoly:
@@ -94,40 +147,54 @@ class FieldElem:
 
     def _coerce(self, other):
         if isinstance(other, FieldElem):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("elements of different fields")
             return other
         if isinstance(other, (int, Fraction)):
             return self.field.rational(other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _shift(self, q):
+        """self + q for a rational q: only the constant numerator moves."""
+        a, b = q.numerator, q.denominator
+        num = [n * b for n in self.num] if b != 1 else list(self.num)
+        num[0] += a * self.den
+        return _canonical(self.field, num, self.den * b)
+
+    def _sum(self, other, sign: int):
+        if isinstance(other, (int, Fraction)):
+            return self._shift(other if sign > 0 else -other)
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return FieldElem(self.field, [a + b for a, b in zip(self.coords, o.coords)])
+        da, db = self.den, o.den
+        if da == db:
+            return _canonical(self.field, [x + sign * y for x, y in zip(self.num, o.num)], da)
+        return _canonical(self.field, [x * db + sign * y * da for x, y in zip(self.num, o.num)],
+                          da * db)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElem(self.field, [a - b for a, b in zip(self.coords, o.coords)])
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __neg__(self):
-        return FieldElem(self.field, [-a for a in self.coords])
+        return _canonical(self.field, [-n for n in self.num], self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return FieldElem(self.field, [a * other for a in self.coords])
+            return _canonical(self.field, [n * other.numerator for n in self.num],
+                              self.den * other.denominator)
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return self.field.reduce(self.poly * o.poly)
+        return self.field.product(self, o)
 
     __rmul__ = __mul__
 
@@ -155,18 +222,26 @@ class FieldElem:
         return power(self, k, self.field.one)
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.num)
+
+    def _is_rational(self) -> bool:
+        return not any(self.num[1:])
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return (self.coords[0] == other
-                    and all(not c for c in self.coords[1:]))
+            # Both sides are in lowest terms.
+            return (self._is_rational() and self.num[0] == other.numerator
+                    and self.den == other.denominator)
         if not isinstance(other, FieldElem):
             return NotImplemented
-        return self.field == other.field and self.coords == other.coords
+        return ((self.field is other.field or self.field == other.field)
+                and self.num == other.num and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.field, self.coords))
+        # A rational element equals its Fraction, so it hashes like one.
+        if self._is_rational():
+            return hash(Fraction(self.num[0], self.den))
+        return hash((self.field, self.num, self.den))
 
     def __repr__(self):
         terms = []
@@ -230,13 +305,10 @@ def nf_is_square(a: FieldElem):
     split = None
     for p in primes_upto(_PRIME_LIMIT)[1:]:
         roots = _roots_mod(field, p)
-        if roots is None:
+        if roots is None or a.den % p == 0:  # ramified, or p divides a's denominator
             continue
-        try:
-            coords = [frac_mod(c, p) for c in a.coords]
-        except ZeroDivisionError:
-            continue  # p divides a denominator of a
-        values = [horner(coords, r, p) for r in roots]
+        inv = pow(a.den, -1, p)
+        values = [horner([n * inv for n in a.num], r, p) for r in roots]
         if not all(is_square_qp(v, p) for v in values):
             return None
         if split is None and len(roots) == field.degree and all(values):
@@ -245,7 +317,7 @@ def nf_is_square(a: FieldElem):
         for prec in _PRECISIONS:
             b = _root_at_split_prime(a, *split, prec)
             if b is not None:
-                return -b if next(c for c in b.coords if c) < 0 else b
+                return -b if next(n for n in b.num if n) < 0 else b
     where = f"split prime {split[0]}" if split else f"no split prime up to {_PRIME_LIMIT}"
     raise Undecided(f"squareness of {a!r} undecided ({where})")
 
@@ -278,7 +350,8 @@ def _root_at_split_prime(a: FieldElem, p: int, roots, values, prec: int):
     mod = p**n
     m = [frac_mod(c, mod) for c in field.minpoly.coeffs]
     lifted = [hensel_lift(m, r, p, n) for r in roots]
-    acoords = [frac_mod(c, mod) for c in a.coords]
+    inv = pow(a.den, -1, mod)
+    acoords = [n * inv % mod for n in a.num]
     sqrts = [hensel_lift([-horner(acoords, r, mod), 0, 1],
                          next(s for s in range(1, p) if s * s % p == v), p, n)
              for r, v in zip(lifted, values)]

@@ -3,7 +3,9 @@
 Eight families are carried as corpus data: five cubic ones (k = 3, the a/b
 forms are binary cubics) and three quadratic ones (k = 2).  Each family's
 defining identity is verified symbolically, and bounded completeness is
-checked against a brute-force enumeration oracle.
+checked against a brute-force enumeration oracle.  The paper's two infinite
+progression families, four degree-12 forms each, are checked here too
+(`verify_remark_families`): `cases` reads them without loading `searcher`.
 
 Evaluation and the cover check run on integer forms: each form's
 denominators are cleared once (a cached integer form over a common
@@ -34,7 +36,8 @@ from typing import Optional
 
 import numpy as np
 
-from .exactmath import BinaryForm, form_exact_root, form_value, int_floor_root, square_split
+from .exactmath import (BinaryForm, form_eval, form_exact_root, form_value, int_floor_root,
+                        square_split)
 from .sieve import BLOCK_CELLS, INT64_SAFE, TernaryRows
 
 
@@ -228,3 +231,43 @@ def param_cover_check(family: ParamFamily, bound: int) -> CoverReport:
         via_doubled_forms=via_doubled,
         radius_doubled=doubled,
     )
+
+
+def remark_family_terms() -> dict:
+    """The two infinite AP families with a shared quartic common factor.
+
+    Returns label -> (list of four degree-12 forms, exponent vector).
+    """
+    q = BinaryForm
+    f = q([1, 8, 2, -8, 1])
+    fam_a = (
+        [(q([1, -2, -1]) * f).pow(2),
+         (q([1, 0, 1]) * f).pow(2),
+         (q([1, 2, -1]) * f).pow(2),
+         f.pow(3)],
+        (2, 2, 2, 3),
+    )
+    g = q([1, 4, 8, -8, 4])
+    fam_b = (
+        [(q([1, -2, -2]) * g).pow(2),
+         (q([1, 0, 2]) * g).pow(2),
+         g.pow(3),
+         (q([1, 4, -2]) * g).pow(2)],
+        (2, 2, 3, 2),
+    )
+    return {"sq_sq_sq_cube": fam_a, "sq_sq_cube_sq": fam_b}
+
+
+def verify_remark_families() -> bool:
+    """Symbolically confirm both displayed families are APs in (u, v)."""
+    for terms, _ in remark_family_terms().values():
+        diffs = [terms[m + 1] - terms[m] for m in range(3)]
+        if not (diffs[0] == diffs[1] == diffs[2]):
+            return False
+        # Numeric spot checks on top of the form identity.
+        for (u, v) in ((1, 0), (2, 1), (3, -2)):
+            vals = [form_eval(t, u, v) for t in terms]
+            steps = {vals[m + 1] - vals[m] for m in range(3)}
+            if len(steps) != 1:
+                return False
+    return True

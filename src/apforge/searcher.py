@@ -52,7 +52,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exactmath import BinaryForm, form_eval, int_kth_root
+from .exactmath import int_kth_root
+# The family identities live in parametrize, so `cases` never imports this
+# module; perfbench/traced.py wraps verify_remark_families under this name.
+from .parametrize import remark_family_terms, verify_remark_families  # noqa: F401
 from .sieve import BLOCK_CELLS, INT64_SAFE, WORK_CEILING, ClassRows, ResourceLimitError
 
 ETA_CAP = 10**6  # largest |eta| among the twists of search_general
@@ -404,43 +407,3 @@ def search_cubic_twin(bound: int, jobs: int = 1) -> list:
     progs = search_general(3, 3, bound, vectors=[(3, 3, 3)], jobs=jobs)
     return sorted((p.terms[2].x, p.terms[0].x, p.terms[1].x) for p in progs
                   if all(t.x != 0 for t in p.terms))
-
-
-def remark_family_terms() -> dict:
-    """The two infinite AP families with a shared quartic common factor.
-
-    Returns label -> (list of four degree-12 forms, exponent vector).
-    """
-    q = BinaryForm
-    f = q([1, 8, 2, -8, 1])
-    fam_a = (
-        [(q([1, -2, -1]) * f).pow(2),
-         (q([1, 0, 1]) * f).pow(2),
-         (q([1, 2, -1]) * f).pow(2),
-         f.pow(3)],
-        (2, 2, 2, 3),
-    )
-    g = q([1, 4, 8, -8, 4])
-    fam_b = (
-        [(q([1, -2, -2]) * g).pow(2),
-         (q([1, 0, 2]) * g).pow(2),
-         g.pow(3),
-         (q([1, 4, -2]) * g).pow(2)],
-        (2, 2, 3, 2),
-    )
-    return {"sq_sq_sq_cube": fam_a, "sq_sq_cube_sq": fam_b}
-
-
-def verify_remark_families() -> bool:
-    """Symbolically confirm both displayed families are APs in (u, v)."""
-    for terms, _ in remark_family_terms().values():
-        diffs = [terms[m + 1] - terms[m] for m in range(3)]
-        if not (diffs[0] == diffs[1] == diffs[2]):
-            return False
-        # Numeric spot checks on top of the form identity.
-        for (u, v) in ((1, 0), (2, 1), (3, -2)):
-            vals = [form_eval(t, u, v) for t in terms]
-            steps = {vals[m + 1] - vals[m] for m in range(3)}
-            if len(steps) != 1:
-                return False
-    return True

@@ -22,8 +22,8 @@ from apforge.points import (locally_solvable, locally_solvable_real,
 from apforge.exactmath import (BinaryForm, UniPoly, form_eval,
                                form_exact_root, int_kth_root, uni_resultant)
 from apforge.numfield import FieldElem, field_by_name, nf_is_s_unit, nf_norm
-from apforge.parametrize import param_cover_check, param_verify_identity
-from apforge.searcher import search_cubic_twin, search_theorem3, verify_remark_families
+from apforge.parametrize import param_cover_check, param_verify_identity, verify_remark_families
+from apforge.searcher import search_cubic_twin, search_theorem3
 from power_rule import maybe_power
 
 CORPUS = load_corpus()

@@ -192,6 +192,19 @@ def test_cli_import_leaves_searcher_and_genus_out():
     assert proc.stdout.strip() == "0 [] []"
 
 
+@pytest.mark.parametrize("argv", [["cases", "--height", "50"], ["verify-lemma", "--bound", "20"]])
+def test_cases_and_verify_lemma_never_import_searcher(argv):
+    # The family identities that `cases` checks are parametrize's, so
+    # neither command compiles or imports the search module.
+    code = ("import contextlib, io, sys, apforge.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = apforge.cli.main({argv!r})\n"
+            "print(code, 'apforge.searcher' in sys.modules)")
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+
+
 def test_module_entry_freezes_the_start_up_heap():
     proc = _python("-c", _MODULE_ENTRY, "genus", "--chi", "2", "2", "2")
     assert proc.returncode == 0, proc.stderr

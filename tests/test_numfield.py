@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from sympy import QQ, CRootOf, Poly, Symbol
 
-from apforge.exactmath import primes_upto
+from apforge.exactmath import UniPoly, poly_divmod, primes_upto
 from apforge.numfield import (FIELDS, FieldElem, NumberField, _roots_mod, field_by_name,
                               nf_is_s_unit, nf_is_square, nf_norm)
 from apforge.padic import Undecided
@@ -95,6 +95,78 @@ def pow_table_product(a, b):
 def test_product_matches_pow_table_oracle(elems):
     a, b = elems
     assert a * b == pow_table_product(a, b)
+
+
+def divmod_product(a, b):
+    """Second oracle: the product of the Fraction coordinate polynomials,
+    reduced by `poly_divmod` modulo the minimal polynomial, as coordinates."""
+    rem = poly_divmod(UniPoly(a.coords) * UniPoly(b.coords), a.field.minpoly)[1].coeffs
+    return rem + (Fraction(0),) * (a.field.degree - len(rem))
+
+
+def assert_canonical(e):
+    """Integer numerators over a positive denominator in lowest terms; zero
+    is (0, ..., 0) / 1."""
+    assert type(e.den) is int and all(type(n) is int for n in e.num), e
+    assert len(e.num) == e.field.degree and e.den > 0, e
+    assert math.gcd(e.den, *e.num) == 1, e
+    assert any(e.num) or e.den == 1, e
+
+
+scalars = st.one_of(st.integers(-12, 12), st.builds(Fraction, st.integers(-12, 12),
+                                                    st.integers(1, 6)))
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_integer_coordinates_match_fraction_reference(name, data):
+    """Every operation equals the same computation on Fraction coordinates,
+    and every result is canonical.  cubic57over4's minimal polynomial has
+    the coefficient 57/4, so its table has a denominator above 1."""
+    a, b = data.draw(same_field(2, fields=(name,)))
+    q = data.draw(scalars)
+    ra, rb = a.coords, b.coords
+    checks = [
+        (a + b, tuple(x + y for x, y in zip(ra, rb))),
+        (a - b, tuple(x - y for x, y in zip(ra, rb))),
+        (-a, tuple(-x for x in ra)),
+        (a * b, divmod_product(a, b)),
+        (a * b, pow_table_product(a, b).coords),
+        (a + q, (ra[0] + q,) + ra[1:]),
+        (q + a, (q + ra[0],) + ra[1:]),
+        (a - q, (ra[0] - q,) + ra[1:]),
+        (q - a, (q - ra[0],) + tuple(-x for x in ra[1:])),
+        (a * q, tuple(x * q for x in ra)),
+        (q * a, tuple(q * x for x in ra)),
+        (a - a, (Fraction(0),) * len(ra)),
+    ]
+    power = a.field.one
+    for k in range(4):
+        checks.append((a ** k, power.coords))
+        power = FieldElem(a.field, divmod_product(power, a))
+    if q:
+        checks.append((a / q, tuple(x / q for x in ra)))
+    if b:
+        quotient = a / b
+        checks.append((FieldElem(a.field, divmod_product(quotient, b)), ra))
+        checks.append((quotient, divmod_product(a, b ** -1)))
+        checks.append((q / b, divmod_product(a.field.rational(q), b.inverse())))
+    for got, want in checks:
+        assert_canonical(got)
+        assert got.coords == tuple(want), (a, b, q, got, want)
+    assert (a == b) == (ra == rb)
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_rational_elements_hash_like_their_fractions(name):
+    K = field_by_name(name)
+    assert K.rational(3) == 3 and len({K.rational(3), 3}) == 1
+    half = Fraction(-1, 2)
+    assert hash(K.rational(half)) == hash(half)
+    assert {half: "r"}[K.rational(half)] == "r"
+    assert len({K.zero, 0, K.one, 1, Fraction(1)}) == 2
+    assert K.alpha != 0 and K.alpha not in {0, 1, Fraction(1, 2)}
 
 
 # 1500 products per quadratic field and 350 per other field, in expectation:
