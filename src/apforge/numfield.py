@@ -154,16 +154,7 @@ class FieldElem:
             return self.field.rational(other)
         return NotImplemented
 
-    def _shift(self, q):
-        """self + q for a rational q: only the constant numerator moves."""
-        a, b = q.numerator, q.denominator
-        num = [n * b for n in self.num] if b != 1 else list(self.num)
-        num[0] += a * self.den
-        return _canonical(self.field, num, self.den * b)
-
     def _sum(self, other, sign: int):
-        if isinstance(other, (int, Fraction)):
-            return self._shift(other if sign > 0 else -other)
         o = self._coerce(other)
         if o is NotImplemented:
             return o
@@ -308,7 +299,8 @@ def nf_is_square(a: FieldElem):
         if roots is None or a.den % p == 0:  # ramified, or p divides a's denominator
             continue
         inv = pow(a.den, -1, p)
-        values = [horner([n * inv for n in a.num], r, p) for r in roots]
+        coords = [n * inv % p for n in a.num]
+        values = [horner(coords, r, p) for r in roots]
         if not all(is_square_qp(v, p) for v in values):
             return None
         if split is None and len(roots) == field.degree and all(values):
