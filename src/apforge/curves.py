@@ -17,14 +17,19 @@ with coefficients fixed by the point counts over F_p and F_{p^2}.
 
 Point counts are numpy kernels in blocks of at most `sieve.BLOCK_CELLS`
 cells, so their working memory does not grow with q; the per-prime tables
-they read are O(p) and cached.  Each x adds its number of square roots of
-f(x), read from one p-entry table.  Over F_p, f(x) comes from
-`exactmath.horner` mod p.  Over F_{p^2} they take each conjugate pair
-a +- s (s^2 = w, w a non-residue) once and read the norm f(a + s) f(a - s)
-from the curve's norm form, an exact 13 x 7 integer matrix H: one block of
-(a, w) is ((V @ H) % p) @ W % p for power tables V of a and W of w.  Every
-int64 value stays below 13 p^2, far under 2^62 as count_points asks
-p^(e+1) < 2^62 for q = p^e.
+they read are O(p) and cached.  A count of more than `sieve.WORK_CEILING`
+cells (p over F_p, p (p + 1) / 2 over F_{p^2}) is refused with
+`sieve.ResourceLimitError` before any table is built, which the CLI reports
+with exit 3.  Each x adds its number of square roots of f(x), read from one
+p-entry table.  Over F_p, f(x) comes from `exactmath.horner` mod p.  Over
+F_{p^2} they take each conjugate pair a +- s (s^2 = w, w a non-residue)
+once and read the norm f(a + s) f(a - s) from the curve's norm form, an
+exact 13 x 7 integer matrix H: one block of (a, w) is two `np.einsum`
+contractions, M = H^T V and then W^T M for power tables V of a and W of w,
+each reduced mod p as x - (x // p) p.  Every table entry lies in [0, p), so
+the products' sums are at most 13 (p - 1)^2 and 7 (p - 1)^2; they run in
+int32 while 13 (p - 1)^2 < 2^31, that is for p <= INT32_MAX_PRIME = 12 853,
+and in int64 above, where count_points asks p^(e+1) < 2^62.  Both are exact.
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ import numpy as np
 
 from .exactmath import BinaryForm, UniPoly, discriminant, horner, is_prime, square_split
 from .numfield import NumberField
-from .sieve import BLOCK_CELLS, INT64_SAFE
+from . import sieve
+from .sieve import BLOCK_CELLS, INT64_SAFE, ResourceLimitError
 
 
 class BadReduction(Exception):
@@ -109,10 +115,15 @@ def good_reduction_data(curve: HyperCurve, p: int):
 
 
 def count_points(curve: HyperCurve, q: int) -> int:
-    """Points on the smooth projective model over F_q, q = p or p^2, p odd."""
+    """Points on the smooth projective model over F_q, q = p or p^2, p odd.
+    A count of more than sieve.WORK_CEILING cells raises ResourceLimitError."""
     p, e = _prime_power(q)
     if p ** (e + 1) >= INT64_SAFE:
         raise ValueError("the int64 kernels need p^(e+1) < 2^62")
+    cells = p if e == 1 else p * (p + 1) // 2
+    if cells > sieve.WORK_CEILING:
+        field = f"F_{p}" if e == 1 else f"F_{p}^2"
+        raise ResourceLimitError(f"point count over {field} of {cells} cells exceeds ceiling")
     coeffs, deg = good_reduction_data(curve, p)
     return _count_fq(coeffs, deg, p, e)
 
@@ -146,20 +157,33 @@ def _root_counts(p: int):
     return _frozen(roots)
 
 
+# The F_{p^2} kernel's products sum at most 13 (p - 1)^2, so they are exact in
+# int32 up to this prime (13 * 12 852^2 < 2^31) and in int64 above it.
+INT32_MAX_PRIME = 1 + math.isqrt(((1 << 31) - 1) // 13)
+
+
 @lru_cache(maxsize=_PRIMES_CACHED)
 def _fp2_powers(p: int):
     """(V, W) for F_{p^2} = F_p[t]/(t^2 - nu), nu the least non-residue:
-    V[a, i] = a^i for a in F_p and i <= 12, W[j, b] = (nu b^2)^j for j <= 6
-    and 0 <= b <= (p-1)/2, all reduced mod p (int64)."""
+    V[i, a] = a^i for i <= 12 and a in F_p, W[j, b] = (nu b^2)^j for j <= 6
+    and 0 <= b <= (p-1)/2, all reduced mod p, in int32 for p <=
+    INT32_MAX_PRIME and int64 above (products of two entries fit either)."""
     nu = int(np.flatnonzero(_root_counts(p) == 0)[0])
-    a = np.arange(p, dtype=np.int64)
+    dtype = np.int32 if p <= INT32_MAX_PRIME else np.int64
+    a = np.arange(p, dtype=dtype)
     w = nu * (a[: (p + 1) // 2] ** 2 % p) % p
-    powers_a, powers_w = np.ones((p, 13), dtype=np.int64), np.ones((7, w.size), dtype=np.int64)
+    powers_a, powers_w = np.ones((13, p), dtype=dtype), np.ones((7, w.size), dtype=dtype)
     for i in range(1, 13):
-        powers_a[:, i] = powers_a[:, i - 1] * a % p
+        np.remainder(powers_a[i - 1] * a, p, out=powers_a[i])
     for j in range(1, 7):
-        powers_w[j] = powers_w[j - 1] * w % p
+        np.remainder(powers_w[j - 1] * w, p, out=powers_w[j])
     return _frozen(powers_a), _frozen(powers_w)
+
+
+def _reduce(x, p: int):
+    """x mod p in place, for x >= 0: floor division is cheaper than numpy's %."""
+    x -= x // p * p
+    return x
 
 
 @lru_cache(maxsize=None)
@@ -187,10 +211,13 @@ def _count_fq(coeffs, deg: int, p: int, e: int) -> int:
     nonzero square iff its norm is a nonzero square in F_p, as z^((q-1)/2) =
     N(z)^((p-1)/2), so x adds R[N(f(x))], and N(f(a + s)) = f(a + s) f(a - s)
     = sum H[i, j] a^i w^j for H = _norm_form(f).  Per block of (a, b) that is
-    ((V @ H) % p) @ W % p, with V and W the power tables of _fp2_powers, and
-    the count is one bincount against R.  Every table entry is below p, so
-    Horner steps stay below p^2 and the two products below 13 p^2 and 7 p^2,
-    far under 2^62 as p^(e+1) < 2^62 (checked in count_points).
+    M[j, a] = sum_i H[i, j] V[i, a] mod p and then N[b, a] = sum_j W[j, b]
+    M[j, a] mod p, two `np.einsum` contractions on the power tables V and W
+    of _fp2_powers, in their dtype, and the count is one bincount of N
+    against R.  Every table entry is below p, so Horner steps stay below p^2
+    and the two contractions at most 13 (p - 1)^2 and 7 (p - 1)^2: within
+    int32 for p <= INT32_MAX_PRIME, and far under 2^62 above it as p^(e+1) <
+    2^62 (checked in count_points).
     """
     roots = _root_counts(p)
     count, rows = 0, min(p, BLOCK_CELLS)
@@ -200,16 +227,19 @@ def _count_fq(coeffs, deg: int, p: int, e: int) -> int:
             value = horner(coeffs[: deg + 1], a, p)
             count += int(np.bincount(value, minlength=p) @ roots)
     else:
-        h = (_norm_form(tuple(coeffs[: deg + 1])) % p).astype(np.int64)
         powers_a, powers_w = _fp2_powers(p)
+        h = (_norm_form(tuple(coeffs[: deg + 1])) % p).astype(powers_a.dtype)
         step = max(1, BLOCK_CELLS // rows)
         for start in range(0, p, rows):
-            m = powers_a[start : start + rows] @ h % p
+            m = _reduce(np.einsum("ij,ia->ja", h, powers_a[:, start : start + rows]), p)
             for b0 in range(0, powers_w.shape[1], step):
-                norm = m @ powers_w[:, b0 : b0 + step] % p
+                norm = _reduce(np.einsum("ja,jb->ba", m, powers_w[:, b0 : b0 + step]), p)
                 count += 2 * int(np.bincount(norm.ravel(), minlength=p) @ roots)
-                if b0 == 0:  # x = a in F_p is its own conjugate: count it once
-                    count -= int(roots[norm[:, 0]].sum())
+                # x = a in F_p (b = 0) is its own conjugate: count it once.  f(a)
+                # is in F_p, so a square in F_{p^2}: x adds 2, or 1 where
+                # N = f(a)^2 is 0.
+                if b0 == 0:
+                    count -= norm.shape[1] + int(np.count_nonzero(norm[0]))
     # At infinity: one for odd deg; for even deg two when lc(f) is a square in F_q, N(lc) = lc^e.
     return count + (1 if deg % 2 else int(roots[coeffs[deg] ** e % p]))
 

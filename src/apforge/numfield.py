@@ -38,6 +38,7 @@ import numpy as np
 from .exactmath import (UniPoly, as_coeff, discriminant, horner, poly_divmod, poly_xgcd,
                         power, primes_upto, uni_resultant)
 from .padic import Undecided, frac_mod, hensel_lift, is_square_qp, rational_reconstruct, valuation
+from .sieve import BLOCK_CELLS
 
 
 class NumberField:
@@ -314,17 +315,38 @@ def nf_is_square(a: FieldElem):
     raise Undecided(f"squareness of {a!r} undecided ({where})")
 
 
-@lru_cache(maxsize=None)
 def _roots_mod(field: NumberField, p: int):
-    """Roots of the minimal polynomial mod p; None when p divides the
-    discriminant or a denominator of the minimal polynomial."""
-    try:
-        if frac_mod(field.discriminant, p) == 0:
-            return None
-        m = [frac_mod(c, p) for c in field.minpoly.coeffs]
-    except ZeroDivisionError:
-        return None
-    return np.flatnonzero(horner(m, np.arange(p, dtype=np.int64), p) == 0).tolist()
+    """Roots of the minimal polynomial mod p, ascending, for an odd prime p <=
+    _PRIME_LIMIT; None when p divides the discriminant or a denominator of
+    the minimal polynomial."""
+    return _field_roots(field)[p]
+
+
+@lru_cache(maxsize=None)
+def _field_roots(field: NumberField) -> dict:
+    """{p: _roots_mod(field, p)} for every odd prime p <= _PRIME_LIMIT, built
+    once per field.  Away from the lcm D of its denominators the minimal
+    polynomial has the roots of the integer polynomial D m, so `horner` finds
+    them all at once: D m at every x < p, one row per admissible prime, with
+    the modulus an array of rows, in blocks of at most `sieve.BLOCK_CELLS`
+    cells."""
+    disc = field.discriminant
+    den = math.lcm(*(Fraction(c).denominator for c in field.minpoly.coeffs))
+    bad = disc.numerator * disc.denominator * den
+    table = dict.fromkeys(primes_upto(_PRIME_LIMIT)[1:])
+    primes = [p for p in table if bad % p]
+    table.update((p, []) for p in primes)
+    rows = max(1, BLOCK_CELLS // _PRIME_LIMIT)
+    for start in range(0, len(primes), rows):
+        block = primes[start : start + rows]
+        mod = np.array(block, dtype=np.int32)[:, None]
+        coeffs = [np.array([int(c * den) % p for p in block], dtype=np.int32)[:, None]
+                  for c in field.minpoly.coeffs]
+        x = np.arange(block[-1], dtype=np.int32)  # the primes ascend
+        row, root = np.nonzero((horner(coeffs, x, mod) == 0) & (x < mod))
+        for i, r in zip(row.tolist(), root.tolist()):
+            table[block[i]].append(r)
+    return table
 
 
 def _root_at_split_prime(a: FieldElem, p: int, roots, values, prec: int):

@@ -28,8 +28,9 @@ keeps about BLOCK_CELLS cells (`_block_rows`, from the share of residues the
 tables admit), so a narrow sparse scan loops over few blocks, and a wide or
 a dense one keeps its arrays small.
 BLOCK_CELLS is also the cell budget of every other numpy block: `searcher`'s
-exact-stage slices, `parametrize`'s parameter box and `curves`' point counts.
-WORK_CEILING bounds the pairs of a progression search and the cells of a box.
+exact-stage slices, `parametrize`'s parameter box, `curves`' point counts and
+`numfield`'s root tables.  WORK_CEILING bounds the pairs of a progression
+search, the cells of a box and the cells of a point count.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ _POWER_MODULI = CRT_FACTORS + _POWER_PRIMES  # of TernaryRows and the tests' ref
 # would add 323 rows a pattern and save no time).
 _CLASS_GROUPS = tuple(zip(CRT_FACTORS[::2], CRT_FACTORS[1::2])) + tuple((p,) for p in _POWER_PRIMES)
 INT64_SAFE = 1 << 62  # int64 kernels keep every value below this in absolute value
-WORK_CEILING = 2_000_000_000  # the pair evaluations a search, or the cells a box, may take
+WORK_CEILING = 2_000_000_000  # the pairs a search, or the cells a box or a count, may take
 
 
 class ResourceLimitError(Exception):

@@ -42,13 +42,18 @@ def test_usage_error_exit_two():
     assert exc.value.code == 2
 
 
-def test_resource_ceiling_exit_three(capsys):
+def test_resource_ceiling_exit_three(tmp_path, capsys):
     # A progression search of about 4 (10^6 + 1)^2 pairs, the point search's
-    # box of 2 10^12 cells and the cover grid's of about 10^12, each refused
-    # before any table is built.
+    # box of 2 10^12 cells, the cover grid's of about 10^12 and the count over
+    # F_{p^2} of a Jacobian order at p = 1 000 003, of about 5 10^11 cells
+    # (a corpus prime the loader accepts, as p^3 < 2^62), each refused before
+    # it builds a table.
+    big_p = corpus_copy(tmp_path, lambda d: fact_of(d, "2223b", "jacobian_order").update(
+        p=1_000_003))
     for argv in (("--jobs", "1", "search", "--k", "4", "--L", "2", "--bound", "1000000"),
                  ("cases", "--case", "2223a", "--height", "1000000"),
-                 ("verify-lemma", "--family", "i", "--bound", "1000000")):
+                 ("verify-lemma", "--family", "i", "--bound", "1000000"),
+                 ("--corpus", big_p, "cases", "--case", "2223b", "--height", "20")):
         assert run_cli(*argv) == 3, argv
         assert "error: resource ceiling:" in capsys.readouterr().err
 

@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -161,6 +162,75 @@ def test_count_points_quintic_at_3(monkeypatch):
         for e in (1, 2):
             assert count_points(X5P1, 3**e) == loop_count(coeffs, deg, 3, e) \
                 == oracle_count(X5P1, 3, e), (block, e)
+
+
+@pytest.fixture
+def cold_count_tables():
+    """Empty the per-prime count tables before and after a test that patches
+    what they are built from."""
+    for table in (curves._root_counts, curves._fp2_powers):
+        table.cache_clear()
+    yield
+    for table in (curves._root_counts, curves._fp2_powers):
+        table.cache_clear()
+
+
+def test_int32_bound_is_the_largest_exact_prime():
+    # The F_{p^2} products sum at most 13 (p - 1)^2.
+    bound = curves.INT32_MAX_PRIME
+    assert 13 * (bound - 1) ** 2 < 2**31 <= 13 * bound**2
+    assert bound >= 200  # every corpus and benchmark prime counts in int32
+
+
+def test_count_points_on_both_sides_of_the_int32_bound(monkeypatch, cold_count_tables):
+    """With the int32 bound at 31, 29 and 31 count in int32 and 37 and 41 in
+    int64; every count still equals the loop reference."""
+    monkeypatch.setattr(curves, "INT32_MAX_PRIME", 31)
+    for p in (29, 31, 37, 41):
+        dtype = np.int32 if p <= 31 else np.int64
+        tables = curves._fp2_powers(p)
+        assert [t.dtype for t in tables] == [dtype, dtype], p
+        assert not any(t.flags.writeable for t in tables), p
+        for curve in (C1, QUINTIC):
+            coeffs, deg = good_reduction_data(curve, p)
+            want = (loop_count(coeffs, deg, p, 1), loop_count(coeffs, deg, p, 2))
+            assert (count_points(curve, p), count_points(curve, p * p)) == want, (curve.label, p)
+
+
+def test_count_points_refused_past_the_work_ceiling(monkeypatch, cold_count_tables):
+    """A count takes p cells over F_p and p (p + 1) / 2 over F_{p^2}; at
+    sieve.WORK_CEILING cells it runs, one cell more is refused before any
+    table is built."""
+    p = 13
+    coeffs, deg = good_reduction_data(C1, p)
+    for e, cells in ((1, p), (2, p * (p + 1) // 2)):
+        monkeypatch.setattr(sieve, "WORK_CEILING", cells)
+        assert count_points(C1, p**e) == loop_count(coeffs, deg, p, e)
+        monkeypatch.setattr(sieve, "WORK_CEILING", cells - 1)
+        for table in (curves._root_counts, curves._fp2_powers):
+            table.cache_clear()
+        with pytest.raises(sieve.ResourceLimitError, match=r"^point count over F_13(\^2)? of "
+                                                           f"{cells} cells exceeds ceiling$"):
+            count_points(C1, p**e)
+        assert curves._root_counts.cache_info().currsize == 0
+        assert curves._fp2_powers.cache_info().currsize == 0
+
+
+def test_jacobian_orders_count_at_p_then_p_squared(monkeypatch):
+    """The traced work counts of count_points pin this call shape: one count
+    over F_p, then one over F_{p^2}, per prime."""
+    calls = []
+
+    def spy(curve, q):
+        calls.append((curve.label, q))
+        return count_points(curve, q)
+
+    monkeypatch.setattr(curves, "count_points", spy)
+    jacobian_order(C1, 7)
+    assert calls == [("g2_2223", 7), ("g2_2223", 49)]
+    calls.clear()
+    torsion_gcd_bound(C3, [5, 7, 11, 13])
+    assert calls == [("g2_3232", q) for p in (5, 7, 11, 13) for q in (p, p * p)]
 
 
 @settings(max_examples=100, deadline=None)
