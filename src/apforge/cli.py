@@ -28,7 +28,6 @@ import gc
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 from itertools import product
 
 # numpy's OpenBLAS starts a thread per CPU at import; apforge never calls BLAS
@@ -39,15 +38,22 @@ from . import corpus as corpus_mod
 from . import curvelab, parametrize
 from .curvelab import CheckResult, timed_check
 from .exactmath import is_prime
+from .records import Record
 from .sieve import ResourceLimitError
 
 
-@dataclass
-class RunReport:
-    command: str
-    corpus_version: str
-    corpus_sha256: str
-    records: list = field(default_factory=list)
+class RunReport(Record):
+    """One command's records, which the command appends as it runs: a plain
+    record, not a NamedTuple, and never hashed, as its list grows."""
+
+    _fields = ("command", "corpus_version", "corpus_sha256", "records")
+    __hash__ = None
+
+    def __init__(self, command: str, corpus_version: str, corpus_sha256: str,
+                 records: list = None):
+        self.command, self.corpus_version = command, corpus_version
+        self.corpus_sha256 = corpus_sha256
+        self.records = [] if records is None else records
 
     @property
     def summary(self) -> dict:
@@ -65,7 +71,7 @@ class RunReport:
     def to_dict(self, no_timings: bool = False) -> dict:
         recs = []
         for r in sorted(self.records, key=lambda r: r.id):
-            d = asdict(r)
+            d = r._asdict()
             if no_timings:
                 d["runtime_ms"] = 0
             recs.append(d)

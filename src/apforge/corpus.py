@@ -37,9 +37,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .curvelab import FACT_KINDS, MAPS, RECIPES, RESULTANT_CLAIMS
 from .curves import BadReduction, HyperCurve, SuperellipticForm, good_reduction_data
@@ -51,8 +50,7 @@ from .sieve import INT64_SAFE
 ENV_VAR = "APFORGE_CORPUS"
 
 
-@dataclass(frozen=True)
-class CaseRecord:
+class CaseRecord(NamedTuple):
     """One exponent case: derivation recipe, recorded curve, typed facts."""
 
     id: str
@@ -71,8 +69,7 @@ class CaseRecord:
                                    or self.id.startswith(selector))
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(NamedTuple):
     version: str
     sha256: str
     families: tuple
@@ -325,8 +322,8 @@ def _record(what: str, rec: dict, fact: Optional[dict] = None) -> dict:
 
 
 # A family's keys are ParamFamily's fields, required unless they have a default.
-_FAMILY_REQUIRED = tuple(f.name for f in fields(ParamFamily) if f.default is MISSING)
-_FAMILY_OPTIONAL = tuple(f.name for f in fields(ParamFamily) if f.default is not MISSING)
+_FAMILY_OPTIONAL = tuple(ParamFamily._field_defaults)
+_FAMILY_REQUIRED = tuple(name for name in ParamFamily._fields if name not in _FAMILY_OPTIONAL)
 
 
 def _parse_family(rec: dict, n: int) -> ParamFamily:

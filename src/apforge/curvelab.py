@@ -9,6 +9,8 @@ records against; `run_case` turns the derivation and every fact into
 CheckResult records.  The checks read only what `apforge.corpus` built at
 load: the case's curve, field elements and ec_* models, each curve but a
 superelliptic form a `curves.HyperCurve` (y^2 = f(x), genus 1 or 2).
+The descent fact's scan of x1^3 + x3^3 = 2 x2^2 is a box search,
+`sieve.CubeSumRows`, like the point search of `apforge.points`.
 The curve, point and genus layers below this one are `apforge.curves`,
 `apforge.points` and `apforge.genus`.
 """
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .curves import HyperCurve, jacobian_order, torsion_gcd_bound
@@ -26,6 +27,7 @@ from .exactmath import (BinaryForm, UniPoly, form_eval, int_kth_root, primes_upt
                         rat_kth_root, uni_resultant)
 from .numfield import Undecided, nf_is_s_unit, nf_is_square
 from .points import locally_solvable, locally_solvable_real, rational_points_search
+from .sieve import CubeSumRows
 
 
 class DerivationMismatch(Exception):
@@ -103,31 +105,20 @@ def mod4_progression_impossible() -> bool:
 
 
 def descent_sample_pairs(scan: int):
-    """Coprime pairs (x1, x3) with x1^3 + x3^3 twice a square whose
-    progression lead 2*x1^3 - x2^2 is a perfect cube."""
-    out = []
-    for x1 in range(-scan, scan + 1):
-        for x3 in range(-scan, scan + 1):
-            if math.gcd(abs(x1), abs(x3)) != 1:
-                continue
-            t = x1**3 + x3**3
-            if t < 0 or t % 2:
-                continue
-            x2 = int_kth_root(t // 2, 2)
-            if x2 is None:
-                continue
-            if int_kth_root(2 * x1**3 - x2 * x2, 3) is None:
-                continue
-            out.append((x1, x3))
-    return out
+    """Coprime pairs (x1, x3), |x1|, |x3| <= scan, with x1^3 + x3^3 twice a
+    square whose progression lead 2*x1^3 - x2^2 is a perfect cube, in
+    row-major order (x1, then x3, ascending).  The pairs with x1^3 + x3^3 =
+    2 x2^2 are the coprime hits of one box search, `sieve.CubeSumRows`; the
+    cube test runs on each hit."""
+    return [(x1, x3) for x1, x3, x2 in CubeSumRows(scan).hits(coprime=True)
+            if int_kth_root(2 * x1**3 - x2 * x2, 3) is not None]
 
 
 # ---------------------------------------------------------------------------
 # Records
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     id: str
     status: str  # pass | fail | undecided | unchecked-claim
     expected: str

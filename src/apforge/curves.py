@@ -19,9 +19,10 @@ Point counts are numpy kernels in blocks of at most `sieve.BLOCK_CELLS`
 cells, so their working memory does not grow with q; the per-prime tables
 they read are O(p) and cached.  A count of more than `sieve.WORK_CEILING`
 cells (p over F_p, p (p + 1) / 2 over F_{p^2}) is refused with
-`sieve.ResourceLimitError` before any table is built, which the CLI reports
-with exit 3.  Each x adds its number of square roots of f(x), read from one
-p-entry table.  Over F_p, f(x) comes from `exactmath.horner` mod p.  Over
+`sieve.ResourceLimitError` before any table is built, and a Jacobian order's
+F_{p^2} count before its F_p count runs; the CLI reports it with exit 3.
+Each x adds its number of square roots of f(x), read from one p-entry
+table.  Over F_p, f(x) comes from `exactmath.horner` mod p.  Over
 F_{p^2} they take each conjugate pair a +- s (s^2 = w, w a non-residue)
 once and read the norm f(a + s) f(a - s) from the curve's norm form, an
 exact 13 x 7 integer matrix H: one block of (a, w) is two `np.einsum`
@@ -35,15 +36,15 @@ and in int64 above, where count_points asks p^(e+1) < 2^62.  Both are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .exactmath import BinaryForm, UniPoly, discriminant, horner, is_prime, square_split
 from .numfield import NumberField
+from .records import FrozenRecord
 from . import sieve
 from .sieve import BLOCK_CELLS, INT64_SAFE, ResourceLimitError
 
@@ -52,19 +53,20 @@ class BadReduction(Exception):
     """The prime divides the discriminant or leading data of the model."""
 
 
-@dataclass(frozen=True)
-class HyperCurve:
-    """y^2 = f(x), f squarefree of degree 3, 5 or 6 (genus 1 or 2), over Q or field."""
+class HyperCurve(FrozenRecord):
+    """y^2 = f(x), f squarefree of degree 3, 5 or 6 (genus 1 or 2), over Q or field.
 
-    label: str
-    f: UniPoly
-    field: Optional[NumberField] = None
+    A plain record, not a NamedTuple: it checks f when built and caches
+    `model`."""
 
-    def __post_init__(self):
-        if self.f.degree not in (3, 5, 6):
+    _fields = ("label", "f", "field")
+
+    def __init__(self, label: str, f: UniPoly, field: Optional[NumberField] = None):
+        if f.degree not in (3, 5, 6):
             raise ValueError("y^2 = f(x) model needs degree 3, 5 or 6")
-        if not discriminant(self.f.coeffs):
+        if not discriminant(f.coeffs):
             raise ValueError("f must be squarefree")
+        self.__dict__.update(label=label, f=f, field=field)
 
     @cached_property
     def model(self) -> tuple:
@@ -78,8 +80,7 @@ class HyperCurve:
         return coeffs, v, discriminant(coeffs).numerator  # an integer, as coeffs are
 
 
-@dataclass(frozen=True)
-class SuperellipticForm:
+class SuperellipticForm(NamedTuple):
     """Binary sextic f(x, y) tied to the relation f = mult * z^power."""
 
     label: str
@@ -117,24 +118,29 @@ def good_reduction_data(curve: HyperCurve, p: int):
 def count_points(curve: HyperCurve, q: int) -> int:
     """Points on the smooth projective model over F_q, q = p or p^2, p odd.
     A count of more than sieve.WORK_CEILING cells raises ResourceLimitError."""
-    p, e = _prime_power(q)
+    p, e = _checked_prime_power(q)
+    coeffs, deg = good_reduction_data(curve, p)
+    return _count_fq(coeffs, deg, p, e)
+
+
+def _checked_prime_power(q: int):
+    """(p, e) with q = p^e, once a count over F_q is known to fit: a
+    ValueError unless q is a prime or its square with p^(e+1) < 2^62, and
+    ResourceLimitError past sieve.WORK_CEILING cells."""
+    r = math.isqrt(q)  # the square test first: trial division of p^2 runs to p
+    if r * r == q and is_prime(r):
+        p, e = r, 2
+    elif is_prime(q):
+        p, e = q, 1
+    else:
+        raise ValueError("q must be a prime or the square of a prime")
     if p ** (e + 1) >= INT64_SAFE:
         raise ValueError("the int64 kernels need p^(e+1) < 2^62")
     cells = p if e == 1 else p * (p + 1) // 2
     if cells > sieve.WORK_CEILING:
         field = f"F_{p}" if e == 1 else f"F_{p}^2"
         raise ResourceLimitError(f"point count over {field} of {cells} cells exceeds ceiling")
-    coeffs, deg = good_reduction_data(curve, p)
-    return _count_fq(coeffs, deg, p, e)
-
-
-def _prime_power(q: int):
-    r = math.isqrt(q)  # the square test first: trial division of p^2 runs to p
-    if r * r == q and is_prime(r):
-        return r, 2
-    if is_prime(q):
-        return q, 1
-    raise ValueError("q must be a prime or the square of a prime")
+    return p, e
 
 
 # Per-prime tables are O(p) and read-only, shared by every curve counted at p;
@@ -245,7 +251,9 @@ def _count_fq(coeffs, deg: int, p: int, e: int) -> int:
 
 
 def l_poly_coeffs(curve: HyperCurve, p: int):
-    """(c1, c2) with L(T) = 1 + c1 T + c2 T^2 + p c1 T^3 + p^2 T^4."""
+    """(c1, c2) with L(T) = 1 + c1 T + c2 T^2 + p c1 T^3 + p^2 T^4.  The
+    F_{p^2} count is the larger, so it is checked before either count runs."""
+    _checked_prime_power(p * p)
     n1 = count_points(curve, p)
     n2 = count_points(curve, p * p)
     c1 = n1 - (p + 1)

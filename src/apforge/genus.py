@@ -4,13 +4,11 @@ trichotomy (k = 3) and Riemann-Hurwitz ramification bookkeeping (k = 3, 4, 5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class GenusZero:
+class GenusZero(NamedTuple):
     """chi > 1: genus-0 cover of degree 2/(chi - 1), chi - 1 being
     Darmon-Granville's 1/r + 1/s + 1/t - 1.  The degree is the order of the
     spherical triangle group: 2n for (2, 2, n), and 12, 24 and 60 for

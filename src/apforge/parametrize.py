@@ -29,15 +29,15 @@ parity (x, y).  The cover check matches those separately and reports them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .exactmath import (BinaryForm, form_eval, form_exact_root, form_value, int_floor_root,
                         square_split)
+from .records import FrozenRecord
 from .sieve import BLOCK_CELLS, INT64_SAFE, TernaryRows
 
 
@@ -47,11 +47,15 @@ def _clear(values) -> tuple:
     return tuple(int(v * den) for v in values), den
 
 
-@dataclass(frozen=True)
-class Branch:
-    a_form: BinaryForm
-    b_form: BinaryForm
-    c_form: BinaryForm  # pinned; re-derived by form_exact_root in verification
+class Branch(FrozenRecord):
+    """The a, b and c forms of one branch, the c form pinned and re-derived
+    by form_exact_root in verification.  A plain record, not a NamedTuple:
+    it caches `int_forms`."""
+
+    _fields = ("a_form", "b_form", "c_form")
+
+    def __init__(self, a_form: BinaryForm, b_form: BinaryForm, c_form: BinaryForm):
+        self.__dict__.update(a_form=a_form, b_form=b_form, c_form=c_form)
 
     @cached_property
     def int_forms(self) -> tuple:
@@ -60,8 +64,7 @@ class Branch:
         return tuple(_clear(f.coeffs) for f in (self.a_form, self.b_form, self.c_form))
 
 
-@dataclass(frozen=True)
-class ParamFamily:
+class ParamFamily(NamedTuple):
     """One ternary equation cA*a^2 + cB*b^2 = M*c^k with its parametrization."""
 
     id: str
@@ -79,8 +82,7 @@ class ParamFamily:
         return self.power == 3
 
 
-@dataclass(frozen=True)
-class TernarySolution:
+class TernarySolution(NamedTuple):
     a: int
     b: int
     c: int
@@ -90,13 +92,13 @@ class TernarySolution:
         return math.gcd(math.gcd(abs(self.a), abs(self.b)), abs(self.c)) == 1
 
 
-@dataclass
-class CoverReport:
+class CoverReport(NamedTuple):
     radius: int
     solutions_found: int
     matched: int
-    unmatched: list = field(default_factory=list)
-    via_doubled_forms: list = field(default_factory=list)
+    # Default lists are shared between reports: nothing appends to a report's lists.
+    unmatched: list = []
+    via_doubled_forms: list = []
     radius_doubled: bool = False
 
 

@@ -45,10 +45,9 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -62,8 +61,7 @@ ETA_CAP = 10**6  # largest |eta| among the twists of search_general
 POOL_AFTER_S = Fraction(3, 10)  # seconds a search with jobs > 1 scans alone before any worker
 
 
-@dataclass(frozen=True)
-class PowerTerm:
+class PowerTerm(NamedTuple):
     x: int
     exponent: int
     eta: int = 1
@@ -73,8 +71,7 @@ class PowerTerm:
         return self.eta * self.x**self.exponent
 
 
-@dataclass(frozen=True)
-class Progression:
+class Progression(NamedTuple):
     terms: tuple
 
     @property
@@ -123,8 +120,7 @@ def _decompose(h: int, l: int, etas: tuple, bound: int):
     return None
 
 
-@dataclass(frozen=True)
-class _VectorTask:
+class _VectorTask(NamedTuple):
     lvec: tuple
     bounds: tuple          # per-position x bound
     etas: tuple            # per-position eta tuple
@@ -181,7 +177,7 @@ def _scan_vector(task: _VectorTask, until: Optional[int] = None) -> tuple:
             if 2 * now - last >= until:
                 break
             last = now
-    return hits, (replace(task, outer_slice=(lo + done, hi)) if done < outer.size else None)
+    return hits, (task._replace(outer_slice=(lo + done, hi)) if done < outer.size else None)
 
 
 def _exact_stage(task, cands, i, j, hs, ws) -> list:
@@ -253,7 +249,7 @@ def _split_task(task: _VectorTask, parts: int) -> list:
     # deduplicated value set, which this pointwise bound dominates.
     lo, hi, _ = slice(*task.outer_slice).indices(min(_position_sizes(task)))
     step = max(1, -(-(hi - lo) // parts))
-    return [replace(task, outer_slice=(s, min(s + step, hi))) for s in range(lo, hi, step)]
+    return [task._replace(outer_slice=(s, min(s + step, hi))) for s in range(lo, hi, step)]
 
 
 def _run_tasks(tasks: list, jobs: int) -> list:
@@ -294,7 +290,7 @@ def _run_tasks(tasks: list, jobs: int) -> list:
 
 
 def _reversed_task(task: _VectorTask) -> _VectorTask:
-    return replace(task, lvec=task.lvec[::-1], bounds=task.bounds[::-1], etas=task.etas[::-1])
+    return task._replace(lvec=task.lvec[::-1], bounds=task.bounds[::-1], etas=task.etas[::-1])
 
 
 def _reversed_hit(prog: Progression) -> Progression:
@@ -312,7 +308,7 @@ def _scan_plan(task: _VectorTask):
     """
     rev = _reversed_task(task)
     if rev == task:
-        return replace(task, half=True), False
+        return task._replace(half=True), False
     key = lambda t: (t.lvec, t.bounds, t.etas)
     return (rev, True) if key(rev) < key(task) else (task, False)
 

@@ -8,10 +8,12 @@ built on first use.  A factor table marks the residues of eta * x^l modulo
 one power modulus: a CRT factor 16, 9, 5, 7, 11 or 13 (which multiply to
 720720), or the prime 17 or 19.  A box asks where a binary form F(col, row)
 is M times a k-th power: the point search asks it of the sextic with M = 1
-and k = 2, the Lemma's cover grid of cA a^2 + cB b^2 = M c^k.  Its tables
-follow one rule (`_form_table`): per power modulus f, entry
-[row % M f, col % M f] marks M dividing F with a quotient in the k-th-power
-factor table mod f.
+and k = 2, the Lemma's cover grid of cA a^2 + cB b^2 = M c^k, and the
+descent scan of x3^3 + x1^3 with M = 2 and k = 2.  Its tables follow one
+rule (`_form_table`): per power modulus f, entry [row % M f, col % M f]
+marks M dividing F with a quotient in the k-th-power factor table mod f.
+F mod M f on the whole M f x M f grid is one int64 matrix product of two
+power tables, x^j and the coefficient-scaled reversed powers, mod M f.
 
 Callers never see the modulus.  Two kernels pack their tables into 64-bit
 row patterns, each an OR of the packed masks of the columns in one residue
@@ -21,12 +23,13 @@ twin's included, over a block of outer values, with the CRT factors packed
 in coprime pairs (16 * 9, 5 * 7, 11 * 13) so a pair is one gather, and
 `BoxRows` a 2-D box over a block of rows, with column masks cached per
 column range and modulus, whose `hits` confirm each surviving cell on Python
-ints; it runs as `SquareRows`, the point search's box, and `TernaryRows`,
-the cover grid.  A block takes ROW_BLOCK rows, or more while its patterns
-stay within the kernel's word cap (CLASS_BLOCK_WORDS, BLOCK_WORDS) and it
-keeps about BLOCK_CELLS cells (`_block_rows`, from the share of residues the
-tables admit), so a narrow sparse scan loops over few blocks, and a wide or
-a dense one keeps its arrays small.
+ints; it runs as `SquareRows`, the point search's box, `TernaryRows`, the
+cover grid, and `CubeSumRows`, the descent scan.  A block takes ROW_BLOCK
+rows, or more while its patterns stay within the kernel's word cap
+(CLASS_BLOCK_WORDS, BLOCK_WORDS) and it keeps about BLOCK_CELLS cells
+(`_block_rows`, from the share of residues the tables admit), so a narrow
+sparse scan loops over few blocks, and a wide or a dense one keeps its
+arrays small.
 BLOCK_CELLS is also the cell budget of every other numpy block: `searcher`'s
 exact-stage slices, `parametrize`'s parameter box, `curves`' point counts and
 `numfield`'s root tables.  WORK_CEILING bounds the pairs of a progression
@@ -45,7 +48,7 @@ from .exactmath import form_value, int_kth_root
 
 CRT_FACTORS = (16, 9, 5, 7, 11, 13)
 _POWER_PRIMES = (17, 19)  # the power moduli after CRT_FACTORS
-_POWER_MODULI = CRT_FACTORS + _POWER_PRIMES  # of TernaryRows and the tests' reference rule
+_POWER_MODULI = CRT_FACTORS + _POWER_PRIMES  # of TernaryRows, CubeSumRows and the tests' rule
 # ClassRows' pattern groups: the CRT factors in coprime pairs, whose f1 * f2
 # rows are the AND of the two factors' rows, then the primes alone (17 * 19
 # would add 323 rows a pattern and save no time).
@@ -257,11 +260,21 @@ def _form_table(coeffs: Sequence[int], m: int, k: int, f: int) -> np.ndarray:
     """The box table mod m * f of F(col, row) = `form_value`(coeffs, col,
     row): entry [row % (m f), col % (m f)] is set iff m divides F and the
     quotient's residue mod f is in the k-th-power factor table (every
-    residue when f = 1)."""
-    admitted = np.zeros(m * f, dtype=bool)
+    residue when f = 1).
+
+    F(col, row) mod m f is one int64 matrix product, P S, of the power
+    table P[x, j] = x^j mod m f (x < m f, j <= n) and the reversed power
+    table S[j, col] = P[col, n - j], row j scaled by coeffs[j] mod m f.  Each
+    of its n + 1 terms is below (m f - 1)^3, so every sum stays under
+    (n + 1) (m f - 1)^3 < 2^31 for m f <= _TABLE_CAP and n <= 6."""
+    mf, n = m * f, len(coeffs) - 1
+    admitted = np.zeros(mf, dtype=bool)
     admitted[::m] = _factor_table(k, f, (1,))  # the residues m t mod m f, t a k-th power mod f
-    grid = np.arange(m * f, dtype=np.int64)
-    return admitted[form_value(coeffs, grid, grid[:, None], m * f)]  # [row, col]
+    grid, powers = np.arange(mf, dtype=np.int64), np.ones((mf, n + 1), dtype=np.int64)
+    for j in range(1, n + 1):
+        powers[:, j] = powers[:, j - 1] * grid % mf
+    scaled = powers[:, ::-1].T * np.array([c % mf for c in coeffs], dtype=np.int64)[:, None]
+    return admitted[powers @ scaled % mf]  # [row, col]
 
 
 class BoxRows:
@@ -350,3 +363,12 @@ class TernaryRows(BoxRows):
 
     def __init__(self, ca: int, cb: int, m: int, k: int, bound: int):
         super().__init__((cb, 0, ca), m, k, _POWER_MODULI, range(bound + 1), range(bound + 1))
+
+
+class CubeSumRows(BoxRows):
+    """The descent scan's box x1, x3 in [-scan, scan]: x3^3 + x1^3 = 2 x2^2,
+    rows x1 and columns x3, sieved modulo 2 f for the power moduli f."""
+
+    def __init__(self, scan: int):
+        box = range(-scan, scan + 1)
+        super().__init__((1, 0, 0, 1), 2, 2, _POWER_MODULI, box, box)

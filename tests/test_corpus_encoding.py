@@ -3,7 +3,6 @@ declare has a parser, after `load_corpus()` no value outside the name and
 prose keys is still a string, and the exact algebra types refuse string
 coefficients instead of parsing them."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -25,7 +24,7 @@ def test_every_declared_key_has_a_parser():
     declared = [(None, key, False) for keys in (("kind", "recipe"), *row_keys) for key in keys]
     declared += [(None, key, False) for _, curve_keys, deriv_keys in corpus._CURVES.values()
                  for key in curve_keys + deriv_keys]
-    declared += [(None, f.name, False) for f in dataclasses.fields(ParamFamily)]
+    declared += [(None, name, False) for name in ParamFamily._fields]
     for kind, row in FACT_KINDS.items():
         required, optional = row.keys, row.optional
         claims = RESULTANT_CLAIMS if "resultant" in required else ()
@@ -52,8 +51,8 @@ def string_leaves(node, path="", key=None):
         return []
     if isinstance(node, str):
         return [path]
-    if dataclasses.is_dataclass(node):
-        node = {f.name: getattr(node, f.name) for f in dataclasses.fields(node)}
+    if hasattr(node, "_fields"):
+        node = {name: getattr(node, name) for name in node._fields}
     elif isinstance(node, (BinaryForm, UniPoly)):
         node = list(node.coeffs)
     elif isinstance(node, FieldElem):

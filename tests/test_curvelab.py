@@ -1,6 +1,5 @@
 """Curve laboratory: counts vs oracles, pinned orders, searches, local tests."""
 
-import dataclasses
 import json
 import math
 import time
@@ -27,6 +26,8 @@ from apforge.points import locally_solvable, locally_solvable_real, rational_poi
 from apforge.exactmath import BinaryForm, UniPoly, discriminant, primes_upto, uni_resultant
 from apforge.numfield import field_by_name
 from apforge.sieve import ROW_BLOCK
+
+import box_rule
 
 
 CORPUS = load_corpus()
@@ -231,6 +232,31 @@ def test_jacobian_orders_count_at_p_then_p_squared(monkeypatch):
     calls.clear()
     torsion_gcd_bound(C3, [5, 7, 11, 13])
     assert calls == [("g2_3232", q) for p in (5, 7, 11, 13) for q in (p, p * p)]
+
+
+def test_jacobian_order_past_the_ceiling_counts_nothing(monkeypatch, cold_count_tables):
+    """A Jacobian order whose F_{p^2} count is past sieve.WORK_CEILING is
+    refused, with count_points' message, before either count runs: no
+    count_points call and no _root_counts table.  At the ceiling both counts
+    run, F_p first."""
+    want = jacobian_order(C1, 13)
+    curves._root_counts.cache_clear()
+    calls = []
+
+    def spy(curve, q):
+        calls.append(q)
+        return count_points(curve, q)
+
+    monkeypatch.setattr(curves, "count_points", spy)
+    for p in (1_000_003, 13):
+        cells = p * (p + 1) // 2
+        monkeypatch.setattr(sieve, "WORK_CEILING", min(sieve.WORK_CEILING, cells - 1))
+        with pytest.raises(sieve.ResourceLimitError,
+                           match=rf"^point count over F_{p}\^2 of {cells} cells exceeds ceiling$"):
+            jacobian_order(C1, p)
+        assert calls == [] and curves._root_counts.cache_info().currsize == 0
+    monkeypatch.setattr(sieve, "WORK_CEILING", 13 * 14 // 2)
+    assert jacobian_order(C1, 13) == want and calls == [13, 169]
 
 
 @settings(max_examples=100, deadline=None)
@@ -557,9 +583,9 @@ def test_derive_all_cases():
 
 def test_derivation_mismatch_detected():
     case = CASES["2232"]
-    broken = dataclasses.replace(
-        case, derivation={**case.derivation,
-                          "expected_sextic": [Fraction(c) for c in (1, -6, 15, 40, 1, -24, 12)]})
+    broken = case._replace(derivation={
+        **case.derivation,
+        "expected_sextic": [Fraction(c) for c in (1, -6, 15, 40, 1, -24, 12)]})
     with pytest.raises(DerivationMismatch):
         derive_case(broken)
 
@@ -652,6 +678,11 @@ def test_eq7_s3_pairs_cannot_extend():
     assert (23, 1) not in descent_sample_pairs(40)
 
 
+@pytest.mark.parametrize("scan", [*range(61), 200])
+def test_descent_scan_matches_the_double_loop(scan):
+    assert descent_sample_pairs(scan) == box_rule.descent_pairs(scan)
+
+
 def test_mod4_progression_impossible():
     assert mod4_progression_impossible()
 
@@ -675,8 +706,11 @@ def test_run_case_3223d2_green():
 # data.  A number or a decimal string goes up by one, a boolean flips and a
 # factorization's shape swaps.  Each mutated corpus holds the families and
 # the fact's case with that fact alone, so only its check and the derivation
-# run.  The mutations below still read pass because they leave a true
-# statement:
+# run.  Each case's curve data (CURVE_DATA: the coefficients rhs or form, and
+# the form's z_mult and z_power) is changed the same way, with every fact of
+# the case kept; some record of the case must then read fail.  The
+# mutations below still read pass because they leave a true statement (no
+# curve leaf is among them):
 STAYS_TRUE = (
     # (0, 0) is on y^2 = a x^3 + b x^2 + c x for every a, b, c: only the
     # constant coefficient rhs[0] decides the ec_point fact at the origin.
@@ -688,6 +722,7 @@ STAYS_TRUE = (
     | {(cid, i, ("shape",)) for cid, i in (("3223d2", 0), ("2233", 0), ("2332", 0), ("3323", 3))}
 )
 _NOT_STATEMENTS = {"height", "primes_upto", "scan", "kind", "field"}
+CURVE_DATA = ("rhs", "form", "z_mult", "z_power")
 
 
 def _leaf_paths(value, path=()):
@@ -712,6 +747,26 @@ def _mutated(leaf):
     return str(Fraction(leaf) + 1)
 
 
+def _mutant_records(raw, case, path):
+    """{record id: status} of the corpus holding the families and this case
+    alone, or None when the loader refuses it."""
+    path.write_text(json.dumps(dict(raw, cases=[case])), encoding="utf-8")
+    try:
+        (loaded,) = load_corpus(str(path)).cases
+    except (ValueError, KeyError):
+        return None
+    return {r.id: r.status for r in run_case(loaded)}
+
+
+def _with_leaf_mutated(record, leaf_path):
+    mutant = json.loads(json.dumps(record))
+    node = mutant
+    for key in leaf_path[:-1]:
+        node = node[key]
+    node[leaf_path[-1]] = _mutated(node[leaf_path[-1]])
+    return mutant
+
+
 def test_every_checked_fact_leaf_can_fail(tmp_path):
     with open(corpus_path(), encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -721,21 +776,20 @@ def test_every_checked_fact_leaf_can_fail(tmp_path):
             if fact["kind"] == "unchecked_claim":
                 continue
             for leaf_path in _leaf_paths(fact):
-                mutant = json.loads(json.dumps(fact))
-                node = mutant
-                for key in leaf_path[:-1]:
-                    node = node[key]
-                node[leaf_path[-1]] = _mutated(node[leaf_path[-1]])
-                path.write_text(json.dumps(dict(raw, cases=[dict(case, facts=[mutant])])),
-                                encoding="utf-8")
-                try:
-                    (loaded,) = load_corpus(str(path)).cases
-                except (ValueError, KeyError):
-                    outcomes[case["id"], idx, leaf_path] = "refused"
-                    continue
-                records = {r.id: r.status for r in run_case(loaded)}
-                outcomes[case["id"], idx, leaf_path] = records[f"{case['id']}:{fact['kind']}:0"]
+                mutant = _with_leaf_mutated(fact, leaf_path)
+                records = _mutant_records(raw, dict(case, facts=[mutant]), path)
+                outcomes[case["id"], idx, leaf_path] = (
+                    "refused" if records is None else records[f"{case['id']}:{fact['kind']}:0"])
+        data = {key: value for key, value in case["curve"].items() if key in CURVE_DATA}
+        for leaf_path in _leaf_paths(data):
+            curve = _with_leaf_mutated(case["curve"], leaf_path)
+            records = _mutant_records(raw, dict(case, curve=curve), path)
+            outcomes[case["id"], "curve", leaf_path] = (
+                "refused" if records is None else
+                "fail" if "fail" in records.values() else
+                "pass" if set(records.values()) <= {"pass", "unchecked-claim"} else "undecided")
     assert len(outcomes) >= 300
+    assert len([key for key in outcomes if key[1] == "curve"]) >= 60
     assert set(outcomes.values()) <= {"fail", "refused", "pass"}
     assert {key for key, status in outcomes.items() if status == "pass"} == STAYS_TRUE
 

@@ -2,9 +2,9 @@
 names `CRT_MODULUS`, `CRT_FACTORS`, `power_table`, the power moduli past the
 CRT factors and their grouping in `ClassRows`, the point search's row primes,
 or the box tables' builder and its modulus cap; callers go through `ClassRows`
-and the box search `BoxRows`, as `SquareRows` and `TernaryRows`.  The tests'
-reference rule `maybe_power` (tests/power_rule.py) reads the tables directly,
-as a test may."""
+and the box search `BoxRows`, as `SquareRows`, `TernaryRows` and
+`CubeSumRows`.  The tests' reference rule `maybe_power` (tests/power_rule.py)
+reads the tables directly, as a test may."""
 
 import ast
 from pathlib import Path
@@ -88,7 +88,7 @@ def test_corpus_values_are_built_at_load():
 
 # No dead helpers: every private module-level function, class or constant,
 # every public module-level function or class, and every public method or
-# property of a package class (dunders and dataclass fields aside) is read
+# property of a package class (dunders and record fields aside) is read
 # somewhere in the package outside its own definition.  A helper only the
 # tests call lives under tests/, as `param_eval` in tests/param_rule.py.
 def _definitions(tree):
@@ -218,3 +218,17 @@ def test_only_the_process_entry_touches_the_collector():
              for scope, name in _names_by_scope(ast.parse(path.read_text(encoding="utf-8")))
              if name in ("disable", "enable", "collect", "freeze", "unfreeze")}
     assert found == GC_CALLS
+
+
+# Records are NamedTuples or small plain classes: no source imports
+# `dataclasses`, whose decorator generates and execs each record's methods
+# at every import.
+def test_no_source_imports_dataclasses():
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import) else
+                     [node.module] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}:{node.lineno}: imports {name}" for name in names
+                      if name and name.split(".")[0] == "dataclasses"]
+    assert SOURCES and not found, "\n".join(found)

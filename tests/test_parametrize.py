@@ -1,6 +1,5 @@
 """Parametrization families: identities, evaluation, bounded completeness."""
 
-import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -21,8 +20,8 @@ FAMILIES = {f.id: f for f in load_corpus().families}
 # Synthetic variants that reach paths the corpus never does: half-integral
 # forms without the parity rule (non-integral values), and a repeated branch
 # (keys reached twice; the first branch must keep them).
-NO_PARITY = dataclasses.replace(FAMILIES["viii"], parity_rule=None)
-REPEATED = dataclasses.replace(FAMILIES["ii"], branches=FAMILIES["ii"].branches * 2)
+NO_PARITY = FAMILIES["viii"]._replace(parity_rule=None)
+REPEATED = FAMILIES["ii"]._replace(branches=FAMILIES["ii"].branches * 2)
 
 
 def fraction_enumerate(family, bound):
@@ -214,8 +213,8 @@ def test_sieved_enumeration_matches_fraction_oracle(fid):
 
 # a^2 + b^2 = 8 c^3 has the primitive solution (2, 2, 1) with gcd(a, b) = 2:
 # M = 8 is not squarefree, so the gcd(a, b) = 1 cut must not run.
-EIGHT_C3 = dataclasses.replace(FAMILIES["ii"], id="8c3", equation="a^2 + b^2 = 8c^3",
-                               rhs_mult=Fraction(8))
+EIGHT_C3 = FAMILIES["ii"]._replace(id="8c3", equation="a^2 + b^2 = 8c^3",
+                                   rhs_mult=Fraction(8))
 
 
 def test_enumeration_keeps_non_coprime_cells_when_m_is_not_squarefree():
@@ -226,8 +225,8 @@ def test_enumeration_keeps_non_coprime_cells_when_m_is_not_squarefree():
 
 # a^2 + b^2 = 1009 c^2: every modulus 1009 f is past what the grid
 # tabulates, so divisibility by M is settled by the exact confirmation alone.
-PRIME_1009 = dataclasses.replace(FAMILIES["vi"], id="1009c2", equation="a^2 + b^2 = 1009c^2",
-                                 rhs_mult=Fraction(1009))
+PRIME_1009 = FAMILIES["vi"]._replace(id="1009c2", equation="a^2 + b^2 = 1009c^2",
+                                     rhs_mult=Fraction(1009))
 
 
 def test_enumeration_with_untabulated_m_matches_fraction_oracle():
@@ -251,8 +250,8 @@ _ENUMERATION_BOUNDS = (0, 1, 63, 64, 65, 191, 192, 193)
 @example(-2, 7, 12, 2)
 @example(3, 5, 4, 4)
 def test_sieved_enumeration_matches_fraction_oracle_on_random_equations(ca, cb, m, k):
-    fam = dataclasses.replace(FAMILIES["ii"], id="random", coef_a=Fraction(ca),
-                              coef_b=Fraction(cb), rhs_mult=Fraction(m), power=k)
+    fam = FAMILIES["ii"]._replace(id="random", coef_a=Fraction(ca),
+                                  coef_b=Fraction(cb), rhs_mult=Fraction(m), power=k)
     want = fraction_enumerate(fam, max(_ENUMERATION_BOUNDS))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sieve, "BLOCK_WORDS", 0)

@@ -15,6 +15,7 @@ from apforge import sieve
 from apforge.exactmath import int_kth_root
 from apforge.searcher import _eta_candidates
 from apforge.sieve import CRT_FACTORS, ROW_BLOCK, ClassRows, SquareRows, _block_rows, _set_cells
+import box_rule
 from power_rule import maybe_power
 
 # The moduli maybe_power and ClassRows test a power against: the CRT factors
@@ -457,6 +458,27 @@ def test_ternary_rows_past_the_table_cap_keep_every_cell(m):
     assert m > sieve._TABLE_CAP
     got = _ternary_cells(sieve.TernaryRows(3, -5, m, 2, 64), 64)
     assert got == [(a, b) for a in range(65) for b in range(65)]
+
+
+# Every modulus f a box may tabulate (1 when the k-th-power table marks every
+# residue), with an m that keeps m f within the cap.
+_TABLE_MODULI = st.sampled_from((1, *POWER_MODULI, 23, 29, 31, 37, 41, 43, 47, 53)).flatmap(
+    lambda f: st.tuples(st.integers(1, sieve._TABLE_CAP // f), st.just(f)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(st.integers(-10**12, 10**12) | st.just(0),
+                                                    min_size=n + 1, max_size=n + 1)),
+       _TABLE_MODULI, st.integers(1, 6))
+@example([-1] * 7, (32, 16), 2)  # m f at the cap, every term at its largest, (m f - 1)^3
+@example([0, 0, 0, 0, 0, 0, 0], (512, 1), 3)
+@example([5, 0, -7], (1, 1), 2)
+@example([1, 0, 0, 1], (2, 19), 2)  # a table of the descent scan
+def test_form_table_matches_the_per_cell_table(coeffs, mf, k):
+    m, f = mf
+    got = sieve._form_table(coeffs, m, k, f)
+    assert got.dtype == bool and got.shape == (m * f, m * f)
+    assert np.array_equal(got, box_rule.form_table(coeffs, m, k, f))
 
 
 def test_box_past_the_work_ceiling_is_refused_before_any_table(monkeypatch):
