@@ -300,10 +300,12 @@ def _exponent_vector(text: str) -> tuple:
 
 
 def _report_path(text: str) -> str:
-    """argparse type: a report path in an existing directory, checked
-    before any work is done."""
+    """argparse type: a report path in an existing directory, and not a
+    directory itself, checked before any work is done."""
     if not os.path.isdir(os.path.dirname(os.path.abspath(text))):
         raise argparse.ArgumentTypeError(f"no directory for {text!r}")
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
     return text
 
 

@@ -2,18 +2,23 @@
 
 The corpus is a JSON file (bundled copy under ``apforge/data/corpus.json``,
 overridden by APFORGE_CORPUS or an explicit path; its sha256 is stamped into
-reports).  Only this module knows how the file writes values: `_TYPES` lists
-every key a record may hold, with the parser that turns its value, once, at
-load, into the type and shape the key needs.  Exact numbers are decimal
-strings parsed to Fraction: one (``divisor``, ``curve_divisor`` and
-``rhs_mult`` nonzero), a non-empty list (a curve's ``rhs``), two, or (x, y)
-pairs (``affine``); ``value`` is an integer string, parsed to int; counts and
-bounds are JSON ints >= 1 (``primes_upto`` >= 2, ``branch`` and ``infinity``
->= 0); ``p`` is an odd prime with p^3 < `sieve.INT64_SAFE`, ``primes`` a
-non-empty list of such and ``s_unit`` one of any primes under the same
-bound; ``expect`` and ``real`` are booleans; ``shape`` is ``unipoly`` (or,
-in a factorization, ``form``); names and prose stay strings; a family's
-``branches``, a list, become Branch records.  A fact's ``field`` becomes its
+reports).  That sha256 is CPython's built-in one, ``_sha2`` from 3.12 and
+``_sha256`` before, so loading a corpus loads no OpenSSL; only an
+interpreter built without either falls back to ``hashlib``.  Only this
+module knows how the file writes values: `_TYPES` lists every key a record
+may hold, with the parser that turns its value, once, at load, into the
+type and shape the key needs.  Exact numbers are decimal strings parsed to
+Fraction (a plain ASCII decimal integer, with an optional leading ``-``,
+through int, which skips Fraction's regex; most corpus numbers are such):
+one (``divisor``, ``curve_divisor`` and ``rhs_mult`` nonzero), a non-empty
+list (a curve's ``rhs``), two, or (x, y) pairs (``affine``); ``value`` is
+an integer string, parsed to int; counts and bounds are JSON ints >= 1
+(``primes_upto`` >= 2, ``branch`` and ``infinity`` >= 0); ``p`` is an odd
+prime with p^3 < `sieve.INT64_SAFE`, ``primes`` a non-empty list of such
+and ``s_unit`` one of any primes under the same bound; ``expect`` and
+``real`` are booleans; ``shape`` is ``unipoly`` (or, in a factorization,
+``form``); names and prose stay strings; a family's ``branches``, a list,
+become Branch records.  A fact's ``field`` becomes its
 NumberField; there a field element is written as its coordinates in the power
 basis, and the keys in `_IN_FIELD` hold FieldElems (or lists of them).  The
 file is an object whose ``families`` and ``cases`` are lists of objects, as
@@ -34,7 +39,6 @@ feeds a run.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from fractions import Fraction
@@ -46,6 +50,14 @@ from .exactmath import BinaryForm, UniPoly, is_prime
 from .numfield import FIELDS, FieldElem, field_by_name
 from .parametrize import Branch, ParamFamily
 from .sieve import INT64_SAFE
+
+try:  # CPython's built-in sha256: no OpenSSL in the process
+    from _sha2 import sha256  # 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 ENV_VAR = "APFORGE_CORPUS"
 
@@ -99,7 +111,7 @@ def load_corpus(path: Optional[str] = None) -> Corpus:
     _by_id(cases, "case")
     return Corpus(
         version=_record("corpus", {"version": data["version"]})["version"],
-        sha256=hashlib.sha256(raw).hexdigest(),
+        sha256=sha256(raw).hexdigest(),
         families=families,
         cases=cases,
     )
@@ -163,6 +175,9 @@ def _number(value, fact=None):
         return [_number(v) for v in value]
     try:
         if type(value) is str:
+            digits = value[1:] if value[:1] == "-" else value
+            if digits.isascii() and digits.isdigit():
+                return Fraction(int(value))
             return Fraction(value)
     except (ValueError, ZeroDivisionError):
         pass

@@ -7,8 +7,9 @@ enters any result.  `UniPoly` is the only dense polynomial arithmetic: a
 square-and-multiply.  `horner` and `form_value` are the one evaluator of a
 coefficient list and of a binary form, exact or modulo an integer and on
 int64 arrays alike.  On top sit exact k-th roots of forms and integers,
-resultants, discriminants and extended gcds by Euclidean remainders, and the
-prime helpers.
+resultants and extended gcds by Euclidean remainders, the determinant of an
+integer matrix by fraction-free elimination (`int_det`), discriminants, and
+the prime helpers.
 """
 
 from __future__ import annotations
@@ -415,15 +416,56 @@ def uni_resultant(p: UniPoly, q: UniPoly):
     return res * q.coeffs[0] ** p.degree
 
 
+def int_det(rows) -> int:
+    """Determinant of a square integer matrix, given as its rows, by
+    Bareiss's fraction-free elimination (Math. Comp. 22, 1968): after step
+    k every entry below and right of the pivots is a (k + 1) x (k + 1)
+    minor, so each division by the previous pivot is exact and no value
+    leaves the integers.  A zero pivot swaps in a lower row, negating."""
+    a = [list(row) for row in rows]
+    sign, prev = 1, 1
+    for k in range(len(a) - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, len(a)) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        pivot, top = a[k][k], a[k]
+        for row in a[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, len(a)):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+        prev = pivot
+    return sign * a[-1][-1] if a else 1
+
+
+def _sylvester(p: Sequence[int], q: Sequence[int]) -> list:
+    """The Sylvester matrix of the polynomials with ascending coefficients p
+    and q, of degrees m and n: n shifted rows of p, then m of q, each
+    descending; its determinant is Res(p, q)."""
+    m, n = len(p) - 1, len(q) - 1
+    return ([[0] * i + list(p[::-1]) + [0] * (n - 1 - i) for i in range(n)]
+            + [[0] * i + list(q[::-1]) + [0] * (m - 1 - i) for i in range(m)])
+
+
 @lru_cache(maxsize=None)
 def discriminant(coeffs: tuple):
     """Res(f, f') for f with these ascending coefficients (trailing zeros
     ignored): zero iff f has a repeated root, an integer for integer f.  A
-    cubic takes the closed form, other degrees `uni_resultant`.  Cached:
-    curves, fields, point counts and local solvability each ask again."""
+    cubic takes the closed form.  Rational f of degree n >= 1 with D the
+    lcm of its denominators: D f is integral, Res(D f, D f') = D^(2n - 1)
+    Res(f, f'), and the left side is the `int_det` of their Sylvester
+    matrix.  Other coefficient rings take `uni_resultant`.  Cached: curves,
+    fields, point counts and local solvability each ask again."""
     f = UniPoly(coeffs)
-    if f.degree != 3:
+    n = f.degree
+    if n == 3:
+        d, c, b, a = f.coeffs
+        return -a * (b * b * c * c - 4 * a * c**3 - 4 * b**3 * d - 27 * a * a * d * d
+                     + 18 * a * b * c * d)
+    if n < 1 or not all(isinstance(c, Fraction) for c in f.coeffs):
         return uni_resultant(f, f.derivative())
-    d, c, b, a = f.coeffs
-    return -a * (b * b * c * c - 4 * a * c**3 - 4 * b**3 * d - 27 * a * a * d * d
-                 + 18 * a * b * c * d)
+    scale = math.lcm(*(c.denominator for c in f.coeffs))
+    ints = [c.numerator * (scale // c.denominator) for c in f.coeffs]
+    det = int_det(_sylvester(ints, [i * c for i, c in enumerate(ints)][1:]))
+    return Fraction(det, scale ** (2 * n - 1))

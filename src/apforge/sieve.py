@@ -256,6 +256,17 @@ def _column_masks(lo: int, hi: int, m: int) -> np.ndarray:
 _TABLE_CAP = 512  # the largest modulus m * f that BoxRows tabulates
 
 
+@lru_cache(maxsize=128)
+def _power_table(mf: int, n: int) -> np.ndarray:
+    """The int64 table P[x, j] = x^j mod mf, x < mf and j <= n, read-only:
+    every box table mod mf of a form of degree n shares it."""
+    grid, powers = np.arange(mf, dtype=np.int64), np.ones((mf, n + 1), dtype=np.int64)
+    for j in range(1, n + 1):
+        powers[:, j] = powers[:, j - 1] * grid % mf
+    powers.flags.writeable = False
+    return powers
+
+
 def _form_table(coeffs: Sequence[int], m: int, k: int, f: int) -> np.ndarray:
     """The box table mod m * f of F(col, row) = `form_value`(coeffs, col,
     row): entry [row % (m f), col % (m f)] is set iff m divides F and the
@@ -263,16 +274,15 @@ def _form_table(coeffs: Sequence[int], m: int, k: int, f: int) -> np.ndarray:
     residue when f = 1).
 
     F(col, row) mod m f is one int64 matrix product, P S, of the power
-    table P[x, j] = x^j mod m f (x < m f, j <= n) and the reversed power
-    table S[j, col] = P[col, n - j], row j scaled by coeffs[j] mod m f.  Each
-    of its n + 1 terms is below (m f - 1)^3, so every sum stays under
-    (n + 1) (m f - 1)^3 < 2^31 for m f <= _TABLE_CAP and n <= 6."""
+    table P[x, j] = x^j mod m f (x < m f, j <= n; `_power_table`, cached)
+    and the reversed power table S[j, col] = P[col, n - j], row j scaled by
+    coeffs[j] mod m f.  Each of its n + 1 terms is below (m f - 1)^3, so
+    every sum stays under (n + 1) (m f - 1)^3 < 2^31 for m f <= _TABLE_CAP
+    and n <= 6."""
     mf, n = m * f, len(coeffs) - 1
     admitted = np.zeros(mf, dtype=bool)
     admitted[::m] = _factor_table(k, f, (1,))  # the residues m t mod m f, t a k-th power mod f
-    grid, powers = np.arange(mf, dtype=np.int64), np.ones((mf, n + 1), dtype=np.int64)
-    for j in range(1, n + 1):
-        powers[:, j] = powers[:, j - 1] * grid % mf
+    powers = _power_table(mf, n)
     scaled = powers[:, ::-1].T * np.array([c % mf for c in coeffs], dtype=np.int64)[:, None]
     return admitted[powers @ scaled % mf]  # [row, col]
 

@@ -1,5 +1,7 @@
 """CLI behavior: exit codes, reports, corpus resolution."""
 
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -214,6 +216,43 @@ def test_module_entry_freezes_the_start_up_heap():
     proc = _python("-c", _MODULE_ENTRY, "genus", "--chi", "2", "2", "2")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "True", "False"]
+
+
+# Runs the -m entry of apforge.cli as _MODULE_ENTRY does, then prints the
+# exit code and which of hashlib and OpenSSL's _hashlib are loaded.
+_OPENSSL_PROBE = ("import contextlib, io, runpy, sys\n"
+                  "try:\n"
+                  "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "        runpy.run_module('apforge.cli', run_name='__main__')\n"
+                  "except SystemExit as exc:\n"
+                  "    print(exc.code, *[m for m in ('hashlib', '_hashlib') if m in sys.modules])\n")
+
+
+@pytest.mark.skipif(not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
+                    reason="the interpreter has no built-in sha256 module")
+@pytest.mark.parametrize("copy", [False, True], ids=["bundled", "copy"])
+@pytest.mark.parametrize("argv", [
+    ["cases", "--height", "50"],
+    ["verify-lemma", "--bound", "20"],
+    ["--jobs", "1", "search", "--theorem3", "--bound-sq", "100", "--bound-cu", "20"],
+    ["genus", "--chi", "2", "3", "5"],
+], ids=["cases", "verify-lemma", "theorem3", "genus"])
+def test_no_command_loads_openssl(tmp_path, argv, copy):
+    # The corpus sha256 comes from CPython's built-in module, so no command
+    # imports hashlib, and the digest is hashlib's sha256 of the file read:
+    # the bundled corpus, or a copy with other bytes given by --corpus.
+    path = Path(corpus_path())
+    corpus = ["--corpus", str(tmp_path / "corpus.json")] if copy else []
+    if copy:
+        data = json.loads(path.read_text(encoding="utf-8"))
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(data, indent=1), encoding="utf-8")
+    report = tmp_path / "report.json"
+    proc = _python("-c", _OPENSSL_PROBE, *corpus, "--report", str(report), *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
+    want = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert json.loads(report.read_text(encoding="utf-8"))["corpus_sha256"] == want
 
 
 def test_in_process_main_never_freezes():
@@ -840,6 +879,19 @@ def test_report_path_errors_exit_two(tmp_path, capsys):
         run_cli("--report", str(tmp_path / "missing" / "r.json"), "genus", "--chi", "2", "3", "7")
     assert exc.value.code == 2
     assert "argument --report: no directory for" in capsys.readouterr().err
-    # A path that exists but cannot be written is caught at the write.
-    assert run_cli("--report", str(tmp_path), "genus", "--chi", "2", "3", "7") == 2
-    assert capsys.readouterr().err.startswith("error: cannot write report: ")
+    # A directory is refused at parse time too, before any work is done.
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--report", str(tmp_path), "genus", "--chi", "2", "3", "7")
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"argument --report: {str(tmp_path)!r} is a directory\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full (Linux)")
+def test_report_write_error_exits_two(capsys):
+    # A path that passes the parse-time checks but cannot be written is
+    # caught at the write, after the records are printed.
+    assert run_cli("--report", "/dev/full", "genus", "--chi", "2", "3", "7") == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("genus:chi:2,3,7")
+    assert err.startswith("error: cannot write report: ")

@@ -3,12 +3,14 @@ declare has a parser, after `load_corpus()` no value outside the name and
 prose keys is still a string, and the exact algebra types refuse string
 coefficients instead of parsing them."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from apforge import corpus
-from apforge.corpus import load_corpus
+from apforge.corpus import corpus_path, load_corpus
 from apforge.curvelab import FACT_KINDS, MAPS, RECIPES, RESULTANT_CLAIMS
 from apforge.exactmath import BinaryForm, UniPoly
 from apforge.numfield import FieldElem, NumberField, field_by_name
@@ -84,3 +86,41 @@ def test_no_string_leaf_after_load():
 def test_exact_types_refuse_string_coefficients(build):
     with pytest.raises(TypeError):
         build()
+
+
+def _raw_strings(node):
+    """Every string leaf of a JSON value."""
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return [s for v in node for s in _raw_strings(v)]
+    return [node] if isinstance(node, str) else []
+
+
+def _parsed(parse, text):
+    """(value, type) of parse(text), or the refusal's exception family."""
+    try:
+        q = parse(text)
+    except ValueError:
+        return "refused"
+    except ZeroDivisionError:  # Fraction's own refusal of "1/0"
+        return "refused"
+    return q, type(q)
+
+
+BUNDLED_STRINGS = _raw_strings(json.loads(Path(corpus_path()).read_text(encoding="utf-8")))
+EDGE_STRINGS = ["-0", "007", "+5", " 12", "1_000", "1.5", "3/4", "-", "", "١٢", "--5", "-1/0",
+                "5 ", "1e3", "-12345678901234567890"]
+
+
+@pytest.mark.parametrize("text", sorted(set(BUNDLED_STRINGS)) + EDGE_STRINGS)
+def test_number_parses_as_fraction_does(text):
+    # The integer fast path gives Fraction(text)'s value and type, and every
+    # string Fraction refuses is still refused.
+    assert _parsed(corpus._number, text) == _parsed(Fraction, text)
+
+
+def test_most_bundled_numbers_take_the_integer_path():
+    numbers = [s for s in BUNDLED_STRINGS if _parsed(Fraction, s) != "refused"]
+    integers = [s for s in numbers if s.lstrip("-").isdigit()]
+    assert len(numbers) >= 600 and len(integers) / len(numbers) > 0.9

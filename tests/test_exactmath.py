@@ -5,13 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from apforge.corpus import load_corpus
 from apforge.curves import HyperCurve, integral_model
-from apforge.exactmath import (BinaryForm, UniPoly, form_eval, form_exact_root, form_value,
-                               horner, int_kth_root, is_prime, poly_divmod, poly_xgcd,
-                               primes_upto, square_split, uni_resultant)
+from apforge.exactmath import (BinaryForm, UniPoly, discriminant, form_eval, form_exact_root,
+                               form_value, horner, int_det, int_kth_root, is_prime, poly_divmod,
+                               poly_xgcd, primes_upto, square_split, uni_resultant)
 from apforge.numfield import FIELDS, FieldElem, NumberField, field_by_name, nf_norm
 
 
@@ -330,6 +330,56 @@ def test_discriminants_match_sympy_on_corpus_models():
             got = uni_resultant(f, f.derivative())
             assert got == to_fraction(want), curve.label
             assert got != 0
+
+
+def _rational(nonzero=False):
+    q = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+    return q.filter(bool) if nonzero else q | st.just(Fraction(0))
+
+
+def _poly(low: int, high: int):
+    """Ascending rational coefficients of a polynomial of degree low..high:
+    non-integers and zeros frequent, the leading one nonzero, of either sign."""
+    return st.integers(low, high).flatmap(lambda n: st.tuples(
+        st.lists(_rational(), min_size=n, max_size=n), _rational(nonzero=True))).map(
+        lambda t: (*t[0], t[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_poly(1, 7))
+@example((1, 0, 39, 0, Fraction(57, 4), 0, 1))  # 3223d2's sextic: D = 4
+@example((Fraction(-5, 3), Fraction(3, 2)))
+@example((Fraction(1, 2), 0, 0, 0, 0, 0, Fraction(-3, 4)))
+@example((0, Fraction(7, 6), 0, 0, 0, 0, 0, Fraction(-1, 10)))
+def test_discriminant_is_the_euclidean_resultant(coeffs):
+    # The fraction-free determinant of D f and D f' over D^(2n - 1) is the
+    # Euclidean Res(f, f'), as a Fraction, at every degree.
+    f = UniPoly(coeffs)
+    got = discriminant.__wrapped__(coeffs)
+    assert type(got) is Fraction
+    assert got == uni_resultant(f, f.derivative())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_poly(1, 3).flatmap(lambda g: st.tuples(st.just(g), _poly(0, 7 - 2 * (len(g) - 1)))))
+def test_discriminant_of_a_repeated_root_is_zero(gh):
+    g, h = (UniPoly(c) for c in gh)
+    f = g * g * h
+    got = discriminant.__wrapped__(f.coeffs)
+    assert type(got) is Fraction and got == 0 == uni_resultant(f, f.derivative())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-6, 6) | st.just(0), min_size=n, max_size=n), min_size=n, max_size=n)))
+@example([[0, 1], [1, 0]])  # a zero pivot: one swap
+@example([[0, 2, 1], [0, 3, 5], [4, 1, 1]])
+@example([[1, 2], [2, 4]])  # singular: no pivot left
+def test_int_det_matches_sympy(rows):
+    n = len(rows)
+    want = sympy.Matrix(n, n, [c for row in rows for c in row]).det()
+    got = int_det(rows)
+    assert type(got) is int and got == want
 
 
 def small_elems(K: NumberField):

@@ -481,6 +481,24 @@ def test_form_table_matches_the_per_cell_table(coeffs, mf, k):
     assert np.array_equal(got, box_rule.form_table(coeffs, m, k, f))
 
 
+def test_power_tables_are_cached_and_read_only():
+    # Every box table mod m f of a degree-n form reads one power table
+    # x^j mod m f, cached, so no caller may write to it.
+    sieve._power_table.cache_clear()
+    SquareRows([1, 0, 0, 0, 0, 0, 1], 10)
+    SquareRows([1, 2, 0, 0, 0, 3, 1], 12)
+    info = sieve._power_table.cache_info()
+    assert (info.misses, info.hits) == (16, 16)
+    table = sieve._power_table(16, 6)
+    assert table is sieve._power_table(16, 6) and not table.flags.writeable
+    grid = np.arange(16, dtype=np.int64)[:, None]
+    assert np.array_equal(table, grid ** np.arange(7) % 16)
+    with pytest.raises(ValueError, match="read-only"):
+        table[1, 1] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        table += 1
+
+
 def test_box_past_the_work_ceiling_is_refused_before_any_table(monkeypatch):
     # Boxes of WORK_CEILING cells are searched; one cell more is refused
     # before a table is built.  The point search at height h has h (2 h + 1)
